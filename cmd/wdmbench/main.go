@@ -25,7 +25,6 @@ func main() {
 	list := flag.Bool("list", false, "list experiments and exit")
 	format := flag.String("format", "text", "output format: text, markdown, csv")
 	metricsOut := flag.String("metrics-out", "", "write a metrics snapshot to this file (.json → JSON, else Prometheus text)")
-	perfOut := flag.String("perf-out", "", "run the before/after routing perf suite and write JSON to this file (skips the experiment tables)")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof (and /metrics) on this address, e.g. localhost:6060")
 	version := cli.VersionFlag()
 	flag.Parse()
@@ -68,16 +67,6 @@ func main() {
 		for _, e := range bench.Registry() {
 			fmt.Printf("%-4s %s\n", e.ID, e.Title)
 		}
-		return
-	}
-
-	if *perfOut != "" {
-		if err := bench.WritePerfJSON(*perfOut); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "perf comparisons written to %s\n", *perfOut)
-		writeMetrics()
 		return
 	}
 

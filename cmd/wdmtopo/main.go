@@ -67,6 +67,8 @@ func printStats(net *wdm.Network) {
 	fmt.Printf("link cost        %s\n", cost.String())
 	// Robust-routability: fraction of ordered pairs with an edge-disjoint
 	// pair (should be 100% for a survivable backbone).
+	sk := auxgraph.NewSharedSkeleton(net)
+	var ws disjoint.Workspace
 	total, routable := 0, 0
 	for s := 0; s < net.Nodes(); s++ {
 		for d := 0; d < net.Nodes(); d++ {
@@ -74,18 +76,25 @@ func printStats(net *wdm.Network) {
 				continue
 			}
 			total++
-			a := auxgraph.Build(net, s, d, auxgraph.Params{Kind: auxgraph.Cost})
-			if _, ok := disjoint.Suurballe(a.G, a.S, a.T); ok {
+			a := sk.ReweightAt(s, d, auxgraph.Params{Kind: auxgraph.Cost})
+			if _, ok := ws.Suurballe(a.G, a.S, a.T); ok {
 				routable++
 			}
 		}
 	}
 	fmt.Printf("robust pairs     %d/%d (%.1f%%)\n", routable, total,
 		100*float64(routable)/float64(total))
-	// Auxiliary graph size for a representative request (§3.3.1 inventory).
-	a := auxgraph.Build(net, 0, net.Nodes()-1, auxgraph.Params{Kind: auxgraph.Cost})
+	// Auxiliary graph size for a representative request (§3.3.1 inventory):
+	// the 2m edge-nodes plus s′ and t″, and the edges enabled for the pair.
+	a := sk.ReweightAt(0, net.Nodes()-1, auxgraph.Params{Kind: auxgraph.Cost})
+	edges := 0
+	for id := 0; id < a.G.M(); id++ {
+		if !a.G.Disabled(id) {
+			edges++
+		}
+	}
 	fmt.Printf("aux graph        %d vertices, %d edges (for request 0→%d)\n",
-		a.G.N(), a.G.M(), net.Nodes()-1)
+		2*net.Links()+2, edges, net.Nodes()-1)
 	// Survivability at conduit granularity: bridge spans cannot be
 	// protected by any edge-disjoint backup.
 	g := graph.New(net.Nodes())

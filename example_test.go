@@ -126,7 +126,7 @@ func ExampleMinCostSRLG() {
 	// Corridors A and B leave node 0 through the same duct.
 	net.SetSRLG(a, 7)
 	net.SetSRLG(b, 7)
-	route, ok := repro.MinCostSRLG(net, 0, 4, 0, nil)
+	route, ok := repro.MinCostSRLG(net, 0, 4, 0)
 	if !ok {
 		panic("unroutable")
 	}

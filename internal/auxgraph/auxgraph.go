@@ -17,26 +17,25 @@
 //
 // Because the skeleton depends only on the network's structure (links,
 // installed wavelength sets, converters) and never on its residual state,
-// construction is split in two: NewSkeleton builds the full vertex and edge
-// inventory once per (net, s, t, node-disjointness), and Reweight flips the
-// Disable bits of filtered links and rewrites edge weights in place — so a
-// threshold search or a per-arrival router re-uses one skeleton instead of
-// reallocating the graph for every variant it tries. Build remains the
-// one-shot convenience wrapper (skeleton + one reweight).
+// construction is split in two: a Skeleton is built once per network with
+// NewSharedSkeleton (edge-disjoint routing) or NewNodeDisjointSkeleton, and
+// ReweightAt selects a request's terminal pair, flips the Disable bits of
+// filtered links and rewrites edge weights in place — so a threshold search
+// or a per-arrival router re-uses one skeleton for every pair and variant it
+// tries instead of reallocating the graph.
 //
-// Two refinements keep the per-request cost flat under dynamic traffic:
+// Two properties keep the per-request cost flat under dynamic traffic:
 //
-//   - A shared skeleton (NewSharedSkeleton) carries terminal vertices s′_v and
-//     t″_v for every node and enables only the requested pair's terminal edges
-//     per ReweightAt call, so one skeleton serves every (s, t) in the
-//     edge-disjoint regime instead of one build per pair.
-//   - Reweight is incremental: link-edge weights and conversion-pair means are
-//     cached per StateVersion and refreshed through the network's per-link
-//     change journal (wdm.LinkStamp), so a reservation on one link recomputes
-//     only the skeleton edges incident to that link. The cache is sound
-//     because, while TopoVersion is unchanged (the Reweight precondition),
-//     every StateVersion advance stems from an availability mutation that
-//     stamps its link's journal entry.
+//   - Every skeleton carries terminal vertices s′_v and t″_v with their
+//     terminal edges for every node, all disabled; ReweightAt enables exactly
+//     the requested pair's.
+//   - Reweighting is incremental: link-edge weights and conversion-pair means
+//     are cached per StateVersion and refreshed through the network's
+//     per-link change journal (wdm.LinkStamp), so a reservation on one link
+//     recomputes only the skeleton edges incident to that link. The cache is
+//     sound because, while TopoVersion is unchanged (the ReweightAt
+//     precondition), every StateVersion advance stems from an availability
+//     mutation that stamps its link's journal entry.
 package auxgraph
 
 import (
@@ -76,7 +75,7 @@ func (k Kind) String() string {
 // steeply.
 const DefaultBase = 10.0
 
-// Params configures Build and Reweight.
+// Params configures ReweightAt.
 type Params struct {
 	Kind Kind
 	// Threshold is ϑ for Load/LoadCost: links with load ≥ ϑ are dropped.
@@ -88,16 +87,8 @@ type Params struct {
 	// it has available wavelengths and Filter returns true. Used by exact
 	// load oracles that need a per-link capacity cap.
 	Filter func(linkID int) bool
-	// NodeDisjoint routes all conversion edges of each intermediate node
-	// through a unit-capacity hub gadget, so an edge-disjoint pair on the
-	// auxiliary graph maps to an internally node-disjoint pair on the
-	// physical network (protection against single node failures, §1). The
-	// gadget assumes pairwise conversion feasibility at each node — exact
-	// under the §3.3 full-conversion assumption; with restricted converters
-	// the refinement step re-checks feasibility.
-	NodeDisjoint bool
-	// Trace, when non-nil, receives a "reweight" span per Reweight call with
-	// the variant, threshold and surviving-link count. Nil costs nothing.
+	// Trace, when non-nil, receives a "reweight" span per ReweightAt call
+	// with the variant, threshold and surviving-link count. Nil costs nothing.
 	Trace *obs.Trace
 }
 
@@ -108,8 +99,8 @@ type Params struct {
 // the surviving subgraph.
 type Aux struct {
 	G *graph.Graph
-	S int // s′
-	T int // t″
+	S int // s′ of the active pair
+	T int // t″ of the active pair
 
 	net     *wdm.Network
 	outNode []int  // outNode[e] = aux vertex of u_out^e
@@ -117,27 +108,25 @@ type Aux struct {
 	keep    []bool // keep[e] = link e survives the current filter
 }
 
-// Skeleton is the reusable edge-node structure for one (net, s, t,
-// node-disjointness) tuple. It is built once with NewSkeleton and
-// re-weighted any number of times with Reweight, as long as the network's
-// structure (TopoVersion) is unchanged; reservations and releases only
-// change weights and filters, which Reweight recomputes in place.
+// Skeleton is the reusable edge-node structure of one network. It is built
+// once and re-weighted any number of times with ReweightAt, for any terminal
+// pair, as long as the network's structure (TopoVersion) is unchanged;
+// reservations and releases only change weights and filters, which
+// ReweightAt recomputes in place.
 //
 // A Skeleton is not safe for concurrent use, and the *Aux returned by
-// Reweight aliases the skeleton: a later Reweight rewrites it in place.
+// ReweightAt aliases the skeleton: a later ReweightAt rewrites it in place.
 type Skeleton struct {
 	aux          Aux
-	s, t         int // fixed terminals; -1 on shared skeletons
-	shared       bool
 	nodeDisjoint bool
 	topoVersion  uint64
 	m            int // physical link count at build time
 
 	linkEdge []int // linkEdge[e] = aux edge ID of e's link edge
 
-	// All conversion pairs, grouped by node in construction order. Plain
-	// pairs carry their conversion edge; pairs funneled through a hub gadget
-	// carry edge -1 and are referenced by their hub's [pairLo, pairHi) range.
+	// All conversion pairs with their plain conversion edge, grouped by node
+	// in construction order. On a node-disjoint skeleton each node's pairs
+	// are also the [pairLo, pairHi) range of its hub.
 	pairs       []convPair
 	pairOK      []bool    // cached avail-feasibility per pair
 	pairMean    []float64 // cached mean conversion cost per pair
@@ -150,24 +139,21 @@ type Skeleton struct {
 	// thrash each other. Refreshed per link through the change journal.
 	lw [3]weightCache
 
-	hubs     []hubGadget
-	termOut  []linkEdgeRef // s′ → u_out^e (fixed skeletons)
-	termIn   []linkEdgeRef // v_in^e → t″ (fixed skeletons)
-	spokeIn  []linkEdgeRef // v_in^e → hub_in(v), node-disjoint only
-	spokeOut []linkEdgeRef // hub_out(v) → u_out^e, node-disjoint only
+	hubs   []hubGadget   // node-disjoint only
+	spokes []linkEdgeRef // hub spokes, v_in^e → hub_in(v) and hub_out(v) → u_out^e
 
-	// Shared-skeleton terminal machinery: per-node terminal vertices and
-	// edge groups, plus the currently enabled pair.
-	termOutNode [][]linkEdgeRef // s′_v → u_out^e, per node
-	termInNode  [][]linkEdgeRef // v_in^e → t″_v, per node
-	srcVertex   []int           // s′_v per node
-	dstVertex   []int           // t″_v per node
-	curS, curT  int             // terminals currently enabled; -1 before first ReweightAt
+	// Terminal machinery: per-node terminal vertices and edge groups, plus
+	// the currently enabled pair.
+	termOut    [][]linkEdgeRef // s′_v → u_out^e, per node
+	termIn     [][]linkEdgeRef // v_in^e → t″_v, per node
+	srcVertex  []int           // s′_v per node
+	dstVertex  []int           // t″_v per node
+	curS, curT int             // terminals currently enabled; -1 before first ReweightAt
 }
 
 // weightCache holds one variant's per-link edge weights together with the
 // StateVersion they were computed at; links whose journal stamp exceeds that
-// version are recomputed on the next Reweight, all others are reused.
+// version are recomputed on the next ReweightAt, all others are reused.
 type weightCache struct {
 	ok   bool
 	at   uint64
@@ -176,14 +162,16 @@ type weightCache struct {
 }
 
 type convPair struct {
-	edge      int // aux edge ID, or -1 for hub-gadget pairs
+	edge      int // aux edge ID of the plain conversion edge
 	node      int
 	ein, eout int
 }
 
 type hubGadget struct {
-	hubEdge        int // aux edge ID of hub_in(v) → hub_out(v)
-	pairLo, pairHi int // this hub's range in Skeleton.pairs
+	node             int
+	hubEdge          int // aux edge ID of hub_in(v) → hub_out(v)
+	pairLo, pairHi   int // this hub's range in Skeleton.pairs
+	spokeLo, spokeHi int // this hub's range in Skeleton.spokes
 }
 
 type linkEdgeRef struct {
@@ -191,51 +179,43 @@ type linkEdgeRef struct {
 	link int // physical link whose keep bit gates the edge
 }
 
-// Build constructs the auxiliary graph for routing from s to t on the
-// residual network. It panics on invalid s/t and never fails otherwise: an
-// unroutable request simply yields a graph in which t″ is unreachable. It is
-// the one-shot wrapper around NewSkeleton + Reweight; hot paths should hold
-// a Skeleton (usually via core.Router) and Reweight it instead.
-func Build(net *wdm.Network, s, t int, p Params) *Aux {
-	return NewSkeleton(net, s, t, p.NodeDisjoint).Reweight(p)
-}
-
-// NewSkeleton builds the full edge-node skeleton for (s, t): vertices and
-// edges for every physical link, conversion edges for every pair feasible
-// under the installed wavelength sets (a superset of every residual
-// feasibility), hub gadgets when nodeDisjoint, and the terminals. All edge
-// weights are unset and all filterable edges enabled until the first
-// Reweight. It panics on invalid s/t.
-func NewSkeleton(net *wdm.Network, s, t int, nodeDisjoint bool) *Skeleton {
-	if s < 0 || s >= net.Nodes() || t < 0 || t >= net.Nodes() {
-		panic("auxgraph: source/destination out of range")
-	}
-	return newSkeleton(net, s, t, nodeDisjoint, false)
-}
-
-// NewSharedSkeleton builds one skeleton that serves every (s, t) pair of the
-// edge-disjoint regime: it carries terminal vertices s′_v and t″_v with their
-// terminal edges for every node, all disabled, and ReweightAt enables exactly
-// the requested pair's terminals per call. Routers use it to amortise
-// skeleton construction across all node pairs of a dynamic workload instead
-// of building (and caching) one skeleton per pair. The node-disjoint variant
-// still needs per-pair skeletons — its hub gadgets exempt s and t — so there
-// is no shared form for it.
+// NewSharedSkeleton builds the skeleton every edge-disjoint request routes
+// on: vertices and edges for every physical link, conversion edges for every
+// pair feasible under the installed wavelength sets (a superset of every
+// residual feasibility), and terminal vertices s′_v and t″_v with their
+// terminal edges for every node. All edge weights are unset until the first
+// ReweightAt.
 func NewSharedSkeleton(net *wdm.Network) *Skeleton {
-	return newSkeleton(net, -1, -1, false, true)
+	return newSkeleton(net, false)
 }
 
-func newSkeleton(net *wdm.Network, s, t int, nodeDisjoint, shared bool) *Skeleton {
+// NewNodeDisjointSkeleton builds the skeleton for internally node-disjoint
+// routing (protection against single node failures, §1). Besides the plain
+// conversion edges, every node that can be traversed gets a unit-capacity
+// hub gadget — hub_in(v) → hub_out(v) with spokes from each v_in^e and to
+// each u_out^e — and ReweightAt routes the conversions of every node except
+// the request's s and t through the hubs, so an edge-disjoint pair on the
+// auxiliary graph maps to a node-disjoint pair on the physical network. The
+// gadget assumes pairwise conversion feasibility at each node — exact under
+// the §3.3 full-conversion assumption; with restricted converters the
+// refinement step re-checks feasibility.
+func NewNodeDisjointSkeleton(net *wdm.Network) *Skeleton {
+	return newSkeleton(net, true)
+}
+
+func newSkeleton(net *wdm.Network, nodeDisjoint bool) *Skeleton {
 	defer instr.buildTime.Stop(instr.buildTime.Start())
 	m := net.Links()
+	n := net.Nodes()
 	sk := &Skeleton{
-		s:            s,
-		t:            t,
-		shared:       shared,
 		nodeDisjoint: nodeDisjoint,
 		topoVersion:  net.TopoVersion(),
 		m:            m,
 		linkEdge:     make([]int, m),
+		termOut:      make([][]linkEdgeRef, n),
+		termIn:       make([][]linkEdgeRef, n),
+		srcVertex:    make([]int, n),
+		dstVertex:    make([]int, n),
 		curS:         -1,
 		curT:         -1,
 	}
@@ -244,42 +224,23 @@ func newSkeleton(net *wdm.Network, s, t int, nodeDisjoint, shared bool) *Skeleto
 	a.outNode = make([]int, m)
 	a.inNode = make([]int, m)
 	a.keep = make([]bool, m)
+	a.S, a.T = -1, -1 // set by ReweightAt
 
-	// Vertex layout: for link e, out-node 2e, in-node 2e+1; then the
-	// terminals — one s′/t″ pair for fixed skeletons, one per node for shared
-	// ones; then one hub in/out pair per intermediate node when node-disjoint.
+	// Vertex layout: for link e, out-node 2e, in-node 2e+1; then one s′/t″
+	// pair per node; then one hub in/out pair per node when node-disjoint.
 	for id := 0; id < m; id++ {
 		a.outNode[id] = 2 * id
 		a.inNode[id] = 2*id + 1
 	}
 	nv := 2 * m
-	if shared {
-		sk.srcVertex = make([]int, net.Nodes())
-		sk.dstVertex = make([]int, net.Nodes())
-		for v := range sk.srcVertex {
-			sk.srcVertex[v] = nv
-			sk.dstVertex[v] = nv + 1
-			nv += 2
-		}
-		a.S, a.T = -1, -1 // set by ReweightAt
-	} else {
-		a.S = nv
-		a.T = nv + 1
+	for v := 0; v < n; v++ {
+		sk.srcVertex[v] = nv
+		sk.dstVertex[v] = nv + 1
 		nv += 2
 	}
-	var hubIn, hubOut []int
+	hubBase := nv
 	if nodeDisjoint {
-		hubIn = make([]int, net.Nodes())
-		hubOut = make([]int, net.Nodes())
-		for v := range hubIn {
-			if v == s || v == t {
-				hubIn[v], hubOut[v] = -1, -1
-				continue
-			}
-			hubIn[v] = nv
-			hubOut[v] = nv + 1
-			nv += 2
-		}
+		nv += 2 * n
 	}
 	a.G = graph.New(nv)
 
@@ -290,43 +251,41 @@ func newSkeleton(net *wdm.Network, s, t int, nodeDisjoint, shared bool) *Skeleto
 
 	// Conversion edges inside each node: v_in^e → v_out^e' for every pair
 	// with at least one feasible conversion over the installed sets (pairs
-	// infeasible even at full availability can never become feasible). Under
-	// the node-disjoint variant the edges of intermediate nodes are funneled
-	// through a unit-capacity hub instead.
-	for v := 0; v < net.Nodes(); v++ {
+	// infeasible even at full availability can never become feasible). A
+	// node-disjoint skeleton emits each such node's hub gadget first, then
+	// its plain conversion edges; ReweightAt enables one or the other, so
+	// the enabled edges keep one fixed relative order whatever the pair.
+	for v := 0; v < n; v++ {
 		conv := net.Converter(v)
-		if nodeDisjoint && v != s && v != t {
-			lo := len(sk.pairs)
-			for _, ein := range net.In(v) {
-				for _, eout := range net.Out(v) {
-					if installedFeasible(net, conv, ein, eout) {
-						sk.pairs = append(sk.pairs, convPair{edge: -1, node: v, ein: ein, eout: eout})
-					}
-				}
-			}
-			if len(sk.pairs) == lo {
-				continue // node can never be traversed
-			}
-			hubEdge := a.G.AddEdgeAux(hubIn[v], hubOut[v], 0, -1)
-			sk.hubs = append(sk.hubs, hubGadget{hubEdge: hubEdge, pairLo: lo, pairHi: len(sk.pairs)})
-			for _, ein := range net.In(v) {
-				e := a.G.AddEdgeAux(a.inNode[ein], hubIn[v], 0, -1)
-				sk.spokeIn = append(sk.spokeIn, linkEdgeRef{edge: e, link: ein})
-			}
-			for _, eout := range net.Out(v) {
-				e := a.G.AddEdgeAux(hubOut[v], a.outNode[eout], 0, -1)
-				sk.spokeOut = append(sk.spokeOut, linkEdgeRef{edge: e, link: eout})
-			}
-			continue
-		}
+		lo := len(sk.pairs)
 		for _, ein := range net.In(v) {
 			for _, eout := range net.Out(v) {
-				if !installedFeasible(net, conv, ein, eout) {
-					continue
+				if installedFeasible(net, conv, ein, eout) {
+					sk.pairs = append(sk.pairs, convPair{node: v, ein: ein, eout: eout})
 				}
-				e := a.G.AddEdgeAux(a.inNode[ein], a.outNode[eout], 0, -1)
-				sk.pairs = append(sk.pairs, convPair{edge: e, node: v, ein: ein, eout: eout})
 			}
+		}
+		if len(sk.pairs) == lo {
+			continue // node can never be traversed
+		}
+		if nodeDisjoint {
+			hubIn, hubOut := hubBase+2*v, hubBase+2*v+1
+			hb := hubGadget{node: v, pairLo: lo, pairHi: len(sk.pairs), spokeLo: len(sk.spokes)}
+			hb.hubEdge = a.G.AddEdgeAux(hubIn, hubOut, 0, -1)
+			for _, ein := range net.In(v) {
+				e := a.G.AddEdgeAux(a.inNode[ein], hubIn, 0, -1)
+				sk.spokes = append(sk.spokes, linkEdgeRef{edge: e, link: ein})
+			}
+			for _, eout := range net.Out(v) {
+				e := a.G.AddEdgeAux(hubOut, a.outNode[eout], 0, -1)
+				sk.spokes = append(sk.spokes, linkEdgeRef{edge: e, link: eout})
+			}
+			hb.spokeHi = len(sk.spokes)
+			sk.hubs = append(sk.hubs, hb)
+		}
+		for i := lo; i < len(sk.pairs); i++ {
+			cp := &sk.pairs[i]
+			cp.edge = a.G.AddEdgeAux(a.inNode[cp.ein], a.outNode[cp.eout], 0, -1)
 		}
 	}
 	sk.pairOK = make([]bool, len(sk.pairs))
@@ -339,31 +298,18 @@ func newSkeleton(net *wdm.Network, s, t int, nodeDisjoint, shared bool) *Skeleto
 		}
 	}
 
-	// Terminals. Shared skeletons get every node's terminal edges, disabled
-	// until a ReweightAt selects the pair; fixed skeletons get s and t only.
-	if shared {
-		sk.termOutNode = make([][]linkEdgeRef, net.Nodes())
-		sk.termInNode = make([][]linkEdgeRef, net.Nodes())
-		for v := 0; v < net.Nodes(); v++ {
-			for _, e1 := range net.Out(v) {
-				e := a.G.AddEdgeAux(sk.srcVertex[v], a.outNode[e1], 0, -1)
-				a.G.Disable(e)
-				sk.termOutNode[v] = append(sk.termOutNode[v], linkEdgeRef{edge: e, link: e1})
-			}
-			for _, e2 := range net.In(v) {
-				e := a.G.AddEdgeAux(a.inNode[e2], sk.dstVertex[v], 0, -1)
-				a.G.Disable(e)
-				sk.termInNode[v] = append(sk.termInNode[v], linkEdgeRef{edge: e, link: e2})
-			}
+	// Terminals, last: every node's terminal edges, disabled until a
+	// ReweightAt selects the pair.
+	for v := 0; v < n; v++ {
+		for _, e1 := range net.Out(v) {
+			e := a.G.AddEdgeAux(sk.srcVertex[v], a.outNode[e1], 0, -1)
+			a.G.Disable(e)
+			sk.termOut[v] = append(sk.termOut[v], linkEdgeRef{edge: e, link: e1})
 		}
-	} else {
-		for _, e1 := range net.Out(s) {
-			e := a.G.AddEdgeAux(a.S, a.outNode[e1], 0, -1)
-			sk.termOut = append(sk.termOut, linkEdgeRef{edge: e, link: e1})
-		}
-		for _, e2 := range net.In(t) {
-			e := a.G.AddEdgeAux(a.inNode[e2], a.T, 0, -1)
-			sk.termIn = append(sk.termIn, linkEdgeRef{edge: e, link: e2})
+		for _, e2 := range net.In(v) {
+			e := a.G.AddEdgeAux(a.inNode[e2], sk.dstVertex[v], 0, -1)
+			a.G.Disable(e)
+			sk.termIn[v] = append(sk.termIn[v], linkEdgeRef{edge: e, link: e2})
 		}
 	}
 	instr.builds.Inc()
@@ -373,70 +319,33 @@ func newSkeleton(net *wdm.Network, s, t int, nodeDisjoint, shared bool) *Skeleto
 }
 
 // Valid reports whether the network's structure is unchanged since the
-// skeleton was built — the condition under which Reweight is allowed.
+// skeleton was built — the condition under which ReweightAt is allowed.
 // Reservations and releases do not invalidate a skeleton.
 func (sk *Skeleton) Valid() bool { return sk.aux.net.TopoVersion() == sk.topoVersion }
 
-// Reweight recomputes the surviving-link filter and every edge weight in
-// place from the network's current residual state and returns the aux-graph
-// view. No vertices or edges are added or removed: dropped links and
-// infeasible conversions are Disabled, everything else Enabled with its
-// variant weight. The availability-dependent link weights and conversion
-// means are cached per StateVersion and refreshed incrementally through the
-// network's change journal — a reservation on one link recomputes only that
-// link's weight and the conversion pairs incident to it, and a threshold
-// search that only moves ϑ between rounds pays just the O(m + conv-edges)
-// filter pass. It panics when the network structure changed since NewSkeleton
-// (see Valid), when p.NodeDisjoint disagrees with the skeleton, on an invalid
-// Base, or on a shared skeleton (which needs ReweightAt's terminal pair).
-func (sk *Skeleton) Reweight(p Params) *Aux {
-	if sk.shared {
-		panic("auxgraph: shared skeleton has no fixed terminals; use ReweightAt")
-	}
-	return sk.reweight(p)
-}
-
-// ReweightAt selects (s, t) as the active terminal pair of a shared skeleton
-// and reweights: the previous pair's terminal edges are disabled, the
-// requested pair's are enabled (gated by the link filter), and everything
-// else proceeds exactly as Reweight. On a fixed skeleton it accepts only the
-// pair the skeleton was built for.
+// ReweightAt selects (s, t) as the active terminal pair and recomputes the
+// surviving-link filter and every edge weight in place from the network's
+// current residual state, returning the aux-graph view. No vertices or edges
+// are added or removed: the previous pair's terminal edges, dropped links
+// and infeasible conversions are Disabled, everything else Enabled with its
+// variant weight; on a node-disjoint skeleton the plain conversions of s and
+// t and the hubs of every other node are enabled. The availability-dependent
+// link weights and conversion means are cached per StateVersion and
+// refreshed incrementally through the network's change journal — a
+// reservation on one link recomputes only that link's weight and the
+// conversion pairs incident to it, and a threshold search that only moves ϑ
+// between rounds pays just the O(m + conv-edges) filter pass. It panics on
+// an invalid s/t, when the network structure changed since the skeleton was
+// built (see Valid), or on an invalid Base.
 //
 //wdm:hotpath
 func (sk *Skeleton) ReweightAt(s, t int, p Params) *Aux {
-	if !sk.shared {
-		if s != sk.s || t != sk.t {
-			panic("auxgraph: fixed skeleton built for a different (s, t); use NewSharedSkeleton")
-		}
-		return sk.reweight(p)
-	}
 	net := sk.aux.net
 	if s < 0 || s >= net.Nodes() || t < 0 || t >= net.Nodes() {
 		panic("auxgraph: source/destination out of range")
 	}
-	g := sk.aux.G
-	if sk.curS != s && sk.curS >= 0 {
-		for _, r := range sk.termOutNode[sk.curS] {
-			g.Disable(r.edge)
-		}
-	}
-	if sk.curT != t && sk.curT >= 0 {
-		for _, r := range sk.termInNode[sk.curT] {
-			g.Disable(r.edge)
-		}
-	}
-	sk.curS, sk.curT = s, t
-	sk.aux.S = sk.srcVertex[s]
-	sk.aux.T = sk.dstVertex[t]
-	return sk.reweight(p)
-}
-
-func (sk *Skeleton) reweight(p Params) *Aux {
 	if !sk.Valid() {
 		panic("auxgraph: network structure changed since skeleton build; build a new skeleton")
-	}
-	if p.NodeDisjoint != sk.nodeDisjoint {
-		panic("auxgraph: Params.NodeDisjoint disagrees with the skeleton")
 	}
 	base := p.Base
 	if base == 0 {
@@ -448,8 +357,21 @@ func (sk *Skeleton) reweight(p Params) *Aux {
 	defer instr.reweightTime.Stop(instr.reweightTime.Start())
 	sp := p.Trace.Begin("reweight")
 
-	net := sk.aux.net
 	g := sk.aux.G
+	if sk.curS != s && sk.curS >= 0 {
+		for _, r := range sk.termOut[sk.curS] {
+			g.Disable(r.edge)
+		}
+	}
+	if sk.curT != t && sk.curT >= 0 {
+		for _, r := range sk.termIn[sk.curT] {
+			g.Disable(r.edge)
+		}
+	}
+	sk.curS, sk.curT = s, t
+	sk.aux.S = sk.srcVertex[s]
+	sk.aux.T = sk.dstVertex[t]
+
 	keep := sk.aux.keep
 	sv := net.StateVersion()
 
@@ -517,9 +439,6 @@ func (sk *Skeleton) reweight(p Params) *Aux {
 
 	costed := p.Kind == Cost || p.Kind == LoadCost
 	for i, cp := range sk.pairs {
-		if cp.edge < 0 {
-			continue // hub-gadget pair, folded into its hub edge below
-		}
 		if keep[cp.ein] && keep[cp.eout] && sk.pairOK[i] {
 			g.Enable(cp.edge)
 			if costed {
@@ -533,15 +452,22 @@ func (sk *Skeleton) reweight(p Params) *Aux {
 		}
 	}
 
+	// On a node-disjoint skeleton only the terminals convert directly: every
+	// other node's pairs are folded into its hub edge, and their plain edges
+	// switched off.
 	for _, hb := range sk.hubs {
 		sum, cnt := 0.0, 0
-		for i := hb.pairLo; i < hb.pairHi; i++ {
+		hubbed := hb.node != s && hb.node != t
+		for i := hb.pairLo; i < hb.pairHi && hubbed; i++ {
 			cp := sk.pairs[i]
+			g.Disable(cp.edge)
+			g.SetWeight(cp.edge, 0)
 			if keep[cp.ein] && keep[cp.eout] && sk.pairOK[i] {
 				sum += sk.pairMean[i]
 				cnt++
 			}
 		}
+		gate(g, sk.spokes[hb.spokeLo:hb.spokeHi], keep, hubbed)
 		if cnt == 0 {
 			g.Disable(hb.hubEdge)
 			g.SetWeight(hb.hubEdge, 0)
@@ -554,25 +480,8 @@ func (sk *Skeleton) reweight(p Params) *Aux {
 			g.SetWeight(hb.hubEdge, 0)
 		}
 	}
-	//wdmlint:ignore hotalloc non-escaping closure; stays on the stack
-	gate := func(refs []linkEdgeRef) {
-		for _, r := range refs {
-			if keep[r.link] {
-				g.Enable(r.edge)
-			} else {
-				g.Disable(r.edge)
-			}
-		}
-	}
-	gate(sk.spokeIn)
-	gate(sk.spokeOut)
-	if sk.shared {
-		gate(sk.termOutNode[sk.curS])
-		gate(sk.termInNode[sk.curT])
-	} else {
-		gate(sk.termOut)
-		gate(sk.termIn)
-	}
+	gate(g, sk.termOut[s], keep, true)
+	gate(g, sk.termIn[t], keep, true)
 
 	instr.reweights.Inc()
 	if p.Trace != nil {
@@ -590,6 +499,18 @@ func (sk *Skeleton) reweight(p Params) *Aux {
 		p.Trace.EndSpan(sp)
 	}
 	return &sk.aux
+}
+
+// gate enables, when on, each edge of refs whose link survives the filter
+// and disables the rest.
+func gate(g *graph.Graph, refs []linkEdgeRef, keep []bool, on bool) {
+	for _, r := range refs {
+		if on && keep[r.link] {
+			g.Enable(r.edge)
+		} else {
+			g.Disable(r.edge)
+		}
+	}
 }
 
 // linkWeight returns the variant weight of a surviving link edge.

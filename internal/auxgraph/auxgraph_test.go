@@ -22,13 +22,42 @@ func fig1Net() *wdm.Network {
 	return g
 }
 
+// build returns the edge-disjoint auxiliary graph for (s, t) on a fresh
+// skeleton, so results of separate calls never alias.
+func build(net *wdm.Network, s, t int, p Params) *Aux {
+	return NewSharedSkeleton(net).ReweightAt(s, t, p)
+}
+
+// buildND is build on a node-disjoint skeleton.
+func buildND(net *wdm.Network, s, t int, p Params) *Aux {
+	return NewNodeDisjointSkeleton(net).ReweightAt(s, t, p)
+}
+
+// enabledEdges counts the edges of g that are not disabled.
+func enabledEdges(a *Aux) int {
+	n := 0
+	for id := 0; id < a.G.M(); id++ {
+		if !a.G.Disabled(id) {
+			n++
+		}
+	}
+	return n
+}
+
 func TestBuildStructureMatchesPaper(t *testing.T) {
 	net := fig1Net()
-	a := Build(net, 0, 2, Params{Kind: Cost})
+	a := build(net, 0, 2, Params{Kind: Cost})
 	m := net.Links()
-	// §3.3.1 / Theorem 1: G′ contains 2m edge-nodes (plus s′ and t″).
-	if got, want := a.G.N(), 2*m+2; got != want {
+	// §3.3.1 / Theorem 1: G′ contains 2m edge-nodes plus s′ and t″. The
+	// skeleton carries an s′_v/t″_v pair for every node; only the request's
+	// pair has enabled edges.
+	if got, want := a.G.N(), 2*m+2*net.Nodes(); got != want {
 		t.Fatalf("aux vertices = %d, want %d", got, want)
+	}
+	for v := 2 * m; v < a.G.N(); v++ {
+		if v != a.S && v != a.T && a.G.OutDegree(v)+a.G.InDegree(v) != 0 {
+			t.Fatalf("inactive terminal vertex %d has enabled edges", v)
+		}
 	}
 	// One link edge per kept link.
 	linkEdges := 0
@@ -51,8 +80,8 @@ func TestBuildStructureMatchesPaper(t *testing.T) {
 	// physical node.
 	for id := 0; id < a.G.M(); id++ {
 		e := a.G.Edge(id)
-		if e.Aux >= 0 || e.From == a.S || e.To == a.T {
-			continue
+		if e.Aux >= 0 || e.From >= 2*m || e.To >= 2*m {
+			continue // link or terminal edge
 		}
 		var einLink, eoutLink int = -1, -1
 		for l := 0; l < m; l++ {
@@ -77,7 +106,7 @@ func TestCostWeights(t *testing.T) {
 	l0 := net.AddLink(0, 1, []wdm.Wavelength{0, 1}, []float64{2, 4})
 	l1 := net.AddLink(1, 2, []wdm.Wavelength{0, 1}, []float64{1, 1})
 	net.SetAllConverters(wdm.NewFullConverter(2, 3))
-	a := Build(net, 0, 2, Params{Kind: Cost})
+	a := build(net, 0, 2, Params{Kind: Cost})
 	// Link edge weight = mean avail cost.
 	for id := 0; id < a.G.M(); id++ {
 		e := a.G.Edge(id)
@@ -116,7 +145,7 @@ func TestConversionEdgeRequiresFeasiblePair(t *testing.T) {
 	l0 := net.AddLink(0, 1, []wdm.Wavelength{0}, []float64{1})
 	l1 := net.AddLink(1, 2, []wdm.Wavelength{1}, []float64{1})
 	net.SetAllConverters(wdm.NoConverter{})
-	a := Build(net, 0, 2, Params{Kind: Cost})
+	a := build(net, 0, 2, Params{Kind: Cost})
 	for id := 0; id < a.G.M(); id++ {
 		e := a.G.Edge(id)
 		if e.Aux < 0 && e.From == a.InNode(l0) && e.To == a.OutNode(l1) {
@@ -131,7 +160,7 @@ func TestConversionEdgeRequiresFeasiblePair(t *testing.T) {
 	net2.AddLink(0, 1, []wdm.Wavelength{0}, []float64{1})
 	net2.AddLink(1, 2, []wdm.Wavelength{0}, []float64{1})
 	net2.SetAllConverters(wdm.NoConverter{})
-	a2 := Build(net2, 0, 2, Params{Kind: Cost})
+	a2 := build(net2, 0, 2, Params{Kind: Cost})
 	if !a2.G.Reachable(a2.S, a2.T) {
 		t.Fatal("identity conversion should connect matching wavelengths")
 	}
@@ -142,12 +171,12 @@ func TestLoadFilterAndWeights(t *testing.T) {
 	id := net.AddUniformLink(0, 1, 1)
 	net.Use(id, 0) // load 1/4
 	// ϑ = 0.2 drops the link (load 0.25 ≥ 0.2).
-	a := Build(net, 0, 1, Params{Kind: Load, Threshold: 0.2})
+	a := build(net, 0, 1, Params{Kind: Load, Threshold: 0.2})
 	if a.OutNode(id) != -1 || a.InNode(id) != -1 {
 		t.Fatal("overloaded link not filtered")
 	}
 	// ϑ = 0.3 keeps it; weight = a^{2/4} − a^{1/4}.
-	a = Build(net, 0, 1, Params{Kind: Load, Threshold: 0.3, Base: 10})
+	a = build(net, 0, 1, Params{Kind: Load, Threshold: 0.3, Base: 10})
 	var w float64 = -1
 	for eid := 0; eid < a.G.M(); eid++ {
 		if a.G.Edge(eid).Aux == id {
@@ -171,7 +200,7 @@ func TestLoadCostWeights(t *testing.T) {
 	net := wdm.NewNetwork(2, 4)
 	id := net.AddUniformLink(0, 1, 2)
 	net.Use(id, 0)
-	a := Build(net, 0, 1, Params{Kind: LoadCost, Threshold: 0.5})
+	a := build(net, 0, 1, Params{Kind: LoadCost, Threshold: 0.5})
 	// G_rc link weight = Σ_{avail} w / N = 3·2/4 = 1.5.
 	for eid := 0; eid < a.G.M(); eid++ {
 		if a.G.Edge(eid).Aux == id {
@@ -188,7 +217,7 @@ func TestExhaustedLinksFiltered(t *testing.T) {
 	net := wdm.NewNetwork(2, 1)
 	id := net.AddUniformLink(0, 1, 1)
 	net.Use(id, 0)
-	a := Build(net, 0, 1, Params{Kind: Cost})
+	a := build(net, 0, 1, Params{Kind: Cost})
 	if a.OutNode(id) != -1 {
 		t.Fatal("exhausted link should be filtered from the residual graph")
 	}
@@ -197,9 +226,9 @@ func TestExhaustedLinksFiltered(t *testing.T) {
 func TestBuildPanics(t *testing.T) {
 	net := fig1Net()
 	for name, fn := range map[string]func(){
-		"badSrc":  func() { Build(net, -1, 1, Params{}) },
-		"badDst":  func() { Build(net, 0, 99, Params{}) },
-		"badBase": func() { Build(net, 0, 1, Params{Kind: Load, Threshold: 1, Base: 0.5}) },
+		"badSrc":  func() { build(net, -1, 1, Params{}) },
+		"badDst":  func() { build(net, 0, 99, Params{}) },
+		"badBase": func() { build(net, 0, 1, Params{Kind: Load, Threshold: 1, Base: 0.5}) },
 	} {
 		func() {
 			defer func() {
@@ -214,8 +243,9 @@ func TestBuildPanics(t *testing.T) {
 
 func TestMapPathRoundTrip(t *testing.T) {
 	net := fig1Net()
-	a := Build(net, 0, 2, Params{Kind: Cost})
-	pair, ok := disjoint.Suurballe(a.G, a.S, a.T)
+	a := build(net, 0, 2, Params{Kind: Cost})
+	var ws disjoint.Workspace
+	pair, ok := ws.Suurballe(a.G, a.S, a.T)
 	if !ok {
 		t.Fatal("Figure-1 network must admit a disjoint pair")
 	}
@@ -264,8 +294,9 @@ func TestQuickAuxPairsPhysicallyDisjoint(t *testing.T) {
 			}
 		}
 		s, d := 0, n-1
-		a := Build(net, s, d, Params{Kind: Cost})
-		pair, ok := disjoint.Suurballe(a.G, a.S, a.T)
+		a := build(net, s, d, Params{Kind: Cost})
+		var ws disjoint.Workspace
+		pair, ok := ws.Suurballe(a.G, a.S, a.T)
 		if !ok {
 			return true
 		}
@@ -316,15 +347,15 @@ func TestQuickLoadSubgraphOfCost(t *testing.T) {
 			}
 		}
 		th := rng.Float64()
-		ac := Build(net, 0, n-1, Params{Kind: Cost})
-		al := Build(net, 0, n-1, Params{Kind: Load, Threshold: th})
+		ac := build(net, 0, n-1, Params{Kind: Cost})
+		al := build(net, 0, n-1, Params{Kind: Load, Threshold: th})
 		// Every link kept in G_c must be kept in G′.
 		for id := 0; id < net.Links(); id++ {
 			if al.OutNode(id) >= 0 && ac.OutNode(id) < 0 {
 				return false
 			}
 		}
-		return al.G.M() <= ac.G.M()
+		return al.G.M() <= ac.G.M() && enabledEdges(al) <= enabledEdges(ac)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
@@ -341,13 +372,13 @@ func BenchmarkBuildCost(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Build(net, 0, 50, Params{Kind: Cost})
+		build(net, 0, 50, Params{Kind: Cost})
 	}
 }
 
 func TestNetAccessor(t *testing.T) {
 	net := fig1Net()
-	a := Build(net, 0, 2, Params{Kind: Cost})
+	a := build(net, 0, 2, Params{Kind: Cost})
 	if a.Net() != net {
 		t.Fatal("Net accessor wrong")
 	}
@@ -367,7 +398,7 @@ func TestQuickLoadWeightMonotoneConvex(t *testing.T) {
 			for lam := 0; lam < used; lam++ {
 				net.Use(id, lam)
 			}
-			a := Build(net, 0, 1, Params{Kind: Load, Threshold: 2, Base: base})
+			a := build(net, 0, 1, Params{Kind: Load, Threshold: 2, Base: base})
 			for eid := 0; eid < a.G.M(); eid++ {
 				if a.G.Edge(eid).Aux == id {
 					return a.G.Edge(eid).Weight
@@ -399,14 +430,22 @@ func TestQuickLoadWeightMonotoneConvex(t *testing.T) {
 
 func TestNodeDisjointHubStructure(t *testing.T) {
 	net := fig1Net()
-	a := Build(net, 0, 2, Params{Kind: Cost, NodeDisjoint: true})
-	// Hub gadget adds 2 vertices per intermediate node (nodes 1 and 3).
-	plain := Build(net, 0, 2, Params{Kind: Cost})
-	if a.G.N() != plain.G.N()+4 {
-		t.Fatalf("aux vertices = %d, want %d", a.G.N(), plain.G.N()+4)
+	sk := NewNodeDisjointSkeleton(net)
+	a := sk.ReweightAt(0, 2, Params{Kind: Cost})
+	// The hub gadget adds 2 vertices per node; ReweightAt enables the hubs
+	// of the intermediate nodes 1 and 3 only.
+	plain := build(net, 0, 2, Params{Kind: Cost})
+	if a.G.N() != plain.G.N()+2*net.Nodes() {
+		t.Fatalf("aux vertices = %d, want %d", a.G.N(), plain.G.N()+2*net.Nodes())
+	}
+	for _, hb := range sk.hubs {
+		if on := !a.G.Disabled(hb.hubEdge); on != (hb.node == 1 || hb.node == 3) {
+			t.Fatalf("hub of node %d enabled = %v", hb.node, on)
+		}
 	}
 	// The pair found is node-disjoint: map and check.
-	pair, ok := disjoint.Suurballe(a.G, a.S, a.T)
+	var ws disjoint.Workspace
+	pair, ok := ws.Suurballe(a.G, a.S, a.T)
 	if !ok {
 		t.Fatal("node-disjoint pair must exist on the fig-1 network")
 	}
@@ -428,13 +467,14 @@ func TestNodeDisjointHubStructure(t *testing.T) {
 func TestNodeDisjointWithLoadKind(t *testing.T) {
 	net := fig1Net()
 	net.Use(0, 0) // some load so the exponential weights differ
-	a := Build(net, 0, 2, Params{Kind: Load, Threshold: 1, NodeDisjoint: true})
-	if _, ok := disjoint.Suurballe(a.G, a.S, a.T); !ok {
+	var ws disjoint.Workspace
+	a := buildND(net, 0, 2, Params{Kind: Load, Threshold: 1})
+	if _, ok := ws.Suurballe(a.G, a.S, a.T); !ok {
 		t.Fatal("load-kind node-disjoint pair must exist")
 	}
 	// LoadCost variant too.
-	a = Build(net, 0, 2, Params{Kind: LoadCost, Threshold: 1, NodeDisjoint: true})
-	if _, ok := disjoint.Suurballe(a.G, a.S, a.T); !ok {
+	a = buildND(net, 0, 2, Params{Kind: LoadCost, Threshold: 1})
+	if _, ok := ws.Suurballe(a.G, a.S, a.T); !ok {
 		t.Fatal("loadcost-kind node-disjoint pair must exist")
 	}
 }
@@ -446,7 +486,11 @@ func TestNodeDisjointUntraversableNode(t *testing.T) {
 	net.AddLink(0, 1, []wdm.Wavelength{0}, []float64{1})
 	net.AddLink(1, 2, []wdm.Wavelength{1}, []float64{1})
 	net.SetAllConverters(wdm.NoConverter{})
-	a := Build(net, 0, 2, Params{Kind: Cost, NodeDisjoint: true})
+	sk := NewNodeDisjointSkeleton(net)
+	a := sk.ReweightAt(0, 2, Params{Kind: Cost})
+	if len(sk.hubs) != 0 {
+		t.Fatalf("%d hub gadgets, want none", len(sk.hubs))
+	}
 	if a.G.Reachable(a.S, a.T) {
 		t.Fatal("untraversable hub should disconnect the aux graph")
 	}

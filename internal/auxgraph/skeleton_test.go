@@ -1,0 +1,166 @@
+package auxgraph
+
+import (
+	"fmt"
+	"math/rand"
+	"testing"
+	"testing/quick"
+
+	"repro/internal/wdm"
+)
+
+// randomSkeletonNet builds a small network with partial wavelength sets,
+// mixed converters and random residual usage, so some conversion pairs are
+// infeasible and some links filtered.
+func randomSkeletonNet(rng *rand.Rand) *wdm.Network {
+	n := 4 + rng.Intn(4)
+	w := 2 + rng.Intn(2)
+	net := wdm.NewNetwork(n, w)
+	addLink := func(u, v int) {
+		var lams []wdm.Wavelength
+		var costs []float64
+		for l := 0; l < w; l++ {
+			if rng.Float64() < 0.7 {
+				lams = append(lams, wdm.Wavelength(l))
+				costs = append(costs, 1+rng.Float64())
+			}
+		}
+		if len(lams) == 0 {
+			lams, costs = []wdm.Wavelength{0}, []float64{1}
+		}
+		net.AddLink(u, v, lams, costs)
+	}
+	for v := 0; v < n; v++ {
+		addLink(v, (v+1)%n)
+		addLink((v+1)%n, v)
+	}
+	for i := 0; i < n; i++ {
+		if u, v := rng.Intn(n), rng.Intn(n); u != v {
+			addLink(u, v)
+		}
+	}
+	for v := 0; v < n; v++ {
+		if rng.Float64() < 0.5 {
+			net.SetConverter(v, wdm.NoConverter{})
+		} else {
+			net.SetConverter(v, wdm.NewFullConverter(w, rng.Float64()))
+		}
+	}
+	useRandom(rng, net, 0.3)
+	return net
+}
+
+// useRandom reserves each available wavelength with probability p.
+func useRandom(rng *rand.Rand, net *wdm.Network, p float64) {
+	for id := 0; id < net.Links(); id++ {
+		for l := 0; l < net.W(); l++ {
+			if net.Link(id).HasAvail(wdm.Wavelength(l)) && rng.Float64() < p {
+				net.Use(id, wdm.Wavelength(l))
+			}
+		}
+	}
+}
+
+func randomPair(rng *rand.Rand, n int) (int, int) {
+	s := rng.Intn(n)
+	t := rng.Intn(n - 1)
+	if t >= s {
+		t++
+	}
+	return s, t
+}
+
+// sameView reports the first difference between two reweighted skeletons'
+// enabled-edge sets and enabled-edge weights, or nil.
+func sameView(got, want *Aux) error {
+	if got.G.N() != want.G.N() || got.G.M() != want.G.M() {
+		return fmt.Errorf("size %d/%d vs %d/%d", got.G.N(), got.G.M(), want.G.N(), want.G.M())
+	}
+	if got.S != want.S || got.T != want.T {
+		return fmt.Errorf("terminals (%d,%d) vs (%d,%d)", got.S, got.T, want.S, want.T)
+	}
+	for id := 0; id < got.G.M(); id++ {
+		if got.G.Disabled(id) != want.G.Disabled(id) {
+			return fmt.Errorf("edge %d disabled=%v, fresh %v", id, got.G.Disabled(id), want.G.Disabled(id))
+		}
+		if !got.G.Disabled(id) && got.G.Edge(id).Weight != want.G.Edge(id).Weight {
+			return fmt.Errorf("edge %d weight %g, fresh %g", id, got.G.Edge(id).Weight, want.G.Edge(id).Weight)
+		}
+	}
+	return nil
+}
+
+// checkGating verifies the node-disjoint gating for pair (s, t): plain
+// conversion edges may be enabled only at s and t, hubs and spokes only
+// elsewhere, each exactly when a surviving feasible pair backs it.
+func checkGating(sk *Skeleton, s, t int) error {
+	g, keep := sk.aux.G, sk.aux.keep
+	live := func(i int) bool {
+		cp := sk.pairs[i]
+		return keep[cp.ein] && keep[cp.eout] && sk.pairOK[i]
+	}
+	for i, cp := range sk.pairs {
+		want := (cp.node == s || cp.node == t) && live(i)
+		if on := !g.Disabled(cp.edge); on != want {
+			return fmt.Errorf("plain conversion at node %d enabled=%v, want %v", cp.node, on, want)
+		}
+	}
+	for _, hb := range sk.hubs {
+		terminal := hb.node == s || hb.node == t
+		want := false
+		for i := hb.pairLo; i < hb.pairHi && !terminal; i++ {
+			want = want || live(i)
+		}
+		if on := !g.Disabled(hb.hubEdge); on != want {
+			return fmt.Errorf("hub at node %d enabled=%v, want %v", hb.node, on, want)
+		}
+		for _, r := range sk.spokes[hb.spokeLo:hb.spokeHi] {
+			if on := !g.Disabled(r.edge); on != (!terminal && keep[r.link]) {
+				return fmt.Errorf("spoke at node %d enabled=%v", hb.node, on)
+			}
+		}
+	}
+	return nil
+}
+
+// Property: over both skeleton kinds and all three variants, a skeleton that
+// switches through a sequence of pairs — with reservations in between —
+// reweights every pair exactly as a freshly built skeleton does, and the
+// node-disjoint kind turns on hubs at exactly V∖{s,t} and plain conversion
+// at exactly {s,t}.
+func TestQuickReweightAtPairSwitching(t *testing.T) {
+	kinds := []Kind{Cost, Load, LoadCost}
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		net := randomSkeletonNet(rng)
+		for _, nd := range []bool{false, true} {
+			mk := NewSharedSkeleton
+			if nd {
+				mk = NewNodeDisjointSkeleton
+			}
+			warm := mk(net)
+			for step := 0; step < 6; step++ {
+				s, d := randomPair(rng, net.Nodes())
+				p := Params{Kind: kinds[rng.Intn(len(kinds))], Threshold: 0.3 + rng.Float64()}
+				got := warm.ReweightAt(s, d, p)
+				if err := sameView(got, mk(net).ReweightAt(s, d, p)); err != nil {
+					t.Logf("seed %d nd=%v step %d (%d,%d) %v: %v", seed, nd, step, s, d, p.Kind, err)
+					return false
+				}
+				if nd {
+					if err := checkGating(warm, s, d); err != nil {
+						t.Logf("seed %d step %d (%d,%d): %v", seed, step, s, d, err)
+						return false
+					}
+				}
+				if rng.Intn(2) == 0 {
+					useRandom(rng, net, 0.1)
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
+		t.Fatal(err)
+	}
+}

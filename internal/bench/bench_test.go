@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
@@ -296,6 +297,15 @@ func TestE16AwareNeverWorse(t *testing.T) {
 	}
 	if aware != 0 {
 		t.Fatalf("srlg-aware must have zero outages by construction, got %g", aware)
+	}
+}
+
+// E16's duct-group assignment draws only from its seeded rng, so two runs
+// print the same table.
+func TestE16Deterministic(t *testing.T) {
+	a, b := E16(Options{Quick: true}), E16(Options{Quick: true})
+	if len(a.Rows) == 0 || !reflect.DeepEqual(a.Rows, b.Rows) {
+		t.Fatalf("E16 rows differ between runs:\n%v\n%v", a.Rows, b.Rows)
 	}
 }
 

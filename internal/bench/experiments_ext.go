@@ -236,11 +236,11 @@ func E14(o Options) *Table {
 	discs := []disc{
 		{"adaptive (§3.3)", nil},
 		{"fixed-alt k=1", func(net *wdm.Network) func(*wdm.Network, int, int) (*core.Result, bool) {
-			tbl := core.BuildAlternateTable(net, 1, nil)
+			tbl := core.BuildAlternateTable(net, 1)
 			return tbl.Route
 		}},
 		{"fixed-alt k=3", func(net *wdm.Network) func(*wdm.Network, int, int) (*core.Result, bool) {
-			tbl := core.BuildAlternateTable(net, 3, nil)
+			tbl := core.BuildAlternateTable(net, 3)
 			return tbl.Route
 		}},
 	}
@@ -363,10 +363,13 @@ func E16(o Options) *Table {
 				rng := rand.New(rand.NewSource(int64(83000 + i)))
 				net := topo.NSFNET(topo.Config{W: 8})
 				// Assign duct groups: with probability `share`, a span joins
-				// the duct of a random earlier span at the same node (both
-				// directions of a span always share one group).
+				// the duct of a random earlier span at the same node, drawn by
+				// rng from the spans in insertion order (both directions of a
+				// span always share one group).
 				group := 0
 				spanGroup := map[[2]int]int{}
+				var spans [][2]int
+				var atA []int
 				for id := 0; id < net.Links(); id++ {
 					l := net.Link(id)
 					a, b := l.From, l.To
@@ -381,14 +384,18 @@ func E16(o Options) *Table {
 					group++
 					// Optionally merge with an existing duct at endpoint a.
 					if rng.Float64() < share {
-						for sp, g2 := range spanGroup {
+						atA = atA[:0]
+						for _, sp := range spans {
 							if sp[0] == a || sp[1] == a {
-								gid = g2
-								break
+								atA = append(atA, spanGroup[sp])
 							}
+						}
+						if len(atA) > 0 {
+							gid = atA[rng.Intn(len(atA))]
 						}
 					}
 					spanGroup[[2]int{a, b}] = gid
+					spans = append(spans, [2]int{a, b})
 					net.SetSRLG(id, gid)
 				}
 				var routes []*core.Result
@@ -403,7 +410,7 @@ func E16(o Options) *Table {
 					var r *core.Result
 					var ok bool
 					if aware {
-						r, ok = core.ApproxMinCostSRLG(net, s, d, 0, nil)
+						r, ok = core.ApproxMinCostSRLG(net, s, d, 0)
 					} else {
 						r, ok = router.ApproxMinCost(net, s, d)
 					}
@@ -481,7 +488,7 @@ func E17(o Options) *Table {
 			if d >= s {
 				d++
 			}
-			r, ok := core.ApproxMinCostK(net, s, d, k, nil)
+			r, ok := core.ApproxMinCostK(net, s, d, k)
 			if !ok {
 				return sample{}
 			}
@@ -606,10 +613,10 @@ func E19(o Options) *Table {
 	}
 	for _, algo := range []struct {
 		name  string
-		route func(*wdm.Network, int, int, *core.Options) (*core.Result, bool)
+		route func(*core.Router, *wdm.Network, int, int) (*core.Result, bool)
 	}{
-		{"min-cost", core.ApproxMinCost},
-		{"min-load-cost", core.MinLoadCost},
+		{"min-cost", (*core.Router).ApproxMinCost},
+		{"min-load-cost", (*core.Router).MinLoadCost},
 	} {
 		algo := algo
 		type sample struct {
@@ -620,6 +627,7 @@ func E19(o Options) *Table {
 		samples := parallel.Map(seeds, 0, func(i int) sample {
 			rng := rand.New(rand.NewSource(int64(97000 + i)))
 			net := topo.NSFNET(topo.Config{W: 8})
+			router := core.NewRouter(nil)
 			var conns []*reconfig.Connection
 			for k := 0; k < demands; k++ {
 				s := rng.Intn(14)
@@ -627,7 +635,7 @@ func E19(o Options) *Table {
 				if d >= s {
 					d++
 				}
-				r, ok := algo.route(net, s, d, nil)
+				r, ok := algo.route(router, net, s, d)
 				if !ok || core.Establish(net, r) != nil {
 					continue
 				}

@@ -35,22 +35,28 @@ func F1(Options) *Table {
 		{"nsfnet-14", topo.NSFNET(topo.Config{W: 4}), 0, 13},
 	}
 	for _, c := range cases {
-		a := auxgraph.Build(c.net, c.s, c.d, auxgraph.Params{Kind: auxgraph.Cost})
+		// The skeleton carries s′_v/t″_v for every node; only the request's
+		// pair is enabled, so count enabled edges.
+		a := auxgraph.NewSharedSkeleton(c.net).ReweightAt(c.s, c.d, auxgraph.Params{Kind: auxgraph.Cost})
 		m := c.net.Links()
 		convBound := 0
 		for v := 0; v < c.net.Nodes(); v++ {
 			convBound += len(c.net.In(v)) * len(c.net.Out(v))
 		}
-		linkEdges := 0
+		linkEdges, otherEdges := 0, 0
 		for id := 0; id < a.G.M(); id++ {
-			if a.G.Edge(id).Aux >= 0 {
+			switch {
+			case a.G.Disabled(id):
+			case a.G.Edge(id).Aux >= 0:
 				linkEdges++
+			default:
+				otherEdges++
 			}
 		}
-		t.AddRow(c.name, "edge-nodes", "2m", fmt.Sprint(2*m), fmt.Sprint(a.G.N()-2))
+		t.AddRow(c.name, "edge-nodes", "2m", fmt.Sprint(2*m), fmt.Sprint(a.G.N()-2*c.net.Nodes()))
 		t.AddRow(c.name, "link edges", "m", fmt.Sprint(m), fmt.Sprint(linkEdges))
 		t.AddRow(c.name, "conv edges", "≤ Σ|Ein||Eout|", fmt.Sprint(convBound),
-			fmt.Sprint(a.G.M()-linkEdges-a.G.OutDegree(a.S)-a.G.InDegree(a.T)))
+			fmt.Sprint(otherEdges-a.G.OutDegree(a.S)-a.G.InDegree(a.T)))
 		t.AddRow(c.name, "s' fan-out", "|Eout(s)|", fmt.Sprint(len(c.net.Out(c.s))),
 			fmt.Sprint(a.G.OutDegree(a.S)))
 		t.AddRow(c.name, "t'' fan-in", "|Ein(t)|", fmt.Sprint(len(c.net.In(c.d))),

@@ -176,22 +176,8 @@ func (e *OpError) Error() string {
 
 func (e *OpError) Unwrap() error { return e.Err }
 
-// routeFresh routes with a throwaway router (every call rebuilds its
-// auxiliary graph), routeWarm with the stream-long router.
-func routeFresh(net *wdm.Network, op check.Op) (*core.Result, bool) {
-	switch op.Algo {
-	case check.AlgoMinCost:
-		return core.ApproxMinCost(net, op.Src, op.Dst, nil)
-	case check.AlgoMinLoad:
-		return core.MinLoad(net, op.Src, op.Dst, nil)
-	case check.AlgoMinLoadCost:
-		return core.MinLoadCost(net, op.Src, op.Dst, nil)
-	case check.AlgoNodeDisjoint:
-		return core.ApproxMinCostNodeDisjoint(net, op.Src, op.Dst, nil)
-	}
-	panic("harness: unknown algorithm")
-}
-
+// routeWarm routes with r; the fresh arm passes a throwaway router (every
+// call builds its auxiliary graph), the warm arm the stream-long one.
 func routeWarm(r *core.Router, net *wdm.Network, op check.Op) (*core.Result, bool) {
 	switch op.Algo {
 	case check.AlgoMinCost:
@@ -444,7 +430,7 @@ func RunInstance(in *check.Instance, cfg Config, rep *Report) error {
 				rep.Teardowns++
 			}
 		} else {
-			rF, okF := routeFresh(netF, op)
+			rF, okF := routeWarm(core.NewRouter(nil), netF, op)
 			rW, okW := routeWarm(warm, netW, op)
 			if okF != okW {
 				return fail(i, op.Algo, fmt.Errorf("fresh ok=%v, warm ok=%v", okF, okW))

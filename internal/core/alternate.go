@@ -27,18 +27,22 @@ type AlternateTable struct {
 // avoids all links of alternates 1..j−1), so a busy first choice leaves the
 // later ones usable. Building is quadratic in nodes; intended to run once at
 // network commissioning.
-func BuildAlternateTable(net *wdm.Network, k int, opts *Options) *AlternateTable {
+func BuildAlternateTable(net *wdm.Network, k int) *AlternateTable {
 	if k <= 0 {
 		k = 1
 	}
 	n := net.Nodes()
 	tbl := &AlternateTable{k: k, n: n, routes: make([][][2][]int, n*n)}
+	sk := auxgraph.NewSharedSkeleton(net)
+	var ws disjoint.Workspace
 	for s := 0; s < n; s++ {
 		for t := 0; t < n; t++ {
 			if s == t {
 				continue
 			}
-			a := auxgraph.Build(net, s, t, auxgraph.Params{Kind: auxgraph.Cost})
+			// Each ReweightAt re-enables the link edges the previous pair's
+			// alternates disabled.
+			a := sk.ReweightAt(s, t, auxgraph.Params{Kind: auxgraph.Cost})
 			excluded := map[int]bool{}
 			for alt := 0; alt < k; alt++ {
 				// Disable aux link edges of already-used physical links.
@@ -48,7 +52,7 @@ func BuildAlternateTable(net *wdm.Network, k int, opts *Options) *AlternateTable
 						a.G.Disable(id)
 					}
 				}
-				pair, ok := disjoint.Suurballe(a.G, a.S, a.T)
+				pair, ok := ws.Suurballe(a.G, a.S, a.T)
 				if !ok {
 					break
 				}
@@ -62,7 +66,6 @@ func BuildAlternateTable(net *wdm.Network, k int, opts *Options) *AlternateTable
 					excluded[id] = true
 				}
 			}
-			a.G.EnableAll()
 		}
 	}
 	return tbl

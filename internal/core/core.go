@@ -15,6 +15,9 @@
 //
 // Baselines used by the evaluation: TwoStepMinCost (shortest semilightpath,
 // delete, second shortest) and the exact solvers in package exact.
+//
+// Every algorithm above is a Router method; Router is the package's only
+// routing entry point, and a one-shot caller uses NewRouter(opts).X(…).
 package core
 
 import (
@@ -279,25 +282,6 @@ func (r *Router) mapAndRefine(net *wdm.Network, a *auxgraph.Aux, pair *disjoint.
 	return res, true
 }
 
-// ApproxMinCost routes (s, t) per §3.3: auxiliary graph G′ + Suurballe +
-// Lemma 2 refinement. ok is false when no two edge-disjoint semilightpaths
-// exist in the residual network (or refinement is infeasible under
-// restricted conversion).
-// It is the one-shot wrapper around Router.ApproxMinCost; hot paths should
-// hold a Router to reuse its skeleton cache and search workspaces.
-func ApproxMinCost(net *wdm.Network, s, t int, opts *Options) (*Result, bool) {
-	return NewRouter(opts).ApproxMinCost(net, s, t)
-}
-
-// ApproxMinCostNodeDisjoint routes (s, t) with an internally node-disjoint
-// primary/backup pair — the stronger §1 protection discipline that survives
-// single node failures as well as link failures. It reuses the §3.3
-// machinery with a unit-capacity hub gadget per intermediate node in the
-// auxiliary graph. ok is false when no node-disjoint pair exists.
-func ApproxMinCostNodeDisjoint(net *wdm.Network, s, t int, opts *Options) (*Result, bool) {
-	return NewRouter(opts).ApproxMinCostNodeDisjoint(net, s, t)
-}
-
 // nodesDisjoint reports whether two paths share no intermediate node.
 func nodesDisjoint(net *wdm.Network, p, q *wdm.Semilightpath, s, t int) bool {
 	seen := map[int]bool{}
@@ -333,69 +317,6 @@ func thetaBounds(net *wdm.Network) (lo, hi float64, any bool) {
 		}
 	}
 	return lo, hi, any
-}
-
-// MinLoad routes (s, t) per §4.1: find the smallest feasible load bound ϑ by
-// the MinCog search over G_c (exponential congestion weights) and return the
-// refined pair found at that bound.
-//
-// The search (Router.minCogSearch) runs the Find_Two_Paths_MinCog doubling
-// schedule: it starts at ϑ_min with increment Δ/2^{⌈log₂(1/Δ)⌉} and doubles
-// the increment after every infeasible round, finishing with the complete
-// residual graph at ϑ_max. The schedule yields the Theorem 3 load ratio < 3:
-// a success at ϑ after a failure at ϑ−δ implies ϑ* > ϑ−δ while
-// δ ≤ 2·(ϑ−δ−ϑ_min) + Δ/2^{j₀}.
-func MinLoad(net *wdm.Network, s, t int, opts *Options) (*Result, bool) {
-	return NewRouter(opts).MinLoad(net, s, t)
-}
-
-// MinLoadCost routes (s, t) per §4.2: phase 1 fixes the feasible load bound
-// ϑ with the MinCog search; phase 2 reweights the auxiliary graph as G_rc
-// (same filter, average-cost weights) and routes minimum-cost within the
-// bound.
-func MinLoadCost(net *wdm.Network, s, t int, opts *Options) (*Result, bool) {
-	return NewRouter(opts).MinLoadCost(net, s, t)
-}
-
-// TwoStepMinCost is the naive baseline (E7): route an optimal semilightpath,
-// remove its physical links, route a second one. It can fail on trap
-// topologies where ApproxMinCost succeeds, and is never cheaper.
-//
-//wdm:coldpath naive baseline for experiments, not the serving path
-func TwoStepMinCost(net *wdm.Network, s, t int, opts *Options) (*Result, bool) {
-	instr.routeCalls.Inc()
-	p1, c1, ok := lightpath.Optimal(net, s, t, nil)
-	if !ok {
-		return nil, false
-	}
-	used := make(map[int]bool, p1.Len())
-	for _, h := range p1.Hops {
-		used[h.Link] = true
-	}
-	p2, c2, ok := lightpath.Optimal(net, s, t, &lightpath.Options{
-		AllowedLinks: func(id int) bool { return !used[id] },
-	})
-	if !ok {
-		return nil, false
-	}
-	res := &Result{
-		Primary:   p1,
-		Backup:    p2,
-		Cost:      c1 + c2,
-		NaiveCost: c1 + c2,
-	}
-	res.PathLoad = pathLoad(net, p1, p2)
-	instr.routeFound.Inc()
-	return res, true
-}
-
-// OptimalLoadOracle computes the exact minimum achievable path load — the
-// smallest c such that two edge-disjoint semilightpath-feasible routes exist
-// using only links with (U(e)+1)/N(e) ≤ c. Candidate values are the finite
-// set of per-link ratios, so the oracle is exact; it is the reference for
-// the Theorem 3 ratio experiment (E3).
-func OptimalLoadOracle(net *wdm.Network, s, t int) (float64, bool) {
-	return NewRouter(nil).OptimalLoadOracle(net, s, t)
 }
 
 // Establish reserves both paths of a routed result on the network. Either

@@ -55,7 +55,7 @@ func checkResult(t *testing.T, net *wdm.Network, r *Result, s, d int) {
 
 func TestApproxMinCostDiamond(t *testing.T) {
 	net := diamondNet(2)
-	r, ok := ApproxMinCost(net, 0, 3, nil)
+	r, ok := NewRouter(nil).ApproxMinCost(net, 0, 3)
 	if !ok {
 		t.Fatal("ApproxMinCost failed")
 	}
@@ -74,7 +74,7 @@ func TestApproxMinCostDiamond(t *testing.T) {
 
 func TestApproxMinCostSurvivesTrap(t *testing.T) {
 	net := trapNet(1)
-	r, ok := ApproxMinCost(net, 0, 5, nil)
+	r, ok := NewRouter(nil).ApproxMinCost(net, 0, 5)
 	if !ok {
 		t.Fatal("ApproxMinCost failed on trap")
 	}
@@ -83,14 +83,14 @@ func TestApproxMinCostSurvivesTrap(t *testing.T) {
 		t.Fatalf("Cost = %g, want 10", r.Cost)
 	}
 	// The naive baseline must fail here.
-	if _, ok := TwoStepMinCost(net, 0, 5, nil); ok {
+	if _, ok := NewRouter(nil).TwoStepMinCost(net, 0, 5); ok {
 		t.Fatal("TwoStepMinCost should fail on the trap")
 	}
 }
 
 func TestTwoStepMinCostEasy(t *testing.T) {
 	net := diamondNet(1)
-	r, ok := TwoStepMinCost(net, 0, 3, nil)
+	r, ok := NewRouter(nil).TwoStepMinCost(net, 0, 3)
 	if !ok {
 		t.Fatal("TwoStepMinCost failed")
 	}
@@ -104,13 +104,13 @@ func TestApproxMinCostNoPair(t *testing.T) {
 	net := wdm.NewNetwork(3, 2)
 	net.AddUniformLink(0, 1, 1)
 	net.AddUniformLink(1, 2, 1)
-	if _, ok := ApproxMinCost(net, 0, 2, nil); ok {
+	if _, ok := NewRouter(nil).ApproxMinCost(net, 0, 2); ok {
 		t.Fatal("found a pair where only one route exists")
 	}
-	if _, ok := MinLoad(net, 0, 2, nil); ok {
+	if _, ok := NewRouter(nil).MinLoad(net, 0, 2); ok {
 		t.Fatal("MinLoad found a nonexistent pair")
 	}
-	if _, ok := MinLoadCost(net, 0, 2, nil); ok {
+	if _, ok := NewRouter(nil).MinLoadCost(net, 0, 2); ok {
 		t.Fatal("MinLoadCost found a nonexistent pair")
 	}
 }
@@ -133,7 +133,7 @@ func TestMinLoadPrefersIdleLinks(t *testing.T) {
 		net.Use(id, 1)
 		net.Use(id, 2)
 	}
-	r, ok := MinLoad(net, 0, 5, nil)
+	r, ok := NewRouter(nil).MinLoad(net, 0, 5)
 	if !ok {
 		t.Fatal("MinLoad failed")
 	}
@@ -166,11 +166,11 @@ func TestMinLoadMatchesOracleHere(t *testing.T) {
 	}
 	_ = ids
 	net.AddUniformLink(0, 5, 1)
-	oracle, ok := OptimalLoadOracle(net, 0, 5)
+	oracle, ok := NewRouter(nil).OptimalLoadOracle(net, 0, 5)
 	if !ok || oracle != 0.25 {
 		t.Fatalf("oracle = %g ok=%v, want 0.25", oracle, ok)
 	}
-	r, ok := MinLoad(net, 0, 5, nil)
+	r, ok := NewRouter(nil).MinLoad(net, 0, 5)
 	if !ok {
 		t.Fatal("MinLoad failed")
 	}
@@ -193,7 +193,7 @@ func TestMinLoadCostBalancesBothObjectives(t *testing.T) {
 	net.Use(d, 0)
 	net.Use(d, 1)
 	net.Use(d, 2)
-	r, ok := MinLoadCost(net, 0, 5, nil)
+	r, ok := NewRouter(nil).MinLoadCost(net, 0, 5)
 	if !ok {
 		t.Fatal("MinLoadCost failed")
 	}
@@ -214,7 +214,7 @@ func TestMinLoadCostBalancesBothObjectives(t *testing.T) {
 
 func TestEstablishTeardown(t *testing.T) {
 	net := diamondNet(2)
-	r, ok := ApproxMinCost(net, 0, 3, nil)
+	r, ok := NewRouter(nil).ApproxMinCost(net, 0, 3)
 	if !ok {
 		t.Fatal("route failed")
 	}
@@ -244,8 +244,8 @@ func TestNoRefineAblation(t *testing.T) {
 	net.AddUniformLink(0, 2, 2)
 	net.AddUniformLink(2, 3, 2)
 	net.SetAllConverters(wdm.NewFullConverter(2, 0))
-	refined, ok1 := ApproxMinCost(net, 0, 3, nil)
-	naive, ok2 := ApproxMinCost(net, 0, 3, &Options{NoRefine: true})
+	refined, ok1 := NewRouter(nil).ApproxMinCost(net, 0, 3)
+	naive, ok2 := NewRouter(&Options{NoRefine: true}).ApproxMinCost(net, 0, 3)
 	if !ok1 || !ok2 {
 		t.Fatal("routing failed")
 	}
@@ -268,7 +268,7 @@ func TestDegenerateRequests(t *testing.T) {
 			t.Fatal("out-of-range request should panic via auxgraph")
 		}
 	}()
-	ApproxMinCost(net, -1, 3, nil)
+	NewRouter(nil).ApproxMinCost(net, -1, 3)
 }
 
 // randomWDM builds a connected random residual network under the paper's
@@ -317,7 +317,7 @@ func TestQuickTheorem2Ratio(t *testing.T) {
 		w := 1 + rng.Intn(2)
 		net := randomWDM(rng, n, w, false)
 		s, d := 0, n-1
-		r, ok := ApproxMinCost(net, s, d, nil)
+		r, ok := NewRouter(nil).ApproxMinCost(net, s, d)
 		sol, _, okE := exact.Exhaustive(net, s, d, 0)
 		if ok != okE {
 			return false // approx feasibility must match exact feasibility here
@@ -345,11 +345,11 @@ func TestQuickRoutersValidOnLoadedNetworks(t *testing.T) {
 		w := 2 + rng.Intn(3)
 		net := randomWDM(rng, n, w, true)
 		s, d := 0, n-1
-		oracle, okO := OptimalLoadOracle(net, s, d)
-		for _, route := range []func(*wdm.Network, int, int, *Options) (*Result, bool){
-			ApproxMinCost, MinLoad, MinLoadCost,
+		oracle, okO := NewRouter(nil).OptimalLoadOracle(net, s, d)
+		for _, route := range []func(*Router, *wdm.Network, int, int) (*Result, bool){
+			(*Router).ApproxMinCost, (*Router).MinLoad, (*Router).MinLoadCost,
 		} {
-			r, ok := route(net, s, d, nil)
+			r, ok := route(NewRouter(nil), net, s, d)
 			if !ok {
 				continue
 			}
@@ -368,7 +368,7 @@ func TestQuickRoutersValidOnLoadedNetworks(t *testing.T) {
 		}
 		// Theorem 3 spot check: when MinLoad succeeds, its threshold is
 		// within 3× of the smallest feasible threshold.
-		if r, ok := MinLoad(net, s, d, nil); ok && okO && oracle > 0 {
+		if r, ok := NewRouter(nil).MinLoad(net, s, d); ok && okO && oracle > 0 {
 			if r.PathLoad > 3*oracle+1e-6 && r.PathLoad > oracle+0.5 {
 				return false
 			}
@@ -386,7 +386,7 @@ func BenchmarkApproxMinCost(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ApproxMinCost(net, i%50, (i+25)%50, nil)
+		NewRouter(nil).ApproxMinCost(net, i%50, (i+25)%50)
 	}
 }
 
@@ -396,7 +396,7 @@ func BenchmarkMinLoadCost(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		MinLoadCost(net, i%50, (i+25)%50, nil)
+		NewRouter(nil).MinLoadCost(net, i%50, (i+25)%50)
 	}
 }
 
@@ -411,17 +411,17 @@ func TestNodeDisjointStricterThanEdgeDisjoint(t *testing.T) {
 	net.AddUniformLink(3, 4, 1)
 	net.AddUniformLink(2, 4, 1)
 	net.SetAllConverters(wdm.NewFullConverter(2, 0.5))
-	if _, ok := ApproxMinCost(net, 0, 4, nil); !ok {
+	if _, ok := NewRouter(nil).ApproxMinCost(net, 0, 4); !ok {
 		t.Fatal("edge-disjoint pair must exist through the bowtie")
 	}
-	if _, ok := ApproxMinCostNodeDisjoint(net, 0, 4, nil); ok {
+	if _, ok := NewRouter(nil).ApproxMinCostNodeDisjoint(net, 0, 4); ok {
 		t.Fatal("node-disjoint pair cannot exist through the bowtie")
 	}
 }
 
 func TestNodeDisjointOnDiamond(t *testing.T) {
 	net := diamondNet(2)
-	r, ok := ApproxMinCostNodeDisjoint(net, 0, 3, nil)
+	r, ok := NewRouter(nil).ApproxMinCostNodeDisjoint(net, 0, 3)
 	if !ok {
 		t.Fatal("diamond has node-disjoint pairs")
 	}
@@ -443,8 +443,8 @@ func TestQuickNodeDisjointDominance(t *testing.T) {
 		n := 5 + rng.Intn(5)
 		net := randomWDM(rng, n, 2, false)
 		s, d := 0, n-1
-		rn, okN := ApproxMinCostNodeDisjoint(net, s, d, nil)
-		re, okE := ApproxMinCost(net, s, d, nil)
+		rn, okN := NewRouter(nil).ApproxMinCostNodeDisjoint(net, s, d)
+		re, okE := NewRouter(nil).ApproxMinCost(net, s, d)
 		if okN {
 			if !okE {
 				return false // node-disjoint implies edge-disjoint
@@ -469,7 +469,7 @@ func TestQuickNodeDisjointDominance(t *testing.T) {
 
 func TestAlternateTableServesRequests(t *testing.T) {
 	net := diamondNet(2)
-	tbl := BuildAlternateTable(net, 2, nil)
+	tbl := BuildAlternateTable(net, 2)
 	if tbl.Alternates(0, 3) < 1 {
 		t.Fatal("no alternates for (0,3)")
 	}
@@ -508,7 +508,7 @@ func TestAlternateTableFallsBackWhenBusy(t *testing.T) {
 	net.AddUniformLink(0, 4, 2)
 	net.AddUniformLink(4, 5, 2)
 	net.SetAllConverters(wdm.NewFullConverter(1, 0))
-	tbl := BuildAlternateTable(net, 2, nil)
+	tbl := BuildAlternateTable(net, 2)
 	if got := tbl.Alternates(0, 5); got != 2 {
 		t.Fatalf("alternates = %d, want 2", got)
 	}
@@ -542,10 +542,10 @@ func TestAlternateTableNeverBeatsAdaptive(t *testing.T) {
 	rng := rand.New(rand.NewSource(33))
 	for trial := 0; trial < 20; trial++ {
 		net := randomWDM(rng, 6+rng.Intn(3), 2, true)
-		tbl := BuildAlternateTable(net, 2, nil)
+		tbl := BuildAlternateTable(net, 2)
 		s, d := 0, net.Nodes()-1
 		_, okT := tbl.Route(net, s, d)
-		_, okA := ApproxMinCost(net, s, d, nil)
+		_, okA := NewRouter(nil).ApproxMinCost(net, s, d)
 		if okT && !okA {
 			t.Fatalf("trial %d: table routed where adaptive failed", trial)
 		}
@@ -554,7 +554,7 @@ func TestAlternateTableNeverBeatsAdaptive(t *testing.T) {
 
 func TestEstablishRollsBackWhenBackupConflicts(t *testing.T) {
 	net := diamondNet(1)
-	r, ok := ApproxMinCost(net, 0, 3, nil)
+	r, ok := NewRouter(nil).ApproxMinCost(net, 0, 3)
 	if !ok {
 		t.Fatal("routing failed")
 	}
@@ -583,7 +583,7 @@ func TestEstablishRollsBackWhenBackupConflicts(t *testing.T) {
 
 func TestTeardownErrorsOnUnreservedPaths(t *testing.T) {
 	net := diamondNet(1)
-	r, ok := ApproxMinCost(net, 0, 3, nil)
+	r, ok := NewRouter(nil).ApproxMinCost(net, 0, 3)
 	if !ok {
 		t.Fatal("routing failed")
 	}
@@ -597,10 +597,10 @@ func TestOptionsAccessors(t *testing.T) {
 	o := &Options{Base: 7, MaxIterations: 3}
 	net := diamondNet(2)
 	// Exercise the explicit-options paths of the load routers.
-	if _, ok := MinLoad(net, 0, 3, o); !ok {
+	if _, ok := NewRouter(o).MinLoad(net, 0, 3); !ok {
 		t.Fatal("MinLoad with explicit options failed")
 	}
-	if _, ok := MinLoadCost(net, 0, 3, o); !ok {
+	if _, ok := NewRouter(o).MinLoadCost(net, 0, 3); !ok {
 		t.Fatal("MinLoadCost with explicit options failed")
 	}
 }
@@ -608,7 +608,7 @@ func TestOptionsAccessors(t *testing.T) {
 func TestMinLoadCostOnUniformlyIdleNetwork(t *testing.T) {
 	// Uniform loads hit the Δ≈0 fast path of the threshold search.
 	net := diamondNet(4)
-	r, ok := MinLoadCost(net, 0, 3, nil)
+	r, ok := NewRouter(nil).MinLoadCost(net, 0, 3)
 	if !ok {
 		t.Fatal("MinLoadCost failed on idle network")
 	}

@@ -28,13 +28,13 @@ func TestMetricsCoverRoutingPipeline(t *testing.T) {
 	defer enableAll(r)()
 
 	net := topo.NSFNET(topo.Config{W: 4})
-	if _, ok := ApproxMinCost(net, 0, 9, nil); !ok {
+	if _, ok := NewRouter(nil).ApproxMinCost(net, 0, 9); !ok {
 		t.Fatal("ApproxMinCost failed")
 	}
-	if _, ok := MinLoad(net, 2, 11, nil); !ok {
+	if _, ok := NewRouter(nil).MinLoad(net, 2, 11); !ok {
 		t.Fatal("MinLoad failed")
 	}
-	if _, ok := MinLoadCost(net, 3, 7, nil); !ok {
+	if _, ok := NewRouter(nil).MinLoadCost(net, 3, 7); !ok {
 		t.Fatal("MinLoadCost failed")
 	}
 
@@ -83,7 +83,7 @@ func TestMetricsDefaultOff(t *testing.T) {
 	// leave no trace anywhere — the instruments are nil.
 	enableAll(nil)()
 	net := topo.NSFNET(topo.Config{W: 4})
-	if _, ok := ApproxMinCost(net, 0, 9, nil); !ok {
+	if _, ok := NewRouter(nil).ApproxMinCost(net, 0, 9); !ok {
 		t.Fatal("ApproxMinCost failed with metrics off")
 	}
 }
@@ -111,7 +111,7 @@ func BenchmarkInstrumentationOverhead(b *testing.B) {
 			start := time.Now()
 			k := 0
 			for ; k < batch && i < b.N; k++ {
-				if _, ok := ApproxMinCost(net, i%14, (i+7)%14, nil); !ok {
+				if _, ok := NewRouter(nil).ApproxMinCost(net, i%14, (i+7)%14); !ok {
 					b.Fatal("route failed")
 				}
 				i++

@@ -28,11 +28,11 @@ type MultiResult struct {
 // each mapped route gets the Lemma 2 optimal wavelength assignment. k = 2
 // reproduces ApproxMinCost up to path ordering. ok is false when fewer than
 // k edge-disjoint semilightpaths exist.
-func ApproxMinCostK(net *wdm.Network, s, t, k int, opts *Options) (*MultiResult, bool) {
+func ApproxMinCostK(net *wdm.Network, s, t, k int) (*MultiResult, bool) {
 	if k <= 0 {
 		return nil, false
 	}
-	a := auxgraph.Build(net, s, t, auxgraph.Params{Kind: auxgraph.Cost})
+	a := auxgraph.NewSharedSkeleton(net).ReweightAt(s, t, auxgraph.Params{Kind: auxgraph.Cost})
 	kp, ok := disjoint.KDisjoint(a.G, a.S, a.T, k)
 	if !ok {
 		return nil, false

@@ -54,7 +54,7 @@ func checkMulti(t *testing.T, net *wdm.Network, r *MultiResult, s, d, k int) {
 
 func TestApproxMinCostK3(t *testing.T) {
 	net := threeCorridors(2)
-	r, ok := ApproxMinCostK(net, 0, 4, 3, nil)
+	r, ok := ApproxMinCostK(net, 0, 4, 3)
 	if !ok {
 		t.Fatal("3-protection failed on three corridors")
 	}
@@ -63,11 +63,11 @@ func TestApproxMinCostK3(t *testing.T) {
 		t.Fatalf("cost = %g, want 12", r.Cost)
 	}
 	// k = 4 impossible.
-	if _, ok := ApproxMinCostK(net, 0, 4, 4, nil); ok {
+	if _, ok := ApproxMinCostK(net, 0, 4, 4); ok {
 		t.Fatal("4 disjoint paths cannot exist")
 	}
 	// Degenerate k.
-	if _, ok := ApproxMinCostK(net, 0, 4, 0, nil); ok {
+	if _, ok := ApproxMinCostK(net, 0, 4, 0); ok {
 		t.Fatal("k = 0 accepted")
 	}
 }
@@ -77,8 +77,8 @@ func TestApproxMinCostK2MatchesPairRouter(t *testing.T) {
 	for trial := 0; trial < 25; trial++ {
 		net := randomWDM(rng, 6+rng.Intn(4), 2, false)
 		s, d := 0, net.Nodes()-1
-		r2, ok2 := ApproxMinCostK(net, s, d, 2, nil)
-		rp, okp := ApproxMinCost(net, s, d, nil)
+		r2, ok2 := ApproxMinCostK(net, s, d, 2)
+		rp, okp := NewRouter(nil).ApproxMinCost(net, s, d)
 		if ok2 != okp {
 			t.Fatalf("trial %d: k=2 ok=%v, pair ok=%v", trial, ok2, okp)
 		}
@@ -93,7 +93,7 @@ func TestApproxMinCostK2MatchesPairRouter(t *testing.T) {
 
 func TestEstablishTeardownK(t *testing.T) {
 	net := threeCorridors(1)
-	r, ok := ApproxMinCostK(net, 0, 4, 3, nil)
+	r, ok := ApproxMinCostK(net, 0, 4, 3)
 	if !ok {
 		t.Fatal("routing failed")
 	}
@@ -117,7 +117,7 @@ func TestEstablishTeardownK(t *testing.T) {
 
 func TestSurvivesFailures(t *testing.T) {
 	net := threeCorridors(2)
-	r, _ := ApproxMinCostK(net, 0, 4, 3, nil)
+	r, _ := ApproxMinCostK(net, 0, 4, 3)
 	// Kill the first links of two corridors: the third still survives.
 	down := map[int]bool{r.Paths[0].Hops[0].Link: true, r.Paths[1].Hops[0].Link: true}
 	if !r.SurvivesFailures(down) {
@@ -135,7 +135,7 @@ func TestSurvivesFailures(t *testing.T) {
 func TestKProtectionOnNSFNET(t *testing.T) {
 	net := topo.NSFNET(topo.Config{W: 8})
 	// NSFNET is 3-edge-connected between most pairs; verify a known pair.
-	r, ok := ApproxMinCostK(net, 0, 13, 3, nil)
+	r, ok := ApproxMinCostK(net, 0, 13, 3)
 	if !ok {
 		t.Skip("NSFNET lacks 3 disjoint paths for this pair")
 	}

@@ -6,23 +6,25 @@ import (
 
 	"repro/internal/auxgraph"
 	"repro/internal/disjoint"
+	"repro/internal/lightpath"
 	"repro/internal/obs"
 	"repro/internal/obs/explain"
 	"repro/internal/wdm"
 )
 
-// Router is the reusable engine behind the package-level routing functions.
-// It owns every piece of per-request scratch state — the Suurballe workspace
-// (two Dijkstra workspaces, residual graph, combine buffers) and a cache of
-// auxiliary-graph skeletons keyed by (s, t, node-disjointness) — so that a
-// long-lived caller (a simulator arrival loop, a benchmark worker) routes
-// requests without rebuilding the auxiliary graph or reallocating search
-// state on every call. The MinCog threshold search in particular reweights
-// one skeleton per round instead of constructing a fresh graph per round.
+// Router is the routing entry point: every algorithm of the package is a
+// Router method. It owns every piece of per-request scratch state — the
+// Suurballe workspace (two Dijkstra workspaces, residual graph, combine
+// buffers) and one all-terminal auxiliary-graph skeleton per
+// node-disjointness — so that a long-lived caller (a simulator arrival loop,
+// a benchmark worker) routes requests without rebuilding the auxiliary graph
+// or reallocating search state on every call. The MinCog threshold search in
+// particular reweights one skeleton per round instead of constructing a
+// fresh graph per round. A one-shot caller uses NewRouter(opts).X(…).
 //
 // A Router is bound to the network of its most recent call; routing on a
-// different *wdm.Network drops the skeleton cache (workspaces are kept, as
-// they adapt to any graph size). Structural network changes (AddLink,
+// different *wdm.Network drops the skeletons (workspaces are kept, as they
+// adapt to any graph size). Structural network changes (AddLink,
 // SetConverter) invalidate cached skeletons automatically via the network's
 // TopoVersion. A Router is not safe for concurrent use; give each goroutine
 // its own (e.g. one per parallel.MapWithState worker).
@@ -30,8 +32,7 @@ type Router struct {
 	opts   *Options
 	net    *wdm.Network
 	ws     disjoint.Workspace
-	skels  map[skelKey]*auxgraph.Skeleton // node-disjoint skeletons, per (s, t)
-	shared *auxgraph.Skeleton             // one all-terminal skeleton for every edge-disjoint pair
+	shared [2]*auxgraph.Skeleton // all-terminal skeletons, indexed by node-disjointness (0 edge, 1 node)
 
 	candTab *CandidateTable // lazily built when Options.Candidates > 0
 	cand    candScratch
@@ -73,18 +74,12 @@ func (t Tier) String() string {
 // on the goroutine that owns the router.
 func (r *Router) LastTier() Tier { return r.lastTier }
 
-type skelKey struct {
-	s, t         int
-	nodeDisjoint bool
-}
-
 // rebind points the router at net, dropping network-bound caches when the
 // router was previously serving a different one.
 func (r *Router) rebind(net *wdm.Network) {
 	if r.net != net {
 		r.net = net
-		clear(r.skels)
-		r.shared = nil
+		r.shared = [2]*auxgraph.Skeleton{}
 		r.candTab = nil
 	}
 }
@@ -153,47 +148,38 @@ func (r *Router) finish(tc *obs.Trace, net *wdm.Network, res *Result, ok, loadAu
 	tc.Finish(obs.StatusOK)
 }
 
-// skeleton returns a valid cached skeleton for (s, t), building one on
-// demand, after a rebind to a different network, or after a structural
-// network change. Edge-disjoint requests share a single all-terminal
-// skeleton whose ReweightAt selects the pair; node-disjoint requests keep
-// per-(s, t) skeletons, since the hub gadgets exempt s and t.
+// skeleton returns the router's valid skeleton for the given
+// node-disjointness, building one on demand, after a rebind to a different
+// network, or after a structural network change. Every request of that kind
+// shares it; ReweightAt selects the pair.
 //
 //wdm:coldpath skeleton rebuild happens only on rebind or structural change
-func (r *Router) skeleton(net *wdm.Network, s, t int, nodeDisjoint bool, tc *obs.Trace) *auxgraph.Skeleton {
+func (r *Router) skeleton(net *wdm.Network, nodeDisjoint bool, tc *obs.Trace) *auxgraph.Skeleton {
 	r.rebind(net)
-	if !nodeDisjoint {
-		if r.shared == nil || !r.shared.Valid() {
-			sp := tc.Begin("skeleton-build")
-			r.shared = auxgraph.NewSharedSkeleton(net)
-			tc.EndSpan(sp)
-			tc.Str("skeleton", "build")
-		} else {
-			tc.Str("skeleton", "cache-hit")
-		}
-		return r.shared
+	build, i := auxgraph.NewSharedSkeleton, 0
+	if nodeDisjoint {
+		build, i = auxgraph.NewNodeDisjointSkeleton, 1
 	}
-	if r.skels == nil {
-		r.skels = make(map[skelKey]*auxgraph.Skeleton)
-	}
-	k := skelKey{s: s, t: t, nodeDisjoint: nodeDisjoint}
-	sk := r.skels[k]
+	sk := r.shared[i]
 	if sk == nil || !sk.Valid() {
 		sp := tc.Begin("skeleton-build")
-		sk = auxgraph.NewSkeleton(net, s, t, nodeDisjoint)
+		sk = build(net)
 		tc.EndSpan(sp)
 		tc.Str("skeleton", "build")
-		r.skels[k] = sk
+		r.shared[i] = sk
 	} else {
 		tc.Str("skeleton", "cache-hit")
 	}
 	return sk
 }
 
-// ApproxMinCost routes (s, t) per §3.3 — see the package-level ApproxMinCost.
-// When the candidate-path fast tier is enabled (Options.Candidates or
-// Options.CandidateTable) it is tried first; the exact auxiliary-graph
-// pipeline runs only when no cached candidate pair is currently feasible.
+// ApproxMinCost routes (s, t) per §3.3: auxiliary graph G′ + Suurballe +
+// Lemma 2 refinement. ok is false when no two edge-disjoint semilightpaths
+// exist in the residual network (or refinement is infeasible under
+// restricted conversion). When the candidate-path fast tier is enabled
+// (Options.Candidates or Options.CandidateTable) it is tried first; the
+// exact auxiliary-graph pipeline runs only when no cached candidate pair is
+// currently feasible.
 func (r *Router) ApproxMinCost(net *wdm.Network, s, t int) (*Result, bool) {
 	instr.routeCalls.Inc()
 	tc := r.begin("min-cost", s, t)
@@ -211,7 +197,7 @@ func (r *Router) ApproxMinCost(net *wdm.Network, s, t int) (*Result, bool) {
 		tc.Str("tier", "exact-fallback")
 	}
 	tb := instr.phaseBuild.Start()
-	a := r.skeleton(net, s, t, false, tc).ReweightAt(s, t, auxgraph.Params{Kind: auxgraph.Cost, Trace: tc})
+	a := r.skeleton(net, false, tc).ReweightAt(s, t, auxgraph.Params{Kind: auxgraph.Cost, Trace: tc})
 	instr.phaseBuild.Stop(tb)
 	td := instr.phaseDisjoint.Start()
 	pair, ok := r.ws.Suurballe(a.G, a.S, a.T)
@@ -229,12 +215,16 @@ func (r *Router) ApproxMinCost(net *wdm.Network, s, t int) (*Result, bool) {
 }
 
 // ApproxMinCostNodeDisjoint routes (s, t) with an internally node-disjoint
-// pair — see the package-level ApproxMinCostNodeDisjoint.
+// primary/backup pair — the stronger §1 protection discipline that survives
+// single node failures as well as link failures. It reuses the §3.3
+// machinery on the node-disjoint skeleton, whose unit-capacity hub gadgets
+// carry every intermediate node's conversions. ok is false when no
+// node-disjoint pair exists.
 func (r *Router) ApproxMinCostNodeDisjoint(net *wdm.Network, s, t int) (*Result, bool) {
 	instr.routeCalls.Inc()
 	tc := r.begin("min-cost-node-disjoint", s, t)
 	tb := instr.phaseBuild.Start()
-	a := r.skeleton(net, s, t, true, tc).Reweight(auxgraph.Params{Kind: auxgraph.Cost, NodeDisjoint: true, Trace: tc})
+	a := r.skeleton(net, true, tc).ReweightAt(s, t, auxgraph.Params{Kind: auxgraph.Cost, Trace: tc})
 	instr.phaseBuild.Stop(tb)
 	td := instr.phaseDisjoint.Start()
 	pair, ok := r.ws.Suurballe(a.G, a.S, a.T)
@@ -261,11 +251,11 @@ func (r *Router) ApproxMinCostNodeDisjoint(net *wdm.Network, s, t int) (*Result,
 }
 
 // minCogSearch is the Find_Two_Paths_MinCog doubling threshold search (see
-// the algorithm notes on the package-level MinLoad). Unlike the historical
-// implementation it reweights one cached skeleton per round instead of
-// building a fresh auxiliary graph, so a k-round search costs one structure
-// build plus k cheap weight passes. The returned pair aliases the router's
-// Suurballe workspace and must be consumed before the next routing call.
+// the algorithm notes on MinLoad). Unlike the historical implementation it
+// reweights one cached skeleton per round instead of building a fresh
+// auxiliary graph, so a k-round search costs one structure build plus k
+// cheap weight passes. The returned pair aliases the router's Suurballe
+// workspace and must be consumed before the next routing call.
 func (r *Router) minCogSearch(net *wdm.Network, s, t int, kind auxgraph.Kind, tc *obs.Trace) (theta float64, aOut *auxgraph.Aux, pairOut *disjoint.Pair, iters int, ok bool) {
 	defer instr.phaseMinCog.Stop(instr.phaseMinCog.Start())
 	//wdmlint:ignore hotalloc non-escaping closure; stays on the stack
@@ -282,7 +272,7 @@ func (r *Router) minCogSearch(net *wdm.Network, s, t int, kind auxgraph.Kind, tc
 	if !any {
 		return 0, nil, nil, 0, false
 	}
-	sk := r.skeleton(net, s, t, false, tc)
+	sk := r.skeleton(net, false, tc)
 	//wdmlint:ignore hotalloc non-escaping closure; stays on the stack
 	try := func(theta float64) (*auxgraph.Aux, *disjoint.Pair, bool) {
 		a := sk.ReweightAt(s, t, auxgraph.Params{Kind: kind, Threshold: theta, Base: r.opts.base(), Trace: tc})
@@ -323,7 +313,16 @@ func (r *Router) minCogSearch(net *wdm.Network, s, t int, kind auxgraph.Kind, tc
 	return hi, a, pair, iters, ok
 }
 
-// MinLoad routes (s, t) per §4.1 — see the package-level MinLoad.
+// MinLoad routes (s, t) per §4.1: find the smallest feasible load bound ϑ by
+// the MinCog search over G_c (exponential congestion weights) and return the
+// refined pair found at that bound.
+//
+// The search (minCogSearch) runs the Find_Two_Paths_MinCog doubling
+// schedule: it starts at ϑ_min with increment Δ/2^{⌈log₂(1/Δ)⌉} and doubles
+// the increment after every infeasible round, finishing with the complete
+// residual graph at ϑ_max. The schedule yields the Theorem 3 load ratio < 3:
+// a success at ϑ after a failure at ϑ−δ implies ϑ* > ϑ−δ while
+// δ ≤ 2·(ϑ−δ−ϑ_min) + Δ/2^{j₀}.
 func (r *Router) MinLoad(net *wdm.Network, s, t int) (*Result, bool) {
 	instr.routeCalls.Inc()
 	tc := r.begin("min-load", s, t)
@@ -344,7 +343,10 @@ func (r *Router) MinLoad(net *wdm.Network, s, t int) (*Result, bool) {
 	return res, true
 }
 
-// MinLoadCost routes (s, t) per §4.2 — see the package-level MinLoadCost.
+// MinLoadCost routes (s, t) per §4.2: phase 1 fixes the feasible load bound
+// ϑ with the MinCog search; phase 2 reweights the auxiliary graph as G_rc
+// (same filter, average-cost weights) and routes minimum-cost within the
+// bound.
 func (r *Router) MinLoadCost(net *wdm.Network, s, t int) (*Result, bool) {
 	instr.routeCalls.Inc()
 	tc := r.begin("min-load-cost", s, t)
@@ -353,7 +355,7 @@ func (r *Router) MinLoadCost(net *wdm.Network, s, t int) (*Result, bool) {
 		r.finish(tc, net, nil, false, false)
 		return nil, false
 	}
-	sk := r.skeleton(net, s, t, false, tc)
+	sk := r.skeleton(net, false, tc)
 	tb := instr.phaseBuild.Start()
 	a := sk.ReweightAt(s, t, auxgraph.Params{Kind: auxgraph.LoadCost, Threshold: theta, Base: r.opts.base(), Trace: tc})
 	instr.phaseBuild.Stop(tb)
@@ -384,18 +386,49 @@ func (r *Router) MinLoadCost(net *wdm.Network, s, t int) (*Result, bool) {
 	return res, true
 }
 
-// TwoStepMinCost is the naive baseline — see the package-level TwoStepMinCost.
-// It uses no auxiliary graph, so the Router adds only the uniform call
-// surface and the request trace (no phase spans, no aux pair to audit).
+// TwoStepMinCost is the naive baseline (E7): route an optimal semilightpath,
+// remove its physical links, route a second one. It can fail on trap
+// topologies where ApproxMinCost succeeds, and is never cheaper. It uses no
+// auxiliary graph, so the Router adds only the request trace (no phase
+// spans, no aux pair to audit).
+//
+//wdm:coldpath naive baseline for experiments, not the serving path
 func (r *Router) TwoStepMinCost(net *wdm.Network, s, t int) (*Result, bool) {
 	tc := r.begin("two-step", s, t)
-	res, ok := TwoStepMinCost(net, s, t, r.opts)
-	r.finish(tc, net, res, ok, false)
-	return res, ok
+	instr.routeCalls.Inc()
+	p1, c1, ok := lightpath.Optimal(net, s, t, nil)
+	if !ok {
+		r.finish(tc, net, nil, false, false)
+		return nil, false
+	}
+	used := make(map[int]bool, p1.Len())
+	for _, h := range p1.Hops {
+		used[h.Link] = true
+	}
+	p2, c2, ok := lightpath.Optimal(net, s, t, &lightpath.Options{
+		AllowedLinks: func(id int) bool { return !used[id] },
+	})
+	if !ok {
+		r.finish(tc, net, nil, false, false)
+		return nil, false
+	}
+	res := &Result{
+		Primary:   p1,
+		Backup:    p2,
+		Cost:      c1 + c2,
+		NaiveCost: c1 + c2,
+	}
+	res.PathLoad = pathLoad(net, p1, p2)
+	instr.routeFound.Inc()
+	r.finish(tc, net, res, true, false)
+	return res, true
 }
 
-// OptimalLoadOracle computes the exact minimum achievable path load — see the
-// package-level OptimalLoadOracle. Each candidate cap reweights the same
+// OptimalLoadOracle computes the exact minimum achievable path load — the
+// smallest c such that two edge-disjoint semilightpath-feasible routes exist
+// using only links with (U(e)+1)/N(e) ≤ c. Candidate values are the finite
+// set of per-link ratios, so the oracle is exact; it is the reference for
+// the Theorem 3 ratio experiment (E3). Each candidate cap reweights the same
 // cached skeleton.
 func (r *Router) OptimalLoadOracle(net *wdm.Network, s, t int) (float64, bool) {
 	r.ws.Trace = nil // oracle probes are not request-scoped; never trace them
@@ -415,7 +448,7 @@ func (r *Router) OptimalLoadOracle(net *wdm.Network, s, t int) (float64, bool) {
 		cands = append(cands, r)
 	}
 	sort.Float64s(cands)
-	sk := r.skeleton(net, s, t, false, nil)
+	sk := r.skeleton(net, false, nil)
 	for _, c := range cands {
 		// Exact filter: keep exactly the links whose post-routing ratio
 		// (U+1)/N stays within the candidate cap.

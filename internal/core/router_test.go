@@ -68,13 +68,13 @@ func TestRouterMatchesOneShotOnStream(t *testing.T) {
 		var okF, okW bool
 		switch i % 3 {
 		case 0:
-			rF, okF = ApproxMinCost(netFresh, s, d, nil)
+			rF, okF = NewRouter(nil).ApproxMinCost(netFresh, s, d)
 			rW, okW = warm.ApproxMinCost(netWarm, s, d)
 		case 1:
-			rF, okF = MinLoad(netFresh, s, d, nil)
+			rF, okF = NewRouter(nil).MinLoad(netFresh, s, d)
 			rW, okW = warm.MinLoad(netWarm, s, d)
 		case 2:
-			rF, okF = MinLoadCost(netFresh, s, d, nil)
+			rF, okF = NewRouter(nil).MinLoadCost(netFresh, s, d)
 			rW, okW = warm.MinLoadCost(netWarm, s, d)
 		}
 		kF, kW := keyOf(netFresh, rF, okF), keyOf(netWarm, rW, okW)
@@ -176,7 +176,7 @@ func TestRouterParallelPerWorker(t *testing.T) {
 		if s == d {
 			continue
 		}
-		r, ok := ApproxMinCost(net, s, d, nil)
+		r, ok := NewRouter(nil).ApproxMinCost(net, s, d)
 		if ok {
 			want[i] = out{cost: r.Cost, ok: true}
 		}

@@ -17,7 +17,7 @@ import (
 // backup wins. ok is false when no candidate works — which can happen even
 // if a joint solution exists (the heuristic's known gap; the trap tests
 // exercise it).
-func ApproxMinCostSRLG(net *wdm.Network, s, t int, maxPrimaries int, opts *Options) (*Result, bool) {
+func ApproxMinCostSRLG(net *wdm.Network, s, t int, maxPrimaries int) (*Result, bool) {
 	if maxPrimaries <= 0 {
 		maxPrimaries = 8
 	}

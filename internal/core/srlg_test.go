@@ -27,7 +27,7 @@ func srlgNet() *wdm.Network {
 
 func TestSRLGBackupAvoidsSharedConduit(t *testing.T) {
 	net := srlgNet()
-	r, ok := ApproxMinCostSRLG(net, 0, 4, 0, nil)
+	r, ok := ApproxMinCostSRLG(net, 0, 4, 0)
 	if !ok {
 		t.Fatal("SRLG routing failed")
 	}
@@ -45,7 +45,7 @@ func TestSRLGBackupAvoidsSharedConduit(t *testing.T) {
 		}
 	}
 	// Plain edge-disjoint routing happily uses the shared-risk corridor.
-	re, ok := ApproxMinCost(net, 0, 4, nil)
+	re, ok := NewRouter(nil).ApproxMinCost(net, 0, 4)
 	if !ok {
 		t.Fatal("plain routing failed")
 	}
@@ -69,7 +69,7 @@ func TestSRLGKShortestRetry(t *testing.T) {
 	net.SetSRLG(a1, 1, 2) // A shares group 1 with B and group 2 with C
 	net.SetSRLG(b1, 1)
 	net.SetSRLG(c1, 2)
-	r, ok := ApproxMinCostSRLG(net, 0, 4, 0, nil)
+	r, ok := ApproxMinCostSRLG(net, 0, 4, 0)
 	if !ok {
 		t.Fatal("retry should find the B+C pair")
 	}
@@ -79,14 +79,14 @@ func TestSRLGKShortestRetry(t *testing.T) {
 	}
 	// With retries disabled (maxPrimaries=1) the heuristic fails: the
 	// cheapest primary (A) conflicts with everything.
-	if _, ok := ApproxMinCostSRLG(net, 0, 4, 1, nil); ok {
+	if _, ok := ApproxMinCostSRLG(net, 0, 4, 1); ok {
 		t.Fatal("single-primary heuristic should fail here")
 	}
 }
 
 func TestSRLGNoGroupsBehavesLikeEdgeDisjoint(t *testing.T) {
 	net := diamondNet(2)
-	r, ok := ApproxMinCostSRLG(net, 0, 3, 0, nil)
+	r, ok := ApproxMinCostSRLG(net, 0, 3, 0)
 	if !ok {
 		t.Fatal("routing failed")
 	}
@@ -106,11 +106,11 @@ func TestSRLGInfeasible(t *testing.T) {
 	net.SetAllConverters(wdm.NewFullConverter(2, 0.5))
 	net.SetSRLG(a, 9)
 	net.SetSRLG(b, 9)
-	if _, ok := ApproxMinCostSRLG(net, 0, 3, 0, nil); ok {
+	if _, ok := ApproxMinCostSRLG(net, 0, 3, 0); ok {
 		t.Fatal("SRLG-conflicting pair accepted")
 	}
 	// Edge-disjoint routing still succeeds.
-	if _, ok := ApproxMinCost(net, 0, 3, nil); !ok {
+	if _, ok := NewRouter(nil).ApproxMinCost(net, 0, 3); !ok {
 		t.Fatal("edge-disjoint routing should work")
 	}
 }

@@ -1,7 +1,7 @@
 // Package disjoint finds a pair of edge-disjoint directed paths of minimum
 // total weight — Suurballe's algorithm [21], which the paper's
 // Find_Two_Paths procedure instantiates. Two interchangeable implementations
-// are provided: Suurballe (Dijkstra with potentials, the paper's
+// are provided: Workspace.Suurballe (Dijkstra with potentials, the paper's
 // O(m log n) term) and Bhandari (Bellman–Ford on a residual graph with
 // negated arcs), plus the naive TwoStep heuristic used as the E7 baseline.
 package disjoint
@@ -19,16 +19,6 @@ type Pair struct {
 	Path1  []int
 	Path2  []int
 	Weight float64
-}
-
-// Suurballe returns a minimum-total-weight pair of edge-disjoint paths from
-// s to t over the enabled edges of g, or ok=false if no such pair exists.
-// All enabled edge weights must be non-negative. It is the one-shot wrapper
-// around Workspace.Suurballe; hot paths should hold a Workspace and call it
-// directly to avoid the per-call scratch allocations.
-func Suurballe(g *graph.Graph, s, t int) (*Pair, bool) {
-	var ws Workspace
-	return ws.Suurballe(g, s, t)
 }
 
 // Bhandari computes the same optimum as Suurballe but runs Bellman–Ford on a

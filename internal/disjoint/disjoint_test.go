@@ -43,7 +43,7 @@ func validPair(t *testing.T, g *graph.Graph, p *Pair, s, d int) {
 
 func TestSuurballeTrap(t *testing.T) {
 	g := trap()
-	p, ok := Suurballe(g, 0, 5)
+	p, ok := new(Workspace).Suurballe(g, 0, 5)
 	if !ok {
 		t.Fatal("Suurballe failed on trap")
 	}
@@ -93,7 +93,7 @@ func TestSimpleParallelPair(t *testing.T) {
 	g := graph.New(2)
 	g.AddEdge(0, 1, 3)
 	g.AddEdge(0, 1, 5)
-	p, ok := Suurballe(g, 0, 1)
+	p, ok := new(Workspace).Suurballe(g, 0, 1)
 	if !ok {
 		t.Fatal("parallel edges form a disjoint pair")
 	}
@@ -109,7 +109,7 @@ func TestNoPairExists(t *testing.T) {
 	g.AddEdge(0, 1, 1)
 	g.AddEdge(1, 2, 1)
 	for name, fn := range map[string]func(*graph.Graph, int, int) (*Pair, bool){
-		"Suurballe": Suurballe, "Bhandari": Bhandari, "TwoStep": TwoStep, "BruteForce": BruteForce,
+		"Suurballe": new(Workspace).Suurballe, "Bhandari": Bhandari, "TwoStep": TwoStep, "BruteForce": BruteForce,
 	} {
 		if _, ok := fn(g, 0, 2); ok {
 			t.Errorf("%s found a pair where only one path exists", name)
@@ -128,12 +128,12 @@ func TestSuurballeRespectsDisabled(t *testing.T) {
 	e0 := g.AddEdge(0, 1, 1)
 	g.AddEdge(0, 1, 1)
 	g.AddEdge(0, 1, 10)
-	p, ok := Suurballe(g, 0, 1)
+	p, ok := new(Workspace).Suurballe(g, 0, 1)
 	if !ok || p.Weight != 2 {
 		t.Fatalf("pre-disable: %+v %v", p, ok)
 	}
 	g.Disable(e0)
-	p, ok = Suurballe(g, 0, 1)
+	p, ok = new(Workspace).Suurballe(g, 0, 1)
 	if !ok || p.Weight != 11 {
 		t.Fatalf("post-disable Weight = %g, want 11", p.Weight)
 	}
@@ -178,7 +178,7 @@ func TestQuickAllAlgorithmsAgree(t *testing.T) {
 		n := 4 + rng.Intn(3)
 		g := randGraph(rng, n, n)
 		s, d := 0, n-1
-		ps, okS := Suurballe(g, s, d)
+		ps, okS := new(Workspace).Suurballe(g, s, d)
 		pb, okB := Bhandari(g, s, d)
 		pf, okF := BruteForce(g, s, d)
 		if okS != okF || okB != okF {
@@ -205,7 +205,7 @@ func TestQuickPairValidityAndBaselineBound(t *testing.T) {
 		if s == d {
 			return true
 		}
-		ps, okS := Suurballe(g, s, d)
+		ps, okS := new(Workspace).Suurballe(g, s, d)
 		if okS {
 			if err := g.ValidatePath(ps.Path1, s, d); err != nil {
 				return false
@@ -243,7 +243,7 @@ func BenchmarkSuurballe(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Suurballe(g, i%500, (i+250)%500)
+		new(Workspace).Suurballe(g, i%500, (i+250)%500)
 	}
 }
 

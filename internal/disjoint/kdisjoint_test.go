@@ -16,7 +16,7 @@ func TestKDisjointEqualsSuurballeAtK2(t *testing.T) {
 		g := randGraph(rng, n, 2*n)
 		s, d := 0, n-1
 		kp, okK := KDisjoint(g, s, d, 2)
-		ps, okS := Suurballe(g, s, d)
+		ps, okS := new(Workspace).Suurballe(g, s, d)
 		if okK != okS {
 			t.Fatalf("trial %d: k-disjoint ok=%v, suurballe ok=%v", trial, okK, okS)
 		}

@@ -43,9 +43,11 @@ type Workspace struct {
 // NewWorkspace returns an empty workspace. Equivalent to &Workspace{}.
 func NewWorkspace() *Workspace { return &Workspace{} }
 
-// Suurballe computes the same minimum-total-weight edge-disjoint pair as the
-// package-level Suurballe, reusing ws for every intermediate structure. The
-// returned Pair aliases workspace buffers (see the Workspace doc).
+// Suurballe returns a minimum-total-weight pair of edge-disjoint paths from
+// s to t over the enabled edges of g, or ok=false if no such pair exists.
+// All enabled edge weights must be non-negative. It reuses ws for every
+// intermediate structure; the returned Pair aliases workspace buffers (see
+// the Workspace doc).
 //
 //wdm:hotpath
 func (ws *Workspace) Suurballe(g *graph.Graph, s, t int) (*Pair, bool) {

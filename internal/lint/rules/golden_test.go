@@ -23,7 +23,6 @@ var fixtures = []struct {
 	subdirs  []string
 }{
 	{"versionbump", rules.VersionBump, []string{"wdm"}},
-	{"freshrouter", rules.FreshRouter, []string{"core", "app", "netsim"}},
 	{"nocopy", rules.NoCopy, []string{"graph", "app"}},
 	{"mapdet", rules.MapDet, []string{"core", "other"}},
 	{"errcheck", rules.ErrCheckLite, []string{"trace", "obs", "timeseries", "http", "serve", "pprof", "app"}},

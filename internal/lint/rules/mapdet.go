@@ -18,12 +18,12 @@ import (
 // before use.
 var MapDet = &lint.Analyzer{
 	Name: "mapdet",
-	Doc:  "map iteration in deterministic packages (auxgraph, disjoint, core, check) must use the sorted-key idiom",
+	Doc:  "map iteration in deterministic packages (auxgraph, disjoint, core, check, bench) must use the sorted-key idiom",
 	Run:  runMapDet,
 }
 
 // mdPackages must produce identical output for identical input.
-var mdPackages = []string{"auxgraph", "disjoint", "core", "check", "check/harness"}
+var mdPackages = []string{"auxgraph", "disjoint", "core", "check", "check/harness", "bench"}
 
 func runMapDet(p *lint.Pass) {
 	det := false

@@ -314,7 +314,7 @@ func TestReprotectImprovesSurvival(t *testing.T) {
 
 func TestRouteFuncOverride(t *testing.T) {
 	net := nsf(4)
-	tbl := core.BuildAlternateTable(net, 2, nil)
+	tbl := core.BuildAlternateTable(net, 2)
 	calls := 0
 	sim := New(net, Config{
 		Algorithm:   MinCost,

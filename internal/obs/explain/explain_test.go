@@ -107,7 +107,7 @@ func TestBitExactVsCheckOracle(t *testing.T) {
 
 func TestHopAndConversionBreakdown(t *testing.T) {
 	net := topo.NSFNET(topo.Config{W: 4})
-	res, ok := core.ApproxMinCost(net, 0, 9, nil)
+	res, ok := core.NewRouter(nil).ApproxMinCost(net, 0, 9)
 	if !ok {
 		t.Fatal("ApproxMinCost failed on NSFNET")
 	}
@@ -155,7 +155,7 @@ func TestHopAndConversionBreakdown(t *testing.T) {
 
 func TestTwoStepHasNoBound(t *testing.T) {
 	net := topo.NSFNET(topo.Config{W: 4})
-	res, ok := core.TwoStepMinCost(net, 0, 9, nil)
+	res, ok := core.NewRouter(nil).TwoStepMinCost(net, 0, 9)
 	if !ok {
 		t.Fatal("TwoStepMinCost failed")
 	}
@@ -196,7 +196,7 @@ func TestAddPhases(t *testing.T) {
 
 func TestRenderTextAndJSON(t *testing.T) {
 	net := topo.NSFNET(topo.Config{W: 4})
-	res, ok := core.MinLoadCost(net, 0, 9, nil)
+	res, ok := core.NewRouter(nil).MinLoadCost(net, 0, 9)
 	if !ok {
 		t.Fatal("MinLoadCost failed")
 	}

@@ -41,7 +41,7 @@ func TestOptimizeOnGeneratedChurn(t *testing.T) {
 				}
 				continue
 			}
-			r, ok := core.ApproxMinCost(net, op.Src, op.Dst, nil)
+			r, ok := core.NewRouter(nil).ApproxMinCost(net, op.Src, op.Dst)
 			if !ok {
 				continue
 			}
@@ -118,7 +118,7 @@ func TestOptimizeIdempotentOnGenerated(t *testing.T) {
 		if op.Teardown >= 0 {
 			continue
 		}
-		r, ok := core.ApproxMinCost(net, op.Src, op.Dst, nil)
+		r, ok := core.NewRouter(nil).ApproxMinCost(net, op.Src, op.Dst)
 		if !ok {
 			continue
 		}

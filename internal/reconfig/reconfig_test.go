@@ -13,7 +13,7 @@ import (
 // onto hot links) and returns the connection record.
 func establish(t *testing.T, net *wdm.Network, id, s, d int) *Connection {
 	t.Helper()
-	r, ok := core.ApproxMinCost(net, s, d, nil)
+	r, ok := core.NewRouter(nil).ApproxMinCost(net, s, d)
 	if !ok {
 		t.Fatalf("routing (%d,%d) failed", s, d)
 	}
@@ -98,7 +98,7 @@ func TestOptimizeNeverWorsensRandom(t *testing.T) {
 			if d >= s {
 				d++
 			}
-			r, ok := core.ApproxMinCost(net, s, d, nil)
+			r, ok := core.NewRouter(nil).ApproxMinCost(net, s, d)
 			if !ok || core.Establish(net, r) != nil {
 				continue
 			}

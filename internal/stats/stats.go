@@ -1,13 +1,12 @@
 // Package stats provides the small statistical toolkit the benchmark harness
-// reports with: streaming moments (Welford), confidence intervals, ratios,
-// and fixed-width histograms.
+// reports with: streaming moments (Welford), confidence intervals, quantiles
+// and ratios.
 package stats
 
 import (
 	"fmt"
 	"math"
 	"sort"
-	"strings"
 )
 
 // Stream accumulates moments online (Welford's algorithm). The zero value is
@@ -116,60 +115,6 @@ func Quantile(xs []float64, q float64) float64 {
 	}
 	frac := pos - float64(lo)
 	return s[lo]*(1-frac) + s[hi]*frac
-}
-
-// Histogram is a fixed-width histogram over [Lo, Hi); samples outside the
-// range land in the boundary bins.
-type Histogram struct {
-	Lo, Hi float64
-	Bins   []int
-	total  int
-}
-
-// NewHistogram returns a histogram with bins equal-width buckets over
-// [lo, hi).
-func NewHistogram(lo, hi float64, bins int) *Histogram {
-	if bins <= 0 || hi <= lo {
-		panic("stats: invalid histogram parameters")
-	}
-	return &Histogram{Lo: lo, Hi: hi, Bins: make([]int, bins)}
-}
-
-// Add counts a sample.
-func (h *Histogram) Add(x float64) {
-	i := int((x - h.Lo) / (h.Hi - h.Lo) * float64(len(h.Bins)))
-	if i < 0 {
-		i = 0
-	}
-	if i >= len(h.Bins) {
-		i = len(h.Bins) - 1
-	}
-	h.Bins[i]++
-	h.total++
-}
-
-// Total returns the number of samples counted.
-func (h *Histogram) Total() int { return h.total }
-
-// String renders an ASCII bar chart.
-func (h *Histogram) String() string {
-	var b strings.Builder
-	maxC := 0
-	for _, c := range h.Bins {
-		if c > maxC {
-			maxC = c
-		}
-	}
-	width := (h.Hi - h.Lo) / float64(len(h.Bins))
-	for i, c := range h.Bins {
-		bar := 0
-		if maxC > 0 {
-			bar = c * 40 / maxC
-		}
-		fmt.Fprintf(&b, "[%8.3g, %8.3g) %6d %s\n",
-			h.Lo+float64(i)*width, h.Lo+float64(i+1)*width, c, strings.Repeat("#", bar))
-	}
-	return b.String()
 }
 
 // Ratio is a convenience for reporting a/b with a zero-denominator guard.

@@ -108,32 +108,6 @@ func TestQuantile(t *testing.T) {
 	Quantile(xs, 1.5)
 }
 
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(0, 10, 5)
-	for _, x := range []float64{0, 1.9, 2, 5, 9.9, -3, 42} {
-		h.Add(x)
-	}
-	if h.Total() != 7 {
-		t.Fatalf("Total = %d", h.Total())
-	}
-	// Bin 0: 0, 1.9, -3 (clamped) = 3; bin 1: 2; bin 2: 5; bin 4: 9.9, 42.
-	want := []int{3, 1, 1, 0, 2}
-	for i, w := range want {
-		if h.Bins[i] != w {
-			t.Fatalf("Bins = %v, want %v", h.Bins, want)
-		}
-	}
-	if !strings.Contains(h.String(), "#") {
-		t.Fatal("String should draw bars")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("invalid histogram should panic")
-		}
-	}()
-	NewHistogram(5, 5, 3)
-}
-
 func TestRatio(t *testing.T) {
 	if Ratio(6, 3) != 2 {
 		t.Fatal("Ratio wrong")

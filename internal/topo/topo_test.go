@@ -14,13 +14,15 @@ func cfg() Config { return Config{W: 4} }
 // routes — the property robust routing needs everywhere.
 func biconnected(t *testing.T, net *wdm.Network) {
 	t.Helper()
+	sk := auxgraph.NewSharedSkeleton(net)
+	var ws disjoint.Workspace
 	for s := 0; s < net.Nodes(); s++ {
 		for d := 0; d < net.Nodes(); d++ {
 			if s == d {
 				continue
 			}
-			a := auxgraph.Build(net, s, d, auxgraph.Params{Kind: auxgraph.Cost})
-			if _, ok := disjoint.Suurballe(a.G, a.S, a.T); !ok {
+			a := sk.ReweightAt(s, d, auxgraph.Params{Kind: auxgraph.Cost})
+			if _, ok := ws.Suurballe(a.G, a.S, a.T); !ok {
 				t.Fatalf("no edge-disjoint pair for (%d,%d)", s, d)
 			}
 		}

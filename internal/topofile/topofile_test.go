@@ -53,7 +53,7 @@ func TestDecodeSample(t *testing.T) {
 		t.Fatalf("conversion cost = %g", got)
 	}
 	// The decoded network is routable end to end.
-	if _, ok := core.ApproxMinCost(net, 0, 3, nil); !ok {
+	if _, ok := core.NewRouter(nil).ApproxMinCost(net, 0, 3); !ok {
 		t.Fatal("decoded network should route 0→3 robustly")
 	}
 }

@@ -106,30 +106,30 @@ func NewRouter(opts *RouteOptions) *Router { return core.NewRouter(opts) }
 // sum (§3.3): auxiliary graph + Suurballe + Lemma 2 refinement. It is a
 // 2-approximation under the paper's assumptions (Theorem 2).
 func ApproxMinCost(net *Network, s, t int, opts *RouteOptions) (*Route, bool) {
-	return core.ApproxMinCost(net, s, t, opts)
+	return core.NewRouter(opts).ApproxMinCost(net, s, t)
 }
 
 // MinLoad finds two edge-disjoint semilightpaths minimising the network load
 // via the Find_Two_Paths_MinCog threshold search (§4.1, Theorem 3).
 func MinLoad(net *Network, s, t int, opts *RouteOptions) (*Route, bool) {
-	return core.MinLoad(net, s, t, opts)
+	return core.NewRouter(opts).MinLoad(net, s, t)
 }
 
 // MinLoadCost minimises load first, then cost within the found load bound
 // (§4.2).
 func MinLoadCost(net *Network, s, t int, opts *RouteOptions) (*Route, bool) {
-	return core.MinLoadCost(net, s, t, opts)
+	return core.NewRouter(opts).MinLoadCost(net, s, t)
 }
 
 // TwoStepMinCost is the naive shortest-then-remove baseline.
 func TwoStepMinCost(net *Network, s, t int, opts *RouteOptions) (*Route, bool) {
-	return core.TwoStepMinCost(net, s, t, opts)
+	return core.NewRouter(opts).TwoStepMinCost(net, s, t)
 }
 
 // MinCostNodeDisjoint finds an internally node-disjoint primary/backup pair —
 // the stronger §1 protection discipline that survives single node failures.
 func MinCostNodeDisjoint(net *Network, s, t int, opts *RouteOptions) (*Route, bool) {
-	return core.ApproxMinCostNodeDisjoint(net, s, t, opts)
+	return core.NewRouter(opts).ApproxMinCostNodeDisjoint(net, s, t)
 }
 
 // MultiRoute is a k-protected connection (1 primary + k−1 backups).
@@ -138,8 +138,8 @@ type MultiRoute = core.MultiResult
 // MinCostK routes k pairwise edge-disjoint semilightpaths — 1+(k−1)
 // protection surviving any k−1 simultaneous link failures (k = 2 is the
 // paper's problem).
-func MinCostK(net *Network, s, t, k int, opts *RouteOptions) (*MultiRoute, bool) {
-	return core.ApproxMinCostK(net, s, t, k, opts)
+func MinCostK(net *Network, s, t, k int) (*MultiRoute, bool) {
+	return core.ApproxMinCostK(net, s, t, k)
 }
 
 // EstablishKPaths reserves all paths of a k-protected route atomically.
@@ -151,8 +151,8 @@ func TeardownKPaths(net *Network, r *MultiRoute) error { return core.TeardownK(n
 // MinCostSRLG routes with a backup that avoids every shared-risk link group
 // (SRLG) of its primary, so a whole-duct cut cannot take out both paths.
 // maxPrimaries bounds the k-shortest primary retries (0 = default 8).
-func MinCostSRLG(net *Network, s, t, maxPrimaries int, opts *RouteOptions) (*Route, bool) {
-	return core.ApproxMinCostSRLG(net, s, t, maxPrimaries, opts)
+func MinCostSRLG(net *Network, s, t, maxPrimaries int) (*Route, bool) {
+	return core.ApproxMinCostSRLG(net, s, t, maxPrimaries)
 }
 
 // OptimalSemilightpath returns a single minimum-cost semilightpath (the

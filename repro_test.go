@@ -179,7 +179,7 @@ func TestFacadeTopologyFiles(t *testing.T) {
 
 func TestFacadeKProtectionAndMatrices(t *testing.T) {
 	net := NSFNET(TopoConfig{W: 8})
-	r, ok := MinCostK(net, 0, 7, 2, nil)
+	r, ok := MinCostK(net, 0, 7, 2)
 	if !ok || len(r.Paths) != 2 {
 		t.Fatal("k-protection failed")
 	}
@@ -205,7 +205,7 @@ func TestFacadeKProtectionAndMatrices(t *testing.T) {
 func TestFacadeSRLG(t *testing.T) {
 	net := NSFNET(TopoConfig{W: 4})
 	net.SetSRLG(0, 1)
-	r, ok := MinCostSRLG(net, 0, 13, 0, nil)
+	r, ok := MinCostSRLG(net, 0, 13, 0)
 	if !ok {
 		t.Fatal("SRLG routing failed")
 	}
