@@ -123,7 +123,8 @@ func TestDebugMuxExplain(t *testing.T) {
 func TestDebugMuxTimeseries(t *testing.T) {
 	clock := timeseries.NewSimClock()
 	col := timeseries.New(timeseries.Config{Window: 1, Clock: clock})
-	r := col.Rate("events")
+	r := &metrics.Counter{}
+	col.Rate("events", r)
 	for w := 0; w < 5; w++ {
 		r.Inc()
 		clock.Advance(float64(w + 1))

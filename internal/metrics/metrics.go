@@ -75,15 +75,8 @@ func (g *Gauge) Set(v float64) {
 
 // Add adjusts the value by d (atomically, via CAS).
 func (g *Gauge) Add(d float64) {
-	if g == nil {
-		return
-	}
-	for {
-		old := g.bits.Load()
-		next := math.Float64bits(math.Float64frombits(old) + d)
-		if g.bits.CompareAndSwap(old, next) {
-			return
-		}
+	if g != nil {
+		addFloat(&g.bits, d)
 	}
 }
 
@@ -98,11 +91,24 @@ func (g *Gauge) Value() float64 {
 // Histogram counts observations into fixed buckets (upper bounds, with an
 // implicit +Inf overflow bucket) and tracks the total sum and count. A nil
 // *Histogram is a no-op.
+//
+// A histogram can also be windowed by one collector (package timeseries):
+// Claim switches on per-window sum/min/max tracking, and the collector reads
+// bucket counts and takes that window state at each seal. Count and buckets
+// stay cumulative either way, so one histogram backs both /metrics and the
+// windowed curves.
 type Histogram struct {
 	bounds  []float64 // strictly increasing upper bounds (le semantics)
 	counts  []atomic.Int64
 	n       atomic.Int64
 	sumBits atomic.Uint64
+
+	// Window state, kept only once claimed: the sum and extrema of samples
+	// folded in since the previous TakeWindow (min +Inf, max −Inf when none).
+	claimed atomic.Bool
+	winSum  atomic.Uint64
+	winMin  atomic.Uint64
+	winMax  atomic.Uint64
 }
 
 // NewHistogram builds a standalone histogram (outside any registry) over the
@@ -122,19 +128,76 @@ func NewHistogram(bounds []float64) *Histogram {
 	}
 }
 
-// Observe folds one sample into the histogram.
+// addFloat atomically adds d to the float64 stored in bits.
+func addFloat(bits *atomic.Uint64, d float64) {
+	for {
+		old := bits.Load()
+		if bits.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+d)) {
+			return
+		}
+	}
+}
+
+// foldExtreme atomically replaces the float64 in bits by v when better(v,
+// current) holds.
+func foldExtreme(bits *atomic.Uint64, v float64, better func(a, b float64) bool) {
+	for {
+		old := bits.Load()
+		if !better(v, math.Float64frombits(old)) || bits.CompareAndSwap(old, math.Float64bits(v)) {
+			return
+		}
+	}
+}
+
+func less(a, b float64) bool    { return a < b }
+func greater(a, b float64) bool { return a > b }
+
+// Observe folds one sample into the histogram. The window state is folded
+// before the bucket count, so a sample a collector counts in a window has
+// its extrema in that window or the one before (see TakeWindow).
 func (h *Histogram) Observe(v float64) {
 	if h == nil {
 		return
 	}
+	if h.claimed.Load() {
+		addFloat(&h.winSum, v)
+		foldExtreme(&h.winMin, v, less)
+		foldExtreme(&h.winMax, v, greater)
+	}
 	h.counts[sort.SearchFloat64s(h.bounds, v)].Add(1)
 	h.n.Add(1)
-	for {
-		old := h.sumBits.Load()
-		next := math.Float64bits(math.Float64frombits(old) + v)
-		if h.sumBits.CompareAndSwap(old, next) {
-			return
-		}
+	addFloat(&h.sumBits, v)
+}
+
+// Claim switches on window tracking for the one collector that windows h;
+// a second claim panics, since two collectors would steal each other's
+// window state.
+func (h *Histogram) Claim() {
+	if !h.claimed.CompareAndSwap(false, true) {
+		panic("metrics: histogram already windowed by another collector")
+	}
+	h.TakeWindow()
+}
+
+// TakeWindow returns the sum, min and max of the samples observed since the
+// previous call and starts a fresh window (min is +Inf and max −Inf when
+// there were none). Samples racing with the call land in one window or the
+// next, never in both and never in neither.
+func (h *Histogram) TakeWindow() (sum, lo, hi float64) {
+	sum = math.Float64frombits(h.winSum.Swap(0))
+	lo = math.Float64frombits(h.winMin.Swap(math.Float64bits(math.Inf(1))))
+	hi = math.Float64frombits(h.winMax.Swap(math.Float64bits(math.Inf(-1))))
+	return sum, lo, hi
+}
+
+// Bounds returns the bucket upper bounds (shared; do not modify).
+func (h *Histogram) Bounds() []float64 { return h.bounds }
+
+// LoadCounts copies the per-bucket (not cumulative) counts, overflow bucket
+// last, into dst, which must hold len(Bounds())+1 entries.
+func (h *Histogram) LoadCounts(dst []int64) {
+	for i := range h.counts {
+		dst[i] = h.counts[i].Load()
 	}
 }
 
@@ -272,6 +335,10 @@ func (t *Timer) Observe(d time.Duration) {
 	t.h.Observe(d.Seconds())
 }
 
+// NewTimer builds a standalone timer (outside any registry) over the default
+// time buckets.
+func NewTimer() *Timer { return &Timer{h: NewHistogram(TimeBuckets())} }
+
 // Hist exposes the underlying histogram (nil for a nil timer).
 func (t *Timer) Hist() *Histogram {
 	if t == nil {
@@ -297,8 +364,10 @@ func LogBuckets(lo, hi float64, perDecade int) []float64 {
 	}
 }
 
-// TimeBuckets is the default duration bucketing: 1µs → 10s, 3 per decade.
-func TimeBuckets() []float64 { return LogBuckets(1e-6, 10, 3) }
+// TimeBuckets is the default duration bucketing: 1µs → 10s at 9 bounds per
+// decade, so a bucketed quantile over-estimates the exact one by at most
+// 10^(1/9) ≈ 1.29×.
+func TimeBuckets() []float64 { return LogBuckets(1e-6, 10, 9) }
 
 // SizeBuckets is the default size/count bucketing: 1 → 10⁶, 3 per decade.
 func SizeBuckets() []float64 { return LogBuckets(1, 1e6, 3) }
@@ -410,6 +479,50 @@ func (r *Registry) Timer(name, help string) *Timer {
 		return nil
 	}
 	return &Timer{h: r.Histogram(name, help, TimeBuckets())}
+}
+
+// Publish exposes an instrument the caller built — a *Counter, *Gauge,
+// *Histogram or *Timer — under name. Publishing again under a name replaces
+// the earlier instrument in place (same kind required), so a component
+// rebuilt in the same process takes over its series without reordering the
+// exposition. A nil registry ignores the call.
+func (r *Registry) Publish(name, help string, inst any) {
+	if r == nil {
+		return
+	}
+	if !validName(name) {
+		panic("metrics: invalid metric name " + strconv.Quote(name))
+	}
+	m := &metric{name: name, help: help}
+	switch v := inst.(type) {
+	case *Counter:
+		m.kind, m.c = kindCounter, v
+	case *Gauge:
+		m.kind, m.g = kindGauge, v
+	case *Histogram:
+		m.kind, m.h = kindHistogram, v
+	case *Timer:
+		m.kind, m.h = kindHistogram, v.Hist()
+	default:
+		panic(fmt.Sprintf("metrics: cannot publish %T", inst))
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	old, ok := r.byName[name]
+	if ok && old.kind != m.kind {
+		panic(fmt.Sprintf("metrics: %s re-published as %s (was %s)", name, m.kind, old.kind))
+	}
+	r.byName[name] = m
+	if !ok {
+		r.order = append(r.order, m)
+		return
+	}
+	// Swap the entry rather than mutate it: renderers read entries unlocked.
+	for i, o := range r.order {
+		if o == old {
+			r.order[i] = m
+		}
+	}
 }
 
 // snapshotOrder returns the metrics in registration order.

@@ -281,3 +281,58 @@ func TestWriteFileBySuffix(t *testing.T) {
 		t.Fatalf("json output invalid: %v", err)
 	}
 }
+
+func TestHistogramWindow(t *testing.T) {
+	h := NewHistogram([]float64{1, 2})
+	h.Observe(5) // before Claim: counted, not windowed
+	h.Claim()
+	if sum, lo, hi := h.TakeWindow(); sum != 0 || !math.IsInf(lo, 1) || !math.IsInf(hi, -1) {
+		t.Fatalf("empty window = %g, %g, %g; want 0, +Inf, -Inf", sum, lo, hi)
+	}
+	h.Observe(1.5)
+	h.Observe(0.5)
+	if sum, lo, hi := h.TakeWindow(); sum != 2 || lo != 0.5 || hi != 1.5 {
+		t.Fatalf("window = %g, %g, %g; want 2, 0.5, 1.5", sum, lo, hi)
+	}
+	counts := make([]int64, len(h.Bounds())+1)
+	h.LoadCounts(counts)
+	if counts[0] != 1 || counts[1] != 1 || counts[2] != 1 || h.Count() != 3 {
+		t.Fatalf("cumulative counts %v, Count %d", counts, h.Count())
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("second Claim did not panic")
+		}
+	}()
+	h.Claim()
+}
+
+func TestPublishReplacesInPlace(t *testing.T) {
+	r := NewRegistry()
+	r.Counter("first_total", "")
+	a := &Counter{}
+	r.Publish("x_total", "x", a)
+	a.Add(2)
+	b := &Counter{}
+	r.Publish("x_total", "x", b)
+	b.Inc()
+	tm := NewTimer()
+	r.Publish("t_seconds", "", tm)
+	tm.Observe(time.Millisecond)
+
+	snap := r.Snapshot()
+	if len(snap) != 3 || snap[1].Name != "x_total" || *snap[1].Value != 1 {
+		t.Fatalf("republished counter: %+v", snap)
+	}
+	if r.Counter("x_total", "") != b || r.Histogram("t_seconds", "", nil).Count() != 1 {
+		t.Fatal("registry does not hand out the published instruments")
+	}
+	var nilReg *Registry
+	nilReg.Publish("x_total", "", a)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("publishing a gauge over a counter did not panic")
+		}
+	}()
+	r.Publish("x_total", "", &Gauge{})
+}

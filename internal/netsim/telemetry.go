@@ -4,6 +4,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/metrics"
 	"repro/internal/timeseries"
 )
 
@@ -37,8 +38,9 @@ const (
 )
 
 // Telemetry is the simulator's windowed time-series bundle: a collector on
-// a sim-time clock, the routing/blocking/reconfiguration series, and a
-// per-window network-state probe whose latest snapshot backs /debug/net.
+// a sim-time clock windowing the bundle's own latency histogram and outcome
+// counters, plus a per-window network-state probe whose latest snapshot
+// backs /debug/net.
 // A nil *Telemetry is permanently off: every method is a no-op, and the
 // simulator's hot path costs only nil checks (pinned by the alloc
 // regression test). One Telemetry serves one Sim.
@@ -46,11 +48,11 @@ type Telemetry struct {
 	clock *timeseries.SimClock
 	col   *timeseries.Collector
 
-	routeLat  *timeseries.Histogram
-	blocking  *timeseries.Ratio
-	accepted  *timeseries.Rate
-	reroutes  *timeseries.Rate
-	reconfigs *timeseries.Rate
+	routeLat  *metrics.Histogram
+	blocked   metrics.Counter
+	accepted  metrics.Counter
+	reroutes  metrics.Counter
+	reconfigs metrics.Counter
 	active    *timeseries.Gauge
 	loadMean  *timeseries.Gauge
 	loadMax   *timeseries.Gauge
@@ -66,19 +68,21 @@ type Telemetry struct {
 func NewTelemetry(window float64, retention int) *Telemetry {
 	clock := timeseries.NewSimClock()
 	col := timeseries.New(timeseries.Config{Window: window, Retention: retention, Clock: clock})
-	return &Telemetry{
-		clock:     clock,
-		col:       col,
-		routeLat:  col.Histogram(SeriesRouteLatency, nil),
-		blocking:  col.Ratio(SeriesBlocking),
-		accepted:  col.Rate(SeriesAccepted),
-		reroutes:  col.Rate(SeriesReroutes),
-		reconfigs: col.Rate(SeriesReconfigs),
-		active:    col.Gauge(SeriesActiveConns),
-		loadMean:  col.Gauge(SeriesLinkLoadMean),
-		loadMax:   col.Gauge(SeriesLinkLoadMax),
-		fragMean:  col.Gauge(SeriesFragMean),
+	t := &Telemetry{
+		clock:    clock,
+		col:      col,
+		routeLat: metrics.NewHistogram(nil),
+		active:   col.Gauge(SeriesActiveConns),
+		loadMean: col.Gauge(SeriesLinkLoadMean),
+		loadMax:  col.Gauge(SeriesLinkLoadMax),
+		fragMean: col.Gauge(SeriesFragMean),
 	}
+	col.Histogram(SeriesRouteLatency, t.routeLat)
+	col.Ratio(SeriesBlocking, &t.blocked, &t.accepted)
+	col.Rate(SeriesAccepted, &t.accepted)
+	col.Rate(SeriesReroutes, &t.reroutes)
+	col.Rate(SeriesReconfigs, &t.reconfigs)
+	return t
 }
 
 // Collector exposes the underlying collector (nil for nil telemetry) for
@@ -155,8 +159,9 @@ func (t *Telemetry) routeDone(t0 time.Time, blocked bool) {
 		return
 	}
 	t.routeLat.Observe(time.Since(t0).Seconds())
-	t.blocking.Observe(blocked)
-	if !blocked {
+	if blocked {
+		t.blocked.Inc()
+	} else {
 		t.accepted.Inc()
 	}
 }

@@ -1,10 +1,8 @@
-// Package pq provides priority queues tuned for shortest-path workloads:
+// Package pq provides the priority queue tuned for shortest-path workloads:
 // an indexed binary min-heap with decrease-key over a dense integer key
-// space, and a pairing heap for sparse or unbounded key spaces. The paper's
-// complexity analysis assumes Fibonacci heaps [Fredman–Tarjan 1987]; both
-// structures here have the same practical asymptotics for Dijkstra on the
-// graph sizes a wide-area WDM network produces, and the pairing heap matches
-// the amortized decrease-key profile closely.
+// space. The paper's complexity analysis assumes Fibonacci heaps
+// [Fredman–Tarjan 1987]; the binary heap has the same practical asymptotics
+// for Dijkstra on the graph sizes a wide-area WDM network produces.
 package pq
 
 // IndexedHeap is a binary min-heap over items identified by integers in

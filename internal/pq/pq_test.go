@@ -155,93 +155,7 @@ func TestQuickIndexedHeapSorts(t *testing.T) {
 	}
 }
 
-func TestPairingHeapBasic(t *testing.T) {
-	h := NewPairingHeap()
-	if !h.Empty() {
-		t.Fatal("new heap not empty")
-	}
-	h.Push(10, 3)
-	h.Push(20, 1)
-	h.Push(30, 2)
-	if h.Len() != 3 {
-		t.Fatalf("Len = %d", h.Len())
-	}
-	if v, p := h.Peek(); v != 20 || p != 1 {
-		t.Fatalf("Peek = (%d, %g)", v, p)
-	}
-	want := []int{20, 30, 10}
-	for _, w := range want {
-		v, _ := h.Pop()
-		if v != w {
-			t.Fatalf("Pop = %d, want %d", v, w)
-		}
-	}
-	if !h.Empty() {
-		t.Fatal("should be empty")
-	}
-}
-
-func TestPairingHeapDecreaseKey(t *testing.T) {
-	h := NewPairingHeap()
-	h.Push(1, 10)
-	n2 := h.Push(2, 20)
-	h.Push(3, 30)
-	n4 := h.Push(4, 40)
-	h.DecreaseKey(n4, 5)
-	if v, p := h.Peek(); v != 4 || p != 5 {
-		t.Fatalf("Peek after DecreaseKey = (%d, %g)", v, p)
-	}
-	h.DecreaseKey(n2, 2)
-	if v, _ := h.Pop(); v != 2 {
-		t.Fatalf("Pop = %d, want 2", v)
-	}
-	if v, _ := h.Pop(); v != 4 {
-		t.Fatalf("Pop = %d, want 4", v)
-	}
-	if n2.Priority() != 2 {
-		t.Fatalf("handle priority = %g", n2.Priority())
-	}
-}
-
-func TestPairingHeapDecreaseKeyPanics(t *testing.T) {
-	h := NewPairingHeap()
-	n := h.Push(1, 10)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("increase via DecreaseKey should panic")
-		}
-	}()
-	h.DecreaseKey(n, 20)
-}
-
-func TestPairingHeapMeld(t *testing.T) {
-	a := NewPairingHeap()
-	b := NewPairingHeap()
-	a.Push(1, 5)
-	a.Push(2, 1)
-	b.Push(3, 3)
-	b.Push(4, 0)
-	a.Meld(b)
-	if a.Len() != 4 || b.Len() != 0 {
-		t.Fatalf("Len after meld: a=%d b=%d", a.Len(), b.Len())
-	}
-	want := []int{4, 2, 3, 1}
-	for _, w := range want {
-		v, _ := a.Pop()
-		if v != w {
-			t.Fatalf("Pop = %d, want %d", v, w)
-		}
-	}
-	// Melding nil and self are no-ops.
-	a.Push(9, 9)
-	a.Meld(nil)
-	a.Meld(a)
-	if a.Len() != 1 {
-		t.Fatalf("Len after degenerate melds = %d", a.Len())
-	}
-}
-
-// Randomized cross-check of both heaps against a reference sort, with
+// Randomized cross-check of the indexed heap against a reference sort, with
 // interleaved decrease-keys.
 func TestHeapsAgainstReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
@@ -252,11 +166,8 @@ func TestHeapsAgainstReference(t *testing.T) {
 			prios[i] = rng.Float64() * 100
 		}
 		ih := NewIndexedHeap(n)
-		ph := NewPairingHeap()
-		handles := make([]*PairingNode, n)
 		for i, p := range prios {
 			ih.Push(i, p)
-			handles[i] = ph.Push(i, p)
 		}
 		// Random decrease-keys.
 		for k := 0; k < n/2; k++ {
@@ -264,15 +175,12 @@ func TestHeapsAgainstReference(t *testing.T) {
 			np := prios[i] * rng.Float64()
 			prios[i] = np
 			ih.DecreaseKey(i, np)
-			ph.DecreaseKey(handles[i], np)
 		}
 		sorted := append([]float64(nil), prios...)
 		sort.Float64s(sorted)
 		for _, want := range sorted {
-			_, p1 := ih.Pop()
-			_, p2 := ph.Pop()
-			if p1 != want || p2 != want {
-				t.Fatalf("trial %d: pops %g/%g, want %g", trial, p1, p2, want)
+			if _, p := ih.Pop(); p != want {
+				t.Fatalf("trial %d: pop %g, want %g", trial, p, want)
 			}
 		}
 	}
@@ -291,21 +199,6 @@ func BenchmarkIndexedHeapDijkstraPattern(b *testing.B) {
 			id, p := h.Pop()
 			_ = id
 			_ = p
-		}
-	}
-}
-
-func BenchmarkPairingHeapDijkstraPattern(b *testing.B) {
-	const n = 4096
-	rng := rand.New(rand.NewSource(1))
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		h := NewPairingHeap()
-		for v := 0; v < n; v++ {
-			h.Push(v, rng.Float64())
-		}
-		for !h.Empty() {
-			h.Pop()
 		}
 	}
 }

@@ -1,24 +1,44 @@
 package pq
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
 )
 
-// TestHeapsAgreeOnRandomStreams drives the indexed binary heap and the
-// pairing heap with the same random push/decrease-key/pop stream and demands
-// identical (value, priority) pop sequences. Priorities are drawn unique so
-// ties cannot legally reorder the two implementations; decrease-keys always
-// go strictly below the current global minimum or strictly between existing
-// keys, staying unique.
+// refHeap is the reference the indexed heap is checked against: queued value
+// → priority, with a linear min-scan per peek.
+type refHeap map[int]float64
+
+func (r refHeap) peek() (int, float64) {
+	best, bp := -1, math.Inf(1)
+	for v, p := range r {
+		if p < bp {
+			best, bp = v, p
+		}
+	}
+	return best, bp
+}
+
+func (r refHeap) pop() (int, float64) {
+	v, p := r.peek()
+	delete(r, v)
+	return v, p
+}
+
+// TestHeapsAgreeOnRandomStreams drives the indexed binary heap and a
+// map-plus-min-scan reference with the same random push/decrease-key/pop
+// stream and demands identical (value, priority) pop sequences. Priorities
+// are drawn unique so ties cannot make the minimum ambiguous; decrease-keys
+// always go strictly below the current key and are skipped on a collision,
+// staying unique.
 func TestHeapsAgreeOnRandomStreams(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		const n = 64
 		ih := NewIndexedHeap(n)
-		ph := NewPairingHeap()
-		nodes := make([]*PairingNode, n)
+		ref := refHeap{}
 		used := map[float64]bool{}
 		draw := func() float64 {
 			for {
@@ -39,7 +59,7 @@ func TestHeapsAgreeOnRandomStreams(t *testing.T) {
 				}
 				p := draw()
 				ih.Push(id, p)
-				nodes[id] = ph.Push(id, p)
+				ref[id] = p
 				inHeap = append(inHeap, id)
 			case r < 7: // decrease a random queued key
 				if len(inHeap) == 0 {
@@ -53,25 +73,25 @@ func TestHeapsAgreeOnRandomStreams(t *testing.T) {
 				}
 				used[p] = true
 				ih.DecreaseKey(id, p)
-				ph.DecreaseKey(nodes[id], p)
+				ref[id] = p
 			default: // pop
-				if ih.Len() != ph.Len() {
-					t.Logf("Len diverged: indexed %d, pairing %d", ih.Len(), ph.Len())
+				if ih.Len() != len(ref) {
+					t.Logf("Len diverged: indexed %d, reference %d", ih.Len(), len(ref))
 					return false
 				}
 				if ih.Empty() {
 					continue
 				}
 				iv, ip := ih.Peek()
-				pv, pp := ph.Peek()
+				pv, pp := ref.peek()
 				if iv != pv || ip != pp {
-					t.Logf("Peek diverged: indexed (%d,%g), pairing (%d,%g)", iv, ip, pv, pp)
+					t.Logf("Peek diverged: indexed (%d,%g), reference (%d,%g)", iv, ip, pv, pp)
 					return false
 				}
 				iv, ip = ih.Pop()
-				pv, pp = ph.Pop()
+				pv, pp = ref.pop()
 				if iv != pv || ip != pp {
-					t.Logf("Pop diverged: indexed (%d,%g), pairing (%d,%g)", iv, ip, pv, pp)
+					t.Logf("Pop diverged: indexed (%d,%g), reference (%d,%g)", iv, ip, pv, pp)
 					return false
 				}
 				for k, id := range inHeap {
@@ -87,9 +107,9 @@ func TestHeapsAgreeOnRandomStreams(t *testing.T) {
 		last := -1.0
 		for !ih.Empty() {
 			iv, ip := ih.Pop()
-			pv, pp := ph.Pop()
+			pv, pp := ref.pop()
 			if iv != pv || ip != pp {
-				t.Logf("drain diverged: indexed (%d,%g), pairing (%d,%g)", iv, ip, pv, pp)
+				t.Logf("drain diverged: indexed (%d,%g), reference (%d,%g)", iv, ip, pv, pp)
 				return false
 			}
 			if ip <= last {
@@ -98,7 +118,7 @@ func TestHeapsAgreeOnRandomStreams(t *testing.T) {
 			}
 			last = ip
 		}
-		return ph.Empty()
+		return len(ref) == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)

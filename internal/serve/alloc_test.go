@@ -4,11 +4,16 @@
 // instrumentation breaks testing.AllocsPerRun accounting).
 package serve
 
-import "testing"
+import (
+	"testing"
+
+	"repro/internal/metrics"
+	"repro/internal/obs"
+)
 
 // provisionAllocBudget is the whole-pipeline allocation budget for one
-// provision + teardown round trip with telemetry, metrics and tracing all
-// disabled: the op pair and their reply channels, op-owned path copies, the
+// provision + teardown round trip with no registry, telemetry or tracer: the
+// op pair and their reply channels, op-owned path copies, the
 // registry record, the response hop slices, the committer's two copy-on-write
 // epoch publishes, and the router re-deriving per-snapshot state (every
 // commit publishes a fresh network pointer, so snapshot-keyed caches never
@@ -37,5 +42,37 @@ func TestProvisionAllocs(t *testing.T) {
 	run() // warm the shard router's skeleton caches outside the window
 	if n := testing.AllocsPerRun(200, run); n > provisionAllocBudget {
 		t.Fatalf("provision+teardown allocates %.0f, budget %d", n, provisionAllocBudget)
+	}
+}
+
+// telemetryOnAllocBudget is the same round trip's budget configured the way
+// wdmd and the benchmark run it: instruments published on a registry,
+// windowed telemetry on, and a flight-recorder tracer. Measured 767: the
+// disabled path's 741 plus 26 for the two traced requests' spans. Metrics
+// and telemetry add none — requests write the engine's preallocated atomic
+// instruments and the collector reads them only at seal time — so an
+// allocation on the telemetry path pushes past the same margin.
+const telemetryOnAllocBudget = 815
+
+// TestProvisionAllocsTelemetryOn pins the enabled-observability allocation
+// cost of the request pipeline.
+func TestProvisionAllocsTelemetryOn(t *testing.T) {
+	EnableMetrics(metrics.NewRegistry())
+	t.Cleanup(func() { EnableMetrics(nil) })
+	e := startEngine(t, nsf(8), Config{Shards: 2, Window: 1, Tracer: obs.New(obs.Config{Capacity: obs.DefaultCapacity})})
+	var id int64
+	run := func() {
+		id++
+		resp := e.Provision(Request{ID: id, Src: 0, Dst: 9})
+		if !resp.Accepted {
+			t.Fatalf("provision %d rejected: %+v", id, resp)
+		}
+		if resp = e.Teardown(id); !resp.Accepted {
+			t.Fatalf("teardown %d rejected: %+v", id, resp)
+		}
+	}
+	run()
+	if n := testing.AllocsPerRun(200, run); n > telemetryOnAllocBudget {
+		t.Fatalf("telemetry-on provision+teardown allocates %.0f, budget %d", n, telemetryOnAllocBudget)
 	}
 }

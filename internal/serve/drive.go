@@ -4,13 +4,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"math/rand"
 	"net/http"
-	"sync"
-	"sync/atomic"
 	"time"
-
-	"repro/internal/metrics"
 )
 
 // DriveConfig parameterises Drive, the HTTP client-side load generator
@@ -88,100 +83,42 @@ func post(hc *http.Client, url string, req Request) (Response, error) {
 }
 
 // Drive hammers a live daemon at baseURL (e.g. "http://localhost:9101")
-// over HTTP with cfg.Clients concurrent seeded clients, then tears down
-// every connection it still owns. It returns an error on any transport
-// failure or non-200 — the smoke test's "zero blocked-forever requests"
-// gate is simply that every request got a well-formed answer.
+// over HTTP with cfg.Clients concurrent seeded clients (see clientLoop,
+// without reroutes), then tears down every connection it still owns. It
+// returns an error on any transport failure or non-200 — the smoke test's
+// "zero blocked-forever requests" gate is simply that every request got a
+// well-formed answer.
 func Drive(baseURL string, cfg DriveConfig) (DriveReport, error) {
-	var (
-		next    atomic.Int64
-		lat     = metrics.NewHistogram(nil)
-		prov    atomic.Int64
-		acc     atomic.Int64
-		blocked atomic.Int64
-		tears   atomic.Int64
-		errs    atomic.Int64
-	)
-	var firstErr atomic.Pointer[error]
-	fail := func(err error) {
-		errs.Add(1)
-		e := err
-		firstErr.CompareAndSwap(nil, &e)
-	}
 	start := time.Now()
-	var wg sync.WaitGroup
-	for c := 0; c < cfg.clients(); c++ {
-		wg.Add(1)
-		go func(client int) {
-			defer wg.Done()
-			hc := &http.Client{Timeout: 30 * time.Second}
-			rng := rand.New(rand.NewSource(cfg.Seed + int64(client)))
-			var live []int64
-			var k int64
-			for {
-				n := next.Add(1)
-				if n > int64(cfg.Requests) {
-					break
-				}
-				t0 := time.Now()
-				if len(live) >= cfg.maxLive() || (len(live) > 0 && rng.Float64() < 0.45) {
-					id := live[0]
-					live = live[1:]
-					if _, err := post(hc, baseURL+"/teardown", Request{ID: id}); err != nil {
-						fail(err)
-						return
-					}
-					tears.Add(1)
-				} else {
-					s := rng.Intn(cfg.Nodes)
-					d := rng.Intn(cfg.Nodes - 1)
-					if d >= s {
-						d++
-					}
-					k++
-					id := int64(client)<<32 | k
-					resp, err := post(hc, baseURL+"/provision", Request{ID: id, Src: s, Dst: d})
-					if err != nil {
-						fail(err)
-						return
-					}
-					prov.Add(1)
-					if resp.Accepted {
-						acc.Add(1)
-						live = append(live, id)
-					} else {
-						blocked.Add(1)
-					}
-				}
-				lat.Observe(time.Since(t0).Seconds())
-			}
-			for _, id := range live {
-				if _, err := post(hc, baseURL+"/teardown", Request{ID: id}); err != nil {
-					fail(err)
-					return
-				}
-				tears.Add(1)
-			}
-		}(c)
-	}
-	wg.Wait()
+	t := clientLoop{
+		requests:     cfg.Requests,
+		clients:      cfg.clients(),
+		seed:         cfg.Seed,
+		nodes:        cfg.Nodes,
+		maxLive:      cfg.maxLive(),
+		teardownFrac: 0.45,
+		releaseTail:  true,
+	}.run(func() caller {
+		hc := &http.Client{Timeout: 30 * time.Second}
+		return func(op string, req Request) (Response, error) {
+			return post(hc, baseURL+"/"+op, req)
+		}
+	})
 
 	rep := DriveReport{
 		Requests:   cfg.Requests,
 		Clients:    cfg.clients(),
-		Provisions: prov.Load(),
-		Accepted:   acc.Load(),
-		Blocked:    blocked.Load(),
-		Teardowns:  tears.Load(),
-		Errors:     errs.Load(),
-		P50Micros:  lat.Quantile(0.50) * 1e6,
-		P99Micros:  lat.Quantile(0.99) * 1e6,
+		Provisions: t.prov.Load(),
+		Accepted:   t.acc.Load(),
+		Blocked:    t.blocked.Load(),
+		Teardowns:  t.tears.Load(),
+		Errors:     t.errs.Load(),
+		Blocking:   t.blocking(),
+		P50Micros:  t.lat.Quantile(0.50) * 1e6,
+		P99Micros:  t.lat.Quantile(0.99) * 1e6,
 		Elapsed:    time.Since(start).Seconds(),
 	}
-	if rep.Provisions > 0 {
-		rep.Blocking = float64(rep.Blocked) / float64(rep.Provisions)
-	}
-	if p := firstErr.Load(); p != nil {
+	if p := t.firstErr.Load(); p != nil {
 		return rep, *p
 	}
 	return rep, nil

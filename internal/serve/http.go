@@ -142,16 +142,14 @@ func (e *Engine) Handler(reg *metrics.Registry) *http.ServeMux {
 }
 
 // decodeTimed parses one request body, timing the decode into the
-// wdmd_stage_decode_seconds timer and its telemetry histogram — decode
-// happens before the request clock starts, so it is reported as HTTP
-// overhead alongside (not inside) the pipeline stages. On a parse error it
-// writes the 400 and reports ok=false.
+// wdmd_stage_decode_seconds timer (which the stage_decode_seconds window
+// reads) — decode happens before the request clock starts, so it is
+// reported as HTTP overhead alongside (not inside) the pipeline stages. On
+// a parse error it writes the 400 and reports ok=false.
 func (e *Engine) decodeTimed(w http.ResponseWriter, r *http.Request) (Request, bool) {
 	t := time.Now()
 	req, err := DecodeRequest(r.Body)
-	d := time.Since(t)
-	instr.stageDecode.Observe(d)
-	e.tel.observeDecode(d)
+	e.instr.stageDecode.Observe(time.Since(t))
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return Request{}, false

@@ -2,19 +2,20 @@ package serve
 
 import "repro/internal/metrics"
 
-// instruments holds the package's metric hooks; nil (the default) means off.
-// All instruments are process-wide, matching the one-daemon-per-process
-// deployment; Engine keeps its own atomic stats for /status so the JSON API
-// works with metrics disabled.
+// instruments is one engine's single set of signals. /status, /metrics and
+// the telemetry windows all read these, and a request writes each of them
+// once, lock-free. The engine builds them in New whether or not metrics are
+// enabled; EnableMetrics only decides whether New also publishes them.
 type instruments struct {
-	provisions  *metrics.Counter
-	accepted    *metrics.Counter
-	blocked     *metrics.Counter
-	teardowns   *metrics.Counter
-	reroutes    *metrics.Counter
-	conflicts   *metrics.Counter
-	retries     *metrics.Counter
-	epochs      *metrics.Counter
+	provisions metrics.Counter
+	accepted   metrics.Counter
+	blocked    metrics.Counter
+	teardowns  metrics.Counter
+	reroutes   metrics.Counter
+	conflicts  metrics.Counter // commit-time reservation conflicts (pre-retry)
+	retries    metrics.Counter // re-route attempts after a conflict
+	epochs     metrics.Counter
+
 	routeTime   *metrics.Timer
 	requestTime *metrics.Timer
 
@@ -35,41 +36,66 @@ type instruments struct {
 
 	// Live progress gauges: refreshed per request so a mid-soak /metrics
 	// scrape shows where the daemon stands, not just end totals.
-	epoch        *metrics.Gauge
-	shards       *metrics.Gauge
-	liveConns    *metrics.Gauge
-	blockingProb *metrics.Gauge
+	epoch        metrics.Gauge
+	shards       metrics.Gauge
+	liveConns    metrics.Gauge
+	blockingProb metrics.Gauge
 }
 
-var instr instruments
-
-// EnableMetrics registers the package's instruments on r and routes all
-// subsequent daemon activity through them. A nil registry disables them.
-func EnableMetrics(r *metrics.Registry) {
-	instr = instruments{
-		provisions:  r.Counter("wdmd_provision_total", "provision requests received"),
-		accepted:    r.Counter("wdmd_accepted_total", "provisions accepted"),
-		blocked:     r.Counter("wdmd_blocked_total", "provisions blocked (no route, conflict, duplicate)"),
-		teardowns:   r.Counter("wdmd_teardown_total", "teardown requests received"),
-		reroutes:    r.Counter("wdmd_reroute_total", "reroute requests received"),
-		conflicts:   r.Counter("wdmd_conflicts_total", "commit-time optimistic reservation conflicts"),
-		retries:     r.Counter("wdmd_retries_total", "conflicted admissions re-routed on a fresh snapshot"),
-		epochs:      r.Counter("wdmd_epochs_total", "snapshot epochs published"),
-		routeTime:   r.Timer("wdmd_route_seconds", "per-request routing computation latency"),
-		requestTime: r.Timer("wdmd_request_seconds", "end-to-end request latency (queue + route + commit)"),
-
-		stageDecode:    r.Timer("wdmd_stage_decode_seconds", "HTTP request-body decode latency (before the request clock starts)"),
-		stageQueue:     r.Timer("wdmd_stage_queue_seconds", "dispatch + shard-queue wait (request accepted to shard dequeue)"),
-		stageSnapshot:  r.Timer("wdmd_stage_snapshot_seconds", "epoch-snapshot acquire (plus registry lookup for teardown/reroute)"),
-		stageRoute:     r.Timer("wdmd_stage_route_seconds", "route compute, first attempt"),
-		stageRouteCand: r.Timer("wdmd_stage_route_candidate_seconds", "route compute answered by the candidate fast tier"),
-		stageRouteEx:   r.Timer("wdmd_stage_route_exact_seconds", "route compute answered by the exact pipeline (incl. candidate fallbacks)"),
-		stageCommit:    r.Timer("wdmd_stage_commit_seconds", "commit wait (submit to verdict) plus final reply delivery"),
-		stageReroute:   r.Timer("wdmd_stage_reroute_seconds", "conflict re-route: whole retry attempts after a lost commit race"),
-
-		epoch:        r.Gauge("wdmd_epoch", "current snapshot epoch"),
-		shards:       r.Gauge("wdmd_shards", "routing shard count"),
-		liveConns:    r.Gauge("wdmd_live_connections", "connections currently established"),
-		blockingProb: r.Gauge("wdmd_blocking_probability", "running blocked/provisions ratio"),
+// initTimers builds the timer histograms (counters and gauges are ready as
+// zero values).
+func (m *instruments) initTimers() {
+	for _, t := range []**metrics.Timer{
+		&m.routeTime, &m.requestTime,
+		&m.stageDecode, &m.stageQueue, &m.stageSnapshot, &m.stageRoute,
+		&m.stageRouteCand, &m.stageRouteEx, &m.stageCommit, &m.stageReroute,
+	} {
+		*t = metrics.NewTimer()
 	}
 }
+
+// publish exposes the instruments on r under the wdmd_* names, replacing
+// any earlier engine's entries. A nil registry publishes nothing.
+func (m *instruments) publish(r *metrics.Registry) {
+	for _, p := range []struct {
+		name, help string
+		inst       any
+	}{
+		{"wdmd_provision_total", "provision requests received", &m.provisions},
+		{"wdmd_accepted_total", "provisions accepted", &m.accepted},
+		{"wdmd_blocked_total", "provisions blocked (no route, conflict, duplicate)", &m.blocked},
+		{"wdmd_teardown_total", "teardown requests received", &m.teardowns},
+		{"wdmd_reroute_total", "reroute requests received", &m.reroutes},
+		{"wdmd_conflicts_total", "commit-time optimistic reservation conflicts", &m.conflicts},
+		{"wdmd_retries_total", "conflicted admissions re-routed on a fresh snapshot", &m.retries},
+		{"wdmd_epochs_total", "snapshot epochs published", &m.epochs},
+		{"wdmd_route_seconds", "per-request routing computation latency", m.routeTime},
+		{"wdmd_request_seconds", "end-to-end request latency (queue + route + commit)", m.requestTime},
+
+		{"wdmd_stage_decode_seconds", "HTTP request-body decode latency (before the request clock starts)", m.stageDecode},
+		{"wdmd_stage_queue_seconds", "dispatch + shard-queue wait (request accepted to shard dequeue)", m.stageQueue},
+		{"wdmd_stage_snapshot_seconds", "epoch-snapshot acquire (plus registry lookup for teardown/reroute)", m.stageSnapshot},
+		{"wdmd_stage_route_seconds", "route compute, first attempt", m.stageRoute},
+		{"wdmd_stage_route_candidate_seconds", "route compute answered by the candidate fast tier", m.stageRouteCand},
+		{"wdmd_stage_route_exact_seconds", "route compute answered by the exact pipeline (incl. candidate fallbacks)", m.stageRouteEx},
+		{"wdmd_stage_commit_seconds", "commit wait (submit to verdict) plus final reply delivery", m.stageCommit},
+		{"wdmd_stage_reroute_seconds", "conflict re-route: whole retry attempts after a lost commit race", m.stageReroute},
+
+		{"wdmd_epoch", "current snapshot epoch", &m.epoch},
+		{"wdmd_shards", "routing shard count", &m.shards},
+		{"wdmd_live_connections", "connections currently established", &m.liveConns},
+		{"wdmd_blocking_probability", "running blocked/provisions ratio", &m.blockingProb},
+	} {
+		r.Publish(p.name, p.help, p.inst)
+	}
+}
+
+// published is the registry engines publish their instruments on (nil: not
+// published). Set by EnableMetrics, read by New.
+var published *metrics.Registry
+
+// EnableMetrics makes every engine built afterwards publish its instruments
+// on r (a later engine replaces an earlier one's entries). A nil registry
+// stops publishing; engines keep counting for /status and telemetry either
+// way.
+func EnableMetrics(r *metrics.Registry) { published = r }

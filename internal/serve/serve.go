@@ -257,20 +257,6 @@ type commitResult struct {
 	err      error  // opAudit verdict
 }
 
-// engineStats are the daemon's aggregate counters, updated atomically so
-// /status never blocks the data path.
-type engineStats struct {
-	provisions atomic.Int64
-	accepted   atomic.Int64
-	blocked    atomic.Int64
-	teardowns  atomic.Int64
-	reroutes   atomic.Int64
-	rerouteOK  atomic.Int64
-	conflicts  atomic.Int64 // commit-time reservation conflicts (pre-retry)
-	retries    atomic.Int64 // re-route attempts after a conflict
-	audits     atomic.Int64
-}
-
 // Engine is the daemon: sharded routing over epoch snapshots with a
 // serialized batch committer. Create with New, run with Start, serve its
 // Handler, stop with Close.
@@ -289,10 +275,15 @@ type Engine struct {
 	connMu sync.RWMutex
 	conns  map[int64]*connState
 
-	stats   engineStats
+	instr   instruments
 	journal journal
 	tel     *telemetry
 	start   time.Time
+
+	// Engine-local counters with no metric: reroutes that committed, and
+	// oracle audits run.
+	rerouteOK atomic.Int64
+	audits    atomic.Int64
 
 	// contention[link] counts commit-time reservation conflicts charged to
 	// that link (committer-only writes, atomic so the telemetry prober may
@@ -343,6 +334,9 @@ func New(net *wdm.Network, cfg Config) *Engine {
 		start:    time.Now(),
 	}
 	e.contention = make([]atomic.Int64, st.cur.Links())
+	e.instr.initTimers()
+	e.instr.shards.Set(float64(cfg.shards()))
+	e.instr.publish(published)
 	// Per-shard router options: ReuseResult is safe (shards copy paths out
 	// immediately) and the candidate table — built once from the
 	// authoritative clone — is read-only, so every shard may share it.
@@ -410,7 +404,6 @@ func (e *Engine) Start() error {
 	e.commitWg.Add(1)
 	go e.runCommitter()
 	e.tel.startTicker()
-	instr.shards.Set(float64(len(e.shards)))
 	return nil
 }
 
@@ -478,8 +471,7 @@ func (e *Engine) Provision(req Request) Response {
 		return rejectResponse(req.ID, "provision", ReasonClosed, "")
 	}
 	defer e.inflight.Done()
-	e.stats.provisions.Add(1)
-	instr.provisions.Inc()
+	e.instr.provisions.Inc()
 
 	o := newOp(opProvision, req.ID, req.Src, req.Dst, algo)
 	o.t0 = t0
@@ -494,12 +486,10 @@ func (e *Engine) Teardown(id int64) Response {
 		return rejectResponse(id, "teardown", ReasonClosed, "")
 	}
 	defer e.inflight.Done()
-	e.stats.teardowns.Add(1)
-	instr.teardowns.Inc()
+	e.instr.teardowns.Inc()
 
 	c, ok := e.lookupConn(id)
 	if !ok {
-		e.tel.observe("teardown", time.Since(t0), false, nil)
 		return rejectResponse(id, "teardown", ReasonUnknownConn, "")
 	}
 	o := newOp(opTeardown, id, c.s, c.d, 0)
@@ -518,12 +508,10 @@ func (e *Engine) Reroute(id int64) Response {
 		return rejectResponse(id, "reroute", ReasonClosed, "")
 	}
 	defer e.inflight.Done()
-	e.stats.reroutes.Add(1)
-	instr.reroutes.Inc()
+	e.instr.reroutes.Inc()
 
 	c, ok := e.lookupConn(id)
 	if !ok {
-		e.tel.observe("reroute", time.Since(t0), false, nil)
 		return rejectResponse(id, "reroute", ReasonUnknownConn, "")
 	}
 	o := newOp(opReroute, id, c.s, c.d, e.cfg.Algorithm)
@@ -543,7 +531,7 @@ func (e *Engine) Audit() error {
 		return fmt.Errorf("serve: %s", ReasonClosed)
 	}
 	defer e.inflight.Done()
-	e.stats.audits.Add(1)
+	e.audits.Add(1)
 	o := newOp(opAudit, 0, 0, 0, 0)
 	o.audit = e.oracle
 	e.commitCh <- o
@@ -551,7 +539,8 @@ func (e *Engine) Audit() error {
 	return cr.err
 }
 
-// finishOp folds a commit verdict into counters, telemetry and the response.
+// finishOp folds a commit verdict into the engine's instruments and the
+// response.
 func (e *Engine) finishOp(o *op, cr commitResult, kind string, t0 time.Time) Response {
 	// Close the attribution ledger: the tail (shard's last stamp → now, i.e.
 	// the done-channel handoff back to this goroutine) folds into the commit
@@ -561,8 +550,7 @@ func (e *Engine) finishOp(o *op, cr commitResult, kind string, t0 time.Time) Res
 		o.st.commit += tDone.Sub(o.last).Nanoseconds()
 	}
 	e.observeStages(o)
-	e.tel.observe(kind, tDone.Sub(t0), cr.ok, &o.st)
-	instr.requestTime.Observe(tDone.Sub(t0))
+	e.instr.requestTime.Observe(tDone.Sub(t0))
 	resp := Response{
 		ID:       o.id,
 		Op:       kind,
@@ -576,19 +564,17 @@ func (e *Engine) finishOp(o *op, cr commitResult, kind string, t0 time.Time) Res
 	switch o.kind {
 	case opProvision:
 		if cr.ok {
-			e.stats.accepted.Add(1)
-			instr.accepted.Inc()
+			e.instr.accepted.Inc()
 			resp.Cost = o.cost
 			resp.PathLoad = o.pathLoad
 			resp.Primary = hopsJSON(o.primary)
 			resp.Backup = hopsJSON(o.backup)
 		} else {
-			e.stats.blocked.Add(1)
-			instr.blocked.Inc()
+			e.instr.blocked.Inc()
 		}
 	case opReroute:
 		if cr.ok {
-			e.stats.rerouteOK.Add(1)
+			e.rerouteOK.Add(1)
 			resp.Cost = o.cost
 			resp.PathLoad = o.pathLoad
 			resp.Primary = hopsJSON(o.primary)
@@ -633,7 +619,7 @@ func (sh *shard) provision(o *op) {
 		tSnap := time.Now()
 		res, ok := o.algo.route(sh.router, snap.net, o.s, o.d)
 		tRoute := time.Now()
-		instr.routeTime.Observe(tRoute.Sub(tSnap))
+		e.instr.routeTime.Observe(tRoute.Sub(tSnap))
 		if first {
 			o.st.snap = tSnap.Sub(t).Nanoseconds()
 			o.st.route = tRoute.Sub(tSnap).Nanoseconds()
@@ -667,9 +653,8 @@ func (sh *shard) provision(o *op) {
 			sh.conflicts.Add(1)
 			if o.retries < e.cfg.maxRetries() {
 				o.retries++
-				e.stats.retries.Add(1)
 				sh.retries.Add(1)
-				instr.retries.Inc()
+				e.instr.retries.Inc()
 				first = false
 				t = tCommit
 				continue
@@ -732,7 +717,7 @@ func (sh *shard) reroute(o *op) {
 		tSnap := time.Now()
 		res, ok := o.algo.route(sh.router, snap.net, o.s, o.d)
 		tRoute := time.Now()
-		instr.routeTime.Observe(tRoute.Sub(tSnap))
+		e.instr.routeTime.Observe(tRoute.Sub(tSnap))
 		if first {
 			// snap covers registry lookup + old-path copy + snapshot acquire.
 			o.st.snap = tSnap.Sub(t).Nanoseconds()
@@ -767,9 +752,8 @@ func (sh *shard) reroute(o *op) {
 			sh.conflicts.Add(1)
 			if o.retries < e.cfg.maxRetries() {
 				o.retries++
-				e.stats.retries.Add(1)
 				sh.retries.Add(1)
-				instr.retries.Inc()
+				e.instr.retries.Inc()
 				first = false
 				t = tCommit
 				continue
@@ -820,9 +804,11 @@ func (e *Engine) applyBatch(batch []*op) {
 	epoch := e.store.load().epoch
 	if dirty {
 		epoch = e.store.publish()
-		instr.epochs.Inc()
-		instr.epoch.Set(float64(epoch))
-		e.tel.epochSealed(len(batch))
+		e.instr.epochs.Inc()
+		e.instr.epoch.Set(float64(epoch))
+		if e.tel != nil {
+			e.tel.fill.Set(float64(len(batch)))
+		}
 	}
 	for i, o := range batch {
 		cr := e.results[i]
@@ -910,14 +896,12 @@ func (e *Engine) applyOne(o *op) commitResult {
 	panic("serve: unknown op kind")
 }
 
-// conflictNoted folds one commit-time reservation conflict into every
-// attribution surface at once: the aggregate counters, the per-link
-// contention charge, and the per-window conflicts rate. Committer goroutine.
+// conflictNoted counts one commit-time reservation conflict (the counter
+// behind /status, /metrics and the per-window conflicts rate) and charges it
+// to the contended links. Committer goroutine.
 func (e *Engine) conflictNoted(o *op) {
-	e.stats.conflicts.Add(1)
-	instr.conflicts.Inc()
+	e.instr.conflicts.Inc()
 	e.noteContention(o)
-	e.tel.conflict()
 }
 
 // mustRelease returns held wavelengths to the pool; failure means the
@@ -1059,10 +1043,9 @@ func (e *Engine) Journal() ([]JournalEntry, bool) {
 
 // syncGauges refreshes the live progress gauges after each request.
 func (e *Engine) syncGauges() {
-	instr.liveConns.Set(float64(e.LiveConnections()))
-	prov := e.stats.provisions.Load()
-	if prov > 0 {
-		instr.blockingProb.Set(float64(e.stats.blocked.Load()) / float64(prov))
+	e.instr.liveConns.Set(float64(e.LiveConnections()))
+	if prov := e.instr.provisions.Value(); prov > 0 {
+		e.instr.blockingProb.Set(float64(e.instr.blocked.Value()) / float64(prov))
 	}
 }
 
@@ -1103,14 +1086,14 @@ func (e *Engine) Status() Stats {
 		Shards:       len(e.shards),
 		LiveConns:    e.LiveConnections(),
 		NetworkLoad:  snap.net.NetworkLoad(),
-		Provisions:   e.stats.provisions.Load(),
-		Accepted:     e.stats.accepted.Load(),
-		Blocked:      e.stats.blocked.Load(),
-		Teardowns:    e.stats.teardowns.Load(),
-		Reroutes:     e.stats.reroutes.Load(),
-		RerouteOK:    e.stats.rerouteOK.Load(),
-		Conflicts:    e.stats.conflicts.Load(),
-		Retries:      e.stats.retries.Load(),
+		Provisions:   e.instr.provisions.Value(),
+		Accepted:     e.instr.accepted.Value(),
+		Blocked:      e.instr.blocked.Value(),
+		Teardowns:    e.instr.teardowns.Value(),
+		Reroutes:     e.instr.reroutes.Value(),
+		RerouteOK:    e.rerouteOK.Load(),
+		Conflicts:    e.instr.conflicts.Value(),
+		Retries:      e.instr.retries.Value(),
 		Uptime:       time.Since(e.start).Seconds(),
 		ShardDetail:  e.shardDetail(),
 	}

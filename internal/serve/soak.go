@@ -92,88 +92,34 @@ func (r SoakReport) String() string {
 }
 
 // RunSoak hammers a started engine with cfg.Requests seeded mixed
-// operations from cfg.Clients goroutines, then (optionally) drains every
-// live connection and audits. Work is claimed from a shared atomic counter,
-// so the interleaving is racy on purpose while each client's random choices
-// stay deterministic. Connection IDs are client<<32|k — unique across
-// clients by construction.
+// operations from cfg.Clients goroutines (see clientLoop), then
+// (optionally) drains every live connection and audits.
 func RunSoak(e *Engine, cfg SoakConfig) (SoakReport, error) {
-	var (
-		next    atomic.Int64
-		lat     = metrics.NewHistogram(nil) // atomic; shared across clients
-		prov    atomic.Int64
-		acc     atomic.Int64
-		blocked atomic.Int64
-		tears   atomic.Int64
-		routes  atomic.Int64
-	)
 	start := time.Now()
-	var wg sync.WaitGroup
-	for c := 0; c < cfg.clients(); c++ {
-		wg.Add(1)
-		go func(client int) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(cfg.Seed + int64(client)))
-			var live []int64
-			var k int64
-			for {
-				n := next.Add(1)
-				if n > int64(cfg.Requests) {
-					break
-				}
-				t0 := time.Now()
-				switch {
-				case cfg.RerouteEvery > 0 && n%int64(cfg.RerouteEvery) == 0 && len(live) > 0:
-					id := live[rng.Intn(len(live))]
-					e.Reroute(id)
-					routes.Add(1)
-				case len(live) >= cfg.maxLive() ||
-					(len(live) > 0 && rng.Float64() < cfg.teardownFrac()):
-					id := live[0]
-					live = live[1:]
-					e.Teardown(id)
-					tears.Add(1)
-				default:
-					s := rng.Intn(e.Nodes())
-					d := rng.Intn(e.Nodes() - 1)
-					if d >= s {
-						d++
-					}
-					k++
-					id := int64(client)<<32 | k
-					resp := e.Provision(Request{ID: id, Src: s, Dst: d})
-					prov.Add(1)
-					if resp.Accepted {
-						acc.Add(1)
-						live = append(live, id)
-					} else {
-						blocked.Add(1)
-					}
-				}
-				lat.Observe(time.Since(t0).Seconds())
-			}
-			// Release this client's tail so Drain sees only what the load
-			// phase intentionally left behind.
-		}(c)
-	}
-	wg.Wait()
+	t := clientLoop{
+		requests:     cfg.Requests,
+		clients:      cfg.clients(),
+		seed:         cfg.Seed,
+		nodes:        e.Nodes(),
+		maxLive:      cfg.maxLive(),
+		rerouteEvery: cfg.RerouteEvery,
+		teardownFrac: cfg.teardownFrac(),
+	}.run(func() caller { return e.call })
 	elapsed := time.Since(start)
 
 	rep := SoakReport{
 		Requests:   cfg.Requests,
 		Clients:    cfg.clients(),
 		Seed:       cfg.Seed,
-		Provisions: prov.Load(),
-		Accepted:   acc.Load(),
-		Blocked:    blocked.Load(),
-		Teardowns:  tears.Load(),
-		Reroutes:   routes.Load(),
-		P50Micros:  lat.Quantile(0.50) * 1e6,
-		P99Micros:  lat.Quantile(0.99) * 1e6,
+		Provisions: t.prov.Load(),
+		Accepted:   t.acc.Load(),
+		Blocked:    t.blocked.Load(),
+		Teardowns:  t.tears.Load(),
+		Reroutes:   t.routes.Load(),
+		Blocking:   t.blocking(),
+		P50Micros:  t.lat.Quantile(0.50) * 1e6,
+		P99Micros:  t.lat.Quantile(0.99) * 1e6,
 		Elapsed:    elapsed.Seconds(),
-	}
-	if rep.Provisions > 0 {
-		rep.Blocking = float64(rep.Blocked) / float64(rep.Provisions)
 	}
 	if rep.Elapsed > 0 {
 		rep.Throughput = float64(cfg.Requests) / rep.Elapsed
@@ -193,4 +139,128 @@ func RunSoak(e *Engine, cfg SoakConfig) (SoakReport, error) {
 		rep.Drained = true
 	}
 	return rep, nil
+}
+
+// call dispatches one client op in-process: RunSoak's transport.
+func (e *Engine) call(op string, req Request) (Response, error) {
+	switch op {
+	case "provision":
+		return e.Provision(req), nil
+	case "teardown":
+		return e.Teardown(req.ID), nil
+	}
+	return e.Reroute(req.ID), nil
+}
+
+// caller issues one client op ("provision", "teardown" or "reroute") and
+// returns the daemon's answer; an error is a transport failure.
+type caller func(op string, req Request) (Response, error)
+
+// clientLoop is the seeded closed-loop client workload RunSoak (in-process)
+// and Drive (over HTTP) share. Work is claimed from a shared atomic counter,
+// so the interleaving is racy on purpose while each client's random choices
+// stay deterministic: client i draws from rand.New(rand.NewSource(seed+i)).
+// Connection IDs are client<<32|k, unique across clients by construction.
+type clientLoop struct {
+	requests, clients, nodes, maxLive int
+	seed                              int64
+	// rerouteEvery issues a reroute of a random live connection on every
+	// n-th claimed op (0: never); teardownFrac is the probability a client
+	// with live connections tears its oldest down instead of provisioning.
+	rerouteEvery int
+	teardownFrac float64
+	// releaseTail tears down what each client still holds once the load
+	// phase ends (counted as teardowns, not timed).
+	releaseTail bool
+}
+
+// loopTally aggregates one clientLoop run across its clients.
+type loopTally struct {
+	lat                                     *metrics.Histogram // per-op latency, seconds
+	prov, acc, blocked, tears, routes, errs atomic.Int64
+	firstErr                                atomic.Pointer[error]
+}
+
+func (t *loopTally) blocking() float64 {
+	if p := t.prov.Load(); p > 0 {
+		return float64(t.blocked.Load()) / float64(p)
+	}
+	return 0
+}
+
+// run drives l.clients goroutines, each over its own caller from newCaller,
+// until l.requests ops have been claimed. A client stops at its first
+// transport error.
+func (l clientLoop) run(newCaller func() caller) *loopTally {
+	t := &loopTally{lat: metrics.NewHistogram(nil)}
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for c := 0; c < l.clients; c++ {
+		wg.Add(1)
+		go func(client int) {
+			defer wg.Done()
+			if err := l.client(client, newCaller(), &next, t); err != nil {
+				t.errs.Add(1)
+				t.firstErr.CompareAndSwap(nil, &err)
+			}
+		}(c)
+	}
+	wg.Wait()
+	return t
+}
+
+func (l clientLoop) client(client int, call caller, next *atomic.Int64, t *loopTally) error {
+	rng := rand.New(rand.NewSource(l.seed + int64(client)))
+	var live []int64
+	var k int64
+	for {
+		n := next.Add(1)
+		if n > int64(l.requests) {
+			break
+		}
+		t0 := time.Now()
+		switch {
+		case l.rerouteEvery > 0 && n%int64(l.rerouteEvery) == 0 && len(live) > 0:
+			if _, err := call("reroute", Request{ID: live[rng.Intn(len(live))]}); err != nil {
+				return err
+			}
+			t.routes.Add(1)
+		case len(live) >= l.maxLive || (len(live) > 0 && rng.Float64() < l.teardownFrac):
+			id := live[0]
+			live = live[1:]
+			if _, err := call("teardown", Request{ID: id}); err != nil {
+				return err
+			}
+			t.tears.Add(1)
+		default:
+			s := rng.Intn(l.nodes)
+			d := rng.Intn(l.nodes - 1)
+			if d >= s {
+				d++
+			}
+			k++
+			id := int64(client)<<32 | k
+			resp, err := call("provision", Request{ID: id, Src: s, Dst: d})
+			if err != nil {
+				return err
+			}
+			t.prov.Add(1)
+			if resp.Accepted {
+				t.acc.Add(1)
+				live = append(live, id)
+			} else {
+				t.blocked.Add(1)
+			}
+		}
+		t.lat.Observe(time.Since(t0).Seconds())
+	}
+	if l.releaseTail {
+		for _, id := range live {
+			if _, err := call("teardown", Request{ID: id}); err != nil {
+				return err
+			}
+			t.tears.Add(1)
+		}
+	}
+	return nil
 }

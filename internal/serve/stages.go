@@ -43,31 +43,31 @@ type stageNanos struct {
 	tier    core.Tier // routing tier of the first attempt
 }
 
-// observeStages folds one finished request's ledger into the process-wide
-// stage timers and the per-window telemetry histograms. Zero-valued stages
+// observeStages folds one finished request's ledger into the engine's stage
+// timers, which the per-window telemetry histograms read. Zero-valued stages
 // are skipped so e.g. teardowns (which never route) do not pollute the route
 // histogram's count; skipping zeros cannot break the sum identity because a
 // zero adds nothing to any Sum().
 func (e *Engine) observeStages(o *op) {
 	d := time.Duration(o.st.queue)
-	instr.stageQueue.Observe(d)
+	e.instr.stageQueue.Observe(d)
 	if o.st.snap > 0 {
-		instr.stageSnapshot.Observe(time.Duration(o.st.snap))
+		e.instr.stageSnapshot.Observe(time.Duration(o.st.snap))
 	}
 	if o.st.route > 0 {
 		rd := time.Duration(o.st.route)
-		instr.stageRoute.Observe(rd)
+		e.instr.stageRoute.Observe(rd)
 		if o.st.tier == core.TierCandidate {
-			instr.stageRouteCand.Observe(rd)
+			e.instr.stageRouteCand.Observe(rd)
 		} else {
-			instr.stageRouteEx.Observe(rd)
+			e.instr.stageRouteEx.Observe(rd)
 		}
 	}
 	if o.st.commit > 0 {
-		instr.stageCommit.Observe(time.Duration(o.st.commit))
+		e.instr.stageCommit.Observe(time.Duration(o.st.commit))
 	}
 	if o.st.reroute > 0 {
-		instr.stageReroute.Observe(time.Duration(o.st.reroute))
+		e.instr.stageReroute.Observe(time.Duration(o.st.reroute))
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -17,15 +18,50 @@ import (
 	"repro/internal/slo"
 )
 
-// withMetrics routes the package instruments through a fresh registry for one
-// test and restores the disabled default afterwards. Register it before
-// startEngine so the engine closes (and stops observing) before the restore.
-func withMetrics(t *testing.T) *metrics.Registry {
-	t.Helper()
+// TestPublishedMetricsMatchStatus pins the one-accumulator contract: the
+// wdmd_* counters on /metrics are the very counters /status reads, and an
+// engine built later replaces an earlier engine's entries instead of adding
+// to them.
+func TestPublishedMetricsMatchStatus(t *testing.T) {
 	reg := metrics.NewRegistry()
 	EnableMetrics(reg)
 	t.Cleanup(func() { EnableMetrics(nil) })
-	return reg
+	startEngine(t, nsf(8), Config{}).Provision(Request{ID: 1, Src: 0, Dst: 9})
+	e := startEngine(t, nsf(8), Config{Window: 1})
+	for id := int64(1); id <= 3; id++ {
+		e.Provision(Request{ID: id, Src: 0, Dst: 9})
+	}
+	e.Teardown(1)
+	e.Teardown(99)
+
+	got := map[string]float64{}
+	wdmd := 0
+	for _, m := range reg.Snapshot() {
+		if strings.HasPrefix(m.Name, "wdmd_") {
+			wdmd++
+		}
+		if m.Value != nil {
+			got[m.Name] = *m.Value
+		}
+	}
+	if wdmd != 22 {
+		t.Fatalf("%d wdmd_* metrics published, want 22 (one per instrument)", wdmd)
+	}
+	st := e.Status()
+	for name, want := range map[string]int64{
+		"wdmd_provision_total": st.Provisions,
+		"wdmd_accepted_total":  st.Accepted,
+		"wdmd_blocked_total":   st.Blocked,
+		"wdmd_teardown_total":  st.Teardowns,
+		"wdmd_conflicts_total": st.Conflicts,
+	} {
+		if got[name] != float64(want) {
+			t.Errorf("%s = %g, /status says %d", name, got[name], want)
+		}
+	}
+	if st.Provisions != 3 || st.Teardowns != 2 {
+		t.Fatalf("status counts the second engine's requests only: %+v", st)
+	}
 }
 
 func timerSum(t *metrics.Timer) float64 { return t.Hist().Sum() }
@@ -37,7 +73,6 @@ func timerSum(t *metrics.Timer) float64 { return t.Hist().Sum() }
 // clock granularity; real drift (a stage segment lost or double-counted)
 // shows up as tens of percent.
 func TestStageSumMatchesRequestTime(t *testing.T) {
-	withMetrics(t)
 	e := startEngine(t, nsf(8), Config{Candidates: 4})
 	n := 100000
 	if testing.Short() {
@@ -54,9 +89,9 @@ func TestStageSumMatchesRequestTime(t *testing.T) {
 		t.Fatalf("soak: %v\n%s", err, rep)
 	}
 
-	total := timerSum(instr.requestTime)
-	stages := timerSum(instr.stageQueue) + timerSum(instr.stageSnapshot) +
-		timerSum(instr.stageRoute) + timerSum(instr.stageCommit) + timerSum(instr.stageReroute)
+	total := timerSum(e.instr.requestTime)
+	stages := timerSum(e.instr.stageQueue) + timerSum(e.instr.stageSnapshot) +
+		timerSum(e.instr.stageRoute) + timerSum(e.instr.stageCommit) + timerSum(e.instr.stageReroute)
 	if total <= 0 {
 		t.Fatalf("request timer empty after %d requests", n)
 	}
@@ -67,12 +102,12 @@ func TestStageSumMatchesRequestTime(t *testing.T) {
 
 	// Every request through the pipeline is observed exactly once at both
 	// ends of the identity.
-	if qc, rc := instr.stageQueue.Hist().Count(), instr.requestTime.Hist().Count(); qc != rc {
+	if qc, rc := e.instr.stageQueue.Hist().Count(), e.instr.requestTime.Hist().Count(); qc != rc {
 		t.Fatalf("queue count %d != request count %d", qc, rc)
 	}
 	// The candidate/exact pair partitions the route stage.
-	rc := instr.stageRoute.Hist().Count()
-	cand, exact := instr.stageRouteCand.Hist().Count(), instr.stageRouteEx.Hist().Count()
+	rc := e.instr.stageRoute.Hist().Count()
+	cand, exact := e.instr.stageRouteCand.Hist().Count(), e.instr.stageRouteEx.Hist().Count()
 	if cand+exact != rc {
 		t.Fatalf("route tier split %d+%d != route count %d", cand, exact, rc)
 	}
@@ -90,7 +125,7 @@ func TestStageSumMatchesRequestTime(t *testing.T) {
 	for _, sd := range st.ShardDetail {
 		ops += sd.Ops
 	}
-	if want := instr.requestTime.Hist().Count(); ops != want {
+	if want := e.instr.requestTime.Hist().Count(); ops != want {
 		t.Fatalf("shard ops %d != pipelined requests %d", ops, want)
 	}
 }

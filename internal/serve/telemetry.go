@@ -58,83 +58,63 @@ const (
 	SeriesGCPause    = "go_gc_pause_seconds" // GC pause time accrued during the window
 )
 
-// telemetry adapts the single-owner timeseries.Collector to the daemon's
-// many-goroutine request path: every instrument write happens under one
-// mutex (the collector's owner-goroutine contract is "one writer at a
-// time", which a mutex provides just as well as a single goroutine), and a
-// ticker goroutine advances the wall-clock windows so curves seal even when
-// the daemon is idle. A nil-window telemetry is permanently off and costs
-// one nil check per request.
+// telemetry windows the engine's instruments on the wall clock. It owns no
+// request-path accumulator: the collector reads the engine's lock-free
+// counters and timers when it seals, so request goroutines never touch it.
+// A ticker goroutine is the only thing that advances the windows, which
+// therefore seal even when the daemon is idle; a sample belongs to the
+// window that is open when the seal reads it. The collector-owned gauges are
+// set at seal time (the probe below) and once per committed batch (fill, by
+// the committer). A nil telemetry (window <= 0) is permanently off.
 type telemetry struct {
-	e   *Engine
 	col *timeseries.Collector
 
-	mu       sync.Mutex
-	reqLat   *timeseries.Histogram
-	blocking *timeseries.Ratio
-	accepted *timeseries.Rate
-	tears    *timeseries.Rate
-	routes   *timeseries.Rate
-	epochs   *timeseries.Rate
-	confl    *timeseries.Rate
 	fill     *timeseries.Gauge
 	active   *timeseries.Gauge
 	loadMean *timeseries.Gauge
 	loadMax  *timeseries.Gauge
 	fragMean *timeseries.Gauge
 
-	stQueue  *timeseries.Histogram
-	stSnap   *timeseries.Histogram
-	stRoute  *timeseries.Histogram
-	stCommit *timeseries.Histogram
-	stRer    *timeseries.Histogram
-	stDecode *timeseries.Histogram
-
 	goroutines *timeseries.Gauge
 	heapBytes  *timeseries.Gauge
 	gcPause    *timeseries.Gauge
 	lastPause  uint64 // MemStats.PauseTotalNs at the previous seal
 
-	clock    *timeseries.WallClock
 	netState atomic.Pointer[timeseries.NetState]
-	sink     timeseries.Sink
 	closer   func() error
 
 	stop chan struct{}
 	tick sync.WaitGroup
 }
 
-// newTelemetry builds the bundle; window <= 0 disables it (all methods
-// no-op on the nil receiver).
+// newTelemetry builds the bundle over e's instruments; window <= 0
+// disables it (all methods no-op on the nil receiver).
 func newTelemetry(e *Engine, window float64, retention int) *telemetry {
 	if window <= 0 {
 		return nil
 	}
-	clock := timeseries.NewWallClock()
-	col := timeseries.New(timeseries.Config{Window: window, Retention: retention, Clock: clock})
+	col := timeseries.New(timeseries.Config{Window: window, Retention: retention, Clock: timeseries.NewWallClock()})
+	m := &e.instr
+	col.Histogram(SeriesRequestLatency, m.requestTime.Hist())
+	col.Ratio(SeriesBlocking, &m.blocked, &m.accepted)
+	col.Rate(SeriesAccepted, &m.accepted)
+	col.Rate(SeriesTeardowns, &m.teardowns)
+	col.Rate(SeriesReroutes, &m.reroutes)
+	col.Rate(SeriesEpochs, &m.epochs)
+	col.Rate(SeriesConflicts, &m.conflicts)
+	col.Histogram(SeriesStageQueue, m.stageQueue.Hist())
+	col.Histogram(SeriesStageSnapshot, m.stageSnapshot.Hist())
+	col.Histogram(SeriesStageRoute, m.stageRoute.Hist())
+	col.Histogram(SeriesStageCommit, m.stageCommit.Hist())
+	col.Histogram(SeriesStageReroute, m.stageReroute.Hist())
+	col.Histogram(SeriesStageDecode, m.stageDecode.Hist())
 	t := &telemetry{
-		e:        e,
 		col:      col,
-		clock:    clock,
-		reqLat:   col.Histogram(SeriesRequestLatency, nil),
-		blocking: col.Ratio(SeriesBlocking),
-		accepted: col.Rate(SeriesAccepted),
-		tears:    col.Rate(SeriesTeardowns),
-		routes:   col.Rate(SeriesReroutes),
-		epochs:   col.Rate(SeriesEpochs),
-		confl:    col.Rate(SeriesConflicts),
 		fill:     col.Gauge(SeriesBatchFill),
 		active:   col.Gauge(SeriesActiveConns),
 		loadMean: col.Gauge(SeriesLinkLoadMean),
 		loadMax:  col.Gauge(SeriesLinkLoadMax),
 		fragMean: col.Gauge(SeriesFragMean),
-
-		stQueue:  col.Histogram(SeriesStageQueue, nil),
-		stSnap:   col.Histogram(SeriesStageSnapshot, nil),
-		stRoute:  col.Histogram(SeriesStageRoute, nil),
-		stCommit: col.Histogram(SeriesStageCommit, nil),
-		stRer:    col.Histogram(SeriesStageReroute, nil),
-		stDecode: col.Histogram(SeriesStageDecode, nil),
 
 		goroutines: col.Gauge(SeriesGoroutines),
 		heapBytes:  col.Gauge(SeriesHeapBytes),
@@ -148,10 +128,9 @@ func newTelemetry(e *Engine, window float64, retention int) *telemetry {
 	runtime.ReadMemStats(&ms0)
 	t.lastPause = ms0.PauseTotalNs
 	col.OnSeal(func(at float64) {
-		// OnSeal runs with the collector unlocked, on whichever goroutine
-		// sealed the window (ticker or a request under t.mu — both safe: the
-		// probe reads only the immutable epoch snapshot). Seals are
-		// serialized under t.mu, so t.lastPause needs no atomics.
+		// Seals run on the ticker goroutine, and after it stops on close's
+		// final Seal, so they are serialized and t.lastPause needs no
+		// atomics. The probe reads only the immutable epoch snapshot.
 		ns := timeseries.ProbeNetwork(e.store.load().net, at, e.LiveConnections())
 		ns.Contention = e.topContention(contentionTopK, ns)
 		t.loadMean.Set(ns.MeanLoad)
@@ -182,7 +161,6 @@ func (t *telemetry) SetSink(s timeseries.Sink, closer func() error) {
 	if t == nil {
 		return
 	}
-	t.sink = s
 	t.closer = closer
 	t.col.SetSink(s)
 }
@@ -224,86 +202,10 @@ func (t *telemetry) startTicker() {
 			case <-t.stop:
 				return
 			case <-tk.C:
-				t.mu.Lock()
-				t.col.Advance(t.clock.Now())
-				t.mu.Unlock()
+				t.col.Tick()
 			}
 		}
 	}()
-}
-
-// observe records one finished request, including its stage-attribution
-// ledger (nil for requests rejected before dispatch, e.g. unknown-connection
-// teardowns, which never enter the pipeline).
-func (t *telemetry) observe(kind string, lat time.Duration, ok bool, st *stageNanos) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.col.Advance(t.clock.Now())
-	t.reqLat.Observe(lat.Seconds())
-	if st != nil {
-		t.stQueue.Observe(float64(st.queue) / 1e9)
-		if st.snap > 0 {
-			t.stSnap.Observe(float64(st.snap) / 1e9)
-		}
-		if st.route > 0 {
-			t.stRoute.Observe(float64(st.route) / 1e9)
-		}
-		if st.commit > 0 {
-			t.stCommit.Observe(float64(st.commit) / 1e9)
-		}
-		if st.reroute > 0 {
-			t.stRer.Observe(float64(st.reroute) / 1e9)
-		}
-	}
-	switch kind {
-	case "provision":
-		t.blocking.Observe(!ok)
-		if ok {
-			t.accepted.Inc()
-		}
-	case "teardown":
-		t.tears.Inc()
-	case "reroute":
-		t.routes.Inc()
-	}
-}
-
-// observeDecode records one HTTP request-body decode (handler goroutine,
-// before the request clock starts).
-func (t *telemetry) observeDecode(d time.Duration) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.col.Advance(t.clock.Now())
-	t.stDecode.Observe(d.Seconds())
-}
-
-// conflict records one commit-time reservation conflict (committer
-// goroutine).
-func (t *telemetry) conflict() {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.confl.Inc()
-}
-
-// epochSealed records one published epoch and its batch size (committer
-// goroutine).
-func (t *telemetry) epochSealed(batch int) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.epochs.Inc()
-	t.fill.Set(float64(batch))
 }
 
 // SetTelemetrySink attaches a streaming export sink (JSONL/CSV over a file)
@@ -338,9 +240,7 @@ func (t *telemetry) close() error {
 	}
 	close(t.stop)
 	t.tick.Wait()
-	t.mu.Lock()
 	t.col.Seal()
-	t.mu.Unlock()
 	err := t.col.SinkErr()
 	if t.closer != nil {
 		if cerr := t.closer(); cerr != nil && err == nil {

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/metrics"
 	"repro/internal/timeseries"
 )
 
@@ -39,7 +40,8 @@ func testBreach() Breach {
 func TestCaptureBundle(t *testing.T) {
 	clock := timeseries.NewSimClock()
 	col := timeseries.New(timeseries.Config{Window: 1, Clock: clock})
-	lat := col.Histogram("lat", nil)
+	lat := metrics.NewHistogram(nil)
+	col.Histogram("lat", lat)
 	for i := 1; i <= 3; i++ {
 		lat.Observe(0.5)
 		clock.Advance(float64(i))

@@ -10,28 +10,26 @@ import (
 // harness is a collector on a SimClock plus a watchdog — burn-rate windows
 // advance deterministically, no wall clock anywhere.
 type harness struct {
-	clock *timeseries.SimClock
-	col   *timeseries.Collector
-	lat   *timeseries.Histogram
-	block *timeseries.Ratio
-	confl *timeseries.Rate
-	epoch *timeseries.Rate
-	wd    *Watchdog
-	t     float64 // current sim time
+	clock    *timeseries.SimClock
+	col      *timeseries.Collector
+	lat      *metrics.Histogram
+	blocked  metrics.Counter
+	accepted metrics.Counter
+	confl    metrics.Counter
+	epoch    metrics.Counter
+	wd       *Watchdog
+	t        float64 // current sim time
 }
 
 func newHarness(t *testing.T, objs ...Objective) *harness {
 	t.Helper()
 	clock := timeseries.NewSimClock()
 	col := timeseries.New(timeseries.Config{Window: 1, Clock: clock})
-	h := &harness{
-		clock: clock,
-		col:   col,
-		lat:   col.Histogram("lat", nil),
-		block: col.Ratio("blocking"),
-		confl: col.Rate("conflicts"),
-		epoch: col.Rate("epochs"),
-	}
+	h := &harness{clock: clock, col: col, lat: metrics.NewHistogram(nil)}
+	col.Histogram("lat", h.lat)
+	col.Ratio("blocking", &h.blocked, &h.accepted)
+	col.Rate("conflicts", &h.confl)
+	col.Rate("epochs", &h.epoch)
 	wd, err := New(objs...)
 	if err != nil {
 		t.Fatalf("New: %v", err)
@@ -158,8 +156,8 @@ func TestRatioObjective(t *testing.T) {
 	h := newHarness(t, obj)
 	// 50% blocking, burn 5, sustained.
 	for i := 0; i < 3; i++ {
-		h.block.Observe(true)
-		h.block.Observe(false)
+		h.blocked.Inc()
+		h.accepted.Inc()
 		h.window(0, 0)
 	}
 	if got := objState1(t, h.wd); got.State != "burning" {
@@ -224,7 +222,7 @@ func TestStatusAggregatesWorstState(t *testing.T) {
 		Objective{Name: "b", Series: "blocking", Kind: KindRatio, Max: 0.01,
 			ShortWindows: 1, LongWindows: 1, ShortBurn: 1, LongBurn: 1},
 	)
-	h.block.Observe(true)
+	h.blocked.Inc()
 	h.window(1, 0.001)
 	st := h.wd.Status()
 	if st.State != "burning" {

@@ -2,7 +2,11 @@
 
 package timeseries
 
-import "testing"
+import (
+	"testing"
+
+	"repro/internal/metrics"
+)
 
 // The race detector instruments memory accesses in ways that add allocations,
 // so these regression tests only run in normal builds (same split as
@@ -13,14 +17,16 @@ import "testing"
 // allocations — so the simulator hot path can call unconditionally.
 func TestDisabledAddsNoAllocs(t *testing.T) {
 	var c *Collector
-	h := c.Histogram("x", nil)
-	r := c.Rate("x")
-	ratio := c.Ratio("x")
+	h := metrics.NewHistogram(nil)
+	r, hit, miss := &metrics.Counter{}, &metrics.Counter{}, &metrics.Counter{}
+	c.Histogram("x", h)
+	c.Rate("x", r)
+	c.Ratio("x", hit, miss)
 	g := c.Gauge("x")
 	if n := testing.AllocsPerRun(200, func() {
 		h.Observe(1)
 		r.Inc()
-		ratio.Observe(true)
+		hit.Inc()
 		g.Set(0.5)
 		c.Advance(10)
 		c.Seal()
@@ -30,20 +36,21 @@ func TestDisabledAddsNoAllocs(t *testing.T) {
 }
 
 // TestSteadyStateObserveAllocsFree pins the hot observe path of a live
-// collector: folding samples into the open window reuses the accumulator
-// (the histogram counts slice persists across windows), so no per-sample
-// allocations.
+// collector: samples go into the windowed instruments' atomics (and gauge
+// samples into the collector's accumulator), so no per-sample allocations.
 func TestSteadyStateObserveAllocsFree(t *testing.T) {
 	c := newSimCol(1e9, 0) // one giant window: no seals during the run
-	h := c.Histogram("lat", nil)
-	r := c.Rate("n")
-	ratio := c.Ratio("b")
+	h := metrics.NewHistogram(nil)
+	r, hit, miss := &metrics.Counter{}, &metrics.Counter{}, &metrics.Counter{}
+	c.Histogram("lat", h)
+	c.Rate("n", r)
+	c.Ratio("b", hit, miss)
 	g := c.Gauge("v")
 	h.Observe(1e-3) // warm the path
 	if n := testing.AllocsPerRun(200, func() {
 		h.Observe(42e-6)
 		r.Inc()
-		ratio.Observe(false)
+		miss.Inc()
 		g.Set(0.25)
 	}); n != 0 {
 		t.Fatalf("steady-state observe allocates %v per op, want 0", n)

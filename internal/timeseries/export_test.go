@@ -10,6 +10,8 @@ import (
 	"path/filepath"
 	"reflect"
 	"testing"
+
+	"repro/internal/metrics"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files")
@@ -20,17 +22,19 @@ var update = flag.Bool("update", false, "rewrite golden files")
 // platforms — the simulator's own latencies are wall-clock and would not be.
 func fillDeterministic(c simCol) {
 	rng := rand.New(rand.NewSource(7))
-	h := c.Histogram("route_latency_seconds", nil)
-	acc := c.Rate("accepted")
-	blk := c.Ratio("blocking")
+	h := metrics.NewHistogram(nil)
+	acc, blk := &metrics.Counter{}, &metrics.Counter{}
+	c.Histogram("route_latency_seconds", h)
+	c.Rate("accepted", acc)
+	c.Ratio("blocking", blk, acc)
 	load := c.Gauge("link_load_mean")
 	c.OnSeal(func(end float64) { load.Set(0.1 * end) })
 	for w := 0; w < 5; w++ {
 		for i := 0; i < 40; i++ {
 			h.Observe(1e-5 * math.Pow(100, rng.Float64()))
-			hit := rng.Float64() < 0.2
-			blk.Observe(hit)
-			if !hit {
+			if rng.Float64() < 0.2 {
+				blk.Inc()
+			} else {
 				acc.Inc()
 			}
 		}
@@ -99,11 +103,11 @@ func TestCSVRejectsRaggedWindows(t *testing.T) {
 	c := newSimCol(1, 0)
 	var buf bytes.Buffer
 	c.SetSink(NewCSV(&buf))
-	c.Rate("a")
+	c.Rate("a", &metrics.Counter{})
 	c.advance(1)
 	// Registering a series mid-run would change the column set; the CSV sink
 	// must fail loudly rather than silently write a ragged file.
-	c.Rate("b")
+	c.Rate("b", &metrics.Counter{})
 	c.advance(2)
 	if c.SinkErr() == nil {
 		t.Fatal("ragged CSV accepted")

@@ -2,7 +2,8 @@ package timeseries
 
 import (
 	"math"
-	"sort"
+
+	"repro/internal/metrics"
 )
 
 // Snapshot is one sealed window: nominal [Start, End) boundaries plus the
@@ -103,102 +104,118 @@ type GaugeValue struct {
 	Samples int64   `json:"samples"`
 }
 
-// histSeries is the open-window accumulator behind a Histogram handle. The
-// counts slice is reused across windows, so the steady-state Observe path
-// allocates nothing.
-type histSeries struct {
-	name   string
-	bounds []float64
-	counts []int64
-	n      int64
-	sum    float64
-	min    float64
-	max    float64
+// histSource windows a metrics.Histogram: prev holds the cumulative bucket
+// counts read at the previous seal, and cur is scratch reused every seal, so
+// sealing allocates nothing beyond the snapshot itself.
+type histSource struct {
+	name      string
+	h         *metrics.Histogram
+	prev, cur []int64
 }
 
-func (s *histSeries) observe(v float64) {
-	s.counts[sort.SearchFloat64s(s.bounds, v)]++
-	if s.n == 0 || v < s.min {
-		s.min = v
-	}
-	if s.n == 0 || v > s.max {
-		s.max = v
-	}
-	s.n++
-	s.sum += v
+func newHistSource(name string, h *metrics.Histogram) *histSource {
+	h.Claim()
+	n := len(h.Bounds()) + 1
+	s := &histSource{name: name, h: h, prev: make([]int64, n), cur: make([]int64, n)}
+	h.LoadCounts(s.prev)
+	return s
 }
 
-// quantile returns the smallest bucket bound whose cumulative count covers
-// rank ⌈q·n⌉, clamped to the observed max (which also makes the overflow
-// bucket finite). Returns 0 on an empty window.
-func (s *histSeries) quantile(q float64) float64 {
-	if s.n == 0 {
-		return 0
+// seal reads the window: bucket counts are the change since the previous
+// seal (read before the window state is taken, see metrics.Histogram.Observe)
+// and sum/min/max cover the samples folded in since then. A sample racing
+// the seal can leave a counted window without extrema; those fall back to
+// the edges of the window's non-empty buckets, so Min/Max stay finite.
+func (s *histSource) seal() HistValue {
+	s.h.LoadCounts(s.cur)
+	sum, lo, hi := s.h.TakeWindow()
+	bounds := s.h.Bounds()
+	var n int64
+	first, last := -1, -1
+	for i, c := range s.cur {
+		d := c - s.prev[i]
+		s.prev[i], s.cur[i] = c, d
+		if d > 0 {
+			if first < 0 {
+				first = i
+			}
+			last = i
+		}
+		n += d
 	}
-	rank := int64(math.Ceil(q * float64(s.n)))
+	if n == 0 {
+		return HistValue{Name: s.name}
+	}
+	if math.IsInf(lo, 1) {
+		lo = 0
+		if first > 0 {
+			lo = bounds[first-1]
+		}
+	}
+	if math.IsInf(hi, -1) {
+		hi = bounds[min(last, len(bounds)-1)]
+	}
+	lo = min(lo, hi)
+	return HistValue{
+		Name: s.name, Count: n, Sum: sum, Mean: sum / float64(n), Min: lo, Max: hi,
+		P50: quantile(bounds, s.cur, n, hi, 0.50),
+		P95: quantile(bounds, s.cur, n, hi, 0.95),
+		P99: quantile(bounds, s.cur, n, hi, 0.99),
+	}
+}
+
+// quantile returns the smallest bucket bound whose cumulative window count
+// covers rank ⌈q·n⌉, clamped to the window max (which also makes the
+// overflow bucket finite).
+func quantile(bounds []float64, counts []int64, n int64, hi, q float64) float64 {
+	rank := int64(math.Ceil(q * float64(n)))
 	if rank < 1 {
 		rank = 1
 	}
 	cum := int64(0)
-	for i, c := range s.counts {
+	for i, c := range counts {
 		cum += c
 		if cum >= rank {
-			if i < len(s.bounds) && s.bounds[i] < s.max {
-				return s.bounds[i]
+			if i < len(bounds) && bounds[i] < hi {
+				return bounds[i]
 			}
-			return s.max
+			return hi
 		}
 	}
-	return s.max
+	return hi
 }
 
-func (s *histSeries) value() HistValue {
-	v := HistValue{Name: s.name, Count: s.n, Sum: s.sum, Min: s.min, Max: s.max}
-	if s.n > 0 {
-		v.Mean = s.sum / float64(s.n)
-		v.P50 = s.quantile(0.50)
-		v.P95 = s.quantile(0.95)
-		v.P99 = s.quantile(0.99)
-	}
-	return v
-}
-
-func (s *histSeries) reset() {
-	for i := range s.counts {
-		s.counts[i] = 0
-	}
-	s.n, s.sum, s.min, s.max = 0, 0, 0, 0
-}
-
-type rateSeries struct {
+// rateSource windows a counter: the change in its value since the previous
+// seal.
+type rateSource struct {
 	name string
-	n    int64
+	c    *metrics.Counter
+	prev int64
 }
 
-func (s *rateSeries) value(window float64) RateValue {
-	v := RateValue{Name: s.name, Count: s.n}
-	if window > 0 {
-		v.Rate = float64(s.n) / window
+func (s *rateSource) seal(window float64) RateValue {
+	v := s.c.Value()
+	v, s.prev = v-s.prev, v
+	return RateValue{Name: s.name, Count: v, Rate: float64(v) / window}
+}
+
+// ratioSource windows a hit/miss counter pair as Δhit / (Δhit + Δmiss).
+type ratioSource struct {
+	name              string
+	hit, miss         *metrics.Counter
+	prevHit, prevMiss int64
+}
+
+func (s *ratioSource) seal() RatioValue {
+	h, m := s.hit.Value(), s.miss.Value()
+	v := RatioValue{Name: s.name, Num: h - s.prevHit}
+	v.Den = v.Num + m - s.prevMiss
+	s.prevHit, s.prevMiss = h, m
+	if v.Den != 0 {
+		v.Value = float64(v.Num) / float64(v.Den)
 	}
 	return v
 }
-
-func (s *rateSeries) reset() { s.n = 0 }
-
-type ratioSeries struct {
-	name     string
-	num, den int64
-}
-
-func (s *ratioSeries) value() RatioValue {
-	v := RatioValue{Name: s.name, Num: s.num, Den: s.den}
-	if s.den != 0 {
-		v.Value = float64(s.num) / float64(s.den)
-	}
-	return v
-}
-
-func (s *ratioSeries) reset() { s.num, s.den = 0, 0 }
 
 type gaugeSeries struct {
 	name string
@@ -230,62 +247,6 @@ func (s *gaugeSeries) value() GaugeValue {
 }
 
 func (s *gaugeSeries) reset() { s.last, s.min, s.max, s.sum, s.n = 0, 0, 0, 0, 0 }
-
-// Histogram is a handle to a windowed histogram series. Nil is a no-op.
-type Histogram struct {
-	c *Collector
-	s *histSeries
-}
-
-// Observe folds one sample into the open window.
-func (h *Histogram) Observe(v float64) {
-	if h == nil {
-		return
-	}
-	h.c.mu.Lock()
-	h.s.observe(v)
-	h.c.mu.Unlock()
-}
-
-// Rate is a handle to a windowed counter series. Nil is a no-op.
-type Rate struct {
-	c *Collector
-	s *rateSeries
-}
-
-// Add counts n events into the open window.
-func (r *Rate) Add(n int64) {
-	if r == nil {
-		return
-	}
-	r.c.mu.Lock()
-	r.s.n += n
-	r.c.mu.Unlock()
-}
-
-// Inc counts one event into the open window.
-func (r *Rate) Inc() { r.Add(1) }
-
-// Ratio is a handle to a windowed num/den series. Nil is a no-op.
-type Ratio struct {
-	c *Collector
-	s *ratioSeries
-}
-
-// Observe counts one denominator event, and a numerator event when hit is
-// true — e.g. Observe(blocked) per offered request makes the window value
-// the blocking probability.
-func (r *Ratio) Observe(hit bool) {
-	if r == nil {
-		return
-	}
-	r.c.mu.Lock()
-	r.s.den++
-	if hit {
-		r.s.num++
-	}
-	r.c.mu.Unlock()
-}
 
 // Gauge is a handle to a windowed sampled-value series. Nil is a no-op.
 type Gauge struct {

@@ -5,22 +5,25 @@
 // form of the paper's §4 claim that folding load into RWA keeps the network
 // below the reconfiguration threshold longer.
 //
-// A Collector buckets samples into fixed-width windows on a pluggable clock
-// (sim-time from the simulator, wall-clock for live serving) and seals each
-// completed window into an immutable Snapshot: per-window quantiles
-// (p50/p95/p99) from rolling log-bucket histograms, windowed rates, guarded
-// ratios (empty window ⇒ 0, never NaN), and min/max/mean gauges. Sealed
-// windows land in a bounded ring (O(Retention) memory no matter how long
-// the run is) and, optionally, stream to a Sink (JSONL/CSV export), so a
-// 1M-request soak retains recent history for live probes while the full
-// curve goes to disk.
+// A Collector accumulates nothing on the request path. It windows
+// instruments it is handed — metrics histograms and counters — and reads
+// them when it seals a window on a pluggable clock (sim-time from the
+// simulator, wall-clock for live serving): per-window quantiles (p50/p95/
+// p99) from the change in cumulative bucket counts, windowed rates, guarded
+// ratios (empty window ⇒ 0, never NaN), and min/max/mean of collector-owned
+// sampled gauges. One set of instruments therefore backs /metrics and the
+// windowed curves, and they cannot disagree. Sealed windows land in a
+// bounded ring (O(Retention) memory no matter how long the run is) and,
+// optionally, stream to a Sink (JSONL/CSV export), so a 1M-request soak
+// retains recent history for live probes while the full curve goes to disk.
 //
-// Concurrency contract: one owner goroutine drives Observe/Add/Set and
-// Advance/Seal (the simulator loop); Snapshots, Len and the counters are
+// Concurrency contract: the windowed instruments are lock-free and may be
+// written from any goroutine; one owner goroutine drives Advance/Seal (the
+// simulator loop, or a daemon's ticker); gauges may be set from any
+// goroutine under the collector mutex; Snapshots, Len and the counters are
 // safe to call from any goroutine (debug HTTP handlers scrape mid-run).
 // Nil safety matches package metrics: every method on a nil *Collector and
-// on nil instrument handles is a no-op, so instrumented code calls
-// unconditionally and telemetry off costs only a nil check.
+// on a nil *Gauge is a no-op, so instrumented code calls unconditionally.
 package timeseries
 
 import (
@@ -28,6 +31,8 @@ import (
 	"math"
 	"sort"
 	"sync"
+
+	"repro/internal/metrics"
 )
 
 // DefaultRetention is the ring capacity when Config.Retention is 0.
@@ -52,15 +57,15 @@ type Sink interface {
 	WriteSnapshot(*Snapshot) error
 }
 
-// Collector buckets samples into clock windows. Create with New; a nil
-// *Collector is permanently off and hands out nil instruments.
+// Collector cuts windows over the instruments registered with it. Create
+// with New; a nil *Collector is permanently off and hands out nil gauges.
 type Collector struct {
 	mu  sync.Mutex
 	cfg Config
 
-	hists  []*histSeries
-	rates  []*rateSeries
-	ratios []*ratioSeries
+	hists  []*histSource
+	rates  []*rateSource
+	ratios []*ratioSource
 	gauges []*gaugeSeries
 
 	onSeal   []func(t float64)
@@ -110,81 +115,80 @@ func (c *Collector) windowIndex(t float64) uint64 {
 	return uint64(t / c.cfg.Window)
 }
 
-func checkName(name string) {
+func checkName(name string, haveInstrument bool) {
 	if name == "" {
 		panic("timeseries: empty series name")
 	}
+	if !haveInstrument {
+		panic("timeseries: nil instrument for series " + name)
+	}
 }
 
-// Histogram registers (or returns) the windowed histogram named name, with
-// log-spaced bucket bounds (nil defaults to DefaultLatencyBuckets). Per
-// window it reports count/sum/mean/min/max and bucketed p50/p95/p99.
-func (c *Collector) Histogram(name string, bounds []float64) *Histogram {
+func checkSame(name string, same bool) {
+	if !same {
+		panic("timeseries: series " + name + " already windows another instrument")
+	}
+}
+
+// Histogram windows h as the series named name: per window it reports the
+// count, sum, mean, min and max of the samples observed since the previous
+// seal, and bucketed p50/p95/p99 clamped to that max. h is claimed for
+// this collector (a histogram can be windowed by at most one). Registering
+// the same histogram under the same name again is a no-op; another
+// instrument under a taken name panics.
+func (c *Collector) Histogram(name string, h *metrics.Histogram) {
 	if c == nil {
-		return nil
-	}
-	checkName(name)
-	if bounds == nil {
-		bounds = DefaultLatencyBuckets()
-	}
-	for i := 1; i < len(bounds); i++ {
-		if bounds[i] <= bounds[i-1] {
-			panic("timeseries: histogram bounds not strictly increasing")
-		}
+		return
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for _, s := range c.hists {
 		if s.name == name {
-			return &Histogram{c: c, s: s}
+			checkSame(name, s.h == h)
+			return
 		}
 	}
-	s := &histSeries{
-		name:   name,
-		bounds: append([]float64(nil), bounds...),
-		counts: make([]int64, len(bounds)+1),
-	}
-	c.hists = append(c.hists, s)
-	return &Histogram{c: c, s: s}
+	checkName(name, h != nil)
+	c.hists = append(c.hists, newHistSource(name, h))
 }
 
-// Rate registers (or returns) the windowed counter named name; each sealed
-// window reports the count and the count divided by the window width.
-func (c *Collector) Rate(name string) *Rate {
+// Rate windows counter n as the series named name; each sealed window
+// reports the counter's change and that change divided by the window width.
+// Re-registration follows Histogram.
+func (c *Collector) Rate(name string, n *metrics.Counter) {
 	if c == nil {
-		return nil
+		return
 	}
-	checkName(name)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for _, s := range c.rates {
 		if s.name == name {
-			return &Rate{c: c, s: s}
+			checkSame(name, s.c == n)
+			return
 		}
 	}
-	s := &rateSeries{name: name}
-	c.rates = append(c.rates, s)
-	return &Rate{c: c, s: s}
+	checkName(name, n != nil)
+	c.rates = append(c.rates, &rateSource{name: name, c: n, prev: n.Value()})
 }
 
-// Ratio registers (or returns) the windowed ratio named name — a
-// numerator/denominator pair whose per-window value is num/den, reported as
-// 0 (never NaN) when the window saw no denominator events.
-func (c *Collector) Ratio(name string) *Ratio {
+// Ratio windows a hit/miss counter pair as the series named name: per
+// window num = Δhit and den = Δhit + Δmiss, reported as 0 (never NaN) when
+// the window saw neither. Re-registration follows Histogram.
+func (c *Collector) Ratio(name string, hit, miss *metrics.Counter) {
 	if c == nil {
-		return nil
+		return
 	}
-	checkName(name)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for _, s := range c.ratios {
 		if s.name == name {
-			return &Ratio{c: c, s: s}
+			checkSame(name, s.hit == hit && s.miss == miss)
+			return
 		}
 	}
-	s := &ratioSeries{name: name}
-	c.ratios = append(c.ratios, s)
-	return &Ratio{c: c, s: s}
+	checkName(name, hit != nil && miss != nil)
+	c.ratios = append(c.ratios, &ratioSource{
+		name: name, hit: hit, miss: miss, prevHit: hit.Value(), prevMiss: miss.Value()})
 }
 
 // Gauge registers (or returns) the windowed gauge named name; each sealed
@@ -193,7 +197,7 @@ func (c *Collector) Gauge(name string) *Gauge {
 	if c == nil {
 		return nil
 	}
-	checkName(name)
+	checkName(name, true)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for _, s := range c.gauges {
@@ -208,10 +212,10 @@ func (c *Collector) Gauge(name string) *Gauge {
 
 // OnSeal registers a probe that runs once per window, just before the
 // window closes, with the window's nominal end time. Probes run on the
-// owner goroutine and may set gauges and add to rates — the values land in
-// the closing window — which is how per-window network-state sampling
-// (link loads, fragmentation, active lightpaths) hooks in. Register probes
-// before the run starts.
+// owner goroutine and may set gauges — the values land in the closing
+// window — which is how per-window network-state sampling (link loads,
+// fragmentation, active lightpaths) hooks in. Register probes before the
+// run starts.
 func (c *Collector) OnSeal(fn func(t float64)) {
 	if c == nil || fn == nil {
 		return
@@ -335,16 +339,13 @@ func (c *Collector) sealLocked() *Snapshot {
 		End:    float64(c.curIdx+1) * c.cfg.Window,
 	}
 	for _, s := range c.hists {
-		snap.Hists = append(snap.Hists, s.value())
-		s.reset()
+		snap.Hists = append(snap.Hists, s.seal())
 	}
 	for _, s := range c.rates {
-		snap.Rates = append(snap.Rates, s.value(c.cfg.Window))
-		s.reset()
+		snap.Rates = append(snap.Rates, s.seal(c.cfg.Window))
 	}
 	for _, s := range c.ratios {
-		snap.Ratios = append(snap.Ratios, s.value())
-		s.reset()
+		snap.Ratios = append(snap.Ratios, s.seal())
 	}
 	for _, s := range c.gauges {
 		snap.Gauges = append(snap.Gauges, s.value())
@@ -433,25 +434,4 @@ func (c *Collector) Latest() *Snapshot {
 		return nil
 	}
 	return &s[0]
-}
-
-// DefaultLatencyBuckets is the default histogram bucketing for routing
-// latencies: 1µs → 10s at 9 bounds per decade, so a bucketed quantile
-// over-estimates the exact one by at most 10^(1/9) ≈ 1.29×.
-func DefaultLatencyBuckets() []float64 { return LogBuckets(1e-6, 10, 9) }
-
-// LogBuckets returns log-spaced upper bounds from lo up to and including
-// the first bound ≥ hi, with perDecade bounds per factor of 10.
-func LogBuckets(lo, hi float64, perDecade int) []float64 {
-	if lo <= 0 || hi <= lo || perDecade < 1 {
-		panic("timeseries: invalid log bucket spec")
-	}
-	ratio := math.Pow(10, 1/float64(perDecade))
-	var out []float64
-	for b := lo; ; b *= ratio {
-		out = append(out, b)
-		if b >= hi {
-			return out
-		}
-	}
 }

@@ -7,6 +7,7 @@ import (
 	"sort"
 	"testing"
 
+	"repro/internal/metrics"
 	"repro/internal/stats"
 )
 
@@ -31,17 +32,19 @@ func (s simCol) advance(t float64) {
 
 func TestWindowSealingAndGaps(t *testing.T) {
 	c := newSimCol(1.0, 0)
-	h := c.Histogram("lat", nil)
-	r := c.Rate("events")
-	ratio := c.Ratio("blocking")
+	h := metrics.NewHistogram(nil)
+	r, hit, miss := &metrics.Counter{}, &metrics.Counter{}, &metrics.Counter{}
+	c.Histogram("lat", h)
+	c.Rate("events", r)
+	c.Ratio("blocking", hit, miss)
 	g := c.Gauge("load")
 
 	h.Observe(0.5)
 	h.Observe(0.25)
 	r.Inc()
 	r.Add(2)
-	ratio.Observe(true)
-	ratio.Observe(false)
+	hit.Inc()
+	miss.Inc()
 	g.Set(0.3)
 	g.Set(0.7)
 
@@ -105,7 +108,8 @@ func TestWindowSealingAndGaps(t *testing.T) {
 
 func TestSealFlushesPartialWindow(t *testing.T) {
 	c := newSimCol(10, 0)
-	r := c.Rate("n")
+	r := &metrics.Counter{}
+	c.Rate("n", r)
 	r.Inc()
 	c.advance(4)
 	if c.Len() != 0 {
@@ -124,7 +128,8 @@ func TestSealFlushesPartialWindow(t *testing.T) {
 func TestRingEviction(t *testing.T) {
 	const retention = 4
 	c := newSimCol(1, retention)
-	r := c.Rate("w")
+	r := &metrics.Counter{}
+	c.Rate("w", r)
 	for i := 0; i < 9; i++ {
 		r.Add(int64(i)) // window i carries count i
 		c.advance(float64(i + 1))
@@ -159,7 +164,8 @@ func TestQuantileAccuracy(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 5; trial++ {
 		c := newSimCol(1, 0)
-		h := c.Histogram("lat", nil)
+		h := metrics.NewHistogram(nil)
+		c.Histogram("lat", h)
 		xs := make([]float64, 0, 5000)
 		for i := 0; i < 5000; i++ {
 			// Latency-shaped: log-uniform over 2µs..200ms.
@@ -195,12 +201,39 @@ func TestQuantileAccuracy(t *testing.T) {
 	}
 }
 
+// TestSeriesDedupeByName pins re-registration: the same instrument under the
+// same name is one series, and a second instrument under a taken name (or a
+// histogram already windowed elsewhere) panics instead of silently
+// shadowing the first.
+// TestStraddlingSampleKeepsExtremaFinite covers a sample that races a seal:
+// its extrema went to the previous window while its bucket count lands in
+// this one. The window must fall back to the edges of its non-empty bucket
+// rather than report the ±Inf "no sample" sentinels.
+func TestStraddlingSampleKeepsExtremaFinite(t *testing.T) {
+	c := newSimCol(1, 0)
+	h := metrics.NewHistogram(nil)
+	c.Histogram("lat", h)
+	b := h.Bounds()
+	for w, v := range []float64{3e-3, 100} { // an inner bucket, then overflow
+		h.Observe(v)
+		h.TakeWindow() // what the racing seal took
+		c.advance(float64(w + 1))
+		hv, _ := c.Latest().Hist("lat")
+		i := sort.SearchFloat64s(b, v)
+		lo, hi := b[i-1], b[min(i, len(b)-1)]
+		if hv.Count != 1 || hv.Min != lo || hv.Max != hi || hv.P99 != hi {
+			t.Fatalf("sample %g: window %+v, want min %g max %g", v, hv, lo, hi)
+		}
+	}
+}
+
 func TestSeriesDedupeByName(t *testing.T) {
 	c := newSimCol(1, 0)
-	a := c.Rate("same")
-	b := c.Rate("same")
+	a := &metrics.Counter{}
+	c.Rate("same", a)
+	c.Rate("same", a)
 	a.Inc()
-	b.Inc()
+	a.Inc()
 	c.advance(1)
 	rv, _ := c.Latest().RateOf("same")
 	if rv.Count != 2 {
@@ -209,12 +242,30 @@ func TestSeriesDedupeByName(t *testing.T) {
 	if len(c.Latest().Rates) != 1 {
 		t.Fatalf("series duplicated: %v", c.Latest().Rates)
 	}
+
+	h := metrics.NewHistogram(nil)
+	c.Histogram("lat", h)
+	c.Histogram("lat", h)
+	for name, register := range map[string]func(){
+		"other counter":   func() { c.Rate("same", &metrics.Counter{}) },
+		"other histogram": func() { c.Histogram("lat", metrics.NewHistogram(nil)) },
+		"claimed twice":   func() { newSimCol(1, 0).Histogram("lat", h) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: registration did not panic", name)
+				}
+			}()
+			register()
+		}()
+	}
 }
 
 func TestSnapshotSeriesSorted(t *testing.T) {
 	c := newSimCol(1, 0)
-	c.Rate("zeta")
-	c.Rate("alpha")
+	c.Rate("zeta", &metrics.Counter{})
+	c.Rate("alpha", &metrics.Counter{})
 	c.Gauge("mid")
 	c.Gauge("aaa")
 	c.advance(1)
@@ -262,7 +313,8 @@ func TestSinkSeesEvictedWindows(t *testing.T) {
 	c := newSimCol(1, 2)
 	sink := &countingSink{}
 	c.SetSink(sink)
-	r := c.Rate("n")
+	r := &metrics.Counter{}
+	c.Rate("n", r)
 	for i := 0; i < 7; i++ {
 		r.Inc()
 		c.advance(float64(i + 1))
@@ -304,14 +356,10 @@ func TestOnSealProbeLandsInClosingWindow(t *testing.T) {
 
 func TestNilCollectorIsNoOp(t *testing.T) {
 	var c *Collector
-	h := c.Histogram("x", nil)
-	r := c.Rate("x")
-	ratio := c.Ratio("x")
+	c.Histogram("x", metrics.NewHistogram(nil))
+	c.Rate("x", &metrics.Counter{})
+	c.Ratio("x", &metrics.Counter{}, &metrics.Counter{})
 	g := c.Gauge("x")
-	h.Observe(1)
-	r.Inc()
-	r.Add(5)
-	ratio.Observe(true)
 	g.Set(1)
 	c.OnSeal(func(float64) { t.Fatal("probe on nil collector") })
 	c.SetSink(&countingSink{})
@@ -343,8 +391,12 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
+// TestLogBuckets pins the bucketing the windowed latency quantiles are read
+// from (metrics.TimeBuckets, the default of every duration histogram): the
+// 10^(1/9) bucket ratio is the over-estimate bound TestQuantileAccuracy
+// relies on.
 func TestLogBuckets(t *testing.T) {
-	b := LogBuckets(1e-6, 10, 9)
+	b := metrics.NewHistogram(nil).Bounds()
 	if b[0] != 1e-6 {
 		t.Fatalf("first bound %g", b[0])
 	}
@@ -356,8 +408,5 @@ func TestLogBuckets(t *testing.T) {
 		if r < 1.29 || r > 1.30 {
 			t.Fatalf("bucket ratio %g at %d", r, i)
 		}
-	}
-	if got := DefaultLatencyBuckets(); len(got) != len(b) {
-		t.Fatal("DefaultLatencyBuckets mismatch")
 	}
 }
