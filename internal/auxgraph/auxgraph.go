@@ -36,6 +36,10 @@
 //     sound because, while TopoVersion is unchanged (the ReweightAt
 //     precondition), every StateVersion advance stems from an availability
 //     mutation that stamps its link's journal entry.
+//   - A skeleton outlives its network pointer: Follow moves it, caches and
+//     all, onto a later snapshot of the same writer (same lineage and
+//     TopoVersion, no older StateVersion), so a router serving a stream of
+//     copy-on-write snapshots builds it once, not once per snapshot.
 package auxgraph
 
 import (
@@ -112,7 +116,8 @@ type Aux struct {
 // once and re-weighted any number of times with ReweightAt, for any terminal
 // pair, as long as the network's structure (TopoVersion) is unchanged;
 // reservations and releases only change weights and filters, which
-// ReweightAt recomputes in place.
+// ReweightAt recomputes in place. Follow carries it onto later snapshots of
+// the same writer.
 //
 // A Skeleton is not safe for concurrent use, and the *Aux returned by
 // ReweightAt aliases the skeleton: a later ReweightAt rewrites it in place.
@@ -322,6 +327,39 @@ func newSkeleton(net *wdm.Network, nodeDisjoint bool) *Skeleton {
 // skeleton was built — the condition under which ReweightAt is allowed.
 // Reservations and releases do not invalidate a skeleton.
 func (sk *Skeleton) Valid() bool { return sk.aux.net.TopoVersion() == sk.topoVersion }
+
+// Follow moves the skeleton onto net, a later state of the network it serves
+// — typically the next published snapshot of the same writer — and reports
+// whether it did. It accepts net only when all three hold:
+//
+//   - net is of the skeleton's network's lineage (wdm.Network.SameLineage),
+//     so StateVersions and LinkStamps of the two are comparable;
+//   - net's TopoVersion is the one the skeleton was built at, so within the
+//     lineage the structure is the same;
+//   - net's StateVersion is at least every version the weight and pair
+//     caches were computed at, so the journal refresh in ReweightAt
+//     (recompute the links stamped after the cache) reaches every link that
+//     changed in between.
+//
+// On false the skeleton is unchanged and the caller builds a new one for
+// net. Routing a given network state on a followed skeleton is
+// bit-identical to routing it on a fresh one.
+func (sk *Skeleton) Follow(net *wdm.Network) bool {
+	if !sk.aux.net.SameLineage(net) || net.TopoVersion() != sk.topoVersion {
+		return false
+	}
+	sv := net.StateVersion()
+	for _, wc := range sk.lw {
+		if wc.ok && wc.at > sv {
+			return false
+		}
+	}
+	if sk.pairsOK && sk.pairsAt > sv {
+		return false
+	}
+	sk.aux.net = net
+	return true
+}
 
 // ReweightAt selects (s, t) as the active terminal pair and recomputes the
 // surviving-link filter and every edge weight in place from the network's

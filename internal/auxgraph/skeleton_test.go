@@ -164,3 +164,112 @@ func TestQuickReweightAtPairSwitching(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// releaseRandom releases each in-use wavelength with probability p.
+func releaseRandom(rng *rand.Rand, net *wdm.Network, p float64) {
+	for id := 0; id < net.Links(); id++ {
+		l := net.Link(id)
+		for lam := 0; lam < net.W(); lam++ {
+			if l.Lambda().Contains(lam) && !l.HasAvail(lam) && rng.Float64() < p {
+				net.Release(id, lam)
+			}
+		}
+	}
+}
+
+// Property: a skeleton that follows a writer's copy-on-write snapshots
+// forward reweights every snapshot exactly as a skeleton freshly built on
+// it does, over both kinds and all three variants, with reservations and
+// releases between snapshots.
+func TestQuickFollowMatchesFresh(t *testing.T) {
+	kinds := []Kind{Cost, Load, LoadCost}
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		writer := randomSkeletonNet(rng)
+		for _, nd := range []bool{false, true} {
+			mk := NewSharedSkeleton
+			if nd {
+				mk = NewNodeDisjointSkeleton
+			}
+			snap := writer.CloneSince(nil, 0)
+			warm := mk(snap)
+			for step := 0; step < 8; step++ {
+				if step > 0 {
+					v := snap.StateVersion()
+					if rng.Intn(3) > 0 {
+						useRandom(rng, writer, 0.15)
+					}
+					if rng.Intn(3) == 0 {
+						releaseRandom(rng, writer, 0.3)
+					}
+					snap = writer.CloneSince(snap, v)
+					if !warm.Follow(snap) {
+						t.Logf("seed %d nd=%v step %d: Follow refused a later snapshot", seed, nd, step)
+						return false
+					}
+				}
+				for k := 0; k < 2; k++ {
+					s, d := randomPair(rng, snap.Nodes())
+					p := Params{Kind: kinds[rng.Intn(len(kinds))], Threshold: 0.3 + rng.Float64()}
+					if err := sameView(warm.ReweightAt(s, d, p), mk(snap).ReweightAt(s, d, p)); err != nil {
+						t.Logf("seed %d nd=%v step %d (%d,%d) %v: %v", seed, nd, step, s, d, p.Kind, err)
+						return false
+					}
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestFollowRefusesUnsoundMoves covers each condition Follow checks: another
+// lineage at an equal StateVersion, an older state of the same lineage, and
+// a structural change. A refused Follow leaves the skeleton serving its old
+// network.
+func TestFollowRefusesUnsoundMoves(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	writer := randomSkeletonNet(rng)
+	diverged := writer.Clone()
+	old := writer.CloneSince(nil, 0)
+	vOld := old.StateVersion()
+	// One reservation each, on different links: equal StateVersions,
+	// different states.
+	var free [][2]int
+	for id := 0; id < writer.Links(); id++ {
+		if lam := writer.Link(id).Avail().Slice(); len(lam) > 0 {
+			free = append(free, [2]int{id, lam[0]})
+		}
+	}
+	if err := writer.Use(free[0][0], free[0][1]); err != nil {
+		t.Fatal(err)
+	}
+	if err := diverged.Use(free[1][0], free[1][1]); err != nil {
+		t.Fatal(err)
+	}
+	cur := writer.CloneSince(old, vOld)
+	sk := NewSharedSkeleton(cur)
+	sk.ReweightAt(0, 1, Params{Kind: Cost})
+
+	if diverged.StateVersion() != cur.StateVersion() {
+		t.Fatalf("versions %d vs %d; the diverged case needs them equal", diverged.StateVersion(), cur.StateVersion())
+	}
+	if sk.Follow(diverged) {
+		t.Error("Follow accepted another lineage")
+	}
+	if sk.Follow(old) {
+		t.Error("Follow accepted an older snapshot")
+	}
+	writer.SetConverter(0, wdm.NoConverter{})
+	if sk.Follow(writer.CloneSince(cur, cur.StateVersion())) {
+		t.Error("Follow accepted a structural change")
+	}
+	if got := sk.ReweightAt(0, 1, Params{Kind: Cost}).Net(); got != cur {
+		t.Error("a refused Follow moved the skeleton")
+	}
+	if !sk.Follow(cur) {
+		t.Error("Follow refused the network it already serves")
+	}
+}

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/obs"
 	"repro/internal/topo"
+	"repro/internal/wdm"
 )
 
 // Allocation budgets for a warm Router on NSFNET (W=8). The graph search
@@ -78,5 +79,36 @@ func TestTracerDisabledAddsNoAllocs(t *testing.T) {
 	}
 	if n := tr.Flight().Total(); n != 0 {
 		t.Errorf("disabled tracer recorded %d traces", n)
+	}
+}
+
+// TestWarmRouterSnapshotStreamAllocBudget pins the serving pattern: a warm
+// Router routing each successive CloneSince snapshot of one writer — a new
+// *wdm.Network per request — follows its skeleton forward instead of
+// rebuilding it, so it stays within the same-network MinLoad budget.
+func TestWarmRouterSnapshotStreamAllocBudget(t *testing.T) {
+	writer := topo.NSFNET(topo.Config{W: 8})
+	// AllocsPerRun(100) makes 101 calls; one more routes outside the window.
+	snaps := make([]*wdm.Network, 102)
+	snaps[0] = writer.CloneSince(nil, 0)
+	for i := 1; i < len(snaps); i++ {
+		v := writer.StateVersion()
+		id, lam := i%writer.Links(), (i/writer.Links())%writer.W()
+		if err := writer.Use(id, lam); err != nil {
+			t.Fatal(err)
+		}
+		snaps[i] = writer.CloneSince(snaps[i-1], v)
+	}
+	r := NewRouter(nil)
+	if _, ok := r.MinLoad(snaps[0], 2, 11); !ok {
+		t.Fatal("MinLoad failed")
+	}
+	i := 0
+	allocs := testing.AllocsPerRun(100, func() {
+		i++
+		r.MinLoad(snaps[i], 2, 11)
+	})
+	if allocs > minLoadAllocBudget {
+		t.Errorf("warm Router.MinLoad over a snapshot stream = %.0f allocs/op, budget %d", allocs, minLoadAllocBudget)
 	}
 }

@@ -208,7 +208,7 @@ type candScratch struct {
 // valid for net; otherwise, with Options.Candidates > 0, the router builds
 // and keeps its own lazily filled table.
 //
-//wdm:coldpath table rebuild happens only on rebind or structural change
+//wdm:coldpath table rebuild happens only on a rebind to another lineage or a structural change
 func (r *Router) candidateTable(net *wdm.Network) *CandidateTable {
 	if t := r.opts.candidateTable(); t != nil && t.valid(net) {
 		return t

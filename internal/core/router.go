@@ -22,12 +22,14 @@ import (
 // particular reweights one skeleton per round instead of constructing a
 // fresh graph per round. A one-shot caller uses NewRouter(opts).X(…).
 //
-// A Router is bound to the network of its most recent call; routing on a
-// different *wdm.Network drops the skeletons (workspaces are kept, as they
-// adapt to any graph size). Structural network changes (AddLink,
-// SetConverter) invalidate cached skeletons automatically via the network's
-// TopoVersion. A Router is not safe for concurrent use; give each goroutine
-// its own (e.g. one per parallel.MapWithState worker).
+// A Router is bound to the network of its most recent call. Routing on a
+// different *wdm.Network keeps each skeleton that can follow it
+// (auxgraph.Skeleton.Follow: a later snapshot of the same writer, as a
+// serving shard sees on every commit) and drops the rest; workspaces are
+// always kept, as they adapt to any graph size. Structural network changes
+// (AddLink, SetConverter) invalidate cached skeletons automatically via the
+// network's TopoVersion. A Router is not safe for concurrent use; give each
+// goroutine its own (e.g. one per parallel.MapWithState worker).
 type Router struct {
 	opts   *Options
 	net    *wdm.Network
@@ -74,14 +76,23 @@ func (t Tier) String() string {
 // on the goroutine that owns the router.
 func (r *Router) LastTier() Tier { return r.lastTier }
 
-// rebind points the router at net, dropping network-bound caches when the
-// router was previously serving a different one.
+// rebind points the router at net. When net is a different network, each
+// skeleton that cannot follow it is dropped, and the candidate table is
+// dropped unless net is of the same lineage (the table depends on structure
+// only, which its own TopoVersion check covers).
 func (r *Router) rebind(net *wdm.Network) {
-	if r.net != net {
-		r.net = net
-		r.shared = [2]*auxgraph.Skeleton{}
+	if r.net == net {
+		return
+	}
+	for i, sk := range r.shared {
+		if sk != nil && !sk.Follow(net) {
+			r.shared[i] = nil
+		}
+	}
+	if r.net == nil || !r.net.SameLineage(net) {
 		r.candTab = nil
 	}
+	r.net = net
 }
 
 // NewRouter returns a Router with the given options (nil for defaults).
@@ -149,11 +160,11 @@ func (r *Router) finish(tc *obs.Trace, net *wdm.Network, res *Result, ok, loadAu
 }
 
 // skeleton returns the router's valid skeleton for the given
-// node-disjointness, building one on demand, after a rebind to a different
-// network, or after a structural network change. Every request of that kind
-// shares it; ReweightAt selects the pair.
+// node-disjointness, building one on demand, after a rebind to a network
+// the old one cannot follow, or after a structural network change. Every
+// request of that kind shares it; ReweightAt selects the pair.
 //
-//wdm:coldpath skeleton rebuild happens only on rebind or structural change
+//wdm:coldpath skeleton rebuild happens only on a rebind it cannot follow or a structural change
 func (r *Router) skeleton(net *wdm.Network, nodeDisjoint bool, tc *obs.Trace) *auxgraph.Skeleton {
 	r.rebind(net)
 	build, i := auxgraph.NewSharedSkeleton, 0

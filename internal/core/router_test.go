@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -16,6 +17,7 @@ type resultKey struct {
 	ok                      bool
 	cost, auxWeight, load   float64
 	threshold               float64
+	iterations              int
 	primaryHops, backupHops string
 }
 
@@ -36,9 +38,22 @@ func keyOf(net *wdm.Network, r *Result, ok bool) resultKey {
 		auxWeight:   r.AuxWeight,
 		load:        r.PathLoad,
 		threshold:   r.Threshold,
+		iterations:  r.Iterations,
 		primaryHops: fmtHops(r.Primary),
 		backupHops:  fmtHops(r.Backup),
 	}
+}
+
+// routeAlg routes (s, d) on net with ApproxMinCost, MinLoad or MinLoadCost
+// for alg 0, 1 or 2.
+func routeAlg(r *Router, alg int, net *wdm.Network, s, d int) (*Result, bool) {
+	switch alg {
+	case 0:
+		return r.ApproxMinCost(net, s, d)
+	case 1:
+		return r.MinLoad(net, s, d)
+	}
+	return r.MinLoadCost(net, s, d)
 }
 
 // TestRouterMatchesOneShotOnStream is the differential test for the
@@ -64,19 +79,8 @@ func TestRouterMatchesOneShotOnStream(t *testing.T) {
 		if d >= s {
 			d++
 		}
-		var rF, rW *Result
-		var okF, okW bool
-		switch i % 3 {
-		case 0:
-			rF, okF = NewRouter(nil).ApproxMinCost(netFresh, s, d)
-			rW, okW = warm.ApproxMinCost(netWarm, s, d)
-		case 1:
-			rF, okF = NewRouter(nil).MinLoad(netFresh, s, d)
-			rW, okW = warm.MinLoad(netWarm, s, d)
-		case 2:
-			rF, okF = NewRouter(nil).MinLoadCost(netFresh, s, d)
-			rW, okW = warm.MinLoadCost(netWarm, s, d)
-		}
+		rF, okF := routeAlg(NewRouter(nil), i%3, netFresh, s, d)
+		rW, okW := routeAlg(warm, i%3, netWarm, s, d)
 		kF, kW := keyOf(netFresh, rF, okF), keyOf(netWarm, rW, okW)
 		if kF != kW {
 			t.Fatalf("request %d (%d->%d, alg %d): fresh %+v != warm %+v", i, s, d, i%3, kF, kW)
@@ -199,5 +203,87 @@ func TestRouterParallelPerWorker(t *testing.T) {
 		if want[i].ok != got[i].ok || math.Abs(want[i].cost-got[i].cost) > 1e-12 {
 			t.Fatalf("sample %d: sequential %+v != parallel %+v", i, want[i], got[i])
 		}
+	}
+}
+
+// TestWarmRouterFollowsOnlySoundSnapshots alternates one warm Router over a
+// writer's copy-on-write snapshots and three networks its skeleton must not
+// follow: a diverged Clone at an equal StateVersion (another lineage), an
+// older snapshot of the same lineage, and snapshots after a SetConverter
+// (another TopoVersion). Every result must be bit-identical to a fresh
+// Router's on the same network, and the skeleton must be kept exactly on the
+// forward moves within one lineage.
+func TestWarmRouterFollowsOnlySoundSnapshots(t *testing.T) {
+	base := topo.NSFNET(topo.Config{W: 4})
+	writer, diverged := base.Clone(), base.Clone()
+	rngW, rngD := rand.New(rand.NewSource(3)), rand.New(rand.NewSource(4))
+	// churn makes k availability changes, so two networks churned from equal
+	// versions by equal k stay at equal versions with different states.
+	churn := func(rng *rand.Rand, net *wdm.Network, k int) {
+		for k > 0 {
+			id, lam := rng.Intn(net.Links()), rng.Intn(net.W())
+			var err error
+			if net.Link(id).HasAvail(lam) {
+				if rng.Intn(4) == 0 {
+					continue // bias towards reservations so loads spread
+				}
+				err = net.Use(id, lam)
+			} else {
+				err = net.Release(id, lam)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			k--
+		}
+	}
+
+	warm := NewRouter(nil)
+	route := func(step string, net *wdm.Network) {
+		t.Helper()
+		for i := 0; i < 6; i++ {
+			s, d := (i*5+1)%net.Nodes(), (i*3+8)%net.Nodes()
+			if s == d {
+				continue
+			}
+			rF, okF := routeAlg(NewRouter(nil), i%3, net, s, d)
+			rW, okW := routeAlg(warm, i%3, net, s, d)
+			if kF, kW := keyOf(net, rF, okF), keyOf(net, rW, okW); kF != kW {
+				t.Fatalf("%s (%d->%d, alg %d): fresh %+v != warm %+v", step, s, d, i%3, kF, kW)
+			}
+		}
+	}
+	// expect routes net and checks whether the skeleton survived the move.
+	expect := func(step string, net *wdm.Network, kept bool) {
+		t.Helper()
+		before := warm.shared[0]
+		route(step, net)
+		if got := warm.shared[0] == before; got != kept {
+			t.Fatalf("%s: skeleton kept=%v, want %v", step, got, kept)
+		}
+	}
+
+	prev := writer.CloneSince(nil, 0)
+	route("epoch 0", prev)
+	for round := 1; round <= 12; round++ {
+		v := writer.StateVersion()
+		churn(rngW, writer, 6)
+		churn(rngD, diverged, 6)
+		if round == 7 {
+			writer.SetConverter(3, wdm.NoConverter{})
+			diverged.SetConverter(3, wdm.NoConverter{})
+		}
+		snap := writer.CloneSince(prev, v)
+		if snap.StateVersion() != diverged.StateVersion() {
+			t.Fatalf("round %d: versions %d vs %d", round, snap.StateVersion(), diverged.StateVersion())
+		}
+		// Forward within the lineage, from the previous round's older
+		// snapshot: kept, except in the two rounds whose move crosses the
+		// converter swap, where TopoVersion moved.
+		expect(fmt.Sprintf("round %d snapshot", round), snap, round != 7 && round != 8)
+		expect(fmt.Sprintf("round %d diverged clone", round), diverged, false)
+		expect(fmt.Sprintf("round %d snapshot again", round), snap, false)
+		expect(fmt.Sprintf("round %d older snapshot", round), prev, false)
+		prev = snap
 	}
 }

@@ -1,8 +1,11 @@
 package serve
 
 import (
+	"sync"
 	"testing"
 
+	"repro/internal/auxgraph"
+	"repro/internal/metrics"
 	"repro/internal/wdm"
 )
 
@@ -156,5 +159,55 @@ func TestTeardownFreesCapacityNextEpoch(t *testing.T) {
 	}
 	if got := freed.TotalAvailable(); got != want {
 		t.Fatalf("capacity after teardown: %d, want %d", got, want)
+	}
+}
+
+// TestShardSkeletonsFollowEpochs pins the skeleton reuse across epochs: every
+// commit publishes a new snapshot network, and each shard router's skeleton
+// follows it forward (same lineage, versions never going backwards), so a
+// churned run builds at most one skeleton per shard — serving routes only the
+// edge-disjoint kind — however many epochs it publishes.
+func TestShardSkeletonsFollowEpochs(t *testing.T) {
+	reg := metrics.NewRegistry()
+	auxgraph.EnableMetrics(reg)
+	t.Cleanup(func() { auxgraph.EnableMetrics(nil) })
+	builds := reg.Counter("auxgraph_builds_total", "")
+
+	const shards, clients, perClient = 2, 4, 90
+	e := startEngine(t, nsf(8), Config{Shards: shards})
+	algos := []string{"min-cost", "min-load", "min-load-cost"}
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			var live []int64
+			for i := 0; i < perClient; i++ {
+				id := int64(c*perClient + i + 1)
+				s, d := (c*5+i)%14, (c*3+i*7+1)%14
+				if s == d {
+					d = (d + 1) % 14
+				}
+				if e.Provision(Request{ID: id, Src: s, Dst: d, Algo: algos[i%3]}).Accepted {
+					live = append(live, id)
+				}
+				switch {
+				case i%4 == 3 && len(live) > 0:
+					e.Teardown(live[0])
+					live = live[1:]
+				case i%5 == 4 && len(live) > 0:
+					e.Reroute(live[len(live)-1])
+				}
+			}
+		}(c)
+	}
+	wg.Wait()
+
+	st := e.Status()
+	if st.Epoch < 100 {
+		t.Fatalf("only %d epochs published; the pin needs many snapshots", st.Epoch)
+	}
+	if n := builds.Value(); n > shards {
+		t.Fatalf("%d skeleton builds over %d epochs, want at most %d (one per shard)", n, st.Epoch, shards)
 	}
 }

@@ -26,13 +26,17 @@ type store struct {
 }
 
 // newStore clones net (the engine owns its state privately) and publishes
-// epoch 0 as a full clone of the initial state.
+// epoch 0 as a full copy of the initial state. Every snapshot, epoch 0
+// included, comes from CloneSince and so shares cur's lineage: a shard
+// router's skeletons follow it from epoch to epoch instead of being rebuilt
+// on each (shards load only the latest snapshot, so the versions a router
+// sees never go backwards).
 func newStore(net *wdm.Network) *store {
 	st := &store{cur: net.Clone()}
 	st.snap.Store(&snapshot{
 		epoch:   0,
 		version: st.cur.StateVersion(),
-		net:     st.cur.Clone(),
+		net:     st.cur.CloneSince(nil, 0),
 	})
 	return st
 }

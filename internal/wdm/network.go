@@ -10,6 +10,7 @@ package wdm
 import (
 	"fmt"
 	"math"
+	"sync/atomic"
 
 	"repro/internal/bitset"
 )
@@ -116,7 +117,30 @@ type Network struct {
 	// stamp[e] is the change journal: the StateVersion at which link e's
 	// availability set last changed (see LinkStamp).
 	stamp []uint64
+
+	// lineage identifies the writer whose history this network records (see
+	// SameLineage).
+	lineage uint64
 }
+
+// lineages hands out lineage identities; 0 is never issued.
+var lineages atomic.Uint64
+
+// SameLineage reports whether g and h record states of one writer's history:
+// the writer and every CloneSince copy of it, or of such a copy, share one
+// lineage. NewNetwork and Clone start a new lineage, because the copy may
+// diverge from its source; CloneSince keeps its receiver's, because its
+// result is a frozen state of the same writer.
+//
+// Within one lineage — as long as CloneSince copies stay frozen, which the
+// wdmlint snapmut rule enforces — StateVersion identifies the availability
+// state (two networks at the same version hold the same availability sets),
+// and LinkStamps are comparable across networks: a per-link quantity
+// computed from one member at StateVersion v is still fresh on another
+// member at version v' ≥ v for every link e with LinkStamp(e) ≤ v, provided
+// TopoVersion agrees. This is what lets a derived cache follow a writer
+// forward through its snapshots instead of starting over on each.
+func (g *Network) SameLineage(h *Network) bool { return g.lineage == h.lineage }
 
 // NewNetwork returns a network with n nodes, W wavelengths per system, and
 // full wavelength conversion at unit cost at every node (the §3.3
@@ -126,11 +150,12 @@ func NewNetwork(n, w int) *Network {
 		panic("wdm: invalid network dimensions")
 	}
 	net := &Network{
-		n:    n,
-		w:    w,
-		out:  make([][]int, n),
-		in:   make([][]int, n),
-		conv: make([]Converter, n),
+		n:       n,
+		w:       w,
+		out:     make([][]int, n),
+		in:      make([][]int, n),
+		conv:    make([]Converter, n),
+		lineage: lineages.Add(1),
 	}
 	full := NewFullConverter(w, 1)
 	for v := range net.conv {
@@ -365,8 +390,9 @@ func (g *Network) MaxDegree() int {
 	return d
 }
 
-// Clone returns a deep copy of the network, including availability state.
-// Converters are shared (they are immutable).
+// Clone returns a deep copy of the network, including availability state,
+// that starts a new lineage (see SameLineage): the copy may be mutated
+// independently of g. Converters are shared (they are immutable).
 func (g *Network) Clone() *Network {
 	c := &Network{
 		n:            g.n,
@@ -377,6 +403,7 @@ func (g *Network) Clone() *Network {
 		stateVersion: g.stateVersion,
 		topoVersion:  g.topoVersion,
 		stamp:        append([]uint64(nil), g.stamp...),
+		lineage:      lineages.Add(1),
 	}
 	for v := 0; v < g.n; v++ {
 		c.out[v] = append([]int(nil), g.out[v]...)

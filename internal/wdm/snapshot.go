@@ -16,11 +16,15 @@ package wdm
 // structural change bumps TopoVersion, which forces the full-clone path.
 //
 // A nil prev, a TopoVersion mismatch, or a link-count mismatch falls back to
-// Clone(). The receiver is not mutated.
+// a full copy. Either way the result keeps g's lineage (see SameLineage), so
+// caches derived from earlier snapshots of the same writer may follow it
+// forward. The receiver is not mutated.
 func (g *Network) CloneSince(prev *Network, prevVersion uint64) *Network {
 	if prev == nil || prev.topoVersion != g.topoVersion || len(prev.links) != len(g.links) ||
 		prev.n != g.n || prev.w != g.w {
-		return g.Clone()
+		c := g.Clone()
+		c.lineage = g.lineage
+		return c
 	}
 	c := &Network{
 		n:            g.n,
@@ -32,6 +36,7 @@ func (g *Network) CloneSince(prev *Network, prevVersion uint64) *Network {
 		stateVersion: g.stateVersion,
 		topoVersion:  g.topoVersion,
 		stamp:        append([]uint64(nil), g.stamp...),
+		lineage:      g.lineage,
 	}
 	c.links = make([]*Link, len(g.links))
 	for i, l := range g.links {

@@ -161,3 +161,48 @@ func TestCloneSinceCostAndLoadIntact(t *testing.T) {
 		t.Fatalf("snapshot load %g, want %g", got, want)
 	}
 }
+
+// TestLineage pins which copies share a lineage: NewNetwork and Clone start
+// a new one (the copy may diverge), CloneSince keeps its receiver's on both
+// its copy-on-write path and its nil-prev full-copy fallback, transitively.
+func TestLineage(t *testing.T) {
+	net := snapNet(t)
+	if !net.SameLineage(net) {
+		t.Fatal("a network is not of its own lineage")
+	}
+	if other := snapNet(t); net.SameLineage(other) {
+		t.Fatal("two NewNetworks share a lineage")
+	}
+	clone := net.Clone()
+	if net.SameLineage(clone) || clone.SameLineage(net) {
+		t.Fatal("Clone kept its source's lineage")
+	}
+	if clone2 := net.Clone(); clone.SameLineage(clone2) {
+		t.Fatal("two Clones of one network share a lineage")
+	}
+
+	snap0 := net.CloneSince(nil, 0) // full-copy fallback
+	v0 := net.StateVersion()
+	if !net.SameLineage(snap0) || !snap0.SameLineage(net) {
+		t.Fatal("CloneSince(nil, _) dropped the lineage")
+	}
+	if err := net.Use(0, 1); err != nil {
+		t.Fatal(err)
+	}
+	snap1 := net.CloneSince(snap0, v0) // copy-on-write path
+	if snap1.links[1] != snap0.links[1] {
+		t.Fatal("expected the copy-on-write path (untouched link shared)")
+	}
+	if !net.SameLineage(snap1) || !snap0.SameLineage(snap1) {
+		t.Fatal("CloneSince(prev, v) dropped the lineage")
+	}
+	if snap1.SameLineage(clone) {
+		t.Fatal("a snapshot shares a lineage with a Clone of its writer")
+	}
+	if again := snap1.CloneSince(nil, 0); !again.SameLineage(net) {
+		t.Fatal("CloneSince of a snapshot dropped the writer's lineage")
+	}
+	if fork := snap1.Clone(); fork.SameLineage(net) {
+		t.Fatal("Clone of a snapshot kept the writer's lineage")
+	}
+}
