@@ -46,8 +46,6 @@ func main() {
 	seed := flag.Int64("seed", 1, "topology seed (parametric topologies)")
 	algo := flag.String("algo", "min-load-cost", "default routing: min-cost, min-load, min-load-cost, two-step")
 	shards := flag.Int("shards", 0, "routing shards (0 = GOMAXPROCS)")
-	batch := flag.Int("batch", 0, "max admissions folded into one epoch (0 = 64)")
-	queue := flag.Int("queue", 0, "per-shard queue depth (0 = 128)")
 	retries := flag.Int("retries", 0, "conflict retry budget per request (0 = 4, -1 = none)")
 	candidates := flag.Int("candidates", 0, "candidate fast tier: k precomputed route pairs per node pair (0 = off)")
 	journalCap := flag.Int("journal", 0, "retain up to this many commit-ordered journal entries (0 = off)")
@@ -108,8 +106,6 @@ func main() {
 
 	engine := serve.New(network, serve.Config{
 		Shards:     *shards,
-		QueueDepth: *queue,
-		BatchMax:   *batch,
 		MaxRetries: *retries,
 		Algorithm:  algorithm,
 		Candidates: *candidates,

@@ -262,12 +262,15 @@ func (r *Router) ApproxMinCostNodeDisjoint(net *wdm.Network, s, t int) (*Result,
 }
 
 // minCogSearch is the Find_Two_Paths_MinCog doubling threshold search (see
-// the algorithm notes on MinLoad). Unlike the historical implementation it
-// reweights one cached skeleton per round instead of building a fresh
-// auxiliary graph, so a k-round search costs one structure build plus k
-// cheap weight passes. The returned pair aliases the router's Suurballe
-// workspace and must be consumed before the next routing call.
-func (r *Router) minCogSearch(net *wdm.Network, s, t int, kind auxgraph.Kind, tc *obs.Trace) (theta float64, aOut *auxgraph.Aux, pairOut *disjoint.Pair, iters int, ok bool) {
+// the algorithm notes on MinLoad). Each round reweights the one cached
+// skeleton at ϑ and asks only whether G_c admits two edge-disjoint paths
+// (disjoint.Workspace.Feasible, two BFS augmentations); the search never
+// builds a pair. Feasible answers exactly as Suurballe would: G_c's weights
+// are finite and non-negative, and it has no zero-weight cycle, because
+// every auxiliary cycle crosses a link edge and link edges weigh more than
+// zero. On success the returned Aux is still reweighted at ϑ, so a caller
+// that needs the pair runs Suurballe on it once.
+func (r *Router) minCogSearch(net *wdm.Network, s, t int, kind auxgraph.Kind, tc *obs.Trace) (theta float64, aOut *auxgraph.Aux, iters int, ok bool) {
 	defer instr.phaseMinCog.Stop(instr.phaseMinCog.Start())
 	//wdmlint:ignore hotalloc non-escaping closure; stays on the stack
 	defer func() { instr.mincogIters.Observe(float64(iters)) }()
@@ -281,20 +284,19 @@ func (r *Router) minCogSearch(net *wdm.Network, s, t int, kind auxgraph.Kind, tc
 	}()
 	lo, hi, any := thetaBounds(net)
 	if !any {
-		return 0, nil, nil, 0, false
+		return 0, nil, 0, false
 	}
 	sk := r.skeleton(net, false, tc)
 	//wdmlint:ignore hotalloc non-escaping closure; stays on the stack
-	try := func(theta float64) (*auxgraph.Aux, *disjoint.Pair, bool) {
+	try := func(theta float64) (*auxgraph.Aux, bool) {
 		a := sk.ReweightAt(s, t, auxgraph.Params{Kind: kind, Threshold: theta, Base: r.opts.base(), Trace: tc})
-		pair, ok := r.ws.Suurballe(a.G, a.S, a.T)
-		return a, pair, ok
+		return a, r.ws.Feasible(a.G, a.S, a.T)
 	}
 	delta := hi - lo
 	if delta <= 1e-12 {
 		// Uniform loads: the only meaningful graph is the full residual one.
-		a, pair, ok := try(hi)
-		return hi, a, pair, 1, ok
+		a, ok := try(hi)
+		return hi, a, 1, ok
 	}
 	j0 := int(math.Ceil(math.Log2(1 / delta)))
 	if j0 < 0 {
@@ -308,20 +310,20 @@ func (r *Router) minCogSearch(net *wdm.Network, s, t int, kind auxgraph.Kind, tc
 		if theta >= hi {
 			theta = hi
 		}
-		a, pair, ok := try(theta)
+		a, ok := try(theta)
 		if ok {
-			return theta, a, pair, iters, true
+			return theta, a, iters, true
 		}
 		if theta >= hi {
-			return 0, nil, nil, iters, false // drop the request
+			return 0, nil, iters, false // drop the request
 		}
 		theta += inc
 		inc *= 2
 	}
 	// Iteration cap: last resort, the complete residual graph.
 	iters++
-	a, pair, ok := try(hi)
-	return hi, a, pair, iters, ok
+	a, ok := try(hi)
+	return hi, a, iters, ok
 }
 
 // MinLoad routes (s, t) per §4.1: find the smallest feasible load bound ϑ by
@@ -337,7 +339,16 @@ func (r *Router) minCogSearch(net *wdm.Network, s, t int, kind auxgraph.Kind, tc
 func (r *Router) MinLoad(net *wdm.Network, s, t int) (*Result, bool) {
 	instr.routeCalls.Inc()
 	tc := r.begin("min-load", s, t)
-	theta, a, pair, iters, ok := r.minCogSearch(net, s, t, auxgraph.Load, tc)
+	theta, a, iters, ok := r.minCogSearch(net, s, t, auxgraph.Load, tc)
+	if !ok {
+		r.finish(tc, net, nil, false, true)
+		return nil, false
+	}
+	// The search certified a is feasible, so Suurballe finds the very pair a
+	// search running Suurballe in every round would have kept.
+	td := instr.phaseDisjoint.Start()
+	pair, ok := r.ws.Suurballe(a.G, a.S, a.T)
+	instr.phaseDisjoint.Stop(td)
 	if !ok {
 		r.finish(tc, net, nil, false, true)
 		return nil, false
@@ -361,7 +372,7 @@ func (r *Router) MinLoad(net *wdm.Network, s, t int) (*Result, bool) {
 func (r *Router) MinLoadCost(net *wdm.Network, s, t int) (*Result, bool) {
 	instr.routeCalls.Inc()
 	tc := r.begin("min-load-cost", s, t)
-	theta, _, _, iters, ok := r.minCogSearch(net, s, t, auxgraph.Load, tc)
+	theta, _, iters, ok := r.minCogSearch(net, s, t, auxgraph.Load, tc)
 	if !ok {
 		r.finish(tc, net, nil, false, false)
 		return nil, false
@@ -440,7 +451,7 @@ func (r *Router) TwoStepMinCost(net *wdm.Network, s, t int) (*Result, bool) {
 // using only links with (U(e)+1)/N(e) ≤ c. Candidate values are the finite
 // set of per-link ratios, so the oracle is exact; it is the reference for
 // the Theorem 3 ratio experiment (E3). Each candidate cap reweights the same
-// cached skeleton.
+// cached skeleton and, like a MinCog round, only tests it for feasibility.
 func (r *Router) OptimalLoadOracle(net *wdm.Network, s, t int) (float64, bool) {
 	r.ws.Trace = nil // oracle probes are not request-scoped; never trace them
 	ratios := map[float64]bool{}
@@ -470,7 +481,7 @@ func (r *Router) OptimalLoadOracle(net *wdm.Network, s, t int) (float64, bool) {
 				return float64(l.U()+1)/float64(l.N()) <= c+1e-12
 			},
 		})
-		if _, ok := r.ws.Suurballe(a.G, a.S, a.T); ok {
+		if r.ws.Feasible(a.G, a.S, a.T) {
 			return c, true
 		}
 	}

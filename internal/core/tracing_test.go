@@ -91,16 +91,19 @@ func TestRouterTracesMinLoad(t *testing.T) {
 	tr := obs.New(obs.Config{})
 	r := NewRouter(nil)
 	r.SetTracer(tr)
-	if _, ok := r.MinLoad(net, 2, 11); !ok {
+	res, ok := r.MinLoad(net, 2, 11)
+	if !ok {
 		t.Fatal("MinLoad failed")
 	}
 	tc := tr.Flight().Find(1)
 	if tc == nil {
 		t.Fatal("trace missing")
 	}
+	// Each search round reweights and tests feasibility; Suurballe runs
+	// once, on the graph of the round that succeeded.
 	names := spanNames(tc)
-	if names["mincog"] != 1 || names["reweight"] == 0 || names["suurballe"] == 0 {
-		t.Fatalf("span census %v; want a mincog span wrapping reweight/suurballe rounds", names)
+	if names["mincog"] != 1 || names["reweight"] != res.Iterations || names["feasible"] != res.Iterations || names["suurballe"] != 1 {
+		t.Fatalf("span census %v; want a mincog span wrapping %d reweight/feasible rounds, then 1×suurballe", names, res.Iterations)
 	}
 	rep := tc.Payload.(*explain.Report)
 	if rep.Bound.Checked {

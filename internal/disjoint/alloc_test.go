@@ -35,3 +35,36 @@ func TestWorkspaceSuurballeZeroAllocs(t *testing.T) {
 		t.Fatalf("warm Workspace.Suurballe allocates %.1f/op, want 0", allocs)
 	}
 }
+
+// TestWorkspaceFeasibleZeroAllocs pins the MinCog round test: a warmed
+// Workspace runs both BFS augmentations on its stamped buffers without heap
+// allocations, on feasible and infeasible pairs alike.
+func TestWorkspaceFeasibleZeroAllocs(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	g := graph.New(100)
+	for v := 0; v < 100; v++ {
+		g.AddEdge(v, (v+1)%100, 1+rng.Float64())
+		g.AddEdge((v+1)%100, v, 1+rng.Float64())
+	}
+	for i := 0; i < 200; i++ {
+		g.AddEdge(rng.Intn(100), rng.Intn(100), 1+rng.Float64()*4)
+	}
+	// tail hangs vertex 100 off g by one edge: it has no second path.
+	tail := graph.New(101)
+	for id := 0; id < g.M(); id++ {
+		e := g.Edge(id)
+		tail.AddEdge(e.From, e.To, e.Weight)
+	}
+	tail.AddEdge(50, 100, 1)
+	ws := NewWorkspace()
+	if !ws.Feasible(g, 0, 50) || ws.Feasible(tail, 0, 100) {
+		t.Fatal("warm-up answers wrong")
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		ws.Feasible(g, 2, 71)
+		ws.Feasible(tail, 3, 100)
+	})
+	if allocs != 0 {
+		t.Fatalf("warm Workspace.Feasible allocates %.1f/op, want 0", allocs)
+	}
+}

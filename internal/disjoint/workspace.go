@@ -1,14 +1,17 @@
 package disjoint
 
 import (
+	"math"
+
 	"repro/internal/graph"
 	"repro/internal/obs"
 )
 
 // Workspace owns all scratch state of a Suurballe computation — the two
 // Dijkstra workspaces, the residual (reduced-cost) graph, and the
-// combine-phase buffers — so the per-request hot path performs no heap
-// allocations once the buffers have warmed up to the graph size.
+// combine-phase buffers — and of a Feasible test, so the per-request hot
+// path performs no heap allocations once the buffers have warmed up to the
+// graph size.
 //
 // The zero value is ready to use. A Workspace is not safe for concurrent
 // use; give each goroutine its own. The *Pair returned by Suurballe aliases
@@ -34,8 +37,17 @@ type Workspace struct {
 	path1, path2 []int
 	pair         Pair
 
-	// Trace, when non-nil, receives a "suurballe" span per call with the
-	// search-effort attributes (relaxations, heap operations, path lengths).
+	// Feasible scratch, all stamped with fgen so a call never clears them.
+	seen   []uint32 // per vertex: the current BFS pass has reached it
+	tree   []int32  // per vertex: edge the first pass reached it by
+	onPath []uint32 // per vertex: lies on the first pass's path (s excluded)
+	flow   []uint32 // per edge: carries the first pass's unit of flow
+	queue  []int32
+	fgen   uint32
+
+	// Trace, when non-nil, receives a "suurballe" span per Suurballe call
+	// with the search-effort attributes (relaxations, heap operations, path
+	// lengths), and a "feasible" span per Feasible call.
 	// All obs calls are nil-safe, so leaving it nil costs nothing.
 	Trace *obs.Trace
 }
@@ -136,6 +148,120 @@ func (ws *Workspace) Suurballe(g *graph.Graph, s, t int) (*Pair, bool) {
 	ws.Trace.SpanBool(sp, "found", ok)
 	ws.Trace.EndSpan(sp)
 	return pair, ok
+}
+
+// Feasible reports whether two edge-disjoint s→t paths exist over the
+// enabled edges of g, that is, whether the unit-capacity s→t max flow is at
+// least 2. It runs two BFS augmentations: a fewest-hop path P, then a search
+// of the residual graph, where P's edges run backwards. With finite,
+// non-negative weights and no zero-weight cycle, Suurballe succeeds on g
+// exactly when Feasible does, so a search that needs only the yes/no answer
+// (the MinCog threshold rounds) skips the two Dijkstra passes, the residual
+// graph build and the path decomposition. Warm calls do not allocate.
+//
+//wdm:hotpath
+func (ws *Workspace) Feasible(g *graph.Graph, s, t int) bool {
+	if s == t {
+		return false
+	}
+	sp := ws.Trace.Begin("feasible")
+	ok := ws.feasible(g, s, t)
+	ws.Trace.SpanBool(sp, "found", ok)
+	ws.Trace.EndSpan(sp)
+	return ok
+}
+
+func (ws *Workspace) feasible(g *graph.Graph, s, t int) bool {
+	n, m := g.N(), g.M()
+	if len(ws.seen) < n {
+		grow := n - len(ws.seen)
+		ws.seen = append(ws.seen, make([]uint32, grow)...)
+		ws.tree = append(ws.tree, make([]int32, grow)...)
+		ws.onPath = append(ws.onPath, make([]uint32, grow)...)
+		ws.queue = append(ws.queue, make([]int32, grow)...)
+	}
+	if len(ws.flow) < m {
+		ws.flow = append(ws.flow, make([]uint32, m-len(ws.flow))...)
+	}
+	if ws.fgen >= math.MaxUint32-2 { // stale stamps could collide: clear them
+		clear(ws.seen)
+		clear(ws.onPath)
+		clear(ws.flow)
+		ws.fgen = 0
+	}
+	ws.fgen += 2
+	pass1, pass2 := ws.fgen-1, ws.fgen
+	seen, tree, onPath, flow, queue := ws.seen[:n], ws.tree[:n], ws.onPath[:n], ws.flow[:m], ws.queue[:n]
+
+	// Pass 1: BFS over the enabled edges. Each vertex is queued at most
+	// once, so the queue never outgrows n.
+	seen[s] = pass1
+	queue[0] = int32(s)
+	head, tail := 0, 1
+	found := false
+	for head < tail && !found {
+		u := int(queue[head])
+		head++
+		for _, id := range g.Out(u) {
+			if g.Disabled(id) {
+				continue
+			}
+			v := g.Edge(id).To
+			if seen[v] == pass1 {
+				continue
+			}
+			seen[v], tree[v] = pass1, int32(id)
+			if v == t {
+				found = true
+				break
+			}
+			queue[tail] = int32(v)
+			tail++
+		}
+	}
+	if !found {
+		return false
+	}
+	// Push one unit along P: its edges lose their forward residual
+	// capacity, and each of its vertices but s gains a reversal back along
+	// the edge that entered it.
+	for v := t; v != s; {
+		id := int(tree[v])
+		flow[id] = pass1
+		onPath[v] = pass1
+		v = g.Edge(id).From
+	}
+
+	// Pass 2: BFS over the residual graph.
+	seen[s] = pass2
+	queue[0] = int32(s)
+	head, tail = 0, 1
+	for head < tail {
+		u := int(queue[head])
+		head++
+		for _, id := range g.Out(u) {
+			if g.Disabled(id) || flow[id] == pass1 {
+				continue
+			}
+			v := g.Edge(id).To
+			if v == t {
+				return true
+			}
+			if seen[v] != pass2 {
+				seen[v] = pass2
+				queue[tail] = int32(v)
+				tail++
+			}
+		}
+		if onPath[u] == pass1 {
+			if v := g.Edge(int(tree[u])).From; seen[v] != pass2 {
+				seen[v] = pass2
+				queue[tail] = int32(v)
+				tail++
+			}
+		}
+	}
+	return false
 }
 
 // combine cancels interlacing edges between P1 and the second-pass path Q

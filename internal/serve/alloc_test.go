@@ -12,17 +12,19 @@ import (
 )
 
 // provisionAllocBudget is the whole-pipeline allocation budget for one
-// provision + teardown round trip with no registry, telemetry or tracer: the
-// op pair and their reply channels, op-owned path copies, the
-// registry record, the response hop slices, the committer's two copy-on-write
-// epoch publishes, and the routing results. The shard router's skeleton
-// follows each new snapshot forward instead of being rebuilt per commit, so
-// no auxiliary graph is rebuilt inside the window. Measured 63, bit-stable
-// across runs; the ~6% margin absorbs runtime and map-layout drift. What this
-// pins: stage attribution stores its stamps inside the already-allocated op,
-// so instrumenting the hot path added zero allocations, and a router that
-// stops following snapshots (~680 allocations per rebuild) fails at once.
-const provisionAllocBudget = 67
+// provision + teardown round trip with no registry, telemetry or tracer:
+// op-owned path copies, the registry record, the response hop slices, the
+// commit step's two copy-on-write epoch publishes, and the routing results.
+// The op itself stays on the caller's stack: a request runs on its caller's
+// goroutine and crosses no channel. The shard router's skeleton follows each
+// new snapshot forward instead of being rebuilt per commit, so no auxiliary
+// graph is rebuilt inside the window. Measured 53, bit-stable across runs;
+// the ~6% margin absorbs runtime and map-layout drift. What this pins: stage
+// attribution stores its stamps inside the op, so instrumenting the hot path
+// added zero allocations; an op that escapes to the heap again, or a router
+// that stops following snapshots (~680 allocations per rebuild), fails at
+// once.
+const provisionAllocBudget = 56
 
 // TestProvisionAllocs pins the disabled-telemetry allocation contract of the
 // request pipeline (see stageNanos: attribution must ride inside the op).
@@ -47,13 +49,13 @@ func TestProvisionAllocs(t *testing.T) {
 
 // telemetryOnAllocBudget is the same round trip's budget configured the way
 // wdmd and the benchmark run it: instruments published on a registry,
-// windowed telemetry on, and a flight-recorder tracer. Measured 88: the
-// disabled path's 63 plus 25 for the two traced requests' spans and
+// windowed telemetry on, and a flight-recorder tracer. Measured 78: the
+// disabled path's 53 plus 25 for the two traced requests' spans and
 // payloads. Metrics and telemetry add none — requests write the engine's
 // preallocated atomic instruments and the collector reads them only at seal
 // time — so an allocation on the telemetry path pushes past the same ~6%
 // margin.
-const telemetryOnAllocBudget = 94
+const telemetryOnAllocBudget = 83
 
 // TestProvisionAllocsTelemetryOn pins the enabled-observability allocation
 // cost of the request pipeline.

@@ -78,40 +78,34 @@ func TestEpochReadersSeeFrozenState(t *testing.T) {
 	}
 }
 
-// TestBatchedAdmissionsApplyAtomically drives the committer's batch path
-// directly: three admissions folded into one applyBatch call must publish
-// exactly ONE new epoch carrying all three — readers can never observe a
-// partially applied batch.
-func TestBatchedAdmissionsApplyAtomically(t *testing.T) {
-	e := New(ring4(8), Config{}) // not started: the test plays committer
+// TestEachCommitPublishesOneEpoch drives the commit step directly: each of
+// three admissions publishes exactly one new epoch, and the snapshot of
+// epoch k carries exactly the first k admissions, each whole — a reader
+// pinned to an epoch never observes a later commit or part of one.
+func TestEachCommitPublishesOneEpoch(t *testing.T) {
+	e := New(ring4(8), Config{}) // not started: the test calls the commit step
 
 	_, pinned := e.Snapshot()
-	mk := func(id int64, lam int) *op {
-		o := newOp(opProvision, id, 0, 2, AlgoMinCost)
-		o.primary = []wdm.Hop{{Link: 0, Wavelength: lam}, {Link: 2, Wavelength: lam}}
-		o.backup = []wdm.Hop{{Link: 7, Wavelength: lam}, {Link: 5, Wavelength: lam}}
-		return o
-	}
-	batch := []*op{mk(1, 0), mk(2, 1), mk(3, 2)}
-	e.applyBatch(batch)
-
-	for _, o := range batch {
-		cr := <-o.commit
-		if !cr.ok || cr.epoch != 1 {
-			t.Fatalf("op %d: %+v, want ok in epoch 1", o.id, cr)
+	pins := []*wdm.Network{pinned}
+	for k := 0; k < 3; k++ {
+		cr := e.commit(&op{kind: opProvision, id: int64(k + 1), s: 0, d: 2, algo: AlgoMinCost,
+			primary: []wdm.Hop{{Link: 0, Wavelength: k}, {Link: 2, Wavelength: k}},
+			backup:  []wdm.Hop{{Link: 7, Wavelength: k}, {Link: 5, Wavelength: k}}})
+		if !cr.ok || cr.epoch != uint64(k+1) {
+			t.Fatalf("commit %d: %+v, want ok in epoch %d", k+1, cr, k+1)
 		}
+		epoch, snap := e.Snapshot()
+		if epoch != uint64(k+1) {
+			t.Fatalf("after %d commits the engine is at epoch %d", k+1, epoch)
+		}
+		pins = append(pins, snap)
 	}
-	epoch, snap := e.Snapshot()
-	if epoch != 1 {
-		t.Fatalf("batch of 3 published %d epochs, want exactly 1", epoch)
-	}
-	for lam := 0; lam < 3; lam++ {
-		for _, link := range []int{0, 2, 7, 5} {
-			if snap.Link(link).HasAvail(lam) {
-				t.Fatalf("channel (link %d, λ%d) free in epoch 1; batch applied partially", link, lam)
-			}
-			if !pinned.Link(link).HasAvail(lam) {
-				t.Fatalf("channel (link %d, λ%d) busy in epoch 0", link, lam)
+	for epoch, snap := range pins {
+		for lam := 0; lam < 3; lam++ {
+			for _, link := range []int{0, 2, 7, 5} {
+				if busy, want := !snap.Link(link).HasAvail(lam), lam < epoch; busy != want {
+					t.Fatalf("epoch %d: channel (link %d, λ%d) busy=%v, want %v", epoch, link, lam, busy, want)
+				}
 			}
 		}
 	}
@@ -119,7 +113,7 @@ func TestBatchedAdmissionsApplyAtomically(t *testing.T) {
 		t.Fatal("audit on an unstarted engine should refuse")
 	}
 	if err := e.oracle(e.store.cur); err != nil {
-		t.Fatalf("oracle after batch: %v", err)
+		t.Fatalf("oracle after commits: %v", err)
 	}
 }
 

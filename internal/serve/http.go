@@ -157,22 +157,27 @@ func (e *Engine) decodeTimed(w http.ResponseWriter, r *http.Request) (Request, b
 	return req, true
 }
 
-// writeResponse writes a pipeline Response, echoing its flight-recorder
-// request ID (when traced) as the X-Wdmd-Req header so callers can join the
-// HTTP exchange to /debug/flight?req=<id> without parsing the body.
+// writeResponse writes a pipeline Response compactly (one line plus the
+// trailing newline), echoing its flight-recorder request ID (when traced)
+// as the X-Wdmd-Req header so callers can join the HTTP exchange to
+// /debug/flight?req=<id> without parsing the body.
 func writeResponse(w http.ResponseWriter, resp Response) {
 	if resp.Req > 0 {
 		w.Header().Set("X-Wdmd-Req", strconv.FormatInt(resp.Req, 10))
 	}
-	writeJSON(w, resp)
+	encodeJSON(w, resp, "")
 }
 
-// writeJSON encodes v into a buffer first so an encoding failure can still
+// writeJSON writes v indented, one field per line, for people and
+// line-oriented tools reading /status.
+func writeJSON(w http.ResponseWriter, v any) { encodeJSON(w, v, "  ") }
+
+// encodeJSON encodes v into a buffer first so an encoding failure can still
 // change the status code (nothing committed to the wire yet).
-func writeJSON(w http.ResponseWriter, v any) {
+func encodeJSON(w http.ResponseWriter, v any, indent string) {
 	var buf bytes.Buffer
 	enc := json.NewEncoder(&buf)
-	enc.SetIndent("", "  ")
+	enc.SetIndent("", indent)
 	if err := enc.Encode(v); err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return

@@ -185,3 +185,34 @@ func FuzzRequestDecode(f *testing.F) {
 		}
 	})
 }
+
+// TestHTTPResponseFormats pins the wire formats: an op response is one
+// compact JSON line plus the trailing newline, while /status stays indented
+// one field per line, the shape line-oriented tools (sed, grep) read.
+func TestHTTPResponseFormats(t *testing.T) {
+	_, srv := newTestServer(t)
+	for _, c := range []struct{ path, body string }{
+		{"/provision", `{"id":1,"src":0,"dst":9}`},
+		{"/reroute", `{"id":1}`},
+		{"/teardown", `{"id":1}`},
+	} {
+		r, err := http.Post(srv.URL+c.path, "application/json", strings.NewReader(c.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(r.Body)
+		_ = r.Body.Close()
+		if !strings.HasSuffix(string(body), "}\n") || strings.Count(string(body), "\n") != 1 {
+			t.Fatalf("%s response %q: want one compact line ending in a newline", c.path, body)
+		}
+	}
+	r, err := http.Get(srv.URL + "/status")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(r.Body)
+	_ = r.Body.Close()
+	if !strings.Contains(string(body), "\n  \"provisions\": 1,\n") {
+		t.Fatalf("/status is not indented one field per line:\n%s", body)
+	}
+}

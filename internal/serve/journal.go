@@ -28,8 +28,9 @@ type JournalEntry struct {
 	Backup   []HopOut `json:"backup,omitempty"`
 }
 
-// journal is the bounded commit-order log. Only the committer appends, so
-// the mutex serializes appenders against snapshot() readers only.
+// journal is the bounded commit-order log. Appends happen under the
+// engine's commit lock, so the mutex serializes them against snapshot()
+// readers only.
 type journal struct {
 	mu        sync.Mutex
 	cap       int
@@ -38,8 +39,10 @@ type journal struct {
 	truncated bool
 }
 
-// record appends one committed decision (committer goroutine only; no-op
-// when the journal is disabled).
+// record appends one committed decision (commit lock held; no-op when the
+// journal is disabled).
+//
+//wdm:coldpath a retained replay log, off unless Config.JournalCap is set; enabled, it allocates one entry per commit by design, and the serve alloc pins run with it off
 func (j *journal) record(o *op, cr commitResult) {
 	if j.cap <= 0 {
 		return

@@ -73,12 +73,12 @@ func (m *instruments) publish(r *metrics.Registry) {
 		{"wdmd_request_seconds", "end-to-end request latency (queue + route + commit)", m.requestTime},
 
 		{"wdmd_stage_decode_seconds", "HTTP request-body decode latency (before the request clock starts)", m.stageDecode},
-		{"wdmd_stage_queue_seconds", "dispatch + shard-queue wait (request accepted to shard dequeue)", m.stageQueue},
+		{"wdmd_stage_queue_seconds", "dispatch + shard-lock wait (request accepted to shard lock taken)", m.stageQueue},
 		{"wdmd_stage_snapshot_seconds", "epoch-snapshot acquire (plus registry lookup for teardown/reroute)", m.stageSnapshot},
 		{"wdmd_stage_route_seconds", "route compute, first attempt", m.stageRoute},
 		{"wdmd_stage_route_candidate_seconds", "route compute answered by the candidate fast tier", m.stageRouteCand},
 		{"wdmd_stage_route_exact_seconds", "route compute answered by the exact pipeline (incl. candidate fallbacks)", m.stageRouteEx},
-		{"wdmd_stage_commit_seconds", "commit wait (submit to verdict) plus final reply delivery", m.stageCommit},
+		{"wdmd_stage_commit_seconds", "commit-lock wait, apply and epoch publish, plus freeing the shard lock", m.stageCommit},
 		{"wdmd_stage_reroute_seconds", "conflict re-route: whole retry attempts after a lost commit race", m.stageReroute},
 
 		{"wdmd_epoch", "current snapshot epoch", &m.epoch},

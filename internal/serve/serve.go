@@ -2,33 +2,35 @@
 // it turns the batch routing engines into an HTTP/JSON request loop
 // (provision / teardown / reroute / status) over sharded network state.
 //
-// Concurrency model — route on snapshots, commit in batches between epochs:
+// Concurrency model — route on snapshots, commit under one lock:
 //
-//   - The authoritative *wdm.Network is owned by a single committer
-//     goroutine. Nobody else ever mutates it.
 //   - Readers (the routing shards, the /debug/net probe, status queries)
 //     work against an immutable epoch-stamped snapshot published through an
 //     atomic pointer. Publishing epoch N+1 is a copy-on-write clone driven
 //     by the per-link LinkStamp journal (wdm.CloneSince): only links touched
 //     since epoch N are copied, everything else is shared with the frozen
-//     epoch-N snapshot. Reads therefore never block writes and writes never
-//     block reads — there is no lock on the routing path.
-//   - Each shard owns a region of (s, t) pairs and a warm core.Router (the
-//     parallel.MapWithState worker-pool pattern generalised to long-lived
-//     request queues), so independent pairs route in parallel with per-shard
-//     skeleton caches and an optional shared read-only CandidateTable.
-//   - A shard routes a request against the latest snapshot, then submits the
-//     chosen paths to the committer, which validates them against the
-//     authoritative state (optimistic concurrency: a reservation that lost a
-//     race fails cleanly), applies a batch of admissions, bumps the epoch,
-//     publishes the next snapshot, and only then replies. A conflicted
+//     epoch-N snapshot. Routing takes no engine-wide lock.
+//   - Each shard owns a region of (s, t) pairs and a warm core.Router
+//     behind a FIFO lock (a one-slot channel: waiters are served in arrival
+//     order). A request runs to completion on its caller's goroutine: it
+//     takes its shard's lock, routes against the latest snapshot, commits,
+//     and frees the lock. Independent pairs route in parallel, with
+//     per-shard skeleton caches and an optional shared read-only
+//     CandidateTable; the engine starts no goroutine per shard.
+//   - The commit step runs under one commit mutex, which owns the
+//     authoritative *wdm.Network: nothing mutates it without the mutex. It
+//     validates the routed paths against that state (optimistic
+//     concurrency: a reservation that lost a race fails cleanly), applies
+//     the op, and publishes the next snapshot before it returns, so an
+//     acknowledged op is visible in the next snapshot its caller can load.
+//     Every state-changing commit publishes its own epoch. A conflicted
 //     admission is re-routed on the fresh snapshot and retried a bounded
 //     number of times before the request is reported blocked.
 //
 // Per-connection operations are linearized without a per-connection lock:
 // a connection's (s, t) pair pins every op that touches it to one shard, and
-// shards process their queue serially with a synchronous commit handshake,
-// so no two ops on the same connection are ever in flight together.
+// an op holds its shard's lock from routing through commit, so no two ops on
+// the same connection are ever in flight together.
 //
 // The commit order is the serialization order of the daemon. With the ops
 // journal enabled every commit decision is recorded in that order, and
@@ -116,11 +118,6 @@ type Config struct {
 	// Shards is the number of routing shards; each owns a region of (s, t)
 	// pairs and a warm router (GOMAXPROCS if 0).
 	Shards int
-	// QueueDepth is the per-shard request queue capacity (128 if 0).
-	QueueDepth int
-	// BatchMax caps how many queued admissions the committer folds into one
-	// epoch (64 if 0).
-	BatchMax int
 	// MaxRetries bounds how often a conflicted admission is re-routed on a
 	// fresh snapshot before the request is reported blocked (4 if 0; -1
 	// disables retries).
@@ -155,20 +152,6 @@ func (c *Config) shards() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-func (c *Config) queueDepth() int {
-	if c.QueueDepth > 0 {
-		return c.QueueDepth
-	}
-	return 128
-}
-
-func (c *Config) batchMax() int {
-	if c.BatchMax > 0 {
-		return c.BatchMax
-	}
-	return 64
-}
-
 func (c *Config) maxRetries() int {
 	switch {
 	case c.MaxRetries > 0:
@@ -190,7 +173,7 @@ const (
 )
 
 // connState is the registry record of one live connection. Paths are
-// engine-owned copies; the committer is the only writer after admission.
+// engine-owned copies; after admission only the commit step writes them.
 type connState struct {
 	id       int64
 	s, d     int
@@ -206,14 +189,10 @@ const (
 	opProvision opKind = iota
 	opTeardown
 	opReroute
-	opAudit
 )
 
-// op is one unit of work. It carries two one-shot reply channels: commit is
-// the shard↔committer handshake, done delivers the final verdict to the
-// caller blocked in Provision/Teardown/Reroute. They must be distinct — a
-// retried op crosses the commit channel several times, and only the shard
-// may decide which crossing is final.
+// op is one request in flight: it lives on the caller's goroutine from
+// dispatch to response.
 type op struct {
 	kind opKind
 	id   int64
@@ -228,7 +207,6 @@ type op struct {
 
 	snapEpoch uint64 // epoch the paths were routed against
 	retries   int
-	audit     func(cur *wdm.Network) error // opAudit only
 
 	// Stage attribution (see stageNanos): t0 is the request clock start,
 	// last the most recent stage boundary the shard stamped (finishOp folds
@@ -239,14 +217,6 @@ type op struct {
 	last     time.Time
 	st       stageNanos
 	traceReq int64
-
-	commit chan commitResult
-	done   chan commitResult
-}
-
-func newOp(kind opKind, id int64, s, d int, algo Algo) *op {
-	return &op{kind: kind, id: id, s: s, d: d, algo: algo,
-		commit: make(chan commitResult, 1), done: make(chan commitResult, 1)}
 }
 
 type commitResult struct {
@@ -254,23 +224,21 @@ type commitResult struct {
 	conflict bool
 	reason   string
 	epoch    uint64 // epoch the decision committed into
-	err      error  // opAudit verdict
 }
 
-// Engine is the daemon: sharded routing over epoch snapshots with a
-// serialized batch committer. Create with New, run with Start, serve its
-// Handler, stop with Close.
+// Engine is the daemon: sharded routing over epoch snapshots, with each
+// request committed under one commit lock. Create with New, run with Start,
+// serve its Handler, stop with Close.
 type Engine struct {
 	cfg   Config
 	nodes int
 	w     int
 
-	store  *store
-	shards []*shard
-
-	commitCh chan *op
-	batch    []*op
-	results  []commitResult
+	// commitMu serializes the commit step and owns store.cur: every write to
+	// the authoritative network, and the oracle's read of it, holds it.
+	commitMu sync.Mutex
+	store    *store
+	shards   []*shard
 
 	connMu sync.RWMutex
 	conns  map[int64]*connState
@@ -286,7 +254,7 @@ type Engine struct {
 	audits    atomic.Int64
 
 	// contention[link] counts commit-time reservation conflicts charged to
-	// that link (committer-only writes, atomic so the telemetry prober may
+	// that link (written under commitMu, atomic so the telemetry prober may
 	// read concurrently). The sealed top-K lands in NetState.Contention.
 	contention []atomic.Int64
 
@@ -299,17 +267,16 @@ type Engine struct {
 	started  bool
 	closed   bool
 	inflight sync.WaitGroup
-	shardWg  sync.WaitGroup
-	commitWg sync.WaitGroup
 }
 
-// shard owns one region of (s, t) pairs: a serial request queue and a warm
-// router. All ops touching a connection land on the shard of its pair, which
-// linearizes per-connection histories for free.
+// shard owns one region of (s, t) pairs: a warm router behind a FIFO lock.
+// All ops touching a connection land on the shard of its pair and hold its
+// lock from routing through commit, which linearizes per-connection
+// histories for free.
 type shard struct {
 	idx    int
 	e      *Engine
-	q      chan *op
+	lock   chan struct{} // one slot: a send takes the lock, a receive frees it
 	router *core.Router
 
 	// Per-shard attribution counters for /status (ShardDetail): a hot shard
@@ -324,14 +291,13 @@ type shard struct {
 func New(net *wdm.Network, cfg Config) *Engine {
 	st := newStore(net)
 	e := &Engine{
-		cfg:      cfg,
-		nodes:    net.Nodes(),
-		w:        net.W(),
-		store:    st,
-		commitCh: make(chan *op, cfg.shards()*2+4),
-		conns:    make(map[int64]*connState),
-		journal:  journal{cap: cfg.JournalCap},
-		start:    time.Now(),
+		cfg:     cfg,
+		nodes:   net.Nodes(),
+		w:       net.W(),
+		store:   st,
+		conns:   make(map[int64]*connState),
+		journal: journal{cap: cfg.JournalCap},
+		start:   time.Now(),
 	}
 	e.contention = make([]atomic.Int64, st.cur.Links())
 	e.instr.initTimers()
@@ -353,7 +319,7 @@ func New(net *wdm.Network, cfg Config) *Engine {
 		opts := ropts
 		r := core.NewRouter(&opts)
 		r.SetTracer(cfg.Tracer)
-		e.shards[i] = &shard{idx: i, e: e, q: make(chan *op, cfg.queueDepth()), router: r}
+		e.shards[i] = &shard{idx: i, e: e, lock: make(chan struct{}, 1), router: r}
 	}
 	e.tel = newTelemetry(e, cfg.Window, cfg.Retention)
 	return e
@@ -385,8 +351,9 @@ func (e *Engine) Nodes() int { return e.nodes }
 // W returns the wavelength count of the served network.
 func (e *Engine) W() int { return e.w }
 
-// Start launches the shard workers and the committer. It is an error to
-// start twice or after Close.
+// Start opens the engine for requests and starts the telemetry ticker, the
+// only goroutine the engine runs: requests execute on their callers'
+// goroutines. It is an error to start twice or after Close.
 func (e *Engine) Start() error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -397,19 +364,13 @@ func (e *Engine) Start() error {
 		return fmt.Errorf("serve: engine closed")
 	}
 	e.started = true
-	for _, sh := range e.shards {
-		e.shardWg.Add(1)
-		go sh.run()
-	}
-	e.commitWg.Add(1)
-	go e.runCommitter()
 	e.tel.startTicker()
 	return nil
 }
 
-// Close drains the engine: in-flight requests complete, queues empty, the
-// committer publishes its final epoch, and telemetry is sealed and flushed.
-// It returns the first telemetry sink error, if any, and is idempotent.
+// Close drains the engine: in-flight requests complete, and telemetry is
+// sealed and flushed. It returns the first telemetry sink error, if any,
+// and is idempotent.
 func (e *Engine) Close() error {
 	e.mu.Lock()
 	if e.closed {
@@ -417,18 +378,9 @@ func (e *Engine) Close() error {
 		return e.tel.err()
 	}
 	e.closed = true
-	started := e.started
 	e.mu.Unlock()
 
-	e.inflight.Wait() // every dispatched request has its verdict
-	if started {
-		for _, sh := range e.shards {
-			close(sh.q)
-		}
-		e.shardWg.Wait()
-		close(e.commitCh)
-		e.commitWg.Wait()
-	}
+	e.inflight.Wait() // every admitted request has its verdict
 	return e.tel.close()
 }
 
@@ -449,6 +401,21 @@ func (e *Engine) shardOf(s, d int) *shard {
 	h := uint64(s)*0x9E3779B97F4A7C15 + uint64(d)*0xBF58476D1CE4E5B9
 	h ^= h >> 29
 	return e.shards[h%uint64(len(e.shards))]
+}
+
+// run executes o on its shard: it waits for the shard's lock (the queue
+// stage), runs the op's body to a verdict, and frees the lock.
+func (sh *shard) run(o *op) commitResult {
+	sh.lock <- struct{}{}
+	defer func() { <-sh.lock }()
+	sh.ops.Add(1)
+	switch o.kind {
+	case opProvision:
+		return sh.provision(o)
+	case opTeardown:
+		return sh.teardown(o)
+	}
+	return sh.reroute(o)
 }
 
 // Provision routes and establishes a new connection. The request's Algo
@@ -473,10 +440,8 @@ func (e *Engine) Provision(req Request) Response {
 	defer e.inflight.Done()
 	e.instr.provisions.Inc()
 
-	o := newOp(opProvision, req.ID, req.Src, req.Dst, algo)
-	o.t0 = t0
-	e.shardOf(req.Src, req.Dst).q <- o
-	return e.finishOp(o, <-o.done, "provision", t0)
+	o := op{kind: opProvision, id: req.ID, s: req.Src, d: req.Dst, algo: algo, t0: t0}
+	return e.finishOp(&o, e.shardOf(req.Src, req.Dst).run(&o), "provision", t0)
 }
 
 // Teardown releases a live connection.
@@ -492,10 +457,8 @@ func (e *Engine) Teardown(id int64) Response {
 	if !ok {
 		return rejectResponse(id, "teardown", ReasonUnknownConn, "")
 	}
-	o := newOp(opTeardown, id, c.s, c.d, 0)
-	o.t0 = t0
-	e.shardOf(c.s, c.d).q <- o
-	return e.finishOp(o, <-o.done, "teardown", t0)
+	o := op{kind: opTeardown, id: id, s: c.s, d: c.d, t0: t0}
+	return e.finishOp(&o, e.shardOf(c.s, c.d).run(&o), "teardown", t0)
 }
 
 // Reroute computes a fresh pair for a live connection on the current
@@ -514,37 +477,33 @@ func (e *Engine) Reroute(id int64) Response {
 	if !ok {
 		return rejectResponse(id, "reroute", ReasonUnknownConn, "")
 	}
-	o := newOp(opReroute, id, c.s, c.d, e.cfg.Algorithm)
-	o.t0 = t0
-	e.shardOf(c.s, c.d).q <- o
-	return e.finishOp(o, <-o.done, "reroute", t0)
+	o := op{kind: opReroute, id: id, s: c.s, d: c.d, algo: e.cfg.Algorithm, t0: t0}
+	return e.finishOp(&o, e.shardOf(c.s, c.d).run(&o), "reroute", t0)
 }
 
-// Audit runs the verification oracle at a quiescent point in commit order:
-// it flows through the committer like any admission, so it observes a state
-// with no half-applied batch. It validates the Eq. 2 load bookkeeping, every
-// live connection's reservation legality and pairwise edge-disjointness, and
-// exact capacity conservation (each busy (link, λ) channel is held by
-// exactly one live connection, and no channel by two).
+// Audit runs the verification oracle under the commit lock, so it observes
+// a state no commit is halfway through. It validates the Eq. 2 load
+// bookkeeping, every live connection's reservation legality and pairwise
+// edge-disjointness, and exact capacity conservation (each busy (link, λ)
+// channel is held by exactly one live connection, and no channel by two).
 func (e *Engine) Audit() error {
 	if !e.enter() {
 		return fmt.Errorf("serve: %s", ReasonClosed)
 	}
 	defer e.inflight.Done()
 	e.audits.Add(1)
-	o := newOp(opAudit, 0, 0, 0, 0)
-	o.audit = e.oracle
-	e.commitCh <- o
-	cr := <-o.commit
-	return cr.err
+	e.commitMu.Lock()
+	defer e.commitMu.Unlock()
+	return e.oracle(e.store.cur)
 }
 
 // finishOp folds a commit verdict into the engine's instruments and the
 // response.
 func (e *Engine) finishOp(o *op, cr commitResult, kind string, t0 time.Time) Response {
 	// Close the attribution ledger: the tail (shard's last stamp → now, i.e.
-	// the done-channel handoff back to this goroutine) folds into the commit
-	// stage, so queue+snap+route+commit+reroute equals tDone−t0 exactly.
+	// freeing the shard lock and returning to this frame) folds into the
+	// commit stage, so queue+snap+route+commit+reroute equals tDone−t0
+	// exactly.
 	tDone := time.Now()
 	if !o.last.IsZero() {
 		o.st.commit += tDone.Sub(o.last).Nanoseconds()
@@ -585,32 +544,16 @@ func (e *Engine) finishOp(o *op, cr commitResult, kind string, t0 time.Time) Res
 	return resp
 }
 
-// run is the shard worker loop: serial over the shard's region, so ops on
-// the same connection never overlap.
-func (sh *shard) run() {
-	defer sh.e.shardWg.Done()
-	for o := range sh.q {
-		sh.ops.Add(1)
-		switch o.kind {
-		case opProvision:
-			sh.provision(o)
-		case opTeardown:
-			sh.teardown(o)
-		case opReroute:
-			sh.reroute(o)
-		}
-	}
-}
-
 // provision routes on the latest snapshot and commits, re-routing on a
 // fresh snapshot after each optimistic conflict up to the retry budget.
 //
 //wdm:hotpath
-func (sh *shard) provision(o *op) {
+func (sh *shard) provision(o *op) commitResult {
 	e := sh.e
-	// Stage stamps: t opens the current attempt (dequeue on attempt 1, the
-	// previous commit verdict on retries); attempt 1 splits into
-	// snap/route/commit segments, retries fold whole into the reroute stage.
+	// Stage stamps: t opens the current attempt (shard lock taken on
+	// attempt 1, the previous commit verdict on retries); attempt 1 splits
+	// into snap/route/commit segments, retries fold whole into the reroute
+	// stage.
 	t := time.Now()
 	o.st.queue = t.Sub(o.t0).Nanoseconds()
 	first := true
@@ -633,15 +576,13 @@ func (sh *shard) provision(o *op) {
 				o.st.reroute += tRoute.Sub(t).Nanoseconds()
 			}
 			o.last = tRoute
-			o.done <- commitResult{ok: false, reason: ReasonNoRoute, epoch: snap.epoch}
-			return
+			return commitResult{ok: false, reason: ReasonNoRoute, epoch: snap.epoch}
 		}
 		o.primary = copyHops(o.primary, res.Primary)
 		o.backup = copyHops(o.backup, res.Backup)
 		o.cost, o.pathLoad = res.Cost, res.PathLoad
 		o.snapEpoch = snap.epoch
-		e.commitCh <- o
-		cr := <-o.commit
+		cr := e.commit(o)
 		tCommit := time.Now()
 		if first {
 			o.st.commit = tCommit.Sub(tRoute).Nanoseconds()
@@ -660,14 +601,13 @@ func (sh *shard) provision(o *op) {
 				continue
 			}
 		}
-		o.done <- cr
-		return
+		return cr
 	}
 }
 
 // teardown snapshots the connection's current paths (stable: ops on this
-// connection are serialized through this shard) and commits the release.
-func (sh *shard) teardown(o *op) {
+// connection are serialized by this shard's lock) and commits the release.
+func (sh *shard) teardown(o *op) commitResult {
 	e := sh.e
 	t := time.Now()
 	o.st.queue = t.Sub(o.t0).Nanoseconds()
@@ -675,25 +615,23 @@ func (sh *shard) teardown(o *op) {
 	if !ok {
 		o.last = time.Now()
 		o.st.snap = o.last.Sub(t).Nanoseconds()
-		o.done <- commitResult{ok: false, reason: ReasonUnknownConn, epoch: e.store.load().epoch}
-		return
+		return commitResult{ok: false, reason: ReasonUnknownConn, epoch: e.store.load().epoch}
 	}
 	o.oldPrimary = append(o.oldPrimary[:0], c.primary...)
 	o.oldBackup = append(o.oldBackup[:0], c.backup...)
 	tPrep := time.Now()
 	o.st.snap = tPrep.Sub(t).Nanoseconds() // registry lookup + path copy
-	e.commitCh <- o
-	cr := <-o.commit
+	cr := e.commit(o)
 	o.last = time.Now()
 	o.st.commit = o.last.Sub(tPrep).Nanoseconds()
-	o.done <- cr
+	return cr
 }
 
 // reroute routes a fresh pair on the latest snapshot (the connection's own
 // wavelengths still held — make-before-break) and commits the swap.
 //
 //wdm:hotpath
-func (sh *shard) reroute(o *op) {
+func (sh *shard) reroute(o *op) commitResult {
 	e := sh.e
 	t := time.Now()
 	o.st.queue = t.Sub(o.t0).Nanoseconds()
@@ -708,8 +646,7 @@ func (sh *shard) reroute(o *op) {
 				o.st.reroute += now.Sub(t).Nanoseconds()
 			}
 			o.last = now
-			o.done <- commitResult{ok: false, reason: ReasonUnknownConn, epoch: e.store.load().epoch}
-			return
+			return commitResult{ok: false, reason: ReasonUnknownConn, epoch: e.store.load().epoch}
 		}
 		o.oldPrimary = append(o.oldPrimary[:0], c.primary...)
 		o.oldBackup = append(o.oldBackup[:0], c.backup...)
@@ -732,15 +669,13 @@ func (sh *shard) reroute(o *op) {
 				o.st.reroute += tRoute.Sub(t).Nanoseconds()
 			}
 			o.last = tRoute
-			o.done <- commitResult{ok: false, reason: ReasonNoRoute, epoch: snap.epoch}
-			return
+			return commitResult{ok: false, reason: ReasonNoRoute, epoch: snap.epoch}
 		}
 		o.primary = copyHops(o.primary, res.Primary)
 		o.backup = copyHops(o.backup, res.Backup)
 		o.cost, o.pathLoad = res.Cost, res.PathLoad
 		o.snapEpoch = snap.epoch
-		e.commitCh <- o
-		cr := <-o.commit
+		cr := e.commit(o)
 		tCommit := time.Now()
 		if first {
 			o.st.commit = tCommit.Sub(tRoute).Nanoseconds()
@@ -759,70 +694,32 @@ func (sh *shard) reroute(o *op) {
 				continue
 			}
 		}
-		o.done <- cr
-		return
+		return cr
 	}
 }
 
-// runCommitter is the single writer: it folds queued ops into batches,
-// applies each batch to the authoritative network, advances the epoch, and
-// publishes the next copy-on-write snapshot before releasing the replies —
-// so an acknowledged op is always visible in the next snapshot its caller
-// can load.
-func (e *Engine) runCommitter() {
-	defer e.commitWg.Done()
-	for o := range e.commitCh {
-		e.batch = append(e.batch[:0], o)
-	fill:
-		for len(e.batch) < e.cfg.batchMax() {
-			select {
-			case o2, ok := <-e.commitCh:
-				if !ok {
-					break fill
-				}
-				e.batch = append(e.batch, o2)
-			default:
-				break fill
-			}
-		}
-		e.applyBatch(e.batch)
-	}
-}
-
-// applyBatch commits one batch: apply every op in order, publish one new
-// epoch if anything changed, then reply.
-func (e *Engine) applyBatch(batch []*op) {
-	e.results = e.results[:0]
-	dirty := false
-	for _, o := range batch {
-		cr := e.applyOne(o)
-		if cr.ok && o.kind != opAudit {
-			dirty = true
-		}
-		e.results = append(e.results, cr)
-	}
-	epoch := e.store.load().epoch
-	if dirty {
-		epoch = e.store.publish()
+// commit is the commit step, the only writer of the authoritative network:
+// under the commit lock it applies o, publishes the next copy-on-write
+// snapshot if o changed the state, and journals the decision.
+func (e *Engine) commit(o *op) commitResult {
+	e.commitMu.Lock()
+	defer e.commitMu.Unlock()
+	cr := e.applyOne(o)
+	if cr.ok {
+		cr.epoch = e.store.publish()
 		e.instr.epochs.Inc()
-		e.instr.epoch.Set(float64(epoch))
-		if e.tel != nil {
-			e.tel.fill.Set(float64(len(batch)))
-		}
+		e.instr.epoch.Set(float64(cr.epoch))
+	} else {
+		cr.epoch = e.store.load().epoch
 	}
-	for i, o := range batch {
-		cr := e.results[i]
-		cr.epoch = epoch
-		if o.kind != opAudit {
-			e.journal.record(o, cr)
-		}
-		o.commit <- cr
-	}
+	e.journal.record(o, cr)
+	return cr
 }
 
 // applyOne validates and applies a single op against the authoritative
-// network. Reservation failures are reported as conflicts (the op was routed
-// on a stale snapshot) and never applied partially: wdm.Reserve rolls back.
+// network (commitMu held). Reservation failures are reported as conflicts
+// (the op was routed on a stale snapshot) and never applied partially:
+// wdm.Reserve rolls back.
 func (e *Engine) applyOne(o *op) commitResult {
 	cur := e.store.cur
 	switch o.kind {
@@ -830,23 +727,18 @@ func (e *Engine) applyOne(o *op) commitResult {
 		if _, dup := e.lookupConn(o.id); dup {
 			return commitResult{ok: false, reason: ReasonDuplicateID}
 		}
-		p := &wdm.Semilightpath{Hops: o.primary}
-		b := &wdm.Semilightpath{Hops: o.backup}
-		if err := cur.Reserve(p); err != nil {
+		p := wdm.Semilightpath{Hops: o.primary}
+		b := wdm.Semilightpath{Hops: o.backup}
+		if err := cur.Reserve(&p); err != nil {
 			e.conflictNoted(o)
 			return commitResult{conflict: true, reason: ReasonConflict}
 		}
-		if err := cur.Reserve(b); err != nil {
+		if err := cur.Reserve(&b); err != nil {
 			e.mustRelease(o.primary)
 			e.conflictNoted(o)
 			return commitResult{conflict: true, reason: ReasonConflict}
 		}
-		e.putConn(&connState{
-			id: o.id, s: o.s, d: o.d,
-			primary: append([]wdm.Hop(nil), o.primary...),
-			backup:  append([]wdm.Hop(nil), o.backup...),
-			cost:    o.cost,
-		})
+		e.putConn(o)
 		return commitResult{ok: true}
 
 	case opTeardown:
@@ -865,11 +757,11 @@ func (e *Engine) applyOne(o *op) commitResult {
 		}
 		e.mustRelease(o.oldPrimary)
 		e.mustRelease(o.oldBackup)
-		p := &wdm.Semilightpath{Hops: o.primary}
-		b := &wdm.Semilightpath{Hops: o.backup}
-		err := cur.Reserve(p)
+		p := wdm.Semilightpath{Hops: o.primary}
+		b := wdm.Semilightpath{Hops: o.backup}
+		err := cur.Reserve(&p)
 		if err == nil {
-			if err = cur.Reserve(b); err != nil {
+			if err = cur.Reserve(&b); err != nil {
 				e.mustRelease(o.primary)
 			}
 		}
@@ -889,16 +781,13 @@ func (e *Engine) applyOne(o *op) commitResult {
 		c.rerouted++
 		e.connMu.Unlock()
 		return commitResult{ok: true}
-
-	case opAudit:
-		return commitResult{ok: true, err: o.audit(cur)}
 	}
 	panic("serve: unknown op kind")
 }
 
 // conflictNoted counts one commit-time reservation conflict (the counter
 // behind /status, /metrics and the per-window conflicts rate) and charges it
-// to the contended links. Committer goroutine.
+// to the contended links (commitMu held).
 func (e *Engine) conflictNoted(o *op) {
 	e.instr.conflicts.Inc()
 	e.noteContention(o)
@@ -922,7 +811,7 @@ func (e *Engine) mustReserve(hops []wdm.Hop) {
 	}
 }
 
-// oracle is the Audit validation pass; it runs on the committer goroutine.
+// oracle is the Audit validation pass (commitMu held).
 func (e *Engine) oracle(cur *wdm.Network) error {
 	if err := check.LoadAccounting(cur); err != nil {
 		return err
@@ -986,8 +875,8 @@ func (e *Engine) oracle(cur *wdm.Network) error {
 	return nil
 }
 
-// lookupConn fetches a registry record (shared pointer; the committer is the
-// only mutator of path fields, shards copy them before use).
+// lookupConn fetches a registry record (shared pointer; the commit step is
+// the only mutator of path fields, shards copy them before use).
 func (e *Engine) lookupConn(id int64) (*connState, bool) {
 	e.connMu.RLock()
 	c, ok := e.conns[id]
@@ -995,7 +884,17 @@ func (e *Engine) lookupConn(id int64) (*connState, bool) {
 	return c, ok
 }
 
-func (e *Engine) putConn(c *connState) {
+// putConn registers an admitted connection with engine-owned copies of its
+// paths (commitMu held).
+//
+//wdm:coldpath one registry record and two path copies per admitted connection, counted in TestProvisionAllocs' budget
+func (e *Engine) putConn(o *op) {
+	c := &connState{
+		id: o.id, s: o.s, d: o.d,
+		primary: append([]wdm.Hop(nil), o.primary...),
+		backup:  append([]wdm.Hop(nil), o.backup...),
+		cost:    o.cost,
+	}
 	e.connMu.Lock()
 	e.conns[c.id] = c
 	e.connMu.Unlock()
@@ -1074,7 +973,7 @@ type Stats struct {
 }
 
 // Status reports the daemon's aggregate state from the latest snapshot; it
-// never touches the authoritative network or any queue.
+// never touches the authoritative network or takes a lock a request holds.
 func (e *Engine) Status() Stats {
 	snap := e.store.load()
 	st := Stats{

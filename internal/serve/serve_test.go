@@ -2,8 +2,10 @@ package serve
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/topo"
 	"repro/internal/wdm"
@@ -94,23 +96,19 @@ func TestConcurrentSmoke(t *testing.T) {
 }
 
 // TestConflictDetectedAtCommit drives the optimistic-concurrency path
-// deterministically: two provisions with byte-identical paths submitted to
-// the committer back to back. The first must reserve, the second must be
-// reported as a conflict (routed on a snapshot that no longer holds).
+// deterministically: two provisions with byte-identical paths committed
+// back to back. The first must reserve, the second must be reported as a
+// conflict (routed on a snapshot that no longer holds).
 func TestConflictDetectedAtCommit(t *testing.T) {
 	e := startEngine(t, ring4(4), Config{Shards: 1})
 
 	mk := func(id int64) *op {
-		o := newOp(opProvision, id, 0, 2, AlgoMinCost)
-		o.primary = []wdm.Hop{{Link: 0, Wavelength: 0}, {Link: 2, Wavelength: 0}}
-		o.backup = []wdm.Hop{{Link: 7, Wavelength: 0}, {Link: 5, Wavelength: 0}}
-		o.cost = 4
-		return o
+		return &op{kind: opProvision, id: id, s: 0, d: 2, algo: AlgoMinCost,
+			primary: []wdm.Hop{{Link: 0, Wavelength: 0}, {Link: 2, Wavelength: 0}},
+			backup:  []wdm.Hop{{Link: 7, Wavelength: 0}, {Link: 5, Wavelength: 0}},
+			cost:    4}
 	}
-	o1, o2 := mk(1), mk(2)
-	e.commitCh <- o1
-	e.commitCh <- o2
-	cr1, cr2 := <-o1.commit, <-o2.commit
+	cr1, cr2 := e.commit(mk(1)), e.commit(mk(2))
 	if !cr1.ok {
 		t.Fatalf("first admission rejected: %+v", cr1)
 	}
@@ -160,21 +158,19 @@ func TestRerouteConflictRestoresOldPaths(t *testing.T) {
 	if freeLam < 0 {
 		t.Fatal("no channel free on all four links to stage the collision")
 	}
-	occupy := newOp(opProvision, 99, 0, 2, AlgoMinCost)
-	occupy.primary = []wdm.Hop{{Link: 0, Wavelength: freeLam}, {Link: 2, Wavelength: freeLam}}
-	occupy.backup = []wdm.Hop{{Link: 7, Wavelength: freeLam}, {Link: 5, Wavelength: freeLam}}
-	e.commitCh <- occupy
-	if cr := <-occupy.commit; !cr.ok {
+	occupy := &op{kind: opProvision, id: 99, s: 0, d: 2, algo: AlgoMinCost,
+		primary: []wdm.Hop{{Link: 0, Wavelength: freeLam}, {Link: 2, Wavelength: freeLam}},
+		backup:  []wdm.Hop{{Link: 7, Wavelength: freeLam}, {Link: 5, Wavelength: freeLam}}}
+	if cr := e.commit(occupy); !cr.ok {
 		t.Fatalf("staging provision failed: %+v", cr)
 	}
 	// Now the reroute targets exactly the channels conn 99 just took.
-	o := newOp(opReroute, 1, 0, 2, AlgoMinCost)
-	o.oldPrimary = oldPrimary
-	o.oldBackup = oldBackup
-	o.primary = []wdm.Hop{{Link: 0, Wavelength: freeLam}, {Link: 2, Wavelength: freeLam}}
-	o.backup = []wdm.Hop{{Link: 7, Wavelength: freeLam}, {Link: 5, Wavelength: freeLam}}
-	e.commitCh <- o
-	cr := <-o.commit
+	o := &op{kind: opReroute, id: 1, s: 0, d: 2, algo: AlgoMinCost,
+		oldPrimary: oldPrimary,
+		oldBackup:  oldBackup,
+		primary:    []wdm.Hop{{Link: 0, Wavelength: freeLam}, {Link: 2, Wavelength: freeLam}},
+		backup:     []wdm.Hop{{Link: 7, Wavelength: freeLam}, {Link: 5, Wavelength: freeLam}}}
+	cr := e.commit(o)
 	if cr.ok || !cr.conflict {
 		t.Fatalf("reroute onto occupied channels must conflict, got %+v", cr)
 	}
@@ -200,7 +196,7 @@ func TestRerouteConflictRestoresOldPaths(t *testing.T) {
 func TestHighContentionConflicts(t *testing.T) {
 	net := ring4(2)
 	want := net.TotalAvailable()
-	e := startEngine(t, net, Config{Shards: 4, BatchMax: 8})
+	e := startEngine(t, net, Config{Shards: 4})
 
 	const clients = 8
 	const perClient = 150
@@ -230,6 +226,67 @@ func TestHighContentionConflicts(t *testing.T) {
 	_, snap := e.Snapshot()
 	if got := snap.TotalAvailable(); got != want {
 		t.Fatalf("capacity not conserved: %d available, want %d", got, want)
+	}
+}
+
+// TestStartLaunchesNoWorkers pins the execution model: requests run on
+// their callers' goroutines, so with telemetry off Start launches no
+// goroutine at all — none per shard and no committer — and a served request
+// leaves none behind.
+func TestStartLaunchesNoWorkers(t *testing.T) {
+	before := runtime.NumGoroutine()
+	e := startEngine(t, nsf(8), Config{Shards: 8})
+	if resp := e.Provision(Request{ID: 1, Src: 0, Dst: 9}); !resp.Accepted {
+		t.Fatalf("provision blocked: %+v", resp)
+	}
+	if after := runtime.NumGoroutine(); after > before {
+		t.Fatalf("%d goroutines after Start and one request, %d before: the engine runs workers", after, before)
+	}
+}
+
+// TestOneShardUnderManyCallers hammers a single shard from 16 goroutines:
+// every caller waits its turn on the shard's FIFO lock and finishes, and the
+// shard's serial history commits to a legal, conserved state.
+func TestOneShardUnderManyCallers(t *testing.T) {
+	net := nsf(8)
+	want := net.TotalAvailable()
+	e := startEngine(t, net, Config{Shards: 1, Algorithm: AlgoMinLoadCost})
+	const callers, perCaller = 16, 60
+	var wg sync.WaitGroup
+	for c := 0; c < callers; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			for k := 0; k < perCaller; k++ {
+				id := int64(c*perCaller + k + 1)
+				s := (c + k) % 14
+				d := (s + 1 + k%13) % 14
+				if e.Provision(Request{ID: id, Src: s, Dst: d}).Accepted {
+					if k%3 == 0 {
+						e.Reroute(id)
+					}
+					e.Teardown(id)
+				}
+			}
+		}(c)
+	}
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	select {
+	case <-done:
+	case <-time.After(time.Minute):
+		t.Fatal("callers still blocked on the shard lock after a minute")
+	}
+	if err := e.Audit(); err != nil {
+		t.Fatalf("audit: %v", err)
+	}
+	st := e.Status()
+	if st.ShardDetail[0].Ops != st.Provisions+st.Teardowns+st.Reroutes || st.Provisions != callers*perCaller {
+		t.Fatalf("shard ops %d for %d provisions, %d teardowns, %d reroutes",
+			st.ShardDetail[0].Ops, st.Provisions, st.Teardowns, st.Reroutes)
+	}
+	if _, snap := e.Snapshot(); snap.TotalAvailable() != want || e.LiveConnections() != 0 {
+		t.Fatalf("capacity not conserved: %d available, want %d; %d live", snap.TotalAvailable(), want, e.LiveConnections())
 	}
 }
 

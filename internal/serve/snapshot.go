@@ -8,7 +8,7 @@ import (
 
 // snapshot is one published epoch: an immutable network plus the identifiers
 // readers pin themselves to. Once stored in the atomic pointer the network
-// is frozen forever — the committer never writes through it, and the next
+// is frozen forever — the commit step never writes through it, and the next
 // epoch's CloneSince only *shares* its link records, never mutates them.
 type snapshot struct {
 	epoch   uint64
@@ -16,12 +16,12 @@ type snapshot struct {
 	net     *wdm.Network
 }
 
-// store pairs the authoritative mutable network (owned by the committer
-// goroutine; nobody else touches cur) with the atomically published read
-// snapshot. load is a single atomic pointer read — the whole read side of
+// store pairs the authoritative mutable network (owned by the engine's
+// commit lock; nothing touches cur without it) with the atomically published
+// read snapshot. load is a single atomic pointer read — the whole read side of
 // the epoch protocol.
 type store struct {
-	cur  *wdm.Network // committer-owned; mutated only between publishes
+	cur  *wdm.Network // guarded by the engine's commit lock; mutated only there
 	snap atomic.Pointer[snapshot]
 }
 
@@ -44,10 +44,12 @@ func newStore(net *wdm.Network) *store {
 // load returns the current epoch snapshot (lock-free).
 func (st *store) load() *snapshot { return st.snap.Load() }
 
-// publish seals the committer's accumulated writes into the next epoch:
-// a copy-on-write clone against the previous snapshot (only links stamped
+// publish seals the commit step's writes into the next epoch: a
+// copy-on-write clone against the previous snapshot (only links stamped
 // after the previous publish are copied) swapped in with one atomic store.
-// Returns the new epoch. Committer-only.
+// Returns the new epoch. Commit lock held.
+//
+//wdm:coldpath one copy-on-write clone per state-changing commit (the touched links' records), counted in TestProvisionAllocs' budget
 func (st *store) publish() uint64 {
 	prev := st.snap.Load()
 	next := &snapshot{

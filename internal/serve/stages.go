@@ -22,18 +22,18 @@ import (
 //
 // Segment boundaries:
 //
-//	queue   t0 → shard dequeue (dispatch, validation, queue wait)
-//	snap    dequeue → snapshot loaded (plus registry lookup + path copy for
-//	        teardown/reroute)
+//	queue   t0 → shard lock taken (dispatch, validation, waiting for the
+//	        shard lock)
+//	snap    lock taken → snapshot loaded (plus registry lookup + path copy
+//	        for teardown/reroute)
 //	route   snapshot → routing done, first attempt only
-//	commit  routing done → commit verdict received, first attempt, plus the
-//	        final reply delivery back to the caller
+//	commit  routing done → commit verdict, first attempt (waiting for the
+//	        commit lock, apply, publish), plus freeing the shard lock
 //	reroute whole retry attempts after a lost commit race (snapshot + route +
 //	        commit of attempts ≥ 2, attributed as one stage)
 //
-// All fields live inside the op (already heap-allocated per request), so
-// stage accounting adds zero allocations to the //wdm:hotpath shard loops —
-// TestProvisionAllocs pins that budget.
+// All fields live inside the op, so stage accounting adds zero allocations
+// to the //wdm:hotpath shard loops — TestProvisionAllocs pins that budget.
 type stageNanos struct {
 	queue   int64
 	snap    int64
@@ -72,14 +72,12 @@ func (e *Engine) observeStages(o *op) {
 }
 
 // ShardStats is one shard's attribution row in /status: which shard is
-// hot, how often its optimistic admissions lose the commit race, and how
-// deep its queue is right now.
+// hot, and how often its optimistic admissions lose the commit race.
 type ShardStats struct {
 	Shard     int   `json:"shard"`
 	Ops       int64 `json:"ops"`
 	Conflicts int64 `json:"conflicts"`
 	Retries   int64 `json:"retries"`
-	QueueLen  int   `json:"queue_len"`
 }
 
 // shardDetail snapshots the per-shard attribution counters.
@@ -91,14 +89,13 @@ func (e *Engine) shardDetail() []ShardStats {
 			Ops:       sh.ops.Load(),
 			Conflicts: sh.conflicts.Load(),
 			Retries:   sh.retries.Load(),
-			QueueLen:  len(sh.q),
 		}
 	}
 	return out
 }
 
 // noteContention charges commit-time reservation conflicts to the links that
-// caused them. It runs on the committer goroutine right after the failed
+// caused them. It runs under the commit lock right after the failed
 // reservation rolled back, so a hop whose wavelength is unavailable in cur is
 // exactly a hop some other connection beat this op to.
 func (e *Engine) noteContention(o *op) {

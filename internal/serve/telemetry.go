@@ -26,8 +26,6 @@ const (
 	SeriesReroutes = "reroutes"
 	// SeriesEpochs counts epochs published per window.
 	SeriesEpochs = "epochs"
-	// SeriesBatchFill is the mean committed batch size per window.
-	SeriesBatchFill = "batch_fill"
 	// SeriesActiveConns gauges the live connection count at each seal.
 	SeriesActiveConns = "active_conns"
 	// SeriesLinkLoadMean / SeriesLinkLoadMax gauge per-link ρ(e) aggregates
@@ -64,12 +62,11 @@ const (
 // A ticker goroutine is the only thing that advances the windows, which
 // therefore seal even when the daemon is idle; a sample belongs to the
 // window that is open when the seal reads it. The collector-owned gauges are
-// set at seal time (the probe below) and once per committed batch (fill, by
-// the committer). A nil telemetry (window <= 0) is permanently off.
+// set at seal time (the probe below). A nil telemetry (window <= 0) is
+// permanently off.
 type telemetry struct {
 	col *timeseries.Collector
 
-	fill     *timeseries.Gauge
 	active   *timeseries.Gauge
 	loadMean *timeseries.Gauge
 	loadMax  *timeseries.Gauge
@@ -110,7 +107,6 @@ func newTelemetry(e *Engine, window float64, retention int) *telemetry {
 	col.Histogram(SeriesStageDecode, m.stageDecode.Hist())
 	t := &telemetry{
 		col:      col,
-		fill:     col.Gauge(SeriesBatchFill),
 		active:   col.Gauge(SeriesActiveConns),
 		loadMean: col.Gauge(SeriesLinkLoadMean),
 		loadMax:  col.Gauge(SeriesLinkLoadMax),
