@@ -71,8 +71,8 @@ func main() {
 		os.Exit(1)
 	}
 
-	// A single request is cheap, so tracing is always on: the explain report
-	// is the trace payload, rendered with -explain and discarded otherwise.
+	// A single request is cheap, so tracing is always on: the trace carries
+	// the explain capture, rendered with -explain and discarded otherwise.
 	tr := obs.New(obs.Config{Capacity: 1})
 	router := core.NewRouter(nil)
 	router.SetTracer(tr)
@@ -87,8 +87,8 @@ func main() {
 	}
 
 	if *explainFlag {
-		rep, okRep := payload(tr.Flight().Find(router.LastTraceID()))
-		if !okRep {
+		rep := explain.Of(tr.Flight().Find(router.LastTraceID()))
+		if rep == nil {
 			fmt.Fprintf(os.Stderr, "internal error: no explain report for request %d→%d\n", *s, *t)
 			os.Exit(1)
 		}
@@ -121,12 +121,4 @@ func main() {
 		fmt.Printf("  (MinCog threshold ϑ = %.4g after %d rounds)", r.Threshold, r.Iterations)
 	}
 	fmt.Println()
-}
-
-func payload(tc *obs.Trace) (*explain.Report, bool) {
-	if tc == nil {
-		return nil, false
-	}
-	rep, ok := tc.Payload.(*explain.Report)
-	return rep, ok
 }

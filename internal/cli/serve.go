@@ -131,8 +131,8 @@ func DebugMux(o DebugOpts) *http.ServeMux {
 			http.Error(w, fmt.Sprintf("request %d not in the flight recorder (evicted or never traced)", id), http.StatusNotFound)
 			return
 		}
-		rep, ok := tc.Payload.(*explain.Report)
-		if !ok {
+		rep := explain.Of(tc)
+		if rep == nil {
 			http.Error(w, fmt.Sprintf("request %d has no explain report (status %s)", id, tc.Status), http.StatusNotFound)
 			return
 		}

@@ -112,3 +112,43 @@ func TestWarmRouterSnapshotStreamAllocBudget(t *testing.T) {
 		t.Errorf("warm Router.MinLoad over a snapshot stream = %.0f allocs/op, budget %d", allocs, minLoadAllocBudget)
 	}
 }
+
+// TestTracedMinLoadCostAddsNoAllocs pins the recycling flight recorder: once
+// the ring has wrapped and its recycled buffers have grown to the largest
+// request shape, a traced MinLoadCost — spans, attributes, the explain
+// capture, the flight-recorder hand-over — allocates exactly as much as the
+// same request untraced. The pairs vary, so recycled buffers meet requests
+// of different hop counts and MinCog round counts.
+func TestTracedMinLoadCostAddsNoAllocs(t *testing.T) {
+	net := topo.NSFNET(topo.Config{W: 8})
+	pairs := [][2]int{{0, 9}, {2, 11}, {1, 13}, {5, 12}, {3, 7}, {4, 10}}
+	const capacity = 4
+	tr := obs.New(obs.Config{Capacity: capacity})
+	traced := NewRouter(nil)
+	traced.SetTracer(tr)
+	plain := NewRouter(nil)
+
+	measure := func(r *Router) float64 {
+		i := 0
+		route := func() {
+			p := pairs[i%len(pairs)]
+			i++
+			if _, ok := r.MinLoadCost(net, p[0], p[1]); !ok {
+				t.Fatalf("MinLoadCost %d→%d failed", p[0], p[1])
+			}
+		}
+		for w := 0; w < 20*len(pairs)*(capacity+1); w++ {
+			route()
+		}
+		i = 0
+		return testing.AllocsPerRun(10*len(pairs), route)
+	}
+	base, withTracer := measure(plain), measure(traced)
+	if total := tr.Flight().Total(); total <= capacity {
+		t.Fatalf("flight recorder saw %d traces; the ring never wrapped", total)
+	}
+	if withTracer != base {
+		t.Errorf("tracing adds %.1f allocs/op to a warm MinLoadCost once the ring has wrapped (%.1f traced vs %.1f untraced)",
+			withTracer-base, withTracer, base)
+	}
+}

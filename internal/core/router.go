@@ -102,7 +102,7 @@ func NewRouter(opts *Options) *Router {
 
 // SetTracer attaches a request tracer: every subsequent routing call opens a
 // trace, records its phases (skeleton build, reweight, Suurballe, Lemma 2
-// refinement, MinCog rounds) as spans, attaches an *explain.Report payload on
+// refinement, MinCog rounds) as spans, captures its explain report on
 // success, and lands in the tracer's flight recorder. A nil tracer — or a
 // disabled one — restores the zero-overhead path: every obs call below is
 // nil-safe, so tracing off costs one atomic load per request and zero
@@ -124,10 +124,11 @@ func (r *Router) begin(kind string, s, t int) *obs.Trace {
 	return tc
 }
 
-// finish closes the request trace. On success it attaches the explain report
-// as the trace payload, so the debug endpoints re-render any retained request
-// without re-routing it. loadAux marks results whose AuxWeight is
-// congestion-based (G_c) and therefore not comparable to the Eq. 1 cost.
+// finish closes the request trace. On success it captures the explain
+// report's per-hop table into the trace's recycled payload, so the debug
+// endpoints render any retained request (explain.Of) without re-routing it.
+// loadAux marks results whose AuxWeight is congestion-based (G_c) and
+// therefore not comparable to the Eq. 1 cost.
 //
 //wdm:coldpath beyond clearing the workspace trace, finish does work only when a tracer is attached
 func (r *Router) finish(tc *obs.Trace, net *wdm.Network, res *Result, ok, loadAux bool) {
@@ -139,7 +140,7 @@ func (r *Router) finish(tc *obs.Trace, net *wdm.Network, res *Result, ok, loadAu
 		tc.Finish(obs.StatusBlocked)
 		return
 	}
-	rep := explain.Build(net, explain.Input{
+	explain.Capture(tc, net, explain.Input{
 		Req:        tc.Req,
 		Algorithm:  tc.Kind,
 		S:          tc.S,
@@ -154,8 +155,6 @@ func (r *Router) finish(tc *obs.Trace, net *wdm.Network, res *Result, ok, loadAu
 		Iterations: res.Iterations,
 		PathLoad:   res.PathLoad,
 	})
-	rep.AddPhases(tc)
-	tc.SetPayload(rep)
 	tc.Finish(obs.StatusOK)
 }
 

@@ -55,9 +55,9 @@ func TestRouterTracesRequest(t *testing.T) {
 	if got := traceAttr(tc, "skeleton"); got != "build" {
 		t.Errorf("skeleton attr = %v, want build", got)
 	}
-	rep, okRep := tc.Payload.(*explain.Report)
-	if !okRep {
-		t.Fatalf("payload is %T, want *explain.Report", tc.Payload)
+	rep := explain.Of(tc)
+	if rep == nil {
+		t.Fatalf("no explain report on read (payload %T)", tc.Payload)
 	}
 	if rep.Req != 1 || rep.ReportedCost != res.Cost || len(rep.Phases) == 0 {
 		t.Fatalf("report req=%d cost=%g phases=%d", rep.Req, rep.ReportedCost, len(rep.Phases))
@@ -105,7 +105,10 @@ func TestRouterTracesMinLoad(t *testing.T) {
 	if names["mincog"] != 1 || names["reweight"] != res.Iterations || names["feasible"] != res.Iterations || names["suurballe"] != 1 {
 		t.Fatalf("span census %v; want a mincog span wrapping %d reweight/feasible rounds, then 1×suurballe", names, res.Iterations)
 	}
-	rep := tc.Payload.(*explain.Report)
+	rep := explain.Of(tc)
+	if rep == nil {
+		t.Fatalf("no explain report on read (payload %T)", tc.Payload)
+	}
 	if rep.Bound.Checked {
 		t.Error("MinLoad ω is congestion-weighted; the cost bound must not be checked")
 	}
@@ -130,8 +133,8 @@ func TestRouterTracesBlockedRequest(t *testing.T) {
 	if tc == nil {
 		t.Fatal("blocked request left no trace")
 	}
-	if tc.Status != obs.StatusBlocked || tc.Payload != nil {
-		t.Fatalf("status=%q payload=%v; want blocked, nil", tc.Status, tc.Payload)
+	if tc.Status != obs.StatusBlocked || tc.Payload != nil || explain.Of(tc) != nil {
+		t.Fatalf("status=%q payload=%v; want blocked, no report", tc.Status, tc.Payload)
 	}
 }
 
@@ -161,7 +164,7 @@ func TestRouterTracerDisabled(t *testing.T) {
 
 // BenchmarkTracerOverhead quantifies E22: the warm min-cost hot path with no
 // tracer, with a disabled tracer (the production default), and with tracing
-// fully on (spans + explain report + flight recorder).
+// fully on (spans + explain capture + flight recorder).
 func BenchmarkTracerOverhead(b *testing.B) {
 	for _, mode := range []string{"none", "disabled", "enabled"} {
 		b.Run(mode, func(b *testing.B) {

@@ -45,9 +45,9 @@ func TestEventStreamJoinsFlightRecorder(t *testing.T) {
 				if tc.Status != obs.StatusOK {
 					t.Fatalf("accept event req %d maps to status %q", e.Req, tc.Status)
 				}
-				rep, ok := tc.Payload.(*explain.Report)
-				if !ok {
-					t.Fatalf("accepted req %d payload is %T, want *explain.Report", e.Req, tc.Payload)
+				rep := explain.Of(tc)
+				if rep == nil {
+					t.Fatalf("accepted req %d has no explain report (payload %T)", e.Req, tc.Payload)
 				}
 				if rep.Algorithm != "min-cost" {
 					t.Fatalf("req %d algorithm %q", e.Req, rep.Algorithm)

@@ -7,9 +7,17 @@
 // The cost recomputation deliberately mirrors the first-principles oracle
 // in internal/check term for term, in the same summation order, so a
 // report's per-path totals agree bit-exactly with check.PathCost; a test
-// in this package asserts that on generated instances. The package depends
-// only on wdm and obs (never on core), so the router can attach a *Report
-// to its trace payload without an import cycle.
+// in this package asserts that on generated instances.
+//
+// A report is captured when the request finishes and rendered when it is
+// read. Capture copies into the trace's recycled payload a pointer-free
+// per-hop table — link, endpoints, λ, w(e, λ), and each conversion's cost —
+// which depends only on link costs and converters, never on later network
+// state; Of renders the Report, phases included, when a debug endpoint,
+// wdmroute -explain or a test reads the trace. Build is the same capture
+// followed by the same render, so there is one cost decomposition. The
+// package depends only on wdm and obs (never on core), so the router can
+// attach its capture to the trace without an import cycle.
 package explain
 
 import (
@@ -119,38 +127,100 @@ type Report struct {
 // ≤ would flag round-off as a violated guarantee.
 const boundEps = 1e-9
 
-// buildPath decomposes one semilightpath. The running total mirrors
-// check.PathCost exactly: hop i's link weight is added before the
-// conversion entering hop i, identity conversions add nothing, and a
-// disallowed conversion poisons the total to +Inf.
-func buildPath(net *wdm.Network, p *wdm.Semilightpath) Path {
-	out := Path{Hops: make([]Hop, len(p.Hops))}
+// hopRec is one captured hop: the values the report reads from the network,
+// with no pointers. conv marks a conversion at this hop's head node into
+// the next hop, priced convCost (+Inf when the converter disallows it).
+type hopRec struct {
+	link, from, to int
+	lambda         wdm.Wavelength
+	w, convCost    float64
+	conv           bool
+}
+
+// captureHops appends p's hops to dst with each hop's w(e, λ) and the cost
+// of the conversion entering the next hop, read from net exactly as
+// check.PathCost reads them: identity conversions are not recorded, and a
+// disallowed conversion is priced +Inf.
+func captureHops(dst []hopRec, net *wdm.Network, p *wdm.Semilightpath) []hopRec {
 	for i, h := range p.Hops {
 		l := net.Link(h.Link)
-		w := l.Cost(h.Wavelength)
-		out.Hops[i] = Hop{Link: h.Link, From: l.From, To: l.To, Lambda: h.Wavelength, W: w}
-		out.LinkCost += w
-		out.Cost += w
+		dst = append(dst, hopRec{link: h.Link, from: l.From, to: l.To, lambda: h.Wavelength, w: l.Cost(h.Wavelength)})
 		if i > 0 {
-			prev := p.Hops[i-1].Wavelength
-			if prev != h.Wavelength {
-				v := net.Link(p.Hops[i-1].Link).To
+			prev := &dst[len(dst)-2]
+			if prev.lambda != h.Wavelength {
 				cc := math.Inf(1)
-				if net.Converter(v).Allowed(prev, h.Wavelength) {
-					cc = net.Converter(v).Cost(prev, h.Wavelength)
+				if net.Converter(prev.to).Allowed(prev.lambda, h.Wavelength) {
+					cc = net.Converter(prev.to).Cost(prev.lambda, h.Wavelength)
 				}
-				out.Hops[i-1].Conv = &Conv{Node: v, From: prev, To: h.Wavelength, Cost: cc}
-				out.ConvCost += cc
-				out.Cost += cc
+				prev.conv, prev.convCost = true, cc
 			}
+		}
+	}
+	return dst
+}
+
+// renderPath decomposes one captured semilightpath. The running total
+// mirrors check.PathCost exactly: hop i's link weight is added before the
+// conversion entering hop i, so the path cost is bit-identical to the
+// oracle's.
+func renderPath(hops []hopRec) Path {
+	out := Path{Hops: make([]Hop, len(hops))}
+	for i, h := range hops {
+		out.Hops[i] = Hop{Link: h.link, From: h.from, To: h.to, Lambda: h.lambda, W: h.w}
+		out.LinkCost += h.w
+		out.Cost += h.w
+		if i > 0 && hops[i-1].conv {
+			p := &hops[i-1]
+			out.Hops[i-1].Conv = &Conv{Node: p.to, From: p.lambda, To: h.lambda, Cost: p.convCost}
+			out.ConvCost += p.convCost
+			out.Cost += p.convCost
 		}
 	}
 	return out
 }
 
-// Build assembles the report for one routed request. Phase timings are not
-// filled in here; call AddPhases with the request's trace when one exists.
-func Build(net *wdm.Network, in Input) *Report {
+// capture is everything a Report needs from one routed request: the
+// router's scalars and the per-hop table of both paths (primary first,
+// then the backup's when backup is set). It is the trace payload the
+// router refills in place when the flight recorder recycles the trace.
+type capture struct {
+	in       Input // Primary and Backup cleared: the hops carry the paths
+	backup   bool
+	nPrimary int
+	hops     []hopRec
+}
+
+// fill captures in, reusing c's hop table by capacity.
+func (c *capture) fill(net *wdm.Network, in Input) {
+	c.hops = captureHops(c.hops[:0], net, in.Primary)
+	c.nPrimary = len(c.hops)
+	c.backup = in.Backup != nil
+	if c.backup {
+		c.hops = captureHops(c.hops, net, in.Backup)
+	}
+	in.Primary, in.Backup = nil, nil
+	c.in = in
+}
+
+// CopyPayload deep-copies the capture for a reader's copy of its trace.
+func (c *capture) CopyPayload() any {
+	cp := *c
+	cp.hops = append([]hopRec(nil), c.hops...)
+	return &cp
+}
+
+// Render is the report a flight-recorder dump carries for t.
+func (c *capture) Render(t *obs.Trace) any {
+	if r := Of(t); r != nil {
+		return r
+	}
+	return nil
+}
+
+// render assembles the report from the capture. Phase timings are filled
+// in by Of, from the request's trace.
+func (c *capture) render() *Report {
+	in := &c.in
 	r := &Report{
 		Req:          in.Req,
 		Algorithm:    in.Algorithm,
@@ -166,10 +236,10 @@ func Build(net *wdm.Network, in Input) *Report {
 		nc := in.NaiveCost
 		r.NaiveCost = &nc
 	}
-	r.Primary = buildPath(net, in.Primary)
+	r.Primary = renderPath(c.hops[:c.nPrimary])
 	r.PairCost = r.Primary.Cost
-	if in.Backup != nil {
-		b := buildPath(net, in.Backup)
+	if c.backup {
+		b := renderPath(c.hops[c.nPrimary:])
 		r.Backup = &b
 		r.PairCost += b.Cost
 	}
@@ -186,6 +256,46 @@ func Build(net *wdm.Network, in Input) *Report {
 	return r
 }
 
+// Build assembles the report for one routed request with no phase table:
+// the capture a traced request takes at finish, rendered at once.
+func Build(net *wdm.Network, in Input) *Report {
+	var c capture
+	c.fill(net, in)
+	return c.render()
+}
+
+// Capture records in as tc's payload, refilling the capture tc's recycled
+// buffer carried (if any) in place, so a warm traced request allocates
+// nothing here. The report is rendered later, by Of. No-op on a nil trace.
+func Capture(tc *obs.Trace, net *wdm.Network, in Input) {
+	if tc == nil {
+		return
+	}
+	c, _ := tc.Recycled().(*capture)
+	if c == nil {
+		c = &capture{}
+	}
+	c.fill(net, in)
+	tc.SetPayload(c)
+}
+
+// Of renders the report of a traced request, phases included, from a
+// reader's copy of its trace (FlightRecorder.Find or Snapshot). It returns
+// nil when the trace carries no capture — a blocked or failed request, or
+// one traced by a producer that records no report.
+func Of(t *obs.Trace) *Report {
+	if t == nil {
+		return nil
+	}
+	c, ok := t.Payload.(*capture)
+	if !ok {
+		return nil
+	}
+	r := c.render()
+	r.addPhases(t)
+	return r
+}
+
 // phaseTerm maps router span names onto the Theorem 1 complexity terms
 // (the same attribution DESIGN.md §7 uses for the phase timers).
 var phaseTerm = map[string]string{
@@ -197,12 +307,9 @@ var phaseTerm = map[string]string{
 	"mincog":         "MinCog threshold search (§4.1 doubling rounds)",
 }
 
-// AddPhases aggregates the trace's spans by name into the report's phase
-// table, in first-appearance order. A nil trace leaves the report as-is.
-func (r *Report) AddPhases(t *obs.Trace) {
-	if t == nil {
-		return
-	}
+// addPhases aggregates the trace's spans by name into the report's phase
+// table, in first-appearance order.
+func (r *Report) addPhases(t *obs.Trace) {
 	idx := map[string]int{}
 	for i := range t.Spans {
 		sp := &t.Spans[i]

@@ -165,9 +165,16 @@ func TestTwoStepHasNoBound(t *testing.T) {
 	}
 }
 
+// TestAddPhases: Of aggregates the trace's spans by name into the report's
+// phase table, in first-appearance order, on top of the captured report.
 func TestAddPhases(t *testing.T) {
+	net := topo.NSFNET(topo.Config{W: 4})
+	res, ok := core.NewRouter(nil).MinLoad(net, 0, 9)
+	if !ok {
+		t.Fatal("MinLoad failed")
+	}
 	tr := obs.New(obs.Config{})
-	tc := tr.Start("min-load", 0, 1)
+	tc := tr.Start("min-load", 0, 9)
 	for i := 0; i < 3; i++ {
 		sp := tc.Begin("reweight")
 		time.Sleep(time.Microsecond)
@@ -175,10 +182,15 @@ func TestAddPhases(t *testing.T) {
 	}
 	sp := tc.Begin("suurballe")
 	tc.EndSpan(sp)
+	in := input("min-load", 0, 9, res)
+	in.Req = tc.Req
+	explain.Capture(tc, net, in)
 	tc.Finish(obs.StatusOK)
 
-	rep := &explain.Report{}
-	rep.AddPhases(tc)
+	rep := explain.Of(tr.Flight().Find(1))
+	if rep == nil {
+		t.Fatal("Of found no report on a captured trace")
+	}
 	if len(rep.Phases) != 2 {
 		t.Fatalf("phase count = %d, want 2", len(rep.Phases))
 	}
@@ -188,9 +200,17 @@ func TestAddPhases(t *testing.T) {
 	if !strings.Contains(rep.Phases[1].Term, "Suurballe") && !strings.Contains(rep.Phases[1].Term, "pair search") {
 		t.Fatalf("suurballe term %q not mapped", rep.Phases[1].Term)
 	}
-	rep.AddPhases(nil) // no-op
-	if len(rep.Phases) != 2 {
-		t.Fatal("AddPhases(nil) mutated the report")
+	if rep.Req != 1 || rep.Algorithm != "min-load" || len(rep.Primary.Hops) != res.Primary.Len() {
+		t.Fatalf("report req=%d algo=%q hops=%d", rep.Req, rep.Algorithm, len(rep.Primary.Hops))
+	}
+	if explain.Of(nil) != nil {
+		t.Fatal("Of(nil) rendered a report")
+	}
+	blocked := tr.Start("min-load", 0, 9)
+	id := blocked.Req
+	blocked.Finish(obs.StatusBlocked)
+	if explain.Of(tr.Flight().Find(id)) != nil {
+		t.Fatal("Of rendered a report for a trace with no capture")
 	}
 }
 

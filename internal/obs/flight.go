@@ -15,14 +15,18 @@ const DefaultCapacity = 256
 
 // FlightRecorder is a fixed-size ring of finished request traces: the last
 // N requests are always available for a dump, like an aircraft flight
-// recorder. Add/Snapshot/Find/Dump are safe for concurrent use; the traces
-// themselves are immutable after Finish, so dumping never blocks recording
-// for longer than the ring copy.
+// recorder. Snapshot/Find/Dump are safe for concurrent use with the traces
+// landing. The ring owns its traces: Trace.Finish hands a trace over, an
+// evicted trace goes onto a free list that Start draws from, and readers get
+// deep copies, so no reader ever sees a buffer that is being recycled. A
+// reader holds the lock only to pin the traces it copies; the copying runs
+// after it is released.
 type FlightRecorder struct {
 	mu    sync.Mutex
 	buf   []*Trace // ring storage, len == capacity
 	next  int      // next write position
 	total int64    // traces ever added
+	free  []*Trace // evicted buffers awaiting reuse by Tracer.Start
 }
 
 // NewFlightRecorder returns a recorder retaining the last capacity traces
@@ -34,16 +38,60 @@ func NewFlightRecorder(capacity int) *FlightRecorder {
 	return &FlightRecorder{buf: make([]*Trace, capacity)}
 }
 
-// Add appends a finished trace, evicting the oldest when full. No-op on nil.
-func (f *FlightRecorder) Add(t *Trace) {
-	if f == nil || t == nil {
-		return
-	}
+// add swaps a finished trace into the next ring slot and moves the evicted
+// trace onto the free list, unless a reader has it pinned; the recorder owns
+// t from then on. With withCopy it also returns a reader's copy of t.
+func (f *FlightRecorder) add(t *Trace, withCopy bool) *Trace {
 	f.mu.Lock()
+	if old := f.buf[f.next]; old != nil {
+		if old.pins > 0 {
+			old.evicted = true
+		} else {
+			f.free = append(f.free, old)
+		}
+	}
 	f.buf[f.next] = t
 	f.next = (f.next + 1) % len(f.buf)
 	f.total++
+	if withCopy {
+		t.pins++
+	}
 	f.mu.Unlock()
+	if !withCopy {
+		return nil
+	}
+	c := t.readerCopy()
+	f.unpin(t)
+	return c
+}
+
+// unpin releases readers' pins, moving a trace evicted while pinned onto
+// the free list once its last pin is gone.
+func (f *FlightRecorder) unpin(ts ...*Trace) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	for _, t := range ts {
+		t.pins--
+		if t.pins == 0 && t.evicted {
+			t.evicted = false
+			f.free = append(f.free, t)
+		}
+	}
+}
+
+// take pops an evicted buffer off the free list, or returns nil when there
+// is none (the ring has not wrapped yet).
+func (f *FlightRecorder) take() *Trace {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	n := len(f.free)
+	if n == 0 {
+		return nil
+	}
+	t := f.free[n-1]
+	f.free[n-1] = nil
+	f.free = f.free[:n-1]
+	return t
 }
 
 // Len returns the number of retained traces (≤ capacity).
@@ -69,40 +117,65 @@ func (f *FlightRecorder) Total() int64 {
 	return f.total
 }
 
-// Snapshot returns the retained traces, oldest first.
+// Snapshot returns copies of the retained traces, oldest first.
 func (f *FlightRecorder) Snapshot() []*Trace {
+	return f.copies(func(*Trace) bool { return true })
+}
+
+// copies returns reader's copies of the retained traces that keep reports
+// true, oldest first. The traces are pinned under the lock and copied after
+// it is released.
+func (f *FlightRecorder) copies(keep func(*Trace) bool) []*Trace {
 	if f == nil {
 		return nil
 	}
+	n := len(f.buf) // fixed at construction
+	pinned := make([]*Trace, 0, n)
 	f.mu.Lock()
-	defer f.mu.Unlock()
-	n := len(f.buf)
-	out := make([]*Trace, 0, n)
 	start := f.next // oldest slot once the ring has wrapped
 	if f.total < int64(n) {
 		start = 0
 	}
 	for i := 0; i < n; i++ {
-		if t := f.buf[(start+i)%n]; t != nil {
-			out = append(out, t)
+		if t := f.buf[(start+i)%n]; t != nil && keep(t) {
+			t.pins++
+			pinned = append(pinned, t)
 		}
 	}
+	f.mu.Unlock()
+	if len(pinned) == 0 {
+		return nil
+	}
+	out := make([]*Trace, len(pinned))
+	for i, t := range pinned {
+		out[i] = t.readerCopy()
+	}
+	f.unpin(pinned...)
 	return out
 }
 
-// Find returns the retained trace with the given request ID, or nil.
+// Find returns a copy of the retained trace with the given request ID, or
+// nil.
 func (f *FlightRecorder) Find(req int64) *Trace {
 	if f == nil {
 		return nil
 	}
 	f.mu.Lock()
-	defer f.mu.Unlock()
+	var found *Trace
 	for _, t := range f.buf {
 		if t != nil && t.Req == req {
-			return t
+			t.pins++
+			found = t
+			break
 		}
 	}
-	return nil
+	f.mu.Unlock()
+	if found == nil {
+		return nil
+	}
+	c := found.readerCopy()
+	f.unpin(found)
+	return c
 }
 
 // traceJSON is the JSONL wire form of one trace. Attributes render as maps
@@ -152,6 +225,9 @@ func wire(t *Trace) traceJSON {
 		Attrs:   attrMap(t.Attrs),
 		Payload: t.Payload,
 	}
+	if p, ok := t.Payload.(OwnedPayload); ok {
+		j.Payload = p.Render(t)
+	}
 	for i := range t.Spans {
 		sp := &t.Spans[i]
 		j.Spans = append(j.Spans, spanJSON{
@@ -190,10 +266,7 @@ func (f *FlightRecorder) DumpReq(w io.Writer, req int64) (bool, error) {
 	bw := bufio.NewWriter(w)
 	enc := json.NewEncoder(bw)
 	found := false
-	for _, t := range f.Snapshot() {
-		if t.Req != req {
-			continue
-		}
+	for _, t := range f.copies(func(t *Trace) bool { return t.Req == req }) {
 		found = true
 		if err := enc.Encode(wire(t)); err != nil {
 			return found, fmt.Errorf("obs: %w", err)

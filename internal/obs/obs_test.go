@@ -48,7 +48,6 @@ func TestNilSafety(t *testing.T) {
 	tc.Finish(StatusOK)
 
 	var fr *FlightRecorder
-	fr.Add(nil)
 	if fr.Len() != 0 || fr.Total() != 0 || fr.Snapshot() != nil || fr.Find(1) != nil {
 		t.Error("nil flight recorder is not empty")
 	}
@@ -89,24 +88,33 @@ func TestMonotonicIDsAndSpans(t *testing.T) {
 	a.Finish(StatusOK)
 	b.Finish(StatusBlocked)
 
-	if got := len(a.Spans); got != 1 {
+	// The recorder owns finished traces; readers see copies with the
+	// exported spans and attributes filled in.
+	ra, rb := tr.Flight().Find(1), tr.Flight().Find(2)
+	if ra == nil || rb == nil {
+		t.Fatal("Find did not return the recorded traces")
+	}
+	if ra == a || rb == b {
+		t.Error("Find returned the recorder's buffer, not a reader's copy")
+	}
+	if got := len(ra.Spans); got != 1 {
 		t.Fatalf("span count = %d, want 1", got)
 	}
-	s := a.Spans[0]
+	s := ra.Spans[0]
 	if s.Name != "suurballe" || s.T1 < s.T0 || s.Dur() < 0 {
 		t.Errorf("bad span %+v", s)
 	}
 	if len(s.Attrs) != 2 || s.Attrs[0].Value() != int64(17) || s.Attrs[1].Value() != true {
 		t.Errorf("bad span attrs %+v", s.Attrs)
 	}
-	if a.Status != StatusOK || b.Status != StatusBlocked {
-		t.Errorf("statuses = %q, %q", a.Status, b.Status)
+	if len(ra.Attrs) != 2 || ra.Attrs[0].Value() != "miss" || ra.Attrs[1].Value() != 3.5 {
+		t.Errorf("bad request attrs %+v", ra.Attrs)
+	}
+	if ra.Status != StatusOK || rb.Status != StatusBlocked || ra.Kind != "min-cost" || rb.S != 2 || rb.T != 3 {
+		t.Errorf("copies = %+v, %+v", ra, rb)
 	}
 	if got := tr.Flight().Len(); got != 2 {
 		t.Errorf("flight recorder holds %d traces, want 2", got)
-	}
-	if tr.Flight().Find(1) != a || tr.Flight().Find(2) != b {
-		t.Error("Find did not return the recorded traces")
 	}
 	if tr.Flight().Find(99) != nil {
 		t.Error("Find invented a trace")
@@ -118,7 +126,7 @@ func TestUnendedSpanHasZeroDur(t *testing.T) {
 	tc := tr.Start("min-cost", 0, 1)
 	tc.Begin("never-ended")
 	tc.Finish(StatusOK)
-	if d := tc.Spans[0].Dur(); d != 0 {
+	if d := tr.Flight().Find(1).Spans[0].Dur(); d != 0 {
 		t.Errorf("unended span Dur = %v, want 0", d)
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"strconv"
+	"sync"
 	"time"
 
 	"repro/internal/cli"
@@ -172,16 +173,34 @@ func writeResponse(w http.ResponseWriter, resp Response) {
 // line-oriented tools reading /status.
 func writeJSON(w http.ResponseWriter, v any) { encodeJSON(w, v, "  ") }
 
+// jsonEncoder is a response buffer with its encoder, pooled across
+// responses so encoding allocates neither.
+type jsonEncoder struct {
+	buf bytes.Buffer
+	enc *json.Encoder
+}
+
+var jsonEncoders = sync.Pool{New: func() any {
+	je := &jsonEncoder{}
+	je.enc = json.NewEncoder(&je.buf)
+	return je
+}}
+
+// jsonContentType is the shared Content-Type header value of every JSON
+// response (net/http never mutates header value slices in place).
+var jsonContentType = []string{"application/json"}
+
 // encodeJSON encodes v into a buffer first so an encoding failure can still
 // change the status code (nothing committed to the wire yet).
 func encodeJSON(w http.ResponseWriter, v any, indent string) {
-	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
-	enc.SetIndent("", indent)
-	if err := enc.Encode(v); err != nil {
+	je := jsonEncoders.Get().(*jsonEncoder)
+	je.buf.Reset()
+	je.enc.SetIndent("", indent)
+	if err := je.enc.Encode(v); err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
+	} else {
+		w.Header()["Content-Type"] = jsonContentType
+		_, _ = w.Write(je.buf.Bytes())
 	}
-	w.Header().Set("Content-Type", "application/json")
-	_, _ = buf.WriteTo(w)
+	jsonEncoders.Put(je)
 }

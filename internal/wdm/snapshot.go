@@ -1,5 +1,7 @@
 package wdm
 
+import "repro/internal/bitset"
+
 // CloneSince returns a deep-enough copy of g for publication as an immutable
 // read snapshot, sharing storage with prev — a frozen clone of the same
 // network taken when g.StateVersion() was prevVersion — for every link whose
@@ -8,7 +10,10 @@ package wdm
 // admission batch touching b links out of m, publishing the next snapshot
 // costs O(b) link copies instead of O(m·W/64), and the shared *Link records
 // are safe because both snapshots are frozen — only the authoritative
-// mutable network ever writes availability sets, and it shares nothing.
+// mutable network ever writes availability sets, and it shares nothing. The
+// b copied records, their availability sets and the sets' words are carved
+// from three slabs, one of each per publish, so a publish makes a constant
+// number of allocations whatever b is.
 //
 // Per-link wavelength inventories (Λ(e)) and cost tables are shared with g
 // itself: they are write-once at AddLink and never mutated afterwards.
@@ -38,6 +43,16 @@ func (g *Network) CloneSince(prev *Network, prevVersion uint64) *Network {
 		stamp:        append([]uint64(nil), g.stamp...),
 		lineage:      g.lineage,
 	}
+	touched, words := 0, 0
+	for i, l := range g.links {
+		if g.stamp[i] > prevVersion {
+			touched++
+			words += l.avail.Words()
+		}
+	}
+	recs := make([]Link, touched)
+	sets := make([]bitset.Set, touched)
+	buf := make([]uint64, words)
 	c.links = make([]*Link, len(g.links))
 	for i, l := range g.links {
 		if g.stamp[i] <= prevVersion {
@@ -45,14 +60,18 @@ func (g *Network) CloneSince(prev *Network, prevVersion uint64) *Network {
 			c.links[i] = prev.links[i]
 			continue
 		}
-		c.links[i] = &Link{
+		rec, set := &recs[0], &sets[0]
+		recs, sets = recs[1:], sets[1:]
+		buf = l.avail.CloneInto(set, buf)
+		*rec = Link{
 			ID:     l.ID,
 			From:   l.From,
 			To:     l.To,
 			lambda: l.lambda, // write-once after AddLink; safe to share with g
-			avail:  l.avail.Clone(),
+			avail:  set,
 			cost:   l.cost, // write-once after AddLink; safe to share with g
 		}
+		c.links[i] = rec
 	}
 	return c
 }

@@ -102,6 +102,67 @@ func TestCloneSinceSnapshotIsolation(t *testing.T) {
 	}
 }
 
+// TestCloneSinceSlabRecordsStayFrozen: a publish carves its copied link
+// records from shared slabs, so every published snapshot must keep showing
+// exactly the state it was taken at while the writer keeps mutating and
+// publishing over a long chain of epochs.
+func TestCloneSinceSlabRecordsStayFrozen(t *testing.T) {
+	net := NewNetwork(6, 70) // two words per availability set
+	for v := 0; v < 6; v++ {
+		net.AddUniformPair(v, (v+1)%6, 1)
+		net.AddUniformPair(v, (v+2)%6, 2)
+	}
+	type frozen struct {
+		snap  *Network
+		avail [][]int
+	}
+	record := func(s *Network) frozen {
+		f := frozen{snap: s}
+		for id := 0; id < s.Links(); id++ {
+			f.avail = append(f.avail, s.Link(id).Avail().Slice())
+		}
+		return f
+	}
+	snaps := []frozen{record(net.CloneSince(nil, 0))}
+	v := net.StateVersion()
+	used := map[[2]int]bool{}
+	for epoch := 1; epoch <= 200; epoch++ {
+		for k := 0; k < 1+epoch%4; k++ { // touch a few links per epoch
+			id, lam := (epoch*7+k*5)%net.Links(), (epoch*13+k*29)%net.W()
+			key := [2]int{id, lam}
+			var err error
+			if used[key] {
+				err = net.Release(id, lam)
+			} else {
+				err = net.Use(id, lam)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			used[key] = !used[key]
+		}
+		snaps = append(snaps, record(net.CloneSince(snaps[len(snaps)-1].snap, v)))
+		v = net.StateVersion()
+	}
+	if !availEqual(snaps[len(snaps)-1].snap, net) {
+		t.Fatal("latest snapshot differs from the writer")
+	}
+	for i, f := range snaps {
+		for id := 0; id < f.snap.Links(); id++ {
+			l := f.snap.Link(id)
+			got := l.Avail().Slice()
+			if len(got) != len(f.avail[id]) || l.ID != id || l.Avail().Cap() != net.W() {
+				t.Fatalf("epoch %d link %d changed after publish: %v, published %v", i, id, got, f.avail[id])
+			}
+			for j := range got {
+				if got[j] != f.avail[id][j] {
+					t.Fatalf("epoch %d link %d changed after publish: %v, published %v", i, id, got, f.avail[id])
+				}
+			}
+		}
+	}
+}
+
 func TestCloneSinceTopoChangeFallsBackToFullClone(t *testing.T) {
 	net := snapNet(t)
 	snap0 := net.Clone()
