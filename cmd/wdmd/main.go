@@ -27,6 +27,7 @@ import (
 	"time"
 
 	"repro/internal/cli"
+	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/serve"
 	"repro/internal/slo"
@@ -71,7 +72,7 @@ func main() {
 	flag.Parse()
 	cli.HandleVersion(*version)
 
-	algorithm, err := serve.ParseAlgo(*algo)
+	algorithm, err := core.ParseAlgorithm(*algo)
 	if err != nil {
 		fatal(err)
 	}

@@ -180,7 +180,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	algorithm, err := cli.ParseAlgorithm(*algo)
+	algorithm, err := core.ParseAlgorithm(*algo)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)

@@ -579,7 +579,7 @@ func E18(o Options) *Table {
 		wls = wls[:2]
 	}
 	for _, w := range wls {
-		for _, algo := range []netsim.Algorithm{netsim.MinCost, netsim.MinLoadCost} {
+		for _, algo := range []core.Algorithm{core.MinCost, core.MinLoadCost} {
 			w := w
 			algo := algo
 			bl, _, ml, xl, _, _, _, _ := runDynamic(o, func(seed int64) (*netsim.Sim, []workload.Request) {

@@ -79,7 +79,7 @@ func E4(o Options) *Table {
 		count = 200
 	}
 	for _, erl := range erlangs {
-		for _, algo := range []netsim.Algorithm{netsim.MinCost, netsim.MinLoadCost} {
+		for _, algo := range []core.Algorithm{core.MinCost, core.MinLoadCost} {
 			algo := algo
 			erl := erl
 			bl, rc, ml, xl, cost, _, _, _ := runDynamic(o, func(seed int64) (*netsim.Sim, []workload.Request) {
@@ -190,8 +190,8 @@ func E10(o Options) *Table {
 	for _, tp := range topos {
 		for _, erl := range erlangs {
 			row := []string{tp, fmtF(erl)}
-			for _, algo := range []netsim.Algorithm{
-				netsim.MinCost, netsim.MinLoad, netsim.MinLoadCost, netsim.TwoStep,
+			for _, algo := range []core.Algorithm{
+				core.MinCost, core.MinLoad, core.MinLoadCost, core.TwoStep,
 			} {
 				algo := algo
 				erl := erl

@@ -47,21 +47,6 @@ func LoadOrBuild(file, name string, n, w int, seed int64) (*wdm.Network, error) 
 	return BuildTopology(name, n, w, seed)
 }
 
-// ParseAlgorithm maps a -algo value to the simulator enum.
-func ParseAlgorithm(s string) (netsim.Algorithm, error) {
-	switch s {
-	case "min-cost":
-		return netsim.MinCost, nil
-	case "min-load":
-		return netsim.MinLoad, nil
-	case "min-load-cost":
-		return netsim.MinLoadCost, nil
-	case "two-step":
-		return netsim.TwoStep, nil
-	}
-	return 0, fmt.Errorf("unknown algorithm %q (min-cost, min-load, min-load-cost, two-step)", s)
-}
-
 // ParseRestoration maps a -restore value to the simulator enum.
 func ParseRestoration(s string) (netsim.Restoration, error) {
 	switch s {

@@ -57,22 +57,6 @@ func TestLoadOrBuild(t *testing.T) {
 	}
 }
 
-func TestParseAlgorithm(t *testing.T) {
-	want := map[string]netsim.Algorithm{
-		"min-cost": netsim.MinCost, "min-load": netsim.MinLoad,
-		"min-load-cost": netsim.MinLoadCost, "two-step": netsim.TwoStep,
-	}
-	for s, algo := range want {
-		got, err := ParseAlgorithm(s)
-		if err != nil || got != algo {
-			t.Fatalf("ParseAlgorithm(%q) = %v, %v", s, got, err)
-		}
-	}
-	if _, err := ParseAlgorithm("dijkstra"); err == nil {
-		t.Fatal("unknown algorithm accepted")
-	}
-}
-
 func TestParseRestoration(t *testing.T) {
 	if r, err := ParseRestoration("active"); err != nil || r != netsim.Active {
 		t.Fatal("active failed")

@@ -34,15 +34,16 @@ func TestNilTelemetryAddsNoAllocs(t *testing.T) {
 
 // simLoopAllocBudget is the whole-run allocation budget for the headline
 // NSFNET dynamic scenario (200 arrivals, candidate tier on): network clone +
-// shared-skeleton build + event/pool warm-up plus the residual per-arrival
-// cost. Measured ~1.8k; the margin absorbs runtime and map-layout noise
-// without letting a leaked per-arrival allocation (≥ 200/run) slip through.
-const simLoopAllocBudget = 2600
+// shared-skeleton build + event and connection-record warm-up plus the
+// residual per-arrival cost. Measured ~1.7k; the margin absorbs runtime and
+// map-layout noise without letting a leaked per-arrival allocation
+// (≥ 200/run) slip through.
+const simLoopAllocBudget = 2530
 
 // TestSimLoopAllocBudget pins the simulator's steady-state allocation
-// behavior end to end: pooled conn/path storage, the value-heap event queue,
-// arena-backed routing results, and the incremental-reweight path together
-// must keep a full 200-arrival run under the budget.
+// behavior end to end: recycled connection-table records, the value-heap
+// event queue, arena-backed routing results, and the incremental-reweight
+// path together must keep a full 200-arrival run under the budget.
 func TestSimLoopAllocBudget(t *testing.T) {
 	reqs := workload.Poisson(workload.PoissonConfig{
 		Nodes: 14, ArrivalRate: 10, MeanHolding: 2, Count: 200, Seed: 7,

@@ -15,8 +15,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 
+	"repro/internal/conns"
 	"repro/internal/core"
 	"repro/internal/lightpath"
 	"repro/internal/obs"
@@ -26,48 +26,13 @@ import (
 	"repro/internal/workload"
 )
 
-// Algorithm selects the routing discipline for arrivals.
-type Algorithm int
-
+// The routing disciplines for arrivals (Config.Algorithm).
 const (
-	// MinCost is ApproxMinCost (§3.3) — cost only.
-	MinCost Algorithm = iota
-	// MinLoad is Find_Two_Paths_MinCog (§4.1) — load only.
-	MinLoad
-	// MinLoadCost is the two-phase §4.2 algorithm — load then cost.
-	MinLoadCost
-	// TwoStep is the naive shortest-then-remove baseline.
-	TwoStep
+	MinCost     = core.MinCost
+	MinLoad     = core.MinLoad
+	MinLoadCost = core.MinLoadCost
+	TwoStep     = core.TwoStep
 )
-
-func (a Algorithm) String() string {
-	switch a {
-	case MinCost:
-		return "min-cost"
-	case MinLoad:
-		return "min-load"
-	case MinLoadCost:
-		return "min-load-cost"
-	case TwoStep:
-		return "two-step"
-	}
-	return fmt.Sprintf("Algorithm(%d)", int(a))
-}
-
-// routeWith dispatches to the simulator's reusable core router.
-func (a Algorithm) routeWith(r *core.Router, net *wdm.Network, s, t int) (*core.Result, bool) {
-	switch a {
-	case MinCost:
-		return r.ApproxMinCost(net, s, t)
-	case MinLoad:
-		return r.MinLoad(net, s, t)
-	case MinLoadCost:
-		return r.MinLoadCost(net, s, t)
-	case TwoStep:
-		return r.TwoStepMinCost(net, s, t)
-	}
-	panic("netsim: unknown algorithm")
-}
 
 // Restoration selects the failure-handling discipline.
 type Restoration int
@@ -90,7 +55,7 @@ func (r Restoration) String() string {
 
 // Config parameterises a simulation run.
 type Config struct {
-	Algorithm   Algorithm
+	Algorithm   core.Algorithm
 	Restoration Restoration
 	Opts        *core.Options
 
@@ -205,13 +170,10 @@ func (m *Metrics) MeanLoad() float64 {
 	return m.LoadIntegral / m.Horizon
 }
 
-// conn is a live connection.
-type conn struct {
-	id      int
-	s, d    int
-	req     int64 // obs request ID that admitted it (-1 when untraced)
-	primary *wdm.Semilightpath
-	backup  *wdm.Semilightpath // nil under Passive or after a switchover
+// connMeta is the simulator's own data on a live connection, carried in its
+// connection-table record.
+type connMeta struct {
+	req     int64 // obs request ID of the trace that placed its pair (-1 when untraced)
 	arrived float64
 	holding float64 // +Inf for permanent connections
 }
@@ -288,7 +250,7 @@ func (q *eventQueue) pop() event {
 
 // Sim is a single simulation instance. Create with New, drive with Run.
 type Sim struct {
-	net    *wdm.Network
+	tab    *conns.Table[connMeta] // the network and its live connections
 	cfg    Config
 	rng    *rand.Rand
 	router *core.Router // reused across every arrival and reconfiguration
@@ -296,9 +258,6 @@ type Sim struct {
 	q   eventQueue
 	seq uint64 // next event sequence number
 
-	conns        map[int]*conn
-	down         []bool
-	forced       [][]wdm.Wavelength // force-locked wavelengths per down link
 	lastReconfig float64
 	arrivals     int  // total arrivals processed (warm-up accounting)
 	failIdx      int  // round-robin cursor into cfg.FailureLinks
@@ -306,18 +265,19 @@ type Sim struct {
 	lastT        float64
 	traceErr     error // first error the trace recorder returned
 	m            Metrics
+	up           []int // scratch for the random failure target
 
-	// Free lists: conn structs and semilightpath storage cycle between the
-	// pools and the live-connection table, so the steady-state event loop
-	// allocates nothing per arrival/departure.
-	connPool []*conn
-	slPool   []*wdm.Semilightpath
-	ids      []int // scratch for the deterministic connection sweeps
-
-	// defaultRoute is the Algorithm-backed routing closure used when the
-	// config supplies no RouteFunc. Built once in New so the arrival hot
-	// path never allocates a fresh closure per request.
+	// defaultRoute routes arrivals with cfg.Algorithm when the config
+	// supplies no RouteFunc; reconfigPair and restorePair are the reroute
+	// steps of reconfiguration and passive restoration. All three are built
+	// once in New so no event allocates a fresh closure.
 	defaultRoute func(net *wdm.Network, a, b int) (*core.Result, bool)
+	reconfigPair conns.Step[connMeta]
+	restorePair  conns.Step[connMeta]
+
+	// afterEvent, when non-nil, runs after every processed event (a test
+	// hook for auditing the connection table mid-run).
+	afterEvent func()
 }
 
 // New returns a simulator over a private clone of the network.
@@ -328,8 +288,8 @@ func New(net *wdm.Network, cfg Config) *Sim {
 	if cfg.ReconfigCooldown == 0 {
 		cfg.ReconfigCooldown = 1
 	}
-	// The simulator copies every routing result into pooled storage right
-	// after Establish, so the private router can safely hand out arena-backed
+	// The connection table copies every routed pair when it admits or
+	// reroutes it, so the private router can safely hand out arena-backed
 	// results that the next routing call overwrites.
 	var ropts core.Options
 	if cfg.Opts != nil {
@@ -339,64 +299,31 @@ func New(net *wdm.Network, cfg Config) *Sim {
 	router := core.NewRouter(&ropts)
 	router.SetTracer(cfg.Tracer)
 	s := &Sim{
-		net:          net.Clone(),
+		tab:          conns.New[connMeta](net.Clone()),
 		cfg:          cfg,
 		rng:          rand.New(rand.NewSource(cfg.Seed)),
 		router:       router,
-		conns:        map[int]*conn{},
-		down:         make([]bool, net.Links()),
-		forced:       make([][]wdm.Wavelength, net.Links()),
 		lastReconfig: math.Inf(-1),
 	}
 	s.defaultRoute = func(net *wdm.Network, a, b int) (*core.Result, bool) {
-		return s.cfg.Algorithm.routeWith(s.router, net, a, b)
+		return s.router.Route(s.cfg.Algorithm, net, a, b)
+	}
+	s.reconfigPair = func(c *conns.Conn[connMeta]) (conns.Pair, bool) {
+		res, ok := s.router.MinLoad(s.tab.Network(), c.Src, c.Dst)
+		if !ok {
+			return conns.Pair{}, false
+		}
+		return conns.Pair{Primary: res.Primary.Hops, Backup: res.Backup.Hops}, true
+	}
+	s.restorePair = func(c *conns.Conn[connMeta]) (conns.Pair, bool) {
+		p, _, ok := lightpath.Optimal(s.tab.Network(), c.Src, c.Dst, nil)
+		if !ok {
+			return conns.Pair{}, false
+		}
+		return conns.Pair{Primary: p.Hops}, true
 	}
 	cfg.Telemetry.bind(s)
 	return s
-}
-
-// copyPath copies p's hops into pooled sim-owned storage. Results handed out
-// by the shared router alias its arena and are only valid until the next
-// routing call; the copy pins them for the connection's lifetime.
-func (s *Sim) copyPath(p *wdm.Semilightpath) *wdm.Semilightpath {
-	if p == nil {
-		return nil
-	}
-	var c *wdm.Semilightpath
-	if n := len(s.slPool); n > 0 {
-		c = s.slPool[n-1]
-		s.slPool = s.slPool[:n-1]
-	} else {
-		//wdmlint:ignore hotalloc pool-miss constructor; steady state pops the free list
-		c = &wdm.Semilightpath{}
-	}
-	c.Hops = append(c.Hops[:0], p.Hops...)
-	return c
-}
-
-// putPath returns sim-owned path storage to the free list. Only call once the
-// path's wavelengths are released and no bookkeeping references it.
-func (s *Sim) putPath(p *wdm.Semilightpath) {
-	if p != nil {
-		//wdmlint:ignore hotalloc free-list growth; amortizes to zero once warm
-		s.slPool = append(s.slPool, p)
-	}
-}
-
-func (s *Sim) getConn() *conn {
-	if n := len(s.connPool); n > 0 {
-		c := s.connPool[n-1]
-		s.connPool = s.connPool[:n-1]
-		*c = conn{}
-		return c
-	}
-	//wdmlint:ignore hotalloc pool-miss constructor; steady state pops the free list
-	return &conn{}
-}
-
-func (s *Sim) putConn(c *conn) {
-	//wdmlint:ignore hotalloc free-list growth; amortizes to zero once warm
-	s.connPool = append(s.connPool, c)
 }
 
 // tracing reports whether the event stream is recorded — used to skip detail
@@ -405,7 +332,7 @@ func (s *Sim) tracing() bool { return s.cfg.Trace != nil }
 
 // Network exposes the simulator's network (for inspection in tests and
 // examples; mutating it mid-run is undefined).
-func (s *Sim) Network() *wdm.Network { return s.net }
+func (s *Sim) Network() *wdm.Network { return s.tab.Network() }
 
 func (s *Sim) push(e event) {
 	e.seq = s.seq
@@ -474,6 +401,9 @@ func (s *Sim) Run(reqs []workload.Request) *Metrics {
 			s.handleRepair(e.link)
 		}
 		s.maybeReconfigure(e.time)
+		if s.afterEvent != nil {
+			s.afterEvent()
+		}
 	}
 	s.m.Horizon = s.lastT
 	s.cfg.Telemetry.finish()
@@ -487,7 +417,7 @@ func (s *Sim) advanceClock(t float64) {
 	// Seal windows that ended strictly before t, so the probe samples the
 	// network as of the last event inside each window.
 	s.cfg.Telemetry.advance(t)
-	rho := s.net.NetworkLoad()
+	rho := s.tab.Network().NetworkLoad()
 	if rho > s.m.MaxNetworkLoad {
 		s.m.MaxNetworkLoad = rho
 	}
@@ -496,7 +426,7 @@ func (s *Sim) advanceClock(t float64) {
 		s.lastT = t
 	}
 	instr.networkLoad.Set(rho)
-	instr.liveConns.Set(float64(len(s.conns)))
+	instr.liveConns.Set(float64(s.tab.Len()))
 }
 
 // syncArrivalGauges publishes the running offered count and blocking
@@ -505,7 +435,7 @@ func (s *Sim) advanceClock(t float64) {
 func (s *Sim) syncArrivalGauges() {
 	instr.offered.Set(float64(s.m.Offered))
 	instr.blockingProb.Set(s.m.BlockingProbability())
-	instr.liveConns.Set(float64(len(s.conns)))
+	instr.liveConns.Set(float64(s.tab.Len()))
 }
 
 func (s *Sim) handleArrival(r workload.Request) {
@@ -517,128 +447,94 @@ func (s *Sim) handleArrival(r workload.Request) {
 	if measured {
 		s.m.Offered++
 	}
-	// The request is routed before its arrival event is emitted, so the
-	// arrival already carries the obs request ID; emission order (arrival,
-	// then accept/block, at the same timestamp) is unchanged.
-	c := s.getConn()
-	c.id, c.s, c.d, c.req = r.ID, r.Src, r.Dst, -1
-	switch s.cfg.Restoration {
-	case Active:
+	// Route: a protected pair under active restoration, a lone optimal
+	// semilightpath under passive restoration.
+	var (
+		pair      conns.Pair
+		cost, ld  float64
+		ok        bool
+		req       = int64(-1) // obs request ID of the routing trace
+		tc        *obs.Trace  // the passive route's trace (nil under Active)
+		net       = s.tab.Network()
+		tt        = s.cfg.Telemetry.routeStart()
+		rt        = instr.routeTime.Start()
+		protected = s.cfg.Restoration == Active
+	)
+	if protected {
 		route := s.cfg.RouteFunc
-		viaRouter := route == nil
 		if route == nil {
 			route = s.defaultRoute // built once in New; no per-arrival closure
 		}
-		rt := instr.routeTime.Start()
-		tt := s.cfg.Telemetry.routeStart()
-		res, ok := route(s.net, r.Src, r.Dst)
-		instr.routeTime.Stop(rt)
-		if viaRouter {
-			c.req = s.router.LastTraceID()
+		var res *core.Result
+		if res, ok = route(net, r.Src, r.Dst); ok {
+			pair = conns.Pair{Primary: res.Primary.Hops, Backup: res.Backup.Hops}
+			cost, ld = res.Cost, res.PathLoad
 		}
-		if s.tracing() {
-			//wdmlint:ignore hotalloc evaluated only when tracing is enabled (s.tracing() guard)
-			s.emit(trace.Arrival, r.ID, -1, c.req, fmt.Sprintf("%d->%d", r.Src, r.Dst))
+		if s.cfg.RouteFunc == nil {
+			req = s.router.LastTraceID()
 		}
-		if !ok || core.Establish(s.net, res) != nil {
-			if measured {
-				s.m.Blocked++
-			}
-			instr.blocked.Inc()
-			s.cfg.Telemetry.routeDone(tt, true)
-			s.emit(trace.Block, r.ID, -1, c.req, "")
-			s.putConn(c)
-			return
-		}
-		s.cfg.Telemetry.routeDone(tt, false)
-		c.primary, c.backup = s.copyPath(res.Primary), s.copyPath(res.Backup)
-		if measured {
-			s.m.Cost.Add(res.Cost)
-			s.m.PathLoad.Add(res.PathLoad)
-		}
-		if s.tracing() {
-			//wdmlint:ignore hotalloc evaluated only when tracing is enabled (s.tracing() guard)
-			s.emit(trace.Accept, r.ID, -1, c.req, fmt.Sprintf("cost=%.4g", res.Cost))
-		}
-	case Passive:
-		tc := s.cfg.Tracer.Start("passive-optimal", r.Src, r.Dst)
-		c.req = tc.ReqID()
-		rt := instr.routeTime.Start()
-		tt := s.cfg.Telemetry.routeStart()
-		p, cost, ok := lightpath.Optimal(s.net, r.Src, r.Dst, nil)
-		instr.routeTime.Stop(rt)
-		if s.tracing() {
-			//wdmlint:ignore hotalloc evaluated only when tracing is enabled (s.tracing() guard)
-			s.emit(trace.Arrival, r.ID, -1, c.req, fmt.Sprintf("%d->%d", r.Src, r.Dst))
-		}
-		if !ok || s.net.Reserve(p) != nil {
-			if measured {
-				s.m.Blocked++
-			}
-			instr.blocked.Inc()
-			s.cfg.Telemetry.routeDone(tt, true)
-			tc.Finish(obs.StatusBlocked)
-			s.emit(trace.Block, r.ID, -1, c.req, "")
-			s.putConn(c)
-			return
-		}
-		s.cfg.Telemetry.routeDone(tt, false)
-		c.primary = p
-		if measured {
-			s.m.Cost.Add(cost)
-		}
-		tc.Float("cost", cost)
-		tc.Int("hops", int64(p.Len()))
-		tc.Finish(obs.StatusOK)
-		if s.tracing() {
-			//wdmlint:ignore hotalloc evaluated only when tracing is enabled (s.tracing() guard)
-			s.emit(trace.Accept, r.ID, -1, c.req, fmt.Sprintf("cost=%.4g", cost))
+	} else {
+		tc = s.cfg.Tracer.Start("passive-optimal", r.Src, r.Dst)
+		req = tc.ReqID()
+		var p *wdm.Semilightpath
+		if p, cost, ok = lightpath.Optimal(net, r.Src, r.Dst, nil); ok {
+			pair.Primary = p.Hops
 		}
 	}
-	instr.established.Inc()
+	instr.routeTime.Stop(rt)
+	// The request is routed before its arrival event is emitted, so the
+	// arrival already carries the obs request ID; emission order (arrival,
+	// then accept/block, at the same timestamp) is unchanged.
+	if s.tracing() {
+		//wdmlint:ignore hotalloc evaluated only when tracing is enabled (s.tracing() guard)
+		s.emit(trace.Arrival, r.ID, -1, req, fmt.Sprintf("%d->%d", r.Src, r.Dst))
+	}
+	// The table refuses a pair whose channels are gone or a duplicate ID;
+	// either blocks the arrival like a missing route.
+	var c *conns.Conn[connMeta]
+	if ok {
+		c, _ = s.tab.Admit(int64(r.ID), r.Src, r.Dst, pair)
+	}
+	s.cfg.Telemetry.routeDone(tt, c == nil)
+	if c == nil {
+		if measured {
+			s.m.Blocked++
+		}
+		instr.blocked.Inc()
+		tc.Finish(obs.StatusBlocked)
+		s.emit(trace.Block, r.ID, -1, req, "")
+		return
+	}
+	c.Meta = connMeta{req: req, arrived: r.Arrival, holding: r.Holding}
 	if measured {
 		s.m.Accepted++
-		s.m.Hops.Add(float64(c.primary.Len()))
+		s.m.Cost.Add(cost)
+		if protected {
+			s.m.PathLoad.Add(ld)
+		}
+		s.m.Hops.Add(float64(len(c.Primary)))
 	}
-	c.arrived = r.Arrival
-	c.holding = r.Holding
-	s.conns[c.id] = c
+	tc.Float("cost", cost)
+	tc.Int("hops", int64(len(c.Primary)))
+	tc.Finish(obs.StatusOK)
+	if s.tracing() {
+		//wdmlint:ignore hotalloc evaluated only when tracing is enabled (s.tracing() guard)
+		s.emit(trace.Accept, r.ID, -1, req, fmt.Sprintf("cost=%.4g", cost))
+	}
+	instr.established.Inc()
 	if d := r.Departure(); !math.IsInf(d, 1) {
-		s.push(event{kind: evDeparture, time: d, conn: c.id})
+		s.push(event{kind: evDeparture, time: d, conn: r.ID})
 	}
 }
 
 func (s *Sim) handleDeparture(id int) {
-	c, ok := s.conns[id]
-	if !ok {
+	c, err := s.tab.Teardown(int64(id))
+	if err != nil {
 		return // dropped earlier by an unrecovered failure
 	}
-	delete(s.conns, id)
 	instr.teardowns.Inc()
-	s.emit(trace.Depart, id, -1, c.req, "")
+	s.emit(trace.Depart, id, -1, c.Meta.req, "")
 	s.m.Availability.Add(1)
-	s.releasePath(c.primary)
-	s.putPath(c.primary)
-	if c.backup != nil {
-		s.releasePath(c.backup)
-		s.putPath(c.backup)
-	}
-	s.putConn(c)
-}
-
-// releasePath returns a path's wavelengths, except that hops on currently
-// down links stay locked (transferred to the forced set) until repair.
-func (s *Sim) releasePath(p *wdm.Semilightpath) {
-	for _, h := range p.Hops {
-		if s.down[h.Link] {
-			//wdmlint:ignore hotalloc free-list growth; amortizes to zero once warm
-			s.forced[h.Link] = append(s.forced[h.Link], h.Wavelength)
-			continue
-		}
-		if err := s.net.Release(h.Link, h.Wavelength); err != nil {
-			panic("netsim: inconsistent release: " + err.Error())
-		}
-	}
 }
 
 // handleFailure picks a random up link, takes it down, and restores the
@@ -651,7 +547,7 @@ func (s *Sim) handleFailure() {
 		for tries := 0; tries < n; tries++ {
 			cand := s.cfg.FailureLinks[s.failIdx%n]
 			s.failIdx++
-			if !s.down[cand] {
+			if !s.tab.Down(cand) {
 				link = cand
 				break
 			}
@@ -660,13 +556,13 @@ func (s *Sim) handleFailure() {
 			return
 		}
 	} else {
-		up := s.ids[:0]
-		for id := 0; id < s.net.Links(); id++ {
-			if !s.down[id] {
+		up := s.up[:0]
+		for id := 0; id < s.tab.Network().Links(); id++ {
+			if !s.tab.Down(id) {
 				up = append(up, id)
 			}
 		}
-		s.ids = up
+		s.up = up
 		if len(up) == 0 {
 			return
 		}
@@ -675,111 +571,84 @@ func (s *Sim) handleFailure() {
 	s.m.FailureEvents++
 	instr.failures.Inc()
 	s.emit(trace.Failure, -1, link, -1, "")
-	s.down[link] = true
-	// Quarantine the link: lock all still-available wavelengths.
-	l := s.net.Link(link)
-	for _, lam := range l.Avail().Slice() {
-		if err := s.net.Use(link, lam); err != nil {
-			panic("netsim: quarantine failed: " + err.Error())
-		}
-		s.forced[link] = append(s.forced[link], lam)
-	}
+	affected := s.tab.Fail(link)
 	s.push(event{kind: evRepair, time: s.lastT + s.cfg.RepairTime, link: link})
 
-	// Restore affected connections (deterministic order).
-	ids := s.ids[:0]
-	for id := range s.conns {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	s.ids = ids
-	for _, id := range ids {
-		c := s.conns[id]
-		primaryHit := pathUses(c.primary, link)
-		backupHit := c.backup != nil && pathUses(c.backup, link)
-		switch {
-		case primaryHit:
+	// Restore affected connections (the table lists them in ID order).
+	for _, id := range affected {
+		c, _ := s.tab.Get(id)
+		if conns.Crosses(c.Primary, link) {
 			s.m.AffectedConns++
 			s.restore(c, link)
-		case backupHit:
-			// Backup degraded: release it; the connection keeps running
-			// unprotected (or re-protected when configured).
-			s.m.BackupLost++
-			s.releasePath(c.backup)
-			s.putPath(c.backup)
-			c.backup = nil
-			s.reprotect(c)
+			continue
 		}
+		// Backup degraded: release it; the connection keeps running
+		// unprotected (or re-protected when configured).
+		s.m.BackupLost++
+		_ = s.tab.DropBackup(id) // live: Fail just listed it
+		s.reprotect(c)
 	}
 }
 
 // reprotect tries to reserve a fresh backup, edge-disjoint from the current
 // primary, for a connection that lost its protection.
-func (s *Sim) reprotect(c *conn) {
-	if !s.cfg.Reprotect || c.backup != nil || c.primary == nil {
+func (s *Sim) reprotect(c *conns.Conn[connMeta]) {
+	if !s.cfg.Reprotect || len(c.Backup) > 0 {
 		return
 	}
-	used := make(map[int]bool, c.primary.Len())
-	for _, h := range c.primary.Hops {
+	used := make(map[int]bool, len(c.Primary))
+	for _, h := range c.Primary {
 		used[h.Link] = true
 	}
-	p, _, ok := lightpath.Optimal(s.net, c.s, c.d, &lightpath.Options{
+	p, _, ok := lightpath.Optimal(s.tab.Network(), c.Src, c.Dst, &lightpath.Options{
 		AllowedLinks: func(id int) bool { return !used[id] },
 	})
-	if !ok || s.net.Reserve(p) != nil {
+	if !ok || s.tab.Reprotect(c.ID, p.Hops) != nil {
 		s.m.ReprotectFailed++
 		return
 	}
-	c.backup = p
 	s.m.ReprotectOK++
-	s.emit(trace.Reprotect, c.id, -1, c.req, "")
+	s.emit(trace.Reprotect, int(c.ID), -1, c.Meta.req, "")
 }
 
 // restore recovers a connection whose primary crossed the failed link.
-func (s *Sim) restore(c *conn, failedLink int) {
+func (s *Sim) restore(c *conns.Conn[connMeta], failedLink int) {
 	defer instr.restoreTime.Stop(instr.restoreTime.Start())
-	s.releasePath(c.primary)
-	s.putPath(c.primary)
-	c.primary = nil
-	if c.backup != nil {
+	if len(c.Backup) > 0 {
 		// Activate approach: instant switchover to the pre-reserved backup,
 		// which is edge-disjoint from the failed primary. It may itself
 		// cross a link downed by an earlier overlapping failure.
-		if pathDown(c.backup, s.down) {
-			s.releasePath(c.backup)
-			s.putPath(c.backup)
-			c.backup = nil
-			s.dropConn(c)
+		if s.tab.Switchover(c.ID) != nil {
+			s.drop(c.ID)
 			return
 		}
-		c.primary, c.backup = c.backup, nil
 		s.m.Recovered++
 		instr.restored.Inc()
 		s.m.RecoveryWork.Add(0)
-		s.emit(trace.Switchover, c.id, failedLink, c.req, "")
+		s.emit(trace.Switchover, int(c.ID), failedLink, c.Meta.req, "")
 		s.reprotect(c)
 		return
 	}
 	// Passive approach: compute and signal a fresh route now.
-	p, _, ok := lightpath.Optimal(s.net, c.s, c.d, nil)
-	if !ok || s.net.Reserve(p) != nil {
-		s.dropConn(c)
+	if _, err := s.tab.Reroute(c.ID, conns.Pair{}, s.restorePair); err != nil {
+		s.drop(c.ID)
 		return
 	}
-	c.primary = p
 	s.m.Recovered++
 	instr.restored.Inc()
 	s.cfg.Telemetry.rerouted()
-	s.m.RecoveryWork.Add(float64(p.Len()))
-	s.emit(trace.Reroute, c.id, failedLink, c.req, "passive-restore")
+	s.m.RecoveryWork.Add(float64(len(c.Primary)))
+	s.emit(trace.Reroute, int(c.ID), failedLink, c.Meta.req, "passive-restore")
 }
 
-func (s *Sim) dropConn(c *conn) {
+// drop tears down a connection a failure left unrecoverable and charges the
+// unserved part of its holding time to availability.
+func (s *Sim) drop(id int64) {
+	c, _ := s.tab.Teardown(id) // live: the caller just restored it
 	s.m.RecoveryFailed++
 	instr.dropped.Inc()
-	delete(s.conns, c.id)
-	if !math.IsInf(c.holding, 1) && c.holding > 0 {
-		served := (s.lastT - c.arrived) / c.holding
+	if h := c.Meta.holding; !math.IsInf(h, 1) && h > 0 {
+		served := (s.lastT - c.Meta.arrived) / h
 		if served > 1 {
 			served = 1
 		}
@@ -788,19 +657,12 @@ func (s *Sim) dropConn(c *conn) {
 		}
 		s.m.Availability.Add(served)
 	}
-	s.emit(trace.Drop, c.id, -1, c.req, "")
-	s.putConn(c)
+	s.emit(trace.Drop, int(id), -1, c.Meta.req, "")
 }
 
 func (s *Sim) handleRepair(link int) {
 	s.emit(trace.Repair, -1, link, -1, "")
-	s.down[link] = false
-	for _, lam := range s.forced[link] {
-		if err := s.net.Release(link, lam); err != nil {
-			panic("netsim: repair release failed: " + err.Error())
-		}
-	}
-	s.forced[link] = s.forced[link][:0]
+	s.tab.Repair(link)
 }
 
 // maybeReconfigure counts and performs a reconfiguration when ρ crosses the
@@ -815,7 +677,8 @@ func (s *Sim) maybeReconfigure(t float64) {
 	if th <= 0 {
 		return
 	}
-	rho := s.net.NetworkLoad()
+	net := s.tab.Network()
+	rho := net.NetworkLoad()
 	if rho < th {
 		s.overTh = false
 		return
@@ -836,11 +699,11 @@ func (s *Sim) maybeReconfigure(t float64) {
 	}
 	// Most loaded link.
 	worst, rho := -1, -1.0
-	for id := 0; id < s.net.Links(); id++ {
-		if s.down[id] {
+	for id := 0; id < net.Links(); id++ {
+		if s.tab.Down(id) {
 			continue
 		}
-		if r := s.net.Link(id).Load(); r > rho {
+		if r := net.Link(id).Load(); r > rho {
 			rho = r
 			worst = id
 		}
@@ -848,82 +711,19 @@ func (s *Sim) maybeReconfigure(t float64) {
 	if worst < 0 {
 		return
 	}
-	ids := s.ids[:0]
-	for id, c := range s.conns {
-		if pathUses(c.primary, worst) || (c.backup != nil && pathUses(c.backup, worst)) {
-			ids = append(ids, id)
-		}
-	}
-	sort.Ints(ids)
-	s.ids = ids
-	for _, id := range ids {
-		c := s.conns[id]
-		oldP, oldB := c.primary, c.backup
-		s.releasePath(oldP)
-		if oldB != nil {
-			s.releasePath(oldB)
-		}
-		res, ok := s.router.MinLoad(s.net, c.s, c.d)
-		if ok && core.Establish(s.net, res) == nil {
-			c.primary, c.backup = s.copyPath(res.Primary), s.copyPath(res.Backup)
-			c.req = s.router.LastTraceID() // the connection now rides this trace's pair
-			s.m.ReroutedConns++
-			s.cfg.Telemetry.rerouted()
-			s.emit(trace.Reroute, c.id, worst, c.req, "reconfig")
-			s.putPath(oldP)
-			s.putPath(oldB)
+	// A reroute that finds no pair, or whose pair does not fit, leaves the
+	// connection on its old paths.
+	for _, id := range s.tab.Crossing(worst) {
+		c, err := s.tab.Reroute(id, conns.Pair{}, s.reconfigPair)
+		if err != nil {
 			continue
 		}
-		// Reroute failed: put the old paths back (nothing else touched the
-		// network since release, so this cannot fail unless a path crossed
-		// a down link, whose hop stayed locked in the forced set).
-		s.rereserve(oldP)
-		if oldB != nil {
-			s.rereserve(oldB)
-		}
-		c.primary, c.backup = oldP, oldB
+		c.Meta.req = s.router.LastTraceID() // the connection now rides this trace's pair
+		s.m.ReroutedConns++
+		s.cfg.Telemetry.rerouted()
+		s.emit(trace.Reroute, int(id), worst, c.Meta.req, "reconfig")
 	}
-}
-
-// rereserve undoes releasePath: hops on down links were kept in the forced
-// set and must be reclaimed from it rather than re-used.
-func (s *Sim) rereserve(p *wdm.Semilightpath) {
-	for _, h := range p.Hops {
-		if s.down[h.Link] {
-			// The wavelength is still locked in the forced set; hand it
-			// back to the connection by removing the forced bookkeeping.
-			fl := s.forced[h.Link]
-			for i, lam := range fl {
-				if lam == h.Wavelength {
-					s.forced[h.Link] = append(fl[:i], fl[i+1:]...)
-					break
-				}
-			}
-			continue
-		}
-		if err := s.net.Use(h.Link, h.Wavelength); err != nil {
-			panic("netsim: rereserve failed: " + err.Error())
-		}
-	}
-}
-
-func pathUses(p *wdm.Semilightpath, link int) bool {
-	for _, h := range p.Hops {
-		if h.Link == link {
-			return true
-		}
-	}
-	return false
-}
-
-func pathDown(p *wdm.Semilightpath, down []bool) bool {
-	for _, h := range p.Hops {
-		if down[h.Link] {
-			return true
-		}
-	}
-	return false
 }
 
 // LiveConnections returns the number of currently established connections.
-func (s *Sim) LiveConnections() int { return len(s.conns) }
+func (s *Sim) LiveConnections() int { return s.tab.Len() }

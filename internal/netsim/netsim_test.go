@@ -220,10 +220,10 @@ func TestMetricsHelpers(t *testing.T) {
 }
 
 func TestAlgorithmAndRestorationStrings(t *testing.T) {
-	for a, want := range map[Algorithm]string{
+	for a, want := range map[core.Algorithm]string{
 		MinCost: "min-cost", MinLoad: "min-load",
 		MinLoadCost: "min-load-cost", TwoStep: "two-step",
-		Algorithm(9): "Algorithm(9)",
+		core.Algorithm(9): "Algorithm(9)",
 	} {
 		if a.String() != want {
 			t.Errorf("Algorithm.String = %q, want %q", a.String(), want)
@@ -235,7 +235,7 @@ func TestAlgorithmAndRestorationStrings(t *testing.T) {
 }
 
 func TestAllAlgorithmsRunClean(t *testing.T) {
-	for _, algo := range []Algorithm{MinCost, MinLoad, MinLoadCost, TwoStep} {
+	for _, algo := range []core.Algorithm{MinCost, MinLoad, MinLoadCost, TwoStep} {
 		net := nsf(4)
 		total := net.TotalAvailable()
 		sim := New(net, Config{Algorithm: algo, Restoration: Active})
@@ -558,7 +558,7 @@ func TestQuickSimulatorConservation(t *testing.T) {
 		net := nsf(4)
 		total := net.TotalAvailable()
 		sim := New(net, Config{
-			Algorithm:         Algorithm(int(seed) & 3),
+			Algorithm:         core.Algorithm(int(seed) & 3),
 			Restoration:       Restoration(int(seed>>2) & 1),
 			FailureRate:       failRate,
 			RepairTime:        1.5,

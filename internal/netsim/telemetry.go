@@ -114,7 +114,7 @@ func (t *Telemetry) bind(s *Sim) {
 		panic("netsim: Telemetry already bound to a simulator")
 	}
 	t.col.OnSeal(func(at float64) {
-		ns := timeseries.ProbeNetwork(s.net, at, len(s.conns))
+		ns := timeseries.ProbeNetwork(s.tab.Network(), at, s.tab.Len())
 		t.loadMean.Set(ns.MeanLoad)
 		t.loadMax.Set(ns.MaxLoad)
 		t.fragMean.Set(ns.MeanFrag)

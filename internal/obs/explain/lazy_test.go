@@ -109,15 +109,7 @@ func (c *lazyCheck) finish(t *testing.T) int {
 	return len(c.order)
 }
 
-var lazyAlgos = []struct {
-	name string
-	sim  netsim.Algorithm
-	eng  serve.Algo
-}{
-	{"min-cost", netsim.MinCost, serve.AlgoMinCost},
-	{"min-load", netsim.MinLoad, serve.AlgoMinLoad},
-	{"min-load-cost", netsim.MinLoadCost, serve.AlgoMinLoadCost},
-}
+var lazyAlgos = []core.Algorithm{core.MinCost, core.MinLoad, core.MinLoadCost}
 
 // TestExplainOfMatchesBuildInNetsimRun drives a simulator run whose
 // arrivals route through a traced router, builds each report eagerly on the
@@ -126,30 +118,21 @@ var lazyAlgos = []struct {
 // a small ring has recycled its buffers — is bit-identical.
 func TestExplainOfMatchesBuildInNetsimRun(t *testing.T) {
 	for _, algo := range lazyAlgos {
-		t.Run(algo.name, func(t *testing.T) {
+		t.Run(algo.String(), func(t *testing.T) {
 			const capacity = 16
 			tr := obs.New(obs.Config{Capacity: capacity})
 			r := core.NewRouter(nil)
 			r.SetTracer(tr)
 			check := &lazyCheck{fr: tr.Flight(), capacity: capacity, refs: map[int64]*eagerRef{}}
 			route := func(net *wdm.Network, s, d int) (*core.Result, bool) {
-				var res *core.Result
-				var ok bool
-				switch algo.sim {
-				case netsim.MinCost:
-					res, ok = r.ApproxMinCost(net, s, d)
-				case netsim.MinLoad:
-					res, ok = r.MinLoad(net, s, d)
-				default:
-					res, ok = r.MinLoadCost(net, s, d)
-				}
+				res, ok := r.Route(algo, net, s, d)
 				if ok {
-					check.add(t, r.LastTraceID(), eager(t, net, r.LastTraceID(), algo.name, s, d, res))
+					check.add(t, r.LastTraceID(), eager(t, net, r.LastTraceID(), algo.String(), s, d, res))
 				}
 				return res, ok
 			}
 			sim := netsim.New(topo.NSFNET(topo.Config{W: 4}), netsim.Config{
-				Algorithm:   algo.sim,
+				Algorithm:   algo,
 				Restoration: netsim.Active,
 				RouteFunc:   route,
 			})
@@ -170,10 +153,10 @@ func TestExplainOfMatchesBuildInNetsimRun(t *testing.T) {
 // — after later commits and recycling — must be bit-identical.
 func TestExplainOfMatchesBuildInServeRun(t *testing.T) {
 	for _, algo := range lazyAlgos {
-		t.Run(algo.name, func(t *testing.T) {
+		t.Run(algo.String(), func(t *testing.T) {
 			const capacity = 16
 			tr := obs.New(obs.Config{Capacity: capacity})
-			e := serve.New(topo.NSFNET(topo.Config{W: 4}), serve.Config{Shards: 1, Algorithm: algo.eng, Tracer: tr})
+			e := serve.New(topo.NSFNET(topo.Config{W: 4}), serve.Config{Shards: 1, Algorithm: algo, Tracer: tr})
 			if err := e.Start(); err != nil {
 				t.Fatal(err)
 			}
@@ -195,16 +178,7 @@ func TestExplainOfMatchesBuildInServeRun(t *testing.T) {
 					live = live[1:]
 				}
 				_, snap := e.Snapshot()
-				var res *core.Result
-				var ok bool
-				switch algo.eng {
-				case serve.AlgoMinCost:
-					res, ok = ref.ApproxMinCost(snap, q.Src, q.Dst)
-				case serve.AlgoMinLoad:
-					res, ok = ref.MinLoad(snap, q.Src, q.Dst)
-				default:
-					res, ok = ref.MinLoadCost(snap, q.Src, q.Dst)
-				}
+				res, ok := ref.Route(algo, snap, q.Src, q.Dst)
 				resp := e.Provision(serve.Request{ID: int64(i + 1), Src: q.Src, Dst: q.Dst})
 				if resp.Accepted != ok {
 					t.Fatalf("provision %d: engine accepted=%v, reference router ok=%v", i+1, resp.Accepted, ok)
@@ -217,7 +191,7 @@ func TestExplainOfMatchesBuildInServeRun(t *testing.T) {
 					t.Fatalf("provision %d: %+v does not match the reference route", i+1, resp)
 				}
 				live = append(live, int64(i+1))
-				check.add(t, resp.Req, eager(t, snap, resp.Req, algo.name, q.Src, q.Dst, res))
+				check.add(t, resp.Req, eager(t, snap, resp.Req, algo.String(), q.Src, q.Dst, res))
 			}
 			if n := check.finish(t); n < 4*capacity {
 				t.Fatalf("%d routed (%d blocked): want the ring to wrap", n, blocked)

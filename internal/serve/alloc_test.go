@@ -13,20 +13,23 @@ import (
 
 // provisionAllocBudget is the whole-pipeline allocation budget for one
 // provision + teardown round trip with no registry, telemetry or tracer:
-// op-owned path copies, the registry record, the response hop slices, the
-// commit step's two copy-on-write epoch publishes, and the routing results.
-// The op itself stays on the caller's stack: a request runs on its caller's
-// goroutine and crosses no channel. Each publish carves its copied link
-// records from three slabs, so it allocates a constant six times however
-// many links the op touched. The shard router's skeleton follows each new
-// snapshot forward instead of being rebuilt per commit, so no auxiliary
-// graph is rebuilt inside the window. Measured 23, bit-stable across runs;
-// the ~6% margin absorbs runtime and map-layout drift. What this pins: stage
-// attribution stores its stamps inside the op, so instrumenting the hot path
-// added zero allocations; an op that escapes to the heap again, or a router
-// that stops following snapshots (~680 allocations per rebuild), fails at
-// once.
-const provisionAllocBudget = 24
+// op-owned path copies, the response hop slices, the commit step's two
+// copy-on-write epoch publishes, and the routing results. The op itself
+// stays on the caller's stack: a request runs on its caller's goroutine and
+// crosses no channel. The connection table recycles its records, so
+// admission copies the pair into storage the table already holds and
+// teardown hands the released pair to the journal without copying it. Each
+// publish carves its copied link records from three slabs, so it allocates
+// a constant six times however many links the op touched. The shard
+// router's skeleton follows each new snapshot forward instead of being
+// rebuilt per commit, so no auxiliary graph is rebuilt inside the window.
+// Measured 18, bit-stable across runs; the ~6% margin absorbs runtime and
+// map-layout drift. What this pins: stage attribution stores its stamps
+// inside the op, so instrumenting the hot path added zero allocations; an
+// op that escapes to the heap again, a table that stops recycling its
+// records, or a router that stops following snapshots (~680 allocations
+// per rebuild), fails at once.
+const provisionAllocBudget = 19
 
 // TestProvisionAllocs pins the disabled-telemetry allocation contract of the
 // request pipeline (see stageNanos: attribution must ride inside the op).
@@ -52,15 +55,15 @@ func TestProvisionAllocs(t *testing.T) {
 // telemetryOnAllocBudget is the same round trip's budget configured the way
 // wdmd and the benchmark run it: instruments published on a registry,
 // windowed telemetry on, and a flight-recorder tracer, measured once the
-// recorder's ring has wrapped. Measured 23 — the disabled path's count:
+// recorder's ring has wrapped. Measured 18 — the disabled path's count:
 // metrics and telemetry add none, as requests write the engine's
 // preallocated atomic instruments and the collector reads them only at seal
 // time, and tracing adds none, as each traced request records into the
 // buffer the ring last evicted and refills its recycled explain capture in
 // place. An allocation on any of those paths pushes past the same ~6%
 // margin. Before the ring wraps each traced request still allocates its
-// buffer (38 for the round trip).
-const telemetryOnAllocBudget = 24
+// buffer.
+const telemetryOnAllocBudget = 19
 
 // TestProvisionAllocsTelemetryOn pins the enabled-observability allocation
 // cost of the request pipeline.

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/auxgraph"
+	"repro/internal/conns"
 	"repro/internal/metrics"
 	"repro/internal/wdm"
 )
@@ -89,8 +90,9 @@ func TestEachCommitPublishesOneEpoch(t *testing.T) {
 	pins := []*wdm.Network{pinned}
 	for k := 0; k < 3; k++ {
 		cr := e.commit(&op{kind: opProvision, id: int64(k + 1), s: 0, d: 2, algo: AlgoMinCost,
-			primary: []wdm.Hop{{Link: 0, Wavelength: k}, {Link: 2, Wavelength: k}},
-			backup:  []wdm.Hop{{Link: 7, Wavelength: k}, {Link: 5, Wavelength: k}}})
+			pair: conns.Pair{
+				Primary: []wdm.Hop{{Link: 0, Wavelength: k}, {Link: 2, Wavelength: k}},
+				Backup:  []wdm.Hop{{Link: 7, Wavelength: k}, {Link: 5, Wavelength: k}}}})
 		if !cr.ok || cr.epoch != uint64(k+1) {
 			t.Fatalf("commit %d: %+v, want ok in epoch %d", k+1, cr, k+1)
 		}
@@ -112,8 +114,8 @@ func TestEachCommitPublishesOneEpoch(t *testing.T) {
 	if err := e.Audit(); err == nil {
 		t.Fatal("audit on an unstarted engine should refuse")
 	}
-	if err := e.oracle(e.store.cur); err != nil {
-		t.Fatalf("oracle after commits: %v", err)
+	if err := e.tab.Audit(); err != nil {
+		t.Fatalf("audit after commits: %v", err)
 	}
 }
 

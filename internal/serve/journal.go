@@ -6,6 +6,7 @@ import (
 	"sync"
 
 	"repro/internal/check"
+	"repro/internal/conns"
 	"repro/internal/wdm"
 )
 
@@ -40,10 +41,11 @@ type journal struct {
 }
 
 // record appends one committed decision (commit lock held; no-op when the
-// journal is disabled).
+// journal is disabled). p is the pair the decision is about: the routed
+// pair of a provision or reroute, the released pair of a teardown.
 //
 //wdm:coldpath a retained replay log, off unless Config.JournalCap is set; enabled, it allocates one entry per commit by design, and the serve alloc pins run with it off
-func (j *journal) record(o *op, cr commitResult) {
+func (j *journal) record(o *op, cr commitResult, p conns.Pair) {
 	if j.cap <= 0 {
 		return
 	}
@@ -54,21 +56,10 @@ func (j *journal) record(o *op, cr commitResult) {
 		j.truncated = true
 		return
 	}
-	var kind string
-	switch o.kind {
-	case opProvision:
-		kind = "provision"
-	case opTeardown:
-		kind = "teardown"
-	case opReroute:
-		kind = "reroute"
-	default:
-		return
-	}
 	ent := JournalEntry{
 		Seq:      j.seq,
 		Epoch:    cr.epoch,
-		Op:       kind,
+		Op:       opNames[o.kind],
 		ID:       o.id,
 		Src:      o.s,
 		Dst:      o.d,
@@ -76,18 +67,10 @@ func (j *journal) record(o *op, cr commitResult) {
 		Reason:   cr.reason,
 		Retries:  o.retries,
 	}
-	switch o.kind {
-	case opProvision, opReroute:
-		if cr.ok || cr.reason == ReasonConflict {
-			// Keep the attempted paths for conflicts too: Replay asserts the
-			// losing reservation really was infeasible in commit order.
-			ent.Primary = hopsJSON(o.primary)
-			ent.Backup = hopsJSON(o.backup)
-			ent.Cost = o.cost
-		}
-	case opTeardown:
-		ent.Primary = hopsJSON(o.oldPrimary)
-		ent.Backup = hopsJSON(o.oldBackup)
+	// Conflicts keep the attempted paths too: Replay asserts the losing
+	// reservation really was infeasible in commit order.
+	if o.kind == opTeardown || cr.ok || cr.reason == ReasonConflict {
+		ent.Primary, ent.Backup, ent.Cost = hopsJSON(p.Primary), hopsJSON(p.Backup), o.cost
 	}
 	j.entries = append(j.entries, ent)
 }

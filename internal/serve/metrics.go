@@ -74,7 +74,7 @@ func (m *instruments) publish(r *metrics.Registry) {
 
 		{"wdmd_stage_decode_seconds", "HTTP request-body decode latency (before the request clock starts)", m.stageDecode},
 		{"wdmd_stage_queue_seconds", "dispatch + shard-lock wait (request accepted to shard lock taken)", m.stageQueue},
-		{"wdmd_stage_snapshot_seconds", "epoch-snapshot acquire (plus registry lookup for teardown/reroute)", m.stageSnapshot},
+		{"wdmd_stage_snapshot_seconds", "epoch-snapshot acquire (provision and reroute)", m.stageSnapshot},
 		{"wdmd_stage_route_seconds", "route compute, first attempt", m.stageRoute},
 		{"wdmd_stage_route_candidate_seconds", "route compute answered by the candidate fast tier", m.stageRouteCand},
 		{"wdmd_stage_route_exact_seconds", "route compute answered by the exact pipeline (incl. candidate fallbacks)", m.stageRouteEx},

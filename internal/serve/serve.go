@@ -17,12 +17,14 @@
 //     and frees the lock. Independent pairs route in parallel, with
 //     per-shard skeleton caches and an optional shared read-only
 //     CandidateTable; the engine starts no goroutine per shard.
-//   - The commit step runs under one commit mutex, which owns the
-//     authoritative *wdm.Network: nothing mutates it without the mutex. It
+//   - The commit step runs under one commit mutex, the single writer of
+//     the connection table (package conns) that owns the authoritative
+//     *wdm.Network: nothing mutates it without the mutex. The table
 //     validates the routed paths against that state (optimistic
-//     concurrency: a reservation that lost a race fails cleanly), applies
-//     the op, and publishes the next snapshot before it returns, so an
-//     acknowledged op is visible in the next snapshot its caller can load.
+//     concurrency: a reservation that lost a race fails cleanly) and
+//     applies the op; the commit step then publishes the next snapshot
+//     before it returns, so an acknowledged op is visible in the next
+//     snapshot its caller can load.
 //     Every state-changing commit publishes its own epoch. A conflicted
 //     admission is re-routed on the fresh snapshot and retried a bounded
 //     number of times before the request is reported blocked.
@@ -47,71 +49,21 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/check"
+	"repro/internal/conns"
 	"repro/internal/core"
+	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/slo"
 	"repro/internal/wdm"
 )
 
-// Algo selects the routing discipline for provision and reroute requests.
-type Algo int
-
+// The routing disciplines for Config.Algorithm.
 const (
-	// AlgoMinCost is ApproxMinCost (§3.3) — cost only.
-	AlgoMinCost Algo = iota
-	// AlgoMinLoad is Find_Two_Paths_MinCog (§4.1) — load only.
-	AlgoMinLoad
-	// AlgoMinLoadCost is the two-phase §4.2 algorithm — load then cost.
-	AlgoMinLoadCost
-	// AlgoTwoStep is the naive shortest-then-remove baseline.
-	AlgoTwoStep
+	AlgoMinCost     = core.MinCost
+	AlgoMinLoad     = core.MinLoad
+	AlgoMinLoadCost = core.MinLoadCost
+	AlgoTwoStep     = core.TwoStep
 )
-
-func (a Algo) String() string {
-	switch a {
-	case AlgoMinCost:
-		return "min-cost"
-	case AlgoMinLoad:
-		return "min-load"
-	case AlgoMinLoadCost:
-		return "min-load-cost"
-	case AlgoTwoStep:
-		return "two-step"
-	}
-	return fmt.Sprintf("Algo(%d)", int(a))
-}
-
-// ParseAlgo maps an algorithm name (the -algo flag / "algo" request field)
-// to the daemon enum.
-func ParseAlgo(s string) (Algo, error) {
-	switch s {
-	case "min-cost":
-		return AlgoMinCost, nil
-	case "min-load":
-		return AlgoMinLoad, nil
-	case "min-load-cost":
-		return AlgoMinLoadCost, nil
-	case "two-step":
-		return AlgoTwoStep, nil
-	}
-	return 0, fmt.Errorf("unknown algorithm %q (min-cost, min-load, min-load-cost, two-step)", s)
-}
-
-// route dispatches to the shard's warm router.
-func (a Algo) route(r *core.Router, net *wdm.Network, s, t int) (*core.Result, bool) {
-	switch a {
-	case AlgoMinCost:
-		return r.ApproxMinCost(net, s, t)
-	case AlgoMinLoad:
-		return r.MinLoad(net, s, t)
-	case AlgoMinLoadCost:
-		return r.MinLoadCost(net, s, t)
-	case AlgoTwoStep:
-		return r.TwoStepMinCost(net, s, t)
-	}
-	panic("serve: unknown algorithm")
-}
 
 // Config parameterises an Engine.
 type Config struct {
@@ -124,7 +76,7 @@ type Config struct {
 	MaxRetries int
 	// Algorithm is the default routing discipline (AlgoMinCost if unset);
 	// provision requests may override it per call.
-	Algorithm Algo
+	Algorithm core.Algorithm
 	// Opts tunes the per-shard routers (nil for defaults). ReuseResult is
 	// forced on: shards copy routed paths before submitting them.
 	Opts *core.Options
@@ -172,17 +124,6 @@ const (
 	ReasonClosed      = "engine-closed"      // submitted during/after shutdown
 )
 
-// connState is the registry record of one live connection. Paths are
-// engine-owned copies; after admission only the commit step writes them.
-type connState struct {
-	id       int64
-	s, d     int
-	primary  []wdm.Hop
-	backup   []wdm.Hop
-	cost     float64
-	rerouted int
-}
-
 type opKind uint8
 
 const (
@@ -191,22 +132,22 @@ const (
 	opReroute
 )
 
+// opNames are the ops' names on the wire and in the journal.
+var opNames = [...]string{opProvision: "provision", opTeardown: "teardown", opReroute: "reroute"}
+
 // op is one request in flight: it lives on the caller's goroutine from
 // dispatch to response.
 type op struct {
 	kind opKind
 	id   int64
 	s, d int
-	algo Algo
+	algo core.Algorithm
 
-	// New paths (provision, reroute): op-owned copies of the routed pair.
-	primary, backup []wdm.Hop
-	cost, pathLoad  float64
-	// Old paths to release (teardown, reroute): copies of the registry state.
-	oldPrimary, oldBackup []wdm.Hop
+	// The routed pair (provision, reroute): op-owned copies of the paths.
+	pair           conns.Pair
+	cost, pathLoad float64
 
-	snapEpoch uint64 // epoch the paths were routed against
-	retries   int
+	retries int
 
 	// Stage attribution (see stageNanos): t0 is the request clock start,
 	// last the most recent stage boundary the shard stamped (finishOp folds
@@ -234,14 +175,13 @@ type Engine struct {
 	nodes int
 	w     int
 
-	// commitMu serializes the commit step and owns store.cur: every write to
-	// the authoritative network, and the oracle's read of it, holds it.
+	// commitMu serializes the commit step and is the connection table's
+	// single writer: every change to the authoritative network (store.cur,
+	// owned by tab), and every audit of it, holds it.
 	commitMu sync.Mutex
 	store    *store
+	tab      *conns.Table[struct{}]
 	shards   []*shard
-
-	connMu sync.RWMutex
-	conns  map[int64]*connState
 
 	instr   instruments
 	journal journal
@@ -249,7 +189,7 @@ type Engine struct {
 	start   time.Time
 
 	// Engine-local counters with no metric: reroutes that committed, and
-	// oracle audits run.
+	// audits run.
 	rerouteOK atomic.Int64
 	audits    atomic.Int64
 
@@ -295,7 +235,7 @@ func New(net *wdm.Network, cfg Config) *Engine {
 		nodes:   net.Nodes(),
 		w:       net.W(),
 		store:   st,
-		conns:   make(map[int64]*connState),
+		tab:     conns.New[struct{}](st.cur),
 		journal: journal{cap: cfg.JournalCap},
 		start:   time.Now(),
 	}
@@ -409,13 +349,10 @@ func (sh *shard) run(o *op) commitResult {
 	sh.lock <- struct{}{}
 	defer func() { <-sh.lock }()
 	sh.ops.Add(1)
-	switch o.kind {
-	case opProvision:
-		return sh.provision(o)
-	case opTeardown:
+	if o.kind == opTeardown {
 		return sh.teardown(o)
 	}
-	return sh.reroute(o)
+	return sh.route(o)
 }
 
 // Provision routes and establishes a new connection. The request's Algo
@@ -424,7 +361,7 @@ func (e *Engine) Provision(req Request) Response {
 	t0 := time.Now()
 	algo := e.cfg.Algorithm
 	if req.Algo != "" {
-		a, err := ParseAlgo(req.Algo)
+		a, err := core.ParseAlgorithm(req.Algo)
 		if err != nil {
 			return rejectResponse(req.ID, "provision", ReasonBadRequest, err.Error())
 		}
@@ -441,48 +378,38 @@ func (e *Engine) Provision(req Request) Response {
 	e.instr.provisions.Inc()
 
 	o := op{kind: opProvision, id: req.ID, s: req.Src, d: req.Dst, algo: algo, t0: t0}
-	return e.finishOp(&o, e.shardOf(req.Src, req.Dst).run(&o), "provision", t0)
+	return e.finishOp(&o, e.shardOf(req.Src, req.Dst).run(&o), t0)
 }
 
 // Teardown releases a live connection.
-func (e *Engine) Teardown(id int64) Response {
-	t0 := time.Now()
-	if !e.enter() {
-		return rejectResponse(id, "teardown", ReasonClosed, "")
-	}
-	defer e.inflight.Done()
-	e.instr.teardowns.Inc()
-
-	c, ok := e.lookupConn(id)
-	if !ok {
-		return rejectResponse(id, "teardown", ReasonUnknownConn, "")
-	}
-	o := op{kind: opTeardown, id: id, s: c.s, d: c.d, t0: t0}
-	return e.finishOp(&o, e.shardOf(c.s, c.d).run(&o), "teardown", t0)
-}
+func (e *Engine) Teardown(id int64) Response { return e.onLive(opTeardown, id, &e.instr.teardowns) }
 
 // Reroute computes a fresh pair for a live connection on the current
 // snapshot and atomically swaps it in at commit (make-before-break: the old
 // paths are released and the new ones reserved inside one epoch; on a lost
 // race the old paths are restored and the reroute retried).
-func (e *Engine) Reroute(id int64) Response {
+func (e *Engine) Reroute(id int64) Response { return e.onLive(opReroute, id, &e.instr.reroutes) }
+
+// onLive runs a teardown or reroute of live connection id on the shard of
+// its pair; count is the op's request counter.
+func (e *Engine) onLive(kind opKind, id int64, count *metrics.Counter) Response {
 	t0 := time.Now()
 	if !e.enter() {
-		return rejectResponse(id, "reroute", ReasonClosed, "")
+		return rejectResponse(id, opNames[kind], ReasonClosed, "")
 	}
 	defer e.inflight.Done()
-	e.instr.reroutes.Inc()
+	count.Inc()
 
-	c, ok := e.lookupConn(id)
+	s, d, ok := e.tab.Endpoints(id)
 	if !ok {
-		return rejectResponse(id, "reroute", ReasonUnknownConn, "")
+		return rejectResponse(id, opNames[kind], ReasonUnknownConn, "")
 	}
-	o := op{kind: opReroute, id: id, s: c.s, d: c.d, algo: e.cfg.Algorithm, t0: t0}
-	return e.finishOp(&o, e.shardOf(c.s, c.d).run(&o), "reroute", t0)
+	o := op{kind: kind, id: id, s: s, d: d, algo: e.cfg.Algorithm, t0: t0}
+	return e.finishOp(&o, e.shardOf(s, d).run(&o), t0)
 }
 
-// Audit runs the verification oracle under the commit lock, so it observes
-// a state no commit is halfway through. It validates the Eq. 2 load
+// Audit runs the connection table's audit under the commit lock, so it
+// observes a state no commit is halfway through. It validates the Eq. 2 load
 // bookkeeping, every live connection's reservation legality and pairwise
 // edge-disjointness, and exact capacity conservation (each busy (link, λ)
 // channel is held by exactly one live connection, and no channel by two).
@@ -494,12 +421,12 @@ func (e *Engine) Audit() error {
 	e.audits.Add(1)
 	e.commitMu.Lock()
 	defer e.commitMu.Unlock()
-	return e.oracle(e.store.cur)
+	return e.tab.Audit()
 }
 
 // finishOp folds a commit verdict into the engine's instruments and the
 // response.
-func (e *Engine) finishOp(o *op, cr commitResult, kind string, t0 time.Time) Response {
+func (e *Engine) finishOp(o *op, cr commitResult, t0 time.Time) Response {
 	// Close the attribution ledger: the tail (shard's last stamp → now, i.e.
 	// freeing the shard lock and returning to this frame) folds into the
 	// commit stage, so queue+snap+route+commit+reroute equals tDone−t0
@@ -512,7 +439,7 @@ func (e *Engine) finishOp(o *op, cr commitResult, kind string, t0 time.Time) Res
 	e.instr.requestTime.Observe(tDone.Sub(t0))
 	resp := Response{
 		ID:       o.id,
-		Op:       kind,
+		Op:       opNames[o.kind],
 		Accepted: cr.ok,
 		Reason:   cr.reason,
 		Epoch:    cr.epoch,
@@ -524,31 +451,32 @@ func (e *Engine) finishOp(o *op, cr commitResult, kind string, t0 time.Time) Res
 	case opProvision:
 		if cr.ok {
 			e.instr.accepted.Inc()
-			resp.Cost = o.cost
-			resp.PathLoad = o.pathLoad
-			resp.Primary = hopsJSON(o.primary)
-			resp.Backup = hopsJSON(o.backup)
 		} else {
 			e.instr.blocked.Inc()
 		}
 	case opReroute:
 		if cr.ok {
 			e.rerouteOK.Add(1)
-			resp.Cost = o.cost
-			resp.PathLoad = o.pathLoad
-			resp.Primary = hopsJSON(o.primary)
-			resp.Backup = hopsJSON(o.backup)
 		}
+	}
+	if cr.ok && o.kind != opTeardown {
+		resp.Cost = o.cost
+		resp.PathLoad = o.pathLoad
+		resp.Primary = hopsJSON(o.pair.Primary)
+		resp.Backup = hopsJSON(o.pair.Backup)
 	}
 	e.syncGauges()
 	return resp
 }
 
-// provision routes on the latest snapshot and commits, re-routing on a
-// fresh snapshot after each optimistic conflict up to the retry budget.
+// route runs a provision or a reroute: it routes on the latest snapshot and
+// commits, re-routing on a fresh snapshot after each optimistic conflict up
+// to the retry budget. A reroute routes with the connection's own channels
+// still held (make-before-break); the commit step releases them and takes
+// the new pair in one epoch.
 //
 //wdm:hotpath
-func (sh *shard) provision(o *op) commitResult {
+func (sh *shard) route(o *op) commitResult {
 	e := sh.e
 	// Stage stamps: t opens the current attempt (shard lock taken on
 	// attempt 1, the previous commit verdict on retries); attempt 1 splits
@@ -560,7 +488,7 @@ func (sh *shard) provision(o *op) commitResult {
 	for {
 		snap := e.store.load()
 		tSnap := time.Now()
-		res, ok := o.algo.route(sh.router, snap.net, o.s, o.d)
+		res, ok := sh.router.Route(o.algo, snap.net, o.s, o.d)
 		tRoute := time.Now()
 		e.instr.routeTime.Observe(tRoute.Sub(tSnap))
 		if first {
@@ -578,10 +506,9 @@ func (sh *shard) provision(o *op) commitResult {
 			o.last = tRoute
 			return commitResult{ok: false, reason: ReasonNoRoute, epoch: snap.epoch}
 		}
-		o.primary = copyHops(o.primary, res.Primary)
-		o.backup = copyHops(o.backup, res.Backup)
+		o.pair.Primary = copyHops(o.pair.Primary, res.Primary)
+		o.pair.Backup = copyHops(o.pair.Backup, res.Backup)
 		o.cost, o.pathLoad = res.Cost, res.PathLoad
-		o.snapEpoch = snap.epoch
 		cr := e.commit(o)
 		tCommit := time.Now()
 		if first {
@@ -605,326 +532,68 @@ func (sh *shard) provision(o *op) commitResult {
 	}
 }
 
-// teardown snapshots the connection's current paths (stable: ops on this
-// connection are serialized by this shard's lock) and commits the release.
+// teardown commits the release of a connection; the commit step finds its
+// paths in the connection table.
 func (sh *shard) teardown(o *op) commitResult {
-	e := sh.e
 	t := time.Now()
 	o.st.queue = t.Sub(o.t0).Nanoseconds()
-	c, ok := e.lookupConn(o.id)
-	if !ok {
-		o.last = time.Now()
-		o.st.snap = o.last.Sub(t).Nanoseconds()
-		return commitResult{ok: false, reason: ReasonUnknownConn, epoch: e.store.load().epoch}
-	}
-	o.oldPrimary = append(o.oldPrimary[:0], c.primary...)
-	o.oldBackup = append(o.oldBackup[:0], c.backup...)
-	tPrep := time.Now()
-	o.st.snap = tPrep.Sub(t).Nanoseconds() // registry lookup + path copy
-	cr := e.commit(o)
+	cr := sh.e.commit(o)
 	o.last = time.Now()
-	o.st.commit = o.last.Sub(tPrep).Nanoseconds()
+	o.st.commit = o.last.Sub(t).Nanoseconds()
 	return cr
 }
 
-// reroute routes a fresh pair on the latest snapshot (the connection's own
-// wavelengths still held — make-before-break) and commits the swap.
-//
-//wdm:hotpath
-func (sh *shard) reroute(o *op) commitResult {
-	e := sh.e
-	t := time.Now()
-	o.st.queue = t.Sub(o.t0).Nanoseconds()
-	first := true
-	for {
-		c, ok := e.lookupConn(o.id)
-		if !ok {
-			now := time.Now()
-			if first {
-				o.st.snap = now.Sub(t).Nanoseconds()
-			} else {
-				o.st.reroute += now.Sub(t).Nanoseconds()
-			}
-			o.last = now
-			return commitResult{ok: false, reason: ReasonUnknownConn, epoch: e.store.load().epoch}
-		}
-		o.oldPrimary = append(o.oldPrimary[:0], c.primary...)
-		o.oldBackup = append(o.oldBackup[:0], c.backup...)
-		snap := e.store.load()
-		tSnap := time.Now()
-		res, ok := o.algo.route(sh.router, snap.net, o.s, o.d)
-		tRoute := time.Now()
-		e.instr.routeTime.Observe(tRoute.Sub(tSnap))
-		if first {
-			// snap covers registry lookup + old-path copy + snapshot acquire.
-			o.st.snap = tSnap.Sub(t).Nanoseconds()
-			o.st.route = tRoute.Sub(tSnap).Nanoseconds()
-			o.st.tier = sh.router.LastTier()
-			if id := sh.router.LastTraceID(); id > 0 {
-				o.traceReq = id
-			}
-		}
-		if !ok {
-			if !first {
-				o.st.reroute += tRoute.Sub(t).Nanoseconds()
-			}
-			o.last = tRoute
-			return commitResult{ok: false, reason: ReasonNoRoute, epoch: snap.epoch}
-		}
-		o.primary = copyHops(o.primary, res.Primary)
-		o.backup = copyHops(o.backup, res.Backup)
-		o.cost, o.pathLoad = res.Cost, res.PathLoad
-		o.snapEpoch = snap.epoch
-		cr := e.commit(o)
-		tCommit := time.Now()
-		if first {
-			o.st.commit = tCommit.Sub(tRoute).Nanoseconds()
-		} else {
-			o.st.reroute += tCommit.Sub(t).Nanoseconds()
-		}
-		o.last = tCommit
-		if cr.conflict {
-			sh.conflicts.Add(1)
-			if o.retries < e.cfg.maxRetries() {
-				o.retries++
-				sh.retries.Add(1)
-				e.instr.retries.Inc()
-				first = false
-				t = tCommit
-				continue
-			}
-		}
-		return cr
-	}
-}
-
-// commit is the commit step, the only writer of the authoritative network:
-// under the commit lock it applies o, publishes the next copy-on-write
-// snapshot if o changed the state, and journals the decision.
+// commit is the commit step: under the commit lock it applies o to the
+// connection table, the only writer of the authoritative network,
+// publishes the next copy-on-write snapshot if o changed the state, and
+// journals the decision. A reservation that fails is a conflict (o was
+// routed on a stale snapshot) and is never applied partially.
 func (e *Engine) commit(o *op) commitResult {
 	e.commitMu.Lock()
 	defer e.commitMu.Unlock()
-	cr := e.applyOne(o)
-	if cr.ok {
+	logged := o.pair // what the journal records: the routed pair, or the released one
+	var err error
+	switch o.kind {
+	case opProvision:
+		_, err = e.tab.Admit(o.id, o.s, o.d, o.pair)
+	case opTeardown:
+		var c *conns.Conn[struct{}]
+		if c, err = e.tab.Teardown(o.id); err == nil {
+			logged = c.Pair
+		}
+	case opReroute:
+		// A lost race restores the old paths; the shard retries on the
+		// fresh snapshot.
+		_, err = e.tab.Reroute(o.id, o.pair, nil)
+	}
+	cr := commitResult{epoch: e.store.load().epoch}
+	switch err {
+	case nil:
+		cr.ok = true
 		cr.epoch = e.store.publish()
 		e.instr.epochs.Inc()
 		e.instr.epoch.Set(float64(cr.epoch))
-	} else {
-		cr.epoch = e.store.load().epoch
+	case conns.ErrConflict:
+		// The counter behind /status, /metrics and the per-window conflicts
+		// rate, charged to the contended links too.
+		cr.conflict, cr.reason = true, ReasonConflict
+		e.instr.conflicts.Inc()
+		e.noteContention(o)
+	case conns.ErrDuplicate:
+		cr.reason = ReasonDuplicateID
+	default: // conns.ErrUnknown
+		cr.reason = ReasonUnknownConn
 	}
-	e.journal.record(o, cr)
+	e.journal.record(o, cr, logged)
 	return cr
 }
 
-// applyOne validates and applies a single op against the authoritative
-// network (commitMu held). Reservation failures are reported as conflicts
-// (the op was routed on a stale snapshot) and never applied partially:
-// wdm.Reserve rolls back.
-func (e *Engine) applyOne(o *op) commitResult {
-	cur := e.store.cur
-	switch o.kind {
-	case opProvision:
-		if _, dup := e.lookupConn(o.id); dup {
-			return commitResult{ok: false, reason: ReasonDuplicateID}
-		}
-		p := wdm.Semilightpath{Hops: o.primary}
-		b := wdm.Semilightpath{Hops: o.backup}
-		if err := cur.Reserve(&p); err != nil {
-			e.conflictNoted(o)
-			return commitResult{conflict: true, reason: ReasonConflict}
-		}
-		if err := cur.Reserve(&b); err != nil {
-			e.mustRelease(o.primary)
-			e.conflictNoted(o)
-			return commitResult{conflict: true, reason: ReasonConflict}
-		}
-		e.putConn(o)
-		return commitResult{ok: true}
-
-	case opTeardown:
-		if _, live := e.lookupConn(o.id); !live {
-			return commitResult{ok: false, reason: ReasonUnknownConn}
-		}
-		e.mustRelease(o.oldPrimary)
-		e.mustRelease(o.oldBackup)
-		e.delConn(o.id)
-		return commitResult{ok: true}
-
-	case opReroute:
-		c, live := e.lookupConn(o.id)
-		if !live {
-			return commitResult{ok: false, reason: ReasonUnknownConn}
-		}
-		e.mustRelease(o.oldPrimary)
-		e.mustRelease(o.oldBackup)
-		p := wdm.Semilightpath{Hops: o.primary}
-		b := wdm.Semilightpath{Hops: o.backup}
-		err := cur.Reserve(&p)
-		if err == nil {
-			if err = cur.Reserve(&b); err != nil {
-				e.mustRelease(o.primary)
-			}
-		}
-		if err != nil {
-			// Lost the race: restore the old paths (they were just released
-			// within this serialized commit step, so this cannot fail) and
-			// let the shard retry on the fresh snapshot.
-			e.mustReserve(o.oldPrimary)
-			e.mustReserve(o.oldBackup)
-			e.conflictNoted(o)
-			return commitResult{conflict: true, reason: ReasonConflict}
-		}
-		e.connMu.Lock()
-		c.primary = append(c.primary[:0], o.primary...)
-		c.backup = append(c.backup[:0], o.backup...)
-		c.cost = o.cost
-		c.rerouted++
-		e.connMu.Unlock()
-		return commitResult{ok: true}
-	}
-	panic("serve: unknown op kind")
-}
-
-// conflictNoted counts one commit-time reservation conflict (the counter
-// behind /status, /metrics and the per-window conflicts rate) and charges it
-// to the contended links (commitMu held).
-func (e *Engine) conflictNoted(o *op) {
-	e.instr.conflicts.Inc()
-	e.noteContention(o)
-}
-
-// mustRelease returns held wavelengths to the pool; failure means the
-// engine's bookkeeping is corrupt, which is unrecoverable.
-func (e *Engine) mustRelease(hops []wdm.Hop) {
-	sl := wdm.Semilightpath{Hops: hops}
-	if err := e.store.cur.ReleasePath(&sl); err != nil {
-		panic("serve: inconsistent release: " + err.Error())
-	}
-}
-
-// mustReserve re-locks wavelengths released earlier in the same serialized
-// commit step; failure is likewise unrecoverable.
-func (e *Engine) mustReserve(hops []wdm.Hop) {
-	sl := wdm.Semilightpath{Hops: hops}
-	if err := e.store.cur.Reserve(&sl); err != nil {
-		panic("serve: inconsistent re-reserve: " + err.Error())
-	}
-}
-
-// oracle is the Audit validation pass (commitMu held).
-func (e *Engine) oracle(cur *wdm.Network) error {
-	if err := check.LoadAccounting(cur); err != nil {
-		return err
-	}
-	type chanKey struct{ link, lambda int }
-	held := make(map[chanKey]int64)
-	e.connMu.RLock()
-	defer e.connMu.RUnlock()
-	for id, c := range e.conns {
-		p := &wdm.Semilightpath{Hops: c.primary}
-		b := &wdm.Semilightpath{Hops: c.backup}
-		if err := check.Path(cur, p, c.s, c.d); err != nil {
-			return fmt.Errorf("conn %d primary: %w", id, err)
-		}
-		if err := check.Reserved(cur, p); err != nil {
-			return fmt.Errorf("conn %d primary: %w", id, err)
-		}
-		if err := check.Path(cur, b, c.s, c.d); err != nil {
-			return fmt.Errorf("conn %d backup: %w", id, err)
-		}
-		if err := check.Reserved(cur, b); err != nil {
-			return fmt.Errorf("conn %d backup: %w", id, err)
-		}
-		if err := check.EdgeDisjoint(p, b); err != nil {
-			return fmt.Errorf("conn %d: %w", id, err)
-		}
-		for _, hops := range [2][]wdm.Hop{c.primary, c.backup} {
-			for _, h := range hops {
-				k := chanKey{h.Link, h.Wavelength}
-				if prev, dup := held[k]; dup {
-					return fmt.Errorf("channel (link %d, λ%d) double-booked by conns %d and %d",
-						h.Link, h.Wavelength, prev, id)
-				}
-				held[k] = id
-			}
-		}
-	}
-	// Conservation: every busy channel is held by exactly one connection and
-	// every available channel by none.
-	for id := 0; id < cur.Links(); id++ {
-		l := cur.Link(id)
-		var leak error
-		l.Lambda().ForEach(func(lam int) bool {
-			if l.HasAvail(lam) {
-				if owner, dup := held[chanKey{id, lam}]; dup {
-					leak = fmt.Errorf("channel (link %d, λ%d) available but held by conn %d", id, lam, owner)
-					return false
-				}
-				return true
-			}
-			if _, ok := held[chanKey{id, lam}]; !ok {
-				leak = fmt.Errorf("channel (link %d, λ%d) busy but owned by no live connection", id, lam)
-				return false
-			}
-			return true
-		})
-		if leak != nil {
-			return leak
-		}
-	}
-	return nil
-}
-
-// lookupConn fetches a registry record (shared pointer; the commit step is
-// the only mutator of path fields, shards copy them before use).
-func (e *Engine) lookupConn(id int64) (*connState, bool) {
-	e.connMu.RLock()
-	c, ok := e.conns[id]
-	e.connMu.RUnlock()
-	return c, ok
-}
-
-// putConn registers an admitted connection with engine-owned copies of its
-// paths (commitMu held).
-//
-//wdm:coldpath one registry record and two path copies per admitted connection, counted in TestProvisionAllocs' budget
-func (e *Engine) putConn(o *op) {
-	c := &connState{
-		id: o.id, s: o.s, d: o.d,
-		primary: append([]wdm.Hop(nil), o.primary...),
-		backup:  append([]wdm.Hop(nil), o.backup...),
-		cost:    o.cost,
-	}
-	e.connMu.Lock()
-	e.conns[c.id] = c
-	e.connMu.Unlock()
-}
-
-func (e *Engine) delConn(id int64) {
-	e.connMu.Lock()
-	delete(e.conns, id)
-	e.connMu.Unlock()
-}
-
 // LiveConnections returns the number of currently established connections.
-func (e *Engine) LiveConnections() int {
-	e.connMu.RLock()
-	n := len(e.conns)
-	e.connMu.RUnlock()
-	return n
-}
+func (e *Engine) LiveConnections() int { return e.tab.Len() }
 
-// LiveIDs returns the IDs of all live connections (order unspecified) — the
-// drain hook for soak drivers and tests.
-func (e *Engine) LiveIDs() []int64 {
-	e.connMu.RLock()
-	ids := make([]int64, 0, len(e.conns))
-	for id := range e.conns {
-		ids = append(ids, id)
-	}
-	e.connMu.RUnlock()
-	return ids
-}
+// LiveIDs returns the IDs of all live connections, ascending — the drain
+// hook for soak drivers and tests.
+func (e *Engine) LiveIDs() []int64 { return e.tab.IDs(nil) }
 
 // Snapshot returns the current epoch and its frozen network. The returned
 // network is immutable and shared — read only. A caller holding the pointer

@@ -1,12 +1,12 @@
 package serve
 
 import (
-	"fmt"
 	"runtime"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/conns"
 	"repro/internal/topo"
 	"repro/internal/wdm"
 )
@@ -104,9 +104,10 @@ func TestConflictDetectedAtCommit(t *testing.T) {
 
 	mk := func(id int64) *op {
 		return &op{kind: opProvision, id: id, s: 0, d: 2, algo: AlgoMinCost,
-			primary: []wdm.Hop{{Link: 0, Wavelength: 0}, {Link: 2, Wavelength: 0}},
-			backup:  []wdm.Hop{{Link: 7, Wavelength: 0}, {Link: 5, Wavelength: 0}},
-			cost:    4}
+			pair: conns.Pair{
+				Primary: []wdm.Hop{{Link: 0, Wavelength: 0}, {Link: 2, Wavelength: 0}},
+				Backup:  []wdm.Hop{{Link: 7, Wavelength: 0}, {Link: 5, Wavelength: 0}}},
+			cost: 4}
 	}
 	cr1, cr2 := e.commit(mk(1)), e.commit(mk(2))
 	if !cr1.ok {
@@ -135,12 +136,12 @@ func TestRerouteConflictRestoresOldPaths(t *testing.T) {
 	if resp := e.Provision(Request{ID: 1, Src: 0, Dst: 2}); !resp.Accepted {
 		t.Fatalf("provision blocked: %+v", resp)
 	}
-	c, ok := e.lookupConn(1)
+	c, ok := e.tab.Get(1)
 	if !ok {
 		t.Fatal("conn 1 not registered")
 	}
-	oldPrimary := append([]wdm.Hop(nil), c.primary...)
-	oldBackup := append([]wdm.Hop(nil), c.backup...)
+	oldPrimary := append([]wdm.Hop(nil), c.Primary...)
+	oldBackup := append([]wdm.Hop(nil), c.Backup...)
 
 	// Find a wavelength still free on all four links of the 0→2 pair (W=8 and
 	// conn 1 holds only 4 channels, so one exists), then occupy it out of band
@@ -158,31 +159,28 @@ func TestRerouteConflictRestoresOldPaths(t *testing.T) {
 	if freeLam < 0 {
 		t.Fatal("no channel free on all four links to stage the collision")
 	}
-	occupy := &op{kind: opProvision, id: 99, s: 0, d: 2, algo: AlgoMinCost,
-		primary: []wdm.Hop{{Link: 0, Wavelength: freeLam}, {Link: 2, Wavelength: freeLam}},
-		backup:  []wdm.Hop{{Link: 7, Wavelength: freeLam}, {Link: 5, Wavelength: freeLam}}}
+	onFree := conns.Pair{
+		Primary: []wdm.Hop{{Link: 0, Wavelength: freeLam}, {Link: 2, Wavelength: freeLam}},
+		Backup:  []wdm.Hop{{Link: 7, Wavelength: freeLam}, {Link: 5, Wavelength: freeLam}}}
+	occupy := &op{kind: opProvision, id: 99, s: 0, d: 2, algo: AlgoMinCost, pair: onFree}
 	if cr := e.commit(occupy); !cr.ok {
 		t.Fatalf("staging provision failed: %+v", cr)
 	}
 	// Now the reroute targets exactly the channels conn 99 just took.
-	o := &op{kind: opReroute, id: 1, s: 0, d: 2, algo: AlgoMinCost,
-		oldPrimary: oldPrimary,
-		oldBackup:  oldBackup,
-		primary:    []wdm.Hop{{Link: 0, Wavelength: freeLam}, {Link: 2, Wavelength: freeLam}},
-		backup:     []wdm.Hop{{Link: 7, Wavelength: freeLam}, {Link: 5, Wavelength: freeLam}}}
+	o := &op{kind: opReroute, id: 1, s: 0, d: 2, algo: AlgoMinCost, pair: onFree}
 	cr := e.commit(o)
 	if cr.ok || !cr.conflict {
 		t.Fatalf("reroute onto occupied channels must conflict, got %+v", cr)
 	}
-	c, _ = e.lookupConn(1)
-	for i, h := range c.primary {
+	c, _ = e.tab.Get(1)
+	for i, h := range c.Primary {
 		if h != oldPrimary[i] {
-			t.Fatalf("primary changed after failed reroute: %v vs %v", c.primary, oldPrimary)
+			t.Fatalf("primary changed after failed reroute: %v vs %v", c.Primary, oldPrimary)
 		}
 	}
-	for i, h := range c.backup {
+	for i, h := range c.Backup {
 		if h != oldBackup[i] {
-			t.Fatalf("backup changed after failed reroute: %v vs %v", c.backup, oldBackup)
+			t.Fatalf("backup changed after failed reroute: %v vs %v", c.Backup, oldBackup)
 		}
 	}
 	if err := e.Audit(); err != nil {
@@ -436,21 +434,5 @@ func TestStatus(t *testing.T) {
 	}
 	if st.Epoch == 0 {
 		t.Fatal("no epoch published after accepted admissions")
-	}
-}
-
-// TestAlgoRoundTrip pins the Algo enum's string round trip.
-func TestAlgoRoundTrip(t *testing.T) {
-	for _, a := range []Algo{AlgoMinCost, AlgoMinLoad, AlgoMinLoadCost, AlgoTwoStep} {
-		got, err := ParseAlgo(a.String())
-		if err != nil || got != a {
-			t.Fatalf("round trip %v: got %v, err %v", a, got, err)
-		}
-	}
-	if _, err := ParseAlgo("bogus"); err == nil {
-		t.Fatal("ParseAlgo accepted bogus")
-	}
-	if s := Algo(99).String(); s != fmt.Sprintf("Algo(%d)", 99) {
-		t.Fatalf("unknown algo string: %s", s)
 	}
 }

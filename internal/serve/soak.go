@@ -32,7 +32,7 @@ type SoakConfig struct {
 	// tail of the soak measures only blocking.
 	TeardownFrac float64
 	// Drain tears down every remaining connection after the load phase and
-	// runs the engine's oracle audit.
+	// runs the engine's audit.
 	Drain bool
 }
 

@@ -24,16 +24,16 @@ import (
 //
 //	queue   t0 → shard lock taken (dispatch, validation, waiting for the
 //	        shard lock)
-//	snap    lock taken → snapshot loaded (plus registry lookup + path copy
-//	        for teardown/reroute)
+//	snap    lock taken → snapshot loaded (provision and reroute)
 //	route   snapshot → routing done, first attempt only
-//	commit  routing done → commit verdict, first attempt (waiting for the
-//	        commit lock, apply, publish), plus freeing the shard lock
+//	commit  routing done (a teardown: lock taken) → commit verdict, first
+//	        attempt (waiting for the commit lock, apply, publish), plus
+//	        freeing the shard lock
 //	reroute whole retry attempts after a lost commit race (snapshot + route +
 //	        commit of attempts ≥ 2, attributed as one stage)
 //
 // All fields live inside the op, so stage accounting adds zero allocations
-// to the //wdm:hotpath shard loops — TestProvisionAllocs pins that budget.
+// to the //wdm:hotpath shard loop — TestProvisionAllocs pins that budget.
 type stageNanos struct {
 	queue   int64
 	snap    int64
@@ -100,7 +100,7 @@ func (e *Engine) shardDetail() []ShardStats {
 // exactly a hop some other connection beat this op to.
 func (e *Engine) noteContention(o *op) {
 	cur := e.store.cur
-	for _, hs := range [2][]wdm.Hop{o.primary, o.backup} {
+	for _, hs := range [2][]wdm.Hop{o.pair.Primary, o.pair.Backup} {
 		for _, h := range hs {
 			if h.Link >= 0 && h.Link < len(e.contention) && !cur.Link(h.Link).HasAvail(h.Wavelength) {
 				e.contention[h.Link].Add(1)

@@ -265,10 +265,10 @@ type SimMetrics = netsim.Metrics
 
 // Routing algorithms for the simulator.
 const (
-	AlgoMinCost     = netsim.MinCost
-	AlgoMinLoad     = netsim.MinLoad
-	AlgoMinLoadCost = netsim.MinLoadCost
-	AlgoTwoStep     = netsim.TwoStep
+	AlgoMinCost     = core.MinCost
+	AlgoMinLoad     = core.MinLoad
+	AlgoMinLoadCost = core.MinLoadCost
+	AlgoTwoStep     = core.TwoStep
 )
 
 // Restoration disciplines for the simulator.
