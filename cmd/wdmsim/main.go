@@ -20,7 +20,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/slo"
 	"repro/internal/timeseries"
-	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -36,7 +35,6 @@ func main() {
 	failures := flag.Float64("failures", 0, "link-failure rate (0 = none)")
 	repair := flag.Float64("repair", 5, "link repair time")
 	reconfigTh := flag.Float64("reconfig", 0.6, "reconfiguration load threshold (0 = off)")
-	tracePath := flag.String("trace", "", "write a JSONL event trace to this file")
 	traffic := flag.String("traffic", "uniform", "endpoint model: uniform, gravity, diurnal")
 	period := flag.Float64("period", 200, "diurnal cycle length in sim-time units (with -traffic diurnal)")
 	amp := flag.Float64("amp", 0.8, "diurnal rate swing in [0,1) (with -traffic diurnal)")
@@ -46,8 +44,8 @@ func main() {
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof (and /metrics) on this address, e.g. localhost:6060")
 	summaryOut := flag.String("summary-out", "", "write a structured JSON run summary (config + stats + metrics) to this file")
 	serveAddr := flag.String("serve", "", "serve the debug endpoints (/healthz, /metrics, /debug/flight, /debug/explain, /debug/pprof) on this address")
-	flightCap := flag.Int("flight", obs.DefaultCapacity, "flight-recorder capacity (last N request traces)")
-	flightOut := flag.String("flight-out", "", "dump the flight recorder as JSONL to this file at end of run")
+	flightCap := flag.Int("flight", obs.DefaultCapacity, "flight-recorder capacity (last N request and event traces)")
+	flightOut := flag.String("flight-out", "", "dump the flight recorder (routing traces and sim.* events) as JSONL to this file at end of run")
 	linger := flag.Float64("linger", 0, "keep the -serve endpoints up this many seconds after the run (for probes)")
 	candidates := flag.Int("candidates", 0, "candidate fast tier: precompute k route pairs per node pair and try them before exact routing (0 = off)")
 	soak := flag.Bool("soak", false, "soak mode: collect windowed telemetry and print the latency/blocking curve")
@@ -76,10 +74,12 @@ func main() {
 	}
 
 	// Request tracing rides behind -serve or -flight-out: every routed
-	// request gets a trace, the last -flight N live in the ring. With
-	// -flight-out, the first non-OK request dumps the ring immediately, so a
-	// crash mid-run still leaves a capture; the end-of-run dump overwrites it
-	// with the final state.
+	// request and every simulator event (sim.arrival, sim.failure, …) gets a
+	// trace, the last -flight N live in the ring — size it to the run for
+	// the full event log. With -flight-out, the first non-OK trace (a
+	// blocked request or a dropped connection) dumps the ring immediately,
+	// so a crash mid-run still leaves a capture; the end-of-run dump
+	// overwrites it with the final state.
 	var tracer *obs.Tracer
 	if *serveAddr != "" || *flightOut != "" {
 		cfg := obs.Config{Capacity: *flightCap}
@@ -207,16 +207,6 @@ func main() {
 		// state-independent, so this is a one-time setup cost.
 		simCfg.Opts = &core.Options{CandidateTable: core.NewCandidateTable(net, *candidates)}
 	}
-	var traceRec *trace.JSONL
-	if *tracePath != "" {
-		fh, err := os.Create(*tracePath)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		traceRec = trace.NewJSONL(fh)
-		simCfg.Trace = traceRec
-	}
 	sim := netsim.New(net, simCfg)
 	var matrix *workload.Matrix
 	switch {
@@ -279,27 +269,16 @@ func main() {
 	}
 	m := sim.Run(reqs)
 
-	// An incomplete event trace is data loss, not a warning: exit non-zero
-	// after the summary so scripts piping the trace into analysis fail loudly.
-	traceBroken := false
-	if traceRec != nil {
-		if err := traceRec.Close(); err != nil {
-			fmt.Fprintf(os.Stderr, "error: trace file %s incomplete: %v\n", *tracePath, err)
-			traceBroken = true
-		} else if err := sim.TraceErr(); err != nil {
-			fmt.Fprintf(os.Stderr, "error: trace file %s incomplete: %v\n", *tracePath, err)
-			traceBroken = true
-		}
-	}
-	// The telemetry export shares the trace file's contract: a curve with
-	// windows missing on disk fails the run.
+	// An incomplete telemetry export is data loss, not a warning: exit
+	// non-zero after the summary so scripts reading the curve fail loudly.
+	exportBroken := false
 	if tsSink != nil {
 		if err := tsSink.Close(); err != nil {
 			fmt.Fprintf(os.Stderr, "error: timeseries file %s incomplete: %v\n", *timeseriesOut, err)
-			traceBroken = true
+			exportBroken = true
 		} else if err := tel.Collector().SinkErr(); err != nil {
 			fmt.Fprintf(os.Stderr, "error: timeseries file %s incomplete: %v\n", *timeseriesOut, err)
-			traceBroken = true
+			exportBroken = true
 		}
 	}
 	if *flightOut != "" {
@@ -364,7 +343,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "lingering %.3gs for debug probes\n", *linger)
 		time.Sleep(time.Duration(*linger * float64(time.Second)))
 	}
-	if traceBroken {
+	if exportBroken {
 		os.Exit(1)
 	}
 }

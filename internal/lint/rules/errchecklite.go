@@ -8,15 +8,15 @@ import (
 )
 
 // ErrCheckLite flags ignored error returns on a short, curated list of calls
-// where dropping the error loses data silently: trace recorder flushes (the
-// JSONL buffer holds trailing events until Flush/Close), Encode calls on the
-// serialisable artifacts, and file Close on write paths (a failed close after
-// os.Create can discard buffered bytes — the classic NFS/ext4 trap). It is
-// deliberately not a general errcheck: everything else error-shaped is the
-// repo's own business.
+// where dropping the error loses data silently: flight-recorder dumps,
+// telemetry sink flushes (the JSONL/CSV buffer holds trailing windows until
+// Flush/Close), Encode calls on the serialisable artifacts, and file Close
+// on write paths (a failed close after os.Create can discard buffered bytes
+// — the classic NFS/ext4 trap). It is deliberately not a general errcheck:
+// everything else error-shaped is the repo's own business.
 var ErrCheckLite = &lint.Analyzer{
 	Name: "errcheck-lite",
-	Doc:  "error results of trace Flush/Close, artifact Encode, and file Close on write paths must be checked",
+	Doc:  "error results of flight dumps, telemetry sink Flush/Close, artifact Encode, and file Close on write paths must be checked",
 	Run:  runErrCheckLite,
 }
 
@@ -25,8 +25,6 @@ var ErrCheckLite = &lint.Analyzer{
 var ecMethodRules = []struct {
 	pkg, method string
 }{
-	{"trace", "Flush"},
-	{"trace", "Close"},
 	{"topofile", "Encode"},
 	{"workload", "Encode"},
 	{"check", "Encode"},

@@ -25,7 +25,7 @@ var fixtures = []struct {
 	{"versionbump", rules.VersionBump, []string{"wdm"}},
 	{"nocopy", rules.NoCopy, []string{"graph", "app"}},
 	{"mapdet", rules.MapDet, []string{"core", "other"}},
-	{"errcheck", rules.ErrCheckLite, []string{"trace", "obs", "timeseries", "http", "serve", "pprof", "app"}},
+	{"errcheck", rules.ErrCheckLite, []string{"obs", "timeseries", "http", "serve", "pprof", "app"}},
 	{"hotalloc", rules.HotAlloc, []string{"graph", "app"}},
 	{"snapmut", rules.SnapMut, []string{"wdm", "serve", "app"}},
 	{"atomicfield", rules.AtomicField, []string{"core", "other"}},

@@ -1,4 +1,4 @@
-// Package app exercises the errcheck-lite rule against the fixture recorder
+// Package app exercises the errcheck-lite rule against the fixture sinks
 // and write-path file handles.
 package app
 
@@ -12,24 +12,23 @@ import (
 	"fix/errcheck/pprof"
 	"fix/errcheck/serve"
 	"fix/errcheck/timeseries"
-	"fix/errcheck/trace"
 )
 
 // DropFlush discards the flush error: finding.
-func DropFlush(r *trace.Recorder) {
-	r.Record(1)
+func DropFlush(r *timeseries.JSONL) {
+	r.WriteSnapshot(1)
 	r.Flush()
 }
 
 // DeferClose discards the close error at exit: finding.
-func DeferClose(r *trace.Recorder) {
+func DeferClose(r *timeseries.JSONL) {
 	defer r.Close()
-	r.Record(2)
+	r.WriteSnapshot(2)
 }
 
 // Checked propagates the flush error: clean.
-func Checked(r *trace.Recorder) error {
-	r.Record(3)
+func Checked(r *timeseries.JSONL) error {
+	r.WriteSnapshot(3)
 	return r.Flush()
 }
 
@@ -59,9 +58,9 @@ func ReadFile(path string) ([]byte, error) {
 	return buf[:n], nil
 }
 
-// Shutdown drops the close error on a recorder that was already flushed; the
+// Shutdown drops the close error on a sink that was already flushed; the
 // directive records why that is safe.
-func Shutdown(r *trace.Recorder) {
+func Shutdown(r *timeseries.JSONL) {
 	if err := r.Flush(); err != nil {
 		return
 	}
@@ -70,7 +69,7 @@ func Shutdown(r *trace.Recorder) {
 
 // BadDirective carries an ignore comment with no reason: the directive is
 // rejected and the finding stays.
-func BadDirective(r *trace.Recorder) {
+func BadDirective(r *timeseries.JSONL) {
 	r.Flush() //wdmlint:ignore errcheck-lite
 }
 

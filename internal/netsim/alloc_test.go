@@ -12,26 +12,6 @@ import (
 	"repro/internal/workload"
 )
 
-// TestNilTelemetryAddsNoAllocs pins the collector-off contract on the
-// simulator's routing hot path, matching internal/core's tracer bar: with
-// Config.Telemetry unset, every telemetry hook the arrival path runs —
-// routeStart, routeDone, rerouted, reconfigEvent, advance — must cost only
-// nil checks, zero allocations and zero clock reads.
-func TestNilTelemetryAddsNoAllocs(t *testing.T) {
-	var tel *Telemetry
-	if n := testing.AllocsPerRun(200, func() {
-		t0 := tel.routeStart()
-		tel.routeDone(t0, false)
-		tel.routeDone(t0, true)
-		tel.rerouted()
-		tel.reconfigEvent()
-		tel.advance(1e9)
-		tel.finish()
-	}); n != 0 {
-		t.Fatalf("nil telemetry hooks allocate %v per op, want 0", n)
-	}
-}
-
 // simLoopAllocBudget is the whole-run allocation budget for the headline
 // NSFNET dynamic scenario (200 arrivals, candidate tier on): network clone +
 // shared-skeleton build + event and connection-record warm-up plus the

@@ -3,7 +3,7 @@ package netsim
 import (
 	"testing"
 
-	"repro/internal/trace"
+	"repro/internal/obs"
 	"repro/internal/wdm"
 )
 
@@ -18,11 +18,11 @@ func TestFailurePathAudited(t *testing.T) {
 		r    Restoration
 	}{{"active+reprotect", Active}, {"passive", Passive}} {
 		t.Run(tc.name, func(t *testing.T) {
-			var buf trace.Buffer
+			tr := eventLog()
 			sim := New(nsf(4), Config{
 				Algorithm: MinCost, Restoration: tc.r, Reprotect: tc.r == Active,
 				FailureRate: 3, RepairTime: 5, Seed: 3,
-				ReconfigThreshold: 0.75, ReconfigCooldown: 0.2, Trace: &buf,
+				ReconfigThreshold: 0.75, ReconfigCooldown: 0.2, Tracer: tr,
 			})
 			net := sim.Network()
 			total := net.TotalAvailable()
@@ -58,9 +58,10 @@ func TestFailurePathAudited(t *testing.T) {
 			if whileDown == 0 || afterRepair == 0 {
 				t.Fatalf("audits while down %d, after repair %d: both paths must be exercised", whileDown, afterRepair)
 			}
-			if m.AffectedConns == 0 || m.RecoveryFailed == 0 || buf.Count(trace.Repair) == 0 {
+			repairs := census(simEvents(t, tr))["sim.repair/"+obs.StatusOK]
+			if m.AffectedConns == 0 || m.RecoveryFailed == 0 || repairs == 0 {
 				t.Fatalf("degenerate run: %d affected, %d dropped, %d repairs",
-					m.AffectedConns, m.RecoveryFailed, buf.Count(trace.Repair))
+					m.AffectedConns, m.RecoveryFailed, repairs)
 			}
 			if tc.r == Active && (m.ReprotectOK == 0 || m.BackupLost == 0) {
 				t.Fatalf("re-protection not exercised: %d re-protected, %d backups lost", m.ReprotectOK, m.BackupLost)

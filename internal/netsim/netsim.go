@@ -12,16 +12,15 @@
 package netsim
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 
 	"repro/internal/conns"
 	"repro/internal/core"
 	"repro/internal/lightpath"
+	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/stats"
-	"repro/internal/trace"
 	"repro/internal/wdm"
 	"repro/internal/workload"
 )
@@ -90,15 +89,13 @@ type Config struct {
 	// occupy capacity.
 	WarmupRequests int
 
-	// Trace, when non-nil, receives a structured event stream (arrivals,
-	// blocks, failures, switchovers, reconfigurations, …) for offline
-	// analysis. See package trace.
-	Trace trace.Recorder
-
-	// Tracer, when non-nil, records a request-scoped obs trace for every
-	// routed arrival (and reconfiguration reroute) into its flight recorder;
-	// connection events in the Trace stream then carry the matching obs
-	// request ID in their Req field, so the two JSONL outputs join on it.
+	// Tracer, when non-nil, is the run's event log. Its flight recorder
+	// receives a request-scoped trace for every routed arrival (and
+	// reconfiguration reroute) and one trace per simulator event, of kind
+	// sim.<event> (sim.arrival, sim.depart, sim.failure, sim.reconfig, …)
+	// with sim_time, conn, link and route_req attributes. route_req is the
+	// request ID of the routing trace that placed the connection's pair, so
+	// the events join to their routing traces within one dump.
 	Tracer *obs.Tracer
 
 	// Telemetry, when non-nil, collects windowed time-series over sim time:
@@ -263,9 +260,9 @@ type Sim struct {
 	failIdx      int  // round-robin cursor into cfg.FailureLinks
 	overTh       bool // ρ was ≥ threshold at the last check (crossing detector)
 	lastT        float64
-	traceErr     error // first error the trace recorder returned
 	m            Metrics
-	up           []int // scratch for the random failure target
+	instr        instruments // the sim's live signals (/metrics, telemetry)
+	up           []int       // scratch for the random failure target
 
 	// defaultRoute routes arrivals with cfg.Algorithm when the config
 	// supplies no RouteFunc; reconfigPair and restorePair are the reroute
@@ -322,13 +319,14 @@ func New(net *wdm.Network, cfg Config) *Sim {
 		}
 		return conns.Pair{Primary: p.Hops}, true
 	}
+	if cfg.Telemetry != nil || published != nil {
+		s.instr.routeTime = metrics.NewTimer()
+		s.instr.restoreTime = metrics.NewTimer()
+	}
+	s.instr.publish(published)
 	cfg.Telemetry.bind(s)
 	return s
 }
-
-// tracing reports whether the event stream is recorded — used to skip detail
-// formatting when nobody is listening.
-func (s *Sim) tracing() bool { return s.cfg.Trace != nil }
 
 // Network exposes the simulator's network (for inspection in tests and
 // examples; mutating it mid-run is undefined).
@@ -340,25 +338,37 @@ func (s *Sim) push(e event) {
 	s.q.push(e)
 }
 
-// emit records a trace event when tracing is enabled. req is the obs request
-// ID the event correlates with (-1 for none). Trace failures never abort the
-// simulation; the first one is kept and reported via TraceErr.
+// event opens the flight-recorder trace of one simulator event: kind is
+// sim.<event>, src/dst the connection's endpoints (−1 for link and network
+// events), and the sim time plus whichever of the connection, the link and
+// the routing trace that placed the connection's pair (route_req) apply
+// become attributes; −1 marks one that does not. Returns nil when the sim
+// has no tracer. The caller adds any event-specific attribute and finishes
+// the trace.
 //
-//wdm:coldpath event emission is a no-op unless a trace sink is attached; sinks are diagnostic-only
-func (s *Sim) emit(kind trace.Kind, connID, link int, req int64, detail string) {
-	if s.cfg.Trace == nil {
-		return
+//wdm:coldpath event traces are recorded only when a diagnostic tracer is attached
+func (s *Sim) event(kind string, src, dst int, conn int64, link int, req int64) *obs.Trace {
+	ev := s.cfg.Tracer.Start(kind, src, dst)
+	if ev == nil {
+		return nil
 	}
-	err := s.cfg.Trace.Record(trace.Event{Time: s.lastT, Kind: kind, Conn: connID, Link: link, Req: int(req), Detail: detail})
-	if err != nil && s.traceErr == nil {
-		s.traceErr = err
+	ev.Float("sim_time", s.lastT)
+	if conn >= 0 {
+		ev.Int("conn", conn)
 	}
+	if link >= 0 {
+		ev.Int("link", int64(link))
+	}
+	if req >= 0 {
+		ev.Int("route_req", req)
+	}
+	return ev
 }
 
-// TraceErr returns the first error the trace recorder reported, or nil. A
-// non-nil result means the event stream on disk is incomplete even though
-// the simulation itself finished normally.
-func (s *Sim) TraceErr() error { return s.traceErr }
+// connEvent records a finished event trace about live connection c.
+func (s *Sim) connEvent(kind string, c *conns.Conn[connMeta], link int, status string) {
+	s.event(kind, c.Src, c.Dst, c.ID, link, c.Meta.req).Finish(status)
+}
 
 // Run processes the request stream to completion (all arrivals, departures,
 // failures and repairs) and returns the metrics.
@@ -425,17 +435,17 @@ func (s *Sim) advanceClock(t float64) {
 		s.m.LoadIntegral += rho * (t - s.lastT)
 		s.lastT = t
 	}
-	instr.networkLoad.Set(rho)
-	instr.liveConns.Set(float64(s.tab.Len()))
+	s.instr.networkLoad.Set(rho)
+	s.instr.liveConns.Set(float64(s.tab.Len()))
 }
 
 // syncArrivalGauges publishes the running offered count and blocking
 // probability so a /metrics scrape mid-run reports progress, not just
 // end-of-run totals.
 func (s *Sim) syncArrivalGauges() {
-	instr.offered.Set(float64(s.m.Offered))
-	instr.blockingProb.Set(s.m.BlockingProbability())
-	instr.liveConns.Set(float64(s.tab.Len()))
+	s.instr.offered.Set(float64(s.m.Offered))
+	s.instr.blockingProb.Set(s.m.BlockingProbability())
+	s.instr.liveConns.Set(float64(s.tab.Len()))
 }
 
 func (s *Sim) handleArrival(r workload.Request) {
@@ -456,8 +466,7 @@ func (s *Sim) handleArrival(r workload.Request) {
 		req       = int64(-1) // obs request ID of the routing trace
 		tc        *obs.Trace  // the passive route's trace (nil under Active)
 		net       = s.tab.Network()
-		tt        = s.cfg.Telemetry.routeStart()
-		rt        = instr.routeTime.Start()
+		rt        = s.instr.routeTime.Start()
 		protected = s.cfg.Restoration == Active
 	)
 	if protected {
@@ -481,28 +490,21 @@ func (s *Sim) handleArrival(r workload.Request) {
 			pair.Primary = p.Hops
 		}
 	}
-	instr.routeTime.Stop(rt)
-	// The request is routed before its arrival event is emitted, so the
-	// arrival already carries the obs request ID; emission order (arrival,
-	// then accept/block, at the same timestamp) is unchanged.
-	if s.tracing() {
-		//wdmlint:ignore hotalloc evaluated only when tracing is enabled (s.tracing() guard)
-		s.emit(trace.Arrival, r.ID, -1, req, fmt.Sprintf("%d->%d", r.Src, r.Dst))
-	}
+	s.instr.routeTime.Stop(rt)
 	// The table refuses a pair whose channels are gone or a duplicate ID;
 	// either blocks the arrival like a missing route.
 	var c *conns.Conn[connMeta]
 	if ok {
 		c, _ = s.tab.Admit(int64(r.ID), r.Src, r.Dst, pair)
 	}
-	s.cfg.Telemetry.routeDone(tt, c == nil)
+	ev := s.event("sim.arrival", r.Src, r.Dst, int64(r.ID), -1, req)
 	if c == nil {
 		if measured {
 			s.m.Blocked++
 		}
-		instr.blocked.Inc()
+		s.instr.blocked.Inc()
 		tc.Finish(obs.StatusBlocked)
-		s.emit(trace.Block, r.ID, -1, req, "")
+		ev.Finish(obs.StatusBlocked)
 		return
 	}
 	c.Meta = connMeta{req: req, arrived: r.Arrival, holding: r.Holding}
@@ -514,14 +516,12 @@ func (s *Sim) handleArrival(r workload.Request) {
 		}
 		s.m.Hops.Add(float64(len(c.Primary)))
 	}
+	s.instr.established.Inc()
 	tc.Float("cost", cost)
 	tc.Int("hops", int64(len(c.Primary)))
 	tc.Finish(obs.StatusOK)
-	if s.tracing() {
-		//wdmlint:ignore hotalloc evaluated only when tracing is enabled (s.tracing() guard)
-		s.emit(trace.Accept, r.ID, -1, req, fmt.Sprintf("cost=%.4g", cost))
-	}
-	instr.established.Inc()
+	ev.Float("cost", cost)
+	ev.Finish(obs.StatusOK)
 	if d := r.Departure(); !math.IsInf(d, 1) {
 		s.push(event{kind: evDeparture, time: d, conn: r.ID})
 	}
@@ -532,8 +532,8 @@ func (s *Sim) handleDeparture(id int) {
 	if err != nil {
 		return // dropped earlier by an unrecovered failure
 	}
-	instr.teardowns.Inc()
-	s.emit(trace.Depart, id, -1, c.Meta.req, "")
+	s.instr.teardowns.Inc()
+	s.connEvent("sim.depart", c, -1, obs.StatusOK)
 	s.m.Availability.Add(1)
 }
 
@@ -569,8 +569,8 @@ func (s *Sim) handleFailure() {
 		link = up[s.rng.Intn(len(up))]
 	}
 	s.m.FailureEvents++
-	instr.failures.Inc()
-	s.emit(trace.Failure, -1, link, -1, "")
+	s.instr.failures.Inc()
+	s.event("sim.failure", -1, -1, -1, link, -1).Finish(obs.StatusOK)
 	affected := s.tab.Fail(link)
 	s.push(event{kind: evRepair, time: s.lastT + s.cfg.RepairTime, link: link})
 
@@ -608,12 +608,12 @@ func (s *Sim) reprotect(c *conns.Conn[connMeta]) {
 		return
 	}
 	s.m.ReprotectOK++
-	s.emit(trace.Reprotect, int(c.ID), -1, c.Meta.req, "")
+	s.connEvent("sim.reprotect", c, -1, obs.StatusOK)
 }
 
 // restore recovers a connection whose primary crossed the failed link.
 func (s *Sim) restore(c *conns.Conn[connMeta], failedLink int) {
-	defer instr.restoreTime.Stop(instr.restoreTime.Start())
+	defer s.instr.restoreTime.Stop(s.instr.restoreTime.Start())
 	if len(c.Backup) > 0 {
 		// Activate approach: instant switchover to the pre-reserved backup,
 		// which is edge-disjoint from the failed primary. It may itself
@@ -623,9 +623,9 @@ func (s *Sim) restore(c *conns.Conn[connMeta], failedLink int) {
 			return
 		}
 		s.m.Recovered++
-		instr.restored.Inc()
+		s.instr.restored.Inc()
 		s.m.RecoveryWork.Add(0)
-		s.emit(trace.Switchover, int(c.ID), failedLink, c.Meta.req, "")
+		s.connEvent("sim.switchover", c, failedLink, obs.StatusOK)
 		s.reprotect(c)
 		return
 	}
@@ -635,10 +635,9 @@ func (s *Sim) restore(c *conns.Conn[connMeta], failedLink int) {
 		return
 	}
 	s.m.Recovered++
-	instr.restored.Inc()
-	s.cfg.Telemetry.rerouted()
+	s.instr.restored.Inc()
 	s.m.RecoveryWork.Add(float64(len(c.Primary)))
-	s.emit(trace.Reroute, int(c.ID), failedLink, c.Meta.req, "passive-restore")
+	s.rerouted(c, failedLink, "passive-restore")
 }
 
 // drop tears down a connection a failure left unrecoverable and charges the
@@ -646,7 +645,7 @@ func (s *Sim) restore(c *conns.Conn[connMeta], failedLink int) {
 func (s *Sim) drop(id int64) {
 	c, _ := s.tab.Teardown(id) // live: the caller just restored it
 	s.m.RecoveryFailed++
-	instr.dropped.Inc()
+	s.instr.dropped.Inc()
 	if h := c.Meta.holding; !math.IsInf(h, 1) && h > 0 {
 		served := (s.lastT - c.Meta.arrived) / h
 		if served > 1 {
@@ -657,11 +656,11 @@ func (s *Sim) drop(id int64) {
 		}
 		s.m.Availability.Add(served)
 	}
-	s.emit(trace.Drop, int(id), -1, c.Meta.req, "")
+	s.connEvent("sim.drop", c, -1, obs.StatusBlocked)
 }
 
 func (s *Sim) handleRepair(link int) {
-	s.emit(trace.Repair, -1, link, -1, "")
+	s.event("sim.repair", -1, -1, -1, link, -1).Finish(obs.StatusOK)
 	s.tab.Repair(link)
 }
 
@@ -692,11 +691,10 @@ func (s *Sim) maybeReconfigure(t float64) {
 	s.overTh = true
 	s.lastReconfig = t
 	s.m.Reconfigs++
-	instr.reconfigs.Inc()
-	s.cfg.Telemetry.reconfigEvent()
-	if s.tracing() {
-		s.emit(trace.Reconfig, -1, -1, -1, fmt.Sprintf("rho=%.3f", rho))
-	}
+	s.instr.reconfigs.Inc()
+	ev := s.event("sim.reconfig", -1, -1, -1, -1, -1)
+	ev.Float("rho", rho)
+	ev.Finish(obs.StatusOK)
 	// Most loaded link.
 	worst, rho := -1, -1.0
 	for id := 0; id < net.Links(); id++ {
@@ -720,9 +718,17 @@ func (s *Sim) maybeReconfigure(t float64) {
 		}
 		c.Meta.req = s.router.LastTraceID() // the connection now rides this trace's pair
 		s.m.ReroutedConns++
-		s.cfg.Telemetry.rerouted()
-		s.emit(trace.Reroute, int(id), worst, c.Meta.req, "reconfig")
+		s.rerouted(c, worst, "reconfig")
 	}
+}
+
+// rerouted counts connection c moved onto a new route off link, for cause
+// "passive-restore" or "reconfig", and records its event.
+func (s *Sim) rerouted(c *conns.Conn[connMeta], link int, cause string) {
+	s.instr.reroutes.Inc()
+	ev := s.event("sim.reroute", c.Src, c.Dst, c.ID, link, c.Meta.req)
+	ev.Str("cause", cause)
+	ev.Finish(obs.StatusOK)
 }
 
 // LiveConnections returns the number of currently established connections.

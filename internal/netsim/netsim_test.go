@@ -1,14 +1,13 @@
 package netsim
 
 import (
-	"errors"
 	"math"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/core"
+	"repro/internal/obs"
 	"repro/internal/topo"
-	"repro/internal/trace"
 	"repro/internal/wdm"
 	"repro/internal/workload"
 )
@@ -337,108 +336,65 @@ func TestRouteFuncOverride(t *testing.T) {
 }
 
 func TestTraceRecordsLifecycle(t *testing.T) {
-	var buf trace.Buffer
+	tr := eventLog()
 	cfg := Config{
 		Algorithm: MinCost, Restoration: Active,
 		FailureRate: 1, RepairTime: 2, Seed: 5,
 		ReconfigThreshold: 0.5, ReconfigCooldown: 0.2,
-		Trace: &buf,
+		Tracer: tr,
 	}
 	m := New(nsf(4), cfg).Run(poisson(14, 300, 25, 11))
-	if buf.Count(trace.Arrival) != m.Offered {
-		t.Fatalf("arrival events %d != offered %d", buf.Count(trace.Arrival), m.Offered)
+	evs := simEvents(t, tr)
+	n := census(evs)
+	for _, c := range []struct {
+		key  string
+		want int
+	}{
+		{"sim.arrival/ok", m.Accepted},
+		{"sim.arrival/blocked", m.Blocked},
+		{"sim.failure/ok", m.FailureEvents},
+		{"sim.reconfig/ok", m.Reconfigs},
+		{"sim.drop/blocked", m.RecoveryFailed},
+	} {
+		if n[c.key] != c.want {
+			t.Fatalf("%s events %d, want %d", c.key, n[c.key], c.want)
+		}
 	}
-	if buf.Count(trace.Accept) != m.Accepted {
-		t.Fatalf("accept events %d != accepted %d", buf.Count(trace.Accept), m.Accepted)
-	}
-	if buf.Count(trace.Block) != m.Blocked {
-		t.Fatalf("block events %d != blocked %d", buf.Count(trace.Block), m.Blocked)
-	}
-	if buf.Count(trace.Failure) != m.FailureEvents {
-		t.Fatalf("failure events %d != %d", buf.Count(trace.Failure), m.FailureEvents)
-	}
-	if buf.Count(trace.Switchover)+buf.Count(trace.Reroute) < m.Recovered {
+	if n["sim.switchover/ok"]+n["sim.reroute/ok"] < m.Recovered {
 		t.Fatal("recovery events undercounted")
 	}
-	if buf.Count(trace.Reconfig) != m.Reconfigs {
-		t.Fatalf("reconfig events %d != %d", buf.Count(trace.Reconfig), m.Reconfigs)
-	}
-	if buf.Count(trace.Drop) != m.RecoveryFailed {
-		t.Fatalf("drop events %d != %d", buf.Count(trace.Drop), m.RecoveryFailed)
-	}
-	// Time stamps are non-decreasing.
+	// Sim-time stamps are non-decreasing in recording order.
 	prev := -1.0
-	for _, e := range buf.Events() {
-		if e.Time < prev-1e-9 {
-			t.Fatal("trace timestamps not monotone")
+	for _, ev := range evs {
+		st, ok := attr(ev, "sim_time")
+		if !ok || st.F < prev-1e-9 {
+			t.Fatalf("%s sim_time %v after %g", ev.Kind, st, prev)
 		}
-		prev = e.Time
-	}
-}
-
-func TestEmitNilRecorderSafe(t *testing.T) {
-	// Config.Trace left nil: every emit call site must be a no-op, and a
-	// full run (arrivals, departures, failures, reconfigs) must not panic.
-	sim := New(nsf(4), Config{
-		Algorithm: MinCost, Restoration: Active,
-		FailureRate: 1, RepairTime: 2, Seed: 5,
-		ReconfigThreshold: 0.5, ReconfigCooldown: 0.2,
-	})
-	sim.emit(trace.Arrival, 1, -1, -1, "direct call") // the guard itself
-	m := sim.Run(poisson(14, 200, 25, 11))
-	if m.Offered != 200 {
-		t.Fatalf("offered = %d", m.Offered)
-	}
-	if err := sim.TraceErr(); err != nil {
-		t.Fatalf("TraceErr = %v with no recorder", err)
-	}
-}
-
-// errAfter fails every Record after the first n successes.
-type errAfter struct {
-	n   int
-	err error
-}
-
-func (r *errAfter) Record(trace.Event) error {
-	if r.n > 0 {
-		r.n--
-		return nil
-	}
-	return r.err
-}
-
-func TestTraceErrCapturesFirstFailure(t *testing.T) {
-	sinkErr := errors.New("sink gone")
-	sim := New(nsf(4), Config{
-		Algorithm: MinCost, Restoration: Active, Seed: 1,
-		Trace: &errAfter{n: 10, err: sinkErr},
-	})
-	m := sim.Run(poisson(14, 100, 10, 2))
-	if m.Offered != 100 {
-		t.Fatal("trace failure aborted the simulation")
-	}
-	if !errors.Is(sim.TraceErr(), sinkErr) {
-		t.Fatalf("TraceErr = %v, want %v", sim.TraceErr(), sinkErr)
+		prev = st.F
 	}
 }
 
 func TestDeterministicFailureTargets(t *testing.T) {
 	net := nsf(8)
+	tr := eventLog()
 	cfg := Config{
 		Algorithm: MinCost, Restoration: Active,
 		FailureRate: 0.5, RepairTime: 100, Seed: 1,
 		FailureLinks: []int{3, 7},
+		Tracer:       tr,
 	}
-	var buf trace.Buffer
-	cfg.Trace = &buf
 	New(net, cfg).Run(poisson(14, 200, 10, 3))
-	for _, e := range buf.Events() {
-		if e.Kind == trace.Failure && e.Link != 3 && e.Link != 7 {
-			t.Fatalf("failure hit untargeted link %d", e.Link)
+	failures := 0
+	for _, ev := range simEvents(t, tr) {
+		if ev.Kind != "sim.failure" {
+			continue
+		}
+		failures++
+		if l, _ := attr(ev, "link"); l.I != 3 && l.I != 7 {
+			t.Fatalf("failure hit untargeted link %d", l.I)
 		}
 	}
-	if buf.Count(trace.Failure) == 0 {
+	if failures == 0 {
 		t.Fatal("no failures fired")
 	}
 }
@@ -464,13 +420,13 @@ func TestReconfigRerouteFailureRestoresOldPaths(t *testing.T) {
 		return net
 	}
 	net := mk()
-	var buf trace.Buffer
+	tr := eventLog()
 	cfg := Config{
 		Algorithm: MinCost, Restoration: Active,
 		FailureRate: 5, RepairTime: 1000, Seed: 1,
 		FailureLinks:      []int{2}, // kill the 0→2 corridor's first link
 		ReconfigThreshold: 0.8, ReconfigCooldown: 0.01,
-		Trace: &buf,
+		Tracer: tr,
 	}
 	sim := New(net, cfg)
 	// One permanent connection 0→3 occupying both corridors.
@@ -481,7 +437,7 @@ func TestReconfigRerouteFailureRestoresOldPaths(t *testing.T) {
 	if m.Accepted < 1 {
 		t.Fatal("connection not established")
 	}
-	if buf.Count(trace.Failure) == 0 {
+	if census(simEvents(t, tr))["sim.failure/"+obs.StatusOK] == 0 {
 		t.Fatal("failure never fired")
 	}
 	if m.BackupLost == 0 {

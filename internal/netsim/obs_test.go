@@ -1,26 +1,66 @@
 package netsim
 
 import (
+	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/obs/explain"
-	"repro/internal/trace"
+	"repro/internal/wdm"
 )
 
+// eventLog returns a tracer whose flight recorder holds a whole test run:
+// its routing traces and its sim.* event traces.
+func eventLog() *obs.Tracer { return obs.New(obs.Config{Capacity: 1 << 14}) }
+
+// simEvents returns the sim.* event traces in tr's flight recorder, oldest
+// first, failing the test if the ring has evicted anything.
+func simEvents(t *testing.T, tr *obs.Tracer) []*obs.Trace {
+	t.Helper()
+	fr := tr.Flight()
+	if fr.Total() != int64(fr.Len()) {
+		t.Fatalf("flight ring wrapped: %d of %d traces retained", fr.Len(), fr.Total())
+	}
+	var out []*obs.Trace
+	for _, tc := range fr.Snapshot() {
+		if strings.HasPrefix(tc.Kind, "sim.") {
+			out = append(out, tc)
+		}
+	}
+	return out
+}
+
+// attr returns the request-level attribute key of tc.
+func attr(tc *obs.Trace, key string) (obs.Attr, bool) {
+	for _, a := range tc.Attrs {
+		if a.Key == key {
+			return a, true
+		}
+	}
+	return obs.Attr{}, false
+}
+
+// census counts event traces by "kind/status".
+func census(evs []*obs.Trace) map[string]int {
+	n := map[string]int{}
+	for _, ev := range evs {
+		n[ev.Kind+"/"+ev.Status]++
+	}
+	return n
+}
+
 // TestEventStreamJoinsFlightRecorder is the correlation contract: every
-// connection-scoped event in the simulator's trace stream carries the obs
-// request ID of the routing trace that produced (or blocked) the connection,
-// and that ID resolves in the tracer's flight recorder to a trace with the
-// matching status, endpoints, and — for accepted requests — an explain
-// report payload.
+// connection event in the flight recorder carries, as route_req, the
+// request ID of the routing trace that produced (or blocked) the
+// connection, and that ID resolves in the same recorder to a routing trace
+// with the matching status, endpoints, and — for accepted requests — an
+// explain report payload. Link and network events carry no route_req.
 func TestEventStreamJoinsFlightRecorder(t *testing.T) {
-	buf := &trace.Buffer{}
-	tr := obs.New(obs.Config{Capacity: 4096})
+	tr := eventLog()
 	sim := New(nsf(4), Config{
 		Algorithm:   MinCost,
 		Restoration: Active,
-		Trace:       buf,
 		Tracer:      tr,
 	})
 	m := sim.Run(poisson(14, 250, 30, 7))
@@ -28,47 +68,51 @@ func TestEventStreamJoinsFlightRecorder(t *testing.T) {
 		t.Fatal("want some blocked requests at this load; raise erlang")
 	}
 
+	evs := simEvents(t, tr)
 	accepts, blocks := 0, 0
-	for _, e := range buf.Events() {
-		switch e.Kind {
-		case trace.Arrival, trace.Accept, trace.Block, trace.Depart:
-			if e.Req < 1 {
-				t.Fatalf("%s event for conn %d has req %d; want a traced request", e.Kind, e.Conn, e.Req)
+	for _, ev := range evs {
+		ra, ok := attr(ev, "route_req")
+		switch ev.Kind {
+		case "sim.arrival", "sim.depart":
+			if !ok || ra.I < 1 {
+				t.Fatalf("%s event %d has route_req %v; want a traced request", ev.Kind, ev.Req, ra)
 			}
-			tc := tr.Flight().Find(int64(e.Req))
+			tc := tr.Flight().Find(ra.I)
 			if tc == nil {
-				t.Fatalf("%s event req %d not in the flight recorder", e.Kind, e.Req)
+				t.Fatalf("%s event route_req %d not in the flight recorder", ev.Kind, ra.I)
 			}
-			switch e.Kind {
-			case trace.Accept:
-				accepts++
-				if tc.Status != obs.StatusOK {
-					t.Fatalf("accept event req %d maps to status %q", e.Req, tc.Status)
-				}
-				rep := explain.Of(tc)
-				if rep == nil {
-					t.Fatalf("accepted req %d has no explain report (payload %T)", e.Req, tc.Payload)
-				}
-				if rep.Algorithm != "min-cost" {
-					t.Fatalf("req %d algorithm %q", e.Req, rep.Algorithm)
-				}
-			case trace.Block:
+			if tc.S != ev.S || tc.T != ev.T {
+				t.Fatalf("%s event %d->%d joins routing trace %d->%d", ev.Kind, ev.S, ev.T, tc.S, tc.T)
+			}
+			if ev.Kind == "sim.depart" {
+				continue
+			}
+			if tc.Status != ev.Status {
+				t.Fatalf("arrival %s joins routing trace %d with status %q", ev.Status, ra.I, tc.Status)
+			}
+			if ev.Status == obs.StatusBlocked {
 				blocks++
-				if tc.Status != obs.StatusBlocked {
-					t.Fatalf("block event req %d maps to status %q", e.Req, tc.Status)
-				}
+				continue
+			}
+			accepts++
+			rep := explain.Of(tc)
+			if rep == nil {
+				t.Fatalf("accepted req %d has no explain report (payload %T)", ra.I, tc.Payload)
+			}
+			if rep.Algorithm != "min-cost" {
+				t.Fatalf("req %d algorithm %q", ra.I, rep.Algorithm)
 			}
 		default:
-			if e.Req != -1 {
-				t.Fatalf("%s event has req %d; want -1 (no routing trace)", e.Kind, e.Req)
+			if ok {
+				t.Fatalf("%s event has route_req %d; want none (no routing trace)", ev.Kind, ra.I)
 			}
 		}
 	}
 	if accepts != m.Accepted || blocks != m.Blocked {
 		t.Fatalf("event census accepts=%d blocks=%d vs metrics %d/%d", accepts, blocks, m.Accepted, m.Blocked)
 	}
-	if got := tr.Flight().Total(); got != int64(m.Offered) {
-		t.Fatalf("flight recorder total %d, want one trace per offered request (%d)", got, m.Offered)
+	if routed := tr.Flight().Total() - int64(len(evs)); routed != int64(m.Offered) {
+		t.Fatalf("%d routing traces, want one per offered request (%d)", routed, m.Offered)
 	}
 }
 
@@ -76,38 +120,54 @@ func TestEventStreamJoinsFlightRecorder(t *testing.T) {
 // with lightpath.Optimal instead of the core router and therefore opens its
 // own "passive-optimal" trace.
 func TestPassiveArrivalsAreTraced(t *testing.T) {
-	buf := &trace.Buffer{}
-	tr := obs.New(obs.Config{Capacity: 1024})
+	tr := eventLog()
 	sim := New(nsf(4), Config{
 		Algorithm:   MinCost,
 		Restoration: Passive,
-		Trace:       buf,
 		Tracer:      tr,
 	})
 	m := sim.Run(poisson(14, 100, 10, 3))
 	if m.Accepted == 0 {
 		t.Fatal("no accepted requests")
 	}
-	for _, e := range buf.Events() {
-		if e.Kind != trace.Accept {
+	accepts := 0
+	for _, ev := range simEvents(t, tr) {
+		if ev.Kind != "sim.arrival" || ev.Status != obs.StatusOK {
 			continue
 		}
-		tc := tr.Flight().Find(int64(e.Req))
+		accepts++
+		ra, _ := attr(ev, "route_req")
+		tc := tr.Flight().Find(ra.I)
 		if tc == nil || tc.Kind != "passive-optimal" || tc.Status != obs.StatusOK {
-			t.Fatalf("accept req %d: trace %+v", e.Req, tc)
+			t.Fatalf("accept route_req %d: trace %+v", ra.I, tc)
 		}
+	}
+	if accepts != m.Accepted {
+		t.Fatalf("%d accepted arrivals traced, want %d", accepts, m.Accepted)
 	}
 }
 
-// TestUntracedRunEmitsAbsentReq pins the -1 convention: with no Tracer
-// configured, connection events carry req -1, not a fake ID.
+// TestUntracedRunEmitsAbsentReq pins the absent-route_req convention: a
+// RouteFunc routes outside the sim's router, so no routing trace exists and
+// the arrival and departure events omit route_req instead of naming a fake
+// ID.
 func TestUntracedRunEmitsAbsentReq(t *testing.T) {
-	buf := &trace.Buffer{}
-	sim := New(nsf(4), Config{Algorithm: MinCost, Restoration: Active, Trace: buf})
-	sim.Run(poisson(14, 50, 10, 3))
-	for _, e := range buf.Events() {
-		if e.Req != -1 {
-			t.Fatalf("untraced run emitted %s with req %d", e.Kind, e.Req)
+	tr := eventLog()
+	r := core.NewRouter(nil)
+	sim := New(nsf(4), Config{
+		Algorithm: MinCost, Restoration: Active, Tracer: tr,
+		RouteFunc: func(net *wdm.Network, s, d int) (*core.Result, bool) {
+			return r.Route(core.MinCost, net, s, d)
+		},
+	})
+	m := sim.Run(poisson(14, 50, 10, 3))
+	evs := simEvents(t, tr)
+	if got := census(evs)["sim.arrival/ok"]; got != m.Accepted || got == 0 {
+		t.Fatalf("%d accepted arrival events, want %d", got, m.Accepted)
+	}
+	for _, ev := range evs {
+		if a, ok := attr(ev, "route_req"); ok {
+			t.Fatalf("untraced routing emitted %s with route_req %d", ev.Kind, a.I)
 		}
 	}
 }

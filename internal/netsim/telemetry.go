@@ -2,9 +2,7 @@ package netsim
 
 import (
 	"sync/atomic"
-	"time"
 
-	"repro/internal/metrics"
 	"repro/internal/timeseries"
 )
 
@@ -38,25 +36,19 @@ const (
 )
 
 // Telemetry is the simulator's windowed time-series bundle: a collector on
-// a sim-time clock windowing the bundle's own latency histogram and outcome
-// counters, plus a per-window network-state probe whose latest snapshot
-// backs /debug/net.
-// A nil *Telemetry is permanently off: every method is a no-op, and the
-// simulator's hot path costs only nil checks (pinned by the alloc
-// regression test). One Telemetry serves one Sim.
+// a sim-time clock windowing the bound sim's instruments (route latency,
+// outcome and reroute counters), plus a per-window network-state probe whose
+// latest snapshot backs /debug/net. The bundle owns only the gauges its
+// probe sets at each seal. A nil *Telemetry is permanently off: every
+// method is a no-op. One Telemetry serves one Sim.
 type Telemetry struct {
 	clock *timeseries.SimClock
 	col   *timeseries.Collector
 
-	routeLat  *metrics.Histogram
-	blocked   metrics.Counter
-	accepted  metrics.Counter
-	reroutes  metrics.Counter
-	reconfigs metrics.Counter
-	active    *timeseries.Gauge
-	loadMean  *timeseries.Gauge
-	loadMax   *timeseries.Gauge
-	fragMean  *timeseries.Gauge
+	active   *timeseries.Gauge
+	loadMean *timeseries.Gauge
+	loadMax  *timeseries.Gauge
+	fragMean *timeseries.Gauge
 
 	netState atomic.Pointer[timeseries.NetState]
 	bound    atomic.Bool
@@ -68,21 +60,14 @@ type Telemetry struct {
 func NewTelemetry(window float64, retention int) *Telemetry {
 	clock := timeseries.NewSimClock()
 	col := timeseries.New(timeseries.Config{Window: window, Retention: retention, Clock: clock})
-	t := &Telemetry{
+	return &Telemetry{
 		clock:    clock,
 		col:      col,
-		routeLat: metrics.NewHistogram(nil),
 		active:   col.Gauge(SeriesActiveConns),
 		loadMean: col.Gauge(SeriesLinkLoadMean),
 		loadMax:  col.Gauge(SeriesLinkLoadMax),
 		fragMean: col.Gauge(SeriesFragMean),
 	}
-	col.Histogram(SeriesRouteLatency, t.routeLat)
-	col.Ratio(SeriesBlocking, &t.blocked, &t.accepted)
-	col.Rate(SeriesAccepted, &t.accepted)
-	col.Rate(SeriesReroutes, &t.reroutes)
-	col.Rate(SeriesReconfigs, &t.reconfigs)
-	return t
 }
 
 // Collector exposes the underlying collector (nil for nil telemetry) for
@@ -103,9 +88,10 @@ func (t *Telemetry) NetState() *timeseries.NetState {
 	return t.netState.Load()
 }
 
-// bind hooks the telemetry to one simulator: the window-seal probe samples
-// that sim's network and live-connection count. A second bind panics — two
-// sims writing one collector would interleave their curves.
+// bind hooks the telemetry to one simulator: the collector windows that
+// sim's instruments, and the window-seal probe samples its network and
+// live-connection count. A second bind panics — two sims writing one
+// collector would interleave their curves.
 func (t *Telemetry) bind(s *Sim) {
 	if t == nil {
 		return
@@ -113,6 +99,12 @@ func (t *Telemetry) bind(s *Sim) {
 	if !t.bound.CompareAndSwap(false, true) {
 		panic("netsim: Telemetry already bound to a simulator")
 	}
+	m := &s.instr
+	t.col.Histogram(SeriesRouteLatency, m.routeTime.Hist())
+	t.col.Ratio(SeriesBlocking, &m.blocked, &m.established)
+	t.col.Rate(SeriesAccepted, &m.established)
+	t.col.Rate(SeriesReroutes, &m.reroutes)
+	t.col.Rate(SeriesReconfigs, &m.reconfigs)
 	t.col.OnSeal(func(at float64) {
 		ns := timeseries.ProbeNetwork(s.tab.Network(), at, s.tab.Len())
 		t.loadMean.Set(ns.MeanLoad)
@@ -140,44 +132,4 @@ func (t *Telemetry) finish() {
 		return
 	}
 	t.col.Seal()
-}
-
-// routeStart stamps the start of a routing computation. Returns the zero
-// time — without reading the clock — on nil telemetry.
-func (t *Telemetry) routeStart() time.Time {
-	if t == nil {
-		return time.Time{}
-	}
-	return time.Now()
-}
-
-// routeDone records one routed arrival: wall-clock latency into the
-// windowed histogram and the outcome into the blocking ratio and accepted
-// rate.
-func (t *Telemetry) routeDone(t0 time.Time, blocked bool) {
-	if t == nil {
-		return
-	}
-	t.routeLat.Observe(time.Since(t0).Seconds())
-	if blocked {
-		t.blocked.Inc()
-	} else {
-		t.accepted.Inc()
-	}
-}
-
-// rerouted counts one connection moved onto a new route.
-func (t *Telemetry) rerouted() {
-	if t == nil {
-		return
-	}
-	t.reroutes.Inc()
-}
-
-// reconfigEvent counts one reconfiguration trigger.
-func (t *Telemetry) reconfigEvent() {
-	if t == nil {
-		return
-	}
-	t.reconfigs.Inc()
 }

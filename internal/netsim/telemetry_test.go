@@ -4,10 +4,18 @@ import (
 	"testing"
 
 	"repro/internal/metrics"
-	"repro/internal/trace"
 )
 
+// withRegistry publishes the sims built during the test on a fresh registry.
+func withRegistry(t *testing.T) *metrics.Registry {
+	reg := metrics.NewRegistry()
+	EnableMetrics(reg)
+	t.Cleanup(func() { EnableMetrics(nil) })
+	return reg
+}
+
 func TestSimTelemetryCurve(t *testing.T) {
+	reg := withRegistry(t)
 	tel := NewTelemetry(5, 0)
 	sim := New(nsf(4), Config{Algorithm: MinCost, Restoration: Active, Telemetry: tel})
 	reqs := poisson(14, 800, 25, 11)
@@ -47,6 +55,14 @@ func TestSimTelemetryCurve(t *testing.T) {
 	if accepted != int64(m.Accepted) {
 		t.Fatalf("accepted rate total %d != metrics %d", accepted, m.Accepted)
 	}
+	// One accumulator per signal: the windows and /metrics read the same
+	// instruments, so their totals agree exactly.
+	if got := reg.Counter("netsim_established_total", "").Value(); got != accepted {
+		t.Fatalf("netsim_established_total %d != windowed accepted %d", got, accepted)
+	}
+	if got := reg.Histogram("netsim_route_seconds", "", nil).Count(); got != latCount {
+		t.Fatalf("netsim_route_seconds count %d != windowed latency samples %d", got, latCount)
+	}
 
 	// The window-seal probe sampled the network: the gauges carry values and
 	// the latest NetState snapshot is published for /debug/net.
@@ -77,6 +93,7 @@ func TestSimTelemetryCurve(t *testing.T) {
 }
 
 func TestSimTelemetryReconfigSeries(t *testing.T) {
+	reg := withRegistry(t)
 	tel := NewTelemetry(5, 0)
 	sim := New(nsf(4), Config{
 		Algorithm: MinLoadCost, Restoration: Active, Telemetry: tel,
@@ -96,6 +113,12 @@ func TestSimTelemetryReconfigSeries(t *testing.T) {
 	if reroutes != int64(m.ReroutedConns) {
 		t.Fatalf("windowed reroutes %d != rerouted conns %d", reroutes, m.ReroutedConns)
 	}
+	if got := reg.Counter("netsim_reconfigs_total", "").Value(); got != reconfigs {
+		t.Fatalf("netsim_reconfigs_total %d != windowed reconfigs %d", got, reconfigs)
+	}
+	if got := reg.Counter("netsim_reroutes_total", "").Value(); got != reroutes {
+		t.Fatalf("netsim_reroutes_total %d != windowed reroutes %d", got, reroutes)
+	}
 	if m.Reconfigs == 0 {
 		t.Skip("run triggered no reconfigurations; series equality still held")
 	}
@@ -112,72 +135,57 @@ func TestTelemetryDoubleBindPanics(t *testing.T) {
 	New(nsf(4), Config{Algorithm: MinCost, Telemetry: tel})
 }
 
+// TestNilTelemetryIsNoOp pins the unobserved path: nil telemetry hands out
+// no state, and a sim with no telemetry and no registry builds no timers —
+// so its arrivals read no clock — while its run stays valid.
 func TestNilTelemetryIsNoOp(t *testing.T) {
 	var tel *Telemetry
 	if tel.Collector() != nil || tel.NetState() != nil {
 		t.Fatal("nil telemetry returned state")
 	}
-	t0 := tel.routeStart()
-	if !t0.IsZero() {
-		t.Fatal("nil routeStart read the clock")
+	sim := New(nsf(4), Config{Algorithm: MinCost})
+	if sim.instr.routeTime != nil || sim.instr.restoreTime != nil {
+		t.Fatal("unobserved sim built timers")
 	}
-	tel.routeDone(t0, true)
-	tel.rerouted()
-	tel.reconfigEvent()
-	tel.advance(10)
-	tel.finish()
-	// And a full run with Telemetry unset stays valid (the default path).
-	m := New(nsf(4), Config{Algorithm: MinCost}).Run(poisson(14, 100, 10, 3))
-	if m.Offered != 100 {
+	if m := sim.Run(poisson(14, 100, 10, 3)); m.Offered != 100 || m.Accepted == 0 {
 		t.Fatalf("run without telemetry broke: %+v", m)
 	}
 }
 
-// liveGaugeRecorder snapshots the /metrics progress gauges at every trace
-// event — a mid-run observer, like a Prometheus scrape hitting -serve.
-type liveGaugeRecorder struct {
-	offered  *metrics.Gauge
-	blocking *metrics.Gauge
-	seen     []float64
-}
-
-func (r *liveGaugeRecorder) Record(trace.Event) error {
-	r.seen = append(r.seen, r.offered.Value())
-	if v := r.blocking.Value(); v < 0 || v > 1 {
-		return nil // validated after the run via seen; keep Record infallible
-	}
-	return nil
-}
-
+// TestLiveGaugesUpdateMidRun snapshots the /metrics progress gauges after
+// every event — a mid-run observer, like a Prometheus scrape hitting -serve.
 func TestLiveGaugesUpdateMidRun(t *testing.T) {
-	reg := metrics.NewRegistry()
-	EnableMetrics(reg)
-	defer EnableMetrics(nil)
-	rec := &liveGaugeRecorder{
-		offered:  reg.Gauge("netsim_offered", ""),
-		blocking: reg.Gauge("netsim_blocking_probability", ""),
+	reg := withRegistry(t)
+	sim := New(nsf(4), Config{Algorithm: MinCost, Restoration: Active})
+	offered := reg.Gauge("netsim_offered", "")
+	blocking := reg.Gauge("netsim_blocking_probability", "")
+	var seen []float64
+	sim.afterEvent = func() {
+		seen = append(seen, offered.Value())
+		if v := blocking.Value(); v < 0 || v > 1 {
+			t.Fatalf("blocking gauge %g outside [0,1]", v)
+		}
 	}
-	sim := New(nsf(4), Config{Algorithm: MinCost, Restoration: Active, Trace: rec})
 	m := sim.Run(poisson(14, 400, 20, 9))
 
-	if len(rec.seen) == 0 {
-		t.Fatal("recorder saw no events")
+	if len(seen) == 0 {
+		t.Fatal("observer saw no events")
 	}
 	// The offered gauge must rise during the run — mid-run scrapes see
 	// progress, not a constant end-of-run value.
-	mid := rec.seen[len(rec.seen)/2]
+	mid := seen[len(seen)/2]
 	if mid <= 0 || mid >= float64(m.Offered) {
 		t.Fatalf("mid-run offered gauge = %g, want strictly between 0 and %d", mid, m.Offered)
 	}
-	for i := 1; i < len(rec.seen); i++ {
-		if rec.seen[i] < rec.seen[i-1] {
+	for i := 1; i < len(seen); i++ {
+		if seen[i] < seen[i-1] {
 			t.Fatal("offered gauge went backwards")
 		}
 	}
-	if got := rec.offered.Value(); got != float64(m.Offered) {
+	if got := offered.Value(); got != float64(m.Offered) {
 		t.Fatalf("final offered gauge %g != %d", got, m.Offered)
 	}
-	if got := rec.blocking.Value(); got != m.BlockingProbability() {
+	if got := blocking.Value(); got != m.BlockingProbability() {
 		t.Fatalf("final blocking gauge %g != %g", got, m.BlockingProbability())
 	}
 }

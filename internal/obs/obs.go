@@ -278,7 +278,7 @@ func (t *Trace) reset() {
 }
 
 // ReqID returns the trace's request ID, or -1 for a nil trace — the
-// "absent" convention shared with trace.Event.Req.
+// "absent" convention of callers that correlate records with traces.
 func (t *Trace) ReqID() int64 {
 	if t == nil {
 		return -1

@@ -13,7 +13,8 @@ import (
 // internal buffer. Call Flush (or Close) when done, or trailing windows
 // stay in the buffer — the wdmlint errcheck-lite rule enforces that the
 // error is checked. After the first failure every subsequent write returns
-// the same error without touching the sink, mirroring trace.JSONL.
+// the same error without touching the sink, so a dead sink costs one
+// failed write, not one per window.
 type JSONL struct {
 	w   io.Writer
 	bw  *bufio.Writer

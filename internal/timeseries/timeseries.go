@@ -241,8 +241,8 @@ func (c *Collector) OnSealed(fn func(*Snapshot)) {
 }
 
 // SetSink streams every subsequently sealed window to s. The first write
-// error is retained (SinkErr) and stops further writes, mirroring
-// trace.JSONL: a dead sink costs one failure, not one per window.
+// error is retained (SinkErr) and stops further writes: a dead sink costs
+// one failure, not one per window.
 func (c *Collector) SetSink(s Sink) {
 	if c == nil {
 		return
