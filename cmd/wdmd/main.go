@@ -1,9 +1,9 @@
 // wdmd is the long-lived routing daemon: it serves provision / teardown /
-// reroute / status as HTTP/JSON over sharded, snapshot-isolated network
-// state, with the standard debug surface (/healthz, /metrics,
-// /debug/timeseries, /debug/net, /debug/pprof) built in.
+// reroute / status as HTTP/JSON over snapshot-isolated network state, routed
+// on a pool of GOMAXPROCS warm routers, with the standard debug surface
+// (/healthz, /metrics, /debug/timeseries, /debug/net, /debug/pprof) built in.
 //
-//	wdmd -addr localhost:9101 -topo nsfnet -w 8 -shards 8
+//	GOMAXPROCS=8 wdmd -addr localhost:9101 -topo nsfnet -w 8
 //	curl -s -X POST -d '{"id":1,"src":0,"dst":9}' localhost:9101/provision
 //	curl -s localhost:9101/status
 //
@@ -46,7 +46,6 @@ func main() {
 	w := flag.Int("w", 8, "wavelengths per fiber")
 	seed := flag.Int64("seed", 1, "topology seed (parametric topologies)")
 	algo := flag.String("algo", "min-load-cost", "default routing: min-cost, min-load, min-load-cost, two-step")
-	shards := flag.Int("shards", 0, "routing shards (0 = GOMAXPROCS)")
 	retries := flag.Int("retries", 0, "conflict retry budget per request (0 = 4, -1 = none)")
 	candidates := flag.Int("candidates", 0, "candidate fast tier: k precomputed route pairs per node pair (0 = off)")
 	journalCap := flag.Int("journal", 0, "retain up to this many commit-ordered journal entries (0 = off)")
@@ -106,7 +105,6 @@ func main() {
 	}
 
 	engine := serve.New(network, serve.Config{
-		Shards:     *shards,
 		MaxRetries: *retries,
 		Algorithm:  algorithm,
 		Candidates: *candidates,

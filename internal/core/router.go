@@ -25,7 +25,7 @@ import (
 // A Router is bound to the network of its most recent call. Routing on a
 // different *wdm.Network keeps each skeleton that can follow it
 // (auxgraph.Skeleton.Follow: a later snapshot of the same writer, as a
-// serving shard sees on every commit) and drops the rest; workspaces are
+// pooled serving router sees on every commit) and drops the rest; workspaces are
 // always kept, as they adapt to any graph size. Structural network changes
 // (AddLink, SetConverter) invalidate cached skeletons automatically via the
 // network's TopoVersion. A Router is not safe for concurrent use; give each

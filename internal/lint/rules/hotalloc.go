@@ -19,8 +19,8 @@ import (
 //	//wdm:hotpath
 //
 // in their doc comment are roots of the per-request hot path (DijkstraInto,
-// ReweightAt, Suurballe, AssignInto, the netsim event loop, the serve shard
-// route path); everything they transitively reach over the static call graph
+// ReweightAt, Suurballe, AssignInto, the netsim event loop, the serve
+// route-and-commit loop); everything they transitively reach over the static call graph
 // inherits the contract: no allocation-inducing constructs. The runtime
 // alloc gates (`!race` alloc tests) pin the allocation count of the paths
 // they exercise — this rule covers the branches they do not, at compile

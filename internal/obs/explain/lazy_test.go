@@ -148,7 +148,7 @@ func TestExplainOfMatchesBuildInNetsimRun(t *testing.T) {
 
 // TestExplainOfMatchesBuildInServeRun drives the serving engine with a
 // small flight recorder: before each provision a reference router routes
-// the same request on the snapshot the shard will route on, the eager
+// the same request on the snapshot the engine will route on, the eager
 // build is taken there, and the report the engine's trace renders on read
 // — after later commits and recycling — must be bit-identical.
 func TestExplainOfMatchesBuildInServeRun(t *testing.T) {
@@ -156,7 +156,7 @@ func TestExplainOfMatchesBuildInServeRun(t *testing.T) {
 		t.Run(algo.String(), func(t *testing.T) {
 			const capacity = 16
 			tr := obs.New(obs.Config{Capacity: capacity})
-			e := serve.New(topo.NSFNET(topo.Config{W: 4}), serve.Config{Shards: 1, Algorithm: algo, Tracer: tr})
+			e := serve.New(topo.NSFNET(topo.Config{W: 4}), serve.Config{Algorithm: algo, Tracer: tr})
 			if err := e.Start(); err != nil {
 				t.Fatal(err)
 			}

@@ -20,7 +20,7 @@ import (
 // admission copies the pair into storage the table already holds and
 // teardown hands the released pair to the journal without copying it. Each
 // publish carves its copied link records from three slabs, so it allocates
-// a constant six times however many links the op touched. The shard
+// a constant six times however many links the op touched. Each pooled
 // router's skeleton follows each new snapshot forward instead of being
 // rebuilt per commit, so no auxiliary graph is rebuilt inside the window.
 // Measured 18, bit-stable across runs; the ~6% margin absorbs runtime and
@@ -34,7 +34,7 @@ const provisionAllocBudget = 19
 // TestProvisionAllocs pins the disabled-telemetry allocation contract of the
 // request pipeline (see stageNanos: attribution must ride inside the op).
 func TestProvisionAllocs(t *testing.T) {
-	e := startEngine(t, nsf(8), Config{Shards: 2})
+	e := startEngine(t, nsf(8), Config{})
 	var id int64
 	run := func() {
 		id++
@@ -46,7 +46,11 @@ func TestProvisionAllocs(t *testing.T) {
 			t.Fatalf("teardown %d rejected: %+v", id, resp)
 		}
 	}
-	run() // warm the shard router's skeleton caches outside the window
+	// Serial requests cycle through the pool: warm every router's skeleton
+	// caches outside the window.
+	for range cap(e.routers) {
+		run()
+	}
 	if n := testing.AllocsPerRun(200, run); n > provisionAllocBudget {
 		t.Fatalf("provision+teardown allocates %.0f, budget %d", n, provisionAllocBudget)
 	}
@@ -71,7 +75,7 @@ func TestProvisionAllocsTelemetryOn(t *testing.T) {
 	EnableMetrics(metrics.NewRegistry())
 	t.Cleanup(func() { EnableMetrics(nil) })
 	tr := obs.New(obs.Config{Capacity: obs.DefaultCapacity})
-	e := startEngine(t, nsf(8), Config{Shards: 2, Window: 1, Tracer: tr})
+	e := startEngine(t, nsf(8), Config{Window: 1, Tracer: tr})
 	var id int64
 	run := func() {
 		id++

@@ -40,7 +40,7 @@ type decision struct {
 
 // TestServeMatchesBatch is the differential gate: the same seeded Poisson
 // arrival/departure sequence, run through the batch simulator (netsim.Sim)
-// and through the daemon engine (single shard, requests serialized), must
+// and through the daemon engine (requests serialized), must
 // produce identical accept/block decisions and bit-exact route costs —
 // provision/teardown over epoch snapshots is semantically the plain batch
 // loop when concurrency is taken away.
@@ -55,7 +55,7 @@ func TestServeMatchesBatch(t *testing.T) {
 
 	// Sim arm: capture every routing decision in arrival-processing order
 	// through RouteFunc, using a router configured exactly like the engine's
-	// single shard.
+	// pooled routers.
 	simRouter := core.NewRouter(&core.Options{ReuseResult: true})
 	var simDecisions []decision
 	sim := netsim.New(nsf(8), netsim.Config{
@@ -74,10 +74,10 @@ func TestServeMatchesBatch(t *testing.T) {
 		t.Fatalf("sim routed %d of %d arrivals", len(simDecisions), len(reqs))
 	}
 
-	// Serve arm: one shard, default min-load-cost, driven serially in the
+	// Serve arm: default min-load-cost, driven serially in the
 	// exact (time, seq) event order netsim uses — arrivals pre-pushed with
 	// seq 0..n-1, departures pushed at accept time with subsequent seqs.
-	e := startEngine(t, nsf(8), Config{Shards: 1, Algorithm: AlgoMinLoadCost})
+	e := startEngine(t, nsf(8), Config{Algorithm: AlgoMinLoadCost})
 	q := make(simQueue, 0, len(reqs))
 	var seq uint64
 	for _, r := range reqs {

@@ -158,19 +158,19 @@ func TestTeardownFreesCapacityNextEpoch(t *testing.T) {
 	}
 }
 
-// TestShardSkeletonsFollowEpochs pins the skeleton reuse across epochs: every
-// commit publishes a new snapshot network, and each shard router's skeleton
+// TestRouterSkeletonsFollowEpochs pins the skeleton reuse across epochs: every
+// commit publishes a new snapshot network, and each pooled router's skeleton
 // follows it forward (same lineage, versions never going backwards), so a
-// churned run builds at most one skeleton per shard — serving routes only the
+// churned run builds at most one skeleton per router — serving routes only the
 // edge-disjoint kind — however many epochs it publishes.
-func TestShardSkeletonsFollowEpochs(t *testing.T) {
+func TestRouterSkeletonsFollowEpochs(t *testing.T) {
 	reg := metrics.NewRegistry()
 	auxgraph.EnableMetrics(reg)
 	t.Cleanup(func() { auxgraph.EnableMetrics(nil) })
 	builds := reg.Counter("auxgraph_builds_total", "")
 
-	const shards, clients, perClient = 2, 4, 90
-	e := startEngine(t, nsf(8), Config{Shards: shards})
+	const clients, perClient = 4, 90
+	e := startEngine(t, nsf(8), Config{})
 	algos := []string{"min-cost", "min-load", "min-load-cost"}
 	var wg sync.WaitGroup
 	for c := 0; c < clients; c++ {
@@ -203,7 +203,7 @@ func TestShardSkeletonsFollowEpochs(t *testing.T) {
 	if st.Epoch < 100 {
 		t.Fatalf("only %d epochs published; the pin needs many snapshots", st.Epoch)
 	}
-	if n := builds.Value(); n > shards {
-		t.Fatalf("%d skeleton builds over %d epochs, want at most %d (one per shard)", n, st.Epoch, shards)
+	if n := builds.Value(); n > int64(st.Routers) {
+		t.Fatalf("%d skeleton builds over %d epochs, want at most %d (one per router)", n, st.Epoch, st.Routers)
 	}
 }

@@ -45,7 +45,6 @@ type Response struct {
 	Cost     float64 `json:"cost,omitempty"`
 	PathLoad float64 `json:"path_load,omitempty"`
 	Epoch    uint64  `json:"epoch"`
-	Shard    int     `json:"shard"`
 	Retries  int     `json:"retries,omitempty"`
 	// Req is the flight-recorder request ID of the routing trace behind this
 	// response (0 when tracing is off). The HTTP layer echoes it as the

@@ -45,7 +45,7 @@ func (w *sinkWriter) Write(p []byte) (int, error) {
 // handler is driven in process with a reused request and writer, so no
 // client, connection or loopback allocation is counted.
 func TestHTTPProvisionHandlerAllocs(t *testing.T) {
-	e := startEngine(t, nsf(8), Config{Shards: 2})
+	e := startEngine(t, nsf(8), Config{})
 	h := e.Handler(nil)
 	prov := httptest.NewRequest(http.MethodPost, "/provision", nil)
 	tear := httptest.NewRequest(http.MethodPost, "/teardown", nil)
@@ -69,7 +69,9 @@ func TestHTTPProvisionHandlerAllocs(t *testing.T) {
 		serveJSON(prov, `{"id":`, `,"src":0,"dst":9}`)
 		serveJSON(tear, `{"id":`, `}`)
 	}
-	run()
+	for range cap(e.routers) { // warm every pooled router
+		run()
+	}
 	if n := testing.AllocsPerRun(200, run); n > httpProvisionAllocBudget {
 		t.Fatalf("POST /provision + /teardown handlers allocate %.0f, budget %d", n, httpProvisionAllocBudget)
 	}

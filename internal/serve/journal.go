@@ -98,7 +98,8 @@ func hopsFromJSON(hs []HopOut) []wdm.Hop {
 // commit order: accepted reservations must succeed with the recorded cost
 // (bit-checked against the check oracle's Eq. 1 recomputation), conflicts
 // must genuinely fail to reserve, teardowns must release exactly the
-// recorded paths. It returns the final network so callers can compare it
+// recorded paths, and a reroute must name the endpoints of the connection
+// it applies to. It returns the final network so callers can compare it
 // against the engine's last snapshot.
 //
 // This is the linearizability-style argument made executable: if the
@@ -107,7 +108,11 @@ func hopsFromJSON(hs []HopOut) []wdm.Hop {
 // the linearization point.
 func Replay(initial *wdm.Network, entries []JournalEntry) (*wdm.Network, error) {
 	net := initial.Clone()
-	live := make(map[int64][2][]wdm.Hop)
+	type conn struct {
+		src, dst int
+		hops     [2][]wdm.Hop
+	}
+	live := make(map[int64]conn)
 	for _, ent := range entries {
 		switch ent.Op {
 		case "provision":
@@ -124,7 +129,7 @@ func Replay(initial *wdm.Network, entries []JournalEntry) (*wdm.Network, error) 
 				if got := check.PathCost(net, p) + check.PathCost(net, b); math.Abs(got-ent.Cost) > 1e-6*(1+math.Abs(ent.Cost)) {
 					return nil, fmt.Errorf("seq %d: replayed cost %g, journal says %g", ent.Seq, got, ent.Cost)
 				}
-				live[ent.ID] = [2][]wdm.Hop{p.Hops, b.Hops}
+				live[ent.ID] = conn{ent.Src, ent.Dst, [2][]wdm.Hop{p.Hops, b.Hops}}
 			case ent.Reason == ReasonConflict:
 				if err := reserveMustFail(net, hopsFromJSON(ent.Primary), hopsFromJSON(ent.Backup)); err != nil {
 					return nil, fmt.Errorf("seq %d (provision conflict): %w", ent.Seq, err)
@@ -145,15 +150,19 @@ func Replay(initial *wdm.Network, entries []JournalEntry) (*wdm.Network, error) 
 			delete(live, ent.ID)
 		case "reroute":
 			old, isLive := live[ent.ID]
+			if isLive && (ent.Accepted || ent.Reason == ReasonConflict) && (ent.Src != old.src || ent.Dst != old.dst) {
+				return nil, fmt.Errorf("seq %d: reroute for (%d, %d) applied to connection %d from %d to %d",
+					ent.Seq, ent.Src, ent.Dst, ent.ID, old.src, old.dst)
+			}
 			switch {
 			case ent.Accepted:
 				if !isLive {
 					return nil, fmt.Errorf("seq %d: reroute of connection %d not live in replay", ent.Seq, ent.ID)
 				}
-				if err := net.ReleasePath(&wdm.Semilightpath{Hops: old[0]}); err != nil {
+				if err := net.ReleasePath(&wdm.Semilightpath{Hops: old.hops[0]}); err != nil {
 					return nil, fmt.Errorf("seq %d: reroute release(primary): %w", ent.Seq, err)
 				}
-				if err := net.ReleasePath(&wdm.Semilightpath{Hops: old[1]}); err != nil {
+				if err := net.ReleasePath(&wdm.Semilightpath{Hops: old.hops[1]}); err != nil {
 					return nil, fmt.Errorf("seq %d: reroute release(backup): %w", ent.Seq, err)
 				}
 				p := &wdm.Semilightpath{Hops: hopsFromJSON(ent.Primary)}
@@ -164,25 +173,25 @@ func Replay(initial *wdm.Network, entries []JournalEntry) (*wdm.Network, error) 
 				if err := net.Reserve(b); err != nil {
 					return nil, fmt.Errorf("seq %d: rerouted backup does not replay: %w", ent.Seq, err)
 				}
-				live[ent.ID] = [2][]wdm.Hop{p.Hops, b.Hops}
+				live[ent.ID] = conn{ent.Src, ent.Dst, [2][]wdm.Hop{p.Hops, b.Hops}}
 			case ent.Reason == ReasonConflict && isLive:
 				// In commit order the old paths were released, the new pair
 				// failed to reserve, and the old paths were restored: net-zero
 				// on the network, but the new pair must fail with the old
 				// channels free.
-				if err := net.ReleasePath(&wdm.Semilightpath{Hops: old[0]}); err != nil {
+				if err := net.ReleasePath(&wdm.Semilightpath{Hops: old.hops[0]}); err != nil {
 					return nil, fmt.Errorf("seq %d: reroute-conflict release: %w", ent.Seq, err)
 				}
-				if err := net.ReleasePath(&wdm.Semilightpath{Hops: old[1]}); err != nil {
+				if err := net.ReleasePath(&wdm.Semilightpath{Hops: old.hops[1]}); err != nil {
 					return nil, fmt.Errorf("seq %d: reroute-conflict release: %w", ent.Seq, err)
 				}
 				if err := reserveMustFail(net, hopsFromJSON(ent.Primary), hopsFromJSON(ent.Backup)); err != nil {
 					return nil, fmt.Errorf("seq %d (reroute conflict): %w", ent.Seq, err)
 				}
-				if err := net.Reserve(&wdm.Semilightpath{Hops: old[0]}); err != nil {
+				if err := net.Reserve(&wdm.Semilightpath{Hops: old.hops[0]}); err != nil {
 					return nil, fmt.Errorf("seq %d: reroute-conflict restore: %w", ent.Seq, err)
 				}
-				if err := net.Reserve(&wdm.Semilightpath{Hops: old[1]}); err != nil {
+				if err := net.Reserve(&wdm.Semilightpath{Hops: old.hops[1]}); err != nil {
 					return nil, fmt.Errorf("seq %d: reroute-conflict restore: %w", ent.Seq, err)
 				}
 			}

@@ -37,7 +37,7 @@ type instruments struct {
 	// Live progress gauges: refreshed per request so a mid-soak /metrics
 	// scrape shows where the daemon stands, not just end totals.
 	epoch        metrics.Gauge
-	shards       metrics.Gauge
+	routers      metrics.Gauge
 	liveConns    metrics.Gauge
 	blockingProb metrics.Gauge
 }
@@ -73,16 +73,16 @@ func (m *instruments) publish(r *metrics.Registry) {
 		{"wdmd_request_seconds", "end-to-end request latency (queue + route + commit)", m.requestTime},
 
 		{"wdmd_stage_decode_seconds", "HTTP request-body decode latency (before the request clock starts)", m.stageDecode},
-		{"wdmd_stage_queue_seconds", "dispatch + shard-lock wait (request accepted to shard lock taken)", m.stageQueue},
+		{"wdmd_stage_queue_seconds", "dispatch + wait for a free router (request accepted to router taken; teardowns take none)", m.stageQueue},
 		{"wdmd_stage_snapshot_seconds", "epoch-snapshot acquire (provision and reroute)", m.stageSnapshot},
 		{"wdmd_stage_route_seconds", "route compute, first attempt", m.stageRoute},
 		{"wdmd_stage_route_candidate_seconds", "route compute answered by the candidate fast tier", m.stageRouteCand},
 		{"wdmd_stage_route_exact_seconds", "route compute answered by the exact pipeline (incl. candidate fallbacks)", m.stageRouteEx},
-		{"wdmd_stage_commit_seconds", "commit-lock wait, apply and epoch publish, plus freeing the shard lock", m.stageCommit},
+		{"wdmd_stage_commit_seconds", "commit-lock wait, apply and epoch publish, plus returning the router", m.stageCommit},
 		{"wdmd_stage_reroute_seconds", "conflict re-route: whole retry attempts after a lost commit race", m.stageReroute},
 
 		{"wdmd_epoch", "current snapshot epoch", &m.epoch},
-		{"wdmd_shards", "routing shard count", &m.shards},
+		{"wdmd_routers", "warm routers in the pool (GOMAXPROCS)", &m.routers},
 		{"wdmd_live_connections", "connections currently established", &m.liveConns},
 		{"wdmd_blocking_probability", "running blocked/provisions ratio", &m.blockingProb},
 	} {

@@ -1,22 +1,24 @@
 // Package serve is the long-lived concurrent routing daemon behind cmd/wdmd:
 // it turns the batch routing engines into an HTTP/JSON request loop
-// (provision / teardown / reroute / status) over sharded network state.
+// (provision / teardown / reroute / status) over snapshot-isolated network
+// state.
 //
 // Concurrency model — route on snapshots, commit under one lock:
 //
-//   - Readers (the routing shards, the /debug/net probe, status queries)
+//   - Readers (the routers, the /debug/net probe, status queries)
 //     work against an immutable epoch-stamped snapshot published through an
 //     atomic pointer. Publishing epoch N+1 is a copy-on-write clone driven
 //     by the per-link LinkStamp journal (wdm.CloneSince): only links touched
 //     since epoch N are copied, everything else is shared with the frozen
 //     epoch-N snapshot. Routing takes no engine-wide lock.
-//   - Each shard owns a region of (s, t) pairs and a warm core.Router
-//     behind a FIFO lock (a one-slot channel: waiters are served in arrival
-//     order). A request runs to completion on its caller's goroutine: it
-//     takes its shard's lock, routes against the latest snapshot, commits,
-//     and frees the lock. Independent pairs route in parallel, with
-//     per-shard skeleton caches and an optional shared read-only
-//     CandidateTable; the engine starts no goroutine per shard.
+//   - A pool of GOMAXPROCS warm core.Routers sits in a buffered channel
+//     (waiters on an empty pool are served in arrival order). A request
+//     runs to completion on its caller's goroutine: a provision or reroute
+//     takes any free router, routes against the latest snapshot, commits,
+//     and returns the router; a teardown takes no router and goes straight
+//     to the commit step. Each router keeps its own skeleton caches, and an
+//     optional read-only CandidateTable is shared by all of them; the engine
+//     starts no goroutine per router.
 //   - The commit step runs under one commit mutex, the single writer of
 //     the connection table (package conns) that owns the authoritative
 //     *wdm.Network: nothing mutates it without the mutex. The table
@@ -29,10 +31,13 @@
 //     admission is re-routed on the fresh snapshot and retried a bounded
 //     number of times before the request is reported blocked.
 //
-// Per-connection operations are linearized without a per-connection lock:
-// a connection's (s, t) pair pins every op that touches it to one shard, and
-// an op holds its shard's lock from routing through commit, so no two ops on
-// the same connection are ever in flight together.
+// Per-connection operations are linearized at the commit step, without a
+// per-connection lock. Two ops on one connection may route at once, but they
+// commit one at a time, and each commit validates against the state the
+// previous one left: the table refuses ops on a connection that is no longer
+// live, a reroute releases the connection's current pair (whichever commit
+// installed it) before it reserves its own, and a reroute routed for
+// endpoints the ID no longer carries is refused.
 //
 // The commit order is the serialization order of the daemon. With the ops
 // journal enabled every commit decision is recorded in that order, and
@@ -67,9 +72,6 @@ const (
 
 // Config parameterises an Engine.
 type Config struct {
-	// Shards is the number of routing shards; each owns a region of (s, t)
-	// pairs and a warm router (GOMAXPROCS if 0).
-	Shards int
 	// MaxRetries bounds how often a conflicted admission is re-routed on a
 	// fresh snapshot before the request is reported blocked (4 if 0; -1
 	// disables retries).
@@ -77,11 +79,8 @@ type Config struct {
 	// Algorithm is the default routing discipline (AlgoMinCost if unset);
 	// provision requests may override it per call.
 	Algorithm core.Algorithm
-	// Opts tunes the per-shard routers (nil for defaults). ReuseResult is
-	// forced on: shards copy routed paths before submitting them.
-	Opts *core.Options
 	// Candidates, when positive, prebuilds a shared read-only candidate
-	// table with k route pairs per (s, t) that every shard tries before the
+	// table with k route pairs per (s, t) that every router tries before the
 	// exact pipeline.
 	Candidates int
 	// JournalCap retains up to this many commit-ordered journal entries for
@@ -90,18 +89,9 @@ type Config struct {
 	// Window enables windowed wall-clock telemetry with this window width in
 	// seconds (0 disables telemetry).
 	Window float64
-	// Retention is the telemetry ring size (timeseries.DefaultRetention if 0).
-	Retention int
 	// Tracer, when non-nil, records request-scoped routing traces into its
 	// flight recorder (served on /debug/flight, /debug/explain/<id>).
 	Tracer *obs.Tracer
-}
-
-func (c *Config) shards() int {
-	if c.Shards > 0 {
-		return c.Shards
-	}
-	return runtime.GOMAXPROCS(0)
 }
 
 func (c *Config) maxRetries() int {
@@ -150,7 +140,7 @@ type op struct {
 	retries int
 
 	// Stage attribution (see stageNanos): t0 is the request clock start,
-	// last the most recent stage boundary the shard stamped (finishOp folds
+	// last the most recent stage boundary the op stamped (finishOp folds
 	// last → done into commit so the stages sum to the request time), st the
 	// accumulated per-stage nanos, traceReq the flight-recorder request ID of
 	// the first routing attempt (0 when untraced) echoed as X-Wdmd-Req.
@@ -167,7 +157,7 @@ type commitResult struct {
 	epoch    uint64 // epoch the decision committed into
 }
 
-// Engine is the daemon: sharded routing over epoch snapshots, with each
+// Engine is the daemon: pooled routers over epoch snapshots, with each
 // request committed under one commit lock. Create with New, run with Start,
 // serve its Handler, stop with Close.
 type Engine struct {
@@ -181,7 +171,9 @@ type Engine struct {
 	commitMu sync.Mutex
 	store    *store
 	tab      *conns.Table[struct{}]
-	shards   []*shard
+	// routers is the pool of warm routers: a receive takes one, a send
+	// returns it.
+	routers chan *core.Router
 
 	instr   instruments
 	journal journal
@@ -209,23 +201,6 @@ type Engine struct {
 	inflight sync.WaitGroup
 }
 
-// shard owns one region of (s, t) pairs: a warm router behind a FIFO lock.
-// All ops touching a connection land on the shard of its pair and hold its
-// lock from routing through commit, which linearizes per-connection
-// histories for free.
-type shard struct {
-	idx    int
-	e      *Engine
-	lock   chan struct{} // one slot: a send takes the lock, a receive frees it
-	router *core.Router
-
-	// Per-shard attribution counters for /status (ShardDetail): a hot shard
-	// or a conflict-prone region shows up here, not just in the aggregates.
-	ops       atomic.Int64
-	conflicts atomic.Int64
-	retries   atomic.Int64
-}
-
 // New builds an engine over a private clone of net. Call Start before
 // submitting requests.
 func New(net *wdm.Network, cfg Config) *Engine {
@@ -241,27 +216,22 @@ func New(net *wdm.Network, cfg Config) *Engine {
 	}
 	e.contention = make([]atomic.Int64, st.cur.Links())
 	e.instr.initTimers()
-	e.instr.shards.Set(float64(cfg.shards()))
-	e.instr.publish(published)
-	// Per-shard router options: ReuseResult is safe (shards copy paths out
-	// immediately) and the candidate table — built once from the
-	// authoritative clone — is read-only, so every shard may share it.
-	var ropts core.Options
-	if cfg.Opts != nil {
-		ropts = *cfg.Opts
+	// Router options: ReuseResult is safe (route copies paths out
+	// immediately) and the options and candidate table — built once from
+	// the authoritative clone — are read-only, so every router shares them.
+	opts := &core.Options{ReuseResult: true}
+	if cfg.Candidates > 0 {
+		opts.CandidateTable = core.NewCandidateTable(st.cur, cfg.Candidates)
 	}
-	ropts.ReuseResult = true
-	if cfg.Candidates > 0 && ropts.CandidateTable == nil {
-		ropts.CandidateTable = core.NewCandidateTable(st.cur, cfg.Candidates)
-	}
-	e.shards = make([]*shard, cfg.shards())
-	for i := range e.shards {
-		opts := ropts
-		r := core.NewRouter(&opts)
+	e.routers = make(chan *core.Router, runtime.GOMAXPROCS(0))
+	for range cap(e.routers) {
+		r := core.NewRouter(opts)
 		r.SetTracer(cfg.Tracer)
-		e.shards[i] = &shard{idx: i, e: e, lock: make(chan struct{}, 1), router: r}
+		e.routers <- r
 	}
-	e.tel = newTelemetry(e, cfg.Window, cfg.Retention)
+	e.instr.routers.Set(float64(cap(e.routers)))
+	e.instr.publish(published)
+	e.tel = newTelemetry(e, cfg.Window)
 	return e
 }
 
@@ -336,23 +306,16 @@ func (e *Engine) enter() bool {
 	return true
 }
 
-// shardOf maps an (s, t) pair to its owning shard.
-func (e *Engine) shardOf(s, d int) *shard {
-	h := uint64(s)*0x9E3779B97F4A7C15 + uint64(d)*0xBF58476D1CE4E5B9
-	h ^= h >> 29
-	return e.shards[h%uint64(len(e.shards))]
-}
-
-// run executes o on its shard: it waits for the shard's lock (the queue
-// stage), runs the op's body to a verdict, and frees the lock.
-func (sh *shard) run(o *op) commitResult {
-	sh.lock <- struct{}{}
-	defer func() { <-sh.lock }()
-	sh.ops.Add(1)
+// run executes o to a verdict. A teardown goes straight to the commit step;
+// a provision or reroute waits for a free router (the queue stage), routes
+// and commits on it, and returns it to the pool.
+func (e *Engine) run(o *op) commitResult {
 	if o.kind == opTeardown {
-		return sh.teardown(o)
+		return e.teardown(o)
 	}
-	return sh.route(o)
+	r := <-e.routers
+	defer func() { e.routers <- r }()
+	return e.route(r, o)
 }
 
 // Provision routes and establishes a new connection. The request's Algo
@@ -378,7 +341,7 @@ func (e *Engine) Provision(req Request) Response {
 	e.instr.provisions.Inc()
 
 	o := op{kind: opProvision, id: req.ID, s: req.Src, d: req.Dst, algo: algo, t0: t0}
-	return e.finishOp(&o, e.shardOf(req.Src, req.Dst).run(&o), t0)
+	return e.finishOp(&o, e.run(&o), t0)
 }
 
 // Teardown releases a live connection.
@@ -390,8 +353,8 @@ func (e *Engine) Teardown(id int64) Response { return e.onLive(opTeardown, id, &
 // race the old paths are restored and the reroute retried).
 func (e *Engine) Reroute(id int64) Response { return e.onLive(opReroute, id, &e.instr.reroutes) }
 
-// onLive runs a teardown or reroute of live connection id on the shard of
-// its pair; count is the op's request counter.
+// onLive runs a teardown or reroute of live connection id; count is the op's
+// request counter.
 func (e *Engine) onLive(kind opKind, id int64, count *metrics.Counter) Response {
 	t0 := time.Now()
 	if !e.enter() {
@@ -405,7 +368,7 @@ func (e *Engine) onLive(kind opKind, id int64, count *metrics.Counter) Response 
 		return rejectResponse(id, opNames[kind], ReasonUnknownConn, "")
 	}
 	o := op{kind: kind, id: id, s: s, d: d, algo: e.cfg.Algorithm, t0: t0}
-	return e.finishOp(&o, e.shardOf(s, d).run(&o), t0)
+	return e.finishOp(&o, e.run(&o), t0)
 }
 
 // Audit runs the connection table's audit under the commit lock, so it
@@ -427,8 +390,8 @@ func (e *Engine) Audit() error {
 // finishOp folds a commit verdict into the engine's instruments and the
 // response.
 func (e *Engine) finishOp(o *op, cr commitResult, t0 time.Time) Response {
-	// Close the attribution ledger: the tail (shard's last stamp → now, i.e.
-	// freeing the shard lock and returning to this frame) folds into the
+	// Close the attribution ledger: the tail (the op's last stamp → now, i.e.
+	// returning the router and returning to this frame) folds into the
 	// commit stage, so queue+snap+route+commit+reroute equals tDone−t0
 	// exactly.
 	tDone := time.Now()
@@ -443,7 +406,6 @@ func (e *Engine) finishOp(o *op, cr commitResult, t0 time.Time) Response {
 		Accepted: cr.ok,
 		Reason:   cr.reason,
 		Epoch:    cr.epoch,
-		Shard:    e.shardOf(o.s, o.d).idx,
 		Retries:  o.retries,
 		Req:      o.traceReq,
 	}
@@ -469,16 +431,15 @@ func (e *Engine) finishOp(o *op, cr commitResult, t0 time.Time) Response {
 	return resp
 }
 
-// route runs a provision or a reroute: it routes on the latest snapshot and
-// commits, re-routing on a fresh snapshot after each optimistic conflict up
-// to the retry budget. A reroute routes with the connection's own channels
-// still held (make-before-break); the commit step releases them and takes
-// the new pair in one epoch.
+// route runs a provision or a reroute on router r: it routes on the latest
+// snapshot and commits, re-routing on a fresh snapshot after each optimistic
+// conflict up to the retry budget. A reroute routes with the connection's
+// own channels still held (make-before-break); the commit step releases
+// them and takes the new pair in one epoch.
 //
 //wdm:hotpath
-func (sh *shard) route(o *op) commitResult {
-	e := sh.e
-	// Stage stamps: t opens the current attempt (shard lock taken on
+func (e *Engine) route(r *core.Router, o *op) commitResult {
+	// Stage stamps: t opens the current attempt (router taken on
 	// attempt 1, the previous commit verdict on retries); attempt 1 splits
 	// into snap/route/commit segments, retries fold whole into the reroute
 	// stage.
@@ -488,14 +449,14 @@ func (sh *shard) route(o *op) commitResult {
 	for {
 		snap := e.store.load()
 		tSnap := time.Now()
-		res, ok := sh.router.Route(o.algo, snap.net, o.s, o.d)
+		res, ok := r.Route(o.algo, snap.net, o.s, o.d)
 		tRoute := time.Now()
 		e.instr.routeTime.Observe(tRoute.Sub(tSnap))
 		if first {
 			o.st.snap = tSnap.Sub(t).Nanoseconds()
 			o.st.route = tRoute.Sub(tSnap).Nanoseconds()
-			o.st.tier = sh.router.LastTier()
-			if id := sh.router.LastTraceID(); id > 0 {
+			o.st.tier = r.LastTier()
+			if id := r.LastTraceID(); id > 0 {
 				o.traceReq = id
 			}
 		}
@@ -518,10 +479,8 @@ func (sh *shard) route(o *op) commitResult {
 		}
 		o.last = tCommit
 		if cr.conflict {
-			sh.conflicts.Add(1)
 			if o.retries < e.cfg.maxRetries() {
 				o.retries++
-				sh.retries.Add(1)
 				e.instr.retries.Inc()
 				first = false
 				t = tCommit
@@ -534,10 +493,10 @@ func (sh *shard) route(o *op) commitResult {
 
 // teardown commits the release of a connection; the commit step finds its
 // paths in the connection table.
-func (sh *shard) teardown(o *op) commitResult {
+func (e *Engine) teardown(o *op) commitResult {
 	t := time.Now()
 	o.st.queue = t.Sub(o.t0).Nanoseconds()
-	cr := sh.e.commit(o)
+	cr := e.commit(o)
 	o.last = time.Now()
 	o.st.commit = o.last.Sub(t).Nanoseconds()
 	return cr
@@ -562,9 +521,16 @@ func (e *Engine) commit(o *op) commitResult {
 			logged = c.Pair
 		}
 	case opReroute:
-		// A lost race restores the old paths; the shard retries on the
-		// fresh snapshot.
-		_, err = e.tab.Reroute(o.id, o.pair, nil)
+		// The pair was routed for the endpoints the ID carried when the op
+		// started; if the connection was since torn down and the ID
+		// re-provisioned elsewhere, it is not the connection this op
+		// rerouted. A lost race restores the old paths; route retries on
+		// the fresh snapshot.
+		if c, ok := e.tab.Get(o.id); ok && (c.Src != o.s || c.Dst != o.d) {
+			err = conns.ErrUnknown
+		} else {
+			_, err = e.tab.Reroute(o.id, o.pair, nil)
+		}
 	}
 	cr := commitResult{epoch: e.store.load().epoch}
 	switch err {
@@ -624,7 +590,7 @@ type Stats struct {
 	Nodes        int     `json:"nodes"`
 	Links        int     `json:"links"`
 	W            int     `json:"wavelengths"`
-	Shards       int     `json:"shards"`
+	Routers      int     `json:"routers"`
 	LiveConns    int     `json:"live_connections"`
 	NetworkLoad  float64 `json:"network_load"`
 	Provisions   int64   `json:"provisions"`
@@ -637,8 +603,6 @@ type Stats struct {
 	Retries      int64   `json:"retries"`
 	BlockingProb float64 `json:"blocking_probability"`
 	Uptime       float64 `json:"uptime_seconds"`
-	// ShardDetail attributes ops/conflicts/retries to individual shards.
-	ShardDetail []ShardStats `json:"shard_detail,omitempty"`
 }
 
 // Status reports the daemon's aggregate state from the latest snapshot; it
@@ -651,7 +615,7 @@ func (e *Engine) Status() Stats {
 		Nodes:        e.nodes,
 		Links:        snap.net.Links(),
 		W:            e.w,
-		Shards:       len(e.shards),
+		Routers:      cap(e.routers),
 		LiveConns:    e.LiveConnections(),
 		NetworkLoad:  snap.net.NetworkLoad(),
 		Provisions:   e.instr.provisions.Value(),
@@ -663,7 +627,6 @@ func (e *Engine) Status() Stats {
 		Conflicts:    e.instr.conflicts.Value(),
 		Retries:      e.instr.retries.Value(),
 		Uptime:       time.Since(e.start).Seconds(),
-		ShardDetail:  e.shardDetail(),
 	}
 	if st.Provisions > 0 {
 		st.BlockingProb = float64(st.Blocked) / float64(st.Provisions)

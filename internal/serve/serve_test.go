@@ -100,7 +100,7 @@ func TestConcurrentSmoke(t *testing.T) {
 // back to back. The first must reserve, the second must be reported as a
 // conflict (routed on a snapshot that no longer holds).
 func TestConflictDetectedAtCommit(t *testing.T) {
-	e := startEngine(t, ring4(4), Config{Shards: 1})
+	e := startEngine(t, ring4(4), Config{})
 
 	mk := func(id int64) *op {
 		return &op{kind: opProvision, id: id, s: 0, d: 2, algo: AlgoMinCost,
@@ -131,7 +131,7 @@ func TestConflictDetectedAtCommit(t *testing.T) {
 // TestRerouteConflictRestoresOldPaths: a reroute whose new pair lost the
 // race must leave the connection exactly on its old paths.
 func TestRerouteConflictRestoresOldPaths(t *testing.T) {
-	e := startEngine(t, ring4(8), Config{Shards: 1, MaxRetries: -1})
+	e := startEngine(t, ring4(8), Config{MaxRetries: -1})
 
 	if resp := e.Provision(Request{ID: 1, Src: 0, Dst: 2}); !resp.Accepted {
 		t.Fatalf("provision blocked: %+v", resp)
@@ -194,7 +194,7 @@ func TestRerouteConflictRestoresOldPaths(t *testing.T) {
 func TestHighContentionConflicts(t *testing.T) {
 	net := ring4(2)
 	want := net.TotalAvailable()
-	e := startEngine(t, net, Config{Shards: 4})
+	e := startEngine(t, net, Config{})
 
 	const clients = 8
 	const perClient = 150
@@ -229,11 +229,11 @@ func TestHighContentionConflicts(t *testing.T) {
 
 // TestStartLaunchesNoWorkers pins the execution model: requests run on
 // their callers' goroutines, so with telemetry off Start launches no
-// goroutine at all — none per shard and no committer — and a served request
+// goroutine at all — none per router and no committer — and a served request
 // leaves none behind.
 func TestStartLaunchesNoWorkers(t *testing.T) {
 	before := runtime.NumGoroutine()
-	e := startEngine(t, nsf(8), Config{Shards: 8})
+	e := startEngine(t, nsf(8), Config{})
 	if resp := e.Provision(Request{ID: 1, Src: 0, Dst: 9}); !resp.Accepted {
 		t.Fatalf("provision blocked: %+v", resp)
 	}
@@ -242,13 +242,18 @@ func TestStartLaunchesNoWorkers(t *testing.T) {
 	}
 }
 
-// TestOneShardUnderManyCallers hammers a single shard from 16 goroutines:
-// every caller waits its turn on the shard's FIFO lock and finishes, and the
-// shard's serial history commits to a legal, conserved state.
-func TestOneShardUnderManyCallers(t *testing.T) {
+// TestOneRouterUnderManyCallers hammers a pool of one router from 16
+// goroutines: every caller waits its turn for the router and finishes, and
+// the serial history commits to a legal, conserved state.
+func TestOneRouterUnderManyCallers(t *testing.T) {
+	prev := runtime.GOMAXPROCS(1) // the pool holds GOMAXPROCS routers
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
 	net := nsf(8)
 	want := net.TotalAvailable()
-	e := startEngine(t, net, Config{Shards: 1, Algorithm: AlgoMinLoadCost})
+	e := startEngine(t, net, Config{Algorithm: AlgoMinLoadCost})
+	if cap(e.routers) != 1 {
+		t.Fatalf("pool of %d routers at GOMAXPROCS=1", cap(e.routers))
+	}
 	const callers, perCaller = 16, 60
 	var wg sync.WaitGroup
 	for c := 0; c < callers; c++ {
@@ -273,15 +278,15 @@ func TestOneShardUnderManyCallers(t *testing.T) {
 	select {
 	case <-done:
 	case <-time.After(time.Minute):
-		t.Fatal("callers still blocked on the shard lock after a minute")
+		t.Fatal("callers still waiting for the router after a minute")
 	}
 	if err := e.Audit(); err != nil {
 		t.Fatalf("audit: %v", err)
 	}
 	st := e.Status()
-	if st.ShardDetail[0].Ops != st.Provisions+st.Teardowns+st.Reroutes || st.Provisions != callers*perCaller {
-		t.Fatalf("shard ops %d for %d provisions, %d teardowns, %d reroutes",
-			st.ShardDetail[0].Ops, st.Provisions, st.Teardowns, st.Reroutes)
+	if n := e.instr.requestTime.Hist().Count(); n != st.Provisions+st.Teardowns+st.Reroutes || st.Provisions != callers*perCaller {
+		t.Fatalf("%d requests timed for %d provisions, %d teardowns, %d reroutes",
+			n, st.Provisions, st.Teardowns, st.Reroutes)
 	}
 	if _, snap := e.Snapshot(); snap.TotalAvailable() != want || e.LiveConnections() != 0 {
 		t.Fatalf("capacity not conserved: %d available, want %d; %d live", snap.TotalAvailable(), want, e.LiveConnections())
@@ -319,8 +324,8 @@ func TestJournalReplayMatchesEngine(t *testing.T) {
 	}
 }
 
-// TestDuplicateIDRejected: a live ID cannot be provisioned twice, across
-// shards (the committer holds the authoritative registry).
+// TestDuplicateIDRejected: a live ID cannot be provisioned twice, whatever
+// its endpoints (the commit step holds the authoritative registry).
 func TestDuplicateIDRejected(t *testing.T) {
 	e := startEngine(t, nsf(8), Config{})
 	if resp := e.Provision(Request{ID: 7, Src: 0, Dst: 9}); !resp.Accepted {
@@ -416,14 +421,66 @@ func TestPerConnectionSerialization(t *testing.T) {
 	}
 }
 
+// TestSameConnectionRaceReplays races reroute, teardown, reroute and
+// re-provision on the same few connection IDs from many goroutines, so ops
+// on one connection route at once and only the commit step orders them. A
+// re-provision gives the ID new endpoints each round, so a reroute routed
+// for an ID's old endpoints must not land on its new connection. Afterwards
+// the audit is clean and a serial replay of the commit-ordered journal
+// reproduces the engine's final state.
+func TestSameConnectionRaceReplays(t *testing.T) {
+	initial := nsf(8)
+	e := startEngine(t, initial, Config{JournalCap: 100000})
+	const ids, workers, rounds = 6, 8, 40
+	var wg sync.WaitGroup
+	for g := 0; g < workers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				for id := int64(0); id < ids; id++ {
+					switch (g + r) % 4 {
+					case 0, 2:
+						e.Reroute(id)
+					case 1:
+						e.Teardown(id)
+					default:
+						s := (g + r + int(id)) % 14
+						e.Provision(Request{ID: id, Src: s, Dst: (s + 1 + r%13) % 14})
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	if err := e.Audit(); err != nil {
+		t.Fatalf("audit: %v", err)
+	}
+	st := e.Status()
+	if st.RerouteOK == 0 || st.Accepted == 0 {
+		t.Fatalf("degenerate race: %d reroutes and %d provisions committed", st.RerouteOK, st.Accepted)
+	}
+	entries, truncated := e.Journal()
+	if truncated {
+		t.Fatal("journal truncated; raise JournalCap")
+	}
+	replayed, err := Replay(initial, entries)
+	if err != nil {
+		t.Fatalf("replay diverged: %v", err)
+	}
+	if _, snap := e.Snapshot(); !availEqual(replayed, snap) {
+		t.Fatal("serial replay of the commit order does not reproduce the engine's final availability")
+	}
+}
+
 // TestStatus sanity-checks the /status aggregates.
 func TestStatus(t *testing.T) {
-	e := startEngine(t, nsf(8), Config{Shards: 3})
+	e := startEngine(t, nsf(8), Config{})
 	for i := 0; i < 5; i++ {
 		e.Provision(Request{ID: int64(i), Src: 0, Dst: 9})
 	}
 	st := e.Status()
-	if st.Shards != 3 || st.Nodes != 14 || st.W != 8 {
+	if st.Routers != runtime.GOMAXPROCS(0) || st.Nodes != 14 || st.W != 8 {
 		t.Fatalf("bad static fields: %+v", st)
 	}
 	if st.Provisions != 5 || st.Accepted+st.Blocked != 5 {

@@ -27,10 +27,10 @@ type store struct {
 
 // newStore clones net (the engine owns its state privately) and publishes
 // epoch 0 as a full copy of the initial state. Every snapshot, epoch 0
-// included, comes from CloneSince and so shares cur's lineage: a shard
+// included, comes from CloneSince and so shares cur's lineage: a pooled
 // router's skeletons follow it from epoch to epoch instead of being rebuilt
-// on each (shards load only the latest snapshot, so the versions a router
-// sees never go backwards).
+// on each (a router serves one request at a time and loads only the latest
+// snapshot, so the versions it sees never go backwards).
 func newStore(net *wdm.Network) *store {
 	st := &store{cur: net.Clone()}
 	st.snap.Store(&snapshot{

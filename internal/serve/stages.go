@@ -9,8 +9,9 @@ import (
 	"repro/internal/wdm"
 )
 
-// stageNanos is the per-request latency attribution ledger. The shard and
-// finishOp stamp contiguous wall-clock segments into it so that
+// stageNanos is the per-request latency attribution ledger. The route and
+// teardown paths and finishOp stamp contiguous wall-clock segments into it
+// so that
 //
 //	queue + snap + route + commit + reroute == requestTime
 //
@@ -22,18 +23,18 @@ import (
 //
 // Segment boundaries:
 //
-//	queue   t0 → shard lock taken (dispatch, validation, waiting for the
-//	        shard lock)
-//	snap    lock taken → snapshot loaded (provision and reroute)
+//	queue   t0 → router taken (dispatch, validation, waiting for a free
+//	        router); a teardown takes no router: t0 → commit call
+//	snap    router taken → snapshot loaded (provision and reroute)
 //	route   snapshot → routing done, first attempt only
-//	commit  routing done (a teardown: lock taken) → commit verdict, first
-//	        attempt (waiting for the commit lock, apply, publish), plus
-//	        freeing the shard lock
+//	commit  routing done (a teardown: its commit call) → commit verdict,
+//	        first attempt (waiting for the commit lock, apply, publish),
+//	        plus returning the router
 //	reroute whole retry attempts after a lost commit race (snapshot + route +
 //	        commit of attempts ≥ 2, attributed as one stage)
 //
 // All fields live inside the op, so stage accounting adds zero allocations
-// to the //wdm:hotpath shard loop — TestProvisionAllocs pins that budget.
+// to the //wdm:hotpath route loop — TestProvisionAllocs pins that budget.
 type stageNanos struct {
 	queue   int64
 	snap    int64
@@ -69,29 +70,6 @@ func (e *Engine) observeStages(o *op) {
 	if o.st.reroute > 0 {
 		e.instr.stageReroute.Observe(time.Duration(o.st.reroute))
 	}
-}
-
-// ShardStats is one shard's attribution row in /status: which shard is
-// hot, and how often its optimistic admissions lose the commit race.
-type ShardStats struct {
-	Shard     int   `json:"shard"`
-	Ops       int64 `json:"ops"`
-	Conflicts int64 `json:"conflicts"`
-	Retries   int64 `json:"retries"`
-}
-
-// shardDetail snapshots the per-shard attribution counters.
-func (e *Engine) shardDetail() []ShardStats {
-	out := make([]ShardStats, len(e.shards))
-	for i, sh := range e.shards {
-		out[i] = ShardStats{
-			Shard:     sh.idx,
-			Ops:       sh.ops.Load(),
-			Conflicts: sh.conflicts.Load(),
-			Retries:   sh.retries.Load(),
-		}
-	}
-	return out
 }
 
 // noteContention charges commit-time reservation conflicts to the links that

@@ -86,11 +86,11 @@ type telemetry struct {
 
 // newTelemetry builds the bundle over e's instruments; window <= 0
 // disables it (all methods no-op on the nil receiver).
-func newTelemetry(e *Engine, window float64, retention int) *telemetry {
+func newTelemetry(e *Engine, window float64) *telemetry {
 	if window <= 0 {
 		return nil
 	}
-	col := timeseries.New(timeseries.Config{Window: window, Retention: retention, Clock: timeseries.NewWallClock()})
+	col := timeseries.New(timeseries.Config{Window: window, Clock: timeseries.NewWallClock()})
 	m := &e.instr
 	col.Histogram(SeriesRequestLatency, m.requestTime.Hist())
 	col.Ratio(SeriesBlocking, &m.blocked, &m.accepted)
