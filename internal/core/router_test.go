@@ -44,6 +44,14 @@ func keyOf(net *wdm.Network, r *Result, ok bool) resultKey {
 	}
 }
 
+// copyResult returns a copy of r that shares no storage with it.
+func copyResult(r *Result) *Result {
+	c := *r
+	c.Primary = &wdm.Semilightpath{Hops: append([]wdm.Hop(nil), r.Primary.Hops...)}
+	c.Backup = &wdm.Semilightpath{Hops: append([]wdm.Hop(nil), r.Backup.Hops...)}
+	return &c
+}
+
 // routeAlg routes (s, d) on net with ApproxMinCost, MinLoad or MinLoadCost
 // for alg 0, 1 or 2.
 func routeAlg(r *Router, alg int, net *wdm.Network, s, d int) (*Result, bool) {
@@ -61,16 +69,20 @@ func routeAlg(r *Router, alg int, net *wdm.Network, s, d int) (*Result, bool) {
 // with a fresh Router per request (every call builds its auxiliary graph from
 // scratch) and once with a single reused Router (skeletons built once, then
 // reweighted incrementally as reservations accumulate and connections tear
-// down). Each arm owns a network clone driven through the identical
-// establish/teardown sequence; every routing decision must match exactly.
+// down). A third arm routes on one reused Router with Options.ReuseResult,
+// whose results live in the router's arena until the next call. Each arm
+// owns a network clone driven through the identical establish/teardown
+// sequence; every routing decision must match exactly.
 func TestRouterMatchesOneShotOnStream(t *testing.T) {
 	base := topo.NSFNET(topo.Config{W: 4})
 	netFresh := base.Clone()
 	netWarm := base.Clone()
+	netReuse := base.Clone()
 	warm := NewRouter(nil)
+	reuse := NewRouter(&Options{ReuseResult: true})
 	rng := rand.New(rand.NewSource(99))
 
-	type live struct{ fresh, warm *Result }
+	type live struct{ fresh, warm, reuse *Result }
 	var established []live
 	routed, blocked := 0, 0
 	for i := 0; i < 160; i++ {
@@ -81,9 +93,13 @@ func TestRouterMatchesOneShotOnStream(t *testing.T) {
 		}
 		rF, okF := routeAlg(NewRouter(nil), i%3, netFresh, s, d)
 		rW, okW := routeAlg(warm, i%3, netWarm, s, d)
-		kF, kW := keyOf(netFresh, rF, okF), keyOf(netWarm, rW, okW)
+		rR, okR := routeAlg(reuse, i%3, netReuse, s, d)
+		kF, kW, kR := keyOf(netFresh, rF, okF), keyOf(netWarm, rW, okW), keyOf(netReuse, rR, okR)
 		if kF != kW {
 			t.Fatalf("request %d (%d->%d, alg %d): fresh %+v != warm %+v", i, s, d, i%3, kF, kW)
+		}
+		if kR != kW {
+			t.Fatalf("request %d (%d->%d, alg %d): ReuseResult %+v != default %+v", i, s, d, i%3, kR, kW)
 		}
 		if !okF {
 			blocked++
@@ -96,9 +112,12 @@ func TestRouterMatchesOneShotOnStream(t *testing.T) {
 		if err := Establish(netWarm, rW); err != nil {
 			t.Fatalf("request %d: warm establish: %v", i, err)
 		}
-		// The warm result aliases router workspaces only for the aux pair,
-		// not the semilightpaths, so retaining it across calls is safe.
-		established = append(established, live{fresh: rF, warm: rW})
+		if err := Establish(netReuse, rR); err != nil {
+			t.Fatalf("request %d: ReuseResult establish: %v", i, err)
+		}
+		// A default router's result is its caller's to keep; a ReuseResult
+		// one lives in the router's arena, so it is copied to be retained.
+		established = append(established, live{fresh: rF, warm: rW, reuse: copyResult(rR)})
 		// Tear a random earlier connection down every few arrivals so the
 		// stream exercises Release (and the conversion-cache invalidation)
 		// as well as Use.
@@ -112,9 +131,13 @@ func TestRouterMatchesOneShotOnStream(t *testing.T) {
 			if err := Teardown(netWarm, c.warm); err != nil {
 				t.Fatalf("request %d: warm teardown: %v", i, err)
 			}
+			if err := Teardown(netReuse, c.reuse); err != nil {
+				t.Fatalf("request %d: ReuseResult teardown: %v", i, err)
+			}
 		}
-		if lF, lW := netFresh.NetworkLoad(), netWarm.NetworkLoad(); lF != lW {
-			t.Fatalf("request %d: network load diverged: fresh %v warm %v", i, lF, lW)
+		lF, lW, lR := netFresh.NetworkLoad(), netWarm.NetworkLoad(), netReuse.NetworkLoad()
+		if lF != lW || lR != lW {
+			t.Fatalf("request %d: network load diverged: fresh %v warm %v ReuseResult %v", i, lF, lW, lR)
 		}
 	}
 	if routed == 0 || blocked == 0 {
