@@ -674,16 +674,3 @@ func (a *Aux) AppendMapPath(buf []int, path []int) []int {
 	}
 	return buf
 }
-
-// LinkSet translates an aux edge-ID path into the set of physical links it
-// uses — the induced subgraph G_i of §3.3 in which the Lemma 2 refinement
-// searches.
-func (a *Aux) LinkSet(path []int) map[int]bool {
-	set := make(map[int]bool)
-	for _, id := range path {
-		if aux := a.G.Edge(id).Aux; aux >= 0 {
-			set[aux] = true
-		}
-	}
-	return set
-}

@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/disjoint"
+	"repro/internal/graph"
 	"repro/internal/wdm"
 )
 
@@ -152,7 +153,7 @@ func TestConversionEdgeRequiresFeasiblePair(t *testing.T) {
 			t.Fatal("infeasible conversion edge present")
 		}
 	}
-	if a.G.Reachable(a.S, a.T) {
+	if reaches(a) {
 		t.Fatal("t'' should be unreachable under wavelength continuity")
 	}
 	// Identity conversion suffices when wavelengths overlap.
@@ -161,7 +162,7 @@ func TestConversionEdgeRequiresFeasiblePair(t *testing.T) {
 	net2.AddLink(1, 2, []wdm.Wavelength{0}, []float64{1})
 	net2.SetAllConverters(wdm.NoConverter{})
 	a2 := build(net2, 0, 2, Params{Kind: Cost})
-	if !a2.G.Reachable(a2.S, a2.T) {
+	if !reaches(a2) {
 		t.Fatal("identity conversion should connect matching wavelengths")
 	}
 }
@@ -265,16 +266,26 @@ func TestMapPathRoundTrip(t *testing.T) {
 			}
 		}
 	}
-	// Edge-disjoint physically.
-	set1 := a.LinkSet(pair.Path1)
+	// Edge-disjoint physically, and no route repeats a link.
+	set1 := map[int]bool{}
+	for _, l := range a.AppendMapPath(nil, pair.Path1) {
+		set1[l] = true
+	}
 	for _, l := range links2 {
 		if set1[l] {
 			t.Fatalf("mapped paths share physical link %d", l)
 		}
 	}
 	if len(set1) != len(links1) {
-		t.Fatal("LinkSet size mismatch")
+		t.Fatalf("mapped route %v repeats a physical link", links1)
 	}
+}
+
+// reaches reports whether a.T is reachable from a.S over the enabled edges.
+func reaches(a *Aux) bool {
+	var ws graph.Workspace
+	a.G.DijkstraInto(&ws, a.S)
+	return ws.Reached(a.T)
 }
 
 // Property: on random residual networks, any Suurballe pair on G′ maps to
@@ -491,7 +502,7 @@ func TestNodeDisjointUntraversableNode(t *testing.T) {
 	if len(sk.hubs) != 0 {
 		t.Fatalf("%d hub gadgets, want none", len(sk.hubs))
 	}
-	if a.G.Reachable(a.S, a.T) {
+	if reaches(a) {
 		t.Fatal("untraversable hub should disconnect the aux graph")
 	}
 }

@@ -12,38 +12,51 @@ import (
 	"repro/internal/wdm"
 )
 
-// Allocation budgets for a warm Router on NSFNET (W=8). The graph search
-// itself is allocation-free; what remains is the per-result construction
-// (Result, hop slices, the Lemma 2 refinement DP). Measured ~27–29 allocs/op
-// at the time of writing; the budgets leave headroom for small refactors
-// while still catching a regression to per-request graph rebuilding
-// (~900 allocs/op).
+// Allocation budgets for a warm Router on NSFNET (W=8). The graph search,
+// the refinement and the candidate tier build their result in router-owned
+// buffers and allocate nothing; a router without Options.ReuseResult then
+// copies the result out, which costs 5 allocs/op (the Result, two
+// semilightpath headers, two hop slices) on every tier and objective. A
+// ReuseResult router allocates nothing. The budget leaves one alloc of
+// headroom over the copy.
 const (
-	approxMinCostAllocBudget = 64
-	minLoadAllocBudget       = 96
+	approxMinCostAllocBudget = 6
+	minLoadAllocBudget       = 6
+	minLoadCostAllocBudget   = 6
 )
 
 func TestWarmRouterAllocBudget(t *testing.T) {
 	net := topo.NSFNET(topo.Config{W: 8})
-	r := NewRouter(nil)
-	if _, ok := r.ApproxMinCost(net, 0, 9); !ok {
-		t.Fatal("ApproxMinCost failed")
-	}
-	allocs := testing.AllocsPerRun(100, func() {
-		r.ApproxMinCost(net, 0, 9)
-	})
-	if allocs > approxMinCostAllocBudget {
-		t.Errorf("warm Router.ApproxMinCost = %.0f allocs/op, budget %d", allocs, approxMinCostAllocBudget)
-	}
-
-	if _, ok := r.MinLoad(net, 2, 11); !ok {
-		t.Fatal("MinLoad failed")
-	}
-	allocs = testing.AllocsPerRun(100, func() {
-		r.MinLoad(net, 2, 11)
-	})
-	if allocs > minLoadAllocBudget {
-		t.Errorf("warm Router.MinLoad = %.0f allocs/op, budget %d", allocs, minLoadAllocBudget)
+	tab := NewCandidateTable(net, 4)
+	for _, tc := range []struct {
+		name   string
+		opts   Options
+		alg    int // routeAlg's index
+		tier   Tier
+		budget float64
+	}{
+		{"ApproxMinCost", Options{}, 0, TierExact, approxMinCostAllocBudget},
+		{"MinLoad", Options{}, 1, TierExact, minLoadAllocBudget},
+		{"MinLoadCost", Options{}, 2, TierExact, minLoadCostAllocBudget},
+		{"ApproxMinCost/candidate", Options{CandidateTable: tab}, 0, TierCandidate, approxMinCostAllocBudget},
+		{"ApproxMinCost/reuse", Options{ReuseResult: true}, 0, TierExact, 0},
+		{"MinLoad/reuse", Options{ReuseResult: true}, 1, TierExact, 0},
+		{"MinLoadCost/reuse", Options{ReuseResult: true}, 2, TierExact, 0},
+		{"ApproxMinCost/candidate/reuse", Options{CandidateTable: tab, ReuseResult: true}, 0, TierCandidate, 0},
+	} {
+		r := NewRouter(&tc.opts)
+		if _, ok := routeAlg(r, tc.alg, net, 2, 11); !ok {
+			t.Fatalf("%s: 2->11 failed", tc.name)
+		}
+		if r.LastTier() != tc.tier {
+			t.Fatalf("%s: answered by the %v tier, want %v", tc.name, r.LastTier(), tc.tier)
+		}
+		allocs := testing.AllocsPerRun(100, func() {
+			routeAlg(r, tc.alg, net, 2, 11)
+		})
+		if allocs > tc.budget {
+			t.Errorf("warm Router %s = %.0f allocs/op, budget %.0f", tc.name, allocs, tc.budget)
+		}
 	}
 }
 

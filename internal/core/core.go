@@ -53,11 +53,14 @@ type Options struct {
 	// share one. It must have been built from the same network the routing
 	// calls use, or from a Clone ancestor with identical structure.
 	CandidateTable *CandidateTable
-	// ReuseResult makes routing calls return Results that alias buffers owned
-	// by the Router: the Result, its Semilightpaths and their hop slices are
-	// overwritten by the next routing call on the same Router. Callers that
-	// consume or copy routes immediately (the simulator's arrival loop) set
-	// this to route allocation-free; callers that retain Results must not.
+	// ReuseResult skips the copy-out. Every routing call builds its Result
+	// in buffers owned by the Router; by default the caller receives a deep
+	// copy of it (the Result, its two Semilightpaths and their hops). With
+	// ReuseResult the caller receives the Router's own Result, which the next
+	// routing call on the same Router overwrites. Callers that consume or
+	// copy routes immediately (the simulator's arrival loop, the serving
+	// engine) set this to route allocation-free; callers that retain Results
+	// must not.
 	ReuseResult bool
 }
 
@@ -131,30 +134,11 @@ func pathLoad(net *wdm.Network, ps ...*wdm.Semilightpath) float64 {
 	return rho
 }
 
-// firstFit assigns the smallest available wavelength to every link of the
-// route and returns the resulting Eq. 1 cost, or +Inf when some implied
+// firstFitInto assigns the smallest available wavelength to every link of
+// the route and returns the resulting Eq. 1 cost, or +Inf when some implied
 // conversion is disallowed. This is the unrefined P_ii assignment of §3.3.
-func firstFit(net *wdm.Network, route []int) (*wdm.Semilightpath, float64) {
-	//wdmlint:ignore hotalloc non-reuse fallback; serving paths use firstFitInto
-	hops := make([]wdm.Hop, len(route))
-	for i, id := range route {
-		lam := net.Link(id).Avail().Min()
-		if lam < 0 {
-			return nil, math.Inf(1)
-		}
-		hops[i] = wdm.Hop{Link: id, Wavelength: lam}
-	}
-	//wdmlint:ignore hotalloc non-reuse fallback; serving paths use firstFitInto
-	p := &wdm.Semilightpath{Hops: hops}
-	c := p.Cost(net)
-	if math.IsInf(c, 1) { // disallowed conversion surfaces as +Inf ConvCost
-		return nil, math.Inf(1)
-	}
-	return p, c
-}
-
-// firstFitInto is firstFit with caller-owned storage: the hop sequence goes
-// into *buf (grown as needed) and the semilightpath header into sl.
+// The hop sequence goes into *buf (grown as needed) and the semilightpath
+// header into sl.
 func firstFitInto(net *wdm.Network, route []int, sl *wdm.Semilightpath, buf *[]wdm.Hop) (*wdm.Semilightpath, float64) {
 	hops := (*buf)[:0]
 	for _, id := range route {
@@ -174,10 +158,10 @@ func firstFitInto(net *wdm.Network, route []int, sl *wdm.Semilightpath, buf *[]w
 	return sl, c
 }
 
-// resultArena is the Router-owned storage behind Options.ReuseResult: the
-// Result, the semilightpath headers for the naive and refined assignment of
-// both paths, and every hop/route buffer the refinement writes. One routing
-// call's output occupies it until the next call.
+// resultArena is the Router-owned storage every routing call builds its
+// result in: the Result, the semilightpath headers for the naive and refined
+// assignment of both paths, and every hop/route buffer the refinement
+// writes. One routing call's output occupies it until the next call.
 type resultArena struct {
 	res   Result
 	sl    [4]wdm.Semilightpath // [2i] = naive, [2i+1] = refined, per path i
@@ -186,59 +170,47 @@ type resultArena struct {
 	aw    lightpath.AssignWorkspace
 }
 
+// output hands a routing call's arena result to the caller: the arena
+// Result itself under Options.ReuseResult, otherwise a deep copy — the
+// Result, its two semilightpaths and their hops — that shares nothing with
+// the router.
+//
+//wdm:coldpath the copy is taken only by routers without ReuseResult; the serving and simulator routers return the arena result
+func (r *Router) output(res *Result) *Result {
+	if r.opts.reuseResult() {
+		return res
+	}
+	out := *res
+	out.Primary = &wdm.Semilightpath{Hops: append([]wdm.Hop(nil), res.Primary.Hops...)}
+	out.Backup = &wdm.Semilightpath{Hops: append([]wdm.Hop(nil), res.Backup.Hops...)}
+	return &out
+}
+
 // mapAndRefine converts an auxiliary pair into two semilightpaths. Each aux
 // path is mapped to its physical route; the Lemma 2 refinement then finds
 // the optimal wavelength assignment on that route (the optimal semilightpath
 // of the induced subgraph G_i, whose links are exactly the route's links).
 // ok is false when neither refinement nor first-fit yields a feasible
 // assignment for one of the routes (possible only with restricted
-// converters). Under Options.ReuseResult everything returned lives in the
-// router's arena; otherwise it is freshly allocated.
+// converters). Everything returned lives in the router's arena.
 func (r *Router) mapAndRefine(net *wdm.Network, a *auxgraph.Aux, pair *disjoint.Pair, tc *obs.Trace) (*Result, bool) {
 	defer instr.phaseRefine.Stop(instr.phaseRefine.Start())
-	reuse := r.opts.reuseResult()
 	ar := &r.arena
-	var res *Result
-	if reuse {
-		ar.res = Result{AuxWeight: pair.Weight}
-		res = &ar.res
-	} else {
-		//wdmlint:ignore hotalloc non-reuse branch; ReuseResult callers take the arena path
-		res = &Result{AuxWeight: pair.Weight}
-	}
+	ar.res = Result{AuxWeight: pair.Weight}
+	res := &ar.res
 	var paths [2]*wdm.Semilightpath
 	naiveTotal := 0.0
 	for i, auxPath := range [2][]int{pair.Path1, pair.Path2} {
 		sp := tc.Begin("refine") // one span per G_i (primary, then backup)
-		var route []int
-		if reuse {
-			ar.route[i] = a.AppendMapPath(ar.route[i][:0], auxPath)
-			route = ar.route[i]
-		} else {
-			route = a.MapPath(auxPath)
-		}
+		ar.route[i] = a.AppendMapPath(ar.route[i][:0], auxPath)
+		route := ar.route[i]
 		if len(route) == 0 {
 			tc.EndSpan(sp)
 			return nil, false
 		}
-		var (
-			naive, refined *wdm.Semilightpath
-			nc, rc         float64
-			okR            bool
-		)
-		if reuse {
-			naive, nc = firstFitInto(net, route, &ar.sl[2*i], &ar.hops[2*i])
-			var hops []wdm.Hop
-			hops, rc, okR = lightpath.AssignInto(&ar.aw, net, route, ar.hops[2*i+1])
-			ar.hops[2*i+1] = hops
-			if okR {
-				ar.sl[2*i+1].Hops = hops
-				refined = &ar.sl[2*i+1]
-			}
-		} else {
-			naive, nc = firstFit(net, route)
-			refined, rc, okR = lightpath.AssignWavelengths(net, route)
-		}
+		naive, nc := firstFitInto(net, route, &ar.sl[2*i], &ar.hops[2*i])
+		hops, rc, okR := lightpath.AssignInto(&ar.aw, net, route, ar.hops[2*i+1])
+		ar.hops[2*i+1], ar.sl[2*i+1].Hops = hops, hops
 		naiveTotal += nc
 		fallback := false
 		switch {
@@ -246,7 +218,7 @@ func (r *Router) mapAndRefine(net *wdm.Network, a *auxgraph.Aux, pair *disjoint.
 			paths[i] = naive
 			res.Cost += nc
 		case okR:
-			paths[i] = refined
+			paths[i] = &ar.sl[2*i+1]
 			res.Cost += rc
 		case naive != nil:
 			paths[i] = naive

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"math"
-
 	"repro/internal/auxgraph"
 	"repro/internal/disjoint"
 	"repro/internal/lightpath"
@@ -47,12 +45,11 @@ func ApproxMinCostK(net *wdm.Network, s, t, k int) (*MultiResult, bool) {
 		if !okA {
 			// Restricted conversion can defeat the refinement; fall back to
 			// first-fit before giving up.
-			var nc float64
-			p, nc = firstFit(net, route)
-			if p == nil || math.IsInf(nc, 1) {
+			var hops []wdm.Hop
+			p, c = firstFitInto(net, route, new(wdm.Semilightpath), &hops)
+			if p == nil {
 				return nil, false
 			}
-			c = nc
 		}
 		res.Paths = append(res.Paths, p)
 		res.Cost += c

@@ -200,7 +200,7 @@ func (r *Router) ApproxMinCost(net *wdm.Network, s, t int) (*Result, bool) {
 			r.lastTier = TierCandidate
 			tc.Str("tier", "candidate")
 			r.finish(tc, net, res, true, false)
-			return res, true
+			return r.output(res), true
 		}
 		instr.candidateFallbacks.Inc()
 		r.lastTier = TierFallback
@@ -217,11 +217,13 @@ func (r *Router) ApproxMinCost(net *wdm.Network, s, t int) (*Result, bool) {
 		return nil, false
 	}
 	res, ok := r.mapAndRefine(net, a, pair, tc)
-	if ok {
-		instr.routeFound.Inc()
+	if !ok {
+		r.finish(tc, net, nil, false, false)
+		return nil, false
 	}
-	r.finish(tc, net, res, ok, false)
-	return res, ok
+	instr.routeFound.Inc()
+	r.finish(tc, net, res, true, false)
+	return r.output(res), true
 }
 
 // ApproxMinCostNodeDisjoint routes (s, t) with an internally node-disjoint
@@ -257,7 +259,7 @@ func (r *Router) ApproxMinCostNodeDisjoint(net *wdm.Network, s, t int) (*Result,
 	}
 	instr.routeFound.Inc()
 	r.finish(tc, net, res, true, false)
-	return res, true
+	return r.output(res), true
 }
 
 // minCogSearch is the Find_Two_Paths_MinCog doubling threshold search (see
@@ -361,7 +363,7 @@ func (r *Router) MinLoad(net *wdm.Network, s, t int) (*Result, bool) {
 	res.Iterations = iters
 	instr.routeFound.Inc()
 	r.finish(tc, net, res, true, true)
-	return res, true
+	return r.output(res), true
 }
 
 // MinLoadCost routes (s, t) per §4.2: phase 1 fixes the feasible load bound
@@ -404,7 +406,7 @@ func (r *Router) MinLoadCost(net *wdm.Network, s, t int) (*Result, bool) {
 	// The final pair comes from G_rc, whose ω is cost-weighted, so the
 	// Lemma 2 bound applies (unlike MinLoad's congestion-weighted ω).
 	r.finish(tc, net, res, true, false)
-	return res, true
+	return r.output(res), true
 }
 
 // TwoStepMinCost is the naive baseline (E7): route an optimal semilightpath,

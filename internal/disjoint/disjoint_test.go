@@ -57,7 +57,7 @@ func TestSuurballeTrap(t *testing.T) {
 
 func TestTwoStepFailsOnTrap(t *testing.T) {
 	g := trap()
-	if _, ok := TwoStep(g, 0, 5); ok {
+	if _, ok := twoStep(g, 0, 5); ok {
 		t.Fatal("TwoStep should fail on the trap topology")
 	}
 	// And the graph must be restored afterwards.
@@ -70,7 +70,7 @@ func TestTwoStepFailsOnTrap(t *testing.T) {
 
 func TestBhandariTrap(t *testing.T) {
 	g := trap()
-	p, ok := Bhandari(g, 0, 5)
+	p, ok := bhandari(g, 0, 5)
 	if !ok {
 		t.Fatal("Bhandari failed on trap")
 	}
@@ -82,7 +82,7 @@ func TestBhandariTrap(t *testing.T) {
 
 func TestBruteForceTrap(t *testing.T) {
 	g := trap()
-	p, ok := BruteForce(g, 0, 5)
+	p, ok := bruteForce(g, 0, 5)
 	if !ok || p.Weight != 10 {
 		t.Fatalf("BruteForce = %+v, %v", p, ok)
 	}
@@ -109,7 +109,7 @@ func TestNoPairExists(t *testing.T) {
 	g.AddEdge(0, 1, 1)
 	g.AddEdge(1, 2, 1)
 	for name, fn := range map[string]func(*graph.Graph, int, int) (*Pair, bool){
-		"Suurballe": new(Workspace).Suurballe, "Bhandari": Bhandari, "TwoStep": TwoStep, "BruteForce": BruteForce,
+		"Suurballe": new(Workspace).Suurballe, "Bhandari": bhandari, "TwoStep": twoStep, "BruteForce": bruteForce,
 	} {
 		if _, ok := fn(g, 0, 2); ok {
 			t.Errorf("%s found a pair where only one path exists", name)
@@ -145,7 +145,7 @@ func TestTwoStepSucceedsOnEasyGraph(t *testing.T) {
 	g.AddEdge(1, 3, 1)
 	g.AddEdge(0, 2, 2)
 	g.AddEdge(2, 3, 2)
-	p, ok := TwoStep(g, 0, 3)
+	p, ok := twoStep(g, 0, 3)
 	if !ok {
 		t.Fatal("TwoStep failed on node-disjoint diamond")
 	}
@@ -179,8 +179,8 @@ func TestQuickAllAlgorithmsAgree(t *testing.T) {
 		g := randGraph(rng, n, n)
 		s, d := 0, n-1
 		ps, okS := new(Workspace).Suurballe(g, s, d)
-		pb, okB := Bhandari(g, s, d)
-		pf, okF := BruteForce(g, s, d)
+		pb, okB := bhandari(g, s, d)
+		pf, okF := bruteForce(g, s, d)
 		if okS != okF || okB != okF {
 			return false
 		}
@@ -223,7 +223,7 @@ func TestQuickPairValidityAndBaselineBound(t *testing.T) {
 				}
 			}
 		}
-		pt, okT := TwoStep(g, s, d)
+		pt, okT := twoStep(g, s, d)
 		if okT && !okS {
 			return false // Suurballe dominates: succeeds whenever any pair exists
 		}
@@ -253,6 +253,6 @@ func BenchmarkBhandari(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Bhandari(g, i%500, (i+250)%500)
+		bhandari(g, i%500, (i+250)%500)
 	}
 }

@@ -35,9 +35,10 @@ func TestKDisjointK1IsShortestPath(t *testing.T) {
 	if !ok {
 		t.Fatal("k=1 failed")
 	}
-	d := g.Dijkstra(0)
-	if math.Abs(kp.Weight-d.Dist[5]) > 1e-9 {
-		t.Fatalf("k=1 weight %g, shortest %g", kp.Weight, d.Dist[5])
+	var ws graph.Workspace
+	g.DijkstraInto(&ws, 0)
+	if math.Abs(kp.Weight-ws.Dist(5)) > 1e-9 {
+		t.Fatalf("k=1 weight %g, shortest %g", kp.Weight, ws.Dist(5))
 	}
 	if len(kp.Paths) != 1 {
 		t.Fatalf("paths = %d", len(kp.Paths))

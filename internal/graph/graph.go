@@ -1,8 +1,7 @@
 // Package graph implements a directed weighted multigraph and the
 // shortest-path machinery the routing algorithms are built on: Dijkstra with
-// an indexed heap, Bellman–Ford for graphs with negative arcs (needed by the
-// Bhandari disjoint-path oracle), reachability, and bounded simple-path
-// enumeration (used by the exhaustive exact solver).
+// an indexed heap on a reusable Workspace (DijkstraInto), Yen's k shortest
+// loopless paths, bridge detection, and s–t edge connectivity.
 package graph
 
 import (
@@ -182,133 +181,6 @@ func (g *Graph) Clone() *Graph {
 	return c
 }
 
-// PathResult holds a single-source shortest path tree.
-type PathResult struct {
-	Dist     []float64 // Dist[v] = shortest distance from source, Inf if unreachable
-	PrevEdge []int     // PrevEdge[v] = edge ID used to reach v, -1 at source/unreachable
-	Source   int
-	// Search-effort counters, filled by Dijkstra: Relaxations is the number
-	// of edge relaxation attempts (enabled edges scanned), HeapOps the
-	// number of heap pushes, decreases, and pops — the measured constants
-	// behind the paper's m log n term.
-	Relaxations int64
-	HeapOps     int64
-}
-
-// Reached reports whether v is reachable from the source.
-func (r *PathResult) Reached(v int) bool { return !math.IsInf(r.Dist[v], 1) }
-
-// PathTo reconstructs the edge-ID path from the source to v, or nil if v is
-// unreachable (or v is the source, in which case the path is empty but
-// non-nil).
-func (r *PathResult) PathTo(v int, g *Graph) []int {
-	if !r.Reached(v) {
-		return nil
-	}
-	var rev []int
-	for v != r.Source {
-		e := r.PrevEdge[v]
-		if e < 0 {
-			return nil // defensive: broken tree
-		}
-		rev = append(rev, e)
-		v = g.Edge(e).From
-	}
-	// Reverse in place.
-	for i, j := 0, len(rev)-1; i < j; i, j = i+1, j-1 {
-		rev[i], rev[j] = rev[j], rev[i]
-	}
-	if rev == nil {
-		rev = []int{}
-	}
-	return rev
-}
-
-// Dijkstra computes single-source shortest paths from src over enabled edges.
-// All enabled edge weights must be non-negative; it panics otherwise. It is
-// the one-shot convenience wrapper around DijkstraInto; hot paths should hold
-// a Workspace and call DijkstraInto directly.
-func (g *Graph) Dijkstra(src int) *PathResult {
-	var ws Workspace
-	g.DijkstraInto(&ws, src)
-	return ws.Result(g.n)
-}
-
-// BellmanFord computes single-source shortest paths allowing negative edge
-// weights. It returns an error result (ok=false) if a negative cycle is
-// reachable from src.
-func (g *Graph) BellmanFord(src int) (*PathResult, bool) {
-	res := &PathResult{
-		Dist:     make([]float64, g.n),
-		PrevEdge: make([]int, g.n),
-		Source:   src,
-	}
-	for v := range res.Dist {
-		res.Dist[v] = Inf
-		res.PrevEdge[v] = -1
-	}
-	res.Dist[src] = 0
-	// Queue-based (SPFA-style) relaxation with an iteration bound for
-	// negative-cycle detection.
-	inQueue := make([]bool, g.n)
-	relaxCount := make([]int, g.n)
-	queue := []int{src}
-	inQueue[src] = true
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
-		inQueue[u] = false
-		for _, id := range g.out[u] {
-			if g.disabled[id] {
-				continue
-			}
-			e := &g.edges[id]
-			nd := res.Dist[u] + e.Weight
-			if nd < res.Dist[e.To]-1e-12 {
-				res.Dist[e.To] = nd
-				res.PrevEdge[e.To] = id
-				if !inQueue[e.To] {
-					relaxCount[e.To]++
-					if relaxCount[e.To] > g.n {
-						return res, false // negative cycle
-					}
-					queue = append(queue, e.To)
-					inQueue[e.To] = true
-				}
-			}
-		}
-	}
-	return res, true
-}
-
-// Reachable reports whether dst is reachable from src via enabled edges.
-func (g *Graph) Reachable(src, dst int) bool {
-	if src == dst {
-		return true
-	}
-	seen := make([]bool, g.n)
-	seen[src] = true
-	stack := []int{src}
-	for len(stack) > 0 {
-		u := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, id := range g.out[u] {
-			if g.disabled[id] {
-				continue
-			}
-			v := g.edges[id].To
-			if v == dst {
-				return true
-			}
-			if !seen[v] {
-				seen[v] = true
-				stack = append(stack, v)
-			}
-		}
-	}
-	return false
-}
-
 // PathWeight sums the weights of the given edge-ID path.
 func (g *Graph) PathWeight(path []int) float64 {
 	w := 0.0
@@ -339,51 +211,4 @@ func (g *Graph) ValidatePath(path []int, src, dst int) error {
 		return fmt.Errorf("graph: path ends at %d, expected %d", at, dst)
 	}
 	return nil
-}
-
-// SimplePaths enumerates all simple directed paths (no repeated vertex) from
-// src to dst over enabled edges, invoking fn with each edge-ID path. The
-// slice passed to fn is reused; callers must copy it to retain it. If fn
-// returns false, enumeration stops. maxLen bounds path length in edges
-// (<= 0 means no bound). Exponential: intended for small exact baselines.
-func (g *Graph) SimplePaths(src, dst, maxLen int, fn func(path []int) bool) {
-	if maxLen <= 0 {
-		maxLen = g.n // simple path cannot exceed n-1 edges anyway
-	}
-	onPath := make([]bool, g.n)
-	var path []int
-	var stopped bool
-	var dfs func(u int)
-	dfs = func(u int) {
-		if stopped {
-			return
-		}
-		if u == dst {
-			if !fn(path) {
-				stopped = true
-			}
-			return
-		}
-		if len(path) >= maxLen {
-			return
-		}
-		onPath[u] = true
-		for _, id := range g.out[u] {
-			if stopped {
-				break
-			}
-			if g.disabled[id] {
-				continue
-			}
-			v := g.edges[id].To
-			if onPath[v] || v == src {
-				continue
-			}
-			path = append(path, id)
-			dfs(v)
-			path = path[:len(path)-1]
-		}
-		onPath[u] = false
-	}
-	dfs(src)
 }

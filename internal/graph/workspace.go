@@ -26,8 +26,8 @@ type Workspace struct {
 	src int
 	n   int
 
-	// Search-effort counters for the last search, mirroring
-	// PathResult.Relaxations / PathResult.HeapOps.
+	// Search-effort counters for the last search: the measured constants
+	// behind the paper's m log n term.
 	relaxations int64
 	heapOps     int64
 }
@@ -90,12 +90,12 @@ func (ws *Workspace) PrevEdge(v int) int {
 	return ws.prevEdge[v]
 }
 
-// Relaxations returns the number of edge relaxation attempts of the last
-// search (see PathResult.Relaxations).
+// Relaxations returns the number of edge relaxation attempts (enabled edges
+// scanned) of the last search.
 func (ws *Workspace) Relaxations() int64 { return ws.relaxations }
 
-// HeapOps returns the number of heap operations of the last search (see
-// PathResult.HeapOps).
+// HeapOps returns the number of heap pushes, decreases and pops of the last
+// search.
 func (ws *Workspace) HeapOps() int64 { return ws.heapOps }
 
 // AppendPathTo appends the edge-ID path from the source to v onto buf and
@@ -121,25 +121,6 @@ func (ws *Workspace) AppendPathTo(buf []int, v int, g *Graph) ([]int, bool) {
 		buf[i], buf[j] = buf[j], buf[i]
 	}
 	return buf, true
-}
-
-// Result materialises the last search as a standalone PathResult sized for a
-// graph of n vertices. The result aliases the workspace arrays: it stays
-// valid only until the next search on this workspace.
-func (ws *Workspace) Result(n int) *PathResult {
-	for v := 0; v < n; v++ {
-		if ws.stamp[v] != ws.gen {
-			ws.dist[v] = Inf
-			ws.prevEdge[v] = -1
-		}
-	}
-	return &PathResult{
-		Dist:        ws.dist[:n],
-		PrevEdge:    ws.prevEdge[:n],
-		Source:      ws.src,
-		Relaxations: ws.relaxations,
-		HeapOps:     ws.heapOps,
-	}
 }
 
 // DijkstraInto computes single-source shortest paths from src over enabled

@@ -13,11 +13,13 @@ func (g *Graph) Yen(s, t, K int) [][]int {
 	if K <= 0 || s == t {
 		return nil
 	}
-	first := g.Dijkstra(s)
-	if !first.Reached(t) {
+	var ws Workspace
+	g.DijkstraInto(&ws, s)
+	first, ok := ws.AppendPathTo(nil, t, g)
+	if !ok {
 		return nil
 	}
-	A := [][]int{first.PathTo(t, g)}
+	A := [][]int{first}
 
 	type candidate struct {
 		path   []int
@@ -68,10 +70,9 @@ func (g *Graph) Yen(s, t, K int) [][]int {
 					disable(e)
 				}
 			}
-			spur := g.Dijkstra(spurNode)
-			if spur.Reached(t) {
-				spurPath := spur.PathTo(t, g)
-				total := append(append([]int(nil), rootPath...), spurPath...)
+			g.DijkstraInto(&ws, spurNode)
+			// The candidate is the root path followed by the spur path.
+			if total, ok := ws.AppendPathTo(append([]int(nil), rootPath...), t, g); ok {
 				key := pathKey(total)
 				if !seen[key] {
 					seen[key] = true

@@ -81,7 +81,7 @@ func TestYenLeavesGraphIntact(t *testing.T) {
 // Brute-force K shortest simple paths for cross-checking.
 func bruteKShortest(g *Graph, s, t, k int) []float64 {
 	var weights []float64
-	g.SimplePaths(s, t, 0, func(p []int) bool {
+	simplePaths(g, s, t, 0, func(p []int) bool {
 		weights = append(weights, g.PathWeight(p))
 		return true
 	})

@@ -120,8 +120,8 @@ func TestOptimalAllowedLinksRestriction(t *testing.T) {
 	if !ok || cost != 2 || p.Len() != 2 {
 		t.Fatalf("restricted path cost = %g len=%d ok=%v", cost, p.Len(), ok)
 	}
-	// Subgraph variant.
-	p2, _, ok2 := OptimalInSubgraph(g, 0, 2, map[int]bool{cheap: true})
+	// Restricted to the direct link alone.
+	p2, _, ok2 := Optimal(g, 0, 2, &Options{AllowedLinks: func(id int) bool { return id == cheap }})
 	if !ok2 || p2.Len() != 1 {
 		t.Fatal("subgraph search failed")
 	}

@@ -69,12 +69,16 @@ func malformedDirectives(pkg *Package) []Diagnostic {
 }
 
 // applySuppressions marks diagnostics covered by a matching directive on the
-// same line or the line directly above.
-func applySuppressions(pkgs []*Package, diags []Diagnostic) []Diagnostic {
+// same line or the line directly above. With reportStale it also reports, as
+// a "wdmlint" finding, every directive of a rule in analyzers that covered no
+// finding, so a deletion cannot leave its excuse behind. Directives of rules
+// that did not run are never stale.
+func applySuppressions(pkgs []*Package, diags []Diagnostic, analyzers []*Analyzer, reportStale bool) []Diagnostic {
 	byPkg := map[string]map[string]map[int]directive{}
 	for _, pkg := range pkgs {
 		byPkg[pkg.Types.Path()] = directives(pkg)
 	}
+	used := map[token.Position]bool{}
 	for i, d := range diags {
 		if d.Rule == "wdmlint" {
 			continue // malformed-directive findings cannot be suppressed
@@ -86,7 +90,29 @@ func applySuppressions(pkgs []*Package, diags []Diagnostic) []Diagnostic {
 		for _, line := range []int{d.Pos.Line, d.Pos.Line - 1} {
 			if dir, ok := byLine[line]; ok && dir.rule == d.Rule {
 				diags[i].Suppress = true
+				used[dir.pos] = true
 				break
+			}
+		}
+	}
+	if !reportStale {
+		return diags
+	}
+	ran := map[string]bool{}
+	for _, a := range analyzers {
+		ran[a.Name] = true
+	}
+	for path, byFile := range byPkg {
+		for _, byLine := range byFile {
+			for _, dir := range byLine {
+				if ran[dir.rule] && !used[dir.pos] {
+					diags = append(diags, Diagnostic{
+						Rule:    "wdmlint",
+						Pos:     dir.pos,
+						Message: "stale directive: no " + dir.rule + " finding on this line or the next",
+						Package: path,
+					})
+				}
 			}
 		}
 	}

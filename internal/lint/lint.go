@@ -167,9 +167,22 @@ func WalkStack(f *ast.File, fn func(n ast.Node, stack []ast.Node)) {
 
 // Run applies every analyzer to every package and returns the surviving
 // findings sorted by position, with suppression directives already applied.
-// Malformed directives (missing rule or reason) are reported under the
+// Malformed directives (missing rule or reason) and stale ones (a directive
+// of a rule that ran but covered no finding) are reported under the
 // "wdmlint" pseudo-rule.
 func Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
+	return run(pkgs, analyzers, true)
+}
+
+// RunPartial is Run over a load that holds only part of the program, as
+// wdmlint -since loads the changed packages. The call-graph rules then miss
+// the callers outside the load, so a directive that covered no finding may
+// still be needed: none is reported as stale.
+func RunPartial(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
+	return run(pkgs, analyzers, false)
+}
+
+func run(pkgs []*Package, analyzers []*Analyzer, reportStale bool) []Diagnostic {
 	var diags []Diagnostic
 	cache := &Cache{m: map[string]any{}}
 	for _, pkg := range pkgs {
@@ -195,7 +208,7 @@ func Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 		}
 		a.RunGlobal(&GlobalPass{Analyzer: a, Pkgs: pkgs, Cache: cache, diags: &diags})
 	}
-	diags = applySuppressions(pkgs, diags)
+	diags = applySuppressions(pkgs, diags, analyzers, reportStale)
 	sort.Slice(diags, func(i, j int) bool {
 		a, b := diags[i].Pos, diags[j].Pos
 		if a.Filename != b.Filename {

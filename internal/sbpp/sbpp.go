@@ -47,6 +47,7 @@ type Manager struct {
 	conns  map[int]*Connection
 	shares map[chanKey]map[int]bool // channel -> connection IDs sharing it
 	nextID int
+	ws     graph.Workspace // the backup search's Dijkstra state
 }
 
 // NewManager wraps a network (taken over; callers should pass a clone if
@@ -162,11 +163,11 @@ func (m *Manager) Establish(s, t int) (*Connection, bool) {
 			g.AddEdgeAux(l.From, l.To, bestCost, bestLam)
 		}
 	}
-	res := g.Dijkstra(s)
-	if !res.Reached(t) {
+	g.DijkstraInto(&m.ws, s)
+	bPath, ok := m.ws.AppendPathTo(nil, t, g)
+	if !ok {
 		return nil, false
 	}
-	bPath := res.PathTo(t, g)
 
 	// Reserve the primary exclusively.
 	if err := m.net.Reserve(primary); err != nil {

@@ -35,7 +35,8 @@ type NetState struct {
 	// prober; -1 when unknown).
 	ActiveConns int `json:"active_conns"`
 	// MeanLoad and MaxLoad aggregate ρ(e) over links that carry
-	// wavelengths; MaxLoad is the network load ρ of Eq. 2.
+	// wavelengths; MaxLoad is the network load ρ of Eq. 2, as
+	// wdm.Network.NetworkLoad defines it.
 	MeanLoad float64 `json:"mean_load"`
 	MaxLoad  float64 `json:"max_load"`
 	// MeanFrag averages per-link first-fit fragmentation.
@@ -82,6 +83,7 @@ func ProbeNetwork(net *wdm.Network, t float64, activeConns int) *NetState {
 		Nodes:       net.Nodes(),
 		W:           net.W(),
 		ActiveConns: activeConns,
+		MaxLoad:     net.NetworkLoad(),
 		Links:       make([]LinkState, net.Links()),
 	}
 	carrying := 0
@@ -91,14 +93,11 @@ func ProbeNetwork(net *wdm.Network, t float64, activeConns int) *NetState {
 		avail := l.Avail()
 		ns.TotalAvail += avail.Count()
 		if ls.N > 0 {
-			ls.Load = float64(ls.Used) / float64(ls.N)
+			ls.Load = l.Load()
 			ls.Frag = Fragmentation(avail)
 			carrying++
 			ns.MeanLoad += ls.Load
 			ns.MeanFrag += ls.Frag
-			if ls.Load > ns.MaxLoad {
-				ns.MaxLoad = ls.Load
-			}
 		}
 		ns.Links[id] = ls
 	}

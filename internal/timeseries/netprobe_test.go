@@ -2,6 +2,7 @@ package timeseries
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"repro/internal/bitset"
@@ -66,5 +67,30 @@ func TestProbeNetwork(t *testing.T) {
 	}
 	if ns.MeanLoad <= 0 || ns.MeanLoad >= 0.75 {
 		t.Fatalf("MeanLoad = %g, want strictly between 0 and the max", ns.MeanLoad)
+	}
+}
+
+// TestProbeNetworkLoadIsEq2 pins the probe to the one Eq. 2 definition: on a
+// loaded NSFNET, MaxLoad is wdm.Network.NetworkLoad and every link's Load is
+// its wdm.Link.Load.
+func TestProbeNetworkLoadIsEq2(t *testing.T) {
+	net := topo.NSFNET(topo.Config{W: 8})
+	rng := rand.New(rand.NewSource(4))
+	for i := 0; i < 150; i++ {
+		id, lam := rng.Intn(net.Links()), rng.Intn(net.W())
+		if net.Link(id).HasAvail(lam) {
+			if err := net.Use(id, lam); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	ns := ProbeNetwork(net, 1, 0)
+	if ns.MaxLoad != net.NetworkLoad() || ns.MaxLoad <= 0.5 {
+		t.Fatalf("MaxLoad = %g, NetworkLoad = %g (want equal, above 0.5)", ns.MaxLoad, net.NetworkLoad())
+	}
+	for id, ls := range ns.Links {
+		if want := net.Link(id).Load(); ls.Load != want {
+			t.Fatalf("link %d: Load = %g, wdm.Link.Load = %g", id, ls.Load, want)
+		}
 	}
 }

@@ -192,7 +192,6 @@ func (g *Network) Reserve(p *Semilightpath) error {
 func (g *Network) ReleasePath(p *Semilightpath) error {
 	for i, h := range p.Hops {
 		if err := g.Release(h.Link, h.Wavelength); err != nil {
-			//wdmlint:ignore hotalloc error return path; never taken on the admit path
 			return fmt.Errorf("wdm: release hop %d: %w", i, err)
 		}
 	}
