@@ -8,6 +8,7 @@ package main
 
 import (
 	"fmt"
+	"log"
 	"math/rand"
 
 	"repro"
@@ -51,11 +52,11 @@ func main() {
 	fmt.Println("only shared between connections whose primaries are link-disjoint,")
 	fmt.Println("so one failure never triggers two sharers at once.")
 
-	// Clean teardown (capacity audit).
+	// Clean teardown (capacity audit). A single failure loses no
+	// connection, so every placed connection is still there to tear down.
 	for _, id := range ids {
-		if err := mgr.Teardown(id); err != nil && mgr.Connections() > 0 {
-			// Connections dropped by the failure are already gone.
-			continue
+		if err := mgr.Teardown(id); err != nil {
+			log.Fatal(err)
 		}
 	}
 	fmt.Printf("\nafter teardown: network load ρ = %.3g\n", mgr.Net().NetworkLoad())

@@ -261,24 +261,25 @@ func (m *Manager) Teardown(id int) error {
 		return fmt.Errorf("sbpp: unknown connection %d", id)
 	}
 	delete(m.conns, id)
-	if c.Activated {
-		// After activation Primary is the former backup and its channels
-		// are exclusive to this connection: drop the share entries and
-		// release the path once.
-		for _, h := range c.Primary.Hops {
-			delete(m.shares, chanKey{link: h.Link, lam: h.Wavelength})
-		}
-		return m.net.ReleasePath(c.Primary)
-	}
 	if err := m.net.ReleasePath(c.Primary); err != nil {
 		return err
 	}
-	if c.Backup == nil {
+	return m.leaveBackup(id, c)
+}
+
+// leaveBackup takes connection id out of its backup channels' sharing sets,
+// releasing every channel it was the last member of. An activated
+// connection has no backup: its former backup is its working path.
+func (m *Manager) leaveBackup(id int, c *Connection) error {
+	if c.Backup == nil || c.Activated {
 		return nil
 	}
 	for _, h := range c.Backup.Hops {
 		key := chanKey{link: h.Link, lam: h.Wavelength}
 		set := m.shares[key]
+		if set == nil {
+			continue
+		}
 		delete(set, id)
 		if len(set) == 0 {
 			delete(m.shares, key)
@@ -317,28 +318,29 @@ func (m *Manager) FailLink(link int) (recovered, lost, unprotected int) {
 	}
 	for _, id := range affected {
 		c := m.conns[id]
-		if c.Backup == nil {
-			lost++
-			delete(m.conns, id)
-			continue
-		}
 		// The sharing rule guarantees no two affected connections contend
 		// for the same channel under a single failure; verify defensively.
-		ok := true
-		for _, h := range c.Backup.Hops {
-			set := m.shares[chanKey{link: h.Link, lam: h.Wavelength}]
-			if set == nil || !set[id] {
-				ok = false
-				break
-			}
+		ok := c.Backup != nil
+		for i := 0; ok && i < len(c.Backup.Hops); i++ {
+			h := c.Backup.Hops[i]
+			ok = m.shares[chanKey{link: h.Link, lam: h.Wavelength}][id]
 		}
 		if !ok {
+			// Lost: release the failed primary and whatever backup
+			// memberships the connection still holds.
 			lost++
 			delete(m.conns, id)
+			if err := m.net.ReleasePath(c.Primary); err != nil {
+				panic("sbpp: primary release failed: " + err.Error())
+			}
+			if err := m.leaveBackup(id, c); err != nil {
+				panic("sbpp: backup release failed: " + err.Error())
+			}
 			continue
 		}
 		// Activate: the backup becomes the (unprotected) working path; all
-		// other members of its channels lose their backup.
+		// other members of its channels lose their backup, and the channels
+		// leave the sharing table, as working channels are never shared.
 		for _, h := range c.Backup.Hops {
 			key := chanKey{link: h.Link, lam: h.Wavelength}
 			for other := range m.shares[key] {
@@ -348,8 +350,7 @@ func (m *Manager) FailLink(link int) (recovered, lost, unprotected int) {
 				m.detachBackup(other)
 				unprotected++
 			}
-			// Channel becomes exclusive to this connection.
-			m.shares[key] = map[int]bool{id: true}
+			delete(m.shares, key)
 		}
 		// Release the failed primary; the backup is the new working path.
 		if err := m.net.ReleasePath(c.Primary); err != nil {
@@ -366,22 +367,11 @@ func (m *Manager) FailLink(link int) (recovered, lost, unprotected int) {
 // activated), freeing its unshared channels.
 func (m *Manager) detachBackup(id int) {
 	c := m.conns[id]
-	if c == nil || c.Backup == nil {
+	if c == nil {
 		return
 	}
-	for _, h := range c.Backup.Hops {
-		key := chanKey{link: h.Link, lam: h.Wavelength}
-		set := m.shares[key]
-		if set == nil {
-			continue
-		}
-		delete(set, id)
-		if len(set) == 0 {
-			delete(m.shares, key)
-			if err := m.net.Release(h.Link, h.Wavelength); err != nil {
-				panic("sbpp: detach release failed: " + err.Error())
-			}
-		}
+	if err := m.leaveBackup(id, c); err != nil {
+		panic("sbpp: detach release failed: " + err.Error())
 	}
 	c.Backup = nil
 }
