@@ -44,7 +44,8 @@ type Config struct {
 	MaxFailures int
 
 	// Candidates, when positive, adds a third routing arm: a stream-long
-	// router with the candidate-path fast tier enabled (k = Candidates). The
+	// router with the candidate-path fast tier enabled, on a table of
+	// k = Candidates pairs built once per instance. The
 	// arm routes every request on the fresh arm's residual network without
 	// establishing — same state, so its outcome is directly comparable: it
 	// must agree on feasibility (the tier falls back to exact routing rather
@@ -393,7 +394,7 @@ func RunInstance(in *check.Instance, cfg Config, rep *Report) error {
 	warm := core.NewRouter(nil)
 	var candR *core.Router
 	if cfg.Candidates > 0 {
-		candR = core.NewRouter(&core.Options{Candidates: cfg.Candidates})
+		candR = core.NewRouter(&core.Options{CandidateTable: core.NewCandidateTable(netF, cfg.Candidates)})
 	}
 	eligible := in.Eligible()
 

@@ -37,14 +37,6 @@ type CandidateTable struct {
 	n      int
 	topoAt uint64
 	pairs  [][]candPair // indexed s*n + t
-	filled []bool
-
-	// Generation scratch, used only while g is non-nil: NewCandidateTable
-	// drops the graph once prefilled; lazily filled router-owned tables
-	// keep it.
-	g  *graph.Graph
-	ws disjoint.Workspace
-	sp graph.Workspace
 }
 
 type candPair struct {
@@ -52,22 +44,9 @@ type candPair struct {
 }
 
 // NewCandidateTable builds a table with up to k candidate pairs for every
-// (s, t) of the network. The returned table is immutable — safe to share
-// across concurrent routers via Options.CandidateTable.
+// (s, t) of the network. The table never changes once built, so any number
+// of concurrent routers may share it via Options.CandidateTable.
 func NewCandidateTable(net *wdm.Network, k int) *CandidateTable {
-	t := newCandidateTable(net, k)
-	for s := 0; s < t.n; s++ {
-		for d := 0; d < t.n; d++ {
-			if s != d {
-				t.fill(s, d)
-			}
-		}
-	}
-	t.g = nil // generation scratch no longer needed; table is now read-only
-	return t
-}
-
-func newCandidateTable(net *wdm.Network, k int) *CandidateTable {
 	if k <= 0 {
 		panic("core: candidate count must be positive")
 	}
@@ -77,15 +56,23 @@ func newCandidateTable(net *wdm.Network, k int) *CandidateTable {
 		n:      n,
 		topoAt: net.TopoVersion(),
 		pairs:  make([][]candPair, n*n),
-		filled: make([]bool, n*n),
-		g:      graph.New(n),
 	}
+	g := graph.New(n)
 	for id := 0; id < net.Links(); id++ {
 		l := net.Link(id)
 		if l.N() == 0 {
 			continue // carries nothing; never a candidate hop
 		}
-		t.g.AddEdgeAux(l.From, l.To, staticMeanCost(l), id)
+		g.AddEdgeAux(l.From, l.To, staticMeanCost(l), id)
+	}
+	var ws disjoint.Workspace
+	var sp graph.Workspace
+	for s := 0; s < n; s++ {
+		for d := 0; d < n; d++ {
+			if s != d {
+				t.pairs[s*n+d] = generate(g, &ws, &sp, s, d, k)
+			}
+		}
 	}
 	return t
 }
@@ -109,39 +96,21 @@ func (t *CandidateTable) valid(net *wdm.Network) bool {
 	return net.TopoVersion() == t.topoAt && net.Nodes() == t.n
 }
 
-// lookup returns the candidate pairs for (s, t), generating them on first
-// use when the table still owns its generation scratch.
+// lookup returns the candidate pairs for (s, t).
 func (t *CandidateTable) lookup(s, d int) []candPair {
 	if s == d || s < 0 || d < 0 || s >= t.n || d >= t.n {
 		return nil
 	}
-	idx := s*t.n + d
-	if !t.filled[idx] {
-		if t.g == nil {
-			return nil
-		}
-		t.fill(s, d)
-	}
-	return t.pairs[idx]
-}
-
-//wdm:coldpath cache-miss path generation, amortized across repeated (s, d) requests
-func (t *CandidateTable) fill(s, d int) {
-	idx := s*t.n + d
-	if t.filled[idx] {
-		return
-	}
-	t.filled[idx] = true
-	t.pairs[idx] = t.generate(s, d)
+	return t.pairs[s*t.n+d]
 }
 
 // generate derives up to k edge-disjoint route pairs for (s, d) on the
-// static graph.
-func (t *CandidateTable) generate(s, d int) []candPair {
+// static graph g, searching with the build's workspaces ws and sp.
+func generate(g *graph.Graph, ws *disjoint.Workspace, sp *graph.Workspace, s, d, k int) []candPair {
 	var out []candPair
 	add := func(e1, e2 []int) {
-		r1 := t.edgesToLinks(nil, e1)
-		r2 := t.edgesToLinks(nil, e2)
+		r1 := edgesToLinks(g, e1)
+		r2 := edgesToLinks(g, e2)
 		for _, cp := range out {
 			if (equalRoute(cp.route1, r1) && equalRoute(cp.route2, r2)) ||
 				(equalRoute(cp.route1, r2) && equalRoute(cp.route2, r1)) {
@@ -150,20 +119,20 @@ func (t *CandidateTable) generate(s, d int) []candPair {
 		}
 		out = append(out, candPair{route1: r1, route2: r2})
 	}
-	if pr, ok := t.ws.Suurballe(t.g, s, d); ok {
+	if pr, ok := ws.Suurballe(g, s, d); ok {
 		add(pr.Path1, pr.Path2)
 	}
-	for _, p1 := range t.g.Yen(s, d, t.k) {
-		if len(out) >= t.k {
+	for _, p1 := range g.Yen(s, d, k) {
+		if len(out) >= k {
 			break
 		}
 		for _, e := range p1 {
-			t.g.Disable(e)
+			g.Disable(e)
 		}
-		t.g.DijkstraInto(&t.sp, s)
-		p2, ok := t.sp.AppendPathTo(nil, d, t.g)
+		g.DijkstraInto(sp, s)
+		p2, ok := sp.AppendPathTo(nil, d, g)
 		for _, e := range p1 {
-			t.g.Enable(e)
+			g.Enable(e)
 		}
 		if ok {
 			add(p1, p2)
@@ -172,11 +141,13 @@ func (t *CandidateTable) generate(s, d int) []candPair {
 	return out
 }
 
-func (t *CandidateTable) edgesToLinks(buf []int, edges []int) []int {
-	for _, e := range edges {
-		buf = append(buf, t.g.Edge(e).Aux)
+// edgesToLinks maps static-graph edges to the physical link IDs they carry.
+func edgesToLinks(g *graph.Graph, edges []int) []int {
+	links := make([]int, len(edges))
+	for i, e := range edges {
+		links[i] = g.Edge(e).Aux
 	}
-	return buf
+	return links
 }
 
 func equalRoute(a, b []int) bool {
@@ -201,25 +172,13 @@ type candScratch struct {
 	bestC [2]float64
 }
 
-// candidateTable returns the active candidate table for net, or nil when the
-// fast tier is off. A table supplied via Options is used as long as it is
-// valid for net; otherwise, with Options.Candidates > 0, the router builds
-// and keeps its own lazily filled table.
-//
-//wdm:coldpath table rebuild happens only on a rebind to another lineage or a structural change
+// candidateTable returns the shared candidate table when one is configured
+// and valid for net, or nil when the fast tier is off.
 func (r *Router) candidateTable(net *wdm.Network) *CandidateTable {
 	if t := r.opts.candidateTable(); t != nil && t.valid(net) {
 		return t
 	}
-	k := r.opts.candidates()
-	if k <= 0 {
-		return nil
-	}
-	r.rebind(net)
-	if r.candTab == nil || !r.candTab.valid(net) {
-		r.candTab = newCandidateTable(net, k)
-	}
-	return r.candTab
+	return nil
 }
 
 // routeAvailable is the word-at-a-time admission pre-check: every link of the

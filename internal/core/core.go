@@ -37,21 +37,14 @@ type Options struct {
 	Base float64
 	// MaxIterations caps the MinCog threshold search (default 64).
 	MaxIterations int
-	// NoRefine skips the Lemma 2 refinement and keeps a first-fit
-	// wavelength assignment on the mapped routes (ablation switch).
-	NoRefine bool
-	// Candidates enables the precomputed candidate-path fast tier for
-	// ApproxMinCost: up to k Yen-derived edge-disjoint route pairs per
-	// (s, t), generated once from static installed-wavelength weights and
-	// cached on the Router, are tried with bitset feasibility checks and
-	// per-route optimal wavelength assignment before falling back to the
-	// exact auxiliary-graph pipeline. 0 disables the tier.
-	Candidates int
-	// CandidateTable supplies a pre-built candidate table (NewCandidateTable)
-	// shared across routers; it enables the fast tier regardless of
-	// Candidates. A prefilled table is read-only, so concurrent routers may
-	// share one. It must have been built from the same network the routing
-	// calls use, or from a Clone ancestor with identical structure.
+	// CandidateTable enables the precomputed candidate-path fast tier: the
+	// table's edge-disjoint route pairs (NewCandidateTable) are tried with
+	// bitset feasibility checks and per-route optimal wavelength assignment
+	// before ApproxMinCost falls back to the exact auxiliary-graph pipeline.
+	// A table never changes once built, so concurrent routers may share one.
+	// It must have been built from the same network the routing calls use,
+	// or from a Clone ancestor with identical structure; otherwise the tier
+	// stays off. nil disables the tier.
 	CandidateTable *CandidateTable
 	// ReuseResult skips the copy-out. Every routing call builds its Result
 	// in buffers owned by the Router; by default the caller receives a deep
@@ -78,16 +71,7 @@ func (o *Options) maxIter() int {
 	return o.MaxIterations
 }
 
-func (o *Options) noRefine() bool { return o != nil && o.NoRefine }
-
 func (o *Options) reuseResult() bool { return o != nil && o.ReuseResult }
-
-func (o *Options) candidates() int {
-	if o == nil {
-		return 0
-	}
-	return o.Candidates
-}
 
 func (o *Options) candidateTable() *CandidateTable {
 	if o == nil {
@@ -214,9 +198,6 @@ func (r *Router) mapAndRefine(net *wdm.Network, a *auxgraph.Aux, pair *disjoint.
 		naiveTotal += nc
 		fallback := false
 		switch {
-		case r.opts.noRefine() && naive != nil:
-			paths[i] = naive
-			res.Cost += nc
 		case okR:
 			paths[i] = &ar.sl[2*i+1]
 			res.Cost += rc

@@ -236,6 +236,9 @@ func TestEstablishTeardown(t *testing.T) {
 	}
 }
 
+// TestNoRefineAblation checks the refinement ablation every Result carries:
+// NaiveCost is what the first-fit assignment on the same mapped routes would
+// pay, and Lemma 2 refinement must beat it where first-fit is a poor choice.
 func TestNoRefineAblation(t *testing.T) {
 	// Make first-fit strictly worse: λ0 expensive on the second link.
 	net := wdm.NewNetwork(4, 2)
@@ -244,20 +247,17 @@ func TestNoRefineAblation(t *testing.T) {
 	net.AddUniformLink(0, 2, 2)
 	net.AddUniformLink(2, 3, 2)
 	net.SetAllConverters(wdm.NewFullConverter(2, 0))
-	refined, ok1 := NewRouter(nil).ApproxMinCost(net, 0, 3)
-	naive, ok2 := NewRouter(&Options{NoRefine: true}).ApproxMinCost(net, 0, 3)
-	if !ok1 || !ok2 {
+	res, ok := NewRouter(nil).ApproxMinCost(net, 0, 3)
+	if !ok {
 		t.Fatal("routing failed")
 	}
-	if refined.Cost > naive.Cost {
-		t.Fatalf("refined %g worse than naive %g", refined.Cost, naive.Cost)
+	// With zero conversion cost and first-fit λ0 on the 10-cost link, the
+	// unrefined assignment pays 9 more on the 0→1→3 corridor.
+	if !(res.NaiveCost > res.Cost) {
+		t.Fatalf("NaiveCost %g, Cost %g; want first-fit strictly costlier", res.NaiveCost, res.Cost)
 	}
-	if naive.Cost <= refined.Cost {
-		// With zero conversion cost and first-fit λ0 on the 10-cost link,
-		// naive must pay more on the 0→1→3 corridor.
-		if math.Abs(naive.Cost-refined.Cost) < 1e-9 {
-			t.Fatal("ablation indistinguishable; expected a gap")
-		}
+	if math.Abs(res.NaiveCost-res.Cost-9) > 1e-9 {
+		t.Fatalf("NaiveCost − Cost = %g, want 9", res.NaiveCost-res.Cost)
 	}
 }
 

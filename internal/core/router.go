@@ -36,9 +36,8 @@ type Router struct {
 	ws     disjoint.Workspace
 	shared [2]*auxgraph.Skeleton // all-terminal skeletons, indexed by node-disjointness (0 edge, 1 node)
 
-	candTab *CandidateTable // lazily built when Options.Candidates > 0
-	cand    candScratch
-	arena   resultArena
+	cand  candScratch
+	arena resultArena
 
 	tracer   *obs.Tracer
 	lastReq  int64 // request ID of the most recent traced call (-1 when untraced)
@@ -77,9 +76,7 @@ func (t Tier) String() string {
 func (r *Router) LastTier() Tier { return r.lastTier }
 
 // rebind points the router at net. When net is a different network, each
-// skeleton that cannot follow it is dropped, and the candidate table is
-// dropped unless net is of the same lineage (the table depends on structure
-// only, which its own TopoVersion check covers).
+// skeleton that cannot follow it is dropped.
 func (r *Router) rebind(net *wdm.Network) {
 	if r.net == net {
 		return
@@ -88,9 +85,6 @@ func (r *Router) rebind(net *wdm.Network) {
 		if sk != nil && !sk.Follow(net) {
 			r.shared[i] = nil
 		}
-	}
-	if r.net == nil || !r.net.SameLineage(net) {
-		r.candTab = nil
 	}
 	r.net = net
 }
@@ -187,7 +181,7 @@ func (r *Router) skeleton(net *wdm.Network, nodeDisjoint bool, tc *obs.Trace) *a
 // Lemma 2 refinement. ok is false when no two edge-disjoint semilightpaths
 // exist in the residual network (or refinement is infeasible under
 // restricted conversion). When the candidate-path fast tier is enabled
-// (Options.Candidates or Options.CandidateTable) it is tried first; the
+// (Options.CandidateTable) it is tried first; the
 // exact auxiliary-graph pipeline runs only when no cached candidate pair is
 // currently feasible.
 func (r *Router) ApproxMinCost(net *wdm.Network, s, t int) (*Result, bool) {
