@@ -1,23 +1,20 @@
 // Command wdmlint runs the repository's domain static-analysis rules (see
 // DESIGN.md §10): the conventions the routing engine's correctness rests on —
 // version-counter bumps on network mutation, reusable routers on hot paths,
-// no copying of workspace types, deterministic map iteration, and checked
-// errors on flush/close/encode — enforced at CI time.
+// deterministic map iteration, and checked errors on flush/close/encode —
+// enforced at CI time. Copies of the workspace types are go vet's to report
+// (copylocks, through their noCopy sentinels).
 //
 // Usage:
 //
-//	wdmlint [-json] [-sarif] [-rules r1,r2] [-since ref] [-list] [packages...]
+//	wdmlint [-json] [-sarif] [-rules r1,r2] [-list] [packages...]
 //
-// Packages default to ./... . With -since, packages are derived from the
-// files changed since the git ref instead — the fast incremental tier; the
-// call-graph rules then see only the changed packages, so the full run stays
-// the CI gate. -sarif emits SARIF 2.1.0 for GitHub code scanning. Exit
-// status is 1 when findings are reported, 2 when loading or typechecking
-// fails. Findings are suppressed case by case with
+// Packages default to ./... . -sarif emits SARIF 2.1.0 for GitHub code
+// scanning. Exit status is 1 when findings are reported, 2 when loading or
+// typechecking fails. Findings are suppressed case by case with
 // `//wdmlint:ignore <rule> <reason>` on the offending line or the line
 // above. A directive of a selected rule that covers no finding is reported
-// as stale, except under -since, whose partial load hides callers from the
-// call-graph rules.
+// as stale.
 package main
 
 import (
@@ -36,7 +33,6 @@ func main() {
 	jsonOut := flag.Bool("json", false, "emit findings as a JSON array")
 	sarifOut := flag.Bool("sarif", false, "emit findings as SARIF 2.1.0 (GitHub code scanning)")
 	ruleList := flag.String("rules", "", "comma-separated rules to run (default: all)")
-	since := flag.String("since", "", "lint only packages with files changed since this git ref")
 	list := flag.Bool("list", false, "list available rules and exit")
 	version := flag.Bool("version", false, "print version and exit")
 	flag.Parse()
@@ -57,24 +53,6 @@ func main() {
 		os.Exit(2)
 	}
 	patterns := flag.Args()
-	if *since != "" {
-		changed, err := changedPackagePatterns(*since)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "wdmlint:", err)
-			os.Exit(2)
-		}
-		if len(changed) == 0 {
-			fmt.Fprintf(os.Stderr, "wdmlint: no Go packages changed since %s\n", *since)
-			if *sarifOut {
-				if err := writeSARIF(os.Stdout, active, nil); err != nil {
-					fmt.Fprintln(os.Stderr, "wdmlint:", err)
-					os.Exit(2)
-				}
-			}
-			return
-		}
-		patterns = changed
-	}
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
@@ -83,11 +61,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "wdmlint:", err)
 		os.Exit(2)
 	}
-	run := lint.Run
-	if *since != "" {
-		run = lint.RunPartial
-	}
-	diags := run(pkgs, active)
+	diags := lint.Run(pkgs, active)
 	switch {
 	case *sarifOut:
 		if err := writeSARIF(os.Stdout, active, diags); err != nil {

@@ -30,9 +30,9 @@ func TestSelectRules(t *testing.T) {
 	if err != nil || len(all) != len(rules.All) {
 		t.Fatalf("selectRules(\"\") = %d analyzers, err %v; want all %d", len(all), err, len(rules.All))
 	}
-	two, err := selectRules("mapdet,nocopy")
+	two, err := selectRules("hotalloc,snapmut")
 	if err != nil || len(two) != 2 {
-		t.Fatalf("selectRules(\"mapdet,nocopy\") = %d analyzers, err %v; want 2", len(two), err)
+		t.Fatalf("selectRules(\"hotalloc,snapmut\") = %d analyzers, err %v; want 2", len(two), err)
 	}
 	if _, err := selectRules("nosuchrule"); err == nil {
 		t.Fatal("selectRules(\"nosuchrule\") succeeded; want error")

@@ -122,6 +122,8 @@ type Aux struct {
 // A Skeleton is not safe for concurrent use, and the *Aux returned by
 // ReweightAt aliases the skeleton: a later ReweightAt rewrites it in place.
 type Skeleton struct {
+	noCopy noCopy
+
 	aux          Aux
 	nodeDisjoint bool
 	topoVersion  uint64
@@ -674,3 +676,11 @@ func (a *Aux) AppendMapPath(buf []int, path []int) []int {
 	}
 	return buf
 }
+
+// noCopy makes go vet's copylocks check report every copy of a type that
+// holds it by value: a copied skeleton forks the caches it keeps against the
+// network's version counters, and the two then go stale independently.
+type noCopy struct{}
+
+func (*noCopy) Lock()   {}
+func (*noCopy) Unlock() {}

@@ -17,6 +17,8 @@ import (
 // The zero value is ready to use. A Workspace is not safe for concurrent
 // use; give each goroutine its own.
 type Workspace struct {
+	noCopy noCopy
+
 	dist     []float64
 	prevEdge []int
 	stamp    []uint32
@@ -169,3 +171,11 @@ func (g *Graph) DijkstraInto(ws *Workspace, src int) {
 		}
 	}
 }
+
+// noCopy makes go vet's copylocks check report every copy of a type that
+// holds it by value: a copied workspace forks its generation-stamped arrays
+// and heap, and the copy and the original then search on stale scratch.
+type noCopy struct{}
+
+func (*noCopy) Lock()   {}
+func (*noCopy) Unlock() {}

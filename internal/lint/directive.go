@@ -69,11 +69,11 @@ func malformedDirectives(pkg *Package) []Diagnostic {
 }
 
 // applySuppressions marks diagnostics covered by a matching directive on the
-// same line or the line directly above. With reportStale it also reports, as
-// a "wdmlint" finding, every directive of a rule in analyzers that covered no
-// finding, so a deletion cannot leave its excuse behind. Directives of rules
-// that did not run are never stale.
-func applySuppressions(pkgs []*Package, diags []Diagnostic, analyzers []*Analyzer, reportStale bool) []Diagnostic {
+// same line or the line directly above. It also reports, as a "wdmlint"
+// finding, every directive of a rule in analyzers that covered no finding,
+// so a deletion cannot leave its excuse behind. Directives of rules that did
+// not run are never stale.
+func applySuppressions(pkgs []*Package, diags []Diagnostic, analyzers []*Analyzer) []Diagnostic {
 	byPkg := map[string]map[string]map[int]directive{}
 	for _, pkg := range pkgs {
 		byPkg[pkg.Types.Path()] = directives(pkg)
@@ -94,9 +94,6 @@ func applySuppressions(pkgs []*Package, diags []Diagnostic, analyzers []*Analyze
 				break
 			}
 		}
-	}
-	if !reportStale {
-		return diags
 	}
 	ran := map[string]bool{}
 	for _, a := range analyzers {

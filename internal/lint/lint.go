@@ -1,9 +1,9 @@
 // Package lint is a self-contained static-analysis framework for the
 // repository's domain invariants. The routing engine rests on conventions the
 // Go compiler cannot see — every wdm.Network mutation must bump a version
-// counter or the skeleton cache serves stale routes, workspaces must not be
-// copied, routing output must be deterministic for the differential harness —
-// and this package makes them machine-checked.
+// counter or the skeleton cache serves stale routes, routing output must be
+// deterministic for the differential harness — and this package makes them
+// machine-checked.
 //
 // The framework is deliberately stdlib-only: packages are enumerated with
 // `go list -json`, parsed with go/parser and typechecked with go/types;
@@ -171,18 +171,6 @@ func WalkStack(f *ast.File, fn func(n ast.Node, stack []ast.Node)) {
 // of a rule that ran but covered no finding) are reported under the
 // "wdmlint" pseudo-rule.
 func Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
-	return run(pkgs, analyzers, true)
-}
-
-// RunPartial is Run over a load that holds only part of the program, as
-// wdmlint -since loads the changed packages. The call-graph rules then miss
-// the callers outside the load, so a directive that covered no finding may
-// still be needed: none is reported as stale.
-func RunPartial(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
-	return run(pkgs, analyzers, false)
-}
-
-func run(pkgs []*Package, analyzers []*Analyzer, reportStale bool) []Diagnostic {
 	var diags []Diagnostic
 	cache := &Cache{m: map[string]any{}}
 	for _, pkg := range pkgs {
@@ -208,7 +196,7 @@ func run(pkgs []*Package, analyzers []*Analyzer, reportStale bool) []Diagnostic 
 		}
 		a.RunGlobal(&GlobalPass{Analyzer: a, Pkgs: pkgs, Cache: cache, diags: &diags})
 	}
-	diags = applySuppressions(pkgs, diags, analyzers, reportStale)
+	diags = applySuppressions(pkgs, diags, analyzers)
 	sort.Slice(diags, func(i, j int) bool {
 		a, b := diags[i].Pos, diags[j].Pos
 		if a.Filename != b.Filename {

@@ -107,8 +107,8 @@ func List(dir string, patterns ...string) ([]PackageSpec, error) {
 	// two distinct *types.Package instances, and spurious mismatch errors.
 	// Promote such packages to source analysis; one forward pass suffices
 	// because the specs are ordered dependencies-first. A full ./... run
-	// never promotes (stdlib deps do not import repo packages); incremental
-	// -since loads can.
+	// never promotes (stdlib deps do not import repo packages); a load of
+	// selected packages can.
 	analyzed := map[string]bool{}
 	for i := range specs {
 		s := &specs[i]

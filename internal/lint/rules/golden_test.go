@@ -23,7 +23,6 @@ var fixtures = []struct {
 	subdirs  []string
 }{
 	{"versionbump", rules.VersionBump, []string{"wdm"}},
-	{"nocopy", rules.NoCopy, []string{"graph", "app"}},
 	{"mapdet", rules.MapDet, []string{"core", "other"}},
 	{"errcheck", rules.ErrCheckLite, []string{"obs", "timeseries", "http", "serve", "pprof", "app"}},
 	{"hotalloc", rules.HotAlloc, []string{"graph", "app"}},

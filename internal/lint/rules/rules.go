@@ -12,7 +12,6 @@ import (
 // All is the full rule set, in the order the driver runs them.
 var All = []*lint.Analyzer{
 	VersionBump,
-	NoCopy,
 	MapDet,
 	ErrCheckLite,
 	HotAlloc,
