@@ -25,7 +25,7 @@ func main() {
 	list := flag.Bool("list", false, "list experiments and exit")
 	format := flag.String("format", "text", "output format: text, markdown, csv")
 	metricsOut := flag.String("metrics-out", "", "write a metrics snapshot to this file (.json → JSON, else Prometheus text)")
-	pprofAddr := flag.String("pprof", "", "serve net/http/pprof (and /metrics) on this address, e.g. localhost:6060")
+	pprofAddr := flag.String("pprof", "", "serve the debug endpoints (/metrics, /debug/pprof) on this address, e.g. localhost:6060")
 	version := cli.VersionFlag()
 	flag.Parse()
 	cli.HandleVersion(*version)
@@ -35,12 +35,12 @@ func main() {
 		reg = cli.EnableAllMetrics()
 	}
 	if *pprofAddr != "" {
-		addr, err := cli.StartPprof(*pprofAddr, reg)
+		addr, err := cli.StartDebugServer(*pprofAddr, cli.DebugOpts{Metrics: reg})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-		fmt.Fprintf(os.Stderr, "pprof + /metrics listening on http://%s\n", addr)
+		fmt.Fprintf(os.Stderr, "debug endpoints listening on http://%s\n", addr)
 	}
 	writeMetrics := func() {
 		if *metricsOut == "" {

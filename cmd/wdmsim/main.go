@@ -41,7 +41,6 @@ func main() {
 	matrixFile := flag.String("matrix", "", "load the traffic matrix from a text file (overrides -traffic)")
 	holding := flag.String("holding", "exp", "holding-time distribution: exp, det, pareto")
 	metricsOut := flag.String("metrics-out", "", "write a metrics snapshot to this file (.json → JSON, else Prometheus text)")
-	pprofAddr := flag.String("pprof", "", "serve net/http/pprof (and /metrics) on this address, e.g. localhost:6060")
 	summaryOut := flag.String("summary-out", "", "write a structured JSON run summary (config + stats + metrics) to this file")
 	serveAddr := flag.String("serve", "", "serve the debug endpoints (/healthz, /metrics, /debug/flight, /debug/explain, /debug/pprof) on this address")
 	flightCap := flag.Int("flight", obs.DefaultCapacity, "flight-recorder capacity (last N request and event traces)")
@@ -61,18 +60,9 @@ func main() {
 	// Instrumentation is default-off; any observability flag switches the
 	// whole engine's metrics on.
 	var reg *metrics.Registry
-	if *metricsOut != "" || *pprofAddr != "" || *summaryOut != "" || *serveAddr != "" {
+	if *metricsOut != "" || *summaryOut != "" || *serveAddr != "" {
 		reg = cli.EnableAllMetrics()
 	}
-	if *pprofAddr != "" {
-		addr, err := cli.StartPprof(*pprofAddr, reg)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "pprof + /metrics listening on http://%s\n", addr)
-	}
-
 	// Request tracing rides behind -serve or -flight-out: every routed
 	// request and every simulator event (sim.arrival, sim.failure, …) gets a
 	// trace, the last -flight N live in the ring — size it to the run for

@@ -5,20 +5,14 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"net"
-	"net/http"
 	"os"
 	"runtime/debug"
-	"sync"
 
 	"repro/internal/auxgraph"
 	"repro/internal/core"
 	"repro/internal/disjoint"
 	"repro/internal/metrics"
 	"repro/internal/netsim"
-
-	// Register the pprof handlers on http.DefaultServeMux for StartPprof.
-	_ "net/http/pprof"
 )
 
 // EnableAllMetrics creates a registry and switches on instrumentation in
@@ -32,29 +26,6 @@ func EnableAllMetrics() *metrics.Registry {
 	core.EnableMetrics(r)
 	netsim.EnableMetrics(r)
 	return r
-}
-
-var metricsHandlerOnce sync.Once
-
-// StartPprof serves net/http/pprof under /debug/pprof/ on addr (e.g.
-// "localhost:6060") in a background goroutine and returns the bound address.
-// When r is non-nil, a Prometheus /metrics endpoint is served too, so a
-// long-running simulation can be scraped while it works.
-func StartPprof(addr string, r *metrics.Registry) (string, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return "", err
-	}
-	if r != nil {
-		metricsHandlerOnce.Do(func() {
-			http.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
-				w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-				_ = r.WritePrometheus(w)
-			})
-		})
-	}
-	go func() { _ = http.Serve(ln, nil) }()
-	return ln.Addr().String(), nil
 }
 
 // Version renders the module path and VCS revision baked into the binary by

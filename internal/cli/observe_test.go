@@ -2,8 +2,6 @@ package cli
 
 import (
 	"encoding/json"
-	"io"
-	"net/http"
 	"os"
 	"path/filepath"
 	"strings"
@@ -58,35 +56,6 @@ func TestEnableAllMetricsCoversEngine(t *testing.T) {
 		if !names[want] {
 			t.Fatalf("metric %s not registered (have %v)", want, names)
 		}
-	}
-}
-
-func TestStartPprofServesMetricsAndPprof(t *testing.T) {
-	reg := EnableAllMetrics()
-	defer disableAll()
-	reg.Counter("smoke_total", "").Inc()
-
-	addr, err := StartPprof("127.0.0.1:0", reg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	get := func(path string) string {
-		resp, err := http.Get("http://" + addr + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("GET %s: status %d", path, resp.StatusCode)
-		}
-		b, _ := io.ReadAll(resp.Body)
-		return string(b)
-	}
-	if body := get("/metrics"); !strings.Contains(body, "smoke_total 1") {
-		t.Fatalf("metrics body:\n%s", body)
-	}
-	if body := get("/debug/pprof/cmdline"); body == "" {
-		t.Fatal("pprof endpoint empty")
 	}
 }
 

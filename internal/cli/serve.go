@@ -45,7 +45,8 @@ func jsonError(w http.ResponseWriter, code int, msg string) {
 	_ = json.NewEncoder(w).Encode(map[string]string{"error": msg})
 }
 
-// DebugMux builds the debug HTTP handler shared by wdmsim -serve and tests:
+// DebugMux builds the debug HTTP handler shared by wdmsim -serve, wdmbench
+// -pprof, wdmd and tests:
 //
 //	/healthz              liveness probe (200 "ok")
 //	/metrics              Prometheus text exposition (404 if not enabled)
@@ -60,8 +61,8 @@ func jsonError(w http.ResponseWriter, code int, msg string) {
 // Bad query parameters (non-numeric last=/req=, unknown format=) answer
 // HTTP 400 with a JSON {"error": ...} body.
 //
-// Unlike StartPprof this never touches http.DefaultServeMux, so several
-// servers (or tests) can coexist in one process.
+// It never touches http.DefaultServeMux, so several servers (or tests) can
+// coexist in one process.
 func DebugMux(o DebugOpts) *http.ServeMux {
 	reg, fr := o.Metrics, o.Flight
 	mux := http.NewServeMux()
