@@ -22,7 +22,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
@@ -113,17 +112,14 @@ func main() {
 		Tracer:     tracer,
 	})
 	if *timeseriesOut != "" {
-		fh, err := os.Create(*timeseriesOut)
+		if engine.Collector() == nil {
+			fatal(fmt.Errorf("-timeseries-out needs telemetry (-window > 0)"))
+		}
+		snk, err := timeseries.CreateFile(*timeseriesOut)
 		if err != nil {
 			fatal(err)
 		}
-		if strings.HasSuffix(*timeseriesOut, ".csv") {
-			snk := timeseries.NewCSV(fh)
-			engine.SetTelemetrySink(snk, snk.Close)
-		} else {
-			snk := timeseries.NewJSONL(fh)
-			engine.SetTelemetrySink(snk, snk.Close)
-		}
+		engine.SetTelemetrySink(snk)
 	}
 
 	// SLO watchdog: each -slo-* flag declares one objective over the sealed

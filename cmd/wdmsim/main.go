@@ -9,8 +9,8 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
-	"strings"
 	"time"
 
 	"repro/internal/cli"
@@ -86,85 +86,14 @@ func main() {
 	// Windowed telemetry rides behind -soak, -timeseries-out or -serve: the
 	// simulator cuts sim-time windows of -window units, each carrying routing
 	// latency quantiles, blocking, reroute counts and a network-state probe.
-	var tel *netsim.Telemetry
+	telWindow := 0.0
 	if *soak || *timeseriesOut != "" || *serveAddr != "" {
-		tel = netsim.NewTelemetry(*window, 0)
-	}
-	var tsSink interface{ Close() error }
-	if *timeseriesOut != "" {
-		fh, err := os.Create(*timeseriesOut)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
+		if !(*window > 0) || math.IsInf(*window, 1) {
+			fmt.Fprintf(os.Stderr, "-window must be positive and finite, got %g\n", *window)
 			os.Exit(1)
 		}
-		if strings.HasSuffix(*timeseriesOut, ".csv") {
-			snk := timeseries.NewCSV(fh)
-			tel.Collector().SetSink(snk)
-			tsSink = snk
-		} else {
-			snk := timeseries.NewJSONL(fh)
-			tel.Collector().SetSink(snk)
-			tsSink = snk
-		}
+		telWindow = *window
 	}
-	// SLO objectives over the simulator's sim-time windows: same watchdog as
-	// wdmd, driven by the collector's SimClock instead of wall time.
-	var watchdog *slo.Watchdog
-	var capturer *slo.Capturer
-	if *sloP99 > 0 || *sloBlocking > 0 {
-		if tel == nil {
-			fmt.Fprintln(os.Stderr, "slo flags need telemetry (-soak, -serve or -timeseries-out)")
-			os.Exit(1)
-		}
-		var objectives []slo.Objective
-		if *sloP99 > 0 {
-			objectives = append(objectives, slo.Objective{
-				Name: "route-p99", Series: netsim.SeriesRouteLatency, Kind: slo.KindP99, Max: *sloP99,
-			})
-		}
-		if *sloBlocking > 0 {
-			objectives = append(objectives, slo.Objective{
-				Name: "blocking", Series: netsim.SeriesBlocking, Kind: slo.KindRatio, Max: *sloBlocking,
-			})
-		}
-		wd, err := slo.New(objectives...)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		watchdog = wd
-		watchdog.EnableMetrics(reg)
-		if *incidentDir != "" {
-			cap, err := slo.NewCapturer(slo.CaptureConfig{
-				Dir:    *incidentDir,
-				Flight: tracer.Flight(),
-				Series: tel.Collector(),
-			})
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-			capturer = cap
-			watchdog.OnBreach(capturer.HandleBreach)
-		}
-		watchdog.Bind(tel.Collector())
-	}
-	if *serveAddr != "" {
-		addr, err := cli.StartDebugServer(*serveAddr, cli.DebugOpts{
-			Metrics:   reg,
-			Flight:    tracer.Flight(),
-			Series:    tel.Collector(),
-			NetState:  tel.NetState,
-			SLO:       watchdog,
-			Incidents: capturer,
-		})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "debug endpoints listening on http://%s\n", addr)
-	}
-
 	net, err := cli.BuildTopology(*topoName, *n, *w, *seed)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -190,7 +119,7 @@ func main() {
 		ReconfigThreshold: *reconfigTh,
 		ReconfigCooldown:  0.2,
 		Tracer:            tracer,
-		Telemetry:         tel,
+		Window:            telWindow,
 	}
 	if *candidates > 0 {
 		// Build the table up front from the pristine topology — it is
@@ -198,6 +127,74 @@ func main() {
 		simCfg.Opts = &core.Options{CandidateTable: core.NewCandidateTable(net, *candidates)}
 	}
 	sim := netsim.New(net, simCfg)
+	col := sim.Collector()
+	var tsSink timeseries.FileSink
+	if *timeseriesOut != "" {
+		tsSink, err = timeseries.CreateFile(*timeseriesOut)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(1)
+		}
+		col.SetSink(tsSink)
+	}
+	// SLO objectives over the simulator's sim-time windows: same watchdog as
+	// wdmd, driven by event sim-time instead of wall time.
+	var watchdog *slo.Watchdog
+	var capturer *slo.Capturer
+	if *sloP99 > 0 || *sloBlocking > 0 {
+		if col == nil {
+			fmt.Fprintln(os.Stderr, "slo flags need telemetry (-soak, -serve or -timeseries-out)")
+			os.Exit(1)
+		}
+		var objectives []slo.Objective
+		if *sloP99 > 0 {
+			objectives = append(objectives, slo.Objective{
+				Name: "route-p99", Series: netsim.SeriesRouteLatency, Kind: slo.KindP99, Max: *sloP99,
+			})
+		}
+		if *sloBlocking > 0 {
+			objectives = append(objectives, slo.Objective{
+				Name: "blocking", Series: netsim.SeriesBlocking, Kind: slo.KindRatio, Max: *sloBlocking,
+			})
+		}
+		wd, err := slo.New(objectives...)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(1)
+		}
+		watchdog = wd
+		watchdog.EnableMetrics(reg)
+		if *incidentDir != "" {
+			cap, err := slo.NewCapturer(slo.CaptureConfig{
+				Dir:    *incidentDir,
+				Flight: tracer.Flight(),
+				Series: col,
+			})
+			if err != nil {
+				fmt.Fprintln(os.Stderr, err)
+				os.Exit(1)
+			}
+			capturer = cap
+			watchdog.OnBreach(capturer.HandleBreach)
+		}
+		watchdog.Bind(col)
+	}
+	if *serveAddr != "" {
+		addr, err := cli.StartDebugServer(*serveAddr, cli.DebugOpts{
+			Metrics:   reg,
+			Flight:    tracer.Flight(),
+			Series:    col,
+			NetState:  sim.NetState,
+			SLO:       watchdog,
+			Incidents: capturer,
+		})
+		if err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(1)
+		}
+		fmt.Fprintf(os.Stderr, "debug endpoints listening on http://%s\n", addr)
+	}
+
 	var matrix *workload.Matrix
 	switch {
 	case *matrixFile != "":
@@ -207,7 +204,7 @@ func main() {
 			os.Exit(1)
 		}
 		matrix, err = workload.ParseMatrix(fh)
-		fh.Close() //wdmlint:ignore errcheck-lite file opened read-only, no buffered writes to lose
+		fh.Close()
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
@@ -266,7 +263,7 @@ func main() {
 		if err := tsSink.Close(); err != nil {
 			fmt.Fprintf(os.Stderr, "error: timeseries file %s incomplete: %v\n", *timeseriesOut, err)
 			exportBroken = true
-		} else if err := tel.Collector().SinkErr(); err != nil {
+		} else if err := col.SinkErr(); err != nil {
 			fmt.Fprintf(os.Stderr, "error: timeseries file %s incomplete: %v\n", *timeseriesOut, err)
 			exportBroken = true
 		}
@@ -305,7 +302,7 @@ func main() {
 	}
 
 	if *soak {
-		printCurve(tel.Collector())
+		printCurve(col)
 	}
 
 	if *metricsOut != "" {
@@ -361,8 +358,8 @@ func printCurve(col *timeseries.Collector) {
 		s := &snaps[i]
 		lat, _ := s.Hist(netsim.SeriesRouteLatency)
 		blk, _ := s.RatioOf(netsim.SeriesBlocking)
-		lm, _ := s.GaugeOf(netsim.SeriesLinkLoadMean)
-		lx, _ := s.GaugeOf(netsim.SeriesLinkLoadMax)
+		lm, _ := s.GaugeOf(timeseries.SeriesLinkLoadMean)
+		lx, _ := s.GaugeOf(timeseries.SeriesLinkLoadMax)
 		rc, _ := s.RateOf(netsim.SeriesReconfigs)
 		fmt.Printf("  %10.4g %8d %9.3g %9.3g %8.3g %7.3f %7.3f %7d\n",
 			s.End, blk.Den, lat.P50*1e6, lat.P99*1e6, 100*blk.Value, lm.Last, lx.Last, rc.Count)

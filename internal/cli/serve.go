@@ -28,8 +28,8 @@ type DebugOpts struct {
 	// Series backs /debug/timeseries: sealed telemetry windows as JSON.
 	Series *timeseries.Collector
 	// NetState backs /debug/net; it is called per request and should return
-	// the latest sealed network snapshot (nil until one exists). Typically
-	// (*netsim.Telemetry).NetState.
+	// the latest sealed network snapshot (nil until one exists): the
+	// NetState method of a netsim.Sim or a serve.Engine.
 	NetState func() *timeseries.NetState
 	// SLO backs /debug/slo: the watchdog's objective states and burn rates.
 	SLO *slo.Watchdog

@@ -121,13 +121,11 @@ func TestDebugMuxExplain(t *testing.T) {
 }
 
 func TestDebugMuxTimeseries(t *testing.T) {
-	clock := timeseries.NewSimClock()
-	col := timeseries.New(timeseries.Config{Window: 1, Clock: clock})
+	col := timeseries.New(1)
 	r := &metrics.Counter{}
 	col.Rate("events", r)
 	for w := 0; w < 5; w++ {
 		r.Inc()
-		clock.Advance(float64(w + 1))
 		col.Advance(float64(w + 1))
 	}
 	mux := DebugMux(DebugOpts{Series: col})
@@ -192,7 +190,7 @@ func TestDebugMuxNetState(t *testing.T) {
 // JSON {"error": ...} body, never a free-text 500 or a silent default.
 func TestDebugMuxBadQueryParams(t *testing.T) {
 	tr, id := tracedRequest(t)
-	col := timeseries.New(timeseries.Config{Window: 1, Clock: timeseries.NewSimClock()})
+	col := timeseries.New(1)
 	mux := DebugMux(DebugOpts{Flight: tr.Flight(), Series: col})
 
 	cases := []struct {

@@ -281,18 +281,26 @@ func (h *Histogram) Quantile(q float64) float64 {
 	if n == 0 {
 		return 0
 	}
-	rank := int64(math.Ceil(q * float64(n)))
-	if rank < 1 {
-		rank = 1
-	}
+	counts := make([]int64, len(h.counts))
+	h.LoadCounts(counts)
+	return BucketQuantile(h.bounds, counts, n, q)
+}
+
+// BucketQuantile walks per-bucket counts (one per bound plus the overflow
+// bucket, as LoadCounts fills them) of n observations and returns the
+// smallest bound whose cumulative count covers rank ⌈q·n⌉ (at least 1):
+// +Inf when that rank lands in the overflow bucket or the counts never
+// reach it.
+func BucketQuantile(bounds []float64, counts []int64, n int64, q float64) float64 {
+	rank := max(int64(math.Ceil(q*float64(n))), 1)
 	cum := int64(0)
-	for i := range h.counts {
-		cum += h.counts[i].Load()
+	for i, c := range counts {
+		cum += c
 		if cum >= rank {
-			if i < len(h.bounds) {
-				return h.bounds[i]
+			if i < len(bounds) {
+				return bounds[i]
 			}
-			return math.Inf(1)
+			break
 		}
 	}
 	return math.Inf(1)

@@ -5,7 +5,7 @@ import "repro/internal/metrics"
 // instruments is one simulator's single set of live signals. /metrics and
 // the telemetry windows both read these, and an event writes each of them
 // once. New builds them inside every Sim; the timers exist only while the
-// sim is observed (a Telemetry is attached or a registry is set), so an
+// sim is observed (Config.Window is set or a registry is set), so an
 // unobserved run reads no clock. All times are wall-clock computation
 // latency, not simulated time — the simulator's own clock lives in Metrics.
 type instruments struct {

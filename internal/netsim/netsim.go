@@ -21,6 +21,7 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/stats"
+	"repro/internal/timeseries"
 	"repro/internal/wdm"
 	"repro/internal/workload"
 )
@@ -98,13 +99,15 @@ type Config struct {
 	// the events join to their routing traces within one dump.
 	Tracer *obs.Tracer
 
-	// Telemetry, when non-nil, collects windowed time-series over sim time:
-	// per-window route-latency quantiles, blocking probability, reroute and
+	// Window, when positive, collects windowed time-series over windows of
+	// this many sim-time units (0 disables telemetry): per-window
+	// route-latency quantiles, blocking probability, reroute and
 	// reconfiguration rates, and network-state probes (link load ρ,
 	// first-fit fragmentation, active lightpaths) sampled at each window
 	// seal. Telemetry observes every arrival, including warm-up — the
-	// transient is exactly what a curve is for. One Telemetry per Sim.
-	Telemetry *Telemetry
+	// transient is exactly what a curve is for. See Sim.Collector and
+	// Sim.NetState.
+	Window float64
 
 	// Reprotect, under Active restoration, re-establishes a fresh backup
 	// after a switchover or a degraded backup, so connections do not stay
@@ -264,6 +267,9 @@ type Sim struct {
 	instr        instruments // the sim's live signals (/metrics, telemetry)
 	up           []int       // scratch for the random failure target
 
+	col *timeseries.Collector // windowed telemetry (nil: Config.Window is 0)
+	net *timeseries.NetProbe  // seal-time network state behind NetState
+
 	// defaultRoute routes arrivals with cfg.Algorithm when the config
 	// supplies no RouteFunc; reconfigPair and restorePair are the reroute
 	// steps of reconfiguration and passive restoration. All three are built
@@ -319,12 +325,12 @@ func New(net *wdm.Network, cfg Config) *Sim {
 		}
 		return conns.Pair{Primary: p.Hops}, true
 	}
-	if cfg.Telemetry != nil || published != nil {
+	if cfg.Window > 0 || published != nil {
 		s.instr.routeTime = metrics.NewTimer()
 		s.instr.restoreTime = metrics.NewTimer()
 	}
 	s.instr.publish(published)
-	cfg.Telemetry.bind(s)
+	s.buildTelemetry(cfg.Window)
 	return s
 }
 
@@ -416,7 +422,7 @@ func (s *Sim) Run(reqs []workload.Request) *Metrics {
 		}
 	}
 	s.m.Horizon = s.lastT
-	s.cfg.Telemetry.finish()
+	s.col.Seal() // flush the final, partial window
 	s.syncArrivalGauges()
 	return &s.m
 }
@@ -426,7 +432,7 @@ func (s *Sim) Run(reqs []workload.Request) *Metrics {
 func (s *Sim) advanceClock(t float64) {
 	// Seal windows that ended strictly before t, so the probe samples the
 	// network as of the last event inside each window.
-	s.cfg.Telemetry.advance(t)
+	s.col.Advance(t)
 	rho := s.tab.Network().NetworkLoad()
 	if rho > s.m.MaxNetworkLoad {
 		s.m.MaxNetworkLoad = rho

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/metrics"
+	"repro/internal/timeseries"
 )
 
 // withRegistry publishes the sims built during the test on a fresh registry.
@@ -16,12 +17,11 @@ func withRegistry(t *testing.T) *metrics.Registry {
 
 func TestSimTelemetryCurve(t *testing.T) {
 	reg := withRegistry(t)
-	tel := NewTelemetry(5, 0)
-	sim := New(nsf(4), Config{Algorithm: MinCost, Restoration: Active, Telemetry: tel})
+	sim := New(nsf(4), Config{Algorithm: MinCost, Restoration: Active, Window: 5})
 	reqs := poisson(14, 800, 25, 11)
 	m := sim.Run(reqs)
 
-	col := tel.Collector()
+	col := sim.Collector()
 	if col.Len() == 0 {
 		t.Fatal("no telemetry windows sealed")
 	}
@@ -66,7 +66,7 @@ func TestSimTelemetryCurve(t *testing.T) {
 
 	// The window-seal probe sampled the network: the gauges carry values and
 	// the latest NetState snapshot is published for /debug/net.
-	ns := tel.NetState()
+	ns := sim.NetState()
 	if ns == nil {
 		t.Fatal("no NetState published")
 	}
@@ -75,10 +75,10 @@ func TestSimTelemetryCurve(t *testing.T) {
 	}
 	sawLoad := false
 	for _, s := range snaps {
-		if gv, ok := s.GaugeOf(SeriesLinkLoadMax); ok && gv.Samples > 0 && gv.Last > 0 {
+		if gv, ok := s.GaugeOf(timeseries.SeriesLinkLoadMax); ok && gv.Samples > 0 && gv.Last > 0 {
 			sawLoad = true
 		}
-		if gv, ok := s.GaugeOf(SeriesLinkLoadMean); ok && gv.Last < 0 || !ok {
+		if gv, ok := s.GaugeOf(timeseries.SeriesLinkLoadMean); ok && gv.Last < 0 || !ok {
 			t.Fatal("load mean gauge missing")
 		}
 	}
@@ -94,14 +94,13 @@ func TestSimTelemetryCurve(t *testing.T) {
 
 func TestSimTelemetryReconfigSeries(t *testing.T) {
 	reg := withRegistry(t)
-	tel := NewTelemetry(5, 0)
 	sim := New(nsf(4), Config{
-		Algorithm: MinLoadCost, Restoration: Active, Telemetry: tel,
+		Algorithm: MinLoadCost, Restoration: Active, Window: 5,
 		ReconfigThreshold: 0.3, ReconfigCooldown: 0.1,
 	})
 	m := sim.Run(poisson(14, 600, 30, 5))
 	var reconfigs, reroutes int64
-	for _, s := range tel.Collector().Snapshots(0) {
+	for _, s := range sim.Collector().Snapshots(0) {
 		rv, _ := s.RateOf(SeriesReconfigs)
 		reconfigs += rv.Count
 		rr, _ := s.RateOf(SeriesReroutes)
@@ -124,31 +123,19 @@ func TestSimTelemetryReconfigSeries(t *testing.T) {
 	}
 }
 
-func TestTelemetryDoubleBindPanics(t *testing.T) {
-	tel := NewTelemetry(1, 0)
-	New(nsf(4), Config{Algorithm: MinCost, Telemetry: tel})
-	defer func() {
-		if recover() == nil {
-			t.Fatal("second bind did not panic")
-		}
-	}()
-	New(nsf(4), Config{Algorithm: MinCost, Telemetry: tel})
-}
-
-// TestNilTelemetryIsNoOp pins the unobserved path: nil telemetry hands out
-// no state, and a sim with no telemetry and no registry builds no timers —
-// so its arrivals read no clock — while its run stays valid.
+// TestNilTelemetryIsNoOp pins the unobserved path: a sim with Window 0
+// hands out no telemetry state, and with no registry either it builds no
+// timers — so its arrivals read no clock — while its run stays valid.
 func TestNilTelemetryIsNoOp(t *testing.T) {
-	var tel *Telemetry
-	if tel.Collector() != nil || tel.NetState() != nil {
-		t.Fatal("nil telemetry returned state")
-	}
 	sim := New(nsf(4), Config{Algorithm: MinCost})
 	if sim.instr.routeTime != nil || sim.instr.restoreTime != nil {
 		t.Fatal("unobserved sim built timers")
 	}
 	if m := sim.Run(poisson(14, 100, 10, 3)); m.Offered != 100 || m.Accepted == 0 {
 		t.Fatalf("run without telemetry broke: %+v", m)
+	}
+	if sim.Collector() != nil || sim.NetState() != nil {
+		t.Fatal("sim without telemetry returned state")
 	}
 }
 

@@ -9,7 +9,8 @@ import (
 
 // TestFailureStreamConservesChannels mixes link failures into a seeded
 // establish/teardown stream on NSFNET (W=4): 60% establish, 30% teardown,
-// 10% FailLink. After every operation the channels in use must be exactly
+// 10% FailLink. No live connection may still run over a link just failed.
+// After every operation the channels in use must be exactly
 // the live connections' working hops plus the reserved backup channels, so
 // an activated connection's working channels can never double as shared
 // backup channels, and a lost connection leaves nothing behind. Every
@@ -53,8 +54,16 @@ func TestFailureStreamConservesChannels(t *testing.T) {
 			}
 			live = append(live[:i], live[i+1:]...)
 		default:
-			m.FailLink(rng.Intn(net.Links()))
+			l := rng.Intn(net.Links())
+			m.FailLink(l)
 			failures++
+			for id, c := range m.conns {
+				for _, h := range c.Primary.Hops {
+					if h.Link == l {
+						t.Fatalf("op %d: connection %d (activated %v) still runs over failed link %d", op, id, c.Activated, l)
+					}
+				}
+			}
 			kept := live[:0]
 			for _, id := range live {
 				if m.conns[id] != nil {

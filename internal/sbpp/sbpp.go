@@ -15,6 +15,7 @@ package sbpp
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/graph"
 	"repro/internal/lightpath"
@@ -292,15 +293,13 @@ func (m *Manager) leaveBackup(id int, c *Connection) error {
 }
 
 // FailLink activates the backup of every connection whose primary crosses
-// the failed link. It returns the recovered and lost connection counts;
-// connections sharing channels with an activated backup lose their
-// protection (their backup is detached) but keep running.
+// the failed link. It returns the recovered and lost connection counts; a
+// connection already running on its activated backup has no protection
+// left and is lost. Connections sharing channels with an activated backup
+// lose their protection (their backup is detached) but keep running.
 func (m *Manager) FailLink(link int) (recovered, lost, unprotected int) {
 	var affected []int
 	for id, c := range m.conns {
-		if c.Activated {
-			continue
-		}
 		for _, h := range c.Primary.Hops {
 			if h.Link == link {
 				affected = append(affected, id)
@@ -308,14 +307,7 @@ func (m *Manager) FailLink(link int) (recovered, lost, unprotected int) {
 			}
 		}
 	}
-	// Deterministic order.
-	for i := 0; i < len(affected); i++ {
-		for j := i + 1; j < len(affected); j++ {
-			if affected[j] < affected[i] {
-				affected[i], affected[j] = affected[j], affected[i]
-			}
-		}
-	}
+	slices.Sort(affected) // deterministic order
 	for _, id := range affected {
 		c := m.conns[id]
 		// The sharing rule guarantees no two affected connections contend
@@ -326,7 +318,8 @@ func (m *Manager) FailLink(link int) (recovered, lost, unprotected int) {
 			ok = m.shares[chanKey{link: h.Link, lam: h.Wavelength}][id]
 		}
 		if !ok {
-			// Lost: release the failed primary and whatever backup
+			// Lost (an activated connection's channels left the sharing
+			// table): release the failed primary and whatever backup
 			// memberships the connection still holds.
 			lost++
 			delete(m.conns, id)

@@ -182,13 +182,13 @@ func TestRequestIDHeaderJoinsFlight(t *testing.T) {
 func TestScrapeUnderLoad(t *testing.T) {
 	wd, err := slo.New(
 		slo.Objective{Name: "p99", Series: SeriesRequestLatency, Kind: slo.KindP99, Max: 1e-9,
-			ShortWindows: 1, LongWindows: 1, ShortBurn: 1, LongBurn: 1},
+			ShortWindows: 1, LongWindows: 1},
 		slo.Objective{Name: "blocking", Series: SeriesBlocking, Kind: slo.KindRatio, Max: 0.9},
 	)
 	if err != nil {
 		t.Fatal(err)
 	}
-	capt, err := slo.NewCapturer(slo.CaptureConfig{Dir: t.TempDir(), MinInterval: time.Millisecond, CPUProfile: time.Millisecond})
+	capt, err := slo.NewCapturer(slo.CaptureConfig{Dir: t.TempDir(), MinInterval: time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}

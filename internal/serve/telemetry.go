@@ -3,7 +3,6 @@ package serve
 import (
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/timeseries"
@@ -11,7 +10,9 @@ import (
 
 // Telemetry series names, as they appear in /debug/timeseries and the
 // JSONL/CSV export. They mirror the simulator's series where the semantics
-// match, so soak curves from wdmsim and wdmd plot on the same axes.
+// match, so soak curves from wdmsim and wdmd plot on the same axes; the
+// seal-time network gauges (active_conns, link_load_mean, link_load_max,
+// frag_mean) come from the shared timeseries probe.
 const (
 	// SeriesRequestLatency is the end-to-end request latency histogram
 	// (seconds, queue + route + commit; p50/p95/p99 per window).
@@ -26,14 +27,6 @@ const (
 	SeriesReroutes = "reroutes"
 	// SeriesEpochs counts epochs published per window.
 	SeriesEpochs = "epochs"
-	// SeriesActiveConns gauges the live connection count at each seal.
-	SeriesActiveConns = "active_conns"
-	// SeriesLinkLoadMean / SeriesLinkLoadMax gauge per-link ρ(e) aggregates
-	// at each seal; the max is the network load ρ of Eq. 2.
-	SeriesLinkLoadMean = "link_load_mean"
-	SeriesLinkLoadMax  = "link_load_max"
-	// SeriesFragMean gauges mean first-fit wavelength fragmentation.
-	SeriesFragMean = "frag_mean"
 	// SeriesConflicts counts commit-time reservation conflicts per window —
 	// the numerator of the SLO conflict-rate objective (denominator:
 	// provisions via SeriesBlocking's total).
@@ -59,26 +52,16 @@ const (
 // telemetry windows the engine's instruments on the wall clock. It owns no
 // request-path accumulator: the collector reads the engine's lock-free
 // counters and timers when it seals, so request goroutines never touch it.
-// A ticker goroutine is the only thing that advances the windows, which
-// therefore seal even when the daemon is idle; a sample belongs to the
-// window that is open when the seal reads it. The collector-owned gauges are
-// set at seal time (the probe below). A nil telemetry (window <= 0) is
-// permanently off.
+// A ticker goroutine is the only thing that advances the windows, with the
+// seconds elapsed since the telemetry was built, so they seal even when the
+// daemon is idle; a sample belongs to the window that is open when the seal
+// reads it. The collector-owned gauges are set at seal time (the probes
+// below). A nil telemetry (window <= 0) is permanently off.
 type telemetry struct {
-	col *timeseries.Collector
-
-	active   *timeseries.Gauge
-	loadMean *timeseries.Gauge
-	loadMax  *timeseries.Gauge
-	fragMean *timeseries.Gauge
-
-	goroutines *timeseries.Gauge
-	heapBytes  *timeseries.Gauge
-	gcPause    *timeseries.Gauge
-	lastPause  uint64 // MemStats.PauseTotalNs at the previous seal
-
-	netState atomic.Pointer[timeseries.NetState]
-	closer   func() error
+	col   *timeseries.Collector
+	net   *timeseries.NetProbe
+	start time.Time // window 0 opens here
+	sink  timeseries.FileSink
 
 	stop chan struct{}
 	tick sync.WaitGroup
@@ -90,7 +73,7 @@ func newTelemetry(e *Engine, window float64) *telemetry {
 	if window <= 0 {
 		return nil
 	}
-	col := timeseries.New(timeseries.Config{Window: window, Clock: timeseries.NewWallClock()})
+	col := timeseries.New(window)
 	m := &e.instr
 	col.Histogram(SeriesRequestLatency, m.requestTime.Hist())
 	col.Ratio(SeriesBlocking, &m.blocked, &m.accepted)
@@ -105,44 +88,30 @@ func newTelemetry(e *Engine, window float64) *telemetry {
 	col.Histogram(SeriesStageCommit, m.stageCommit.Hist())
 	col.Histogram(SeriesStageReroute, m.stageReroute.Hist())
 	col.Histogram(SeriesStageDecode, m.stageDecode.Hist())
-	t := &telemetry{
-		col:      col,
-		active:   col.Gauge(SeriesActiveConns),
-		loadMean: col.Gauge(SeriesLinkLoadMean),
-		loadMax:  col.Gauge(SeriesLinkLoadMax),
-		fragMean: col.Gauge(SeriesFragMean),
-
-		goroutines: col.Gauge(SeriesGoroutines),
-		heapBytes:  col.Gauge(SeriesHeapBytes),
-		gcPause:    col.Gauge(SeriesGCPause),
-
-		stop: make(chan struct{}),
-	}
-	// Baseline the GC-pause accumulator so the first window reports pauses
-	// accrued during that window, not since process start.
-	var ms0 runtime.MemStats
-	runtime.ReadMemStats(&ms0)
-	t.lastPause = ms0.PauseTotalNs
-	col.OnSeal(func(at float64) {
-		// Seals run on the ticker goroutine, and after it stops on close's
-		// final Seal, so they are serialized and t.lastPause needs no
-		// atomics. The probe reads only the immutable epoch snapshot.
+	t := &telemetry{col: col, start: time.Now(), stop: make(chan struct{})}
+	// Seals run on the ticker goroutine, and after it stops on close's final
+	// Seal, so the probes are serialized. The network probe reads only the
+	// immutable epoch snapshot.
+	t.net = col.SampleNetwork(func(at float64) *timeseries.NetState {
 		ns := timeseries.ProbeNetwork(e.store.load().net, at, e.LiveConnections())
 		ns.Contention = e.topContention(contentionTopK, ns)
-		t.loadMean.Set(ns.MeanLoad)
-		t.loadMax.Set(ns.MaxLoad)
-		t.fragMean.Set(ns.MeanFrag)
-		t.active.Set(float64(ns.ActiveConns))
-		t.netState.Store(ns)
-
-		// Runtime health: one ReadMemStats per window is cheap (µs-scale
-		// stop-the-world) and gives incident bundles their triage context.
+		return ns
+	})
+	// Runtime health: one ReadMemStats per window is cheap (µs-scale
+	// stop-the-world) and gives incident bundles their triage context.
+	// Baseline the GC-pause accumulator so the first window reports pauses
+	// accrued during that window, not since process start.
+	goroutines, heapBytes, gcPause := col.Gauge(SeriesGoroutines), col.Gauge(SeriesHeapBytes), col.Gauge(SeriesGCPause)
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	lastPause := ms.PauseTotalNs // MemStats.PauseTotalNs at the previous seal
+	col.OnSeal(func(float64) {
 		var ms runtime.MemStats
 		runtime.ReadMemStats(&ms)
-		t.goroutines.Set(float64(runtime.NumGoroutine()))
-		t.heapBytes.Set(float64(ms.HeapAlloc))
-		t.gcPause.Set(float64(ms.PauseTotalNs-t.lastPause) / 1e9)
-		t.lastPause = ms.PauseTotalNs
+		goroutines.Set(float64(runtime.NumGoroutine()))
+		heapBytes.Set(float64(ms.HeapAlloc))
+		gcPause.Set(float64(ms.PauseTotalNs-lastPause) / 1e9)
+		lastPause = ms.PauseTotalNs
 	})
 	return t
 }
@@ -151,13 +120,13 @@ func newTelemetry(e *Engine, window float64) *telemetry {
 // NetState.Contention.
 const contentionTopK = 8
 
-// SetSink attaches a streaming export sink plus its closer (e.g. a JSONL
-// writer over a file); call before Start.
-func (t *telemetry) SetSink(s timeseries.Sink, closer func() error) {
+// setSink attaches a streaming export sink that close closes; call before
+// Start.
+func (t *telemetry) setSink(s timeseries.FileSink) {
 	if t == nil {
 		return
 	}
-	t.closer = closer
+	t.sink = s
 	t.col.SetSink(s)
 }
 
@@ -175,7 +144,7 @@ func (t *telemetry) state() *timeseries.NetState {
 	if t == nil {
 		return nil
 	}
-	return t.netState.Load()
+	return t.net.Latest()
 }
 
 // startTicker launches the window-advancing goroutine (4 ticks per window,
@@ -198,17 +167,18 @@ func (t *telemetry) startTicker() {
 			case <-t.stop:
 				return
 			case <-tk.C:
-				t.col.Tick()
+				t.col.Advance(time.Since(t.start).Seconds())
 			}
 		}
 	}()
 }
 
-// SetTelemetrySink attaches a streaming export sink (JSONL/CSV over a file)
-// plus its closer to the engine's telemetry; call before Start. No-op when
-// telemetry is disabled.
-func (e *Engine) SetTelemetrySink(s timeseries.Sink, closer func() error) {
-	e.tel.SetSink(s, closer)
+// SetTelemetrySink attaches a streaming export sink (timeseries.CreateFile)
+// to the engine's telemetry; Close seals the last window and closes the
+// sink. Call before Start. With telemetry disabled it is a no-op and the
+// sink stays the caller's to close.
+func (e *Engine) SetTelemetrySink(s timeseries.FileSink) {
+	e.tel.setSink(s)
 }
 
 // Collector exposes the telemetry collector for /debug/timeseries (nil when
@@ -238,8 +208,8 @@ func (t *telemetry) close() error {
 	t.tick.Wait()
 	t.col.Seal()
 	err := t.col.SinkErr()
-	if t.closer != nil {
-		if cerr := t.closer(); cerr != nil && err == nil {
+	if t.sink != nil {
+		if cerr := t.sink.Close(); cerr != nil && err == nil {
 			err = cerr
 		}
 	}

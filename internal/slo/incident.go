@@ -25,13 +25,6 @@ type CaptureConfig struct {
 	// together and a flapping one repeatedly — the daemon must not profile
 	// itself in a loop.
 	MinInterval time.Duration
-	// CPUProfile is how long the bundle's CPU profile samples (default
-	// 250ms — long enough to see where time goes, short enough that the
-	// bundle lands while the incident is still happening).
-	CPUProfile time.Duration
-	// Windows is how many trailing sealed telemetry windows the bundle
-	// retains (default 64, 0 < Windows ≤ collector retention).
-	Windows int
 
 	// Data sources; any may be nil, its file is then omitted.
 	Flight *obs.FlightRecorder
@@ -47,19 +40,15 @@ func (c *CaptureConfig) minInterval() time.Duration {
 	return time.Minute
 }
 
-func (c *CaptureConfig) cpuProfile() time.Duration {
-	if c.CPUProfile > 0 {
-		return c.CPUProfile
-	}
-	return 250 * time.Millisecond
-}
-
-func (c *CaptureConfig) windows() int {
-	if c.Windows > 0 {
-		return c.Windows
-	}
-	return 64
-}
+const (
+	// cpuProfileFor is how long a bundle's CPU profile samples: long enough
+	// to see where time goes, short enough that the bundle lands while the
+	// incident is still happening.
+	cpuProfileFor = 250 * time.Millisecond
+	// bundleWindows is how many trailing sealed telemetry windows a bundle
+	// retains (at most the collector's ring).
+	bundleWindows = 64
+)
 
 // BundleInfo is one captured bundle's row in /debug/incidents.
 type BundleInfo struct {
@@ -227,7 +216,7 @@ func (c *Capturer) capture(seq int, b Breach, wall time.Time) (BundleInfo, error
 		info.Files = append(info.Files, "flight.jsonl")
 	}
 	if c.cfg.Series != nil {
-		if err := writeJSONFile(filepath.Join(tmp, "timeseries.json"), c.cfg.Series.Snapshots(c.cfg.windows())); err != nil {
+		if err := writeJSONFile(filepath.Join(tmp, "timeseries.json"), c.cfg.Series.Snapshots(bundleWindows)); err != nil {
 			return fail(err)
 		}
 		info.Files = append(info.Files, "timeseries.json")
@@ -259,7 +248,7 @@ func (c *Capturer) capture(seq int, b Breach, wall time.Time) (BundleInfo, error
 	return info, nil
 }
 
-// writeCPUProfile samples a CPU profile into path for cfg.CPUProfile.
+// writeCPUProfile samples a CPU profile into path for cpuProfileFor.
 func (c *Capturer) writeCPUProfile(path string) error {
 	f, err := os.Create(path)
 	if err != nil {
@@ -270,7 +259,7 @@ func (c *Capturer) writeCPUProfile(path string) error {
 		_ = os.Remove(path)
 		return err
 	}
-	c.sleep(c.cfg.cpuProfile())
+	c.sleep(cpuProfileFor)
 	pprof.StopCPUProfile()
 	return f.Close()
 }

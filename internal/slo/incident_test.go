@@ -38,13 +38,11 @@ func testBreach() Breach {
 }
 
 func TestCaptureBundle(t *testing.T) {
-	clock := timeseries.NewSimClock()
-	col := timeseries.New(timeseries.Config{Window: 1, Clock: clock})
+	col := timeseries.New(1)
 	lat := metrics.NewHistogram(nil)
 	col.Histogram("lat", lat)
 	for i := 1; i <= 3; i++ {
 		lat.Observe(0.5)
-		clock.Advance(float64(i))
 		col.Advance(float64(i))
 	}
 

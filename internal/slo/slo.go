@@ -7,14 +7,15 @@
 // burn sample value/Max; the watchdog keeps a short and a long trailing mean
 // of those samples and reports
 //
-//	burning  — short mean ≥ ShortBurn AND long mean ≥ LongBurn
+//	burning  — short mean ≥ 2 AND long mean ≥ 1
 //	          (fast enough to page, slow enough not to flap on one window)
-//	warning  — either mean ≥ WarnBurn but not burning
+//	warning  — either mean ≥ 1 but not burning
 //	healthy  — otherwise
 //
 // Everything is driven by Collector seals, so the watchdog inherits whatever
-// Clock the collector runs on — wall-clock in wdmd, sim-time in tests — and
-// burn windows are deterministic under a SimClock.
+// time axis the collector's owner advances it on — wall-clock in wdmd,
+// sim-time in wdmsim — and burn windows are deterministic under direct
+// Advance calls.
 package slo
 
 import (
@@ -77,14 +78,16 @@ type Objective struct {
 	// (defaults 3 and 12 sealed windows). Short reacts, long confirms.
 	ShortWindows int
 	LongWindows  int
-	// ShortBurn / LongBurn are the burning thresholds on the two means
-	// (defaults 2 and 1: the short window must be at twice budget AND the
-	// long window at budget before the objective pages). WarnBurn is the
-	// warning threshold on either mean (default 1).
-	ShortBurn float64
-	LongBurn  float64
-	WarnBurn  float64
 }
+
+// The burn thresholds on the two trailing means: the short window must be
+// at twice budget AND the long window at budget before an objective pages;
+// either mean at budget warns.
+const (
+	shortBurn = 2
+	longBurn  = 1
+	warnBurn  = 1
+)
 
 func (o *Objective) shortWindows() int {
 	if o.ShortWindows > 0 {
@@ -102,27 +105,6 @@ func (o *Objective) longWindows() int {
 		n = s
 	}
 	return n
-}
-
-func (o *Objective) shortBurn() float64 {
-	if o.ShortBurn > 0 {
-		return o.ShortBurn
-	}
-	return 2
-}
-
-func (o *Objective) longBurn() float64 {
-	if o.LongBurn > 0 {
-		return o.LongBurn
-	}
-	return 1
-}
-
-func (o *Objective) warnBurn() float64 {
-	if o.WarnBurn > 0 {
-		return o.WarnBurn
-	}
-	return 1
 }
 
 // State is an objective's alert state.
@@ -318,9 +300,9 @@ func (os *objState) observe(s *timeseries.Snapshot) (Breach, bool) {
 
 	prev := os.state
 	switch {
-	case os.shortMean >= os.obj.shortBurn() && os.longMean >= os.obj.longBurn():
+	case os.shortMean >= shortBurn && os.longMean >= longBurn:
 		os.state = Burning
-	case os.shortMean >= os.obj.warnBurn() || os.longMean >= os.obj.warnBurn():
+	case os.shortMean >= warnBurn || os.longMean >= warnBurn:
 		os.state = Warning
 	default:
 		os.state = Healthy

@@ -7,10 +7,9 @@ import (
 	"repro/internal/timeseries"
 )
 
-// harness is a collector on a SimClock plus a watchdog — burn-rate windows
-// advance deterministically, no wall clock anywhere.
+// harness is a collector advanced directly plus a watchdog — burn-rate
+// windows advance deterministically, no wall clock anywhere.
 type harness struct {
-	clock    *timeseries.SimClock
 	col      *timeseries.Collector
 	lat      *metrics.Histogram
 	blocked  metrics.Counter
@@ -23,9 +22,8 @@ type harness struct {
 
 func newHarness(t *testing.T, objs ...Objective) *harness {
 	t.Helper()
-	clock := timeseries.NewSimClock()
-	col := timeseries.New(timeseries.Config{Window: 1, Clock: clock})
-	h := &harness{clock: clock, col: col, lat: metrics.NewHistogram(nil)}
+	col := timeseries.New(1)
+	h := &harness{col: col, lat: metrics.NewHistogram(nil)}
 	col.Histogram("lat", h.lat)
 	col.Ratio("blocking", &h.blocked, &h.accepted)
 	col.Rate("conflicts", &h.confl)
@@ -46,7 +44,6 @@ func (h *harness) window(n int, v float64) {
 		h.lat.Observe(v)
 	}
 	h.t++
-	h.clock.Advance(h.t)
 	h.col.Advance(h.t)
 }
 
@@ -74,7 +71,7 @@ func TestValidation(t *testing.T) {
 func TestBreachAndRecovery(t *testing.T) {
 	obj := Objective{
 		Name: "p99", Series: "lat", Kind: KindP99, Max: 0.1,
-		ShortWindows: 2, LongWindows: 4, ShortBurn: 2, LongBurn: 1, WarnBurn: 1,
+		ShortWindows: 2, LongWindows: 4,
 	}
 	h := newHarness(t, obj)
 	var breaches []Breach
@@ -151,7 +148,7 @@ func TestEmptyWindowsDoNotBurnLatency(t *testing.T) {
 func TestRatioObjective(t *testing.T) {
 	obj := Objective{
 		Name: "blocking", Series: "blocking", Kind: KindRatio, Max: 0.1,
-		ShortWindows: 2, LongWindows: 3, ShortBurn: 2, LongBurn: 1,
+		ShortWindows: 2, LongWindows: 3,
 	}
 	h := newHarness(t, obj)
 	// 50% blocking, burn 5, sustained.
@@ -168,7 +165,7 @@ func TestRatioObjective(t *testing.T) {
 func TestRateObjective(t *testing.T) {
 	obj := Objective{
 		Name: "conflicts", Series: "conflicts", Kind: KindRate, Max: 2, // 2 conflicts/s
-		ShortWindows: 2, LongWindows: 3, ShortBurn: 2, LongBurn: 1,
+		ShortWindows: 2, LongWindows: 3,
 	}
 	h := newHarness(t, obj)
 	for i := 0; i < 3; i++ {
@@ -185,7 +182,7 @@ func TestRateObjective(t *testing.T) {
 func TestStalenessObjective(t *testing.T) {
 	obj := Objective{
 		Name: "epochs", Series: "epochs", Kind: KindStaleness, Max: 1, // 1s without epochs
-		ShortWindows: 3, LongWindows: 3, ShortBurn: 2, LongBurn: 1,
+		ShortWindows: 3, LongWindows: 3,
 	}
 	h := newHarness(t, obj)
 	// Epochs flowing: healthy.
@@ -220,7 +217,7 @@ func TestStatusAggregatesWorstState(t *testing.T) {
 	h := newHarness(t,
 		Objective{Name: "a", Series: "lat", Kind: KindP99, Max: 1e9}, // never burns
 		Objective{Name: "b", Series: "blocking", Kind: KindRatio, Max: 0.01,
-			ShortWindows: 1, LongWindows: 1, ShortBurn: 1, LongBurn: 1},
+			ShortWindows: 1, LongWindows: 1},
 	)
 	h.blocked.Inc()
 	h.window(1, 0.001)
@@ -237,7 +234,7 @@ func TestEnableMetricsGauges(t *testing.T) {
 	reg := metrics.NewRegistry()
 	h := newHarness(t, Objective{
 		Name: "Req P99!", Series: "lat", Kind: KindP99, Max: 0.1,
-		ShortWindows: 1, LongWindows: 1, ShortBurn: 1, LongBurn: 1,
+		ShortWindows: 1, LongWindows: 1,
 	})
 	h.wd.EnableMetrics(reg)
 	h.window(5, 1.0) // burn 10 → burning

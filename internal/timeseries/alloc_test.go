@@ -39,7 +39,7 @@ func TestDisabledAddsNoAllocs(t *testing.T) {
 // collector: samples go into the windowed instruments' atomics (and gauge
 // samples into the collector's accumulator), so no per-sample allocations.
 func TestSteadyStateObserveAllocsFree(t *testing.T) {
-	c := newSimCol(1e9, 0) // one giant window: no seals during the run
+	c := New(1e9) // one giant window: no seals during the run
 	h := metrics.NewHistogram(nil)
 	r, hit, miss := &metrics.Counter{}, &metrics.Counter{}, &metrics.Counter{}
 	c.Histogram("lat", h)

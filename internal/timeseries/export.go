@@ -5,9 +5,30 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"os"
 	"strconv"
 	"strings"
 )
+
+// FileSink is a Sink over a file: Close flushes the buffered windows and
+// closes the file, reporting the first error.
+type FileSink interface {
+	Sink
+	Close() error
+}
+
+// CreateFile creates path and returns a sink streaming sealed windows to it:
+// CSV when the path ends in .csv, JSONL otherwise.
+func CreateFile(path string) (FileSink, error) {
+	fh, err := os.Create(path)
+	if err != nil {
+		return nil, err
+	}
+	if strings.HasSuffix(path, ".csv") {
+		return NewCSV(fh), nil
+	}
+	return NewJSONL(fh), nil
+}
 
 // JSONL streams sealed windows as one JSON object per line through an
 // internal buffer. Call Flush (or Close) when done, or trailing windows

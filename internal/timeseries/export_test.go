@@ -20,7 +20,7 @@ var update = flag.Bool("update", false, "rewrite golden files")
 // five windows of latency samples, counters, a blocking ratio and a load
 // gauge. Purely arithmetic, so the exported bytes are stable across runs and
 // platforms — the simulator's own latencies are wall-clock and would not be.
-func fillDeterministic(c simCol) {
+func fillDeterministic(c *Collector) {
 	rng := rand.New(rand.NewSource(7))
 	h := metrics.NewHistogram(nil)
 	acc, blk := &metrics.Counter{}, &metrics.Counter{}
@@ -38,7 +38,7 @@ func fillDeterministic(c simCol) {
 				acc.Inc()
 			}
 		}
-		c.advance(float64(w+1) * 2)
+		c.Advance(float64(w+1) * 2)
 	}
 }
 
@@ -61,7 +61,7 @@ func checkGolden(t *testing.T, got []byte, name string) {
 }
 
 func TestGoldenJSONL(t *testing.T) {
-	c := newSimCol(2, 0)
+	c := New(2)
 	var buf bytes.Buffer
 	sink := NewJSONL(&buf)
 	c.SetSink(sink)
@@ -85,7 +85,7 @@ func TestGoldenJSONL(t *testing.T) {
 }
 
 func TestGoldenCSV(t *testing.T) {
-	c := newSimCol(2, 0)
+	c := New(2)
 	var buf bytes.Buffer
 	sink := NewCSV(&buf)
 	c.SetSink(sink)
@@ -99,16 +99,48 @@ func TestGoldenCSV(t *testing.T) {
 	checkGolden(t, buf.Bytes(), "soak.csv")
 }
 
+// TestCreateFileFormatBySuffix pins the one file-sink opener: a .csv path
+// gets the CSV encoding and any other path JSONL, byte-identical to the
+// in-memory sinks' goldens once Close has flushed the file.
+func TestCreateFileFormatBySuffix(t *testing.T) {
+	dir := t.TempDir()
+	for file, golden := range map[string]string{
+		"soak.csv":   "soak.csv",
+		"soak.jsonl": "soak.jsonl",
+		"soak":       "soak.jsonl",
+	} {
+		path := filepath.Join(dir, file)
+		sink, err := CreateFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := New(2)
+		c.SetSink(sink)
+		fillDeterministic(c)
+		if err := sink.Close(); err != nil {
+			t.Fatal(err)
+		}
+		got, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkGolden(t, got, golden)
+	}
+	if _, err := CreateFile(filepath.Join(dir, "missing", "w.csv")); err == nil {
+		t.Fatal("CreateFile into a missing directory succeeded")
+	}
+}
+
 func TestCSVRejectsRaggedWindows(t *testing.T) {
-	c := newSimCol(1, 0)
+	c := New(1)
 	var buf bytes.Buffer
 	c.SetSink(NewCSV(&buf))
 	c.Rate("a", &metrics.Counter{})
-	c.advance(1)
+	c.Advance(1)
 	// Registering a series mid-run would change the column set; the CSV sink
 	// must fail loudly rather than silently write a ragged file.
 	c.Rate("b", &metrics.Counter{})
-	c.advance(2)
+	c.Advance(2)
 	if c.SinkErr() == nil {
 		t.Fatal("ragged CSV accepted")
 	}

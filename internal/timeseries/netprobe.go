@@ -1,9 +1,63 @@
 package timeseries
 
 import (
+	"sync/atomic"
+
 	"repro/internal/bitset"
 	"repro/internal/wdm"
 )
+
+// Network-state gauge names, set by the probe SampleNetwork registers at
+// every window seal.
+const (
+	// SeriesActiveConns gauges the live connection count.
+	SeriesActiveConns = "active_conns"
+	// SeriesLinkLoadMean and SeriesLinkLoadMax gauge per-link ρ(e)
+	// aggregates; the max is the network load ρ of Eq. 2.
+	SeriesLinkLoadMean = "link_load_mean"
+	SeriesLinkLoadMax  = "link_load_max"
+	// SeriesFragMean gauges mean first-fit wavelength fragmentation.
+	SeriesFragMean = "frag_mean"
+)
+
+// NetProbe holds the network state sampled at the last window seal. A nil
+// *NetProbe (telemetry off) has no state.
+type NetProbe struct {
+	latest atomic.Pointer[NetState]
+}
+
+// SampleNetwork registers the network-state probe: at every seal,
+// sample(windowEnd) captures the network — ProbeNetwork plus whatever the
+// owner adds — the four network gauges take its aggregates, and the state
+// becomes the one Latest returns. sample runs on the owner goroutine, so it
+// may read state only that goroutine writes. Register before the run
+// starts; a nil collector returns a nil probe.
+func (c *Collector) SampleNetwork(sample func(t float64) *NetState) *NetProbe {
+	if c == nil {
+		return nil
+	}
+	p := &NetProbe{}
+	active, loadMean := c.Gauge(SeriesActiveConns), c.Gauge(SeriesLinkLoadMean)
+	loadMax, fragMean := c.Gauge(SeriesLinkLoadMax), c.Gauge(SeriesFragMean)
+	c.OnSeal(func(at float64) {
+		ns := sample(at)
+		active.Set(float64(ns.ActiveConns))
+		loadMean.Set(ns.MeanLoad)
+		loadMax.Set(ns.MaxLoad)
+		fragMean.Set(ns.MeanFrag)
+		p.latest.Store(ns)
+	})
+	return p
+}
+
+// Latest returns the network state sampled at the last seal, or nil before
+// the first seal. Safe from any goroutine: the state is immutable.
+func (p *NetProbe) Latest() *NetState {
+	if p == nil {
+		return nil
+	}
+	return p.latest.Load()
+}
 
 // LinkState is one link's utilization at probe time.
 type LinkState struct {

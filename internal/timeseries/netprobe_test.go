@@ -94,3 +94,51 @@ func TestProbeNetworkLoadIsEq2(t *testing.T) {
 		}
 	}
 }
+
+// TestSampleNetworkGauges checks the one seal-time network probe: at every
+// seal the four network gauges carry the sampled state's aggregates, and
+// that state is the one Latest publishes.
+func TestSampleNetworkGauges(t *testing.T) {
+	if p := (*Collector)(nil).SampleNetwork(nil); p != nil || p.Latest() != nil {
+		t.Fatal("nil collector handed out a probe with state")
+	}
+	net := topo.NSFNET(topo.Config{W: 8})
+	c := New(1)
+	var sampled *NetState
+	p := c.SampleNetwork(func(at float64) *NetState {
+		sampled = ProbeNetwork(net, at, int(at))
+		return sampled
+	})
+	if p.Latest() != nil {
+		t.Fatal("state published before the first seal")
+	}
+	rng := rand.New(rand.NewSource(9))
+	for w := 1; w <= 4; w++ {
+		for i := 0; i < 30; i++ {
+			id, lam := rng.Intn(net.Links()), rng.Intn(net.W())
+			if net.Link(id).HasAvail(lam) {
+				if err := net.Use(id, lam); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		c.Advance(float64(w))
+		if p.Latest() != sampled || sampled.Time != float64(w) {
+			t.Fatalf("window %d: Latest = %p, sampled %p at t=%g", w, p.Latest(), sampled, sampled.Time)
+		}
+		s := c.Latest()
+		for name, want := range map[string]float64{
+			SeriesActiveConns:  float64(sampled.ActiveConns),
+			SeriesLinkLoadMean: sampled.MeanLoad,
+			SeriesLinkLoadMax:  sampled.MaxLoad,
+			SeriesFragMean:     sampled.MeanFrag,
+		} {
+			if g, ok := s.GaugeOf(name); !ok || g.Samples != 1 || g.Last != want {
+				t.Fatalf("window %d: %s = %+v, want %g", w, name, g, want)
+			}
+		}
+	}
+	if sampled.MaxLoad != net.NetworkLoad() || sampled.MaxLoad == 0 {
+		t.Fatalf("last sample MaxLoad = %g, NetworkLoad = %g", sampled.MaxLoad, net.NetworkLoad())
+	}
+}

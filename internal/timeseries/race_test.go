@@ -17,7 +17,7 @@ import (
 // handlers. Run with -race; correctness here is "no torn reads, snapshots
 // internally consistent".
 func TestConcurrentScrape(t *testing.T) {
-	c := newSimCol(1, 16)
+	c := New(1)
 	h := metrics.NewHistogram(nil)
 	blocked, ok := &metrics.Counter{}, &metrics.Counter{}
 	c.Histogram("lat", h)
@@ -51,8 +51,10 @@ func TestConcurrentScrape(t *testing.T) {
 		}()
 	}
 
-	// Owner goroutine: observe and advance through 200 windows.
-	for w := 0; w < 200; w++ {
+	// Owner goroutine: observe and advance far enough that the ring evicts
+	// while the readers scrape.
+	const windows = retention + 100
+	for w := 0; w < windows; w++ {
 		for i := 0; i < 50; i++ {
 			h.Observe(float64(w*50+i+1) * 1e-6)
 			if i%7 == 0 {
@@ -61,13 +63,13 @@ func TestConcurrentScrape(t *testing.T) {
 				ok.Inc()
 			}
 		}
-		c.advance(float64(w + 1))
+		c.Advance(float64(w + 1))
 	}
 	stop.Store(true)
 	wg.Wait()
 
-	if c.TotalSealed() != 200 {
-		t.Fatalf("sealed %d windows, want 200", c.TotalSealed())
+	if c.TotalSealed() != windows {
+		t.Fatalf("sealed %d windows, want %d", c.TotalSealed(), windows)
 	}
 }
 
@@ -78,7 +80,7 @@ func TestConcurrentScrape(t *testing.T) {
 // sample straddling a seal must not leak a ±Inf or NaN extremum into any
 // sealed window (the JSONL sink would refuse to encode it).
 func TestMultiWriterWindowsConserve(t *testing.T) {
-	c := newSimCol(1, 0)
+	c := New(1)
 	var buf bytes.Buffer
 	sink := NewJSONL(&buf)
 	c.SetSink(sink)
@@ -112,7 +114,7 @@ func TestMultiWriterWindowsConserve(t *testing.T) {
 	go func() {
 		defer close(sealer)
 		for at := 1.0; !stop.Load(); at++ {
-			c.advance(at)
+			c.Advance(at)
 			time.Sleep(50 * time.Microsecond)
 		}
 	}()

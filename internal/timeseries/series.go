@@ -77,7 +77,7 @@ type HistValue struct {
 }
 
 // RateValue is a counter series over one window: the raw count and the
-// count per clock second.
+// count per second of the window's time axis.
 type RateValue struct {
 	Name  string  `json:"name"`
 	Count int64   `json:"count"`
@@ -158,31 +158,11 @@ func (s *histSource) seal() HistValue {
 	lo = min(lo, hi)
 	return HistValue{
 		Name: s.name, Count: n, Sum: sum, Mean: sum / float64(n), Min: lo, Max: hi,
-		P50: quantile(bounds, s.cur, n, hi, 0.50),
-		P95: quantile(bounds, s.cur, n, hi, 0.95),
-		P99: quantile(bounds, s.cur, n, hi, 0.99),
+		// Clamping to the window max also makes the overflow bucket finite.
+		P50: min(metrics.BucketQuantile(bounds, s.cur, n, 0.50), hi),
+		P95: min(metrics.BucketQuantile(bounds, s.cur, n, 0.95), hi),
+		P99: min(metrics.BucketQuantile(bounds, s.cur, n, 0.99), hi),
 	}
-}
-
-// quantile returns the smallest bucket bound whose cumulative window count
-// covers rank ⌈q·n⌉, clamped to the window max (which also makes the
-// overflow bucket finite).
-func quantile(bounds []float64, counts []int64, n int64, hi, q float64) float64 {
-	rank := int64(math.Ceil(q * float64(n)))
-	if rank < 1 {
-		rank = 1
-	}
-	cum := int64(0)
-	for i, c := range counts {
-		cum += c
-		if cum >= rank {
-			if i < len(bounds) && bounds[i] < hi {
-				return bounds[i]
-			}
-			return hi
-		}
-	}
-	return hi
 }
 
 // rateSource windows a counter: the change in its value since the previous

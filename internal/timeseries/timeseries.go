@@ -7,13 +7,13 @@
 //
 // A Collector accumulates nothing on the request path. It windows
 // instruments it is handed — metrics histograms and counters — and reads
-// them when it seals a window on a pluggable clock (sim-time from the
-// simulator, wall-clock for live serving): per-window quantiles (p50/p95/
-// p99) from the change in cumulative bucket counts, windowed rates, guarded
-// ratios (empty window ⇒ 0, never NaN), and min/max/mean of collector-owned
-// sampled gauges. One set of instruments therefore backs /metrics and the
+// them when its owner advances time past a window's end (event sim-time in
+// the simulator, elapsed wall-clock seconds in the daemon): per-window
+// quantiles (p50/p95/p99) from the change in cumulative bucket counts,
+// windowed rates, guarded ratios (empty window ⇒ 0, never NaN), and
+// min/max/mean of collector-owned sampled gauges. One set of instruments therefore backs /metrics and the
 // windowed curves, and they cannot disagree. Sealed windows land in a
-// bounded ring (O(Retention) memory no matter how long the run is) and,
+// bounded ring (O(retention) memory no matter how long the run is) and,
 // optionally, stream to a Sink (JSONL/CSV export), so a 1M-request soak
 // retains recent history for live probes while the full curve goes to disk.
 //
@@ -35,20 +35,10 @@ import (
 	"repro/internal/metrics"
 )
 
-// DefaultRetention is the ring capacity when Config.Retention is 0.
-const DefaultRetention = 1024
-
-// Config parameterises a Collector.
-type Config struct {
-	// Window is the width of one aggregation window in clock seconds.
-	Window float64
-	// Retention is how many sealed windows the ring keeps
-	// (DefaultRetention if 0). Older windows are evicted from the ring but
-	// were already streamed to the Sink, if one is set.
-	Retention int
-	// Clock is the time source windows are cut against.
-	Clock Clock
-}
+// retention is how many sealed windows the ring keeps. Older windows are
+// evicted from the ring but were already streamed to the Sink, if one is
+// set.
+const retention = 1024
 
 // Sink consumes sealed windows as they close — the streaming export hook.
 // WriteSnapshot runs on the collector's owner goroutine; the snapshot is
@@ -60,8 +50,8 @@ type Sink interface {
 // Collector cuts windows over the instruments registered with it. Create
 // with New; a nil *Collector is permanently off and hands out nil gauges.
 type Collector struct {
-	mu  sync.Mutex
-	cfg Config
+	mu     sync.Mutex
+	window float64
 
 	hists  []*histSource
 	rates  []*rateSource
@@ -80,24 +70,13 @@ type Collector struct {
 	sealedTotal uint64
 }
 
-// New returns a collector cutting windows of cfg.Window seconds against
-// cfg.Clock. It panics on a non-positive window or a nil clock.
-func New(cfg Config) *Collector {
-	if cfg.Window <= 0 || math.IsInf(cfg.Window, 0) || math.IsNaN(cfg.Window) {
+// New returns a collector cutting windows of window seconds, with window 0
+// ([0, window)) open. It panics on a non-positive or non-finite window.
+func New(window float64) *Collector {
+	if window <= 0 || math.IsInf(window, 0) || math.IsNaN(window) {
 		panic("timeseries: window width must be positive and finite")
 	}
-	if cfg.Clock == nil {
-		panic("timeseries: clock required")
-	}
-	if cfg.Retention <= 0 {
-		cfg.Retention = DefaultRetention
-	}
-	c := &Collector{
-		cfg:  cfg,
-		ring: make([]Snapshot, cfg.Retention),
-	}
-	c.curIdx = c.windowIndex(cfg.Clock.Now())
-	return c
+	return &Collector{window: window, ring: make([]Snapshot, retention)}
 }
 
 // Window returns the configured window width (0 on nil).
@@ -105,14 +84,14 @@ func (c *Collector) Window() float64 {
 	if c == nil {
 		return 0
 	}
-	return c.cfg.Window
+	return c.window
 }
 
 func (c *Collector) windowIndex(t float64) uint64 {
 	if t <= 0 {
 		return 0
 	}
-	return uint64(t / c.cfg.Window)
+	return uint64(t / c.window)
 }
 
 func checkName(name string, haveInstrument bool) {
@@ -264,8 +243,10 @@ func (c *Collector) SinkErr() error {
 }
 
 // Advance rolls the collector forward to time t, sealing every window whose
-// end lies at or before t. The owner goroutine calls it with each event
-// timestamp (sim-time) or periodically (wall-clock). Gaps emit empty
+// end lies at or before t; a t inside the open window or earlier seals
+// nothing, so windows never move backwards. The owner goroutine calls it
+// with each event timestamp (sim-time) or periodically with the seconds
+// elapsed since it built the collector (wall-clock). Gaps emit empty
 // windows, so exported curves stay continuous through idle stretches.
 func (c *Collector) Advance(t float64) {
 	if c == nil {
@@ -278,7 +259,7 @@ func (c *Collector) Advance(t float64) {
 			c.mu.Unlock()
 			return
 		}
-		sealEnd := float64(c.curIdx+1) * c.cfg.Window
+		sealEnd := float64(c.curIdx+1) * c.window
 		probes := c.onSeal
 		c.mu.Unlock()
 		// Probes run unlocked so they can use the public instrument API;
@@ -296,23 +277,15 @@ func (c *Collector) Advance(t float64) {
 	}
 }
 
-// Tick is Advance(clock.Now()) — the wall-clock driver.
-func (c *Collector) Tick() {
-	if c == nil {
-		return
-	}
-	c.Advance(c.cfg.Clock.Now())
-}
-
-// Seal closes the currently open window even though the clock has not
-// reached its end — the end-of-run flush, so a partial final window still
+// Seal closes the currently open window even though time has not reached
+// its end — the end-of-run flush, so a partial final window still
 // reaches the ring and the sink. Probes run first, as on a normal seal.
 func (c *Collector) Seal() {
 	if c == nil {
 		return
 	}
 	c.mu.Lock()
-	sealEnd := float64(c.curIdx+1) * c.cfg.Window
+	sealEnd := float64(c.curIdx+1) * c.window
 	probes := c.onSeal
 	c.mu.Unlock()
 	for _, fn := range probes {
@@ -335,14 +308,14 @@ func (c *Collector) Seal() {
 func (c *Collector) sealLocked() *Snapshot {
 	snap := Snapshot{
 		Window: c.curIdx,
-		Start:  float64(c.curIdx) * c.cfg.Window,
-		End:    float64(c.curIdx+1) * c.cfg.Window,
+		Start:  float64(c.curIdx) * c.window,
+		End:    float64(c.curIdx+1) * c.window,
 	}
 	for _, s := range c.hists {
 		snap.Hists = append(snap.Hists, s.seal())
 	}
 	for _, s := range c.rates {
-		snap.Rates = append(snap.Rates, s.seal(c.cfg.Window))
+		snap.Rates = append(snap.Rates, s.seal(c.window))
 	}
 	for _, s := range c.ratios {
 		snap.Ratios = append(snap.Ratios, s.seal())

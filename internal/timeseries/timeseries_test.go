@@ -11,27 +11,8 @@ import (
 	"repro/internal/stats"
 )
 
-// sim returns a collector on a fresh SimClock, advancing both together.
-type simCol struct {
-	*Collector
-	clock *SimClock
-}
-
-func newSimCol(window float64, retention int) simCol {
-	clock := NewSimClock()
-	return simCol{
-		Collector: New(Config{Window: window, Retention: retention, Clock: clock}),
-		clock:     clock,
-	}
-}
-
-func (s simCol) advance(t float64) {
-	s.clock.Advance(t)
-	s.Collector.Advance(t)
-}
-
 func TestWindowSealingAndGaps(t *testing.T) {
-	c := newSimCol(1.0, 0)
+	c := New(1.0)
 	h := metrics.NewHistogram(nil)
 	r, hit, miss := &metrics.Counter{}, &metrics.Counter{}, &metrics.Counter{}
 	c.Histogram("lat", h)
@@ -52,13 +33,13 @@ func TestWindowSealingAndGaps(t *testing.T) {
 		t.Fatalf("Len before any seal = %d", c.Len())
 	}
 	// Advancing within the open window seals nothing.
-	c.advance(0.99)
+	c.Advance(0.99)
 	if c.Len() != 0 {
 		t.Fatalf("Len after intra-window advance = %d", c.Len())
 	}
 	// Jumping over three window boundaries seals three windows: the active
 	// one plus two empty gap windows, keeping the curve continuous.
-	c.advance(3.5)
+	c.Advance(3.5)
 	if c.Len() != 3 || c.TotalSealed() != 3 {
 		t.Fatalf("Len=%d TotalSealed=%d, want 3, 3", c.Len(), c.TotalSealed())
 	}
@@ -104,14 +85,22 @@ func TestWindowSealingAndGaps(t *testing.T) {
 	if lat := c.Latest(); lat == nil || lat.Window != 2 {
 		t.Fatalf("Latest = %+v", lat)
 	}
+
+	// Advancing to an earlier time, or within the open window, seals
+	// nothing: windows never move back.
+	c.Advance(1.5)
+	c.Advance(3.99)
+	if c.TotalSealed() != 3 {
+		t.Fatalf("TotalSealed = %d after backward advance, want 3", c.TotalSealed())
+	}
 }
 
 func TestSealFlushesPartialWindow(t *testing.T) {
-	c := newSimCol(10, 0)
+	c := New(10)
 	r := &metrics.Counter{}
 	c.Rate("n", r)
 	r.Inc()
-	c.advance(4)
+	c.Advance(4)
 	if c.Len() != 0 {
 		t.Fatal("window sealed early")
 	}
@@ -126,19 +115,19 @@ func TestSealFlushesPartialWindow(t *testing.T) {
 }
 
 func TestRingEviction(t *testing.T) {
-	const retention = 4
-	c := newSimCol(1, retention)
+	const sealed = retention + 5
+	c := New(1)
 	r := &metrics.Counter{}
 	c.Rate("w", r)
-	for i := 0; i < 9; i++ {
+	for i := 0; i < sealed; i++ {
 		r.Add(int64(i)) // window i carries count i
-		c.advance(float64(i + 1))
+		c.Advance(float64(i + 1))
 	}
 	if c.Len() != retention {
 		t.Fatalf("Len = %d, want %d", c.Len(), retention)
 	}
-	if c.TotalSealed() != 9 || c.Evicted() != 5 {
-		t.Fatalf("TotalSealed=%d Evicted=%d, want 9, 5", c.TotalSealed(), c.Evicted())
+	if c.TotalSealed() != sealed || c.Evicted() != 5 {
+		t.Fatalf("TotalSealed=%d Evicted=%d, want %d, 5", c.TotalSealed(), c.Evicted(), sealed)
 	}
 	snaps := c.Snapshots(0)
 	for i, s := range snaps {
@@ -150,7 +139,7 @@ func TestRingEviction(t *testing.T) {
 	}
 	// last=N truncates from the oldest side.
 	last2 := c.Snapshots(2)
-	if len(last2) != 2 || last2[0].Window != 7 || last2[1].Window != 8 {
+	if len(last2) != 2 || last2[0].Window != sealed-2 || last2[1].Window != sealed-1 {
 		t.Fatalf("Snapshots(2) = %v", last2)
 	}
 }
@@ -163,7 +152,7 @@ func TestQuantileAccuracy(t *testing.T) {
 	const ratio = 1.2916 // 10^(1/9), rounded up
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 5; trial++ {
-		c := newSimCol(1, 0)
+		c := New(1)
 		h := metrics.NewHistogram(nil)
 		c.Histogram("lat", h)
 		xs := make([]float64, 0, 5000)
@@ -173,7 +162,7 @@ func TestQuantileAccuracy(t *testing.T) {
 			xs = append(xs, v)
 			h.Observe(v)
 		}
-		c.advance(1)
+		c.Advance(1)
 		hv, _ := c.Latest().Hist("lat")
 		sorted := append([]float64(nil), xs...)
 		sort.Float64s(sorted)
@@ -210,14 +199,14 @@ func TestQuantileAccuracy(t *testing.T) {
 // this one. The window must fall back to the edges of its non-empty bucket
 // rather than report the ±Inf "no sample" sentinels.
 func TestStraddlingSampleKeepsExtremaFinite(t *testing.T) {
-	c := newSimCol(1, 0)
+	c := New(1)
 	h := metrics.NewHistogram(nil)
 	c.Histogram("lat", h)
 	b := h.Bounds()
 	for w, v := range []float64{3e-3, 100} { // an inner bucket, then overflow
 		h.Observe(v)
 		h.TakeWindow() // what the racing seal took
-		c.advance(float64(w + 1))
+		c.Advance(float64(w + 1))
 		hv, _ := c.Latest().Hist("lat")
 		i := sort.SearchFloat64s(b, v)
 		lo, hi := b[i-1], b[min(i, len(b)-1)]
@@ -228,13 +217,13 @@ func TestStraddlingSampleKeepsExtremaFinite(t *testing.T) {
 }
 
 func TestSeriesDedupeByName(t *testing.T) {
-	c := newSimCol(1, 0)
+	c := New(1)
 	a := &metrics.Counter{}
 	c.Rate("same", a)
 	c.Rate("same", a)
 	a.Inc()
 	a.Inc()
-	c.advance(1)
+	c.Advance(1)
 	rv, _ := c.Latest().RateOf("same")
 	if rv.Count != 2 {
 		t.Fatalf("duplicate registration split the series: %+v", rv)
@@ -249,7 +238,7 @@ func TestSeriesDedupeByName(t *testing.T) {
 	for name, register := range map[string]func(){
 		"other counter":   func() { c.Rate("same", &metrics.Counter{}) },
 		"other histogram": func() { c.Histogram("lat", metrics.NewHistogram(nil)) },
-		"claimed twice":   func() { newSimCol(1, 0).Histogram("lat", h) },
+		"claimed twice":   func() { New(1).Histogram("lat", h) },
 	} {
 		func() {
 			defer func() {
@@ -263,12 +252,12 @@ func TestSeriesDedupeByName(t *testing.T) {
 }
 
 func TestSnapshotSeriesSorted(t *testing.T) {
-	c := newSimCol(1, 0)
+	c := New(1)
 	c.Rate("zeta", &metrics.Counter{})
 	c.Rate("alpha", &metrics.Counter{})
 	c.Gauge("mid")
 	c.Gauge("aaa")
-	c.advance(1)
+	c.Advance(1)
 	s := c.Latest()
 	if s.Rates[0].Name != "alpha" || s.Rates[1].Name != "zeta" {
 		t.Fatalf("rates not sorted: %v", s.Rates)
@@ -286,10 +275,10 @@ func (f *failingSink) WriteSnapshot(*Snapshot) error {
 }
 
 func TestSinkErrorLatches(t *testing.T) {
-	c := newSimCol(1, 0)
+	c := New(1)
 	sink := &failingSink{}
 	c.SetSink(sink)
-	c.advance(5)
+	c.Advance(5)
 	if c.SinkErr() == nil {
 		t.Fatal("sink error not surfaced")
 	}
@@ -310,22 +299,23 @@ func (c *countingSink) WriteSnapshot(s *Snapshot) error {
 }
 
 func TestSinkSeesEvictedWindows(t *testing.T) {
-	c := newSimCol(1, 2)
+	c := New(1)
 	sink := &countingSink{}
 	c.SetSink(sink)
 	r := &metrics.Counter{}
 	c.Rate("n", r)
-	for i := 0; i < 7; i++ {
+	const sealed = retention + 7
+	for i := 0; i < sealed; i++ {
 		r.Inc()
-		c.advance(float64(i + 1))
+		c.Advance(float64(i + 1))
 	}
-	if c.Len() != 2 {
+	if c.Len() != retention {
 		t.Fatalf("ring Len = %d", c.Len())
 	}
 	// Every sealed window reached the sink before eviction, so the full
 	// curve survives a bounded ring.
-	if len(sink.snaps) != 7 {
-		t.Fatalf("sink saw %d windows, want 7", len(sink.snaps))
+	if len(sink.snaps) != sealed {
+		t.Fatalf("sink saw %d windows, want %d", len(sink.snaps), sealed)
 	}
 	for i, s := range sink.snaps {
 		if s.Window != uint64(i) {
@@ -335,14 +325,14 @@ func TestSinkSeesEvictedWindows(t *testing.T) {
 }
 
 func TestOnSealProbeLandsInClosingWindow(t *testing.T) {
-	c := newSimCol(1, 0)
+	c := New(1)
 	g := c.Gauge("probe")
 	var ends []float64
 	c.OnSeal(func(end float64) {
 		ends = append(ends, end)
 		g.Set(end) // public API from inside a probe must not deadlock
 	})
-	c.advance(3)
+	c.Advance(3)
 	if len(ends) != 3 || ends[0] != 1 || ends[2] != 3 {
 		t.Fatalf("probe end times = %v", ends)
 	}
@@ -364,7 +354,6 @@ func TestNilCollectorIsNoOp(t *testing.T) {
 	c.OnSeal(func(float64) { t.Fatal("probe on nil collector") })
 	c.SetSink(&countingSink{})
 	c.Advance(100)
-	c.Tick()
 	c.Seal()
 	if c.Len() != 0 || c.TotalSealed() != 0 || c.Evicted() != 0 || c.Window() != 0 {
 		t.Fatal("nil collector reported state")
@@ -375,10 +364,11 @@ func TestNilCollectorIsNoOp(t *testing.T) {
 }
 
 func TestConfigValidation(t *testing.T) {
-	for name, cfg := range map[string]Config{
-		"zero window": {Window: 0, Clock: NewSimClock()},
-		"neg window":  {Window: -1, Clock: NewSimClock()},
-		"nil clock":   {Window: 1},
+	for name, window := range map[string]float64{
+		"zero window": 0,
+		"neg window":  -1,
+		"NaN window":  math.NaN(),
+		"Inf window":  math.Inf(1),
 	} {
 		func() {
 			defer func() {
@@ -386,7 +376,7 @@ func TestConfigValidation(t *testing.T) {
 					t.Fatalf("%s: New did not panic", name)
 				}
 			}()
-			New(cfg)
+			New(window)
 		}()
 	}
 }
