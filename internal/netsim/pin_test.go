@@ -1,9 +1,12 @@
 package netsim
 
 import (
+	"math"
+	"math/rand"
 	"testing"
 
 	"repro/internal/stats"
+	"repro/internal/workload"
 )
 
 // streamPin is the summary of one stats.Stream that a pin compares exactly.
@@ -111,5 +114,39 @@ func TestSimMetricsPinned(t *testing.T) {
 				t.Fatalf("metrics drifted from the pin:\n got %#v\nwant %#v", got, run.want)
 			}
 		})
+	}
+}
+
+// shuffledTies returns a seeded request slice whose arrival order in the
+// slice is not time order and whose events tie: arrival and holding times
+// are rounded to quarters (exact in binary), so many arrivals share a time
+// and many departures and repairs land exactly on an arrival. The run's
+// outcome then depends on the simulator's full (time, sequence) event order:
+// equal-time arrivals in slice order, then failures, then departures and
+// repairs in the order they were scheduled.
+func shuffledTies() []workload.Request {
+	reqs := poisson(14, 1200, 30, 23)
+	for i := range reqs {
+		reqs[i].Arrival = math.Round(reqs[i].Arrival*4) / 4
+		reqs[i].Holding = math.Max(0.25, math.Round(reqs[i].Holding*4)/4)
+	}
+	rng := rand.New(rand.NewSource(5))
+	rng.Shuffle(len(reqs), func(i, j int) { reqs[i], reqs[j] = reqs[j], reqs[i] })
+	return reqs
+}
+
+// TestShuffledTiesPinned pins the complete Metrics of a run over a shuffled
+// request slice with equal event times, random failures on, so a change to
+// how the simulator orders its events shows up bit for bit.
+func TestShuffledTiesPinned(t *testing.T) {
+	cfg := Config{
+		Algorithm: MinCost, Restoration: Active, Reprotect: true,
+		FailureRate: 1, RepairTime: 2, Seed: 3,
+		ReconfigThreshold: 0.7, ReconfigCooldown: 0.5,
+	}
+	want := metricsPin{Offered: 1200, Accepted: 505, Blocked: 695, FailureEvents: 31, AffectedConns: 26, Recovered: 26, RecoveryFailed: 0, BackupLost: 26, ReprotectOK: 35, ReprotectFailed: 17, Reconfigs: 3, ReroutedConns: 8, Cost: streamPin{N: 505, Mean: 6.817821782178218, Min: 3, Max: 15.5}, PathLoad: streamPin{N: 505, Mean: 0.9559405940594059, Min: 0.25, Max: 1}, Hops: streamPin{N: 505, Mean: 2.227722772277227, Min: 1, Max: 6}, RecoveryWork: streamPin{N: 26, Mean: 0, Min: 0, Max: 0}, Availability: streamPin{N: 505, Mean: 1, Min: 1, Max: 1}, LoadIntegral: 43.5949542063263, MaxNetworkLoad: 1, Horizon: 44.99058440045404}
+	got := pinMetrics(New(nsf(4), cfg).Run(shuffledTies()))
+	if got != want {
+		t.Fatalf("metrics drifted from the pin:\n got %#v\nwant %#v", got, want)
 	}
 }
