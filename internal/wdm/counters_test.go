@@ -1,0 +1,112 @@
+package wdm
+
+import (
+	"fmt"
+	"math/rand"
+	"testing"
+)
+
+// checkCounters asserts that every link's N() and U() equal the
+// cardinalities they stand for, |Λ(e)| and |Λ(e)| − |Λ_avail(e)|, and that
+// Load and NetworkLoad follow from them by Eq. 2.
+func checkCounters(t *testing.T, what string, g *Network) {
+	t.Helper()
+	rho := 0.0
+	for id := 0; id < g.Links(); id++ {
+		l := g.Link(id)
+		n, u := l.Lambda().Count(), l.Lambda().Count()-l.Avail().Count()
+		if l.N() != n || l.U() != u {
+			t.Fatalf("%s link %d: N()=%d U()=%d, sets say %d and %d", what, id, l.N(), l.U(), n, u)
+		}
+		load := 1.0
+		if n > 0 {
+			load = float64(u) / float64(n)
+			rho = max(rho, load)
+		}
+		if l.Load() != load {
+			t.Fatalf("%s link %d: Load()=%v, want %v", what, id, l.Load(), load)
+		}
+	}
+	if g.NetworkLoad() != rho {
+		t.Fatalf("%s: NetworkLoad()=%v, want %v", what, g.NetworkLoad(), rho)
+	}
+}
+
+// TestOccupancyCountersFollowSets applies random sequences of Use, Release,
+// ResetAvailability, Clone and CloneSince to networks whose links carry
+// random wavelength subsets (W up to 70, so sets span several words). After
+// every step the counters of every writer and every frozen snapshot must
+// match their sets: a writer's mutation must neither skip its own counters
+// nor leak into a snapshot sharing its records.
+func TestOccupancyCountersFollowSets(t *testing.T) {
+	for seed := int64(1); seed <= 40; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		w := 1 + rng.Intn(70)
+		nodes := 2 + rng.Intn(4)
+		g := NewNetwork(nodes, w)
+		for i := 0; i < 2*nodes; i++ {
+			var lams []Wavelength
+			var costs []float64
+			for lam := 0; lam < w; lam++ {
+				if rng.Intn(4) > 0 {
+					lams = append(lams, lam)
+					costs = append(costs, 1)
+				}
+			}
+			a := rng.Intn(nodes)
+			g.AddLink(a, (a+1+rng.Intn(nodes-1))%nodes, lams, costs)
+		}
+		writers := []*Network{g}
+		var snaps []*Network
+		last := map[*Network]*Network{} // each writer's latest snapshot
+		for step := 0; step < 300; step++ {
+			wr := writers[rng.Intn(len(writers))]
+			switch op := rng.Intn(20); {
+			case op < 8: // Use a random installed, available wavelength
+				l := wr.Link(rng.Intn(wr.Links()))
+				if free := l.Avail().Slice(); len(free) > 0 {
+					if err := wr.Use(l.ID, free[rng.Intn(len(free))]); err != nil {
+						t.Fatal(err)
+					}
+				}
+			case op < 15: // Release a random held wavelength
+				l := wr.Link(rng.Intn(wr.Links()))
+				var held []Wavelength
+				l.Lambda().ForEach(func(lam int) bool {
+					if !l.HasAvail(lam) {
+						held = append(held, lam)
+					}
+					return true
+				})
+				if len(held) > 0 {
+					if err := wr.Release(l.ID, held[rng.Intn(len(held))]); err != nil {
+						t.Fatal(err)
+					}
+				}
+			case op < 16:
+				wr.ResetAvailability()
+			case op < 17:
+				writers = append(writers, wr.Clone())
+			default: // publish a snapshot, sharing the previous one's records
+				prev := last[wr]
+				if rng.Intn(5) == 0 {
+					prev = nil // the full-copy path
+				}
+				var s *Network
+				if prev == nil {
+					s = wr.CloneSince(nil, 0)
+				} else {
+					s = wr.CloneSince(prev, prev.StateVersion())
+				}
+				last[wr] = s
+				snaps = append(snaps, s)
+			}
+			for i, x := range writers {
+				checkCounters(t, fmt.Sprintf("seed %d step %d writer %d", seed, step, i), x)
+			}
+			for i, s := range snaps {
+				checkCounters(t, fmt.Sprintf("seed %d step %d snapshot %d", seed, step, i), s)
+			}
+		}
+	}
+}

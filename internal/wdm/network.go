@@ -27,6 +27,11 @@ type Link struct {
 	lambda *bitset.Set // Λ(e): wavelengths installed on the link
 	avail  *bitset.Set // Λ_avail(e): installed and not held by any connection
 	cost   []float64   // cost[λ] = w(e, λ); +Inf for λ ∉ Λ(e)
+
+	// n = |Λ(e)| and u = |Λ(e)| − |Λ_avail(e)|, kept in step with the two
+	// sets by AddLink, Use, Release and ResetAvailability so the occupancy
+	// reads (N, U, Load, NetworkLoad) cost no popcount.
+	n, u int
 }
 
 // Lambda returns Λ(e) (do not mutate).
@@ -36,19 +41,18 @@ func (l *Link) Lambda() *bitset.Set { return l.lambda }
 func (l *Link) Avail() *bitset.Set { return l.avail }
 
 // N returns N(e) = |Λ(e)|, the installed wavelength count.
-func (l *Link) N() int { return l.lambda.Count() }
+func (l *Link) N() int { return l.n }
 
 // U returns U(e) = |Λ(e)| − |Λ_avail(e)|, the in-use wavelength count.
-func (l *Link) U() int { return l.lambda.Count() - l.avail.Count() }
+func (l *Link) U() int { return l.u }
 
 // Load returns ρ(e) = U(e)/N(e) per Eq. 2. A link with no wavelengths has
 // load 1 (it can carry nothing).
 func (l *Link) Load() float64 {
-	n := l.N()
-	if n == 0 {
+	if l.n == 0 {
 		return 1
 	}
-	return float64(l.U()) / float64(n)
+	return float64(l.u) / float64(l.n)
 }
 
 // Cost returns w(e, λ), or +Inf if λ is not installed on the link.
@@ -283,6 +287,7 @@ func (g *Network) AddLink(from, to int, wavelengths []Wavelength, costs []float6
 		l.avail.Add(lam)
 		l.cost[lam] = costs[i]
 	}
+	l.n = l.lambda.Count()
 	g.links = append(g.links, l)
 	g.out[from] = append(g.out[from], l.ID)
 	g.in[to] = append(g.in[to], l.ID)
@@ -338,6 +343,7 @@ func (g *Network) Use(id int, lambda Wavelength) error {
 		return fmt.Errorf("wdm: λ%d already in use on link %d", lambda, id)
 	}
 	l.avail.Remove(lambda)
+	l.u++
 	g.touchLink(id)
 	return nil
 }
@@ -359,6 +365,7 @@ func (g *Network) Release(id int, lambda Wavelength) error {
 		return fmt.Errorf("wdm: λ%d not in use on link %d", lambda, id)
 	}
 	l.avail.Add(lambda)
+	l.u--
 	g.touchLink(id)
 	return nil
 }
@@ -368,7 +375,7 @@ func (g *Network) Release(id int, lambda Wavelength) error {
 func (g *Network) NetworkLoad() float64 {
 	rho := 0.0
 	for _, l := range g.links {
-		if l.N() == 0 {
+		if l.n == 0 {
 			continue
 		}
 		if r := l.Load(); r > rho {
@@ -424,6 +431,8 @@ func (g *Network) Clone() *Network {
 			lambda: l.lambda.Clone(),
 			avail:  l.avail.Clone(),
 			cost:   append([]float64(nil), l.cost...),
+			n:      l.n,
+			u:      l.u,
 		}
 	}
 	return c
@@ -434,6 +443,7 @@ func (g *Network) Clone() *Network {
 func (g *Network) ResetAvailability() {
 	for _, l := range g.links {
 		l.avail.CopyFrom(l.lambda)
+		l.u = 0
 	}
 	g.touchAll()
 }

@@ -70,6 +70,8 @@ func (g *Network) CloneSince(prev *Network, prevVersion uint64) *Network {
 			lambda: l.lambda, // write-once after AddLink; safe to share with g
 			avail:  set,
 			cost:   l.cost, // write-once after AddLink; safe to share with g
+			n:      l.n,
+			u:      l.u,
 		}
 		c.links[i] = rec
 	}
