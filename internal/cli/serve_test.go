@@ -344,3 +344,39 @@ func TestStartDebugServer(t *testing.T) {
 		t.Fatalf("GET /healthz over TCP = %d %q (%v)", resp.StatusCode, body, err)
 	}
 }
+
+func TestDebugMuxPprofProfiles(t *testing.T) {
+	mux := DebugMux(DebugOpts{})
+	if code, body := get(t, mux, "/debug/pprof/goroutine?debug=1"); code != http.StatusOK || !strings.Contains(body, "goroutine profile:") {
+		t.Fatalf("/debug/pprof/goroutine?debug=1 = %d %q", code, body)
+	}
+	if code, body := get(t, mux, "/debug/pprof/heap"); code != http.StatusOK || !strings.HasPrefix(body, "\x1f\x8b") {
+		t.Fatalf("/debug/pprof/heap = %d, want a gzipped profile", code)
+	}
+	if code, body := get(t, mux, "/debug/pprof/profile?seconds=0"); code != http.StatusOK || !strings.HasPrefix(body, "\x1f\x8b") {
+		t.Fatalf("/debug/pprof/profile?seconds=0 = %d %q, want a gzipped profile", code, body)
+	}
+	if code, body := get(t, mux, "/debug/pprof/trace?seconds=0"); code != http.StatusOK || !strings.HasPrefix(body, "go 1.") {
+		t.Fatalf("/debug/pprof/trace?seconds=0 = %d, want an execution trace", code)
+	}
+	for url, want := range map[string]int{
+		"/debug/pprof/nosuch":             http.StatusNotFound,
+		"/debug/pprof/heap?debug=x":       http.StatusBadRequest,
+		"/debug/pprof/profile?seconds=-1": http.StatusBadRequest,
+	} {
+		if code, _ := get(t, mux, url); code != want {
+			t.Errorf("%s = %d, want %d", url, code, want)
+		}
+	}
+}
+
+// TestDefaultMuxHasNoPprof guards against a dependency registering the
+// profiling handlers on http.DefaultServeMux: the debug endpoints belong to
+// DebugMux alone.
+func TestDefaultMuxHasNoPprof(t *testing.T) {
+	rec := httptest.NewRecorder()
+	http.DefaultServeMux.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/debug/pprof/", nil))
+	if rec.Code != http.StatusNotFound {
+		t.Fatalf("DefaultServeMux /debug/pprof/ = %d, want 404", rec.Code)
+	}
+}
