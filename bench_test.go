@@ -101,10 +101,6 @@ func BenchmarkE13ConversionGain(b *testing.B) { runExperiment(b, "E13") }
 // comparison (extension).
 func BenchmarkE14Alternate(b *testing.B) { runExperiment(b, "E14") }
 
-// BenchmarkE15SharedBackup regenerates the SBPP capacity-savings comparison
-// (extension).
-func BenchmarkE15SharedBackup(b *testing.B) { runExperiment(b, "E15") }
-
 // BenchmarkE16SRLG regenerates the SRLG-aware protection comparison
 // (extension).
 func BenchmarkE16SRLG(b *testing.B) { runExperiment(b, "E16") }

@@ -1,6 +1,6 @@
 // wdmbench regenerates the paper-reproduction experiment tables (F1, E1–E19
-// of DESIGN.md). Run without flags for the full suite at full scale, or
-// select one experiment:
+// of DESIGN.md; E15, shared backup, is retired). Run without flags for the
+// full suite at full scale, or select one experiment:
 //
 //	wdmbench -exp E4            # one experiment
 //	wdmbench -quick             # reduced scale (seconds instead of minutes)

@@ -80,37 +80,11 @@ func ExampleProvision() {
 		{ID: 0, Src: 0, Dst: 13},
 		{ID: 1, Src: 5, Dst: 9},
 	}, repro.ProvisionConfig{
-		Router: repro.ProvisionMinCost,
-		Order:  repro.OrderLongestFirst,
+		Algorithm: repro.AlgoMinCost,
+		Order:     repro.OrderLongestFirst,
 	})
 	fmt.Println("placed:", res.Placed)
 	// Output: placed: 2
-}
-
-// Shared-backup path protection: backup channels shared between
-// link-disjoint primaries.
-func ExampleNewSharedProtection() {
-	// Three corridors 0→{1,2,3}→4; W=1 forces the two connections onto
-	// disjoint primary corridors, and both back up over the third — where
-	// their channels are shared.
-	net := repro.NewNetwork(5, 1)
-	net.AddUniformLink(0, 1, 1)
-	net.AddUniformLink(1, 4, 1)
-	net.AddUniformLink(0, 2, 1.2)
-	net.AddUniformLink(2, 4, 1.2)
-	net.AddUniformLink(0, 3, 5)
-	net.AddUniformLink(3, 4, 5)
-	net.SetAllConverters(repro.NewFullConverter(1, 0))
-	mgr := repro.NewSharedProtection(net)
-	if _, ok := mgr.Establish(0, 4); !ok {
-		panic("establish failed")
-	}
-	if _, ok := mgr.Establish(0, 4); !ok {
-		panic("establish failed")
-	}
-	rep := mgr.Report()
-	fmt.Println("backup channels:", rep.BackupChannels, "dedicated would need:", rep.BackupDemand)
-	// Output: backup channels: 2 dedicated would need: 4
 }
 
 // SRLG-aware protection avoids shared-duct risks.

@@ -43,7 +43,7 @@ func main() {
 		{"shortest first", 2},
 	} {
 		net := repro.NSFNET(repro.TopoConfig{W: 4})
-		cfg := repro.ProvisionConfig{Router: repro.ProvisionMinCost, ImprovePasses: 2}
+		cfg := repro.ProvisionConfig{Algorithm: repro.AlgoMinCost, ImprovePasses: 2}
 		switch c.order {
 		case 1:
 			cfg.Order = repro.OrderLongestFirst
@@ -55,20 +55,10 @@ func main() {
 	}
 
 	// Take the shortest-first layout and reconfigure it for load.
-	net := repro.NSFNET(repro.TopoConfig{W: 4})
-	res := repro.Provision(net, demandSet(11, count), repro.ProvisionConfig{
-		Router: repro.ProvisionMinCost, Order: repro.OrderShortestFirst,
+	res := repro.Provision(repro.NSFNET(repro.TopoConfig{W: 4}), demandSet(11, count), repro.ProvisionConfig{
+		Algorithm: repro.AlgoMinCost, Order: repro.OrderShortestFirst,
 	})
-	var conns []*repro.LiveConnection
-	for _, p := range res.Placements {
-		if p.Route != nil {
-			conns = append(conns, &repro.LiveConnection{
-				ID: p.Demand.ID, Src: p.Demand.Src, Dst: p.Demand.Dst,
-				Primary: p.Route.Primary, Backup: p.Route.Backup,
-			})
-		}
-	}
-	rec := repro.Reoptimize(net, conns, 0, nil)
+	rec := repro.Reoptimize(res.Table)
 	fmt.Printf("\nfull reconfiguration of the shortest-first layout:\n")
 	fmt.Printf("  ρ %.3f → %.3f, %d connections moved in %d rounds\n",
 		rec.LoadBefore, rec.LoadAfter, rec.Moves, rec.Rounds)

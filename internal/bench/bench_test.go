@@ -11,7 +11,7 @@ func quick() Options { return Options{Quick: true, Seeds: 2} }
 
 func TestRegistryCompleteAndOrdered(t *testing.T) {
 	reg := Registry()
-	want := []string{"F1", "E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8", "E9", "E10", "E11", "E12", "E13", "E14", "E15", "E16", "E17", "E18", "E19"}
+	want := []string{"F1", "E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8", "E9", "E10", "E11", "E12", "E13", "E14", "E16", "E17", "E18", "E19"}
 	if len(reg) != len(want) {
 		t.Fatalf("registry has %d experiments, want %d", len(reg), len(want))
 	}
@@ -248,18 +248,6 @@ func TestE14AdaptiveNeverWorseThanFixedK1(t *testing.T) {
 	}
 	if adaptive > fixed1+1e-9 {
 		t.Fatalf("adaptive blocking %g exceeds fixed k=1 %g", adaptive, fixed1)
-	}
-}
-
-func TestE15SavingsNonNegative(t *testing.T) {
-	tb := E15(Options{Quick: true, Seeds: 2})
-	for _, row := range tb.Rows {
-		if s := parsePct(t, row[6]); s < 0 {
-			t.Fatalf("negative sharing savings: %v", row)
-		}
-		if parseF(t, row[5]) > parseF(t, row[4])+1e-9 {
-			t.Fatalf("reserved exceeds dedicated demand: %v", row)
-		}
 	}
 }
 

@@ -4,12 +4,12 @@ import (
 	"fmt"
 	"math/rand"
 
+	"repro/internal/conns"
 	"repro/internal/core"
 	"repro/internal/netsim"
 	"repro/internal/parallel"
 	"repro/internal/provision"
 	"repro/internal/reconfig"
-	"repro/internal/sbpp"
 	"repro/internal/stats"
 	"repro/internal/topo"
 	"repro/internal/wdm"
@@ -146,7 +146,7 @@ func E12(o Options) *Table {
 				ds = append(ds, provision.Demand{ID: k, Src: s, Dst: d})
 			}
 			res := provision.Provision(topo.NSFNET(topo.Config{W: 4}), ds, provision.Config{
-				Router: provision.MinCost, Order: c.order, ImprovePasses: c.improve,
+				Algorithm: core.MinCost, Order: c.order, ImprovePasses: c.improve,
 			})
 			return sample{placed: res.Placed, improved: res.Improved, cost: res.TotalCost, load: res.NetworkLoad}
 		})
@@ -262,70 +262,6 @@ func E14(o Options) *Table {
 			})
 			t.AddRow(fmtF(erl), d.name, fmtPct(bl.Mean()), fmtF(cost.Mean()))
 		}
-	}
-	return t
-}
-
-// E15 quantifies the capacity saved by shared-backup path protection
-// (extension): the paper's activate approach dedicates every backup
-// channel; SBPP shares backup channels between connections whose primaries
-// are link-disjoint.
-func E15(o Options) *Table {
-	t := &Table{
-		ID:      "E15",
-		Title:   "Dedicated vs shared backup capacity (SBPP extension)",
-		Columns: []string{"topology", "W", "demands", "placed", "backup demand", "backup reserved", "savings"},
-		Notes:   "batch establishment; savings = 1 − reserved/dedicated backup channels, single-failure sharing rule",
-	}
-	seeds := o.seeds(10, 3)
-	demands := 60
-	if o.Quick {
-		demands = 25
-	}
-	cases := []struct {
-		name string
-		mk   func() *wdm.Network
-		n    int
-	}{
-		{"nsfnet", func() *wdm.Network { return topo.NSFNET(topo.Config{W: 8}) }, 14},
-		{"arpa2", func() *wdm.Network { return topo.ARPA2(topo.Config{W: 8}) }, 20},
-	}
-	if o.Quick {
-		cases = cases[:1]
-	}
-	for _, c := range cases {
-		c := c
-		type sample struct {
-			placed, demand, reserved int
-		}
-		samples := parallel.Map(seeds, 0, func(i int) sample {
-			rng := rand.New(rand.NewSource(int64(71000 + i)))
-			m := sbpp.NewManager(c.mk())
-			placed := 0
-			for k := 0; k < demands; k++ {
-				s := rng.Intn(c.n)
-				d := rng.Intn(c.n - 1)
-				if d >= s {
-					d++
-				}
-				if _, ok := m.Establish(s, d); ok {
-					placed++
-				}
-			}
-			rep := m.Report()
-			return sample{placed: placed, demand: rep.BackupDemand, reserved: rep.BackupChannels}
-		})
-		var placed, demand, reserved, savings stats.Stream
-		for _, s := range samples {
-			placed.Add(float64(s.placed))
-			demand.Add(float64(s.demand))
-			reserved.Add(float64(s.reserved))
-			if s.demand > 0 {
-				savings.Add(1 - float64(s.reserved)/float64(s.demand))
-			}
-		}
-		t.AddRow(c.name, "8", fmt.Sprint(demands), fmtF(placed.Mean()),
-			fmtF(demand.Mean()), fmtF(reserved.Mean()), fmtPct(savings.Mean()))
 	}
 	return t
 }
@@ -619,44 +555,32 @@ func E19(o Options) *Table {
 		{"min-load-cost", (*core.Router).MinLoadCost},
 	} {
 		algo := algo
-		type sample struct {
-			before, after float64
-			moves         int
-			ok            bool
-		}
-		samples := parallel.Map(seeds, 0, func(i int) sample {
+		samples := parallel.Map(seeds, 0, func(i int) *reconfig.Result {
 			rng := rand.New(rand.NewSource(int64(97000 + i)))
-			net := topo.NSFNET(topo.Config{W: 8})
+			tab := conns.New[struct{}](topo.NSFNET(topo.Config{W: 8}))
 			router := core.NewRouter(nil)
-			var conns []*reconfig.Connection
 			for k := 0; k < demands; k++ {
 				s := rng.Intn(14)
 				d := rng.Intn(13)
 				if d >= s {
 					d++
 				}
-				r, ok := algo.route(router, net, s, d)
-				if !ok || core.Establish(net, r) != nil {
-					continue
+				if r, ok := algo.route(router, tab.Network(), s, d); ok {
+					// A pair the table refuses blocks the demand, changing
+					// nothing, so the error needs no handling.
+					_, _ = tab.Admit(int64(k), s, d, conns.Pair{Primary: r.Primary.Hops, Backup: r.Backup.Hops})
 				}
-				conns = append(conns, &reconfig.Connection{
-					ID: k, Src: s, Dst: d, Primary: r.Primary, Backup: r.Backup,
-				})
 			}
-			res := reconfig.Optimize(net, conns, 0, nil)
-			return sample{before: res.LoadBefore, after: res.LoadAfter, moves: res.Moves, ok: true}
+			return reconfig.Optimize(tab)
 		})
 		var before, after, gain, moves stats.Stream
 		for _, s := range samples {
-			if !s.ok {
-				continue
+			before.Add(s.LoadBefore)
+			after.Add(s.LoadAfter)
+			if s.LoadBefore > 0 {
+				gain.Add((s.LoadBefore - s.LoadAfter) / s.LoadBefore)
 			}
-			before.Add(s.before)
-			after.Add(s.after)
-			if s.before > 0 {
-				gain.Add((s.before - s.after) / s.before)
-			}
-			moves.Add(float64(s.moves))
+			moves.Add(float64(s.Moves))
 		}
 		t.AddRow(algo.name, fmtF(before.Mean()), fmtF(after.Mean()),
 			fmtPct(gain.Mean()), fmtF(moves.Mean()))

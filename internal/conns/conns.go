@@ -1,8 +1,9 @@
-// Package conns is the connection table behind every dynamic provisioning
-// loop in the repository: the simulator (netsim) and the daemon's commit
-// step (serve) admit, tear down, reroute, switch over and re-protect
-// connections through it, and it is the only code that reserves, releases
-// or quarantines channels for live connections.
+// Package conns is the connection table behind every provisioning loop in
+// the repository: the simulator (netsim) and the daemon's commit step
+// (serve) admit, tear down, reroute, switch over and re-protect connections
+// through it; the off-line tools place (provision) and move (reconfig)
+// theirs through it; and it is the only code that reserves, releases or
+// quarantines channels for live connections.
 //
 // A Table owns a *wdm.Network and the registry of live connections on it.
 // It has a single writer: every mutating method must be called from one

@@ -4,19 +4,21 @@ import (
 	"testing"
 
 	"repro/internal/check"
+	"repro/internal/core"
 )
 
 // TestProvisionOnGeneratedInstances runs batch provisioning — including the
-// improvement passes, which exercise the teardown/re-establish path — over
-// generated topologies and demand sets, auditing every placement with the
-// check oracle and verifying full capacity conservation after release.
+// improvement passes, which exercise the table's reroute-and-restore path —
+// over generated topologies and demand sets, auditing every placement with
+// the check oracle and the table's audit, and verifying full capacity
+// conservation after every connection is torn down.
 func TestProvisionOnGeneratedInstances(t *testing.T) {
 	configs := []Config{
-		{Router: MinCost},
-		{Router: MinLoadCost, Order: LongestFirst},
-		{Router: NodeDisjoint, Order: ShortestFirst},
-		{Router: MinCost, ImprovePasses: 2},
-		{Router: MinLoadCost, ImprovePasses: 1},
+		{Algorithm: core.MinCost},
+		{Algorithm: core.MinLoadCost, Order: LongestFirst},
+		{Algorithm: core.MinCost, Order: ShortestFirst},
+		{Algorithm: core.MinCost, ImprovePasses: 2},
+		{Algorithm: core.MinLoadCost, ImprovePasses: 1},
 	}
 	for seed := int64(0); seed < 12; seed++ {
 		in := check.GenerateSeeded(seed, 7)
@@ -62,11 +64,6 @@ func TestProvisionOnGeneratedInstances(t *testing.T) {
 				if err := check.EdgeDisjoint(pl.Route.Primary, pl.Route.Backup); err != nil {
 					t.Fatalf("seed %d cfg %d demand %d: %v", seed, ci, d.ID, err)
 				}
-				if cfg.Router == NodeDisjoint {
-					if err := check.NodeDisjoint(net, pl.Route.Primary, pl.Route.Backup, d.Src, d.Dst); err != nil {
-						t.Fatalf("seed %d cfg %d demand %d: %v", seed, ci, d.ID, err)
-					}
-				}
 				// The recorded cost must match the Eq. 1 recomputation on the
 				// final residual state (per-link costs are load-independent).
 				got := check.PathCost(net, pl.Route.Primary) + check.PathCost(net, pl.Route.Backup)
@@ -87,28 +84,13 @@ func TestProvisionOnGeneratedInstances(t *testing.T) {
 				t.Fatalf("seed %d cfg %d: NetworkLoad = %g, network says %g",
 					seed, ci, res.NetworkLoad, got)
 			}
-			if err := check.LoadAccounting(net); err != nil {
-				t.Fatalf("seed %d cfg %d: %v", seed, ci, err)
-			}
+			mustAudit(t, res.Table)
 
-			// Release everything: improvement passes must not have leaked
-			// channels from their teardown/re-establish churn.
-			for _, pl := range res.Placements {
-				if pl.Route == nil {
-					continue
-				}
-				if err := net.ReleasePath(pl.Route.Primary); err != nil {
-					t.Fatalf("seed %d cfg %d: release primary: %v", seed, ci, err)
-				}
-				if err := net.ReleasePath(pl.Route.Backup); err != nil {
-					t.Fatalf("seed %d cfg %d: release backup: %v", seed, ci, err)
-				}
-			}
+			// Tear everything down: improvement passes must not have leaked
+			// channels from their re-routing churn.
+			drain(t, res.Table)
 			if got := net.TotalAvailable(); got != baseAvail {
 				t.Fatalf("seed %d cfg %d: capacity leak: %d available, want %d", seed, ci, got, baseAvail)
-			}
-			if rho := net.NetworkLoad(); rho != 0 {
-				t.Fatalf("seed %d cfg %d: ρ = %g after release", seed, ci, rho)
 			}
 		}
 	}

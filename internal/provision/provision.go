@@ -3,14 +3,17 @@
 // batch of demands known in advance, establish a robust (primary + backup)
 // pair for every demand, minimising total cost. Unlike the paper's online
 // setting, an offline provisioner may afford more computation, so after the
-// sequential first pass it runs local-improvement passes that tear down and
-// re-route one connection at a time while the others stay pinned.
+// sequential first pass it runs local-improvement passes that re-route one
+// connection at a time while the others stay pinned. Every placement is a
+// connection in a conns.Table, so channels move only through the table's
+// all-or-nothing operations.
 package provision
 
 import (
 	"math"
 	"sort"
 
+	"repro/internal/conns"
 	"repro/internal/core"
 	"repro/internal/lightpath"
 	"repro/internal/wdm"
@@ -21,30 +24,6 @@ type Demand struct {
 	ID  int
 	Src int
 	Dst int
-}
-
-// Router selects the per-demand routing algorithm.
-type Router int
-
-const (
-	// MinCost provisions with ApproxMinCost (§3.3).
-	MinCost Router = iota
-	// MinLoadCost provisions with the §4.2 load-then-cost algorithm.
-	MinLoadCost
-	// NodeDisjoint provisions internally node-disjoint pairs.
-	NodeDisjoint
-)
-
-func (r Router) route(eng *core.Router, net *wdm.Network, s, t int) (*core.Result, bool) {
-	switch r {
-	case MinCost:
-		return eng.ApproxMinCost(net, s, t)
-	case MinLoadCost:
-		return eng.MinLoadCost(net, s, t)
-	case NodeDisjoint:
-		return eng.ApproxMinCostNodeDisjoint(net, s, t)
-	}
-	panic("provision: unknown router")
 }
 
 // Order selects the sequential routing order of the first pass.
@@ -64,13 +43,12 @@ const (
 
 // Config tunes Provision.
 type Config struct {
-	Router Router
-	Order  Order
+	// Algorithm routes every demand (core.Router.Route).
+	Algorithm core.Algorithm
+	Order     Order
 	// ImprovePasses re-routes every placed demand this many times after the
 	// first pass, keeping strictly cheaper routings (0 = no improvement).
 	ImprovePasses int
-	// Opts is forwarded to the core routers.
-	Opts *core.Options
 }
 
 // Placement is the outcome for one demand.
@@ -81,9 +59,17 @@ type Placement struct {
 
 // Result summarises a provisioning run.
 type Result struct {
+	// Placements holds one entry per demand, in input order. Their routes
+	// describe the layout at the end of Provision; after a reconfiguration
+	// (reconfig.Optimize, the facade's Reoptimize) moves the table's
+	// connections, Table is the live state.
 	Placements []Placement
-	Placed     int
-	Failed     int
+	// Table holds every placed demand as a connection whose ID is the
+	// demand's index in the input slice. It owns the network Provision was
+	// given.
+	Table  *conns.Table[struct{}]
+	Placed int
+	Failed int
 	// TotalCost is the Eq. 1 cost sum over all placed pairs.
 	TotalCost float64
 	// NetworkLoad is ρ after all placements.
@@ -93,8 +79,8 @@ type Result struct {
 }
 
 // Provision routes the batch on the given network, reserving capacity as it
-// goes. The network is mutated (placed demands stay reserved); pass a clone
-// to keep the original pristine.
+// goes. The network is mutated (placed demands stay reserved) and owned by
+// Result.Table from then on; pass a clone to keep the original pristine.
 func Provision(net *wdm.Network, demands []Demand, cfg Config) *Result {
 	order := make([]int, len(demands))
 	for i := range order {
@@ -119,20 +105,31 @@ func Provision(net *wdm.Network, demands []Demand, cfg Config) *Result {
 		})
 	}
 
-	res := &Result{Placements: make([]Placement, len(demands))}
+	tab := conns.New[struct{}](net)
+	res := &Result{Placements: make([]Placement, len(demands)), Table: tab}
 	for i, d := range demands {
 		res.Placements[i] = Placement{Demand: d}
 	}
-	eng := core.NewRouter(cfg.Opts)
-	for _, idx := range order {
+	eng := core.NewRouter(nil)
+	// place routes demand idx and admits it; false leaves it unplaced.
+	place := func(idx int) bool {
 		d := demands[idx]
-		r, ok := cfg.Router.route(eng, net, d.Src, d.Dst)
-		if !ok || core.Establish(net, r) != nil {
-			res.Failed++
-			continue
+		r, ok := eng.Route(cfg.Algorithm, net, d.Src, d.Dst)
+		if !ok {
+			return false
+		}
+		if _, err := tab.Admit(int64(idx), d.Src, d.Dst, pairOf(r)); err != nil {
+			return false
 		}
 		res.Placements[idx].Route = r
-		res.Placed++
+		return true
+	}
+	for _, idx := range order {
+		if place(idx) {
+			res.Placed++
+		} else {
+			res.Failed++
+		}
 	}
 
 	for pass := 0; pass < cfg.ImprovePasses; pass++ {
@@ -140,30 +137,28 @@ func Provision(net *wdm.Network, demands []Demand, cfg Config) *Result {
 		for idx := range res.Placements {
 			p := &res.Placements[idx]
 			if p.Route == nil {
-				// Retry failures too: earlier teardowns may have freed room.
-				if r, ok := cfg.Router.route(eng, net, p.Demand.Src, p.Demand.Dst); ok &&
-					core.Establish(net, r) == nil {
-					p.Route = r
+				// Retry failures too: earlier re-routings may have freed room.
+				if place(idx) {
 					res.Placed++
 					res.Failed--
 					improvedThisPass++
 				}
 				continue
 			}
-			old := p.Route
-			if err := core.Teardown(net, old); err != nil {
-				panic("provision: teardown failed: " + err.Error())
-			}
-			r, ok := cfg.Router.route(eng, net, p.Demand.Src, p.Demand.Dst)
-			if ok && r.Cost < old.Cost-1e-9 && core.Establish(net, r) == nil {
-				p.Route = r
+			// Re-route with the demand's own channels free; the table keeps
+			// the old pair unless the new one is strictly cheaper.
+			var next *core.Result
+			_, err := tab.Reroute(int64(idx), conns.Pair{}, func(c *conns.Conn[struct{}]) (conns.Pair, bool) {
+				r, ok := eng.Route(cfg.Algorithm, net, c.Src, c.Dst)
+				if !ok || r.Cost >= p.Route.Cost-1e-9 {
+					return conns.Pair{}, false
+				}
+				next = r
+				return pairOf(r), true
+			})
+			if err == nil {
+				p.Route = next
 				improvedThisPass++
-				continue
-			}
-			// Keep the old routing (re-reserve; nothing else moved since
-			// the teardown).
-			if err := core.Establish(net, old); err != nil {
-				panic("provision: re-establish failed: " + err.Error())
 			}
 		}
 		res.Improved += improvedThisPass
@@ -179,4 +174,9 @@ func Provision(net *wdm.Network, demands []Demand, cfg Config) *Result {
 	}
 	res.NetworkLoad = net.NetworkLoad()
 	return res
+}
+
+// pairOf is r's primary and backup as a table pair.
+func pairOf(r *core.Result) conns.Pair {
+	return conns.Pair{Primary: r.Primary.Hops, Backup: r.Backup.Hops}
 }

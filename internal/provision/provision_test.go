@@ -5,9 +5,36 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/conns"
+	"repro/internal/core"
 	"repro/internal/topo"
 	"repro/internal/wdm"
 )
+
+// mustAudit fails the test when the table's state does not re-derive.
+func mustAudit(t *testing.T, tab *conns.Table[struct{}]) {
+	t.Helper()
+	if err := tab.Audit(); err != nil {
+		t.Fatalf("audit: %v", err)
+	}
+}
+
+// drain tears every connection down through the table, checks that the
+// network is idle and the audit clean, and returns how many it tore down.
+func drain(t *testing.T, tab *conns.Table[struct{}]) int {
+	t.Helper()
+	ids := tab.IDs(nil)
+	for _, id := range ids {
+		if _, err := tab.Teardown(id); err != nil {
+			t.Fatalf("teardown %d: %v", id, err)
+		}
+	}
+	if rho := tab.Network().NetworkLoad(); rho != 0 {
+		t.Fatalf("ρ = %g after tearing every connection down", rho)
+	}
+	mustAudit(t, tab)
+	return len(ids)
+}
 
 func demandsFrom(pairs [][2]int) []Demand {
 	ds := make([]Demand, len(pairs))
@@ -20,7 +47,7 @@ func demandsFrom(pairs [][2]int) []Demand {
 func TestProvisionPlacesAll(t *testing.T) {
 	net := topo.NSFNET(topo.Config{W: 8})
 	ds := demandsFrom([][2]int{{0, 13}, {1, 12}, {2, 11}, {3, 10}})
-	res := Provision(net, ds, Config{Router: MinCost})
+	res := Provision(net, ds, Config{Algorithm: core.MinCost})
 	if res.Placed != 4 || res.Failed != 0 {
 		t.Fatalf("placed=%d failed=%d", res.Placed, res.Failed)
 	}
@@ -44,7 +71,7 @@ func TestProvisionCountsFailures(t *testing.T) {
 	// around its endpoints, so repeated identical demands must fail.
 	net := topo.Ring(6, topo.Config{W: 1})
 	ds := demandsFrom([][2]int{{0, 3}, {0, 3}, {0, 3}})
-	res := Provision(net, ds, Config{Router: MinCost})
+	res := Provision(net, ds, Config{Algorithm: core.MinCost})
 	if res.Placed != 1 || res.Failed != 2 {
 		t.Fatalf("placed=%d failed=%d, want 1/2", res.Placed, res.Failed)
 	}
@@ -67,8 +94,8 @@ func TestOrderPoliciesChangeOutcome(t *testing.T) {
 	long := Demand{ID: 0, Src: 0, Dst: 3}
 	short := Demand{ID: 1, Src: 1, Dst: 2}
 	// In order: short first eats span 1-2 on both fibers → long fails.
-	resIn := Provision(mk(), []Demand{short, long}, Config{Router: MinCost, Order: InOrder})
-	resLong := Provision(mk(), []Demand{short, long}, Config{Router: MinCost, Order: LongestFirst})
+	resIn := Provision(mk(), []Demand{short, long}, Config{Algorithm: core.MinCost, Order: InOrder})
+	resLong := Provision(mk(), []Demand{short, long}, Config{Algorithm: core.MinCost, Order: LongestFirst})
 	if resIn.Placed != 1 {
 		t.Fatalf("in-order placed = %d, want 1", resIn.Placed)
 	}
@@ -94,36 +121,43 @@ func TestShortestFirstMaximisesCount(t *testing.T) {
 	net.SetAllConverters(wdm.NewFullConverter(1, 0))
 	// Two short demands fit simultaneously; the long one conflicts with both.
 	ds := []Demand{{ID: 0, Src: 0, Dst: 3}, {ID: 1, Src: 0, Dst: 1}, {ID: 2, Src: 2, Dst: 3}}
-	res := Provision(net, ds, Config{Router: MinCost, Order: ShortestFirst})
+	res := Provision(net, ds, Config{Algorithm: core.MinCost, Order: ShortestFirst})
 	if res.Placed != 2 {
 		t.Fatalf("shortest-first placed = %d, want 2", res.Placed)
 	}
 }
 
 func TestImprovementPassReducesCost(t *testing.T) {
-	// Demand A routed first grabs the cheap corridor that demand B needs
-	// more; after B is placed, re-routing A onto its alternative lowers the
-	// total. Construct: A: 0→2 via cheap 0-2 direct or 0-1-2; B: 0→2 also.
-	// Simpler deterministic check: improvement never increases cost and
-	// reports zero improvements on an already-optimal placement.
-	net := topo.NSFNET(topo.Config{W: 4})
-	rng := rand.New(rand.NewSource(2))
-	var ds []Demand
-	for i := 0; i < 12; i++ {
-		s := rng.Intn(14)
-		d := rng.Intn(13)
-		if d >= s {
-			d++
+	// Improvement never loses a placement, and every re-routing it accepts
+	// is strictly cheaper: with the same demands placed, the total falls by
+	// something whenever a re-routing was accepted, and never rises.
+	for seed := int64(0); seed < 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		var ds []Demand
+		for i := 0; i < 24; i++ {
+			s := rng.Intn(14)
+			d := rng.Intn(13)
+			if d >= s {
+				d++
+			}
+			ds = append(ds, Demand{ID: i, Src: s, Dst: d})
 		}
-		ds = append(ds, Demand{ID: i, Src: s, Dst: d})
-	}
-	base := Provision(topo.NSFNET(topo.Config{W: 4}), ds, Config{Router: MinCost})
-	improved := Provision(net, ds, Config{Router: MinCost, ImprovePasses: 3})
-	if improved.Placed < base.Placed {
-		t.Fatalf("improvement lost placements: %d < %d", improved.Placed, base.Placed)
-	}
-	if improved.TotalCost > base.TotalCost+1e-9 {
-		t.Fatalf("improvement increased cost: %g > %g", improved.TotalCost, base.TotalCost)
+		base := Provision(topo.NSFNET(topo.Config{W: 4}), ds, Config{Algorithm: core.MinCost})
+		improved := Provision(topo.NSFNET(topo.Config{W: 4}), ds, Config{Algorithm: core.MinCost, ImprovePasses: 3})
+		mustAudit(t, base.Table)
+		mustAudit(t, improved.Table)
+		if improved.Placed < base.Placed {
+			t.Fatalf("seed %d: improvement lost placements: %d < %d", seed, improved.Placed, base.Placed)
+		}
+		if improved.Placed > base.Placed {
+			continue // a retried demand adds its cost
+		}
+		if improved.TotalCost > base.TotalCost+1e-9 {
+			t.Fatalf("seed %d: improvement increased cost: %g > %g", seed, improved.TotalCost, base.TotalCost)
+		}
+		if improved.Improved > 0 && improved.TotalCost >= base.TotalCost-1e-9 {
+			t.Fatalf("seed %d: %d re-routings accepted, cost %g → %g", seed, improved.Improved, base.TotalCost, improved.TotalCost)
+		}
 	}
 }
 
@@ -142,58 +176,22 @@ func TestImprovementRetriesFailures(t *testing.T) {
 		}
 		ds = append(ds, Demand{ID: i, Src: s, Dst: d})
 	}
-	res := Provision(net, ds, Config{Router: MinLoadCost, ImprovePasses: 2})
+	res := Provision(net, ds, Config{Algorithm: core.MinLoadCost, ImprovePasses: 2})
 	if res.Placed+res.Failed != len(ds) {
 		t.Fatalf("accounting broken: %d + %d != %d", res.Placed, res.Failed, len(ds))
 	}
-	// Wavelength book-keeping is consistent: releasing everything restores
-	// the full pool.
-	total := 0
-	for _, p := range res.Placements {
-		if p.Route != nil {
-			if err := net.ReleasePath(p.Route.Primary); err != nil {
-				t.Fatal(err)
-			}
-			if err := net.ReleasePath(p.Route.Backup); err != nil {
-				t.Fatal(err)
-			}
-			total++
-		}
-	}
-	if net.NetworkLoad() != 0 {
-		t.Fatal("capacity leaked")
-	}
-	if total != res.Placed {
-		t.Fatal("placement count mismatch")
-	}
-}
-
-func TestNodeDisjointProvisioning(t *testing.T) {
-	net := topo.NSFNET(topo.Config{W: 8})
-	ds := demandsFrom([][2]int{{0, 13}, {5, 8}})
-	res := Provision(net, ds, Config{Router: NodeDisjoint})
-	if res.Placed != 2 {
-		t.Fatalf("placed = %d", res.Placed)
-	}
-	for _, p := range res.Placements {
-		nodes := map[int]bool{}
-		for _, v := range p.Route.Primary.Nodes(net) {
-			if v != p.Demand.Src && v != p.Demand.Dst {
-				nodes[v] = true
-			}
-		}
-		for _, v := range p.Route.Backup.Nodes(net) {
-			if v != p.Demand.Src && v != p.Demand.Dst && nodes[v] {
-				t.Fatal("node-disjoint placement shares a node")
-			}
-		}
+	// Wavelength book-keeping is consistent: tearing every connection down
+	// restores the full pool.
+	mustAudit(t, res.Table)
+	if n := drain(t, res.Table); n != res.Placed {
+		t.Fatalf("%d connections in the table, %d placed", n, res.Placed)
 	}
 }
 
 func TestTotalCostMatchesPlacements(t *testing.T) {
 	net := topo.ARPA2(topo.Config{W: 4})
 	ds := demandsFrom([][2]int{{0, 19}, {3, 16}, {7, 12}})
-	res := Provision(net, ds, Config{Router: MinLoadCost, ImprovePasses: 1})
+	res := Provision(net, ds, Config{Algorithm: core.MinLoadCost, ImprovePasses: 1})
 	sum := 0.0
 	for _, p := range res.Placements {
 		if p.Route != nil {

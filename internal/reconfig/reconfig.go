@@ -7,26 +7,23 @@
 // load-aware routing reduces the need for.
 //
 // The optimizer is an iterated local search: connections riding the most
-// loaded links are torn down and re-routed with the load-minimising router;
-// a round is kept only if ρ (with the number of maximally-loaded links as
-// tie-break) strictly improves.
+// loaded links are rerouted in their conns.Table with the load-minimising
+// router, the same move netsim makes when ρ crosses its reconfiguration
+// threshold; a move is kept only if ρ (with the number of maximally-loaded
+// links as tie-break) strictly improves, and is otherwise moved back.
 package reconfig
 
 import (
+	"slices"
 	"sort"
 
+	"repro/internal/conns"
 	"repro/internal/core"
 	"repro/internal/wdm"
 )
 
-// Connection is one live connection the optimizer may move.
-type Connection struct {
-	ID      int
-	Src     int
-	Dst     int
-	Primary *wdm.Semilightpath
-	Backup  *wdm.Semilightpath // may be nil (unprotected)
-}
+// maxRounds bounds the improvement rounds of one Optimize call.
+const maxRounds = 10
 
 // Result reports a reconfiguration run.
 type Result struct {
@@ -55,18 +52,20 @@ func state(net *wdm.Network) (float64, int) {
 	return rho, at
 }
 
-// Optimize re-routes connections in place (their Primary/Backup fields are
-// updated and the network's reservations adjusted) until the network load
-// stops improving or maxRounds is exhausted (0 = 10). All connections must
-// currently be reserved on the network.
-func Optimize(net *wdm.Network, conns []*Connection, maxRounds int, opts *core.Options) *Result {
-	if maxRounds <= 0 {
-		maxRounds = 10
+// Optimize reroutes the table's connections until the network load stops
+// improving or maxRounds rounds have run.
+func Optimize(tab *conns.Table[struct{}]) *Result {
+	net := tab.Network()
+	res := &Result{LoadBefore: net.NetworkLoad()}
+	moved := map[int64]bool{}
+	router := core.NewRouter(nil)
+	step := func(c *conns.Conn[struct{}]) (conns.Pair, bool) {
+		r, ok := router.MinLoad(net, c.Src, c.Dst)
+		if !ok {
+			return conns.Pair{}, false
+		}
+		return conns.Pair{Primary: r.Primary.Hops, Backup: r.Backup.Hops}, true
 	}
-	res := &Result{}
-	res.LoadBefore = net.NetworkLoad()
-	moved := map[int]bool{}
-	router := core.NewRouter(opts)
 
 	for round := 0; round < maxRounds; round++ {
 		rho, ties := state(net)
@@ -75,56 +74,50 @@ func Optimize(net *wdm.Network, conns []*Connection, maxRounds int, opts *core.O
 		}
 		// Connections on maximally loaded links, most loaded first.
 		type cand struct {
-			c    *Connection
+			id   int64
 			load float64
 		}
 		var cands []cand
-		for _, c := range conns {
+		for _, id := range tab.IDs(nil) {
+			c, _ := tab.Get(id)
 			maxL := 0.0
-			paths := []*wdm.Semilightpath{c.Primary}
-			if c.Backup != nil {
-				paths = append(paths, c.Backup)
-			}
-			for _, p := range paths {
-				for _, h := range p.Hops {
+			for _, hops := range [2][]wdm.Hop{c.Primary, c.Backup} {
+				for _, h := range hops {
 					if l := net.Link(h.Link).Load(); l > maxL {
 						maxL = l
 					}
 				}
 			}
 			if maxL >= rho-1e-12 {
-				cands = append(cands, cand{c: c, load: maxL})
+				cands = append(cands, cand{id: id, load: maxL})
 			}
 		}
+		// IDs ascend, so the stable sort breaks load ties by ID.
 		sort.SliceStable(cands, func(i, j int) bool {
-			if cands[i].load != cands[j].load {
-				return cands[i].load > cands[j].load
-			}
-			return cands[i].c.ID < cands[j].c.ID
+			return cands[i].load > cands[j].load
 		})
 		improvedRound := false
 		for _, cd := range cands {
-			c := cd.c
-			oldP, oldB := c.Primary, c.Backup
-			release(net, oldP, oldB)
-			r, ok := router.MinLoad(net, c.Src, c.Dst)
-			if ok && core.Establish(net, r) == nil {
-				nrho, nties := state(net)
-				if nrho < rho-1e-12 || (nrho <= rho+1e-12 && nties < ties) {
-					c.Primary, c.Backup = r.Primary, r.Backup
-					if !samePaths(oldP, r.Primary) || !samePaths(oldB, r.Backup) {
-						moved[c.ID] = true
-					}
-					rho, ties = nrho, nties
-					improvedRound = true
-					continue
-				}
-				// No improvement: undo.
-				if err := core.Teardown(net, r); err != nil {
-					panic("reconfig: undo teardown failed: " + err.Error())
-				}
+			c, _ := tab.Get(cd.id)
+			// Reroute overwrites the record's hop slices, so keep a copy to
+			// move back to.
+			old := conns.Pair{Primary: slices.Clone(c.Primary), Backup: slices.Clone(c.Backup)}
+			if _, err := tab.Reroute(cd.id, conns.Pair{}, step); err != nil {
+				continue // no pair: the table kept the old one
 			}
-			reserve(net, oldP, oldB)
+			nrho, nties := state(net)
+			if nrho < rho-1e-12 || (nrho <= rho+1e-12 && nties < ties) {
+				if !slices.Equal(old.Primary, c.Primary) || !slices.Equal(old.Backup, c.Backup) {
+					moved[cd.id] = true
+				}
+				rho, ties = nrho, nties
+				improvedRound = true
+				continue
+			}
+			// No improvement: move back. The error is dropped because the
+			// old channels were free a moment ago and nothing else has run
+			// since, so the move cannot conflict.
+			_, _ = tab.Reroute(cd.id, old, nil)
 		}
 		res.Rounds++
 		if !improvedRound {
@@ -134,41 +127,4 @@ func Optimize(net *wdm.Network, conns []*Connection, maxRounds int, opts *core.O
 	res.LoadAfter = net.NetworkLoad()
 	res.Moves = len(moved)
 	return res
-}
-
-func release(net *wdm.Network, p, b *wdm.Semilightpath) {
-	if err := net.ReleasePath(p); err != nil {
-		panic("reconfig: release failed: " + err.Error())
-	}
-	if b != nil {
-		if err := net.ReleasePath(b); err != nil {
-			panic("reconfig: release failed: " + err.Error())
-		}
-	}
-}
-
-func reserve(net *wdm.Network, p, b *wdm.Semilightpath) {
-	if err := net.Reserve(p); err != nil {
-		panic("reconfig: re-reserve failed: " + err.Error())
-	}
-	if b != nil {
-		if err := net.Reserve(b); err != nil {
-			panic("reconfig: re-reserve failed: " + err.Error())
-		}
-	}
-}
-
-func samePaths(a, b *wdm.Semilightpath) bool {
-	if a == nil || b == nil {
-		return a == b
-	}
-	if len(a.Hops) != len(b.Hops) {
-		return false
-	}
-	for i := range a.Hops {
-		if a.Hops[i] != b.Hops[i] {
-			return false
-		}
-	}
-	return true
 }

@@ -32,13 +32,13 @@
 package repro
 
 import (
+	"repro/internal/conns"
 	"repro/internal/core"
 	"repro/internal/exact"
 	"repro/internal/lightpath"
 	"repro/internal/netsim"
 	"repro/internal/provision"
 	"repro/internal/reconfig"
-	"repro/internal/sbpp"
 	"repro/internal/topo"
 	"repro/internal/topofile"
 	"repro/internal/wdm"
@@ -289,38 +289,25 @@ type ProvisionConfig = provision.Config
 // ProvisionResult summarises a provisioning run.
 type ProvisionResult = provision.Result
 
-// Static-provisioning routers and demand orderings.
+// Static-provisioning demand orderings; ProvisionConfig.Algorithm takes the
+// Algo* routing algorithms.
 const (
-	ProvisionMinCost      = provision.MinCost
-	ProvisionMinLoadCost  = provision.MinLoadCost
-	ProvisionNodeDisjoint = provision.NodeDisjoint
-
 	OrderInput         = provision.InOrder
 	OrderLongestFirst  = provision.LongestFirst
 	OrderShortestFirst = provision.ShortestFirst
 )
 
 // Provision routes a batch of static demands on the network (offline
-// fault-tolerant design), reserving capacity for every placed pair.
+// fault-tolerant design), reserving capacity for every placed pair. The
+// result's Table owns the network from then on.
 func Provision(net *Network, demands []Demand, cfg ProvisionConfig) *ProvisionResult {
 	return provision.Provision(net, demands, cfg)
 }
 
-// SharedProtection manages shared-backup path protection (SBPP): backup
-// wavelength channels are shared between connections whose primaries are
-// link-disjoint, saving most of the dedicated-backup capacity under the
-// single-link-failure model.
-type SharedProtection = sbpp.Manager
-
-// SharedConnection is a connection managed by SharedProtection.
-type SharedConnection = sbpp.Connection
-
-// NewSharedProtection wraps the network with SBPP bookkeeping (the network
-// is taken over; clone it first to keep the original).
-func NewSharedProtection(net *Network) *SharedProtection { return sbpp.NewManager(net) }
-
-// LiveConnection describes an established connection for Reoptimize.
-type LiveConnection = reconfig.Connection
+// ConnectionTable is a network plus its live connections, the one state
+// machine through which connections reserve, move and release channels.
+// ProvisionResult.Table is one.
+type ConnectionTable = conns.Table[struct{}]
 
 // ReconfigResult reports a reconfiguration run.
 type ReconfigResult = reconfig.Result
@@ -329,8 +316,8 @@ type ReconfigResult = reconfig.Result
 // most loaded links are re-routed with the load-minimising router until the
 // network load ρ stops improving — the frozen-network operation the §4
 // load-aware routing reduces the need for.
-func Reoptimize(net *Network, conns []*LiveConnection, maxRounds int, opts *RouteOptions) *ReconfigResult {
-	return reconfig.Optimize(net, conns, maxRounds, opts)
+func Reoptimize(tab *ConnectionTable) *ReconfigResult {
+	return reconfig.Optimize(tab)
 }
 
 // LoadTopology reads a network from the JSON interchange format.

@@ -155,7 +155,7 @@ func TestFacadeProvision(t *testing.T) {
 	res := Provision(net, []Demand{
 		{ID: 0, Src: 0, Dst: 13},
 		{ID: 1, Src: 3, Dst: 9},
-	}, ProvisionConfig{Router: ProvisionMinCost, Order: OrderLongestFirst, ImprovePasses: 1})
+	}, ProvisionConfig{Algorithm: AlgoMinCost, Order: OrderLongestFirst, ImprovePasses: 1})
 	if res.Placed != 2 || res.Failed != 0 {
 		t.Fatalf("placed=%d failed=%d", res.Placed, res.Failed)
 	}
@@ -230,15 +230,16 @@ func TestFacadeBoundedAndKShortest(t *testing.T) {
 }
 
 func TestFacadeReoptimize(t *testing.T) {
-	net := NSFNET(TopoConfig{W: 4})
-	r, ok := ApproxMinCost(net, 0, 13, nil)
-	if !ok || Establish(net, r) != nil {
+	prov := Provision(NSFNET(TopoConfig{W: 4}), []Demand{{ID: 0, Src: 0, Dst: 13}},
+		ProvisionConfig{Algorithm: AlgoMinCost})
+	if prov.Placed != 1 {
 		t.Fatal("setup failed")
 	}
-	res := Reoptimize(net, []*LiveConnection{
-		{ID: 0, Src: 0, Dst: 13, Primary: r.Primary, Backup: r.Backup},
-	}, 2, nil)
+	res := Reoptimize(prov.Table)
 	if res.LoadAfter > res.LoadBefore+1e-12 {
 		t.Fatal("reoptimize worsened load")
+	}
+	if err := prov.Table.Audit(); err != nil {
+		t.Fatal(err)
 	}
 }
