@@ -4,7 +4,11 @@
 // instrumentation breaks testing.AllocsPerRun accounting).
 package auxgraph
 
-import "testing"
+import (
+	"testing"
+
+	"repro/internal/wdm"
+)
 
 // TestIncrementalReweightZeroAllocs pins the incremental-reweight budget:
 // once a shared skeleton is warm, re-weighting after a single-link
@@ -45,5 +49,43 @@ func TestReweightUnchangedStateZeroAllocs(t *testing.T) {
 		sk.ReweightAt(1, 3, Params{Kind: Cost})
 	}); n != 0 {
 		t.Fatalf("clean-state reweight allocates %v per op, want 0", n)
+	}
+}
+
+// TestAdmissionPassZeroAllocs pins the bottleneck pass's skeleton side: on
+// a warm shared skeleton, BeginAdmit and admitting every link in groups
+// allocate nothing, with a reservation (a journal-dirty link) in between —
+// on the physical graph (full conversion everywhere) and on the aux graph.
+func TestAdmissionPassZeroAllocs(t *testing.T) {
+	for _, restricted := range []bool{false, true} {
+		net := fig1Net()
+		if restricted {
+			net.SetConverter(1, wdm.NoConverter{})
+		}
+		sk := NewSharedSkeleton(net)
+		sk.ReweightAt(0, 2, Params{Kind: LoadCost, Threshold: 0.5})
+		links := make([]int, net.Links())
+		for id := range links {
+			links[id] = id
+		}
+		pass := func(s, t int) {
+			sk.BeginAdmit(s, t)
+			for lo := 0; lo < len(links); lo += 2 {
+				sk.Admit(links[lo:min(lo+2, len(links))])
+			}
+		}
+		pass(0, 2)
+		if n := testing.AllocsPerRun(100, func() {
+			if err := net.Use(0, 0); err != nil {
+				t.Fatal(err)
+			}
+			pass(0, 2)
+			if err := net.Release(0, 0); err != nil {
+				t.Fatal(err)
+			}
+			pass(1, 3)
+		}); n != 0 {
+			t.Fatalf("warm admission pass (restricted conversion %v) allocates %v per op, want 0", restricted, n)
+		}
 	}
 }

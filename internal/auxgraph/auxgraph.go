@@ -20,11 +20,14 @@
 // construction is split in two: a Skeleton is built once per network with
 // NewSharedSkeleton (edge-disjoint routing) or NewNodeDisjointSkeleton, and
 // ReweightAt selects a request's terminal pair, flips the Disable bits of
-// filtered links and rewrites edge weights in place — so a threshold search
-// or a per-arrival router re-uses one skeleton for every pair and variant it
-// tries instead of reallocating the graph.
+// filtered links and rewrites edge weights in place — so a per-arrival
+// router re-uses one skeleton for every pair and variant it tries instead of
+// reallocating the graph. A threshold search need not reweight at all:
+// BeginAdmit and Admit grow the surviving link set one group at a time,
+// touching only enable bits (on the physical graph when every node converts
+// fully), so a search can decide feasibility at every threshold in one pass.
 //
-// Two properties keep the per-request cost flat under dynamic traffic:
+// Three properties keep the per-request cost flat under dynamic traffic:
 //
 //   - Every skeleton carries terminal vertices s′_v and t″_v with their
 //     terminal edges for every node, all disabled; ReweightAt enables exactly
@@ -87,10 +90,6 @@ type Params struct {
 	Threshold float64
 	// Base is the exponent base a (> 1) for Load weights; DefaultBase if 0.
 	Base float64
-	// Filter, when non-nil, replaces the threshold test: a link survives iff
-	// it has available wavelengths and Filter returns true. Used by exact
-	// load oracles that need a per-link capacity cap.
-	Filter func(linkID int) bool
 	// Trace, when non-nil, receives a "reweight" span per ReweightAt call
 	// with the variant, threshold and surviving-link count. Nil costs nothing.
 	Trace *obs.Trace
@@ -137,12 +136,20 @@ type Skeleton struct {
 	pairs       []convPair
 	pairOK      []bool    // cached avail-feasibility per pair
 	pairMean    []float64 // cached mean conversion cost per pair
-	pairsByLink [][]int32 // pair indices with ein or eout = link, for journal refresh
+	pairsByLink [][]int32 // pair indices with ein or eout = link, for journal refresh and Admit
 	pairsAt     uint64    // StateVersion the pair cache was computed at
 	pairsOK     bool      // pair cache computed at least once
 
+	// Admission pass (BeginAdmit, Admit): phys is the physical graph, edge
+	// ID = link ID, a shared skeleton's pass runs on when every node
+	// converts fully (nil otherwise), admitPhys marks a pass running on it,
+	// and admitted is Admit's result buffer, one slot per aux edge.
+	phys      *graph.Graph
+	admitPhys bool
+	admitted  []int
+
 	// Cached link-edge weights, one cache per variant so algorithms that
-	// alternate kinds (MinLoadCost's Load rounds then LoadCost pass) don't
+	// alternate kinds (MinLoad's G_c, MinLoadCost's G_rc) don't
 	// thrash each other. Refreshed per link through the change journal.
 	lw [3]weightCache
 
@@ -153,6 +160,8 @@ type Skeleton struct {
 	// the currently enabled pair.
 	termOut    [][]linkEdgeRef // s′_v → u_out^e, per node
 	termIn     [][]linkEdgeRef // v_in^e → t″_v, per node
+	termOutOf  []int           // per link e: edge s′_v → u_out^e, v its tail
+	termInOf   []int           // per link e: edge v_in^e → t″_v, v its head
 	srcVertex  []int           // s′_v per node
 	dstVertex  []int           // t″_v per node
 	curS, curT int             // terminals currently enabled; -1 before first ReweightAt
@@ -307,16 +316,30 @@ func newSkeleton(net *wdm.Network, nodeDisjoint bool) *Skeleton {
 
 	// Terminals, last: every node's terminal edges, disabled until a
 	// ReweightAt selects the pair.
+	sk.termOutOf = make([]int, m)
+	sk.termInOf = make([]int, m)
 	for v := 0; v < n; v++ {
 		for _, e1 := range net.Out(v) {
 			e := a.G.AddEdgeAux(sk.srcVertex[v], a.outNode[e1], 0, -1)
 			a.G.Disable(e)
 			sk.termOut[v] = append(sk.termOut[v], linkEdgeRef{edge: e, link: e1})
+			sk.termOutOf[e1] = e
 		}
 		for _, e2 := range net.In(v) {
 			e := a.G.AddEdgeAux(a.inNode[e2], sk.dstVertex[v], 0, -1)
 			a.G.Disable(e)
 			sk.termIn[v] = append(sk.termIn[v], linkEdgeRef{edge: e, link: e2})
+			sk.termInOf[e2] = e
+		}
+	}
+	if !nodeDisjoint { // the admission pass runs on shared skeletons only
+		sk.admitted = make([]int, a.G.M())
+		if allFullConversion(net) {
+			sk.phys = graph.New(n)
+			for id := 0; id < m; id++ {
+				l := net.Link(id)
+				sk.phys.AddEdge(l.From, l.To, 0)
+			}
 		}
 	}
 	instr.builds.Inc()
@@ -373,20 +396,15 @@ func (sk *Skeleton) Follow(net *wdm.Network) bool {
 // link weights and conversion means are cached per StateVersion and
 // refreshed incrementally through the network's change journal — a
 // reservation on one link recomputes only that link's weight and the
-// conversion pairs incident to it, and a threshold search that only moves ϑ
-// between rounds pays just the O(m + conv-edges) filter pass. It panics on
-// an invalid s/t, when the network structure changed since the skeleton was
-// built (see Valid), or on an invalid Base.
+// conversion pairs incident to it, and a reweight that changes only ϑ pays
+// just the O(m + conv-edges) filter pass. It panics on an invalid s/t, when
+// the network structure changed since the skeleton was built (see Valid), or
+// on an invalid Base.
 //
 //wdm:hotpath
 func (sk *Skeleton) ReweightAt(s, t int, p Params) *Aux {
+	sk.checkPair(s, t)
 	net := sk.aux.net
-	if s < 0 || s >= net.Nodes() || t < 0 || t >= net.Nodes() {
-		panic("auxgraph: source/destination out of range")
-	}
-	if !sk.Valid() {
-		panic("auxgraph: network structure changed since skeleton build; build a new skeleton")
-	}
 	base := p.Base
 	if base == 0 {
 		base = DefaultBase
@@ -398,20 +416,7 @@ func (sk *Skeleton) ReweightAt(s, t int, p Params) *Aux {
 	sp := p.Trace.Begin("reweight")
 
 	g := sk.aux.G
-	if sk.curS != s && sk.curS >= 0 {
-		for _, r := range sk.termOut[sk.curS] {
-			g.Disable(r.edge)
-		}
-	}
-	if sk.curT != t && sk.curT >= 0 {
-		for _, r := range sk.termIn[sk.curT] {
-			g.Disable(r.edge)
-		}
-	}
-	sk.curS, sk.curT = s, t
-	sk.aux.S = sk.srcVertex[s]
-	sk.aux.T = sk.dstVertex[t]
-
+	sk.selectPair(s, t)
 	keep := sk.aux.keep
 	sv := net.StateVersion()
 
@@ -438,12 +443,8 @@ func (sk *Skeleton) ReweightAt(s, t int, p Params) *Aux {
 	for id := 0; id < sk.m; id++ {
 		l := net.Link(id)
 		k := !l.Avail().Empty()
-		if k {
-			if p.Filter != nil {
-				k = p.Filter(id)
-			} else if (p.Kind == Load || p.Kind == LoadCost) && l.Load() >= p.Threshold {
-				k = false
-			}
+		if k && (p.Kind == Load || p.Kind == LoadCost) && l.Load() >= p.Threshold {
+			k = false
 		}
 		keep[id] = k
 		eid := sk.linkEdge[id]
@@ -456,27 +457,7 @@ func (sk *Skeleton) ReweightAt(s, t int, p Params) *Aux {
 		g.SetWeight(eid, wc.w[id])
 	}
 
-	// Availability-dependent conversion means: full scan on first use, then
-	// only the pairs incident to journal-dirty links.
-	if !sk.pairsOK {
-		for i, cp := range sk.pairs {
-			sk.pairOK[i], sk.pairMean[i] = meanConvCost(net, net.Converter(cp.node), cp.ein, cp.eout)
-		}
-		sk.pairsAt = sv
-		sk.pairsOK = true
-	} else if sk.pairsAt != sv {
-		for id := 0; id < sk.m; id++ {
-			if net.LinkStamp(id) <= sk.pairsAt {
-				continue
-			}
-			for _, i := range sk.pairsByLink[id] {
-				cp := sk.pairs[i]
-				sk.pairOK[i], sk.pairMean[i] = meanConvCost(net, net.Converter(cp.node), cp.ein, cp.eout)
-			}
-		}
-		sk.pairsAt = sv
-	}
-
+	sk.refreshPairs()
 	costed := p.Kind == Cost || p.Kind == LoadCost
 	for i, cp := range sk.pairs {
 		if keep[cp.ein] && keep[cp.eout] && sk.pairOK[i] {
@@ -541,6 +522,159 @@ func (sk *Skeleton) ReweightAt(s, t int, p Params) *Aux {
 	return &sk.aux
 }
 
+// checkPair panics unless (s, t) are nodes of the network and its structure
+// is the one the skeleton was built for.
+func (sk *Skeleton) checkPair(s, t int) {
+	net := sk.aux.net
+	if s < 0 || s >= net.Nodes() || t < 0 || t >= net.Nodes() {
+		panic("auxgraph: source/destination out of range")
+	}
+	if !sk.Valid() {
+		panic("auxgraph: network structure changed since skeleton build; build a new skeleton")
+	}
+}
+
+// selectPair makes (s, t) the active terminal pair: it disables the
+// terminal edges of the previous pair that (s, t) does not share, so only
+// termOut[s] and termIn[t] can be enabled afterwards.
+func (sk *Skeleton) selectPair(s, t int) {
+	g := sk.aux.G
+	if sk.curS != s && sk.curS >= 0 {
+		for _, r := range sk.termOut[sk.curS] {
+			g.Disable(r.edge)
+		}
+	}
+	if sk.curT != t && sk.curT >= 0 {
+		for _, r := range sk.termIn[sk.curT] {
+			g.Disable(r.edge)
+		}
+	}
+	sk.curS, sk.curT = s, t
+	sk.aux.S = sk.srcVertex[s]
+	sk.aux.T = sk.dstVertex[t]
+}
+
+// refreshPairs brings the availability-dependent conversion-pair cache
+// (pairOK, pairMean) up to the network's StateVersion: a full scan on first
+// use, then only the pairs incident to journal-dirty links.
+func (sk *Skeleton) refreshPairs() {
+	net := sk.aux.net
+	sv := net.StateVersion()
+	if !sk.pairsOK {
+		for i, cp := range sk.pairs {
+			sk.pairOK[i], sk.pairMean[i] = meanConvCost(net, net.Converter(cp.node), cp.ein, cp.eout)
+		}
+		sk.pairsAt = sv
+		sk.pairsOK = true
+	} else if sk.pairsAt != sv {
+		for id := 0; id < sk.m; id++ {
+			if net.LinkStamp(id) <= sk.pairsAt {
+				continue
+			}
+			for _, i := range sk.pairsByLink[id] {
+				cp := sk.pairs[i]
+				if other := cp.ein + cp.eout - id; other < id && net.LinkStamp(other) > sk.pairsAt {
+					continue // refreshed from the other link already
+				}
+				sk.pairOK[i], sk.pairMean[i] = meanConvCost(net, net.Converter(cp.node), cp.ein, cp.eout)
+			}
+		}
+		sk.pairsAt = sv
+	}
+}
+
+// BeginAdmit starts an admission pass over a shared skeleton for the
+// terminal pair (s, t) and returns the graph the pass runs on with its
+// source and sink. All of that graph's edges start disabled, so no link
+// survives; Admit then lets links in, a group at a time. After any prefix
+// of admissions, the graph admits two edge-disjoint source→sink paths
+// exactly when G_c for (s, t) with the admitted links as the surviving set
+// does, so a search that grows the surviving set in some order — the MinCog
+// bottleneck pass admits links in increasing load — decides every
+// intermediate graph without reweighting any. The graph is one of two:
+//
+//   - When every node converts fully and s ≠ t, the physical graph: one
+//     vertex per node, one edge per link, from s to t. Every pair of
+//     admitted links then converts (both have an available wavelength), so
+//     each node's conversion edges form a complete bipartite graph between
+//     its admitted in- and out-links; each v_in^e has one in-edge and each
+//     u_out^e one out-edge, both e's link edge, so collapsing a node's
+//     edge-nodes into the node keeps the s′→t″ max flow. The aux graph is
+//     not touched.
+//   - Otherwise the skeleton's own graph from s′ to t″: BeginAdmit selects
+//     the pair, brings the conversion-pair cache up to date and disables
+//     every edge, and the enabled edges after any prefix of admissions are
+//     exactly those ReweightAt would enable for (s, t) with the admitted
+//     links surviving. Edge weights are left as they are.
+//
+// Either way the next ReweightAt rewrites every enable bit and weight it
+// reads, and is bit-identical to one on a fresh skeleton. BeginAdmit panics
+// on a node-disjoint skeleton and on the conditions ReweightAt panics on.
+//
+//wdm:hotpath
+func (sk *Skeleton) BeginAdmit(s, t int) (g *graph.Graph, src, dst int) {
+	if sk.nodeDisjoint {
+		panic("auxgraph: admission pass on a node-disjoint skeleton")
+	}
+	sk.checkPair(s, t)
+	if sk.admitPhys = sk.phys != nil && s != t; sk.admitPhys {
+		sk.phys.DisableAll()
+		return sk.phys, s, t
+	}
+	sk.selectPair(s, t)
+	sk.refreshPairs()
+	clear(sk.aux.keep)
+	sk.aux.G.DisableAll()
+	return sk.aux.G, sk.aux.S, sk.aux.T
+}
+
+// Admit lets the links of one group survive in the pass BeginAdmit
+// started, enabling their edges in the pass graph, and returns the edges it
+// enabled; the slice may alias links or a buffer the next Admit reuses. On
+// the physical graph a link's edge is the link. On the aux graph Admit
+// enables, for each link, its link edge, each conversion edge between it
+// and an admitted link whose pair is feasible under the current
+// availability, and the active pair's terminal edges on it. The caller
+// admits each link at most once and only links with an available
+// wavelength.
+//
+//wdm:hotpath
+func (sk *Skeleton) Admit(links []int) []int {
+	if sk.admitPhys {
+		for _, e := range links {
+			sk.phys.Enable(e)
+		}
+		return links
+	}
+	net, keep, buf, n := sk.aux.net, sk.aux.keep, sk.admitted, 0
+	for _, e := range links {
+		keep[e] = true
+		buf[n] = sk.linkEdge[e]
+		n++
+		// A pair between two links of the group is enabled once, when the
+		// second of them is admitted.
+		for _, i := range sk.pairsByLink[e] {
+			if cp := &sk.pairs[i]; keep[cp.ein] && keep[cp.eout] && sk.pairOK[i] {
+				buf[n] = cp.edge
+				n++
+			}
+		}
+		l := net.Link(e)
+		if l.From == sk.curS {
+			buf[n] = sk.termOutOf[e]
+			n++
+		}
+		if l.To == sk.curT {
+			buf[n] = sk.termInOf[e]
+			n++
+		}
+	}
+	for _, id := range buf[:n] {
+		sk.aux.G.Enable(id)
+	}
+	return buf[:n]
+}
+
 // gate enables, when on, each edge of refs whose link survives the filter
 // and disables the rest.
 func gate(g *graph.Graph, refs []linkEdgeRef, keep []bool, on bool) {
@@ -551,6 +685,16 @@ func gate(g *graph.Graph, refs []linkEdgeRef, keep []bool, on bool) {
 			g.Disable(r.edge)
 		}
 	}
+}
+
+// allFullConversion reports whether every node of net converts fully.
+func allFullConversion(net *wdm.Network) bool {
+	for v := 0; v < net.Nodes(); v++ {
+		if _, ok := net.Converter(v).(*wdm.FullConverter); !ok {
+			return false
+		}
+	}
+	return true
 }
 
 // linkWeight returns the variant weight of a surviving link edge.
@@ -599,16 +743,16 @@ func installedFeasible(net *wdm.Network, conv wdm.Converter, ein, eout int) bool
 // mean cost Σ c_v(λa, λb)/K_v over the K_v allowed ordered pairs (identity
 // pairs count, at cost 0, matching the Theorem 2 accounting).
 func meanConvCost(net *wdm.Network, conv wdm.Converter, ein, eout int) (bool, float64) {
-	in := net.Link(ein).Avail()
-	out := net.Link(eout).Avail()
+	lin, lout := net.Link(ein), net.Link(eout)
+	in, out := lin.Avail(), lout.Avail()
 	// Closed forms for the stock converters replace the O(W²) ordered-pair
-	// scan with word-at-a-time popcounts on the availability bitsets: under
-	// full conversion every ordered pair is allowed (K = |in|·|out|, the
-	// |in ∩ out| identity pairs cost 0), and without conversion only the
-	// identity pairs exist.
+	// scan: under full conversion every ordered pair is allowed
+	// (K = |in|·|out|, read off the links' occupancy counts, and the
+	// |in ∩ out| identity pairs, a word-at-a-time popcount, cost 0), and
+	// without conversion only the identity pairs exist.
 	switch c := conv.(type) {
 	case *wdm.FullConverter:
-		k := in.Count() * out.Count()
+		k := (lin.N() - lin.U()) * (lout.N() - lout.U())
 		if k == 0 {
 			return false, 0
 		}

@@ -123,38 +123,115 @@ func checkGating(sk *Skeleton, s, t int) error {
 	return nil
 }
 
+// checkAdmission runs an admission pass for (s, t) on warm, letting in the
+// links with an available wavelength and load below a random ϑ in random
+// groups. On the physical graph (every node converts fully) the enabled
+// edges must be exactly the admitted links, from s to t. On the aux graph
+// they must be exactly the edges fresh, a skeleton of the same network,
+// keeps in G_c at ϑ. Each Admit must return exactly the edges it enabled.
+func checkAdmission(rng *rand.Rand, warm, fresh *Skeleton, s, t int) error {
+	net := warm.aux.net
+	theta := rng.Float64() * 1.1
+	g, src, dst := warm.BeginAdmit(s, t)
+	phys := g != warm.aux.G
+	if phys != (allFullConversion(net) && s != t) {
+		return fmt.Errorf("pass on the physical graph %v, full conversion %v", phys, allFullConversion(net))
+	}
+	var links []int
+	for _, id := range rng.Perm(net.Links()) {
+		if l := net.Link(id); !l.Avail().Empty() && l.Load() < theta {
+			links = append(links, id)
+		}
+	}
+	admitted := map[int]bool{}
+	for len(links) > 0 {
+		k := 1 + rng.Intn(len(links))
+		was := make([]bool, g.M())
+		for id := range was {
+			was[id] = !g.Disabled(id)
+		}
+		returned := map[int]bool{}
+		for _, id := range warm.Admit(links[:k]) {
+			returned[id] = true
+		}
+		for _, id := range links[:k] {
+			admitted[id] = true
+		}
+		links = links[k:]
+		for id := 0; id < g.M(); id++ {
+			if enabled := !was[id] && !g.Disabled(id); enabled != returned[id] {
+				return fmt.Errorf("edge %d newly enabled %v, returned by Admit %v", id, enabled, returned[id])
+			}
+		}
+	}
+	if phys {
+		if src != s || dst != t {
+			return fmt.Errorf("physical pass from %d to %d, want %d to %d", src, dst, s, t)
+		}
+		for id := 0; id < g.M(); id++ {
+			if g.Disabled(id) == admitted[id] {
+				return fmt.Errorf("ϑ=%g: link %d disabled=%v after the pass, admitted %v", theta, id, g.Disabled(id), admitted[id])
+			}
+		}
+		return nil
+	}
+	want := fresh.ReweightAt(s, t, Params{Kind: Load, Threshold: theta})
+	if src != want.S || dst != want.T {
+		return fmt.Errorf("terminals (%d,%d) vs (%d,%d)", src, dst, want.S, want.T)
+	}
+	for id := 0; id < g.M(); id++ {
+		if g.Disabled(id) != want.G.Disabled(id) {
+			return fmt.Errorf("ϑ=%g: edge %d disabled=%v after the pass, %v in G_c", theta, id, g.Disabled(id), want.G.Disabled(id))
+		}
+	}
+	return nil
+}
+
 // Property: over both skeleton kinds and all three variants, a skeleton that
-// switches through a sequence of pairs — with reservations in between —
-// reweights every pair exactly as a freshly built skeleton does, and the
-// node-disjoint kind turns on hubs at exactly V∖{s,t} and plain conversion
-// at exactly {s,t}.
+// switches through a sequence of pairs — with reservations and, on the
+// shared kind, admission passes in between — reweights every pair exactly
+// as a freshly built skeleton does, and the node-disjoint kind turns on hubs
+// at exactly V∖{s,t} and plain conversion at exactly {s,t}.
 func TestQuickReweightAtPairSwitching(t *testing.T) {
 	kinds := []Kind{Cost, Load, LoadCost}
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		net := randomSkeletonNet(rng)
-		for _, nd := range []bool{false, true} {
-			mk := NewSharedSkeleton
-			if nd {
-				mk = NewNodeDisjointSkeleton
-			}
-			warm := mk(net)
-			for step := 0; step < 6; step++ {
-				s, d := randomPair(rng, net.Nodes())
-				p := Params{Kind: kinds[rng.Intn(len(kinds))], Threshold: 0.3 + rng.Float64()}
-				got := warm.ReweightAt(s, d, p)
-				if err := sameView(got, mk(net).ReweightAt(s, d, p)); err != nil {
-					t.Logf("seed %d nd=%v step %d (%d,%d) %v: %v", seed, nd, step, s, d, p.Kind, err)
-					return false
-				}
+		nets := []*wdm.Network{randomSkeletonNet(rng)}
+		if seed%3 == 0 { // admission passes on it run on the physical graph
+			full := randomSkeletonNet(rng)
+			full.SetAllConverters(wdm.NewFullConverter(full.W(), 0.4))
+			nets = append(nets, full)
+		}
+		for _, net := range nets {
+			for _, nd := range []bool{false, true} {
+				mk := NewSharedSkeleton
 				if nd {
-					if err := checkGating(warm, s, d); err != nil {
-						t.Logf("seed %d step %d (%d,%d): %v", seed, step, s, d, err)
+					mk = NewNodeDisjointSkeleton
+				}
+				warm := mk(net)
+				for step := 0; step < 6; step++ {
+					s, d := randomPair(rng, net.Nodes())
+					if !nd && rng.Intn(2) == 0 {
+						if err := checkAdmission(rng, warm, mk(net), s, d); err != nil {
+							t.Logf("seed %d step %d (%d,%d) admission: %v", seed, step, s, d, err)
+							return false
+						}
+					}
+					p := Params{Kind: kinds[rng.Intn(len(kinds))], Threshold: 0.3 + rng.Float64()}
+					got := warm.ReweightAt(s, d, p)
+					if err := sameView(got, mk(net).ReweightAt(s, d, p)); err != nil {
+						t.Logf("seed %d nd=%v step %d (%d,%d) %v: %v", seed, nd, step, s, d, p.Kind, err)
 						return false
 					}
-				}
-				if rng.Intn(2) == 0 {
-					useRandom(rng, net, 0.1)
+					if nd {
+						if err := checkGating(warm, s, d); err != nil {
+							t.Logf("seed %d step %d (%d,%d): %v", seed, step, s, d, err)
+							return false
+						}
+					}
+					if rng.Intn(2) == 0 {
+						useRandom(rng, net, 0.1)
+					}
 				}
 			}
 		}

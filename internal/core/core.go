@@ -251,27 +251,6 @@ func nodesDisjoint(net *wdm.Network, p, q *wdm.Semilightpath, s, t int) bool {
 	return true
 }
 
-// thetaBounds returns ϑ_min = min_e (U(e)+1)/N(e) and ϑ_max = max_e … over
-// links that still have available wavelengths.
-func thetaBounds(net *wdm.Network) (lo, hi float64, any bool) {
-	lo, hi = math.Inf(1), 0
-	for id := 0; id < net.Links(); id++ {
-		l := net.Link(id)
-		if l.Avail().Empty() || l.N() == 0 {
-			continue
-		}
-		any = true
-		r := float64(l.U()+1) / float64(l.N())
-		if r < lo {
-			lo = r
-		}
-		if r > hi {
-			hi = r
-		}
-	}
-	return lo, hi, any
-}
-
 // Establish reserves both paths of a routed result on the network. Either
 // both paths are reserved or neither.
 func Establish(net *wdm.Network, r *Result) error {

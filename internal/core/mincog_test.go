@@ -3,13 +3,37 @@ package core
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"repro/internal/auxgraph"
+	"repro/internal/check"
+	"repro/internal/conns"
 	"repro/internal/disjoint"
 	"repro/internal/topo"
 	"repro/internal/wdm"
 )
+
+// thetaBounds returns ϑ_min = min_e (U(e)+1)/N(e) and ϑ_max = max_e … over
+// links that still have available wavelengths.
+func thetaBounds(net *wdm.Network) (lo, hi float64, any bool) {
+	lo, hi = math.Inf(1), 0
+	for id := 0; id < net.Links(); id++ {
+		l := net.Link(id)
+		if l.Avail().Empty() || l.N() == 0 {
+			continue
+		}
+		any = true
+		r := float64(l.U()+1) / float64(l.N())
+		if r < lo {
+			lo = r
+		}
+		if r > hi {
+			hi = r
+		}
+	}
+	return lo, hi, any
+}
 
 // refMinCogSearch is the MinCog search with Suurballe run in every round
 // and the found pair kept, as the search ran before its rounds became
@@ -189,5 +213,234 @@ func TestFeasibleMatchesSuurballeOnSkeletons(t *testing.T) {
 	t.Logf("%d feasible, %d infeasible", yes, no)
 	if yes < 100 || no < 100 {
 		t.Fatalf("degenerate sample: %d feasible, %d infeasible", yes, no)
+	}
+}
+
+// scheduleStats counts what a schedule comparison covered.
+type scheduleStats struct{ searches, multi, capped, blocked int }
+
+// compareSchedule checks that the bottleneck search of got returns the ϑ,
+// round count and success refMinCogSearch finds by deciding every round
+// with Suurballe on a fresh router.
+func compareSchedule(t testing.TB, st *scheduleStats, opts *Options, got *Router, net *wdm.Network, s, d int, where string) {
+	t.Helper()
+	theta, _, iters, ok := got.minCogSearch(net, s, d, nil)
+	refTheta, _, _, refIters, refOK := refMinCogSearch(NewRouter(opts), net, s, d)
+	if theta != refTheta || iters != refIters || ok != refOK {
+		t.Fatalf("%s %d→%d (opts %+v): bottleneck search (ϑ %v, %d rounds, ok %v), round by round (ϑ %v, %d rounds, ok %v)",
+			where, s, d, opts, theta, iters, ok, refTheta, refIters, refOK)
+	}
+	st.searches++
+	switch {
+	case !ok:
+		st.blocked++
+	case iters > opts.maxIter():
+		st.capped++
+	case iters > 1:
+		st.multi++
+	}
+}
+
+// scheduleNets returns the networks TestMinCogScheduleMatchesRounds searches:
+// random preloaded snapshots, uniform loads (idle and one channel used on
+// every link), links with different N, a pendant node whose pairs are all
+// infeasible, a network with no free channel at all, and a loaded NSFNET
+// with links taken down by conns.Table.Fail.
+func scheduleNets(t *testing.T) map[string]*wdm.Network {
+	nets := map[string]*wdm.Network{}
+	for seed := int64(0); seed < 12; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		nets["random-"+string(rune('a'+seed))] = randomWDM(rng, 5+rng.Intn(4), 2+rng.Intn(3), true)
+	}
+	nets["idle"] = topo.NSFNET(topo.Config{W: 4})
+	ring := topo.NSFNET(topo.Config{W: 4})
+	for id := 0; id < ring.Links(); id++ {
+		ring.Use(id, 0)
+	}
+	nets["uniform"] = ring
+
+	rng := rand.New(rand.NewSource(3))
+	mixed := wdm.NewNetwork(7, 6)
+	add := func(u, v int) {
+		n := 1 + rng.Intn(6)
+		lams, costs := make([]wdm.Wavelength, n), make([]float64, n)
+		for i := range lams {
+			lams[i], costs[i] = i, 1+rng.Float64()
+		}
+		id := mixed.AddLink(u, v, lams, costs)
+		for lam := 0; lam < n; lam++ {
+			if rng.Float64() < 0.35 {
+				mixed.Use(id, lam)
+			}
+		}
+	}
+	for v := 0; v < 6; v++ {
+		add(v, (v+1)%6)
+		add((v+1)%6, v)
+		add(v, (v+3)%6)
+	}
+	add(6, 0) // node 6 hangs off node 0 by one link each way
+	add(0, 6)
+	mixed.SetAllConverters(wdm.NewFullConverter(6, 0.5))
+	nets["mixed-N"] = mixed
+
+	full := topo.NSFNET(topo.Config{W: 2})
+	for id := 0; id < full.Links(); id++ {
+		full.Use(id, 0)
+		full.Use(id, 1)
+	}
+	nets["saturated"] = full
+
+	down := topo.NSFNET(topo.Config{W: 4})
+	tab := conns.New[struct{}](down)
+	r := NewRouter(nil)
+	for id := int64(0); id < 20; id++ {
+		s := rng.Intn(down.Nodes())
+		d := (s + 1 + rng.Intn(down.Nodes()-1)) % down.Nodes()
+		if res, ok := r.MinLoadCost(down, s, d); ok {
+			if _, err := tab.Admit(id, s, d, conns.Pair{Primary: res.Primary.Hops, Backup: res.Backup.Hops}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for _, link := range []int{0, 7, 19} {
+		tab.Fail(link)
+	}
+	nets["failed-links"] = down
+	return nets
+}
+
+// TestMinCogScheduleMatchesRounds pins the schedule replay: for every pair
+// of every network of scheduleNets, under the default iteration cap and
+// caps of 1 and 2, the bottleneck search returns the ϑ, round count and
+// blocking decision of the round-by-round search. One warm router per cap
+// serves every network, so the key order it keeps between passes is
+// exercised across networks of different sizes.
+func TestMinCogScheduleMatchesRounds(t *testing.T) {
+	nets := scheduleNets(t)
+	names := make([]string, 0, len(nets))
+	for name := range nets {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	var st scheduleStats
+	for _, opts := range []*Options{nil, {MaxIterations: 1}, {MaxIterations: 2}} {
+		got := NewRouter(opts)
+		for _, name := range names {
+			net := nets[name]
+			for s := 0; s < net.Nodes(); s++ {
+				for d := 0; d < net.Nodes(); d++ {
+					if s != d {
+						compareSchedule(t, &st, opts, got, net, s, d, name)
+					}
+				}
+			}
+		}
+	}
+	t.Logf("%+v", st)
+	if st.multi == 0 || st.capped == 0 || st.blocked == 0 {
+		t.Fatalf("degenerate sample: %+v", st)
+	}
+}
+
+// FuzzMinCogSchedule drives the schedule comparison over check.Generate
+// instances: each instance's request stream is replayed with MinLoadCost
+// (establishing what it admits, tearing down as the stream says), and
+// before every request the bottleneck search must match the round-by-round
+// search, under an iteration cap the fuzzer picks (0 is the default).
+func FuzzMinCogSchedule(f *testing.F) {
+	f.Add(int64(1), uint8(6), uint8(0))
+	f.Add(int64(42), uint8(4), uint8(1))
+	f.Add(int64(-7), uint8(9), uint8(2))
+	f.Fuzz(func(t *testing.T, seed int64, size, maxIter uint8) {
+		in := check.GenerateSeeded(seed, 4+int(size%5))
+		net, err := in.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts := &Options{MaxIterations: int(maxIter % 4)}
+		got, route := NewRouter(opts), NewRouter(opts)
+		var st scheduleStats
+		live := map[int]*Result{}
+		for i, op := range in.Ops {
+			if op.Teardown >= 0 {
+				if res := live[op.Teardown]; res != nil {
+					if err := Teardown(net, res); err != nil {
+						t.Fatal(err)
+					}
+					delete(live, op.Teardown)
+				}
+				continue
+			}
+			compareSchedule(t, &st, opts, got, net, op.Src, op.Dst, "op")
+			if res, ok := route.MinLoadCost(net, op.Src, op.Dst); ok {
+				if err := Establish(net, res); err != nil {
+					t.Fatal(err)
+				}
+				live[i] = res
+			}
+		}
+	})
+}
+
+// TestAdmissionPassMatchesGc checks the exactness the bottleneck pass rests
+// on, on both graphs a pass runs on: letting in, in random groups, the links
+// with an available wavelength and load below a random ϑ, the incremental
+// search reaches flow 2 exactly when G_c at ϑ admits a Suurballe pair and
+// has s′→t″ edge connectivity at least 2. Networks with full conversion
+// everywhere run the pass on the physical graph; the rest, with some nodes
+// converting nothing, on the aux graph.
+func TestAdmissionPassMatchesGc(t *testing.T) {
+	var ws, sw disjoint.Workspace
+	counts := map[[2]bool]int{} // [physical, feasible]
+	for seed := int64(0); seed < 120; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		n := 4 + rng.Intn(5)
+		net := randomWDM(rng, n, 1+rng.Intn(3), true)
+		phys := seed%2 == 0
+		if !phys {
+			for v := 0; v < n; v++ {
+				if rng.Intn(2) == 0 {
+					net.SetConverter(v, wdm.NoConverter{})
+				}
+			}
+			net.SetConverter(rng.Intn(n), wdm.NoConverter{})
+		}
+		sk, fresh := auxgraph.NewSharedSkeleton(net), auxgraph.NewSharedSkeleton(net)
+		for k := 0; k < 10; k++ {
+			s := rng.Intn(n)
+			d := (s + 1 + rng.Intn(n-1)) % n
+			theta := rng.Float64() * 1.1
+			var links []int
+			for _, id := range rng.Perm(net.Links()) {
+				if l := net.Link(id); !l.Avail().Empty() && l.Load() < theta {
+					links = append(links, id)
+				}
+			}
+			g, src, dst := sk.BeginAdmit(s, d)
+			flow := ws.StartFlow(g, src, dst)
+			for len(links) > 0 {
+				j := 1 + rng.Intn(len(links))
+				flow = ws.ExtendFlow(sk.Admit(links[:j]))
+				links = links[j:]
+			}
+			a := fresh.ReweightAt(s, d, auxgraph.Params{Kind: auxgraph.Load, Threshold: theta})
+			_, suurballe := sw.Suurballe(a.G, a.S, a.T)
+			menger := a.G.EdgeConnectivity(a.S, a.T) >= 2
+			if (g.N() == net.Nodes()) != phys {
+				t.Fatalf("seed %d: pass graph has %d vertices on %d nodes, physical %v", seed, g.N(), net.Nodes(), phys)
+			}
+			if (flow == 2) != suurballe || suurballe != menger {
+				t.Fatalf("seed %d %d→%d ϑ=%g (physical graph %v): pass flow %d, G_c Suurballe %v, connectivity≥2 %v",
+					seed, s, d, theta, phys, flow, suurballe, menger)
+			}
+			counts[[2]bool{phys, suurballe}]++
+		}
+	}
+	t.Logf("[physical feasible] counts: %v", counts)
+	for _, key := range [][2]bool{{true, true}, {true, false}, {false, true}, {false, false}} {
+		if counts[key] < 50 {
+			t.Fatalf("degenerate sample: %v", counts)
+		}
 	}
 }

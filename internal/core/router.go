@@ -2,7 +2,6 @@ package core
 
 import (
 	"math"
-	"sort"
 
 	"repro/internal/auxgraph"
 	"repro/internal/disjoint"
@@ -19,8 +18,9 @@ import (
 // node-disjointness — so that a long-lived caller (a simulator arrival loop,
 // a benchmark worker) routes requests without rebuilding the auxiliary graph
 // or reallocating search state on every call. The MinCog threshold search in
-// particular reweights one skeleton per round instead of constructing a
-// fresh graph per round. A one-shot caller uses NewRouter(opts).X(…).
+// particular finds its bound in one admission pass over the cached skeleton
+// instead of reweighting a graph per round. A one-shot caller uses
+// NewRouter(opts).X(…).
 //
 // A Router is bound to the network of its most recent call. Routing on a
 // different *wdm.Network keeps each skeleton that can follow it
@@ -38,6 +38,8 @@ type Router struct {
 
 	cand  candScratch
 	arena resultArena
+	order []int     // bottleneck pass: link IDs in key order, kept between passes
+	key   []float64 // bottleneck pass: per-link key
 
 	tracer   *obs.Tracer
 	lastReq  int64 // request ID of the most recent traced call (-1 when untraced)
@@ -96,11 +98,11 @@ func NewRouter(opts *Options) *Router {
 
 // SetTracer attaches a request tracer: every subsequent routing call opens a
 // trace, records its phases (skeleton build, reweight, Suurballe, Lemma 2
-// refinement, MinCog rounds) as spans, captures its explain report on
-// success, and lands in the tracer's flight recorder. A nil tracer — or a
-// disabled one — restores the zero-overhead path: every obs call below is
-// nil-safe, so tracing off costs one atomic load per request and zero
-// allocations (asserted by TestTracerDisabledAddsNoAllocs).
+// refinement, MinCog search and its bottleneck pass) as spans, captures its
+// explain report on success, and lands in the tracer's flight recorder. A
+// nil tracer — or a disabled one — restores the zero-overhead path: every
+// obs call below is nil-safe, so tracing off costs one atomic load per
+// request and zero allocations (asserted by TestTracerDisabledAddsNoAllocs).
 func (r *Router) SetTracer(tr *obs.Tracer) { r.tracer = tr }
 
 // LastTraceID returns the request ID the most recent routing call traced, or
@@ -256,91 +258,178 @@ func (r *Router) ApproxMinCostNodeDisjoint(net *wdm.Network, s, t int) (*Result,
 	return r.output(res), true
 }
 
+// linkKeys sets r.key to each link's bottleneck key: its load U/N, or with
+// next its load after one more channel, (U+1)/N; +Inf for a link without an
+// available wavelength, which no pass admits. It returns ϑ_min and ϑ_max,
+// the least and greatest (U+1)/N over the other links, and whether there
+// are any.
+func (r *Router) linkKeys(net *wdm.Network, next bool) (lo, hi float64, any bool) {
+	m := net.Links()
+	if len(r.order) != m {
+		r.order = make([]int, m)
+		r.key = make([]float64, m)
+		for id := range r.order {
+			r.order[id] = id
+		}
+	}
+	lo, hi = math.Inf(1), 0
+	for id, key := 0, r.key; id < m; id++ {
+		l := net.Link(id)
+		if l.U() == l.N() { // no available wavelength; reads no bitset
+			key[id] = math.Inf(1)
+			continue
+		}
+		any = true
+		after := float64(l.U()+1) / float64(l.N())
+		if after < lo {
+			lo = after
+		}
+		if after > hi {
+			hi = after
+		}
+		if next {
+			key[id] = after
+		} else {
+			key[id] = l.Load()
+		}
+	}
+	return lo, hi, any
+}
+
+// bottleneck returns the bottleneck key L*, over the keys linkKeys set: the
+// smallest key such that the links with an available wavelength and key
+// ≤ L* carry two edge-disjoint s→t routes on the auxiliary graph, or +Inf
+// when all of them do not. It also returns the augmentations the pass made
+// (2 when L* is finite).
+//
+// The pass admits the links into the skeleton's pass graph
+// (auxgraph.Skeleton.BeginAdmit: the physical graph when every node
+// converts fully, the auxiliary graph otherwise) in increasing key order,
+// one group of equal keys at a time, and after each group resumes one
+// incremental augmenting-path search (disjoint.Workspace.ExtendFlow), so it
+// costs one pass over the links and O(n + m) of search per request,
+// whatever L* is. The key order is kept from the router's previous pass and
+// repaired by insertion sort: between two requests only the links a commit
+// touched change key, so the repair is close to one linear scan.
+func (r *Router) bottleneck(sk *auxgraph.Skeleton, s, t int) (lstar float64, augs int) {
+	order, key := r.order, r.key
+	for i := 1; i < len(order); i++ {
+		id := order[i]
+		k, j := key[id], i
+		for ; j > 0 && key[order[j-1]] > k; j-- {
+			order[j] = order[j-1]
+		}
+		order[j] = id
+	}
+	g, src, dst := sk.BeginAdmit(s, t)
+	augs = r.ws.StartFlow(g, src, dst)
+	for lo := 0; lo < len(order); {
+		low := key[order[lo]]
+		if math.IsInf(low, 1) {
+			break
+		}
+		hi := lo + 1
+		for hi < len(order) && key[order[hi]] == low {
+			hi++
+		}
+		if augs = r.ws.ExtendFlow(sk.Admit(order[lo:hi])); augs == 2 {
+			return low, augs
+		}
+		lo = hi
+	}
+	return math.Inf(1), augs
+}
+
 // minCogSearch is the Find_Two_Paths_MinCog doubling threshold search (see
-// the algorithm notes on MinLoad). Each round reweights the one cached
-// skeleton at ϑ and asks only whether G_c admits two edge-disjoint paths
-// (disjoint.Workspace.Feasible, two BFS augmentations); the search never
-// builds a pair. Feasible answers exactly as Suurballe would: G_c's weights
-// are finite and non-negative, and it has no zero-weight cycle, because
-// every auxiliary cycle crosses a link edge and link edges weigh more than
-// zero. On success the returned Aux is still reweighted at ϑ, so a caller
-// that needs the pair runs Suurballe on it once.
-func (r *Router) minCogSearch(net *wdm.Network, s, t int, kind auxgraph.Kind, tc *obs.Trace) (theta float64, aOut *auxgraph.Aux, iters int, ok bool) {
-	defer instr.phaseMinCog.Stop(instr.phaseMinCog.Start())
-	//wdmlint:ignore hotalloc non-escaping closure; stays on the stack
-	defer func() { instr.mincogIters.Observe(float64(iters)) }()
+// the algorithm notes on MinLoad). A round at ϑ keeps the links with an
+// available wavelength and load below ϑ, and succeeds iff G_c over them
+// admits two edge-disjoint paths — Suurballe's success, since G_c's weights
+// are finite and non-negative and every auxiliary cycle crosses a link edge
+// of positive weight. Keeping more links only adds edges, so a round
+// succeeds iff ϑ > L*, the load bottleneck (bottleneck). The search finds L*
+// in one pass and then replays the round schedule on that comparison alone
+// (mincogSchedule), so it returns the same ϑ, round count and blocking
+// decision as running the rounds would, without reweighting the graph in
+// any of them. On success the caller reweights the returned skeleton at ϑ
+// once.
+func (r *Router) minCogSearch(net *wdm.Network, s, t int, tc *obs.Trace) (theta float64, sk *auxgraph.Skeleton, iters int, ok bool) {
+	t0 := instr.phaseMinCog.Start()
 	sp := tc.Begin("mincog")
-	//wdmlint:ignore hotalloc non-escaping closure; stays on the stack
-	defer func() {
-		tc.SpanInt(sp, "iters", int64(iters))
-		tc.SpanFloat(sp, "theta", theta)
-		tc.SpanBool(sp, "found", ok)
-		tc.EndSpan(sp)
-	}()
-	lo, hi, any := thetaBounds(net)
-	if !any {
-		return 0, nil, 0, false
+	if lo, hi, any := r.linkKeys(net, false); any {
+		sk = r.skeleton(net, false, tc)
+		bp := tc.Begin("bottleneck")
+		lstar, augs := r.bottleneck(sk, s, t)
+		tc.SpanFloat(bp, "bottleneck", lstar)
+		tc.SpanInt(bp, "augmentations", int64(augs))
+		tc.EndSpan(bp)
+		theta, iters, ok = mincogSchedule(lo, hi, lstar, r.opts.maxIter())
 	}
-	sk := r.skeleton(net, false, tc)
-	//wdmlint:ignore hotalloc non-escaping closure; stays on the stack
-	try := func(theta float64) (*auxgraph.Aux, bool) {
-		a := sk.ReweightAt(s, t, auxgraph.Params{Kind: kind, Threshold: theta, Base: r.opts.base(), Trace: tc})
-		return a, r.ws.Feasible(a.G, a.S, a.T)
-	}
+	tc.SpanInt(sp, "iters", int64(iters))
+	tc.SpanFloat(sp, "theta", theta)
+	tc.SpanBool(sp, "found", ok)
+	tc.EndSpan(sp)
+	instr.mincogIters.Observe(float64(iters))
+	instr.phaseMinCog.Stop(t0)
+	return theta, sk, iters, ok
+}
+
+// mincogSchedule replays the Find_Two_Paths_MinCog round schedule over
+// ϑ ∈ [lo, hi] (linkKeys) with at most maxIter doubling rounds, deciding
+// each round at ϑ by ϑ > lstar, and returns the ϑ of the first round that
+// succeeds, the rounds run, and whether one succeeded. It starts at ϑ_min
+// with increment Δ/2^{⌈log₂(1/Δ)⌉} and doubles the increment after every
+// failed round; a round at ϑ_max that fails drops the request, and past the
+// cap one last round tries ϑ_max. The schedule yields the Theorem 3 load
+// ratio < 3: a success at ϑ after a failure at ϑ−δ implies ϑ* > ϑ−δ while
+// δ ≤ 2·(ϑ−δ−ϑ_min) + Δ/2^{j₀}.
+func mincogSchedule(lo, hi, lstar float64, maxIter int) (theta float64, iters int, ok bool) {
 	delta := hi - lo
 	if delta <= 1e-12 {
 		// Uniform loads: the only meaningful graph is the full residual one.
-		a, ok := try(hi)
-		return hi, a, 1, ok
+		return hi, 1, hi > lstar
 	}
 	j0 := int(math.Ceil(math.Log2(1 / delta)))
 	if j0 < 0 {
 		j0 = 0
 	}
-	inc := delta / math.Pow(2, float64(j0))
+	inc := math.Ldexp(delta, -j0) // Δ/2^{j₀}, exact: a power-of-two scaling
 	theta = lo
-	maxIter := r.opts.maxIter()
 	for iters < maxIter {
 		iters++
 		if theta >= hi {
 			theta = hi
 		}
-		a, ok := try(theta)
-		if ok {
-			return theta, a, iters, true
+		if theta > lstar {
+			return theta, iters, true
 		}
 		if theta >= hi {
-			return 0, nil, iters, false // drop the request
+			return 0, iters, false // drop the request
 		}
 		theta += inc
 		inc *= 2
 	}
 	// Iteration cap: last resort, the complete residual graph.
 	iters++
-	a, ok := try(hi)
-	return hi, a, iters, ok
+	return hi, iters, hi > lstar
 }
 
 // MinLoad routes (s, t) per §4.1: find the smallest feasible load bound ϑ by
-// the MinCog search over G_c (exponential congestion weights) and return the
-// refined pair found at that bound.
-//
-// The search (minCogSearch) runs the Find_Two_Paths_MinCog doubling
-// schedule: it starts at ϑ_min with increment Δ/2^{⌈log₂(1/Δ)⌉} and doubles
-// the increment after every infeasible round, finishing with the complete
-// residual graph at ϑ_max. The schedule yields the Theorem 3 load ratio < 3:
-// a success at ϑ after a failure at ϑ−δ implies ϑ* > ϑ−δ while
-// δ ≤ 2·(ϑ−δ−ϑ_min) + Δ/2^{j₀}.
+// the MinCog search over G_c (exponential congestion weights; minCogSearch
+// runs the Find_Two_Paths_MinCog doubling schedule, mincogSchedule) and
+// return the refined pair Suurballe finds on G_c at that bound.
 func (r *Router) MinLoad(net *wdm.Network, s, t int) (*Result, bool) {
 	instr.routeCalls.Inc()
 	tc := r.begin("min-load", s, t)
-	theta, a, iters, ok := r.minCogSearch(net, s, t, auxgraph.Load, tc)
+	theta, sk, iters, ok := r.minCogSearch(net, s, t, tc)
 	if !ok {
 		r.finish(tc, net, nil, false, true)
 		return nil, false
 	}
-	// The search certified a is feasible, so Suurballe finds the very pair a
-	// search running Suurballe in every round would have kept.
+	// G_c at ϑ is feasible, so Suurballe finds the very pair a search
+	// running Suurballe in every round would have kept.
+	tb := instr.phaseBuild.Start()
+	a := sk.ReweightAt(s, t, auxgraph.Params{Kind: auxgraph.Load, Threshold: theta, Base: r.opts.base(), Trace: tc})
+	instr.phaseBuild.Stop(tb)
 	td := instr.phaseDisjoint.Start()
 	pair, ok := r.ws.Suurballe(a.G, a.S, a.T)
 	instr.phaseDisjoint.Stop(td)
@@ -367,12 +456,11 @@ func (r *Router) MinLoad(net *wdm.Network, s, t int) (*Result, bool) {
 func (r *Router) MinLoadCost(net *wdm.Network, s, t int) (*Result, bool) {
 	instr.routeCalls.Inc()
 	tc := r.begin("min-load-cost", s, t)
-	theta, _, iters, ok := r.minCogSearch(net, s, t, auxgraph.Load, tc)
+	theta, sk, iters, ok := r.minCogSearch(net, s, t, tc)
 	if !ok {
 		r.finish(tc, net, nil, false, false)
 		return nil, false
 	}
-	sk := r.skeleton(net, false, tc)
 	tb := instr.phaseBuild.Start()
 	a := sk.ReweightAt(s, t, auxgraph.Params{Kind: auxgraph.LoadCost, Threshold: theta, Base: r.opts.base(), Trace: tc})
 	instr.phaseBuild.Stop(tb)
@@ -380,7 +468,7 @@ func (r *Router) MinLoadCost(net *wdm.Network, s, t int) (*Result, bool) {
 	pair, ok := r.ws.Suurballe(a.G, a.S, a.T)
 	instr.phaseDisjoint.Stop(td)
 	if !ok {
-		// ϑ was certified feasible on the identical G_c skeleton; reaching
+		// G_rc at ϑ has the edges of G_c at ϑ, which is feasible; reaching
 		// here means numerics only. Fall back to the full residual graph.
 		a = sk.ReweightAt(s, t, auxgraph.Params{Kind: auxgraph.LoadCost, Threshold: math.Inf(1), Trace: tc})
 		pair, ok = r.ws.Suurballe(a.G, a.S, a.T)
@@ -443,42 +531,18 @@ func (r *Router) TwoStepMinCost(net *wdm.Network, s, t int) (*Result, bool) {
 
 // OptimalLoadOracle computes the exact minimum achievable path load — the
 // smallest c such that two edge-disjoint semilightpath-feasible routes exist
-// using only links with (U(e)+1)/N(e) ≤ c. Candidate values are the finite
-// set of per-link ratios, so the oracle is exact; it is the reference for
-// the Theorem 3 ratio experiment (E3). Each candidate cap reweights the same
-// cached skeleton and, like a MinCog round, only tests it for feasibility.
+// using only links with (U(e)+1)/N(e) ≤ c. It is the MinCog bottleneck pass
+// keyed by each link's load after routing, (U+1)/N, instead of its load
+// U/N, so it is exact; it is the reference for the Theorem 3 ratio
+// experiment (E3).
 func (r *Router) OptimalLoadOracle(net *wdm.Network, s, t int) (float64, bool) {
 	r.ws.Trace = nil // oracle probes are not request-scoped; never trace them
-	ratios := map[float64]bool{}
-	for id := 0; id < net.Links(); id++ {
-		l := net.Link(id)
-		if l.Avail().Empty() || l.N() == 0 {
-			continue
-		}
-		ratios[float64(l.U()+1)/float64(l.N())] = true
-	}
-	if len(ratios) == 0 {
+	if _, _, any := r.linkKeys(net, true); !any {
 		return 0, false
 	}
-	cands := make([]float64, 0, len(ratios))
-	for r := range ratios {
-		cands = append(cands, r)
+	c, _ := r.bottleneck(r.skeleton(net, false, nil), s, t)
+	if math.IsInf(c, 1) {
+		return 0, false
 	}
-	sort.Float64s(cands)
-	sk := r.skeleton(net, false, nil)
-	for _, c := range cands {
-		// Exact filter: keep exactly the links whose post-routing ratio
-		// (U+1)/N stays within the candidate cap.
-		a := sk.ReweightAt(s, t, auxgraph.Params{
-			Kind: auxgraph.Load,
-			Filter: func(id int) bool {
-				l := net.Link(id)
-				return float64(l.U()+1)/float64(l.N()) <= c+1e-12
-			},
-		})
-		if r.ws.Feasible(a.G, a.S, a.T) {
-			return c, true
-		}
-	}
-	return 0, false
+	return c, true
 }

@@ -99,11 +99,26 @@ func TestRouterTracesMinLoad(t *testing.T) {
 	if tc == nil {
 		t.Fatal("trace missing")
 	}
-	// Each search round reweights and tests feasibility; Suurballe runs
-	// once, on the graph of the round that succeeded.
+	// The search is one bottleneck pass, whatever its round count; the
+	// graph is reweighted once, at the bound found, for the one Suurballe.
 	names := spanNames(tc)
-	if names["mincog"] != 1 || names["reweight"] != res.Iterations || names["feasible"] != res.Iterations || names["suurballe"] != 1 {
-		t.Fatalf("span census %v; want a mincog span wrapping %d reweight/feasible rounds, then 1×suurballe", names, res.Iterations)
+	if names["mincog"] != 1 || names["bottleneck"] != 1 || names["reweight"] != 1 || names["suurballe"] != 1 {
+		t.Fatalf("span census %v; want a mincog span wrapping 1×bottleneck, then 1×reweight and 1×suurballe", names)
+	}
+	for _, sp := range tc.Spans {
+		if sp.Name != "bottleneck" {
+			continue
+		}
+		attrs := map[string]any{}
+		for _, a := range sp.Attrs {
+			attrs[a.Key] = a.Value()
+		}
+		if attrs["augmentations"] != int64(2) {
+			t.Errorf("bottleneck span augmentations = %v, want 2", attrs["augmentations"])
+		}
+		if lstar, ok := attrs["bottleneck"].(float64); !ok || !(res.Threshold > lstar) {
+			t.Errorf("bottleneck span L* = %v; the bound found, %g, must exceed it", attrs["bottleneck"], res.Threshold)
+		}
 	}
 	rep := explain.Of(tc)
 	if rep == nil {

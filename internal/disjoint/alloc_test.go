@@ -68,3 +68,40 @@ func TestWorkspaceFeasibleZeroAllocs(t *testing.T) {
 		t.Fatalf("warm Workspace.Feasible allocates %.1f/op, want 0", allocs)
 	}
 }
+
+// TestWorkspaceExtendFlowZeroAllocs pins the bottleneck pass's search: a
+// warmed Workspace starts on an all-disabled graph and resumes after every
+// batch of enabled edges without heap allocations.
+func TestWorkspaceExtendFlowZeroAllocs(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	g := graph.New(100)
+	for v := 0; v < 100; v++ {
+		g.AddEdge(v, (v+1)%100, 1)
+		g.AddEdge((v+1)%100, v, 1)
+	}
+	for i := 0; i < 200; i++ {
+		g.AddEdge(rng.Intn(100), rng.Intn(100), 1)
+	}
+	order := rng.Perm(g.M())
+	ws := NewWorkspace()
+	run := func() int {
+		g.DisableAll()
+		flow := ws.StartFlow(g, 2, 71)
+		for lo := 0; lo < len(order); lo += 16 {
+			batch := order[lo:min(lo+16, len(order))]
+			for _, id := range batch {
+				g.Enable(id)
+			}
+			if flow = ws.ExtendFlow(batch); flow == 2 {
+				break
+			}
+		}
+		return flow
+	}
+	if run() != 2 {
+		t.Fatal("warm-up found no disjoint pair on the ring+chords graph")
+	}
+	if allocs := testing.AllocsPerRun(100, func() { run() }); allocs != 0 {
+		t.Fatalf("warm StartFlow/ExtendFlow allocates %.1f/op, want 0", allocs)
+	}
+}

@@ -2,8 +2,9 @@
 // total weight — Suurballe's algorithm [21], which the paper's
 // Find_Two_Paths procedure instantiates. Workspace.Suurballe is the one
 // implementation (Dijkstra with potentials, the paper's O(m log n) term);
-// the same Workspace answers the MinCog feasibility test (Feasible), and
-// KDisjoint generalises the pair to k paths.
+// the same Workspace runs the incremental two-path flow search behind the
+// MinCog bottleneck pass (StartFlow, ExtendFlow), and KDisjoint generalises
+// the pair to k paths.
 package disjoint
 
 // Pair is a pair of edge-disjoint paths from s to t, each a sequence of

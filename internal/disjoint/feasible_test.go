@@ -81,3 +81,41 @@ func TestFeasibleMatchesSuurballeAndConnectivity(t *testing.T) {
 		t.Fatalf("degenerate sample: %d feasible, %d infeasible", yes, no)
 	}
 }
+
+// TestExtendFlowMatchesConnectivity enables each graph's edges in random
+// batches and checks that after every batch the incremental search reports
+// min(2, s→t edge connectivity) of the enabled subgraph — the exactness the
+// MinCog bottleneck pass relies on. One workspace serves every case.
+func TestExtendFlowMatchesConnectivity(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	ws := new(Workspace)
+	var flows [3]int
+	for i := 0; i < 1500; i++ {
+		g := sparseGraph(rng)
+		s, d := rng.Intn(g.N()), rng.Intn(g.N())
+		order := rng.Perm(g.M())
+		g.DisableAll()
+		flow := ws.StartFlow(g, s, d)
+		for len(order) > 0 {
+			k := 1 + rng.Intn(len(order))
+			batch := order[:k]
+			order = order[k:]
+			for _, id := range batch {
+				g.Enable(id)
+			}
+			flow = ws.ExtendFlow(batch)
+			want := min(2, g.EdgeConnectivity(s, d))
+			if s == d {
+				want = 0
+			}
+			if flow != want {
+				t.Fatalf("case %d (%d→%d, n=%d, m=%d): flow %d after a batch, connectivity says %d",
+					i, s, d, g.N(), g.M(), flow, want)
+			}
+		}
+		flows[flow]++
+	}
+	if flows[0] < 100 || flows[1] < 100 || flows[2] < 100 {
+		t.Fatalf("degenerate sample: final flows %v", flows)
+	}
+}

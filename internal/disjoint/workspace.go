@@ -9,9 +9,9 @@ import (
 
 // Workspace owns all scratch state of a Suurballe computation — the two
 // Dijkstra workspaces, the residual (reduced-cost) graph, and the
-// combine-phase buffers — and of a Feasible test, so the per-request hot
-// path performs no heap allocations once the buffers have warmed up to the
-// graph size.
+// combine-phase buffers — and of the incremental two-path flow search
+// (StartFlow, ExtendFlow), so the per-request hot path performs no heap
+// allocations once the buffers have warmed up to the graph size.
 //
 // The zero value is ready to use. A Workspace is not safe for concurrent
 // use; give each goroutine its own. The *Pair returned by Suurballe aliases
@@ -37,18 +37,22 @@ type Workspace struct {
 	path1, path2 []int
 	pair         Pair
 
-	// Feasible scratch, all stamped with fgen so a call never clears them.
-	seen   []uint32 // per vertex: the current BFS pass has reached it
-	tree   []int32  // per vertex: edge the first pass reached it by
-	onPath []uint32 // per vertex: lies on the first pass's path (s excluded)
-	flow   []uint32 // per edge: carries the first pass's unit of flow
-	queue  []int32
+	// StartFlow/ExtendFlow scratch, all stamped (see phase) so a call never
+	// clears them.
+	seen   []uint32 // per vertex: the current phase has reached it
+	tree   []int32  // per vertex: edge phase 0 reached it by
+	onPath []uint32 // per vertex: lies on the first path (s excluded)
+	flow   []uint32 // per edge: carries the first path's unit of flow
+	stack  []int32  // the current phase's reached vertices not yet scanned
 	fgen   uint32
+	fg     *graph.Graph
+	fs, ft int
+	top    int // stack height
+	augs   int // augmentations so far: the flow value
 
 	// Trace, when non-nil, receives a "suurballe" span per Suurballe call
 	// with the search-effort attributes (relaxations, heap operations, path
-	// lengths), and a "feasible" span per Feasible call.
-	// All obs calls are nil-safe, so leaving it nil costs nothing.
+	// lengths). All obs calls are nil-safe, so leaving it nil costs nothing.
 	Trace *obs.Trace
 }
 
@@ -152,33 +156,35 @@ func (ws *Workspace) Suurballe(g *graph.Graph, s, t int) (*Pair, bool) {
 
 // Feasible reports whether two edge-disjoint s→t paths exist over the
 // enabled edges of g, that is, whether the unit-capacity s→t max flow is at
-// least 2. It runs two BFS augmentations: a fewest-hop path P, then a search
-// of the residual graph, where P's edges run backwards. With finite,
-// non-negative weights and no zero-weight cycle, Suurballe succeeds on g
-// exactly when Feasible does, so a search that needs only the yes/no answer
-// (the MinCog threshold rounds) skips the two Dijkstra passes, the residual
-// graph build and the path decomposition. Warm calls do not allocate.
-//
-//wdm:hotpath
+// least 2: the StartFlow search with every edge admitted at once. With
+// finite, non-negative weights and no zero-weight cycle, Suurballe succeeds
+// on g exactly when Feasible does.
 func (ws *Workspace) Feasible(g *graph.Graph, s, t int) bool {
-	if s == t {
-		return false
-	}
-	sp := ws.Trace.Begin("feasible")
-	ok := ws.feasible(g, s, t)
-	ws.Trace.SpanBool(sp, "found", ok)
-	ws.Trace.EndSpan(sp)
-	return ok
+	return ws.StartFlow(g, s, t) == 2
 }
 
-func (ws *Workspace) feasible(g *graph.Graph, s, t int) bool {
+// StartFlow begins an incremental search for two edge-disjoint s→t paths
+// over the enabled edges of g — a unit-capacity s→t max flow, capped at 2 —
+// and returns the flow it reaches over the edges enabled now: 0, 1 or 2.
+// ExtendFlow resumes it after the caller enables more edges. A search phase
+// only grows its reached set (enabling an edge adds a residual arc and
+// removes none), and only an augmentation restarts it, at most twice, so a
+// caller that enables a graph's edges in any number of batches pays
+// O(n + m) for all of them together. Warm calls do not allocate.
+//
+// Phase 0 is a depth-first search over the enabled edges; reaching t pushes
+// one unit along its tree path P. Phase 1 searches the residual graph,
+// where P's edges run backwards; reaching t there is the second unit.
+//
+//wdm:hotpath
+func (ws *Workspace) StartFlow(g *graph.Graph, s, t int) int {
 	n, m := g.N(), g.M()
 	if len(ws.seen) < n {
 		grow := n - len(ws.seen)
 		ws.seen = append(ws.seen, make([]uint32, grow)...)
 		ws.tree = append(ws.tree, make([]int32, grow)...)
 		ws.onPath = append(ws.onPath, make([]uint32, grow)...)
-		ws.queue = append(ws.queue, make([]int32, grow)...)
+		ws.stack = append(ws.stack, make([]int32, grow)...)
 	}
 	if len(ws.flow) < m {
 		ws.flow = append(ws.flow, make([]uint32, m-len(ws.flow))...)
@@ -190,75 +196,103 @@ func (ws *Workspace) feasible(g *graph.Graph, s, t int) bool {
 		ws.fgen = 0
 	}
 	ws.fgen += 2
-	pass1, pass2 := ws.fgen-1, ws.fgen
-	seen, tree, onPath, flow, queue := ws.seen[:n], ws.tree[:n], ws.onPath[:n], ws.flow[:m], ws.queue[:n]
+	ws.fg, ws.fs, ws.ft, ws.augs = g, s, t, 0
+	ws.restart()
+	return ws.search(false)
+}
 
-	// Pass 1: BFS over the enabled edges. Each vertex is queued at most
-	// once, so the queue never outgrows n.
-	seen[s] = pass1
-	queue[0] = int32(s)
-	head, tail := 0, 1
-	found := false
-	for head < tail && !found {
-		u := int(queue[head])
-		head++
-		for _, id := range g.Out(u) {
-			if g.Disabled(id) {
-				continue
-			}
-			v := g.Edge(id).To
-			if seen[v] == pass1 {
-				continue
-			}
-			seen[v], tree[v] = pass1, int32(id)
-			if v == t {
-				found = true
-				break
-			}
-			queue[tail] = int32(v)
-			tail++
+// ExtendFlow resumes the search StartFlow began, after the caller enabled
+// the edges ids of its graph, and returns the flow reached: 0, 1 or 2.
+// Since the last call the caller must have enabled no other edge and
+// disabled none.
+//
+//wdm:hotpath
+func (ws *Workspace) ExtendFlow(ids []int) int {
+	if ws.augs == 2 {
+		return 2
+	}
+	g, phase := ws.fg, ws.phase()
+	for _, id := range ids {
+		e := g.Edge(id)
+		if ws.seen[e.From] == phase && ws.reach(e.To, id) {
+			// An augmentation restarts the phase from s, and the restarted
+			// search scans the rest of ids with every other enabled edge.
+			return ws.search(true)
 		}
 	}
-	if !found {
+	return ws.search(false)
+}
+
+// phase is the stamp of the current search phase: fgen-1 before the first
+// augmentation, fgen after it. The first path's edges and vertices carry
+// fgen-1 in flow and onPath.
+func (ws *Workspace) phase() uint32 { return ws.fgen - 1 + uint32(ws.augs) }
+
+// restart begins a search phase from s.
+func (ws *Workspace) restart() {
+	ws.seen[ws.fs] = ws.phase()
+	ws.stack[0] = int32(ws.fs)
+	ws.top = 1
+}
+
+// reach marks v reached by edge id in the current phase and pushes it. It
+// reports whether v is t, which is never pushed.
+func (ws *Workspace) reach(v, id int) bool {
+	phase := ws.phase()
+	if ws.seen[v] == phase {
 		return false
 	}
-	// Push one unit along P: its edges lose their forward residual
-	// capacity, and each of its vertices but s gains a reversal back along
-	// the edge that entered it.
-	for v := t; v != s; {
-		id := int(tree[v])
-		flow[id] = pass1
-		onPath[v] = pass1
-		v = g.Edge(id).From
+	ws.seen[v] = phase
+	if ws.augs == 0 {
+		ws.tree[v] = int32(id)
 	}
+	if v == ws.ft {
+		return true
+	}
+	ws.stack[ws.top] = int32(v)
+	ws.top++
+	return false
+}
 
-	// Pass 2: BFS over the residual graph.
-	seen[s] = pass2
-	queue[0] = int32(s)
-	head, tail = 0, 1
-	for head < tail {
-		u := int(queue[head])
-		head++
-		for _, id := range g.Out(u) {
-			if g.Disabled(id) || flow[id] == pass1 {
-				continue
+// search drains the current phase (found: it already reached t) and
+// augments each time a phase reaches t, until the flow is 2 or the phase
+// runs dry.
+func (ws *Workspace) search(found bool) int {
+	for ws.augs < 2 && (found || ws.scan()) {
+		found = false
+		if ws.augs++; ws.augs == 1 {
+			// Push one unit along P: its edges lose their forward residual
+			// capacity, and each of its vertices but s gains a reversal
+			// back along the edge that entered it.
+			first := ws.fgen - 1
+			for v := ws.ft; v != ws.fs; {
+				id := int(ws.tree[v])
+				ws.flow[id] = first
+				ws.onPath[v] = first
+				v = ws.fg.Edge(id).From
 			}
-			v := g.Edge(id).To
-			if v == t {
+			ws.restart()
+		}
+	}
+	return ws.augs
+}
+
+// scan runs the current phase's depth-first search over the residual graph
+// until it reaches t (true) or its stack empties (false). Each vertex is
+// pushed at most once per phase, so the stack never outgrows n.
+func (ws *Workspace) scan() bool {
+	g, first := ws.fg, ws.fgen-1
+	for ws.top > 0 {
+		ws.top--
+		u := int(ws.stack[ws.top])
+		for _, id := range g.Out(u) {
+			if !g.Disabled(id) && ws.flow[id] != first && ws.reach(g.Edge(id).To, id) {
 				return true
 			}
-			if seen[v] != pass2 {
-				seen[v] = pass2
-				queue[tail] = int32(v)
-				tail++
-			}
 		}
-		if onPath[u] == pass1 {
-			if v := g.Edge(int(tree[u])).From; seen[v] != pass2 {
-				seen[v] = pass2
-				queue[tail] = int32(v)
-				tail++
-			}
+		// The reversal of the first path's edge into u.
+		if ws.onPath[u] == first && ws.reach(g.Edge(int(ws.tree[u])).From, -1) {
+			return true
 		}
 	}
 	return false

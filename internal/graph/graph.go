@@ -130,6 +130,19 @@ func (g *Graph) Enable(id int) { g.disabled[id] = false }
 // Disabled reports whether edge id is currently disabled.
 func (g *Graph) Disabled(id int) bool { return g.disabled[id] }
 
+// DisableAll deactivates every edge.
+func (g *Graph) DisableAll() {
+	d := g.disabled
+	if len(d) == 0 {
+		return
+	}
+	// Doubling copies fill the flags with memmove, not one store per edge.
+	d[0] = true
+	for i := 1; i < len(d); i *= 2 {
+		copy(d[i:], d[:i])
+	}
+}
+
 // EnableAll re-activates every edge.
 func (g *Graph) EnableAll() {
 	for i := range g.disabled {

@@ -127,6 +127,28 @@ func TestDijkstraRespectsDisabled(t *testing.T) {
 	}
 }
 
+// TestDisableAll covers the doubling fill at edge counts around powers of
+// two, and the empty graph.
+func TestDisableAll(t *testing.T) {
+	for _, m := range []int{0, 1, 2, 3, 7, 8, 9, 64, 65} {
+		g := New(2)
+		for i := 0; i < m; i++ {
+			g.AddEdge(0, 1, 1)
+		}
+		g.DisableAll()
+		for id := 0; id < m; id++ {
+			if !g.Disabled(id) {
+				t.Fatalf("m=%d: edge %d still enabled after DisableAll", m, id)
+			}
+		}
+		g.EnableAll()
+		g.DisableAll()
+		if m > 0 && !g.Disabled(m-1) {
+			t.Fatalf("m=%d: last edge enabled after a second DisableAll", m)
+		}
+	}
+}
+
 func TestBellmanFordNegativeEdges(t *testing.T) {
 	g := New(4)
 	g.AddEdge(0, 1, 5)

@@ -302,9 +302,9 @@ var phaseTerm = map[string]string{
 	"skeleton-build": "auxiliary-graph construction (Theorem 1 O(n·d + n·W²) term)",
 	"reweight":       "auxiliary-graph reweight (Theorem 1 O(n·d + n·W²) term)",
 	"suurballe":      "edge-disjoint pair search (Theorem 1 O(m log n) term)",
-	"feasible":       "MinCog round test: do two edge-disjoint paths exist? (two BFS augmentations, O(n + m))",
+	"bottleneck":     "MinCog bottleneck pass: links admitted in load order under one incremental two-path flow search (O(n + m))",
 	"refine":         "Lemma 2 refinement (Theorem 1 O(n·W·log(nW)) term)",
-	"mincog":         "MinCog threshold search (§4.1 doubling rounds)",
+	"mincog":         "MinCog threshold search (§4.1 doubling rounds, replayed on the bottleneck)",
 }
 
 // addPhases aggregates the trace's spans by name into the report's phase
