@@ -442,7 +442,7 @@ func (sk *Skeleton) ReweightAt(s, t int, p Params) *Aux {
 	// Link filter + link-edge weights.
 	for id := 0; id < sk.m; id++ {
 		l := net.Link(id)
-		k := !l.Avail().Empty()
+		k := l.U() < l.N() // a free channel, read from the link's counters
 		if k && (p.Kind == Load || p.Kind == LoadCost) && l.Load() >= p.Threshold {
 			k = false
 		}

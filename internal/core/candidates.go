@@ -181,12 +181,13 @@ func (r *Router) candidateTable(net *wdm.Network) *CandidateTable {
 	return nil
 }
 
-// routeAvailable is the word-at-a-time admission pre-check: every link of the
-// route must still have an available wavelength. The assignment DP then
-// settles exact conversion feasibility and cost for survivors.
+// routeAvailable is the admission pre-check: every link of the route must
+// still have an available wavelength, read from the link's counters. The
+// assignment DP then settles exact conversion feasibility and cost for
+// survivors.
 func routeAvailable(net *wdm.Network, route []int) bool {
 	for _, id := range route {
-		if net.Link(id).Avail().Empty() {
+		if l := net.Link(id); l.U() >= l.N() {
 			return false
 		}
 	}

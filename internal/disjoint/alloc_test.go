@@ -12,8 +12,9 @@ import (
 )
 
 // TestWorkspaceSuurballeZeroAllocs pins the tentpole property: a warmed
-// Workspace runs the full Suurballe pipeline — both Dijkstra passes, the
-// residual graph rebuild, and the combine phase — without heap allocations.
+// Workspace runs the full Suurballe pipeline — both Dijkstra passes (the
+// second on the implicit residual graph) and the combine phase — without
+// heap allocations.
 func TestWorkspaceSuurballeZeroAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	g := graph.New(100)

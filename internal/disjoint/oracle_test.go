@@ -7,10 +7,73 @@ import (
 	"repro/internal/graph"
 )
 
-// The test oracles of this package: Bhandari's algorithm (an independent
-// route to Suurballe's optimum), the naive two-step heuristic, and brute
-// force over simple paths, with the Bellman–Ford and simple-path helpers
-// they need.
+// The test oracles of this package: Suurballe's algorithm on an explicitly
+// built residual graph (the reference for Workspace.Suurballe's implicit
+// one), Bhandari's algorithm (an independent route to Suurballe's optimum),
+// the naive two-step heuristic, and brute force over simple paths, with the
+// Bellman–Ford and simple-path helpers they need.
+
+// explicitRun is what explicitSuurballe computed: the pair, and its
+// second pass on the residual graph h, whose edges carry their original
+// edge ID (forward) or ^ID (reversal) in Aux.
+type explicitRun struct {
+	pair *Pair
+	ok   bool
+	h    *graph.Graph
+	d2   *graph.Workspace // the second pass over h; nil if pass 1 missed t
+}
+
+// explicitSuurballe is Suurballe's algorithm as Workspace.Suurballe ran it
+// before its second pass went implicit: the residual graph is built edge by
+// edge — the surviving forward edges in ascending ID at reduced cost
+// w + d(u) − d(v) clamped at 0, then P1's zero-weight reversals in path
+// order — and searched with DijkstraInto. Workspace.Suurballe must return
+// the same pair, bit for bit, after the same relaxations and heap
+// operations.
+func explicitSuurballe(g *graph.Graph, s, t int) explicitRun {
+	if s == t {
+		return explicitRun{}
+	}
+	var d1 graph.Workspace
+	g.DijkstraInto(&d1, s)
+	p1, ok := d1.AppendPathTo(nil, t, g)
+	if !ok {
+		return explicitRun{}
+	}
+	m := g.M()
+	h := graph.New(g.N())
+	onP1 := make([]bool, m)
+	for _, id := range p1 {
+		onP1[id] = true
+	}
+	for id := 0; id < m; id++ {
+		if g.Disabled(id) || onP1[id] {
+			continue
+		}
+		e := g.Edge(id)
+		if !d1.Reached(e.From) || !d1.Reached(e.To) {
+			continue // unreachable region cannot be on any s→t path
+		}
+		rc := e.Weight + d1.Dist(e.From) - d1.Dist(e.To)
+		if rc < 0 {
+			rc = 0 // guard tiny negative from float round-off
+		}
+		h.AddEdgeAux(e.From, e.To, rc, id)
+	}
+	for _, id := range p1 {
+		e := g.Edge(id)
+		h.AddEdgeAux(e.To, e.From, 0, ^id)
+	}
+	d2 := new(graph.Workspace)
+	h.DijkstraInto(d2, s)
+	run := explicitRun{h: h, d2: d2}
+	q, ok := d2.AppendPathTo(nil, t, h)
+	if !ok {
+		return run
+	}
+	run.pair, run.ok = combine(g, s, t, p1, q, h)
+	return run
+}
 
 // bhandari computes the same optimum as Suurballe but runs Bellman–Ford on a
 // residual graph whose P1 reversals carry negated original weights. It is

@@ -8,10 +8,11 @@ import (
 )
 
 // Workspace owns all scratch state of a Suurballe computation — the two
-// Dijkstra workspaces, the residual (reduced-cost) graph, and the
-// combine-phase buffers — and of the incremental two-path flow search
-// (StartFlow, ExtendFlow), so the per-request hot path performs no heap
-// allocations once the buffers have warmed up to the graph size.
+// Dijkstra workspaces (the second walks the residual graph in place, see
+// graph.ResidualDijkstraInto), the two passes' paths and the combine-phase
+// buffers — and of the incremental two-path flow search (StartFlow,
+// ExtendFlow), so the per-request hot path performs no heap allocations
+// once the buffers have warmed up to the graph size.
 //
 // The zero value is ready to use. A Workspace is not safe for concurrent
 // use; give each goroutine its own. The *Pair returned by Suurballe aliases
@@ -19,12 +20,9 @@ import (
 // workspace; callers that retain it across calls must copy the path slices.
 type Workspace struct {
 	d1, d2 graph.Workspace
-	res    graph.Graph // residual graph, rebuilt in place each call
 
-	p1 []int // first-pass shortest path (original edge IDs)
-	q  []int // second-pass path (residual edge IDs)
-
-	onP1 []bool // per original edge; cleared after each use
+	p1 []int // first-pass shortest path (edge IDs)
+	q  []int // second-pass path: edge IDs and graph.ReversalEdge codes
 
 	// combine scratch.
 	mark     []int32 // per original edge: multiplicity in the surviving set
@@ -92,40 +90,9 @@ func (ws *Workspace) Suurballe(g *graph.Graph, s, t int) (*Pair, bool) {
 		return nil, false
 	}
 
-	// Transformed graph with reduced costs w'(u,v) = w + d(u) − d(v) ≥ 0.
-	// P1's forward edges are removed and replaced by zero-weight reversals
-	// (their reduced cost is 0, so the reversal is also 0).
-	m := g.M()
-	h := &ws.res
-	h.Reset(g.N())
-	for cap(ws.onP1) < m {
-		ws.onP1 = append(ws.onP1[:cap(ws.onP1)], false)
-	}
-	onP1 := ws.onP1[:m]
-	for _, id := range ws.p1 {
-		onP1[id] = true
-	}
-	for id := 0; id < m; id++ {
-		if g.Disabled(id) || onP1[id] {
-			continue
-		}
-		e := g.Edge(id)
-		if !ws.d1.Reached(e.From) || !ws.d1.Reached(e.To) {
-			continue // unreachable region cannot be on any s→t path
-		}
-		rc := e.Weight + ws.d1.Dist(e.From) - ws.d1.Dist(e.To)
-		if rc < 0 {
-			rc = 0 // guard tiny negative from float round-off
-		}
-		h.AddEdgeAux(e.From, e.To, rc, id)
-	}
-	for _, id := range ws.p1 {
-		e := g.Edge(id)
-		h.AddEdgeAux(e.To, e.From, 0, ^id) // reversal carries ^origID
-		onP1[id] = false                   // restore the cleared invariant
-	}
-
-	h.DijkstraInto(&ws.d2, s)
+	// Pass 2 on the residual graph: reduced costs w + d(u) − d(v) ≥ 0, P1's
+	// edges replaced by zero-weight reversals.
+	g.ResidualDijkstraInto(&ws.d2, &ws.d1, ws.p1, s)
 	instr.relaxations.Add(ws.d2.Relaxations())
 	instr.heapOps.Add(ws.d2.HeapOps())
 	ws.Trace.SpanInt(sp, "relax2", int64(ws.d2.Relaxations()))
@@ -135,7 +102,7 @@ func (ws *Workspace) Suurballe(g *graph.Graph, s, t int) (*Pair, bool) {
 		ws.Trace.EndSpan(sp)
 		return nil, false
 	}
-	ws.q, ok = ws.d2.AppendPathTo(ws.q[:0], t, h)
+	ws.q, ok = ws.d2.AppendPathTo(ws.q[:0], t, g)
 	if !ok {
 		ws.Trace.SpanBool(sp, "found", false)
 		ws.Trace.EndSpan(sp)
@@ -299,11 +266,12 @@ func (ws *Workspace) scan() bool {
 }
 
 // combine cancels interlacing edges between P1 and the second-pass path Q
-// (edges of Q with Aux = ^origID are reversals of P1 edges) and decomposes
-// the remaining edge multiset into two edge-disjoint s→t paths. It mirrors
-// the map-based combine exactly — the surviving edges are scanned in
-// ascending ID order and each per-vertex chain pops its largest ID first —
-// so the decomposition (and which path is reported first) is identical.
+// (negative entries of Q are graph.ReversalEdge codes of P1 edges) and
+// decomposes the remaining edge multiset into two edge-disjoint s→t paths.
+// It mirrors the map-based combine exactly — the surviving edges are
+// scanned in ascending ID order and each per-vertex chain pops its largest
+// ID first — so the decomposition (and which path is reported first) is
+// identical.
 func (ws *Workspace) combine(g *graph.Graph, s, t int) (*Pair, bool) {
 	m := g.M()
 	for cap(ws.mark) < m {
@@ -322,12 +290,11 @@ func (ws *Workspace) combine(g *graph.Graph, s, t int) (*Pair, bool) {
 	for _, id := range ws.p1 {
 		add(id)
 	}
-	for _, hid := range ws.q {
-		aux := ws.res.Edge(hid).Aux
-		if aux < 0 {
-			mark[^aux]-- // reversal cancels the P1 edge
+	for _, id := range ws.q {
+		if id < 0 {
+			mark[graph.ReversalEdge(id)]-- // reversal cancels the P1 edge
 		} else {
-			add(aux)
+			add(id)
 		}
 	}
 	//wdmlint:ignore hotalloc non-escaping closure; stays on the stack

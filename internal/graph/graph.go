@@ -60,17 +60,12 @@ func (g *Graph) AddEdge(from, to int, weight float64) int {
 // AddEdgeAux appends a directed edge carrying an auxiliary payload.
 func (g *Graph) AddEdgeAux(from, to int, weight float64, aux int) int {
 	if from < 0 || from >= g.n || to < 0 || to >= g.n {
-		//wdmlint:ignore hotalloc panic-path formatting; unreachable in a correct run
 		panic(fmt.Sprintf("graph: edge (%d,%d) out of range [0,%d)", from, to, g.n))
 	}
 	id := len(g.edges)
-	//wdmlint:ignore hotalloc adjacency buffers keep capacity across Reset; growth amortizes to zero
 	g.edges = append(g.edges, Edge{ID: id, From: from, To: to, Weight: weight, Aux: aux})
-	//wdmlint:ignore hotalloc adjacency buffers keep capacity across Reset; growth amortizes to zero
 	g.out[from] = append(g.out[from], id)
-	//wdmlint:ignore hotalloc adjacency buffers keep capacity across Reset; growth amortizes to zero
 	g.in[to] = append(g.in[to], id)
-	//wdmlint:ignore hotalloc adjacency buffers keep capacity across Reset; growth amortizes to zero
 	g.disabled = append(g.disabled, false)
 	return id
 }
@@ -148,34 +143,6 @@ func (g *Graph) EnableAll() {
 	for i := range g.disabled {
 		g.disabled[i] = false
 	}
-}
-
-// Reset reconfigures g in place to an empty graph over n vertices, keeping
-// every backing array so a scratch graph (e.g. Suurballe's residual graph)
-// can be rebuilt each call without allocating once its capacity has warmed
-// up.
-func (g *Graph) Reset(n int) {
-	if n < 0 {
-		panic("graph: negative vertex count")
-	}
-	g.n = n
-	g.edges = g.edges[:0]
-	g.disabled = g.disabled[:0]
-	g.out = resetAdj(g.out, n)
-	g.in = resetAdj(g.in, n)
-}
-
-// resetAdj resizes an adjacency table to n empty per-vertex lists, reusing
-// both the outer array and the per-vertex slices' capacity.
-func resetAdj(a [][]int, n int) [][]int {
-	if cap(a) < n {
-		a = append(a[:cap(a)], make([][]int, n-cap(a))...)
-	}
-	a = a[:n]
-	for i := range a {
-		a[i] = a[i][:0]
-	}
-	return a
 }
 
 // Clone returns a deep copy of the graph.

@@ -28,6 +28,10 @@ type Workspace struct {
 	src int
 	n   int
 
+	// revIn[v] is the first-pass path edge entering v during
+	// ResidualDijkstraInto, and -1 otherwise.
+	revIn []int
+
 	// Search-effort counters for the last search: the measured constants
 	// behind the paper's m log n term.
 	relaxations int64
@@ -103,7 +107,8 @@ func (ws *Workspace) HeapOps() int64 { return ws.heapOps }
 // AppendPathTo appends the edge-ID path from the source to v onto buf and
 // returns the extended slice, or (buf unchanged, false) when v is
 // unreachable. Passing buf[:0] of a retained slice makes path extraction
-// allocation-free once the buffer has warmed up.
+// allocation-free once the buffer has warmed up. After ResidualDijkstraInto
+// a step over the reversal of edge id appends ReversalEdge(id).
 func (ws *Workspace) AppendPathTo(buf []int, v int, g *Graph) ([]int, bool) {
 	if !ws.Reached(v) {
 		return buf, false
@@ -111,12 +116,16 @@ func (ws *Workspace) AppendPathTo(buf []int, v int, g *Graph) ([]int, bool) {
 	start := len(buf)
 	for v != ws.src {
 		e := ws.prevEdge[v]
-		if e < 0 {
-			return buf[:start], false // defensive: broken tree
-		}
 		//wdmlint:ignore hotalloc appends into the caller's reusable path buffer; amortizes to zero
 		buf = append(buf, e)
-		v = g.Edge(e).From
+		switch {
+		case e >= 0:
+			v = g.edges[e].From
+		case e != -1:
+			v = g.edges[ReversalEdge(e)].To // a reversal runs To → From
+		default:
+			return buf[:start], false // defensive: broken tree
+		}
 	}
 	// Reverse the appended segment in place.
 	for i, j := start, len(buf)-1; i < j; i, j = i+1, j-1 {
@@ -155,21 +164,106 @@ func (g *Graph) DijkstraInto(ws *Workspace, src int) {
 				//wdmlint:ignore hotalloc panic-path formatting; unreachable in a correct run
 				panic(fmt.Sprintf("graph: Dijkstra on negative edge %d (weight %g)", id, e.Weight))
 			}
-			ws.relaxations++
-			nd := du + e.Weight
-			to := e.To
-			if ws.stamp[to] != ws.gen {
-				ws.visit(to, nd, id)
-				h.Push(to, nd)
-				ws.heapOps++
-			} else if nd < ws.dist[to] {
-				ws.dist[to] = nd
-				ws.prevEdge[to] = id
-				h.PushOrDecrease(to, nd)
-				ws.heapOps++
+			if nd := du + e.Weight; ws.relax(e.To, nd, id) {
+				h.PushOrDecrease(e.To, nd)
 			}
 		}
 	}
+}
+
+// ResidualDijkstraInto is the second pass of Suurballe's algorithm: it runs
+// DijkstraInto from src over the residual graph of g with respect to the
+// first pass, without building that graph. pot, a workspace other than ws,
+// holds the first pass, a DijkstraInto search of g from the same src, and
+// p1 its shortest path (edge IDs of g from src to some t, as AppendPathTo
+// returns it).
+//
+// The residual graph keeps every enabled edge of g that is not on p1, at
+// the reduced cost w + d1(u) − d1(v), clamped at 0 against round-off, and
+// adds, for each p1 edge, its zero-weight reversal. Edges pot did not reach
+// lie outside every s→t path and are never scanned: pot reached the head of
+// every enabled edge whose tail it reached. A vertex's residual out-edges
+// are its forward edges in ascending ID, then the reversal of the p1 edge
+// that enters it, so the search makes the relaxations, in the same order,
+// that DijkstraInto would make on the graph built explicitly edge by edge
+// in that order. A vertex reached over the reversal of edge id records
+// ReversalEdge(id) as its tree edge.
+//
+//wdm:hotpath
+func (g *Graph) ResidualDijkstraInto(ws, pot *Workspace, p1 []int, src int) {
+	ws.begin(g.n)
+	for len(ws.revIn) < g.n {
+		ws.revIn = append(ws.revIn, -1)
+	}
+	// revIn[v] is the p1 edge entering v. p1 is a simple path, so each of
+	// its vertices but src has exactly one, and edge id is on p1 exactly
+	// when revIn[To(id)] == id.
+	revIn := ws.revIn
+	for _, id := range p1 {
+		revIn[g.edges[id].To] = id
+	}
+	ws.src = src
+	ws.visit(src, 0, -1)
+	h := &ws.heap
+	h.Push(src, 0)
+	ws.heapOps++
+	for !h.Empty() {
+		u, du := h.Pop()
+		ws.heapOps++
+		if du > ws.dist[u] {
+			continue
+		}
+		// pot searched all of g from src, so it reached u and the head of
+		// every enabled edge out of u: their potentials are set.
+		pu := pot.dist[u]
+		for _, id := range g.out[u] {
+			if g.disabled[id] {
+				continue
+			}
+			e := &g.edges[id]
+			to := e.To
+			if revIn[to] == id {
+				continue
+			}
+			rc := e.Weight + pu - pot.dist[to]
+			if rc < 0 {
+				rc = 0 // guard tiny negative from float round-off
+			}
+			if nd := du + rc; ws.relax(to, nd, id) {
+				h.PushOrDecrease(to, nd)
+			}
+		}
+		// The zero-weight reversal: du + 0 is du, which is never −0.
+		if id := revIn[u]; id >= 0 {
+			if v := g.edges[id].From; ws.relax(v, du, ReversalEdge(id)) {
+				h.PushOrDecrease(v, du)
+			}
+		}
+	}
+	for _, id := range p1 {
+		revIn[g.edges[id].To] = -1
+	}
+}
+
+// ReversalEdge is the tree edge ResidualDijkstraInto records for a vertex
+// reached over the reversal of edge id: −(id+2), which is negative and never
+// the −1 of the source or of an unreached vertex. It is its own inverse, so
+// ReversalEdge(code) gives back id.
+func ReversalEdge(id int) int { return -id - 2 }
+
+// relax offers v the tentative distance nd over tree edge id and reports
+// whether it improved v, in which case the caller must PushOrDecrease v at
+// nd (a vertex not reached before is not in the heap, so that pushes it);
+// the heap operation is already counted. It is the one relaxation step
+// DijkstraInto and ResidualDijkstraInto share, small enough to inline.
+func (ws *Workspace) relax(v int, nd float64, id int) bool {
+	ws.relaxations++
+	if ws.stamp[v] == ws.gen && !(nd < ws.dist[v]) {
+		return false
+	}
+	ws.visit(v, nd, id)
+	ws.heapOps++
+	return true
 }
 
 // noCopy makes go vet's copylocks check report every copy of a type that

@@ -9,17 +9,29 @@ package pq
 // [0, n). Each item has a float64 priority. DecreaseKey, Contains, and
 // Remove are O(log n) / O(1) thanks to the position index.
 //
+// Each heap slot carries its item's priority next to its id, so a
+// comparison reads one slot rather than chasing the id into a priority
+// array, and sifting moves a hole instead of swapping: the comparisons are
+// the textbook swap-based heap's, in the same order, so the pop order, ties
+// included, is the same too.
+//
 // The zero value is not usable; call NewIndexedHeap.
 type IndexedHeap struct {
-	heap []int     // heap[i] = item id at heap position i
+	heap []slot    // heap[i] = item at heap position i, with its priority
 	pos  []int     // pos[id] = heap position of id, or -1
-	prio []float64 // prio[id] = current priority of id
+	prio []float64 // prio[id] = last priority given to id (read by Priority)
+}
+
+// slot is one heap position: an item and its current priority.
+type slot struct {
+	key float64
+	id  int
 }
 
 // NewIndexedHeap returns an empty heap over ids in [0, n).
 func NewIndexedHeap(n int) *IndexedHeap {
 	h := &IndexedHeap{
-		heap: make([]int, 0, n),
+		heap: make([]slot, 0, n),
 		pos:  make([]int, n),
 		prio: make([]float64, n),
 	}
@@ -49,10 +61,10 @@ func (h *IndexedHeap) Push(id int, priority float64) {
 		panic("pq: Push of item already in heap")
 	}
 	h.prio[id] = priority
-	h.pos[id] = len(h.heap)
+	i := len(h.heap)
 	//wdmlint:ignore hotalloc heap growth to peak size; amortizes to zero once warm
-	h.heap = append(h.heap, id)
-	h.up(len(h.heap) - 1)
+	h.heap = append(h.heap, slot{})
+	h.up(i, slot{priority, id})
 }
 
 // Pop removes and returns the item with minimum priority along with that
@@ -61,16 +73,15 @@ func (h *IndexedHeap) Pop() (id int, priority float64) {
 	if len(h.heap) == 0 {
 		panic("pq: Pop from empty heap")
 	}
-	id = h.heap[0]
-	priority = h.prio[id]
+	top := h.heap[0]
 	last := len(h.heap) - 1
-	h.swap(0, last)
+	x := h.heap[last]
 	h.heap = h.heap[:last]
-	h.pos[id] = -1
+	h.pos[top.id] = -1
 	if last > 0 {
-		h.down(0)
+		h.down(0, x)
 	}
-	return id, priority
+	return top.id, top.key
 }
 
 // Peek returns the minimum item without removing it.
@@ -78,8 +89,7 @@ func (h *IndexedHeap) Peek() (id int, priority float64) {
 	if len(h.heap) == 0 {
 		panic("pq: Peek on empty heap")
 	}
-	id = h.heap[0]
-	return id, h.prio[id]
+	return h.heap[0].id, h.heap[0].key
 }
 
 // DecreaseKey lowers the priority of id to priority. It panics if id is not
@@ -89,23 +99,25 @@ func (h *IndexedHeap) DecreaseKey(id int, priority float64) {
 	if p < 0 {
 		panic("pq: DecreaseKey of item not in heap")
 	}
-	if priority > h.prio[id] {
+	if priority > h.heap[p].key {
 		panic("pq: DecreaseKey with larger priority")
 	}
 	h.prio[id] = priority
-	h.up(p)
+	h.up(p, slot{priority, id})
 }
 
 // PushOrDecrease inserts id if absent, or lowers its key if the new priority
 // is smaller. It returns true if the heap changed. This is the common
 // Dijkstra relaxation helper.
 func (h *IndexedHeap) PushOrDecrease(id int, priority float64) bool {
-	if h.pos[id] < 0 {
+	p := h.pos[id]
+	if p < 0 {
 		h.Push(id, priority)
 		return true
 	}
-	if priority < h.prio[id] {
-		h.DecreaseKey(id, priority)
+	if priority < h.heap[p].key {
+		h.prio[id] = priority
+		h.up(p, slot{priority, id})
 		return true
 	}
 	return false
@@ -118,12 +130,13 @@ func (h *IndexedHeap) Remove(id int) {
 		panic("pq: Remove of item not in heap")
 	}
 	last := len(h.heap) - 1
-	h.swap(p, last)
+	x := h.heap[last]
 	h.heap = h.heap[:last]
 	h.pos[id] = -1
 	if p < last {
-		h.up(p)
-		h.down(p)
+		// The last item fills the hole at p and rises or sinks from there.
+		h.up(p, x)
+		h.down(p, h.heap[p])
 	}
 }
 
@@ -144,48 +157,55 @@ func (h *IndexedHeap) Grow(n int) {
 // Reset empties the heap, keeping capacity. Priorities of previously popped
 // items are no longer meaningful after Reset.
 func (h *IndexedHeap) Reset() {
-	for _, id := range h.heap {
-		h.pos[id] = -1
+	for _, s := range h.heap {
+		h.pos[s.id] = -1
 	}
 	h.heap = h.heap[:0]
 }
 
-func (h *IndexedHeap) swap(i, j int) {
-	h.heap[i], h.heap[j] = h.heap[j], h.heap[i]
-	h.pos[h.heap[i]] = i
-	h.pos[h.heap[j]] = j
-}
-
-func (h *IndexedHeap) less(i, j int) bool {
-	return h.prio[h.heap[i]] < h.prio[h.heap[j]]
-}
-
-func (h *IndexedHeap) up(i int) {
+// up places x at the hole i and moves the hole rootwards past every parent
+// whose key is larger than x's, then stores x there.
+func (h *IndexedHeap) up(i int, x slot) {
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !h.less(i, parent) {
+		ps := h.heap[parent]
+		if !(x.key < ps.key) {
 			break
 		}
-		h.swap(i, parent)
+		h.heap[i] = ps
+		h.pos[ps.id] = i
 		i = parent
 	}
+	h.heap[i] = x
+	h.pos[x.id] = i
 }
 
-func (h *IndexedHeap) down(i int) {
+// down places x at the hole i and moves the hole leafwards past the smaller
+// child while that child's key is smaller than x's, then stores x there.
+// With ties the left child wins, as in the swap-based sift.
+func (h *IndexedHeap) down(i int, x slot) {
 	n := len(h.heap)
 	for {
-		l, r := 2*i+1, 2*i+2
-		smallest := i
-		if l < n && h.less(l, smallest) {
-			smallest = l
+		l := 2*i + 1
+		if l >= n {
+			break
 		}
-		if r < n && h.less(r, smallest) {
-			smallest = r
+		c, cs := i, x
+		if ls := h.heap[l]; ls.key < cs.key {
+			c, cs = l, ls
 		}
-		if smallest == i {
-			return
+		if r := l + 1; r < n {
+			if rs := h.heap[r]; rs.key < cs.key {
+				c, cs = r, rs
+			}
 		}
-		h.swap(i, smallest)
-		i = smallest
+		if c == i {
+			break
+		}
+		h.heap[i] = cs
+		h.pos[cs.id] = i
+		i = c
 	}
+	h.heap[i] = x
+	h.pos[x.id] = i
 }
