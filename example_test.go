@@ -16,12 +16,13 @@ func Example() {
 	net.AddUniformLink(2, 3, 2)
 	net.SetAllConverters(repro.NewFullConverter(2, 0.5))
 
+	tab := repro.NewConnectionTable(net)
 	route, ok := repro.ApproxMinCost(net, 0, 3, nil)
 	if !ok {
 		panic("unroutable")
 	}
 	fmt.Printf("pair cost %.0f\n", route.Cost)
-	if err := repro.Establish(net, route); err != nil {
+	if _, err := tab.Admit(1, 0, 3, route.Pair()); err != nil {
 		panic(err)
 	}
 	fmt.Printf("network load %.2f\n", net.NetworkLoad())

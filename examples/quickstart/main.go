@@ -27,6 +27,10 @@ func main() {
 		net.AddUniformLink(int(s[1]), int(s[0]), s[2])
 	}
 
+	// Connections reserve and release channels through a connection table,
+	// which owns the network from now on; routing still reads net.
+	tab := repro.NewConnectionTable(net)
+
 	// Route a robust connection 0 → 5: two edge-disjoint semilightpaths
 	// minimising the total cost (§3.3 of the paper). A Router reuses its
 	// internal graph structures across requests; for a single request,
@@ -43,7 +47,7 @@ func main() {
 	// Reserve both paths. The backup's wavelengths are locked now, so a
 	// single link failure on the primary can be survived by switching over
 	// instantly — the paper's "activate" approach.
-	if err := repro.Establish(net, route); err != nil {
+	if _, err := tab.Admit(1, 0, 5, route.Pair()); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("network load after establishment: ρ = %.3g\n", net.NetworkLoad())
@@ -56,18 +60,17 @@ func main() {
 	}
 	fmt.Println("second request primary:", route2.Primary.Format(net))
 	fmt.Printf("network load with both connections: ρ = %.3g\n", func() float64 {
-		if err := repro.Establish(net, route2); err != nil {
+		if _, err := tab.Admit(2, 3, 2, route2.Pair()); err != nil {
 			log.Fatal(err)
 		}
 		return net.NetworkLoad()
 	}())
 
 	// Connections release their wavelengths on teardown.
-	if err := repro.Teardown(net, route); err != nil {
-		log.Fatal(err)
-	}
-	if err := repro.Teardown(net, route2); err != nil {
-		log.Fatal(err)
+	for _, id := range []int64{1, 2} {
+		if _, err := tab.Teardown(id); err != nil {
+			log.Fatal(err)
+		}
 	}
 	fmt.Printf("network load after teardown: ρ = %.3g\n", net.NetworkLoad())
 }

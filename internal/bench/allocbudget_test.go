@@ -16,9 +16,13 @@ import (
 const allocSlack = 1.2
 
 // TestSimAllocBudget runs the dynamic-simulation benchmarks briefly and
-// fails when allocs/op regress ≥20% over testdata/alloc_budget.json — the
-// CI tripwire for the arena/pooling work: a leaked per-arrival allocation
-// costs ≥200 allocs/run here, far beyond the slack.
+// fails when allocs/op regress more than 20% over testdata/alloc_budget.json
+// — the CI tripwire for the arena/pooling work. It is the simulator's only
+// whole-run allocation gate. A run has 200 arrivals, so one leaked
+// allocation per arrival adds 200 allocs/op; the slack on today's budgets
+// is about 280, so the gate trips only from about 1.5 leaked allocations
+// per arrival. Single per-request allocations are pinned by the warm-router
+// budgets in internal/core.
 func TestSimAllocBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("benchmark-backed; skipped in -short")

@@ -334,7 +334,7 @@ func E16(o Options) *Table {
 					spans = append(spans, [2]int{a, b})
 					net.SetSRLG(id, gid)
 				}
-				var routes []*core.Result
+				tab := conns.New[struct{}](net)
 				cost := 0.0
 				router := core.NewRouter(nil)
 				for k := 0; k < 25; k++ {
@@ -350,15 +350,17 @@ func E16(o Options) *Table {
 					} else {
 						r, ok = router.ApproxMinCost(net, s, d)
 					}
-					if ok && core.Establish(net, r) == nil {
-						routes = append(routes, r)
+					if !ok {
+						continue
+					}
+					if _, err := tab.Admit(int64(k), s, d, r.Pair()); err == nil {
 						cost += r.Cost
 					}
 				}
 				// Cut every duct group; a connection suffers an outage when
 				// both its paths cross the cut.
-				hitsGroup := func(p *wdm.Semilightpath, gid int) bool {
-					for _, h := range p.Hops {
+				hitsGroup := func(hops []wdm.Hop, gid int) bool {
+					for _, h := range hops {
 						for _, g2 := range net.SRLGs(h.Link) {
 							if g2 == gid {
 								return true
@@ -368,14 +370,16 @@ func E16(o Options) *Table {
 					return false
 				}
 				outages := 0
+				ids := tab.IDs(nil)
 				for gid := 0; gid < group; gid++ {
-					for _, r := range routes {
-						if hitsGroup(r.Primary, gid) && hitsGroup(r.Backup, gid) {
+					for _, id := range ids {
+						c, _ := tab.Get(id)
+						if hitsGroup(c.Primary, gid) && hitsGroup(c.Backup, gid) {
 							outages++
 						}
 					}
 				}
-				return sample{placed: len(routes), outages: outages, cost: cost}
+				return sample{placed: len(ids), outages: outages, cost: cost}
 			})
 			var placed, outages, rate, cost stats.Stream
 			for _, s := range samples {
@@ -568,7 +572,7 @@ func E19(o Options) *Table {
 				if r, ok := algo.route(router, tab.Network(), s, d); ok {
 					// A pair the table refuses blocks the demand, changing
 					// nothing, so the error needs no handling.
-					_, _ = tab.Admit(int64(k), s, d, conns.Pair{Primary: r.Primary.Hops, Backup: r.Backup.Hops})
+					_, _ = tab.Admit(int64(k), s, d, r.Pair())
 				}
 			}
 			return reconfig.Optimize(tab)

@@ -131,7 +131,7 @@ func PathCost(net *wdm.Network, p *wdm.Semilightpath) float64 {
 // first-principles recomputation within eps (absolute + relative).
 func Cost(net *wdm.Network, p *wdm.Semilightpath, reported float64) error {
 	want := PathCost(net, p)
-	if !approxEq(want, reported) {
+	if !ApproxEq(want, reported) {
 		return fmt.Errorf("check: reported cost %g, Eq. 1 recomputation gives %g", reported, want)
 	}
 	return nil
@@ -294,15 +294,16 @@ func GraphPair(g *graph.Graph, p1, p2 []int, s, t int, weight float64) error {
 	for _, id := range p2 {
 		sum += g.Edge(id).Weight
 	}
-	if !approxEq(sum, weight) {
+	if !ApproxEq(sum, weight) {
 		return fmt.Errorf("check: reported pair weight %g, recomputed %g", weight, sum)
 	}
 	return nil
 }
 
-// approxEq compares floats with a mixed absolute/relative tolerance. Both
-// infinite (same sign) compares equal.
-func approxEq(a, b float64) bool {
+// ApproxEq compares floats with a mixed absolute/relative tolerance, the
+// one the validators and the differential harness share. Both infinite
+// (same sign) compares equal.
+func ApproxEq(a, b float64) bool {
 	if a == b {
 		return true
 	}

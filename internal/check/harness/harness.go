@@ -12,9 +12,9 @@ package harness
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"repro/internal/check"
+	"repro/internal/conns"
 	"repro/internal/core"
 	"repro/internal/exact"
 	"repro/internal/wdm"
@@ -248,7 +248,7 @@ func checkResult(net *wdm.Network, op check.Op, res *core.Result) error {
 	}
 	cp := check.PathCost(net, res.Primary)
 	cb := check.PathCost(net, res.Backup)
-	if !approxEq(cp+cb, res.Cost) {
+	if !check.ApproxEq(cp+cb, res.Cost) {
 		return fmt.Errorf("Eq. 1 accounting: reported pair cost %g, recomputed %g + %g = %g",
 			res.Cost, cp, cb, cp+cb)
 	}
@@ -340,7 +340,7 @@ func checkExact(net *wdm.Network, op check.Op, res *core.Result, ok bool, cfg Co
 		return fmt.Errorf("exact pair: %w", err)
 	}
 	exactCost := check.PathCost(net, sol.Primary) + check.PathCost(net, sol.Backup)
-	if !approxEq(exactCost, sol.Cost) {
+	if !check.ApproxEq(exactCost, sol.Cost) {
 		return fmt.Errorf("exact Eq. 1 accounting: reported %g, recomputed %g", sol.Cost, exactCost)
 	}
 	if rep != nil {
@@ -366,7 +366,7 @@ func checkExact(net *wdm.Network, op check.Op, res *core.Result, ok bool, cfg Co
 		if !okI {
 			return fmt.Errorf("ILP infeasible where exhaustive found cost %g", sol.Cost)
 		}
-		if !approxEq(ilpSol.Cost, sol.Cost) {
+		if !check.ApproxEq(ilpSol.Cost, sol.Cost) {
 			return fmt.Errorf("ILP optimum %g disagrees with exhaustive optimum %g", ilpSol.Cost, sol.Cost)
 		}
 		if rep != nil {
@@ -376,11 +376,11 @@ func checkExact(net *wdm.Network, op check.Op, res *core.Result, ok bool, cfg Co
 	return nil
 }
 
-// RunInstance drives one instance end to end: two network clones routed by a
-// fresh and a warm arm, every invariant checked after every operation, a
-// full drain at the end, and capacity conservation throughout. A nil rep
-// skips tallying (the shrinking predicate uses that). The returned error is
-// nil when every check passed.
+// RunInstance drives one instance end to end: two network clones, each
+// owned by a connection table, routed by a fresh and a warm arm; every
+// invariant checked after every operation, the fresh table audited after
+// each, and a full drain at the end. A nil rep skips tallying (the shrinking
+// predicate uses that). The returned error is nil when every check passed.
 func RunInstance(in *check.Instance, cfg Config, rep *Report) error {
 	netF, err := in.Build()
 	if err != nil {
@@ -391,6 +391,7 @@ func RunInstance(in *check.Instance, cfg Config, rep *Report) error {
 		return fmt.Errorf("build: %w", err)
 	}
 	baseAvail := netF.TotalAvailable()
+	tabF, tabW := conns.New[struct{}](netF), conns.New[struct{}](netW)
 	warm := core.NewRouter(nil)
 	var candR *core.Router
 	if cfg.Candidates > 0 {
@@ -398,8 +399,6 @@ func RunInstance(in *check.Instance, cfg Config, rep *Report) error {
 	}
 	eligible := in.Eligible()
 
-	type liveConn struct{ fresh, warm *core.Result }
-	live := map[int]*liveConn{}
 	blocked := map[int]bool{}
 	fail := func(i int, algo check.Algo, err error) error {
 		return &OpError{Op: i, Algo: algo, Err: err}
@@ -410,22 +409,18 @@ func RunInstance(in *check.Instance, cfg Config, rep *Report) error {
 			rep.Ops++
 		}
 		if op.Teardown >= 0 {
-			c := live[op.Teardown]
-			if c == nil {
+			id := int64(op.Teardown)
+			if _, err := tabF.Teardown(id); err != nil {
 				// The generator's op stream assumes establishes succeed; when
 				// the network blocked one, tearing it down is a no-op rather
 				// than a violation.
-				if blocked[op.Teardown] {
+				if err == conns.ErrUnknown && blocked[op.Teardown] {
 					continue
 				}
-				return fail(i, 0, fmt.Errorf("teardown of op %d with no live connection", op.Teardown))
+				return fail(i, 0, fmt.Errorf("fresh teardown of op %d: %w", op.Teardown, err))
 			}
-			delete(live, op.Teardown)
-			if err := core.Teardown(netF, c.fresh); err != nil {
-				return fail(i, 0, fmt.Errorf("fresh teardown: %w", err))
-			}
-			if err := core.Teardown(netW, c.warm); err != nil {
-				return fail(i, 0, fmt.Errorf("warm teardown: %w", err))
+			if _, err := tabW.Teardown(id); err != nil {
+				return fail(i, 0, fmt.Errorf("warm teardown of op %d: %w", op.Teardown, err))
 			}
 			if rep != nil {
 				rep.Teardowns++
@@ -465,25 +460,20 @@ func RunInstance(in *check.Instance, cfg Config, rep *Report) error {
 				}
 				continue
 			}
-			if err := core.Establish(netF, rF); err != nil {
-				return fail(i, op.Algo, fmt.Errorf("fresh establish: %w", err))
+			if _, err := tabF.Admit(int64(i), op.Src, op.Dst, rF.Pair()); err != nil {
+				return fail(i, op.Algo, fmt.Errorf("fresh admit: %w", err))
 			}
-			if err := core.Establish(netW, rW); err != nil {
-				return fail(i, op.Algo, fmt.Errorf("warm establish: %w", err))
+			if _, err := tabW.Admit(int64(i), op.Src, op.Dst, rW.Pair()); err != nil {
+				return fail(i, op.Algo, fmt.Errorf("warm admit: %w", err))
 			}
-			if err := check.Reserved(netF, rF.Primary); err != nil {
-				return fail(i, op.Algo, fmt.Errorf("after establish, primary: %w", err))
-			}
-			if err := check.Reserved(netF, rF.Backup); err != nil {
-				return fail(i, op.Algo, fmt.Errorf("after establish, backup: %w", err))
-			}
-			live[i] = &liveConn{fresh: rF, warm: rW}
 			if rep != nil {
 				rep.Routed++
 			}
 		}
-		// Global residual-state bookkeeping after every operation.
-		if err := check.LoadAccounting(netF); err != nil {
+		// Global residual-state bookkeeping after every operation: the Eq. 2
+		// load counters, every live pair's legality and reservation, and
+		// capacity conservation, re-derived by the table's audit.
+		if err := tabF.Audit(); err != nil {
 			return fail(i, 0, err)
 		}
 		if aF, aW := netF.TotalAvailable(), netW.TotalAvailable(); aF != aW {
@@ -495,20 +485,14 @@ func RunInstance(in *check.Instance, cfg Config, rep *Report) error {
 	}
 
 	// Drain: every surviving connection releases cleanly and the network
-	// returns to its pristine capacity on both arms. Drain in op order so a
-	// teardown failure names the same op on every run (mapdet).
-	liveIdx := make([]int, 0, len(live))
-	for idx := range live {
-		liveIdx = append(liveIdx, idx)
-	}
-	sort.Ints(liveIdx)
-	for _, idx := range liveIdx {
-		c := live[idx]
-		if err := core.Teardown(netF, c.fresh); err != nil {
-			return fmt.Errorf("drain op %d (fresh): %w", idx, err)
+	// returns to its pristine capacity on both arms. IDs are ascending, so
+	// a teardown failure names the same op on every run.
+	for _, id := range tabF.IDs(nil) {
+		if _, err := tabF.Teardown(id); err != nil {
+			return fmt.Errorf("drain op %d (fresh): %w", id, err)
 		}
-		if err := core.Teardown(netW, c.warm); err != nil {
-			return fmt.Errorf("drain op %d (warm): %w", idx, err)
+		if _, err := tabW.Teardown(id); err != nil {
+			return fmt.Errorf("drain op %d (warm): %w", id, err)
 		}
 	}
 	if got := netF.TotalAvailable(); got != baseAvail {
@@ -520,20 +504,8 @@ func RunInstance(in *check.Instance, cfg Config, rep *Report) error {
 	if rho := netF.NetworkLoad(); rho != 0 {
 		return fmt.Errorf("network load %g after full drain, want 0", rho)
 	}
-	if err := check.LoadAccounting(netF); err != nil {
+	if err := tabF.Audit(); err != nil {
 		return fmt.Errorf("after drain: %w", err)
 	}
 	return nil
-}
-
-// approxEq mirrors the tolerance used by the check validators.
-func approxEq(a, b float64) bool {
-	if a == b {
-		return true
-	}
-	if math.IsInf(a, 0) || math.IsInf(b, 0) || math.IsNaN(a) || math.IsNaN(b) {
-		return false
-	}
-	tol := 1e-9 * math.Max(1, math.Max(math.Abs(a), math.Abs(b)))
-	return math.Abs(a-b) <= tol
 }

@@ -2,8 +2,13 @@
 // the repository: the simulator (netsim) and the daemon's commit step
 // (serve) admit, tear down, reroute, switch over and re-protect connections
 // through it; the off-line tools place (provision) and move (reconfig)
-// theirs through it; and it is the only code that reserves, releases or
-// quarantines channels for live connections.
+// theirs through it; the differential harness (check/harness) admits and
+// drains both of its routing arms through one table each and audits after
+// every operation; and the public facade hands it out as
+// repro.NewConnectionTable. It is the only code that reserves, releases or
+// quarantines channels for live connections; serve.Replay, the independent
+// serial reference that checks the daemon's journal, is the one other
+// reservation path.
 //
 // A Table owns a *wdm.Network and the registry of live connections on it.
 // It has a single writer: every mutating method must be called from one

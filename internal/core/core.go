@@ -16,14 +16,22 @@
 // Baselines used by the evaluation: TwoStepMinCost (shortest semilightpath,
 // delete, second shortest) and the exact solvers in package exact.
 //
-// Every algorithm above is a Router method; Router is the package's only
-// routing entry point, and a one-shot caller uses NewRouter(opts).X(…).
+// Every algorithm above is a Router method, and a one-shot caller uses
+// NewRouter(opts).X(…). Three extensions are not: ApproxMinCostK (k
+// pairwise edge-disjoint paths), ApproxMinCostSRLG (shared-risk-group
+// disjoint backups) and AlternateTable.Route (fixed-alternate routing from
+// a precomputed table) are package functions and a table method, called
+// without a Router.
+//
+// A routed Result reserves nothing. Result.Pair hands its two paths to a
+// conns.Table, which reserves and releases channels for live connections.
 package core
 
 import (
 	"math"
 
 	"repro/internal/auxgraph"
+	"repro/internal/conns"
 	"repro/internal/disjoint"
 	"repro/internal/lightpath"
 	"repro/internal/obs"
@@ -102,6 +110,13 @@ type Result struct {
 	PathLoad float64
 	// Iterations is the number of threshold-search rounds (load variants).
 	Iterations int
+}
+
+// Pair returns the result's primary and backup hops as a connection-table
+// pair, for conns.Table.Admit and Reroute. It shares r's hop slices; the
+// table copies them.
+func (r *Result) Pair() conns.Pair {
+	return conns.Pair{Primary: r.Primary.Hops, Backup: r.Backup.Hops}
 }
 
 // pathLoad computes max (U(e)+1)/N(e) over the links of both paths.
@@ -249,27 +264,4 @@ func nodesDisjoint(net *wdm.Network, p, q *wdm.Semilightpath, s, t int) bool {
 		}
 	}
 	return true
-}
-
-// Establish reserves both paths of a routed result on the network. Either
-// both paths are reserved or neither.
-func Establish(net *wdm.Network, r *Result) error {
-	if err := net.Reserve(r.Primary); err != nil {
-		return err
-	}
-	if err := net.Reserve(r.Backup); err != nil {
-		if rerr := net.ReleasePath(r.Primary); rerr != nil {
-			panic("core: rollback failed: " + rerr.Error())
-		}
-		return err
-	}
-	return nil
-}
-
-// Teardown releases both paths of an established result.
-func Teardown(net *wdm.Network, r *Result) error {
-	if err := net.ReleasePath(r.Primary); err != nil {
-		return err
-	}
-	return net.ReleasePath(r.Backup)
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/conns"
 	"repro/internal/exact"
 	"repro/internal/wdm"
 )
@@ -209,30 +210,6 @@ func TestMinLoadCostBalancesBothObjectives(t *testing.T) {
 	// Within the bound, the cheaper idle corridor must serve as primary.
 	if math.Abs(r.Primary.Cost(net)-2) > 1e-9 {
 		t.Fatalf("primary cost = %g, want 2", r.Primary.Cost(net))
-	}
-}
-
-func TestEstablishTeardown(t *testing.T) {
-	net := diamondNet(2)
-	r, ok := NewRouter(nil).ApproxMinCost(net, 0, 3)
-	if !ok {
-		t.Fatal("route failed")
-	}
-	if err := Establish(net, r); err != nil {
-		t.Fatal(err)
-	}
-	if net.NetworkLoad() == 0 {
-		t.Fatal("establish did not reserve")
-	}
-	// Establishing the same wavelengths again must fail and roll back.
-	if err := Establish(net, r); err == nil {
-		t.Fatal("double establish should fail")
-	}
-	if err := Teardown(net, r); err != nil {
-		t.Fatal(err)
-	}
-	if net.NetworkLoad() != 0 {
-		t.Fatal("teardown did not release")
 	}
 }
 
@@ -509,6 +486,7 @@ func TestAlternateTableFallsBackWhenBusy(t *testing.T) {
 	net.AddUniformLink(4, 5, 2)
 	net.SetAllConverters(wdm.NewFullConverter(1, 0))
 	tbl := BuildAlternateTable(net, 2)
+	tab := conns.New[struct{}](net)
 	if got := tbl.Alternates(0, 5); got != 2 {
 		t.Fatalf("alternates = %d, want 2", got)
 	}
@@ -516,7 +494,7 @@ func TestAlternateTableFallsBackWhenBusy(t *testing.T) {
 	if !ok || math.Abs(r1.Cost-4) > 1e-9 {
 		t.Fatalf("first route cost = %v ok=%v", r1, ok)
 	}
-	if err := Establish(net, r1); err != nil {
+	if _, err := tab.Admit(1, 0, 5, r1.Pair()); err != nil {
 		t.Fatal(err)
 	}
 	// First alternate exhausted (W=1): second must be chosen.
@@ -527,7 +505,7 @@ func TestAlternateTableFallsBackWhenBusy(t *testing.T) {
 	if math.Abs(r2.Cost-8) > 1e-9 {
 		t.Fatalf("fallback cost = %g, want 8", r2.Cost)
 	}
-	if err := Establish(net, r2); err != nil {
+	if _, err := tab.Admit(2, 0, 5, r2.Pair()); err != nil {
 		t.Fatal(err)
 	}
 	// Everything exhausted now.
@@ -549,47 +527,6 @@ func TestAlternateTableNeverBeatsAdaptive(t *testing.T) {
 		if okT && !okA {
 			t.Fatalf("trial %d: table routed where adaptive failed", trial)
 		}
-	}
-}
-
-func TestEstablishRollsBackWhenBackupConflicts(t *testing.T) {
-	net := diamondNet(1)
-	r, ok := NewRouter(nil).ApproxMinCost(net, 0, 3)
-	if !ok {
-		t.Fatal("routing failed")
-	}
-	// Steal one wavelength of the backup path before establishing.
-	bh := r.Backup.Hops[0]
-	if err := net.Use(bh.Link, bh.Wavelength); err != nil {
-		t.Fatal(err)
-	}
-	if err := Establish(net, r); err == nil {
-		t.Fatal("establish should fail on stolen backup channel")
-	}
-	// The primary reservation must have been rolled back.
-	for _, h := range r.Primary.Hops {
-		if !net.Link(h.Link).HasAvail(h.Wavelength) {
-			t.Fatal("primary channel leaked after failed establish")
-		}
-	}
-	// Only the stolen channel remains used.
-	if err := net.Release(bh.Link, bh.Wavelength); err != nil {
-		t.Fatal(err)
-	}
-	if net.NetworkLoad() != 0 {
-		t.Fatal("unexpected residual usage")
-	}
-}
-
-func TestTeardownErrorsOnUnreservedPaths(t *testing.T) {
-	net := diamondNet(1)
-	r, ok := NewRouter(nil).ApproxMinCost(net, 0, 3)
-	if !ok {
-		t.Fatal("routing failed")
-	}
-	// Never established: teardown must error, not panic.
-	if err := Teardown(net, r); err == nil {
-		t.Fatal("teardown of unreserved route should error")
 	}
 }
 

@@ -59,8 +59,6 @@ func TestMetricsCoverRoutingPipeline(t *testing.T) {
 		"auxgraph_build_seconds",
 		"auxgraph_reweight_seconds",
 		"disjoint_suurballe_seconds",
-		"core_phase_build_seconds",
-		"core_phase_disjoint_seconds",
 		"core_phase_refine_seconds",
 		"core_phase_mincog_seconds",
 		"core_mincog_iterations",

@@ -143,21 +143,22 @@ func TestMinCogMatchesSuurballeEveryRound(t *testing.T) {
 		// A churned stream: each admitted MinLoadCost pair is established,
 		// and every few arrivals an earlier one is torn down.
 		net := topo.NSFNET(topo.Config{W: 4})
+		tab := conns.New[struct{}](net)
 		got, ref := NewRouter(opts), NewRouter(opts)
 		rng := rand.New(rand.NewSource(17))
-		var live []*Result
+		var live []int64
 		for i := 0; i < 200; i++ {
 			s := rng.Intn(net.Nodes())
 			d := (s + 1 + rng.Intn(net.Nodes()-1)) % net.Nodes()
 			if res := compare(opts, got, ref, net, s, d, "stream"); res != nil {
-				if err := Establish(net, res); err != nil {
+				if _, err := tab.Admit(int64(i), s, d, res.Pair()); err != nil {
 					t.Fatal(err)
 				}
-				live = append(live, res)
+				live = append(live, int64(i))
 			}
 			if len(live) > 6 && i%4 == 3 {
 				j := rng.Intn(len(live))
-				if err := Teardown(net, live[j]); err != nil {
+				if _, err := tab.Teardown(live[j]); err != nil {
 					t.Fatal(err)
 				}
 				live = append(live[:j], live[j+1:]...)
@@ -298,7 +299,7 @@ func scheduleNets(t *testing.T) map[string]*wdm.Network {
 		s := rng.Intn(down.Nodes())
 		d := (s + 1 + rng.Intn(down.Nodes()-1)) % down.Nodes()
 		if res, ok := r.MinLoadCost(down, s, d); ok {
-			if _, err := tab.Admit(id, s, d, conns.Pair{Primary: res.Primary.Hops, Backup: res.Backup.Hops}); err != nil {
+			if _, err := tab.Admit(id, s, d, res.Pair()); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -359,25 +360,22 @@ func FuzzMinCogSchedule(f *testing.F) {
 			t.Fatal(err)
 		}
 		opts := &Options{MaxIterations: int(maxIter % 4)}
+		tab := conns.New[struct{}](net)
 		got, route := NewRouter(opts), NewRouter(opts)
 		var st scheduleStats
-		live := map[int]*Result{}
 		for i, op := range in.Ops {
 			if op.Teardown >= 0 {
-				if res := live[op.Teardown]; res != nil {
-					if err := Teardown(net, res); err != nil {
-						t.Fatal(err)
-					}
-					delete(live, op.Teardown)
+				// A blocked request has nothing to tear down.
+				if _, err := tab.Teardown(int64(op.Teardown)); err != nil && err != conns.ErrUnknown {
+					t.Fatal(err)
 				}
 				continue
 			}
 			compareSchedule(t, &st, opts, got, net, op.Src, op.Dst, "op")
 			if res, ok := route.MinLoadCost(net, op.Src, op.Dst); ok {
-				if err := Establish(net, res); err != nil {
+				if _, err := tab.Admit(int64(i), op.Src, op.Dst, res.Pair()); err != nil {
 					t.Fatal(err)
 				}
-				live[i] = res
 			}
 		}
 	})

@@ -63,31 +63,6 @@ func ApproxMinCostK(net *wdm.Network, s, t, k int) (*MultiResult, bool) {
 	return res, true
 }
 
-// EstablishK reserves all k paths atomically (all or none).
-func EstablishK(net *wdm.Network, r *MultiResult) error {
-	for i, p := range r.Paths {
-		if err := net.Reserve(p); err != nil {
-			for j := 0; j < i; j++ {
-				if rerr := net.ReleasePath(r.Paths[j]); rerr != nil {
-					panic("core: k-establish rollback failed: " + rerr.Error())
-				}
-			}
-			return err
-		}
-	}
-	return nil
-}
-
-// TeardownK releases all k paths.
-func TeardownK(net *wdm.Network, r *MultiResult) error {
-	for _, p := range r.Paths {
-		if err := net.ReleasePath(p); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // SurvivesFailures reports whether the k-protected connection still has a
 // usable path when the given links are all down simultaneously.
 func (r *MultiResult) SurvivesFailures(downLinks map[int]bool) bool {

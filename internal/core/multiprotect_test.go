@@ -91,30 +91,6 @@ func TestApproxMinCostK2MatchesPairRouter(t *testing.T) {
 	}
 }
 
-func TestEstablishTeardownK(t *testing.T) {
-	net := threeCorridors(1)
-	r, ok := ApproxMinCostK(net, 0, 4, 3)
-	if !ok {
-		t.Fatal("routing failed")
-	}
-	if err := EstablishK(net, r); err != nil {
-		t.Fatal(err)
-	}
-	if net.NetworkLoad() != 1 { // W=1: every corridor fully used
-		t.Fatalf("load = %g", net.NetworkLoad())
-	}
-	// A second establish must fail atomically (nothing left).
-	if err := EstablishK(net, r); err == nil {
-		t.Fatal("double establish accepted")
-	}
-	if err := TeardownK(net, r); err != nil {
-		t.Fatal(err)
-	}
-	if net.NetworkLoad() != 0 {
-		t.Fatal("teardown leaked")
-	}
-}
-
 func TestSurvivesFailures(t *testing.T) {
 	net := threeCorridors(2)
 	r, _ := ApproxMinCostK(net, 0, 4, 3)

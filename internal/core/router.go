@@ -11,10 +11,12 @@ import (
 	"repro/internal/wdm"
 )
 
-// Router is the routing entry point: every algorithm of the package is a
-// Router method. It owns every piece of per-request scratch state — the
-// Suurballe workspace (two Dijkstra workspaces, residual graph, combine
-// buffers) and one all-terminal auxiliary-graph skeleton per
+// Router is the routing entry point: every §3/§4 algorithm of the package
+// and its baseline is a Router method (ApproxMinCostK, ApproxMinCostSRLG and
+// AlternateTable.Route are not; see the package doc). It owns every piece of
+// per-request scratch state — the Suurballe workspace (two Dijkstra
+// workspaces and combine buffers) and one all-terminal auxiliary-graph
+// skeleton per
 // node-disjointness — so that a long-lived caller (a simulator arrival loop,
 // a benchmark worker) routes requests without rebuilding the auxiliary graph
 // or reallocating search state on every call. The MinCog threshold search in
@@ -202,12 +204,8 @@ func (r *Router) ApproxMinCost(net *wdm.Network, s, t int) (*Result, bool) {
 		r.lastTier = TierFallback
 		tc.Str("tier", "exact-fallback")
 	}
-	tb := instr.phaseBuild.Start()
 	a := r.skeleton(net, false, tc).ReweightAt(s, t, auxgraph.Params{Kind: auxgraph.Cost, Trace: tc})
-	instr.phaseBuild.Stop(tb)
-	td := instr.phaseDisjoint.Start()
 	pair, ok := r.ws.Suurballe(a.G, a.S, a.T)
-	instr.phaseDisjoint.Stop(td)
 	if !ok {
 		r.finish(tc, net, nil, false, false)
 		return nil, false
@@ -231,12 +229,8 @@ func (r *Router) ApproxMinCost(net *wdm.Network, s, t int) (*Result, bool) {
 func (r *Router) ApproxMinCostNodeDisjoint(net *wdm.Network, s, t int) (*Result, bool) {
 	instr.routeCalls.Inc()
 	tc := r.begin("min-cost-node-disjoint", s, t)
-	tb := instr.phaseBuild.Start()
 	a := r.skeleton(net, true, tc).ReweightAt(s, t, auxgraph.Params{Kind: auxgraph.Cost, Trace: tc})
-	instr.phaseBuild.Stop(tb)
-	td := instr.phaseDisjoint.Start()
 	pair, ok := r.ws.Suurballe(a.G, a.S, a.T)
-	instr.phaseDisjoint.Stop(td)
 	if !ok {
 		r.finish(tc, net, nil, false, false)
 		return nil, false
@@ -427,12 +421,8 @@ func (r *Router) MinLoad(net *wdm.Network, s, t int) (*Result, bool) {
 	}
 	// G_c at ϑ is feasible, so Suurballe finds the very pair a search
 	// running Suurballe in every round would have kept.
-	tb := instr.phaseBuild.Start()
 	a := sk.ReweightAt(s, t, auxgraph.Params{Kind: auxgraph.Load, Threshold: theta, Base: r.opts.base(), Trace: tc})
-	instr.phaseBuild.Stop(tb)
-	td := instr.phaseDisjoint.Start()
 	pair, ok := r.ws.Suurballe(a.G, a.S, a.T)
-	instr.phaseDisjoint.Stop(td)
 	if !ok {
 		r.finish(tc, net, nil, false, true)
 		return nil, false
@@ -461,12 +451,8 @@ func (r *Router) MinLoadCost(net *wdm.Network, s, t int) (*Result, bool) {
 		r.finish(tc, net, nil, false, false)
 		return nil, false
 	}
-	tb := instr.phaseBuild.Start()
 	a := sk.ReweightAt(s, t, auxgraph.Params{Kind: auxgraph.LoadCost, Threshold: theta, Base: r.opts.base(), Trace: tc})
-	instr.phaseBuild.Stop(tb)
-	td := instr.phaseDisjoint.Start()
 	pair, ok := r.ws.Suurballe(a.G, a.S, a.T)
-	instr.phaseDisjoint.Stop(td)
 	if !ok {
 		// G_rc at ϑ has the edges of G_c at ϑ, which is feasible; reaching
 		// here means numerics only. Fall back to the full residual graph.

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/conns"
 	"repro/internal/parallel"
 	"repro/internal/topo"
 	"repro/internal/wdm"
@@ -44,14 +45,6 @@ func keyOf(net *wdm.Network, r *Result, ok bool) resultKey {
 	}
 }
 
-// copyResult returns a copy of r that shares no storage with it.
-func copyResult(r *Result) *Result {
-	c := *r
-	c.Primary = &wdm.Semilightpath{Hops: append([]wdm.Hop(nil), r.Primary.Hops...)}
-	c.Backup = &wdm.Semilightpath{Hops: append([]wdm.Hop(nil), r.Backup.Hops...)}
-	return &c
-}
-
 // routeAlg routes (s, d) on net with ApproxMinCost, MinLoad or MinLoadCost
 // for alg 0, 1 or 2.
 func routeAlg(r *Router, alg int, net *wdm.Network, s, d int) (*Result, bool) {
@@ -71,19 +64,20 @@ func routeAlg(r *Router, alg int, net *wdm.Network, s, d int) (*Result, bool) {
 // reweighted incrementally as reservations accumulate and connections tear
 // down). A third arm routes on one reused Router with Options.ReuseResult,
 // whose results live in the router's arena until the next call. Each arm
-// owns a network clone driven through the identical establish/teardown
-// sequence; every routing decision must match exactly.
+// owns a network clone, in its own connection table, driven through the
+// identical admit/teardown sequence; every routing decision must match exactly.
 func TestRouterMatchesOneShotOnStream(t *testing.T) {
 	base := topo.NSFNET(topo.Config{W: 4})
 	netFresh := base.Clone()
 	netWarm := base.Clone()
 	netReuse := base.Clone()
+	tabs := [3]*conns.Table[struct{}]{conns.New[struct{}](netFresh), conns.New[struct{}](netWarm), conns.New[struct{}](netReuse)}
+	arms := [3]string{"fresh", "warm", "ReuseResult"}
 	warm := NewRouter(nil)
 	reuse := NewRouter(&Options{ReuseResult: true})
 	rng := rand.New(rand.NewSource(99))
 
-	type live struct{ fresh, warm, reuse *Result }
-	var established []live
+	var established []int64
 	routed, blocked := 0, 0
 	for i := 0; i < 160; i++ {
 		s := rng.Intn(base.Nodes())
@@ -106,33 +100,25 @@ func TestRouterMatchesOneShotOnStream(t *testing.T) {
 			continue
 		}
 		routed++
-		if err := Establish(netFresh, rF); err != nil {
-			t.Fatalf("request %d: fresh establish: %v", i, err)
+		// The table copies each pair, so a ReuseResult result need not
+		// outlive the next routing call.
+		for a, r := range [3]*Result{rF, rW, rR} {
+			if _, err := tabs[a].Admit(int64(i), s, d, r.Pair()); err != nil {
+				t.Fatalf("request %d: %s admit: %v", i, arms[a], err)
+			}
 		}
-		if err := Establish(netWarm, rW); err != nil {
-			t.Fatalf("request %d: warm establish: %v", i, err)
-		}
-		if err := Establish(netReuse, rR); err != nil {
-			t.Fatalf("request %d: ReuseResult establish: %v", i, err)
-		}
-		// A default router's result is its caller's to keep; a ReuseResult
-		// one lives in the router's arena, so it is copied to be retained.
-		established = append(established, live{fresh: rF, warm: rW, reuse: copyResult(rR)})
+		established = append(established, int64(i))
 		// Tear a random earlier connection down every few arrivals so the
 		// stream exercises Release (and the conversion-cache invalidation)
 		// as well as Use.
 		if len(established) > 4 && i%5 == 4 {
 			j := rng.Intn(len(established))
-			c := established[j]
+			id := established[j]
 			established = append(established[:j], established[j+1:]...)
-			if err := Teardown(netFresh, c.fresh); err != nil {
-				t.Fatalf("request %d: fresh teardown: %v", i, err)
-			}
-			if err := Teardown(netWarm, c.warm); err != nil {
-				t.Fatalf("request %d: warm teardown: %v", i, err)
-			}
-			if err := Teardown(netReuse, c.reuse); err != nil {
-				t.Fatalf("request %d: ReuseResult teardown: %v", i, err)
+			for a, tab := range tabs {
+				if _, err := tab.Teardown(id); err != nil {
+					t.Fatalf("request %d: %s teardown: %v", i, arms[a], err)
+				}
 			}
 		}
 		lF, lW, lR := netFresh.NetworkLoad(), netWarm.NetworkLoad(), netReuse.NetworkLoad()

@@ -364,7 +364,7 @@ func New(net *wdm.Network, cfg Config) *Sim {
 		if !ok {
 			return conns.Pair{}, false
 		}
-		return conns.Pair{Primary: res.Primary.Hops, Backup: res.Backup.Hops}, true
+		return res.Pair(), true
 	}
 	s.restorePair = func(c *conns.Conn[connMeta]) (conns.Pair, bool) {
 		p, _, ok := lightpath.Optimal(s.tab.Network(), c.Src, c.Dst, nil)
@@ -558,7 +558,7 @@ func (s *Sim) handleArrival(r workload.Request) {
 		}
 		var res *core.Result
 		if res, ok = route(net, r.Src, r.Dst); ok {
-			pair = conns.Pair{Primary: res.Primary.Hops, Backup: res.Backup.Hops}
+			pair = res.Pair()
 			cost, ld = res.Cost, res.PathLoad
 		}
 		if s.cfg.RouteFunc == nil {

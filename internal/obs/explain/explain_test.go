@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/check"
+	"repro/internal/conns"
 	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/obs/explain"
@@ -38,7 +39,7 @@ func input(algo string, s, t int, res *core.Result) explain.Input {
 // TestBitExactVsCheckOracle is the acceptance gate: on randomly generated
 // instances — including restricted and disallowed conversion — the report's
 // per-path cost must equal check.PathCost bit for bit, not just within a
-// tolerance. Requests are established as they route so later requests see
+// tolerance. Requests are admitted as they route so later requests see
 // genuine residual state (occupied wavelengths change the conversion terms).
 func TestBitExactVsCheckOracle(t *testing.T) {
 	routed := 0
@@ -48,6 +49,7 @@ func TestBitExactVsCheckOracle(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
+		tab := conns.New[struct{}](net)
 		r := core.NewRouter(nil)
 		for s := 0; s < net.Nodes(); s++ {
 			for d := 0; d < net.Nodes(); d++ {
@@ -94,7 +96,7 @@ func TestBitExactVsCheckOracle(t *testing.T) {
 				if want := algo == "min-cost"; rep.Bound.Checked != want {
 					t.Fatalf("seed %d %s: bound.Checked = %v, want %v", seed, algo, rep.Bound.Checked, want)
 				}
-				if core.Establish(net, res) != nil {
+				if _, err := tab.Admit(int64(s*net.Nodes()+d), s, d, res.Pair()); err != nil {
 					continue // capacity exhausted; keep routing on what's left
 				}
 			}

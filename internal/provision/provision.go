@@ -118,7 +118,7 @@ func Provision(net *wdm.Network, demands []Demand, cfg Config) *Result {
 		if !ok {
 			return false
 		}
-		if _, err := tab.Admit(int64(idx), d.Src, d.Dst, pairOf(r)); err != nil {
+		if _, err := tab.Admit(int64(idx), d.Src, d.Dst, r.Pair()); err != nil {
 			return false
 		}
 		res.Placements[idx].Route = r
@@ -154,7 +154,7 @@ func Provision(net *wdm.Network, demands []Demand, cfg Config) *Result {
 					return conns.Pair{}, false
 				}
 				next = r
-				return pairOf(r), true
+				return r.Pair(), true
 			})
 			if err == nil {
 				p.Route = next
@@ -174,9 +174,4 @@ func Provision(net *wdm.Network, demands []Demand, cfg Config) *Result {
 	}
 	res.NetworkLoad = net.NetworkLoad()
 	return res
-}
-
-// pairOf is r's primary and backup as a table pair.
-func pairOf(r *core.Result) conns.Pair {
-	return conns.Pair{Primary: r.Primary.Hops, Backup: r.Backup.Hops}
 }

@@ -64,7 +64,7 @@ func Optimize(tab *conns.Table[struct{}]) *Result {
 		if !ok {
 			return conns.Pair{}, false
 		}
-		return conns.Pair{Primary: r.Primary.Hops, Backup: r.Backup.Hops}, true
+		return r.Pair(), true
 	}
 
 	for round := 0; round < maxRounds; round++ {

@@ -3,6 +3,7 @@ package serve
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 
 	"repro/internal/check"
@@ -97,9 +98,9 @@ func hopsFromJSON(hs []HopOut) []wdm.Hop {
 // network and verifies that every recorded decision is reproducible in
 // commit order: accepted reservations must succeed with the recorded cost
 // (bit-checked against the check oracle's Eq. 1 recomputation), conflicts
-// must genuinely fail to reserve, teardowns must release exactly the
-// recorded paths, and a reroute must name the endpoints of the connection
-// it applies to. It returns the final network so callers can compare it
+// must genuinely fail to reserve, a teardown must release exactly the paths
+// its connection holds, and a reroute must name the endpoints of the
+// connection it applies to. It returns the final network so callers can compare it
 // against the engine's last snapshot.
 //
 // This is the linearizability-style argument made executable: if the
@@ -141,6 +142,9 @@ func Replay(initial *wdm.Network, entries []JournalEntry) (*wdm.Network, error) 
 			}
 			p := &wdm.Semilightpath{Hops: hopsFromJSON(ent.Primary)}
 			b := &wdm.Semilightpath{Hops: hopsFromJSON(ent.Backup)}
+			if c := live[ent.ID]; !slices.Equal(c.hops[0], p.Hops) || !slices.Equal(c.hops[1], b.Hops) {
+				return nil, fmt.Errorf("seq %d: teardown names paths connection %d does not hold", ent.Seq, ent.ID)
+			}
 			if err := net.ReleasePath(p); err != nil {
 				return nil, fmt.Errorf("seq %d: teardown primary does not replay: %w", ent.Seq, err)
 			}

@@ -14,7 +14,9 @@
 //     converters, wavelength reservation, the network load ρ of Eq. 2.
 //   - Routing (core): ApproxMinCost (§3.3, 2-approximation), MinLoad
 //     (§4.1 Find_Two_Paths_MinCog, load ratio < 3), MinLoadCost (§4.2
-//     two-phase), TwoStepMinCost (naive baseline), plus Establish/Teardown.
+//     two-phase), TwoStepMinCost (naive baseline).
+//   - Connections (conns): NewConnectionTable, the one state machine that
+//     reserves a route's primary and backup together and releases them.
 //   - Exact solvers (exact): the §3.1 integer program and an exhaustive
 //     oracle for small instances.
 //   - Topologies (topo): NSFNET, ARPA2, Ring, Grid, Waxman, Complete.
@@ -25,9 +27,10 @@
 // Quickstart:
 //
 //	net := repro.NSFNET(repro.TopoConfig{W: 8})
+//	tab := repro.NewConnectionTable(net)
 //	route, ok := repro.ApproxMinCost(net, 0, 13, nil)
 //	if ok {
-//		_ = repro.Establish(net, route) // reserve primary + backup
+//		_, _ = tab.Admit(1, 0, 13, route.Pair()) // reserve primary + backup
 //	}
 package repro
 
@@ -142,12 +145,6 @@ func MinCostK(net *Network, s, t, k int) (*MultiRoute, bool) {
 	return core.ApproxMinCostK(net, s, t, k)
 }
 
-// EstablishKPaths reserves all paths of a k-protected route atomically.
-func EstablishKPaths(net *Network, r *MultiRoute) error { return core.EstablishK(net, r) }
-
-// TeardownKPaths releases all paths of a k-protected route.
-func TeardownKPaths(net *Network, r *MultiRoute) error { return core.TeardownK(net, r) }
-
 // MinCostSRLG routes with a backup that avoids every shared-risk link group
 // (SRLG) of its primary, so a whole-duct cut cannot take out both paths.
 // maxPrimaries bounds the k-shortest primary retries (0 = default 8).
@@ -173,12 +170,6 @@ func BoundedSemilightpath(net *Network, s, t, maxHops int) (*Semilightpath, floa
 func KShortestSemilightpaths(net *Network, s, t, k int) []*Semilightpath {
 	return lightpath.KShortest(net, s, t, k)
 }
-
-// Establish reserves both paths of a route atomically.
-func Establish(net *Network, r *Route) error { return core.Establish(net, r) }
-
-// Teardown releases both paths of an established route.
-func Teardown(net *Network, r *Route) error { return core.Teardown(net, r) }
 
 // ExactSolution is an exact optimum from the §3.1 solvers.
 type ExactSolution = exact.Solution
@@ -305,9 +296,16 @@ func Provision(net *Network, demands []Demand, cfg ProvisionConfig) *ProvisionRe
 }
 
 // ConnectionTable is a network plus its live connections, the one state
-// machine through which connections reserve, move and release channels.
-// ProvisionResult.Table is one.
+// machine through which connections reserve, move and release channels:
+// Admit(id, s, t, route.Pair()) reserves a route's primary and backup
+// together (or neither), Teardown(id) releases them. ProvisionResult.Table
+// is one.
 type ConnectionTable = conns.Table[struct{}]
+
+// NewConnectionTable returns an empty connection table that owns net: from
+// then on channels change only through the table. Route on net (or
+// tab.Network(), the same network) and admit the result.
+func NewConnectionTable(net *Network) *ConnectionTable { return conns.New[struct{}](net) }
 
 // ReconfigResult reports a reconfiguration run.
 type ReconfigResult = reconfig.Result

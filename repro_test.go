@@ -7,7 +7,7 @@ import (
 	"testing"
 )
 
-// End-to-end exercise of the public facade: build, route, establish,
+// End-to-end exercise of the public facade: build, route, admit,
 // simulate — the same flow the examples use.
 
 func TestFacadeQuickstartFlow(t *testing.T) {
@@ -22,13 +22,17 @@ func TestFacadeQuickstartFlow(t *testing.T) {
 	if !route.Primary.EdgeDisjoint(route.Backup) {
 		t.Fatal("paths not disjoint")
 	}
-	if err := Establish(net, route); err != nil {
+	tab := NewConnectionTable(net)
+	if _, err := tab.Admit(1, 0, 13, route.Pair()); err != nil {
 		t.Fatal(err)
 	}
 	if net.NetworkLoad() == 0 {
-		t.Fatal("establish did not reserve capacity")
+		t.Fatal("admission did not reserve capacity")
 	}
-	if err := Teardown(net, route); err != nil {
+	if err := tab.Audit(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tab.Teardown(1); err != nil {
 		t.Fatal(err)
 	}
 	if net.NetworkLoad() != 0 {
@@ -182,12 +186,6 @@ func TestFacadeKProtectionAndMatrices(t *testing.T) {
 	r, ok := MinCostK(net, 0, 7, 2)
 	if !ok || len(r.Paths) != 2 {
 		t.Fatal("k-protection failed")
-	}
-	if err := EstablishKPaths(net, r); err != nil {
-		t.Fatal(err)
-	}
-	if err := TeardownKPaths(net, r); err != nil {
-		t.Fatal(err)
 	}
 	m := NewGravityMatrix([]float64{5, 1, 1, 1})
 	reqs := MatrixPoisson(MatrixConfig{
