@@ -57,8 +57,8 @@ func main() {
 	flag.Parse()
 	cli.HandleVersion(*version)
 
-	// Instrumentation is default-off; any observability flag switches the
-	// whole engine's metrics on.
+	// Metrics are published only when an observability flag asks for them:
+	// the simulator's netsim_* series.
 	var reg *metrics.Registry
 	if *metricsOut != "" || *summaryOut != "" || *serveAddr != "" {
 		reg = cli.EnableAllMetrics()

@@ -220,7 +220,6 @@ func NewNodeDisjointSkeleton(net *wdm.Network) *Skeleton {
 }
 
 func newSkeleton(net *wdm.Network, nodeDisjoint bool) *Skeleton {
-	defer instr.buildTime.Stop(instr.buildTime.Start())
 	m := net.Links()
 	n := net.Nodes()
 	sk := &Skeleton{
@@ -342,9 +341,6 @@ func newSkeleton(net *wdm.Network, nodeDisjoint bool) *Skeleton {
 			}
 		}
 	}
-	instr.builds.Inc()
-	instr.vertices.Observe(float64(a.G.N()))
-	instr.edges.Observe(float64(a.G.M()))
 	return sk
 }
 
@@ -412,7 +408,6 @@ func (sk *Skeleton) ReweightAt(s, t int, p Params) *Aux {
 	if base <= 1 {
 		panic("auxgraph: exponent base must exceed 1")
 	}
-	defer instr.reweightTime.Stop(instr.reweightTime.Start())
 	sp := p.Trace.Begin("reweight")
 
 	g := sk.aux.G
@@ -504,7 +499,6 @@ func (sk *Skeleton) ReweightAt(s, t int, p Params) *Aux {
 	gate(g, sk.termOut[s], keep, true)
 	gate(g, sk.termIn[t], keep, true)
 
-	instr.reweights.Inc()
 	if p.Trace != nil {
 		kept := 0
 		for id := 0; id < sk.m; id++ {

@@ -8,22 +8,17 @@ import (
 	"os"
 	"runtime/debug"
 
-	"repro/internal/auxgraph"
-	"repro/internal/core"
-	"repro/internal/disjoint"
 	"repro/internal/metrics"
 	"repro/internal/netsim"
 )
 
-// EnableAllMetrics creates a registry and switches on instrumentation in
-// every engine package (auxgraph, disjoint, core, netsim). Call once at
-// process start when any observability flag is set; without it the
-// instruments stay nil and cost nothing.
+// EnableAllMetrics creates a registry and makes every simulator built
+// afterwards publish its netsim_* instruments on it. Call once at process
+// start when any observability flag is set. The routing phases (reweight,
+// Suurballe, refinement, MinCog) have no aggregate series: each request's
+// trace records them (package obs).
 func EnableAllMetrics() *metrics.Registry {
 	r := metrics.NewRegistry()
-	auxgraph.EnableMetrics(r)
-	disjoint.EnableMetrics(r)
-	core.EnableMetrics(r)
 	netsim.EnableMetrics(r)
 	return r
 }

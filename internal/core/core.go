@@ -193,7 +193,6 @@ func (r *Router) output(res *Result) *Result {
 // assignment for one of the routes (possible only with restricted
 // converters). Everything returned lives in the router's arena.
 func (r *Router) mapAndRefine(net *wdm.Network, a *auxgraph.Aux, pair *disjoint.Pair, tc *obs.Trace) (*Result, bool) {
-	defer instr.phaseRefine.Stop(instr.phaseRefine.Start())
 	ar := &r.arena
 	ar.res = Result{AuxWeight: pair.Weight}
 	res := &ar.res
@@ -219,7 +218,6 @@ func (r *Router) mapAndRefine(net *wdm.Network, a *auxgraph.Aux, pair *disjoint.
 		case naive != nil:
 			paths[i] = naive
 			res.Cost += nc
-			instr.firstFitFallbacks.Inc()
 			fallback = true
 		default:
 			tc.EndSpan(sp)
@@ -227,9 +225,7 @@ func (r *Router) mapAndRefine(net *wdm.Network, a *auxgraph.Aux, pair *disjoint.
 		}
 		if tc != nil {
 			tc.SpanInt(sp, "route_len", int64(len(route)))
-			if !math.IsInf(nc, 1) { // +Inf is unrepresentable in JSON dumps
-				tc.SpanFloat(sp, "naive_cost", nc)
-			}
+			tc.SpanFloat(sp, "naive_cost", nc)
 			if okR {
 				tc.SpanFloat(sp, "refined_cost", rc)
 			}
@@ -238,9 +234,6 @@ func (r *Router) mapAndRefine(net *wdm.Network, a *auxgraph.Aux, pair *disjoint.
 		}
 	}
 	res.NaiveCost = naiveTotal
-	if !math.IsInf(naiveTotal, 1) && naiveTotal > 0 {
-		instr.refineRatio.Observe(res.Cost / naiveTotal)
-	}
 	res.Primary, res.Backup = paths[0], paths[1]
 	// Order so the cheaper path serves as primary.
 	if res.Backup.Cost(net) < res.Primary.Cost(net) {

@@ -189,18 +189,14 @@ func (r *Router) skeleton(net *wdm.Network, nodeDisjoint bool, tc *obs.Trace) *a
 // exact auxiliary-graph pipeline runs only when no cached candidate pair is
 // currently feasible.
 func (r *Router) ApproxMinCost(net *wdm.Network, s, t int) (*Result, bool) {
-	instr.routeCalls.Inc()
 	tc := r.begin("min-cost", s, t)
 	if tab := r.candidateTable(net); tab != nil {
 		if res, ok := r.candidateRoute(net, s, t, tab); ok {
-			instr.routeFound.Inc()
-			instr.candidateHits.Inc()
 			r.lastTier = TierCandidate
 			tc.Str("tier", "candidate")
 			r.finish(tc, net, res, true, false)
 			return r.output(res), true
 		}
-		instr.candidateFallbacks.Inc()
 		r.lastTier = TierFallback
 		tc.Str("tier", "exact-fallback")
 	}
@@ -215,7 +211,6 @@ func (r *Router) ApproxMinCost(net *wdm.Network, s, t int) (*Result, bool) {
 		r.finish(tc, net, nil, false, false)
 		return nil, false
 	}
-	instr.routeFound.Inc()
 	r.finish(tc, net, res, true, false)
 	return r.output(res), true
 }
@@ -227,7 +222,6 @@ func (r *Router) ApproxMinCost(net *wdm.Network, s, t int) (*Result, bool) {
 // carry every intermediate node's conversions. ok is false when no
 // node-disjoint pair exists.
 func (r *Router) ApproxMinCostNodeDisjoint(net *wdm.Network, s, t int) (*Result, bool) {
-	instr.routeCalls.Inc()
 	tc := r.begin("min-cost-node-disjoint", s, t)
 	a := r.skeleton(net, true, tc).ReweightAt(s, t, auxgraph.Params{Kind: auxgraph.Cost, Trace: tc})
 	pair, ok := r.ws.Suurballe(a.G, a.S, a.T)
@@ -247,7 +241,6 @@ func (r *Router) ApproxMinCostNodeDisjoint(net *wdm.Network, s, t int) (*Result,
 		tc.Finish(obs.StatusError)
 		return nil, false
 	}
-	instr.routeFound.Inc()
 	r.finish(tc, net, res, true, false)
 	return r.output(res), true
 }
@@ -347,7 +340,6 @@ func (r *Router) bottleneck(sk *auxgraph.Skeleton, s, t int) (lstar float64, aug
 // any of them. On success the caller reweights the returned skeleton at ϑ
 // once.
 func (r *Router) minCogSearch(net *wdm.Network, s, t int, tc *obs.Trace) (theta float64, sk *auxgraph.Skeleton, iters int, ok bool) {
-	t0 := instr.phaseMinCog.Start()
 	sp := tc.Begin("mincog")
 	if lo, hi, any := r.linkKeys(net, false); any {
 		sk = r.skeleton(net, false, tc)
@@ -362,8 +354,6 @@ func (r *Router) minCogSearch(net *wdm.Network, s, t int, tc *obs.Trace) (theta 
 	tc.SpanFloat(sp, "theta", theta)
 	tc.SpanBool(sp, "found", ok)
 	tc.EndSpan(sp)
-	instr.mincogIters.Observe(float64(iters))
-	instr.phaseMinCog.Stop(t0)
 	return theta, sk, iters, ok
 }
 
@@ -412,7 +402,6 @@ func mincogSchedule(lo, hi, lstar float64, maxIter int) (theta float64, iters in
 // runs the Find_Two_Paths_MinCog doubling schedule, mincogSchedule) and
 // return the refined pair Suurballe finds on G_c at that bound.
 func (r *Router) MinLoad(net *wdm.Network, s, t int) (*Result, bool) {
-	instr.routeCalls.Inc()
 	tc := r.begin("min-load", s, t)
 	theta, sk, iters, ok := r.minCogSearch(net, s, t, tc)
 	if !ok {
@@ -434,7 +423,6 @@ func (r *Router) MinLoad(net *wdm.Network, s, t int) (*Result, bool) {
 	}
 	res.Threshold = theta
 	res.Iterations = iters
-	instr.routeFound.Inc()
 	r.finish(tc, net, res, true, true)
 	return r.output(res), true
 }
@@ -444,7 +432,6 @@ func (r *Router) MinLoad(net *wdm.Network, s, t int) (*Result, bool) {
 // (same filter, average-cost weights) and routes minimum-cost within the
 // bound.
 func (r *Router) MinLoadCost(net *wdm.Network, s, t int) (*Result, bool) {
-	instr.routeCalls.Inc()
 	tc := r.begin("min-load-cost", s, t)
 	theta, sk, iters, ok := r.minCogSearch(net, s, t, tc)
 	if !ok {
@@ -470,7 +457,6 @@ func (r *Router) MinLoadCost(net *wdm.Network, s, t int) (*Result, bool) {
 	}
 	res.Threshold = theta
 	res.Iterations = iters
-	instr.routeFound.Inc()
 	// The final pair comes from G_rc, whose ω is cost-weighted, so the
 	// Lemma 2 bound applies (unlike MinLoad's congestion-weighted ω).
 	r.finish(tc, net, res, true, false)
@@ -486,7 +472,6 @@ func (r *Router) MinLoadCost(net *wdm.Network, s, t int) (*Result, bool) {
 //wdm:coldpath naive baseline for experiments, not the serving path
 func (r *Router) TwoStepMinCost(net *wdm.Network, s, t int) (*Result, bool) {
 	tc := r.begin("two-step", s, t)
-	instr.routeCalls.Inc()
 	p1, c1, ok := lightpath.Optimal(net, s, t, nil)
 	if !ok {
 		r.finish(tc, net, nil, false, false)
@@ -510,7 +495,6 @@ func (r *Router) TwoStepMinCost(net *wdm.Network, s, t int) (*Result, bool) {
 		NaiveCost: c1 + c2,
 	}
 	res.PathLoad = pathLoad(net, p1, p2)
-	instr.routeFound.Inc()
 	r.finish(tc, net, res, true, false)
 	return res, true
 }

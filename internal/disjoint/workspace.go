@@ -68,13 +68,9 @@ func (ws *Workspace) Suurballe(g *graph.Graph, s, t int) (*Pair, bool) {
 	if s == t {
 		return nil, false
 	}
-	instr.calls.Inc()
-	defer instr.time.Stop(instr.time.Start())
 	sp := ws.Trace.Begin("suurballe")
 	// Pass 1: shortest-path distances for the potentials.
 	g.DijkstraInto(&ws.d1, s)
-	instr.relaxations.Add(ws.d1.Relaxations())
-	instr.heapOps.Add(ws.d1.HeapOps())
 	ws.Trace.SpanInt(sp, "relax1", int64(ws.d1.Relaxations()))
 	ws.Trace.SpanInt(sp, "heap1", int64(ws.d1.HeapOps()))
 	if !ws.d1.Reached(t) {
@@ -93,8 +89,6 @@ func (ws *Workspace) Suurballe(g *graph.Graph, s, t int) (*Pair, bool) {
 	// Pass 2 on the residual graph: reduced costs w + d(u) − d(v) ≥ 0, P1's
 	// edges replaced by zero-weight reversals.
 	g.ResidualDijkstraInto(&ws.d2, &ws.d1, ws.p1, s)
-	instr.relaxations.Add(ws.d2.Relaxations())
-	instr.heapOps.Add(ws.d2.HeapOps())
 	ws.Trace.SpanInt(sp, "relax2", int64(ws.d2.Relaxations()))
 	ws.Trace.SpanInt(sp, "heap2", int64(ws.d2.HeapOps()))
 	if !ws.d2.Reached(t) {
@@ -111,7 +105,6 @@ func (ws *Workspace) Suurballe(g *graph.Graph, s, t int) (*Pair, bool) {
 
 	pair, ok := ws.combine(g, s, t)
 	if ok {
-		instr.found.Inc()
 		ws.Trace.SpanInt(sp, "len1", int64(len(pair.Path1)))
 		ws.Trace.SpanInt(sp, "len2", int64(len(pair.Path2)))
 		ws.Trace.SpanFloat(sp, "weight", pair.Weight)

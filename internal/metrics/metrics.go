@@ -1,5 +1,5 @@
 // Package metrics is the dependency-free instrumentation layer for the
-// routing engine and simulator. It provides atomic counters, gauges,
+// simulator and the routing daemon. It provides atomic counters, gauges,
 // histograms with fixed log-spaced buckets, and phase timers, collected in a
 // Registry that renders snapshots in the Prometheus text exposition format
 // or as JSON.
@@ -7,9 +7,8 @@
 // Two properties make it safe to wire into hot paths unconditionally:
 //
 //   - Nil safety: every method on a nil instrument (and on a nil *Registry)
-//     is a no-op, so instrumentation is off by default and costs only a nil
-//     check when disabled. Packages expose EnableMetrics(*Registry) and keep
-//     nil instruments until it is called.
+//     is a no-op, so an owner can leave an instrument nil when nothing
+//     observes it, at the cost of a nil check.
 //   - Concurrency safety: all updates are lock-free atomics; snapshots may
 //     race with updates and are only point-in-time consistent per value,
 //     which is the usual Prometheus contract.
@@ -376,9 +375,6 @@ func LogBuckets(lo, hi float64, perDecade int) []float64 {
 // decade, so a bucketed quantile over-estimates the exact one by at most
 // 10^(1/9) ≈ 1.29×.
 func TimeBuckets() []float64 { return LogBuckets(1e-6, 10, 9) }
-
-// SizeBuckets is the default size/count bucketing: 1 → 10⁶, 3 per decade.
-func SizeBuckets() []float64 { return LogBuckets(1, 1e6, 3) }
 
 // metric kinds in exposition output.
 const (

@@ -169,7 +169,7 @@ func TestConcurrentUpdates(t *testing.T) {
 			// Concurrent registration of the same names plus updates.
 			c := r.Counter("ops_total", "")
 			g := r.Gauge("level", "")
-			h := r.Histogram("size", "", SizeBuckets())
+			h := r.Histogram("size", "", LogBuckets(1, 1e6, 3))
 			for i := 0; i < per; i++ {
 				c.Inc()
 				g.Add(1)

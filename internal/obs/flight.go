@@ -5,7 +5,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"os"
+	"strconv"
 	"sync"
 	"time"
 )
@@ -201,12 +203,20 @@ type spanJSON struct {
 	Attrs  map[string]any `json:"attrs,omitempty"`
 }
 
+// attrMap renders attributes for the wire. encoding/json refuses
+// non-finite floats, so ±Inf and NaN (an unbounded MinCog bottleneck, the
+// unfiltered fallback threshold, an infeasible first-fit cost) render as
+// the strings "+Inf", "-Inf" and "NaN".
 func attrMap(attrs []Attr) map[string]any {
 	if len(attrs) == 0 {
 		return nil
 	}
 	m := make(map[string]any, len(attrs))
 	for _, a := range attrs {
+		if a.Kind == AttrFloat && (math.IsInf(a.F, 0) || math.IsNaN(a.F)) {
+			m[a.Key] = strconv.FormatFloat(a.F, 'g', -1, 64)
+			continue
+		}
 		m[a.Key] = a.Value()
 	}
 	return m

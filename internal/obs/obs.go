@@ -5,9 +5,13 @@
 // fixed-size flight recorder that retains the last N request traces for
 // post-hoc dumps.
 //
-// Where package metrics answers "how is the engine doing in aggregate",
-// package obs answers "why did request #1374 get an expensive pair". The
-// same two properties that make metrics safe in hot paths hold here:
+// Where package metrics answers "how are the simulator and the daemon doing
+// in aggregate", package obs answers "why did request #1374 get an expensive
+// pair". The trace is the one record of the routing phases: no metric series
+// repeats the reweight, Suurballe, refinement or MinCog spans. A dump renders
+// a non-finite float attribute (L* = +Inf for a blocked MinCog request) as
+// the string "+Inf", "-Inf" or "NaN", which encoding/json accepts. The same
+// two properties that make metrics safe in hot paths hold here:
 //
 //   - Nil safety: every method on a nil *Tracer and a nil *Trace is a no-op,
 //     so instrumented code calls unconditionally. A disabled tracer hands

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
+	"math"
 	"os"
 	"strings"
 	"sync"
@@ -200,6 +201,45 @@ func TestDumpJSONL(t *testing.T) {
 	}
 	if first.Payload["hops"] != float64(3) {
 		t.Errorf("payload = %v", first.Payload)
+	}
+}
+
+// TestDumpNonFiniteFloats pins the wire form of ±Inf and NaN attributes:
+// encoding/json refuses them, so one blocked MinCog request (bottleneck
+// L* = +Inf) would otherwise fail every later dump of the ring.
+func TestDumpNonFiniteFloats(t *testing.T) {
+	tr := New(Config{Capacity: 4})
+	tc := tr.Start("min-load-cost", 0, 9)
+	sp := tc.Begin("bottleneck")
+	tc.SpanFloat(sp, "bottleneck", math.Inf(1))
+	tc.SpanFloat(sp, "lo", math.Inf(-1))
+	tc.EndSpan(sp)
+	tc.Float("ratio", math.NaN())
+	tc.Float("cost", 2.5)
+	tc.Finish(StatusBlocked)
+
+	var buf bytes.Buffer
+	if err := tr.Flight().Dump(&buf); err != nil {
+		t.Fatalf("dump with non-finite attributes: %v", err)
+	}
+	var got struct {
+		Attrs map[string]any `json:"attrs"`
+		Spans []struct {
+			Attrs map[string]any `json:"attrs"`
+		} `json:"spans"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &got); err != nil {
+		t.Fatalf("dump is not JSON: %v", err)
+	}
+	if got.Attrs["ratio"] != "NaN" || got.Attrs["cost"] != 2.5 {
+		t.Errorf("attrs = %v, want ratio \"NaN\" and cost 2.5", got.Attrs)
+	}
+	if len(got.Spans) != 1 || got.Spans[0].Attrs["bottleneck"] != "+Inf" || got.Spans[0].Attrs["lo"] != "-Inf" {
+		t.Errorf("spans = %+v, want bottleneck \"+Inf\" and lo \"-Inf\"", got.Spans)
+	}
+	var req bytes.Buffer
+	if found, err := tr.Flight().DumpReq(&req, 1); err != nil || !found {
+		t.Fatalf("DumpReq = %v, %v", found, err)
 	}
 }
 

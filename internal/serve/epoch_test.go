@@ -4,9 +4,8 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/auxgraph"
 	"repro/internal/conns"
-	"repro/internal/metrics"
+	"repro/internal/obs"
 	"repro/internal/wdm"
 )
 
@@ -162,15 +161,13 @@ func TestTeardownFreesCapacityNextEpoch(t *testing.T) {
 // commit publishes a new snapshot network, and each pooled router's skeleton
 // follows it forward (same lineage, versions never going backwards), so a
 // churned run builds at most one skeleton per router — serving routes only the
-// edge-disjoint kind — however many epochs it publishes.
+// edge-disjoint kind — however many epochs it publishes. It counts the builds
+// from the request traces ("skeleton":"build"), so the tracer's ring must hold
+// the whole run.
 func TestRouterSkeletonsFollowEpochs(t *testing.T) {
-	reg := metrics.NewRegistry()
-	auxgraph.EnableMetrics(reg)
-	t.Cleanup(func() { auxgraph.EnableMetrics(nil) })
-	builds := reg.Counter("auxgraph_builds_total", "")
-
+	tr := obs.New(obs.Config{Capacity: 4096})
 	const clients, perClient = 4, 90
-	e := startEngine(t, nsf(8), Config{})
+	e := startEngine(t, nsf(8), Config{Tracer: tr})
 	algos := []string{"min-cost", "min-load", "min-load-cost"}
 	var wg sync.WaitGroup
 	for c := 0; c < clients; c++ {
@@ -203,7 +200,25 @@ func TestRouterSkeletonsFollowEpochs(t *testing.T) {
 	if st.Epoch < 100 {
 		t.Fatalf("only %d epochs published; the pin needs many snapshots", st.Epoch)
 	}
-	if n := builds.Value(); n > int64(st.Routers) {
-		t.Fatalf("%d skeleton builds over %d epochs, want at most %d (one per router)", n, st.Epoch, st.Routers)
+	fr := tr.Flight()
+	if int64(fr.Len()) != fr.Total() {
+		t.Fatalf("flight ring kept %d of %d traces; it must hold the whole run", fr.Len(), fr.Total())
+	}
+	builds, routed := 0, 0
+	for _, tc := range fr.Snapshot() {
+		for _, a := range tc.Attrs {
+			if a.Key == "skeleton" {
+				routed++
+				if a.S == "build" {
+					builds++
+				}
+			}
+		}
+	}
+	if routed < clients*perClient {
+		t.Fatalf("%d traces name a skeleton, want at least one per provision (%d)", routed, clients*perClient)
+	}
+	if builds > st.Routers {
+		t.Fatalf("%d skeleton builds over %d epochs, want at most %d (one per router)", builds, st.Epoch, st.Routers)
 	}
 }

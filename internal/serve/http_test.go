@@ -5,8 +5,11 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
+
+	"repro/internal/obs"
 )
 
 // newTestServer serves a started engine's full HTTP surface.
@@ -125,6 +128,37 @@ func TestHTTPDebugSurface(t *testing.T) {
 	}
 	if !strings.Contains(string(body), "no network snapshot sealed yet") {
 		t.Fatalf("GET /debug/net: HTTP %d, %q — probe not wired", resp.StatusCode, body)
+	}
+}
+
+// TestHTTPFlightAfterBlockedMinLoadCost: a min-load-cost provision that
+// finds no two disjoint routes records the MinCog bottleneck L* = +Inf in its
+// trace, and /debug/flight still dumps the ring, with that value as "+Inf".
+func TestHTTPFlightAfterBlockedMinLoadCost(t *testing.T) {
+	tr := obs.New(obs.Config{Capacity: 16})
+	e := startEngine(t, ring4(1), Config{Tracer: tr})
+	srv := httptest.NewServer(e.Handler(nil))
+	t.Cleanup(srv.Close)
+
+	// One channel per link: the first 0→2 pair takes both of 0's outgoing
+	// links, so the second request is blocked.
+	for id, want := range []bool{true, false} {
+		body := `{"id":` + strconv.Itoa(id+1) + `,"src":0,"dst":2,"algo":"min-load-cost"}`
+		if _, resp := postJSON(t, srv.URL+"/provision", body); resp.Accepted != want {
+			t.Fatalf("provision %d: accepted %v, want %v (%+v)", id+1, resp.Accepted, want, resp)
+		}
+	}
+	resp, err := http.Get(srv.URL + "/debug/flight")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	_ = resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET /debug/flight after a blocked request: HTTP %d %q", resp.StatusCode, body)
+	}
+	if !strings.Contains(string(body), `"bottleneck":"+Inf"`) {
+		t.Fatalf("flight dump lacks the blocked request's bottleneck +Inf:\n%s", body)
 	}
 }
 

@@ -16,7 +16,6 @@ type instruments struct {
 	retries    metrics.Counter // re-route attempts after a conflict
 	epochs     metrics.Counter
 
-	routeTime   *metrics.Timer
 	requestTime *metrics.Timer
 
 	// Stage-attribution timers: every microsecond of wdmd_request_seconds is
@@ -46,7 +45,7 @@ type instruments struct {
 // zero values).
 func (m *instruments) initTimers() {
 	for _, t := range []**metrics.Timer{
-		&m.routeTime, &m.requestTime,
+		&m.requestTime,
 		&m.stageDecode, &m.stageQueue, &m.stageSnapshot, &m.stageRoute,
 		&m.stageRouteCand, &m.stageRouteEx, &m.stageCommit, &m.stageReroute,
 	} {
@@ -69,7 +68,6 @@ func (m *instruments) publish(r *metrics.Registry) {
 		{"wdmd_conflicts_total", "commit-time optimistic reservation conflicts", &m.conflicts},
 		{"wdmd_retries_total", "conflicted admissions re-routed on a fresh snapshot", &m.retries},
 		{"wdmd_epochs_total", "snapshot epochs published", &m.epochs},
-		{"wdmd_route_seconds", "per-request routing computation latency", m.routeTime},
 		{"wdmd_request_seconds", "end-to-end request latency (queue + route + commit)", m.requestTime},
 
 		{"wdmd_stage_decode_seconds", "HTTP request-body decode latency (before the request clock starts)", m.stageDecode},

@@ -451,7 +451,6 @@ func (e *Engine) route(r *core.Router, o *op) commitResult {
 		tSnap := time.Now()
 		res, ok := r.Route(o.algo, snap.net, o.s, o.d)
 		tRoute := time.Now()
-		e.instr.routeTime.Observe(tRoute.Sub(tSnap))
 		if first {
 			o.st.snap = tSnap.Sub(t).Nanoseconds()
 			o.st.route = tRoute.Sub(tSnap).Nanoseconds()

@@ -44,8 +44,8 @@ func TestPublishedMetricsMatchStatus(t *testing.T) {
 			got[m.Name] = *m.Value
 		}
 	}
-	if wdmd != 22 {
-		t.Fatalf("%d wdmd_* metrics published, want 22 (one per instrument)", wdmd)
+	if wdmd != 21 {
+		t.Fatalf("%d wdmd_* metrics published, want 21 (one per instrument)", wdmd)
 	}
 	st := e.Status()
 	for name, want := range map[string]int64{
