@@ -42,7 +42,7 @@
 //   - A skeleton outlives its network pointer: Follow moves it, caches and
 //     all, onto a later snapshot of the same writer (same lineage and
 //     TopoVersion, no older StateVersion), so a router serving a stream of
-//     copy-on-write snapshots builds it once, not once per snapshot.
+//     published snapshots builds it once, not once per snapshot.
 package auxgraph
 
 import (

@@ -268,18 +268,17 @@ func TestQuickFollowMatchesFresh(t *testing.T) {
 			if nd {
 				mk = NewNodeDisjointSkeleton
 			}
-			snap := writer.CloneSince(nil, 0)
+			snap := writer.CloneSince(nil)
 			warm := mk(snap)
 			for step := 0; step < 8; step++ {
 				if step > 0 {
-					v := snap.StateVersion()
 					if rng.Intn(3) > 0 {
 						useRandom(rng, writer, 0.15)
 					}
 					if rng.Intn(3) == 0 {
 						releaseRandom(rng, writer, 0.3)
 					}
-					snap = writer.CloneSince(snap, v)
+					snap = writer.CloneSince(snap)
 					if !warm.Follow(snap) {
 						t.Logf("seed %d nd=%v step %d: Follow refused a later snapshot", seed, nd, step)
 						return false
@@ -310,8 +309,7 @@ func TestFollowRefusesUnsoundMoves(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	writer := randomSkeletonNet(rng)
 	diverged := writer.Clone()
-	old := writer.CloneSince(nil, 0)
-	vOld := old.StateVersion()
+	old := writer.CloneSince(nil)
 	// One reservation each, on different links: equal StateVersions,
 	// different states.
 	var free [][2]int
@@ -326,7 +324,7 @@ func TestFollowRefusesUnsoundMoves(t *testing.T) {
 	if err := diverged.Use(free[1][0], free[1][1]); err != nil {
 		t.Fatal(err)
 	}
-	cur := writer.CloneSince(old, vOld)
+	cur := writer.CloneSince(old)
 	sk := NewSharedSkeleton(cur)
 	sk.ReweightAt(0, 1, Params{Kind: Cost})
 
@@ -340,7 +338,7 @@ func TestFollowRefusesUnsoundMoves(t *testing.T) {
 		t.Error("Follow accepted an older snapshot")
 	}
 	writer.SetConverter(0, wdm.NoConverter{})
-	if sk.Follow(writer.CloneSince(cur, cur.StateVersion())) {
+	if sk.Follow(writer.CloneSince(cur)) {
 		t.Error("Follow accepted a structural change")
 	}
 	if got := sk.ReweightAt(0, 1, Params{Kind: Cost}).Net(); got != cur {

@@ -107,20 +107,6 @@ func (s *Set) Clone() *Set {
 	return c
 }
 
-// Words returns the number of 64-bit words backing s.
-func (s *Set) Words() int { return len(s.words) }
-
-// CloneInto makes dst an independent copy of s whose words are carved from
-// the front of buf, and returns the rest of buf. A caller cloning many sets
-// backs them all with one slab of at least the sum of their Words().
-func (s *Set) CloneInto(dst *Set, buf []uint64) []uint64 {
-	k := len(s.words)
-	dst.words = buf[:k:k]
-	dst.n = s.n
-	copy(dst.words, s.words)
-	return buf[k:]
-}
-
 // CopyFrom overwrites s with the contents of o. The two sets must have the
 // same capacity.
 func (s *Set) CopyFrom(o *Set) {

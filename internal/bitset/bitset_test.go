@@ -113,25 +113,6 @@ func TestCloneIndependence(t *testing.T) {
 	}
 }
 
-func TestCloneIntoCarvesFromSlab(t *testing.T) {
-	a, b := FromSlice(70, []int{0, 69}), FromSlice(5, []int{3})
-	slab := make([]uint64, a.Words()+b.Words()+1)
-	var ca, cb Set
-	rest := a.CloneInto(&ca, slab)
-	rest = b.CloneInto(&cb, rest)
-	if len(rest) != 1 || ca.Words() != 2 || cb.Words() != 1 {
-		t.Fatalf("carved %d+%d words, %d left; want 2+1, 1 left", ca.Words(), cb.Words(), len(rest))
-	}
-	if !ca.Equal(a) || !cb.Equal(b) || ca.Cap() != 70 || cb.Cap() != 5 {
-		t.Fatal("CloneInto copies differ from their sources")
-	}
-	ca.Add(64)
-	cb.Add(4)
-	if a.Contains(64) || b.Contains(4) || !cb.Contains(3) || !ca.Contains(69) {
-		t.Fatal("CloneInto copies are not independent of their sources or of each other")
-	}
-}
-
 func TestCopyFrom(t *testing.T) {
 	s := FromSlice(70, []int{1, 2, 3})
 	d := New(70)

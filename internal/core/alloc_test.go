@@ -103,14 +103,13 @@ func TestWarmRouterSnapshotStreamAllocBudget(t *testing.T) {
 	writer := topo.NSFNET(topo.Config{W: 8})
 	// AllocsPerRun(100) makes 101 calls; one more routes outside the window.
 	snaps := make([]*wdm.Network, 102)
-	snaps[0] = writer.CloneSince(nil, 0)
+	snaps[0] = writer.CloneSince(nil)
 	for i := 1; i < len(snaps); i++ {
-		v := writer.StateVersion()
 		id, lam := i%writer.Links(), (i/writer.Links())%writer.W()
 		if err := writer.Use(id, lam); err != nil {
 			t.Fatal(err)
 		}
-		snaps[i] = writer.CloneSince(snaps[i-1], v)
+		snaps[i] = writer.CloneSince(snaps[i-1])
 	}
 	r := NewRouter(nil)
 	if _, ok := r.MinLoad(snaps[0], 2, 11); !ok {

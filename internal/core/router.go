@@ -80,7 +80,11 @@ func (t Tier) String() string {
 func (r *Router) LastTier() Tier { return r.lastTier }
 
 // rebind points the router at net. When net is a different network, each
-// skeleton that cannot follow it is dropped.
+// skeleton that cannot follow it is dropped. The same network again keeps
+// every skeleton even if it moved to a later state of its writer in between
+// (a recycled snapshot brought forward with wdm.Network.SyncInto): the
+// skeleton's caches are keyed by version, and ReweightAt refreshes them
+// from the network's journal.
 func (r *Router) rebind(net *wdm.Network) {
 	if r.net == net {
 		return

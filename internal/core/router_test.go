@@ -272,17 +272,16 @@ func TestWarmRouterFollowsOnlySoundSnapshots(t *testing.T) {
 		}
 	}
 
-	prev := writer.CloneSince(nil, 0)
+	prev := writer.CloneSince(nil)
 	route("epoch 0", prev)
 	for round := 1; round <= 12; round++ {
-		v := writer.StateVersion()
 		churn(rngW, writer, 6)
 		churn(rngD, diverged, 6)
 		if round == 7 {
 			writer.SetConverter(3, wdm.NoConverter{})
 			diverged.SetConverter(3, wdm.NoConverter{})
 		}
-		snap := writer.CloneSince(prev, v)
+		snap := writer.CloneSince(prev)
 		if snap.StateVersion() != diverged.StateVersion() {
 			t.Fatalf("round %d: versions %d vs %d", round, snap.StateVersion(), diverged.StateVersion())
 		}

@@ -18,14 +18,17 @@ import (
 // during the test run. This rule catches it statically.
 //
 // Mutating methods are classified the same way versionbump classifies them
-// (rooted writes, version bumps, availability surgery) and the property is
-// propagated backward over the call graph: a function that passes a network
-// to a mutator is itself a mutator of that parameter. Snapshot values are
-// tracked intra-procedurally from their three sources — CloneSince results,
-// the serve snapshot's net field, and Engine.Snapshot — through local
-// aliasing, and every call that feeds one into a mutator is a finding. The
-// committer never trips the rule because it operates on the store's private
-// working copy, which is never obtained from a snapshot source.
+// (rooted writes, version bumps, availability surgery), applied to the
+// receiver and to every network parameter — SyncInto writes the copy it is
+// handed, not its receiver — and the property is propagated backward over
+// the call graph: a function that passes a network to a mutator is itself a
+// mutator of that parameter. Snapshot values are tracked intra-procedurally
+// from their three sources — CloneSince results, the serve snapshot's net
+// field, and Engine.Snapshot — through local aliasing, and every call that
+// feeds one into a mutator is a finding. The committer never trips the rule
+// because it writes only the store's private working copy and, when it
+// recycles a retired snapshot, the store's own handle on that network (a
+// pooled slot's net field), neither of which is a snapshot source.
 var SnapMut = &lint.Analyzer{
 	Name:      "snapmut",
 	Doc:       "wdm.Network values from CloneSince or serve snapshots are frozen; mutating methods may only run on the committer's working copy",
@@ -41,30 +44,33 @@ type smFact map[int]string
 func runSnapMut(gp *lint.GlobalPass) {
 	g := callgraph.For(gp.Cache, gp.Pkgs)
 
-	// Seed: every wdm.Network method whose body writes rooted state, bumps a
-	// version counter, or mutates availability sets mutates its receiver.
+	// Seed: a wdm.Network method mutates each network it writes — its
+	// receiver, or a network parameter (SyncInto writes the copy it brings
+	// forward) — where writing is storing into rooted state, bumping a
+	// version counter, or mutating availability sets.
 	seed := map[*callgraph.Node]smFact{}
+	paramIdx := map[*callgraph.Node]map[types.Object]int{}
 	for _, n := range g.Order {
-		if n.Decl.Recv == nil || n.Decl.Body == nil || len(n.Decl.Recv.List[0].Names) == 0 {
+		if n.Decl.Recv == nil || n.Decl.Body == nil ||
+			!lint.NamedType(n.Pkg.Info.TypeOf(n.Decl.Recv.List[0].Type), vbPkg, vbType) {
 			continue
 		}
-		recv := n.Decl.Recv.List[0]
-		if !lint.NamedType(n.Pkg.Info.TypeOf(recv.Type), vbPkg, vbType) {
-			continue
-		}
-		recvObj := n.Pkg.Info.ObjectOf(recv.Names[0])
-		if recvObj == nil {
-			continue
-		}
-		res := scanNetworkMethod(n.Pkg.Info, n.Decl.Body, recvObj)
-		if res.writes || res.bumps || res.availWrites {
-			seed[n] = smFact{0: smLabel(n)}
+		for obj, idx := range smParams(n, paramIdx) {
+			if idx > 0 && !lint.NamedType(obj.Type(), vbPkg, vbType) {
+				continue
+			}
+			res := scanNetworkMethod(n.Pkg.Info, n.Decl.Body, obj)
+			if res.writes || res.bumps || res.availWrites {
+				if seed[n] == nil {
+					seed[n] = smFact{}
+				}
+				seed[n][idx] = smLabel(n)
+			}
 		}
 	}
 
 	// Propagate backward: a caller that feeds one of its own parameters (or
 	// receiver) into a mutated parameter of a callee mutates that parameter.
-	paramIdx := map[*callgraph.Node]map[types.Object]int{}
 	mut := facts.Propagate(g, seed, facts.Backward,
 		func(dst *callgraph.Node, old smFact, had bool, in smFact, e *callgraph.Edge) (smFact, bool) {
 			params := smParams(dst, paramIdx)
@@ -132,6 +138,10 @@ func runSnapMut(gp *lint.GlobalPass) {
 					gp.Reportf(n.Pkg, arg.Pos(),
 						"calling %s on a snapshot network; it mutates the network via %s, and snapshots from CloneSince are frozen",
 						label, witness)
+				case witness == label:
+					gp.Reportf(n.Pkg, arg.Pos(),
+						"passing a snapshot network to %s, which writes it; snapshots from CloneSince are frozen",
+						label)
 				default:
 					gp.Reportf(n.Pkg, arg.Pos(),
 						"passing a snapshot network to %s, which mutates it via %s; snapshots from CloneSince are frozen",

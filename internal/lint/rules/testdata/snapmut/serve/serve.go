@@ -9,10 +9,19 @@ type snapshot struct {
 	net     *wdm.Network
 }
 
-// Engine mirrors the daemon: a private working copy plus a published epoch.
+// slot mirrors the store's pooled epoch buffer: its own handle on a network
+// next to the snapshot header that publishes it.
+type slot struct {
+	net  *wdm.Network
+	snap snapshot
+}
+
+// Engine mirrors the daemon: a private working copy, a published epoch, and
+// retired slots to recycle.
 type Engine struct {
 	cur  *wdm.Network
 	snap *snapshot
+	free []*slot
 }
 
 // Snapshot returns the current epoch and its frozen network: the second
@@ -27,8 +36,28 @@ func (e *Engine) Snapshot() (uint64, *wdm.Network) {
 func (e *Engine) publish() {
 	e.snap = &snapshot{
 		version: e.snap.version + 1,
-		net:     e.cur.CloneSince(e.snap.net, e.snap.version),
+		net:     e.cur.CloneSince(e.snap.net),
 	}
+}
+
+// recycle brings a retired slot forward through the store's own handle and
+// publishes it: clean — slot.net is not a snapshot source.
+func (e *Engine) recycle() {
+	sl := e.free[len(e.free)-1]
+	e.cur.SyncInto(sl.net)
+	sl.snap.version = e.snap.version + 1
+	e.snap = &sl.snap
+}
+
+// recycleBad syncs the published snapshot's network in place: finding.
+func (e *Engine) recycleBad() {
+	e.cur.SyncInto(e.snap.net)
+}
+
+// recycleKept syncs a network Engine.Snapshot handed out: finding.
+func (e *Engine) recycleKept() {
+	_, net := e.Snapshot()
+	e.cur.SyncInto(net)
 }
 
 // commit mutates the committer's private working copy: clean.

@@ -1,6 +1,6 @@
 // Package wdm is a fixture mirroring the real network type for the
 // snapshot-mutation rule: Use mutates, Reserve mutates by delegation,
-// CloneSince and Lambdas only read.
+// SyncInto mutates its parameter, CloneSince and Lambdas only read.
 package wdm
 
 // Network mirrors the real wdm.Network.
@@ -25,10 +25,20 @@ func (g *Network) Lambdas() int { return len(g.links) }
 
 // CloneSince returns a frozen copy, reading both networks and mutating
 // neither — its result is the taint source.
-func (g *Network) CloneSince(prev *Network, prevVersion uint64) *Network {
+func (g *Network) CloneSince(prev *Network) *Network {
 	c := &Network{stateVersion: g.stateVersion}
 	c.links = make([]int, len(g.links))
 	copy(c.links, g.links)
-	_, _ = prev, prevVersion
+	_ = prev
 	return c
+}
+
+// SyncInto brings dst forward to g's state: it only reads its receiver and
+// mutates its parameter, a seeded mutator of parameter 1.
+func (g *Network) SyncInto(dst *Network) bool {
+	for i, v := range g.links {
+		dst.links[i] = v
+	}
+	dst.stateVersion = g.stateVersion
+	return true
 }

@@ -16,9 +16,9 @@ import (
 // provisionAllocBudget plus request decoding, the mux, and response
 // encoding. Responses encode through a pooled buffer and encoder and set
 // Content-Type from a shared value slice, so encoding adds only what
-// encoding/json itself allocates. Measured 36 (six more with a fresh buffer
-// and encoder per response); the ~6% margin absorbs runtime drift.
-const httpProvisionAllocBudget = 38
+// encoding/json itself allocates. Measured 22 (six more with a fresh buffer
+// and encoder per response); the budget allows two more for runtime drift.
+const httpProvisionAllocBudget = 24
 
 // reusableBody is a request body the test rewinds between requests.
 type reusableBody struct{ bytes.Reader }

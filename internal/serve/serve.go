@@ -5,12 +5,16 @@
 //
 // Concurrency model — route on snapshots, commit under one lock:
 //
-//   - Readers (the routers, the /debug/net probe, status queries)
-//     work against an immutable epoch-stamped snapshot published through an
-//     atomic pointer. Publishing epoch N+1 is a copy-on-write clone driven
-//     by the per-link LinkStamp journal (wdm.CloneSince): only links touched
-//     since epoch N are copied, everything else is shared with the frozen
-//     epoch-N snapshot. Routing takes no engine-wide lock.
+//   - Readers (the routers, the /debug/net probe, status queries) pin an
+//     epoch-stamped snapshot published through an atomic pointer, and
+//     nothing writes it while it is published or pinned. Publishing epoch
+//     N+1 recycles a retired snapshot that no reader pins: the commit step
+//     brings its network up to the authoritative state in place
+//     (wdm.Network.SyncInto, driven by the per-link LinkStamp journal: only
+//     links touched since that snapshot's version are copied) and swaps it
+//     in, so a warm publish allocates nothing. Engine.Snapshot marks its
+//     snapshot kept, never to be recycled. Routing takes no engine-wide
+//     lock.
 //   - A pool of GOMAXPROCS warm core.Routers sits in a buffered channel
 //     (waiters on an empty pool are served in arrival order). A request
 //     runs to completion on its caller's goroutine: a provision or reroute
@@ -447,9 +451,11 @@ func (e *Engine) route(r *core.Router, o *op) commitResult {
 	o.st.queue = t.Sub(o.t0).Nanoseconds()
 	first := true
 	for {
-		snap := e.store.load()
+		snap := e.store.pin()
 		tSnap := time.Now()
 		res, ok := r.Route(o.algo, snap.net, o.s, o.d)
+		epoch := snap.epoch
+		snap.unpin()
 		tRoute := time.Now()
 		if first {
 			o.st.snap = tSnap.Sub(t).Nanoseconds()
@@ -464,7 +470,7 @@ func (e *Engine) route(r *core.Router, o *op) commitResult {
 				o.st.reroute += tRoute.Sub(t).Nanoseconds()
 			}
 			o.last = tRoute
-			return commitResult{ok: false, reason: ReasonNoRoute, epoch: snap.epoch}
+			return commitResult{ok: false, reason: ReasonNoRoute, epoch: epoch}
 		}
 		o.pair.Primary = copyHops(o.pair.Primary, res.Primary)
 		o.pair.Backup = copyHops(o.pair.Backup, res.Backup)
@@ -503,7 +509,7 @@ func (e *Engine) teardown(o *op) commitResult {
 
 // commit is the commit step: under the commit lock it applies o to the
 // connection table, the only writer of the authoritative network,
-// publishes the next copy-on-write snapshot if o changed the state, and
+// publishes the next snapshot if o changed the state, and
 // journals the decision. A reservation that fails is a conflict (o was
 // routed on a stale snapshot) and is never applied partially.
 func (e *Engine) commit(o *op) commitResult {
@@ -531,7 +537,7 @@ func (e *Engine) commit(o *op) commitResult {
 			_, err = e.tab.Reroute(o.id, o.pair, nil)
 		}
 	}
-	cr := commitResult{epoch: e.store.load().epoch}
+	cr := commitResult{epoch: e.store.epoch()}
 	switch err {
 	case nil:
 		cr.ok = true
@@ -562,9 +568,12 @@ func (e *Engine) LiveIDs() []int64 { return e.tab.IDs(nil) }
 
 // Snapshot returns the current epoch and its frozen network. The returned
 // network is immutable and shared — read only. A caller holding the pointer
-// is pinned to that epoch: later commits never mutate it.
+// is pinned to that epoch: the snapshot is marked kept, so later commits
+// never recycle it and never mutate it.
 func (e *Engine) Snapshot() (uint64, *wdm.Network) {
-	s := e.store.load()
+	s := e.store.pin()
+	s.kept.Store(true)
+	s.unpin()
 	return s.epoch, s.net
 }
 
@@ -604,10 +613,12 @@ type Stats struct {
 	Uptime       float64 `json:"uptime_seconds"`
 }
 
-// Status reports the daemon's aggregate state from the latest snapshot; it
-// never touches the authoritative network or takes a lock a request holds.
+// Status reports the daemon's aggregate state from the latest snapshot,
+// pinned while it reads it; it never touches the authoritative network or
+// takes a lock a request holds.
 func (e *Engine) Status() Stats {
-	snap := e.store.load()
+	snap := e.store.pin()
+	defer snap.unpin()
 	st := Stats{
 		Epoch:        snap.epoch,
 		StateVersion: snap.net.StateVersion(),

@@ -91,9 +91,11 @@ func newTelemetry(e *Engine, window float64) *telemetry {
 	t := &telemetry{col: col, start: time.Now(), stop: make(chan struct{})}
 	// Seals run on the ticker goroutine, and after it stops on close's final
 	// Seal, so the probes are serialized. The network probe reads only the
-	// immutable epoch snapshot.
+	// epoch snapshot, pinned while it reads it.
 	t.net = col.SampleNetwork(func(at float64) *timeseries.NetState {
-		ns := timeseries.ProbeNetwork(e.store.load().net, at, e.LiveConnections())
+		snap := e.store.pin()
+		ns := timeseries.ProbeNetwork(snap.net, at, e.LiveConnections())
+		snap.unpin()
 		ns.Contention = e.topContention(contentionTopK, ns)
 		return ns
 	})

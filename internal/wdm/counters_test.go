@@ -33,11 +33,11 @@ func checkCounters(t *testing.T, what string, g *Network) {
 }
 
 // TestOccupancyCountersFollowSets applies random sequences of Use, Release,
-// ResetAvailability, Clone and CloneSince to networks whose links carry
-// random wavelength subsets (W up to 70, so sets span several words). After
-// every step the counters of every writer and every frozen snapshot must
+// ResetAvailability, Clone, CloneSince and SyncInto to networks whose links
+// carry random wavelength subsets (W up to 70, so sets span several words).
+// After every step the counters of every writer and every snapshot must
 // match their sets: a writer's mutation must neither skip its own counters
-// nor leak into a snapshot sharing its records.
+// nor leak into a snapshot, and a sync must carry U with the sets.
 func TestOccupancyCountersFollowSets(t *testing.T) {
 	for seed := int64(1); seed <= 40; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -87,19 +87,18 @@ func TestOccupancyCountersFollowSets(t *testing.T) {
 				wr.ResetAvailability()
 			case op < 17:
 				writers = append(writers, wr.Clone())
-			default: // publish a snapshot, sharing the previous one's records
+			case op < 19: // publish a snapshot, sharing the previous one's structure
 				prev := last[wr]
 				if rng.Intn(5) == 0 {
 					prev = nil // the full-copy path
 				}
-				var s *Network
-				if prev == nil {
-					s = wr.CloneSince(nil, 0)
-				} else {
-					s = wr.CloneSince(prev, prev.StateVersion())
-				}
+				s := wr.CloneSince(prev)
 				last[wr] = s
 				snaps = append(snaps, s)
+			default: // bring a stale snapshot forward in place
+				if len(snaps) > 0 {
+					wr.SyncInto(snaps[rng.Intn(len(snaps))]) // refused for another writer's
+				}
 			}
 			for i, x := range writers {
 				checkCounters(t, fmt.Sprintf("seed %d step %d writer %d", seed, step, i), x)

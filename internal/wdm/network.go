@@ -134,16 +134,18 @@ var lineages atomic.Uint64
 // the writer and every CloneSince copy of it, or of such a copy, share one
 // lineage. NewNetwork and Clone start a new lineage, because the copy may
 // diverge from its source; CloneSince keeps its receiver's, because its
-// result is a frozen state of the same writer.
+// result is a frozen state of the same writer, and SyncInto, which moves
+// such a copy to a later state of that writer, leaves it unchanged.
 //
-// Within one lineage — as long as CloneSince copies stay frozen, which the
-// wdmlint snapmut rule enforces — StateVersion identifies the availability
-// state (two networks at the same version hold the same availability sets),
-// and LinkStamps are comparable across networks: a per-link quantity
-// computed from one member at StateVersion v is still fresh on another
-// member at version v' ≥ v for every link e with LinkStamp(e) ≤ v, provided
-// TopoVersion agrees. This is what lets a derived cache follow a writer
-// forward through its snapshots instead of starting over on each.
+// Within one lineage — as long as CloneSince copies change only through
+// SyncInto, which the wdmlint snapmut rule enforces — StateVersion
+// identifies the availability state (two networks at the same version hold
+// the same availability sets), and LinkStamps are comparable across
+// networks: a per-link quantity computed from one member at StateVersion v
+// is still fresh on another member at version v' ≥ v for every link e with
+// LinkStamp(e) ≤ v, provided TopoVersion agrees. This is what lets a
+// derived cache follow a writer forward through its snapshots instead of
+// starting over on each.
 func (g *Network) SameLineage(h *Network) bool { return g.lineage == h.lineage }
 
 // NewNetwork returns a network with n nodes, W wavelengths per system, and

@@ -1,32 +1,20 @@
 package wdm
 
-import "repro/internal/bitset"
-
-// CloneSince returns a deep-enough copy of g for publication as an immutable
-// read snapshot, sharing storage with prev — a frozen clone of the same
-// network taken when g.StateVersion() was prevVersion — for every link whose
-// availability has not changed since then (LinkStamp(e) ≤ prevVersion). This
-// is the copy-on-write epoch layer of the serving daemon: with a per-epoch
-// admission batch touching b links out of m, publishing the next snapshot
-// costs O(b) link copies instead of O(m·W/64), and the shared *Link records
-// are safe because both snapshots are frozen — only the authoritative
-// mutable network ever writes availability sets, and it shares nothing. The
-// b copied records, their availability sets and the sets' words are carved
-// from three slabs, one of each per publish, so a publish makes a constant
-// number of allocations whatever b is.
+// CloneSince returns a full copy of g's residual state for publication as a
+// frozen read snapshot of g's lineage (see SameLineage), so caches derived
+// from earlier snapshots of the same writer may follow it forward. Every link
+// record and availability set is the copy's own: no two networks share one,
+// which is what lets SyncInto later bring the copy forward in place.
 //
-// Per-link wavelength inventories (Λ(e)) and cost tables are shared with g
-// itself: they are write-once at AddLink and never mutated afterwards.
-// Structure (adjacency, converters, SRLGs) is shared with prev; any
-// structural change bumps TopoVersion, which forces the full-clone path.
-//
-// A nil prev, a TopoVersion mismatch, or a link-count mismatch falls back to
-// a full copy. Either way the result keeps g's lineage (see SameLineage), so
-// caches derived from earlier snapshots of the same writer may follow it
-// forward. The receiver is not mutated.
-func (g *Network) CloneSince(prev *Network, prevVersion uint64) *Network {
-	if prev == nil || prev.topoVersion != g.topoVersion || len(prev.links) != len(g.links) ||
-		prev.n != g.n || prev.w != g.w {
+// Structure (adjacency, converters, SRLGs) is shared with prev when prev is a
+// snapshot of g's lineage at g's TopoVersion — structure that has not changed
+// since prev was taken. A nil prev, or one from another lineage or an older
+// topology, gets its own copy. Per-link wavelength inventories (Λ(e)) and
+// cost tables are shared with g itself: they are write-once at AddLink and
+// never mutated afterwards. The receiver is not mutated.
+func (g *Network) CloneSince(prev *Network) *Network {
+	if prev == nil || !prev.SameLineage(g) || prev.topoVersion != g.topoVersion ||
+		len(prev.links) != len(g.links) {
 		c := g.Clone()
 		c.lineage = g.lineage
 		return c
@@ -42,38 +30,50 @@ func (g *Network) CloneSince(prev *Network, prevVersion uint64) *Network {
 		topoVersion:  g.topoVersion,
 		stamp:        append([]uint64(nil), g.stamp...),
 		lineage:      g.lineage,
+		links:        make([]*Link, len(g.links)),
 	}
-	touched, words := 0, 0
 	for i, l := range g.links {
-		if g.stamp[i] > prevVersion {
-			touched++
-			words += l.avail.Words()
-		}
-	}
-	recs := make([]Link, touched)
-	sets := make([]bitset.Set, touched)
-	buf := make([]uint64, words)
-	c.links = make([]*Link, len(g.links))
-	for i, l := range g.links {
-		if g.stamp[i] <= prevVersion {
-			// Untouched since prev was taken: share prev's frozen record.
-			c.links[i] = prev.links[i]
-			continue
-		}
-		rec, set := &recs[0], &sets[0]
-		recs, sets = recs[1:], sets[1:]
-		buf = l.avail.CloneInto(set, buf)
-		*rec = Link{
+		c.links[i] = &Link{
 			ID:     l.ID,
 			From:   l.From,
 			To:     l.To,
 			lambda: l.lambda, // write-once after AddLink; safe to share with g
-			avail:  set,
+			avail:  l.avail.Clone(),
 			cost:   l.cost, // write-once after AddLink; safe to share with g
 			n:      l.n,
 			u:      l.u,
 		}
-		c.links[i] = rec
 	}
 	return c
+}
+
+// SyncInto brings dst — a CloneSince copy of g's lineage taken at an earlier
+// state — up to g's current state in place, and reports whether it did. Only
+// the links stamped after dst.StateVersion() are copied (their availability
+// words and U), then the stamp journal and the version, so a sync costs one
+// pass over the stamps plus the links that changed in between, and
+// allocates nothing. Afterwards dst holds g's availability sets, counters,
+// stamps and StateVersion: within the lineage it is the same state, which
+// is what lets a cache derived from dst's older state follow it forward.
+//
+// It refuses, leaving dst unchanged, when dst is of another lineage, was
+// taken at another TopoVersion or with another link count, or is newer than
+// g. dst must not be read while it syncs: it is a snapshot taken out of
+// publication, which the caller owns again.
+func (g *Network) SyncInto(dst *Network) bool {
+	if dst.lineage != g.lineage || dst.topoVersion != g.topoVersion ||
+		len(dst.links) != len(g.links) || dst.stateVersion > g.stateVersion {
+		return false
+	}
+	at := dst.stateVersion
+	for i, l := range g.links {
+		if g.stamp[i] > at {
+			d := dst.links[i]
+			d.avail.CopyFrom(l.avail)
+			d.u = l.u
+		}
+	}
+	copy(dst.stamp, g.stamp)
+	dst.stateVersion = g.stateVersion
+	return true
 }
