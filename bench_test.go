@@ -101,14 +101,6 @@ func BenchmarkE13ConversionGain(b *testing.B) { runExperiment(b, "E13") }
 // comparison (extension).
 func BenchmarkE14Alternate(b *testing.B) { runExperiment(b, "E14") }
 
-// BenchmarkE16SRLG regenerates the SRLG-aware protection comparison
-// (extension).
-func BenchmarkE16SRLG(b *testing.B) { runExperiment(b, "E16") }
-
-// BenchmarkE17ProtectionLevel regenerates the k-protection tradeoff table
-// (extension).
-func BenchmarkE17ProtectionLevel(b *testing.B) { runExperiment(b, "E17") }
-
 // BenchmarkE18TrafficSensitivity regenerates the traffic-model sensitivity
 // table (extension).
 func BenchmarkE18TrafficSensitivity(b *testing.B) { runExperiment(b, "E18") }

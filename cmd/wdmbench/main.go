@@ -1,5 +1,5 @@
-// wdmbench regenerates the paper-reproduction experiment tables (F1, E1–E19
-// of DESIGN.md; E15, shared backup, is retired). Run without flags for the
+// wdmbench regenerates the paper-reproduction experiment tables (F1, E1–E14,
+// E18 and E19 of DESIGN.md; E15–E17 are retired). Run without flags for the
 // full suite at full scale, or select one experiment:
 //
 //	wdmbench -exp E4            # one experiment

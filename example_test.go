@@ -87,25 +87,3 @@ func ExampleProvision() {
 	fmt.Println("placed:", res.Placed)
 	// Output: placed: 2
 }
-
-// SRLG-aware protection avoids shared-duct risks.
-func ExampleMinCostSRLG() {
-	net := repro.NewNetwork(5, 2)
-	a := net.AddUniformLink(0, 1, 1)
-	net.AddUniformLink(1, 4, 1)
-	b := net.AddUniformLink(0, 2, 1.2)
-	net.AddUniformLink(2, 4, 1.2)
-	net.AddUniformLink(0, 3, 3)
-	net.AddUniformLink(3, 4, 3)
-	net.SetAllConverters(repro.NewFullConverter(2, 0.5))
-	// Corridors A and B leave node 0 through the same duct.
-	net.SetSRLG(a, 7)
-	net.SetSRLG(b, 7)
-	route, ok := repro.MinCostSRLG(net, 0, 4, 0)
-	if !ok {
-		panic("unroutable")
-	}
-	// The backup pays for the independent corridor C.
-	fmt.Printf("pair cost %.0f\n", route.Cost)
-	// Output: pair cost 8
-}

@@ -1,12 +1,12 @@
 // Package bench regenerates every experiment in DESIGN.md's per-experiment
-// index (F1, E1–E19; E15, shared backup, is retired). The paper itself
-// publishes no measured tables — it is an algorithms paper whose only figure
-// illustrates the auxiliary-graph construction — so each experiment here
-// regenerates a quantitative claim (approximation ratios, complexity
-// scaling, construction inventory) or a synthetic evaluation of the
-// behaviour the paper argues for (fewer reconfigurations, faster
-// restoration, lower blocking). EXPERIMENTS.md records claim-vs-measured for
-// each.
+// index (F1, E1–E14, E18, E19; E15–E17, the shared-backup, SRLG and k-path
+// extensions, are retired). The paper itself publishes no measured tables —
+// it is an algorithms paper whose only figure illustrates the
+// auxiliary-graph construction — so each experiment here regenerates a
+// quantitative claim (approximation ratios, complexity scaling,
+// construction inventory) or a synthetic evaluation of the behaviour the
+// paper argues for (fewer reconfigurations, faster restoration, lower
+// blocking). EXPERIMENTS.md records claim-vs-measured for each.
 package bench
 
 import (
@@ -112,8 +112,6 @@ func Registry() []Experiment {
 		{"E12", "Static provisioning: ordering and improvement ablation", E12},
 		{"E13", "Wavelength-conversion gain (Lemma 1 regime vs §3.3 regime)", E13},
 		{"E14", "Adaptive vs fixed-alternate robust routing", E14},
-		{"E16", "SRLG-aware vs SRLG-oblivious protection", E16},
-		{"E17", "Protection level k: capacity vs multi-failure survival", E17},
 		{"E18", "Traffic-model sensitivity: uniform vs gravity vs heavy-tailed", E18},
 		{"E19", "Reconfiguration gain after cost-only vs load-aware loading", E19},
 	}

@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"reflect"
 	"strconv"
 	"strings"
 	"testing"
@@ -11,7 +10,7 @@ func quick() Options { return Options{Quick: true, Seeds: 2} }
 
 func TestRegistryCompleteAndOrdered(t *testing.T) {
 	reg := Registry()
-	want := []string{"F1", "E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8", "E9", "E10", "E11", "E12", "E13", "E14", "E16", "E17", "E18", "E19"}
+	want := []string{"F1", "E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8", "E9", "E10", "E11", "E12", "E13", "E14", "E18", "E19"}
 	if len(reg) != len(want) {
 		t.Fatalf("registry has %d experiments, want %d", len(reg), len(want))
 	}
@@ -266,49 +265,6 @@ func TestMarkdownAndCSVRendering(t *testing.T) {
 	}
 	if !strings.Contains(csv, `"va,l""ue"`) {
 		t.Fatalf("csv quoting wrong:\n%s", csv)
-	}
-}
-
-func TestE16AwareNeverWorse(t *testing.T) {
-	tb := E16(Options{Quick: true, Seeds: 4})
-	var oblivious, aware float64
-	for _, row := range tb.Rows {
-		switch row[1] {
-		case "edge-disjoint (§3.3)":
-			oblivious = parseF(t, row[4])
-		case "srlg-aware":
-			aware = parseF(t, row[4])
-		}
-	}
-	if aware > oblivious+1e-9 {
-		t.Fatalf("srlg-aware outage rate %g exceeds oblivious %g", aware, oblivious)
-	}
-	if aware != 0 {
-		t.Fatalf("srlg-aware must have zero outages by construction, got %g", aware)
-	}
-}
-
-// E16's duct-group assignment draws only from its seeded rng, so two runs
-// print the same table.
-func TestE16Deterministic(t *testing.T) {
-	a, b := E16(Options{Quick: true}), E16(Options{Quick: true})
-	if len(a.Rows) == 0 || !reflect.DeepEqual(a.Rows, b.Rows) {
-		t.Fatalf("E16 rows differ between runs:\n%v\n%v", a.Rows, b.Rows)
-	}
-}
-
-func TestE17SurvivalMonotoneInK(t *testing.T) {
-	tb := E17(Options{Quick: true, Seeds: 5})
-	prev2 := -1.0
-	for _, row := range tb.Rows {
-		if row[1] == "0.0%" {
-			continue
-		}
-		s2 := parsePct(t, row[4])
-		if s2 < prev2-0.05 { // small tolerance: different feasible pair sets
-			t.Fatalf("double-failure survival decreased with k: %v", tb.Rows)
-		}
-		prev2 = s2
 	}
 }
 

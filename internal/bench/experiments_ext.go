@@ -236,11 +236,11 @@ func E14(o Options) *Table {
 	discs := []disc{
 		{"adaptive (§3.3)", nil},
 		{"fixed-alt k=1", func(net *wdm.Network) func(*wdm.Network, int, int) (*core.Result, bool) {
-			tbl := core.BuildAlternateTable(net, 1)
+			tbl := BuildAlternateTable(net, 1)
 			return tbl.Route
 		}},
 		{"fixed-alt k=3", func(net *wdm.Network) func(*wdm.Network, int, int) (*core.Result, bool) {
-			tbl := core.BuildAlternateTable(net, 3)
+			tbl := BuildAlternateTable(net, 3)
 			return tbl.Route
 		}},
 	}
@@ -262,209 +262,6 @@ func E14(o Options) *Table {
 			})
 			t.AddRow(fmtF(erl), d.name, fmtPct(bl.Mean()), fmtF(cost.Mean()))
 		}
-	}
-	return t
-}
-
-// E16 evaluates SRLG-aware protection (extension): when several fibers
-// share a duct, a duct cut takes them all out; a backup chosen without risk
-// groups in mind can die with its primary. Synthetic duct groups are
-// assigned to NSFNET spans; each router protects a batch of connections and
-// every duct is then cut in turn, counting connections that lose both paths.
-func E16(o Options) *Table {
-	t := &Table{
-		ID:      "E16",
-		Title:   "SRLG-aware vs SRLG-oblivious protection",
-		Columns: []string{"duct share", "router", "placed", "outages", "outage rate", "mean cost"},
-		Notes:   "NSFNET, W=8, 25 connections; outage = one duct cut kills both primary and backup of a connection",
-	}
-	seeds := o.seeds(20, 4)
-	shares := []float64{0.3, 0.6}
-	if o.Quick {
-		shares = shares[:1]
-	}
-	for _, share := range shares {
-		for _, aware := range []bool{false, true} {
-			name := "edge-disjoint (§3.3)"
-			if aware {
-				name = "srlg-aware"
-			}
-			share := share
-			aware := aware
-			type sample struct {
-				placed, outages int
-				cost            float64
-			}
-			samples := parallel.Map(seeds, 0, func(i int) sample {
-				rng := rand.New(rand.NewSource(int64(83000 + i)))
-				net := topo.NSFNET(topo.Config{W: 8})
-				// Assign duct groups: with probability `share`, a span joins
-				// the duct of a random earlier span at the same node, drawn by
-				// rng from the spans in insertion order (both directions of a
-				// span always share one group).
-				group := 0
-				spanGroup := map[[2]int]int{}
-				var spans [][2]int
-				var atA []int
-				for id := 0; id < net.Links(); id++ {
-					l := net.Link(id)
-					a, b := l.From, l.To
-					if a > b {
-						a, b = b, a
-					}
-					if gid, ok := spanGroup[[2]int{a, b}]; ok {
-						net.SetSRLG(id, gid)
-						continue
-					}
-					gid := group
-					group++
-					// Optionally merge with an existing duct at endpoint a.
-					if rng.Float64() < share {
-						atA = atA[:0]
-						for _, sp := range spans {
-							if sp[0] == a || sp[1] == a {
-								atA = append(atA, spanGroup[sp])
-							}
-						}
-						if len(atA) > 0 {
-							gid = atA[rng.Intn(len(atA))]
-						}
-					}
-					spanGroup[[2]int{a, b}] = gid
-					spans = append(spans, [2]int{a, b})
-					net.SetSRLG(id, gid)
-				}
-				tab := conns.New[struct{}](net)
-				cost := 0.0
-				router := core.NewRouter(nil)
-				for k := 0; k < 25; k++ {
-					s := rng.Intn(14)
-					d := rng.Intn(13)
-					if d >= s {
-						d++
-					}
-					var r *core.Result
-					var ok bool
-					if aware {
-						r, ok = core.ApproxMinCostSRLG(net, s, d, 0)
-					} else {
-						r, ok = router.ApproxMinCost(net, s, d)
-					}
-					if !ok {
-						continue
-					}
-					if _, err := tab.Admit(int64(k), s, d, r.Pair()); err == nil {
-						cost += r.Cost
-					}
-				}
-				// Cut every duct group; a connection suffers an outage when
-				// both its paths cross the cut.
-				hitsGroup := func(hops []wdm.Hop, gid int) bool {
-					for _, h := range hops {
-						for _, g2 := range net.SRLGs(h.Link) {
-							if g2 == gid {
-								return true
-							}
-						}
-					}
-					return false
-				}
-				outages := 0
-				ids := tab.IDs(nil)
-				for gid := 0; gid < group; gid++ {
-					for _, id := range ids {
-						c, _ := tab.Get(id)
-						if hitsGroup(c.Primary, gid) && hitsGroup(c.Backup, gid) {
-							outages++
-						}
-					}
-				}
-				return sample{placed: len(ids), outages: outages, cost: cost}
-			})
-			var placed, outages, rate, cost stats.Stream
-			for _, s := range samples {
-				placed.Add(float64(s.placed))
-				outages.Add(float64(s.outages))
-				if s.placed > 0 {
-					rate.Add(float64(s.outages) / float64(s.placed))
-					cost.Add(s.cost / float64(s.placed))
-				}
-			}
-			t.AddRow(fmtF(share), name, fmtF(placed.Mean()), fmtF(outages.Mean()),
-				fmtF(rate.Mean()), fmtF(cost.Mean()))
-		}
-	}
-	return t
-}
-
-// E17 explores the protection-level tradeoff (extension): k = 1 (no
-// protection) through k = 4 pairwise-disjoint paths per connection —
-// feasibility, capacity consumed, and survival under simultaneous
-// double-link failures. The paper's scheme is k = 2.
-func E17(o Options) *Table {
-	t := &Table{
-		ID:      "E17",
-		Title:   "Protection level k: capacity vs multi-failure survival",
-		Columns: []string{"k", "feasible", "mean channels/conn", "single-failure survival", "double-failure survival"},
-		Notes:   "NSFNET, W=8, random pairs; survival = connection keeps a path under a random simultaneous failure set",
-	}
-	seeds := o.seeds(30, 6)
-	failTrials := 40
-	if o.Quick {
-		failTrials = 10
-	}
-	for k := 1; k <= 4; k++ {
-		k := k
-		type sample struct {
-			feasible     bool
-			channels     int
-			surv1, surv2 float64
-		}
-		samples := parallel.Map(seeds, 0, func(i int) sample {
-			rng := rand.New(rand.NewSource(int64(91000 + 10*k + i)))
-			net := topo.NSFNET(topo.Config{W: 8})
-			s := rng.Intn(14)
-			d := rng.Intn(13)
-			if d >= s {
-				d++
-			}
-			r, ok := core.ApproxMinCostK(net, s, d, k)
-			if !ok {
-				return sample{}
-			}
-			channels := 0
-			for _, p := range r.Paths {
-				channels += p.Len()
-			}
-			// Random failure sets.
-			surv := func(nFail int) float64 {
-				ok := 0
-				for trial := 0; trial < failTrials; trial++ {
-					down := map[int]bool{}
-					for len(down) < nFail {
-						down[rng.Intn(net.Links())] = true
-					}
-					if r.SurvivesFailures(down) {
-						ok++
-					}
-				}
-				return float64(ok) / float64(failTrials)
-			}
-			return sample{feasible: true, channels: channels, surv1: surv(1), surv2: surv(2)}
-		})
-		feasible := 0
-		var ch, s1, s2 stats.Stream
-		for _, s := range samples {
-			if !s.feasible {
-				continue
-			}
-			feasible++
-			ch.Add(float64(s.channels))
-			s1.Add(s.surv1)
-			s2.Add(s.surv2)
-		}
-		t.AddRow(fmt.Sprint(k), fmtPct(float64(feasible)/float64(seeds)),
-			fmtF(ch.Mean()), fmtPct(s1.Mean()), fmtPct(s2.Mean()))
 	}
 	return t
 }

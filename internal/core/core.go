@@ -16,12 +16,8 @@
 // Baselines used by the evaluation: TwoStepMinCost (shortest semilightpath,
 // delete, second shortest) and the exact solvers in package exact.
 //
-// Every algorithm above is a Router method, and a one-shot caller uses
-// NewRouter(opts).X(…). Three extensions are not: ApproxMinCostK (k
-// pairwise edge-disjoint paths), ApproxMinCostSRLG (shared-risk-group
-// disjoint backups) and AlternateTable.Route (fixed-alternate routing from
-// a precomputed table) are package functions and a table method, called
-// without a Router.
+// Every routing algorithm of the package is a Router method, with no
+// exceptions, and a one-shot caller uses NewRouter(opts).X(…).
 //
 // A routed Result reserves nothing. Result.Pair hands its two paths to a
 // conns.Table, which reserves and releases channels for live connections.

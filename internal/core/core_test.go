@@ -6,7 +6,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"repro/internal/conns"
 	"repro/internal/exact"
 	"repro/internal/wdm"
 )
@@ -441,92 +440,6 @@ func TestQuickNodeDisjointDominance(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestAlternateTableServesRequests(t *testing.T) {
-	net := diamondNet(2)
-	tbl := BuildAlternateTable(net, 2)
-	if tbl.Alternates(0, 3) < 1 {
-		t.Fatal("no alternates for (0,3)")
-	}
-	if tbl.Alternates(0, 0) != 0 || tbl.Alternates(-1, 3) != 0 {
-		t.Fatal("degenerate pairs should have no alternates")
-	}
-	r, ok := tbl.Route(net, 0, 3)
-	if !ok {
-		t.Fatal("table route failed on idle network")
-	}
-	checkResult(t, net, r, 0, 3)
-	// First alternate is the idle-network optimum pair (cost 6).
-	if math.Abs(r.Cost-6) > 1e-9 {
-		t.Fatalf("cost = %g, want 6", r.Cost)
-	}
-	if _, ok := tbl.Route(net, 0, 0); ok {
-		t.Fatal("s == t accepted")
-	}
-}
-
-func TestAlternateTableFallsBackWhenBusy(t *testing.T) {
-	// W=1 diamond: the best pair uses links {0,1} and {2,3}; once reserved,
-	// the only remaining alternate must use link 4 (0→3 direct) — but a
-	// single link cannot form a pair, so with k=2 the second alternate
-	// cannot exist and the request blocks. Verify ordered fallback on a
-	// richer network instead: two fully disjoint pair-sets.
-	net := wdm.NewNetwork(6, 1)
-	// Pair set 1: 0→1→5 and 0→2→5.
-	net.AddUniformLink(0, 1, 1)
-	net.AddUniformLink(1, 5, 1)
-	net.AddUniformLink(0, 2, 1)
-	net.AddUniformLink(2, 5, 1)
-	// Pair set 2 (more expensive): 0→3→5 and 0→4→5.
-	net.AddUniformLink(0, 3, 2)
-	net.AddUniformLink(3, 5, 2)
-	net.AddUniformLink(0, 4, 2)
-	net.AddUniformLink(4, 5, 2)
-	net.SetAllConverters(wdm.NewFullConverter(1, 0))
-	tbl := BuildAlternateTable(net, 2)
-	tab := conns.New[struct{}](net)
-	if got := tbl.Alternates(0, 5); got != 2 {
-		t.Fatalf("alternates = %d, want 2", got)
-	}
-	r1, ok := tbl.Route(net, 0, 5)
-	if !ok || math.Abs(r1.Cost-4) > 1e-9 {
-		t.Fatalf("first route cost = %v ok=%v", r1, ok)
-	}
-	if _, err := tab.Admit(1, 0, 5, r1.Pair()); err != nil {
-		t.Fatal(err)
-	}
-	// First alternate exhausted (W=1): second must be chosen.
-	r2, ok := tbl.Route(net, 0, 5)
-	if !ok {
-		t.Fatal("fallback alternate not used")
-	}
-	if math.Abs(r2.Cost-8) > 1e-9 {
-		t.Fatalf("fallback cost = %g, want 8", r2.Cost)
-	}
-	if _, err := tab.Admit(2, 0, 5, r2.Pair()); err != nil {
-		t.Fatal(err)
-	}
-	// Everything exhausted now.
-	if _, ok := tbl.Route(net, 0, 5); ok {
-		t.Fatal("exhausted table still routed")
-	}
-}
-
-func TestAlternateTableNeverBeatsAdaptive(t *testing.T) {
-	// Adaptive routing recomputes on the residual network, so whenever the
-	// table finds a pair the adaptive router must find one too.
-	rng := rand.New(rand.NewSource(33))
-	for trial := 0; trial < 20; trial++ {
-		net := randomWDM(rng, 6+rng.Intn(3), 2, true)
-		tbl := BuildAlternateTable(net, 2)
-		s, d := 0, net.Nodes()-1
-		_, okT := tbl.Route(net, s, d)
-		_, okA := NewRouter(nil).ApproxMinCost(net, s, d)
-		if okT && !okA {
-			t.Fatalf("trial %d: table routed where adaptive failed", trial)
-		}
 	}
 }
 

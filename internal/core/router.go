@@ -11,15 +11,14 @@ import (
 	"repro/internal/wdm"
 )
 
-// Router is the routing entry point: every §3/§4 algorithm of the package
-// and its baseline is a Router method (ApproxMinCostK, ApproxMinCostSRLG and
-// AlternateTable.Route are not; see the package doc). It owns every piece of
-// per-request scratch state — the Suurballe workspace (two Dijkstra
-// workspaces and combine buffers) and one all-terminal auxiliary-graph
-// skeleton per
-// node-disjointness — so that a long-lived caller (a simulator arrival loop,
-// a benchmark worker) routes requests without rebuilding the auxiliary graph
-// or reallocating search state on every call. The MinCog threshold search in
+// Router is the routing entry point: every routing algorithm of the package,
+// the §3/§4 algorithms and their baselines alike, is a Router method. It
+// owns every piece of per-request scratch state — the Suurballe workspace
+// (two Dijkstra workspaces and combine buffers) and one all-terminal
+// auxiliary-graph skeleton per node-disjointness — so that a long-lived
+// caller (a simulator arrival loop, a benchmark worker) routes requests
+// without rebuilding the auxiliary graph or reallocating search state on
+// every call. The MinCog threshold search in
 // particular finds its bound in one admission pass over the cached skeleton
 // instead of reweighting a graph per round. A one-shot caller uses
 // NewRouter(opts).X(…).

@@ -3,8 +3,7 @@
 // Find_Two_Paths procedure instantiates. Workspace.Suurballe is the one
 // implementation (Dijkstra with potentials, the paper's O(m log n) term);
 // the same Workspace runs the incremental two-path flow search behind the
-// MinCog bottleneck pass (StartFlow, ExtendFlow), and KDisjoint generalises
-// the pair to k paths.
+// MinCog bottleneck pass (StartFlow, ExtendFlow).
 package disjoint
 
 // Pair is a pair of edge-disjoint paths from s to t, each a sequence of

@@ -3,8 +3,8 @@ package graph
 // EdgeConnectivity returns the maximum number of pairwise edge-disjoint
 // s→t paths over the enabled edges — by Menger's theorem, the unit-capacity
 // max flow — computed with Dinic's algorithm. It bounds the protection
-// level k any router can achieve for the pair (cross-validated against
-// KDisjoint in tests).
+// level k any router can achieve for the pair (cross-validated against an
+// exhaustive min-cut enumeration in tests).
 func (g *Graph) EdgeConnectivity(s, t int) int {
 	if s == t || s < 0 || t < 0 || s >= g.n || t >= g.n {
 		return 0

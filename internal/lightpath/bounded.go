@@ -22,13 +22,6 @@ func OptimalBounded(g *wdm.Network, s, t, maxHops int, opts *Options) (*wdm.Semi
 	w := g.W()
 	numStates := g.Nodes() * w
 
-	lamSet := func(l *wdm.Link) interface{ ForEach(func(int) bool) } {
-		if opts.UseInstalled {
-			return l.Lambda()
-		}
-		return l.Avail()
-	}
-
 	// dp[st] = best cost to reach state st = v*w+λ using exactly the hops
 	// processed so far (rolling layers). prev[h][st] records the (state,
 	// link) that reached st at layer h.
@@ -50,7 +43,7 @@ func OptimalBounded(g *wdm.Network, s, t, maxHops int, opts *Options) (*wdm.Semi
 			continue
 		}
 		l := g.Link(id)
-		lamSet(l).ForEach(func(lam int) bool {
+		l.Avail().ForEach(func(lam int) bool {
 			st := l.To*w + lam
 			if c := l.Cost(lam); c < dp[st] {
 				dp[st] = c
@@ -98,7 +91,7 @@ func OptimalBounded(g *wdm.Network, s, t, maxHops int, opts *Options) (*wdm.Semi
 					continue
 				}
 				l := g.Link(id)
-				lamSet(l).ForEach(func(nlam int) bool {
+				l.Avail().ForEach(func(nlam int) bool {
 					var cc float64
 					if nlam != lam {
 						if !conv.Allowed(lam, nlam) {

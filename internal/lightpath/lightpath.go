@@ -17,13 +17,9 @@ import (
 // Options configures the search.
 type Options struct {
 	// AllowedLinks, when non-nil, restricts the search to links for which it
-	// returns true: the two-step baseline, the SRLG backup and the
-	// simulator's re-protection route around a primary's links with it.
+	// returns true: the two-step baseline and the simulator's re-protection
+	// route around a primary's links with it.
 	AllowedLinks func(linkID int) bool
-	// UseInstalled, when true, searches over Λ(e) instead of Λ_avail(e)
-	// (i.e. ignores current reservations). The routing algorithms always
-	// search the residual network (false).
-	UseInstalled bool
 }
 
 // Optimal returns a minimum-cost semilightpath from s to t in the residual
@@ -51,13 +47,6 @@ func Optimal(g *wdm.Network, s, t int, opts *Options) (*wdm.Semilightpath, float
 		prevLink[i] = -1
 	}
 
-	lamSet := func(l *wdm.Link) interface{ ForEach(func(int) bool) } {
-		if opts.UseInstalled {
-			return l.Lambda()
-		}
-		return l.Avail()
-	}
-
 	h := pq.NewIndexedHeap(numStates)
 
 	// Seed: leave s on each out-link/wavelength; the source imposes no
@@ -67,7 +56,7 @@ func Optimal(g *wdm.Network, s, t int, opts *Options) (*wdm.Semilightpath, float
 			continue
 		}
 		l := g.Link(id)
-		lamSet(l).ForEach(func(lam int) bool {
+		l.Avail().ForEach(func(lam int) bool {
 			st := l.To*w + lam
 			c := l.Cost(lam)
 			if c < dist[st] {
@@ -103,7 +92,7 @@ func Optimal(g *wdm.Network, s, t int, opts *Options) (*wdm.Semilightpath, float
 				continue
 			}
 			l := g.Link(id)
-			lamSet(l).ForEach(func(nlam int) bool {
+			l.Avail().ForEach(func(nlam int) bool {
 				var cc float64
 				if nlam != lam {
 					if !conv.Allowed(lam, nlam) {

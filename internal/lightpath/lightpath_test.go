@@ -104,10 +104,6 @@ func TestOptimalRespectsAvailability(t *testing.T) {
 	if _, _, ok := Optimal(g, 0, 1, nil); ok {
 		t.Fatal("exhausted link should be unroutable")
 	}
-	// UseInstalled ignores reservations.
-	if _, _, ok := Optimal(g, 0, 1, &Options{UseInstalled: true}); !ok {
-		t.Fatal("UseInstalled should see the installed wavelengths")
-	}
 }
 
 func TestOptimalAllowedLinksRestriction(t *testing.T) {
@@ -329,94 +325,6 @@ func BenchmarkOptimal(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		Optimal(g, i%100, (i+50)%100, nil)
-	}
-}
-
-func TestKShortestFirstMatchesOptimal(t *testing.T) {
-	rng := rand.New(rand.NewSource(17))
-	for trial := 0; trial < 25; trial++ {
-		n := 4 + rng.Intn(4)
-		w := 1 + rng.Intn(3)
-		g := randomNet(rng, n, w)
-		s, d := 0, n-1
-		paths := KShortest(g, s, d, 4)
-		_, optCost, ok := Optimal(g, s, d, nil)
-		if !ok {
-			if len(paths) != 0 {
-				t.Fatalf("trial %d: KShortest found paths where Optimal found none", trial)
-			}
-			continue
-		}
-		if len(paths) == 0 {
-			t.Fatalf("trial %d: KShortest found nothing", trial)
-		}
-		if math.Abs(paths[0].Cost(g)-optCost) > 1e-9 {
-			t.Fatalf("trial %d: first k-shortest %g != optimal %g",
-				trial, paths[0].Cost(g), optCost)
-		}
-		// Valid, sorted, distinct.
-		prev := 0.0
-		seen := map[string]bool{}
-		for i, p := range paths {
-			if err := p.ValidateAvailable(g, s, d); err != nil {
-				t.Fatalf("trial %d path %d: %v", trial, i, err)
-			}
-			c := p.Cost(g)
-			if c < prev-1e-9 {
-				t.Fatalf("trial %d: costs not sorted", trial)
-			}
-			prev = c
-			if seen[p.String()] {
-				t.Fatalf("trial %d: duplicate semilightpath", trial)
-			}
-			seen[p.String()] = true
-		}
-	}
-}
-
-func TestKShortestEnumeratesWavelengthVariants(t *testing.T) {
-	// One physical route, 2 wavelengths, distinct costs: the 2-shortest
-	// semilightpaths are the two wavelength assignments.
-	g := wdm.NewNetwork(2, 2)
-	g.AddLink(0, 1, []wdm.Wavelength{0, 1}, []float64{1, 5})
-	paths := KShortest(g, 0, 1, 5)
-	if len(paths) != 2 {
-		t.Fatalf("found %d, want 2", len(paths))
-	}
-	if paths[0].Hops[0].Wavelength != 0 || paths[1].Hops[0].Wavelength != 1 {
-		t.Fatalf("wavelength order wrong: %v then %v", paths[0], paths[1])
-	}
-}
-
-func TestKShortestDegenerate(t *testing.T) {
-	g := wdm.NewNetwork(3, 1)
-	g.AddUniformLink(0, 1, 1)
-	if KShortest(g, 0, 0, 3) != nil {
-		t.Fatal("s == t should yield nil")
-	}
-	if KShortest(g, 0, 1, 0) != nil {
-		t.Fatal("k = 0 should yield nil")
-	}
-	if len(KShortest(g, 0, 2, 3)) != 0 {
-		t.Fatal("unreachable should yield empty")
-	}
-}
-
-func TestKShortestRespectsConversionRules(t *testing.T) {
-	g := wdm.NewNetwork(3, 2)
-	g.AddLink(0, 1, []wdm.Wavelength{0}, []float64{1})
-	g.AddLink(1, 2, []wdm.Wavelength{1}, []float64{1})
-	g.SetAllConverters(wdm.NoConverter{})
-	if len(KShortest(g, 0, 2, 3)) != 0 {
-		t.Fatal("continuity-violating path enumerated")
-	}
-	g.SetAllConverters(wdm.NewFullConverter(2, 0.5))
-	paths := KShortest(g, 0, 2, 3)
-	if len(paths) != 1 {
-		t.Fatalf("found %d, want 1", len(paths))
-	}
-	if math.Abs(paths[0].Cost(g)-2.5) > 1e-9 {
-		t.Fatalf("cost = %g, want 2.5", paths[0].Cost(g))
 	}
 }
 

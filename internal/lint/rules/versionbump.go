@@ -17,7 +17,9 @@ import (
 // path reads: a method that mutates wavelength availability must stamp the
 // journal (touchLink/touchAll) rather than only bumping the aggregate
 // counter, otherwise cached link weights are refreshed for the wrong links —
-// the SetSRLG bug shape, one invalidation layer down.
+// the shape of the bug this rule first caught (a risk-group setter that
+// bumped no counter; the method was since removed), one invalidation layer
+// down.
 var VersionBump = &lint.Analyzer{
 	Name: "versionbump",
 	Doc:  "exported wdm.Network methods that mutate state must call bumpState/bumpTopo, and availability writes must stamp the link journal",

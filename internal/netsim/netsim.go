@@ -62,9 +62,10 @@ type Config struct {
 	Opts        *core.Options
 
 	// RouteFunc, when non-nil, overrides Algorithm for arrivals — the hook
-	// for custom disciplines such as fixed-alternate routing
-	// (core.AlternateTable.Route) or node-disjoint protection. It receives
-	// the simulator's private network clone.
+	// for disciplines the simulator does not build itself, such as E14's
+	// fixed-alternate table (bench.AlternateTable.Route) or the repository
+	// benchmark's timed router wrapper. It receives the simulator's private
+	// network clone.
 	RouteFunc func(net *wdm.Network, s, t int) (*core.Result, bool)
 
 	// FailureRate is the Poisson rate of single-link failure events

@@ -313,14 +313,14 @@ func TestReprotectImprovesSurvival(t *testing.T) {
 
 func TestRouteFuncOverride(t *testing.T) {
 	net := nsf(4)
-	tbl := core.BuildAlternateTable(net, 2)
+	router := core.NewRouter(nil)
 	calls := 0
 	sim := New(net, Config{
 		Algorithm:   MinCost,
 		Restoration: Active,
 		RouteFunc: func(n *wdm.Network, s, d int) (*core.Result, bool) {
 			calls++
-			return tbl.Route(n, s, d)
+			return router.ApproxMinCostNodeDisjoint(n, s, d)
 		},
 	})
 	m := sim.Run(poisson(14, 100, 10, 41))
@@ -328,7 +328,7 @@ func TestRouteFuncOverride(t *testing.T) {
 		t.Fatalf("RouteFunc called %d times, offered %d", calls, m.Offered)
 	}
 	if m.Accepted == 0 {
-		t.Fatal("table routing accepted nothing")
+		t.Fatal("RouteFunc routing accepted nothing")
 	}
 	if sim.Network().TotalAvailable() != nsf(4).TotalAvailable() {
 		t.Fatal("wavelengths leaked under RouteFunc")

@@ -112,7 +112,6 @@ type Network struct {
 	out   [][]int // out[v] = link IDs with From == v (E_out(v))
 	in    [][]int // in[v] = link IDs with To == v (E_in(v))
 	conv  []Converter
-	srlg  [][]int // srlg[link] = shared-risk group IDs (lazily allocated)
 
 	// Change counters for cache invalidation (see StateVersion/TopoVersion).
 	stateVersion uint64
@@ -253,7 +252,7 @@ func (g *Network) touchAll() {
 // changed. The journal contract: a per-link quantity computed from
 // availability at StateVersion v is still fresh for link e iff
 // LinkStamp(e) ≤ v — provided TopoVersion has not moved, since structural
-// changes (new links, converter swaps, SRLG edits) invalidate derived
+// changes (new links, converter swaps) invalidate derived
 // structures wholesale without stamping individual links.
 func (g *Network) LinkStamp(id int) uint64 { return g.stamp[id] }
 
@@ -418,12 +417,6 @@ func (g *Network) Clone() *Network {
 		c.out[v] = append([]int(nil), g.out[v]...)
 		c.in[v] = append([]int(nil), g.in[v]...)
 	}
-	if g.srlg != nil {
-		c.srlg = make([][]int, len(g.srlg))
-		for i, gs := range g.srlg {
-			c.srlg[i] = append([]int(nil), gs...)
-		}
-	}
 	c.links = make([]*Link, len(g.links))
 	for i, l := range g.links {
 		c.links[i] = &Link{
@@ -458,45 +451,4 @@ func (g *Network) TotalAvailable() int {
 		t += l.avail.Count()
 	}
 	return t
-}
-
-// SetSRLG assigns shared-risk link group IDs to a link. Links sharing any
-// group are assumed to fail together (same conduit, duct or span), so a
-// backup protecting against such risks must avoid every group of its
-// primary. Calling SetSRLG replaces the link's previous groups. It counts as
-// a structural change: risk groups alter which backups are legal, so cached
-// routing structures must not outlive it.
-func (g *Network) SetSRLG(id int, groups ...int) {
-	if g.srlg == nil {
-		g.srlg = make([][]int, len(g.links))
-	}
-	for len(g.srlg) < len(g.links) {
-		g.srlg = append(g.srlg, nil)
-	}
-	g.srlg[id] = append([]int(nil), groups...)
-	g.bumpTopo()
-}
-
-// SRLGs returns the shared-risk groups of a link (nil when none assigned).
-func (g *Network) SRLGs(id int) []int {
-	if g.srlg == nil || id >= len(g.srlg) {
-		return nil
-	}
-	return g.srlg[id]
-}
-
-// SharesRisk reports whether two links belong to a common shared-risk group.
-func (g *Network) SharesRisk(a, b int) bool {
-	ga, gb := g.SRLGs(a), g.SRLGs(b)
-	if len(ga) == 0 || len(gb) == 0 {
-		return false
-	}
-	for _, x := range ga {
-		for _, y := range gb {
-			if x == y {
-				return true
-			}
-		}
-	}
-	return false
 }

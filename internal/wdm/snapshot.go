@@ -6,7 +6,7 @@ package wdm
 // record and availability set is the copy's own: no two networks share one,
 // which is what lets SyncInto later bring the copy forward in place.
 //
-// Structure (adjacency, converters, SRLGs) is shared with prev when prev is a
+// Structure (adjacency, converters) is shared with prev when prev is a
 // snapshot of g's lineage at g's TopoVersion — structure that has not changed
 // since prev was taken. A nil prev, or one from another lineage or an older
 // topology, gets its own copy. Per-link wavelength inventories (Λ(e)) and
@@ -25,7 +25,6 @@ func (g *Network) CloneSince(prev *Network) *Network {
 		out:          prev.out,
 		in:           prev.in,
 		conv:         prev.conv,
-		srlg:         prev.srlg,
 		stateVersion: g.stateVersion,
 		topoVersion:  g.topoVersion,
 		stamp:        append([]uint64(nil), g.stamp...),

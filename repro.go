@@ -135,23 +135,6 @@ func MinCostNodeDisjoint(net *Network, s, t int, opts *RouteOptions) (*Route, bo
 	return core.NewRouter(opts).ApproxMinCostNodeDisjoint(net, s, t)
 }
 
-// MultiRoute is a k-protected connection (1 primary + k−1 backups).
-type MultiRoute = core.MultiResult
-
-// MinCostK routes k pairwise edge-disjoint semilightpaths — 1+(k−1)
-// protection surviving any k−1 simultaneous link failures (k = 2 is the
-// paper's problem).
-func MinCostK(net *Network, s, t, k int) (*MultiRoute, bool) {
-	return core.ApproxMinCostK(net, s, t, k)
-}
-
-// MinCostSRLG routes with a backup that avoids every shared-risk link group
-// (SRLG) of its primary, so a whole-duct cut cannot take out both paths.
-// maxPrimaries bounds the k-shortest primary retries (0 = default 8).
-func MinCostSRLG(net *Network, s, t, maxPrimaries int) (*Route, bool) {
-	return core.ApproxMinCostSRLG(net, s, t, maxPrimaries)
-}
-
 // OptimalSemilightpath returns a single minimum-cost semilightpath (the
 // Liang–Shen layered-graph algorithm the refinement step builds on).
 func OptimalSemilightpath(net *Network, s, t int) (*Semilightpath, float64, bool) {
@@ -163,12 +146,6 @@ func OptimalSemilightpath(net *Network, s, t int) (*Semilightpath, float64, bool
 // the network resources).
 func BoundedSemilightpath(net *Network, s, t, maxHops int) (*Semilightpath, float64, bool) {
 	return lightpath.OptimalBounded(net, s, t, maxHops, nil)
-}
-
-// KShortestSemilightpaths enumerates up to k semilightpaths in ascending
-// Eq. 1 cost order (Yen's algorithm on the layered graph).
-func KShortestSemilightpaths(net *Network, s, t, k int) []*Semilightpath {
-	return lightpath.KShortest(net, s, t, k)
 }
 
 // ExactSolution is an exact optimum from the §3.1 solvers.
