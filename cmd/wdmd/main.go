@@ -43,7 +43,7 @@ func main() {
 	topoName := flag.String("topo", "nsfnet", "topology: nsfnet, arpa2, ring, waxman")
 	n := flag.Int("n", 16, "node count for parametric topologies")
 	w := flag.Int("w", 8, "wavelengths per fiber")
-	seed := flag.Int64("seed", 1, "topology seed (parametric topologies)")
+	seed := flag.Int64("seed", 1, "topology seed (parametric topologies) and -soak / -drive workload seed")
 	algo := flag.String("algo", "min-load-cost", "default routing: min-cost, min-load, min-load-cost, two-step")
 	retries := flag.Int("retries", 0, "conflict retry budget per request (0 = 4, -1 = none)")
 	candidates := flag.Int("candidates", 0, "candidate fast tier: k precomputed route pairs per node pair (0 = off)")
@@ -60,7 +60,7 @@ func main() {
 	incidentEvery := flag.Duration("incident-every", 0, "minimum interval between incident captures (0 = 1m)")
 	flightCap := flag.Int("flight", obs.DefaultCapacity, "flight-recorder capacity (last N request traces; 0 = tracing off)")
 	soakCount := flag.Int("soak", 0, "soak mode: run this many in-process requests instead of serving, print the report, exit")
-	drive := flag.Bool("drive", false, "drive mode: hammer a live daemon at http://<addr> instead of serving")
+	drive := flag.Bool("drive", false, "drive mode: hammer a live daemon at http://<addr> instead of serving (endpoints drawn from its /status node count)")
 	count := flag.Int("count", 5000, "request count for -drive")
 	clients := flag.Int("clients", 16, "client goroutines for -soak / -drive")
 	maxLive := flag.Int("max-live", 32, "per-client live-connection cap for -soak / -drive")
@@ -76,12 +76,12 @@ func main() {
 	}
 
 	if *drive {
-		rep, err := serve.Drive("http://"+*addr, serve.DriveConfig{
+		rep, err := serve.Drive("http://"+*addr, serve.LoadConfig{
 			Requests: *count,
 			Clients:  *clients,
 			Seed:     *seed,
 			MaxLive:  *maxLive,
-			Nodes:    nodesOf(*topoName, *n, *w, *seed),
+			Drain:    true,
 		})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, rep)
@@ -166,7 +166,7 @@ func main() {
 	}
 
 	if *soakCount > 0 {
-		rep, err := serve.RunSoak(engine, serve.SoakConfig{
+		rep, err := serve.RunSoak(engine, serve.LoadConfig{
 			Requests:     *soakCount,
 			Clients:      *clients,
 			Seed:         *seed,
@@ -216,16 +216,6 @@ func main() {
 		fatal(fmt.Errorf("wdmd: engine close: %w", err))
 	}
 	fmt.Fprintln(os.Stderr, "wdmd: clean shutdown")
-}
-
-// nodesOf resolves the node count the drive workload draws endpoints from
-// without keeping the topology around.
-func nodesOf(topo string, n, w int, seed int64) int {
-	network, err := cli.BuildTopology(topo, n, w, seed)
-	if err != nil {
-		fatal(err)
-	}
-	return network.Nodes()
 }
 
 // report prints a soak/drive report as text or JSON.

@@ -72,14 +72,6 @@ func BuildAlternateTable(net *wdm.Network, k int) *AlternateTable {
 	return tbl
 }
 
-// Alternates returns the number of precomputed pairs for (s, t).
-func (tbl *AlternateTable) Alternates(s, t int) int {
-	if s < 0 || t < 0 || s >= tbl.n || t >= tbl.n {
-		return 0
-	}
-	return len(tbl.routes[s*tbl.n+t])
-}
-
 // Route serves a request from the precomputed table: the first alternate
 // whose two routes admit a wavelength assignment on the current residual
 // network is returned. ok is false when every alternate is blocked.

@@ -74,11 +74,11 @@ func checkAltResult(t *testing.T, net *wdm.Network, r *core.Result, s, d int) {
 func TestAlternateTableServesRequests(t *testing.T) {
 	net := altDiamond(2)
 	tbl := BuildAlternateTable(net, 2)
-	if tbl.Alternates(0, 3) < 1 {
+	if len(tbl.routes[0*tbl.n+3]) < 1 {
 		t.Fatal("no alternates for (0,3)")
 	}
-	if tbl.Alternates(0, 0) != 0 || tbl.Alternates(-1, 3) != 0 {
-		t.Fatal("degenerate pairs should have no alternates")
+	if len(tbl.routes[0*tbl.n+0]) != 0 {
+		t.Fatal("s == t should have no alternates")
 	}
 	r, ok := tbl.Route(net, 0, 3)
 	if !ok {
@@ -91,6 +91,9 @@ func TestAlternateTableServesRequests(t *testing.T) {
 	}
 	if _, ok := tbl.Route(net, 0, 0); ok {
 		t.Fatal("s == t accepted")
+	}
+	if _, ok := tbl.Route(net, -1, 3); ok {
+		t.Fatal("out-of-range source accepted")
 	}
 }
 
@@ -114,7 +117,7 @@ func TestAlternateTableFallsBackWhenBusy(t *testing.T) {
 	net.SetAllConverters(wdm.NewFullConverter(1, 0))
 	tbl := BuildAlternateTable(net, 2)
 	tab := conns.New[struct{}](net)
-	if got := tbl.Alternates(0, 5); got != 2 {
+	if got := len(tbl.routes[0*tbl.n+5]); got != 2 {
 		t.Fatalf("alternates = %d, want 2", got)
 	}
 	r1, ok := tbl.Route(net, 0, 5)

@@ -27,35 +27,6 @@ func New(n int) *Set {
 	return &Set{words: make([]uint64, (n+wordBits-1)/wordBits), n: n}
 }
 
-// NewFull returns a set of capacity n with all n bits set.
-func NewFull(n int) *Set {
-	s := New(n)
-	for i := range s.words {
-		s.words[i] = ^uint64(0)
-	}
-	s.trim()
-	return s
-}
-
-// FromSlice returns a set of capacity n containing exactly the given indices.
-func FromSlice(n int, idx []int) *Set {
-	s := New(n)
-	for _, i := range idx {
-		s.Add(i)
-	}
-	return s
-}
-
-// trim clears any bits beyond capacity in the last word.
-func (s *Set) trim() {
-	if s.n%wordBits != 0 && len(s.words) > 0 {
-		s.words[len(s.words)-1] &= (uint64(1) << uint(s.n%wordBits)) - 1
-	}
-}
-
-// Cap returns the capacity (the n passed to New).
-func (s *Set) Cap() int { return s.n }
-
 // Add sets bit i. It panics if i is out of range.
 func (s *Set) Add(i int) {
 	s.check(i)
@@ -116,21 +87,6 @@ func (s *Set) CopyFrom(o *Set) {
 	copy(s.words, o.words)
 }
 
-// Clear removes all elements.
-func (s *Set) Clear() {
-	for i := range s.words {
-		s.words[i] = 0
-	}
-}
-
-// Fill sets all bits in [0, Cap()).
-func (s *Set) Fill() {
-	for i := range s.words {
-		s.words[i] = ^uint64(0)
-	}
-	s.trim()
-}
-
 // IntersectCount returns |s ∩ o| without allocating. Capacities must match.
 func (s *Set) IntersectCount(o *Set) int {
 	if s.n != o.n {
@@ -154,63 +110,6 @@ func (s *Set) Intersects(o *Set) bool {
 		}
 	}
 	return false
-}
-
-// IntersectWith sets s = s ∩ o in place.
-func (s *Set) IntersectWith(o *Set) {
-	if s.n != o.n {
-		panic("bitset: IntersectWith capacity mismatch")
-	}
-	for i := range s.words {
-		s.words[i] &= o.words[i]
-	}
-}
-
-// UnionWith sets s = s ∪ o in place.
-func (s *Set) UnionWith(o *Set) {
-	if s.n != o.n {
-		panic("bitset: UnionWith capacity mismatch")
-	}
-	for i := range s.words {
-		s.words[i] |= o.words[i]
-	}
-}
-
-// DifferenceWith sets s = s \ o in place.
-func (s *Set) DifferenceWith(o *Set) {
-	if s.n != o.n {
-		panic("bitset: DifferenceWith capacity mismatch")
-	}
-	for i := range s.words {
-		s.words[i] &^= o.words[i]
-	}
-}
-
-// SubsetOf reports whether every element of s is in o.
-func (s *Set) SubsetOf(o *Set) bool {
-	if s.n != o.n {
-		panic("bitset: SubsetOf capacity mismatch")
-	}
-	for i, w := range s.words {
-		if w&^o.words[i] != 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// Equal reports whether s and o contain exactly the same elements and have
-// the same capacity.
-func (s *Set) Equal(o *Set) bool {
-	if s.n != o.n {
-		return false
-	}
-	for i, w := range s.words {
-		if w != o.words[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // Min returns the smallest set bit, or -1 if the set is empty.

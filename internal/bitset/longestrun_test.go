@@ -8,7 +8,7 @@ import (
 // longestRunNaive is the bit-at-a-time reference implementation.
 func longestRunNaive(s *Set) int {
 	best, run := 0, 0
-	for i := 0; i < s.Cap(); i++ {
+	for i := 0; i < s.n; i++ {
 		if s.Contains(i) {
 			run++
 			if run > best {
@@ -29,16 +29,16 @@ func TestLongestRunEdgeCases(t *testing.T) {
 	}{
 		{"empty", New(128), 0},
 		{"zero capacity", New(0), 0},
-		{"single bit", FromSlice(128, []int{77}), 1},
-		{"full one word", NewFull(64), 64},
-		{"full two words", NewFull(128), 128},
-		{"full odd capacity", NewFull(130), 130},
-		{"run crossing word boundary", FromSlice(128, []int{62, 63, 64, 65, 66}), 5},
-		{"run ending at word boundary", FromSlice(128, []int{60, 61, 62, 63}), 4},
-		{"run starting at word boundary", FromSlice(128, []int{64, 65, 66}), 3},
-		{"full word bridging neighbours", FromSlice(192, []int{63, 64}), 2},
-		{"alternating", FromSlice(64, []int{0, 2, 4, 6, 8, 10}), 1},
-		{"two runs picks longer", FromSlice(64, []int{0, 1, 2, 10, 11, 12, 13, 14}), 5},
+		{"single bit", of(128, 77), 1},
+		{"full one word", full(64), 64},
+		{"full two words", full(128), 128},
+		{"full odd capacity", full(130), 130},
+		{"run crossing word boundary", of(128, 62, 63, 64, 65, 66), 5},
+		{"run ending at word boundary", of(128, 60, 61, 62, 63), 4},
+		{"run starting at word boundary", of(128, 64, 65, 66), 3},
+		{"full word bridging neighbours", of(192, 63, 64), 2},
+		{"alternating", of(64, 0, 2, 4, 6, 8, 10), 1},
+		{"two runs picks longer", of(64, 0, 1, 2, 10, 11, 12, 13, 14), 5},
 	}
 	// Full middle word flanked by trailing/leading ones: 1 + 64 + 1.
 	span := New(192)

@@ -39,8 +39,6 @@ type Options struct {
 	// Base is the exponent base a > 1 for the G_c congestion weights
 	// (auxgraph.DefaultBase if 0).
 	Base float64
-	// MaxIterations caps the MinCog threshold search (default 64).
-	MaxIterations int
 	// CandidateTable enables the precomputed candidate-path fast tier: the
 	// table's edge-disjoint route pairs (NewCandidateTable) are tried with
 	// bitset feasibility checks and per-route optimal wavelength assignment
@@ -66,13 +64,6 @@ func (o *Options) base() float64 {
 		return auxgraph.DefaultBase
 	}
 	return o.Base
-}
-
-func (o *Options) maxIter() int {
-	if o == nil || o.MaxIterations == 0 {
-		return 64
-	}
-	return o.MaxIterations
 }
 
 func (o *Options) reuseResult() bool { return o != nil && o.ReuseResult }
@@ -237,20 +228,4 @@ func (r *Router) mapAndRefine(net *wdm.Network, a *auxgraph.Aux, pair *disjoint.
 	}
 	res.PathLoad = pathLoad(net, res.Primary, res.Backup)
 	return res, true
-}
-
-// nodesDisjoint reports whether two paths share no intermediate node.
-func nodesDisjoint(net *wdm.Network, p, q *wdm.Semilightpath, s, t int) bool {
-	seen := map[int]bool{}
-	for _, v := range p.Nodes(net) {
-		if v != s && v != t {
-			seen[v] = true
-		}
-	}
-	for _, v := range q.Nodes(net) {
-		if v != s && v != t && seen[v] {
-			return false
-		}
-	}
-	return true
 }

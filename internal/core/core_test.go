@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/check"
 	"repro/internal/exact"
 	"repro/internal/wdm"
 )
@@ -402,7 +403,7 @@ func TestNodeDisjointOnDiamond(t *testing.T) {
 		t.Fatal("diamond has node-disjoint pairs")
 	}
 	checkResult(t, net, r, 0, 3)
-	if !nodesDisjoint(net, r.Primary, r.Backup, 0, 3) {
+	if check.NodeDisjoint(net, r.Primary, r.Backup, 0, 3) != nil {
 		t.Fatal("paths share an intermediate node")
 	}
 	// Optimal node-disjoint pair: 0→1→3 (2) + 0→2→3 (4) = 6.
@@ -425,7 +426,7 @@ func TestQuickNodeDisjointDominance(t *testing.T) {
 			if !okE {
 				return false // node-disjoint implies edge-disjoint
 			}
-			if !nodesDisjoint(net, rn.Primary, rn.Backup, s, d) {
+			if check.NodeDisjoint(net, rn.Primary, rn.Backup, s, d) != nil {
 				return false
 			}
 			if err := rn.Primary.ValidateAvailable(net, s, d); err != nil {
@@ -444,7 +445,7 @@ func TestQuickNodeDisjointDominance(t *testing.T) {
 }
 
 func TestOptionsAccessors(t *testing.T) {
-	o := &Options{Base: 7, MaxIterations: 3}
+	o := &Options{Base: 7}
 	net := diamondNet(2)
 	// Exercise the explicit-options paths of the load routers.
 	if _, ok := NewRouter(o).MinLoad(net, 0, 3); !ok {

@@ -37,8 +37,9 @@ func thetaBounds(net *wdm.Network) (lo, hi float64, any bool) {
 
 // refMinCogSearch is the MinCog search with Suurballe run in every round
 // and the found pair kept, as the search ran before its rounds became
-// feasibility tests. It is the reference the production search must match.
-func refMinCogSearch(r *Router, net *wdm.Network, s, t int) (float64, *auxgraph.Aux, *disjoint.Pair, int, bool) {
+// feasibility tests, with at most maxIter doubling rounds. It is the
+// reference the production search must match.
+func refMinCogSearch(r *Router, net *wdm.Network, s, t, maxIter int) (float64, *auxgraph.Aux, *disjoint.Pair, int, bool) {
 	lo, hi, any := thetaBounds(net)
 	if !any {
 		return 0, nil, nil, 0, false
@@ -60,7 +61,7 @@ func refMinCogSearch(r *Router, net *wdm.Network, s, t int) (float64, *auxgraph.
 	}
 	inc := delta / math.Pow(2, float64(j0))
 	theta, iters := lo, 0
-	for iters < r.opts.maxIter() {
+	for iters < maxIter {
 		iters++
 		if theta >= hi {
 			theta = hi
@@ -83,7 +84,7 @@ func refMinCogSearch(r *Router, net *wdm.Network, s, t int) (float64, *auxgraph.
 // refMinCogSearch: MinLoad refines the pair the search found, MinLoadCost
 // reweights at the found ϑ as G_rc and routes minimum-cost there.
 func refRoute(r *Router, loadCost bool, net *wdm.Network, s, t int) (*Result, bool) {
-	theta, a, pair, iters, ok := refMinCogSearch(r, net, s, t)
+	theta, a, pair, iters, ok := refMinCogSearch(r, net, s, t, minCogMaxIter)
 	if !ok {
 		return nil, false
 	}
@@ -107,12 +108,13 @@ func refRoute(r *Router, loadCost bool, net *wdm.Network, s, t int) (*Result, bo
 
 // TestMinCogMatchesSuurballeEveryRound pins the feasibility-only search to
 // the search that ran Suurballe in every round: over a churned NSFNET stream
-// and over random preloaded networks, with the default and a tight
-// iteration cap, MinLoad and MinLoadCost return bit-identical paths, cost,
-// load, Threshold and Iterations, and block on the same requests.
+// and over random preloaded networks, MinLoad and MinLoadCost return
+// bit-identical paths, cost, load, Threshold and Iterations, and block on
+// the same requests. Tighter iteration caps are the schedule tests' (see
+// TestMinCogScheduleMatchesRounds).
 func TestMinCogMatchesSuurballeEveryRound(t *testing.T) {
 	var rounds, multi, blocked int
-	compare := func(opts *Options, got, ref *Router, net *wdm.Network, s, d int, where string) *Result {
+	compare := func(got, ref *Router, net *wdm.Network, s, d int, where string) *Result {
 		var kept *Result
 		for _, loadCost := range []bool{false, true} {
 			var res *Result
@@ -124,7 +126,7 @@ func TestMinCogMatchesSuurballeEveryRound(t *testing.T) {
 			}
 			want, okRef := refRoute(ref, loadCost, net, s, d)
 			if kg, kr := keyOf(net, res, ok), keyOf(net, want, okRef); kg != kr {
-				t.Fatalf("%s %d→%d (loadCost %v, opts %+v): got %+v, reference %+v", where, s, d, loadCost, opts, kg, kr)
+				t.Fatalf("%s %d→%d (loadCost %v): got %+v, reference %+v", where, s, d, loadCost, kg, kr)
 			}
 			rounds++
 			switch {
@@ -139,38 +141,36 @@ func TestMinCogMatchesSuurballeEveryRound(t *testing.T) {
 		}
 		return kept
 	}
-	for _, opts := range []*Options{nil, {MaxIterations: 2}} {
-		// A churned stream: each admitted MinLoadCost pair is established,
-		// and every few arrivals an earlier one is torn down.
-		net := topo.NSFNET(topo.Config{W: 4})
-		tab := conns.New[struct{}](net)
-		got, ref := NewRouter(opts), NewRouter(opts)
-		rng := rand.New(rand.NewSource(17))
-		var live []int64
-		for i := 0; i < 200; i++ {
-			s := rng.Intn(net.Nodes())
-			d := (s + 1 + rng.Intn(net.Nodes()-1)) % net.Nodes()
-			if res := compare(opts, got, ref, net, s, d, "stream"); res != nil {
-				if _, err := tab.Admit(int64(i), s, d, res.Pair()); err != nil {
-					t.Fatal(err)
-				}
-				live = append(live, int64(i))
+	// A churned stream: each admitted MinLoadCost pair is established,
+	// and every few arrivals an earlier one is torn down.
+	net := topo.NSFNET(topo.Config{W: 4})
+	tab := conns.New[struct{}](net)
+	got, ref := NewRouter(nil), NewRouter(nil)
+	rng := rand.New(rand.NewSource(17))
+	var live []int64
+	for i := 0; i < 200; i++ {
+		s := rng.Intn(net.Nodes())
+		d := (s + 1 + rng.Intn(net.Nodes()-1)) % net.Nodes()
+		if res := compare(got, ref, net, s, d, "stream"); res != nil {
+			if _, err := tab.Admit(int64(i), s, d, res.Pair()); err != nil {
+				t.Fatal(err)
 			}
-			if len(live) > 6 && i%4 == 3 {
-				j := rng.Intn(len(live))
-				if _, err := tab.Teardown(live[j]); err != nil {
-					t.Fatal(err)
-				}
-				live = append(live[:j], live[j+1:]...)
+			live = append(live, int64(i))
+		}
+		if len(live) > 6 && i%4 == 3 {
+			j := rng.Intn(len(live))
+			if _, err := tab.Teardown(live[j]); err != nil {
+				t.Fatal(err)
 			}
+			live = append(live[:j], live[j+1:]...)
 		}
-		// Random preloaded networks, one fresh router pair each.
-		for seed := int64(0); seed < 60; seed++ {
-			rng := rand.New(rand.NewSource(seed))
-			n := 5 + rng.Intn(4)
-			net := randomWDM(rng, n, 2+rng.Intn(3), true)
-			compare(opts, NewRouter(opts), NewRouter(opts), net, 0, n-1, "random")
-		}
+	}
+	// Random preloaded networks, one fresh router pair each.
+	for seed := int64(0); seed < 60; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		n := 5 + rng.Intn(4)
+		net := randomWDM(rng, n, 2+rng.Intn(3), true)
+		compare(NewRouter(nil), NewRouter(nil), net, 0, n-1, "random")
 	}
 	t.Logf("%d searches, %d with more than one round, %d blocked", rounds, multi, blocked)
 	if multi < rounds/10 || blocked == 0 {
@@ -181,8 +181,8 @@ func TestMinCogMatchesSuurballeEveryRound(t *testing.T) {
 // TestFeasibleMatchesSuurballeOnSkeletons checks the exactness argument on
 // the graphs the routers actually search: both skeleton kinds, reweighted as
 // G′, G_c and G_rc at random thresholds over random network states, answer
-// Feasible exactly when Suurballe finds a pair and when the s′→t″ edge
-// connectivity is at least 2.
+// feasible (StartFlow reaches 2) exactly when Suurballe finds a pair and
+// when the s′→t″ edge connectivity is at least 2.
 func TestFeasibleMatchesSuurballeOnSkeletons(t *testing.T) {
 	var ws, sw disjoint.Workspace
 	var yes, no int
@@ -196,11 +196,11 @@ func TestFeasibleMatchesSuurballeOnSkeletons(t *testing.T) {
 				d := (s + 1 + rng.Intn(n-1)) % n
 				kind := auxgraph.Kind(rng.Intn(3))
 				a := sk.ReweightAt(s, d, auxgraph.Params{Kind: kind, Threshold: rng.Float64() * 1.2})
-				feasible := ws.Feasible(a.G, a.S, a.T)
+				feasible := ws.StartFlow(a.G, a.S, a.T) == 2
 				_, suurballe := sw.Suurballe(a.G, a.S, a.T)
 				menger := a.G.EdgeConnectivity(a.S, a.T) >= 2
 				if feasible != suurballe || feasible != menger {
-					t.Fatalf("seed %d %d→%d kind %v: Feasible %v, Suurballe %v, EdgeConnectivity≥2 %v",
+					t.Fatalf("seed %d %d→%d kind %v: StartFlow=2 %v, Suurballe %v, EdgeConnectivity≥2 %v",
 						seed, s, d, kind, feasible, suurballe, menger)
 				}
 				if feasible {
@@ -220,22 +220,38 @@ func TestFeasibleMatchesSuurballeOnSkeletons(t *testing.T) {
 // scheduleStats counts what a schedule comparison covered.
 type scheduleStats struct{ searches, multi, capped, blocked int }
 
-// compareSchedule checks that the bottleneck search of got returns the ϑ,
-// round count and success refMinCogSearch finds by deciding every round
-// with Suurballe on a fresh router.
-func compareSchedule(t testing.TB, st *scheduleStats, opts *Options, got *Router, net *wdm.Network, s, d int, where string) {
+// bottleneckSearch is got's MinCog search under an iteration cap of maxIter:
+// the router's own search at the production cap, and the same bottleneck
+// pass replayed through mincogSchedule at any other cap.
+func bottleneckSearch(got *Router, net *wdm.Network, s, d, maxIter int) (theta float64, iters int, ok bool) {
+	if maxIter == minCogMaxIter {
+		theta, _, iters, ok = got.minCogSearch(net, s, d, nil)
+		return theta, iters, ok
+	}
+	lo, hi, any := got.linkKeys(net, false)
+	if !any {
+		return 0, 0, false
+	}
+	lstar, _ := got.bottleneck(got.skeleton(net, false, nil), s, d)
+	return mincogSchedule(lo, hi, lstar, maxIter)
+}
+
+// compareSchedule checks that the bottleneck search of got, capped at
+// maxIter rounds, returns the ϑ, round count and success refMinCogSearch
+// finds by deciding every round with Suurballe on a fresh router.
+func compareSchedule(t testing.TB, st *scheduleStats, maxIter int, got *Router, net *wdm.Network, s, d int, where string) {
 	t.Helper()
-	theta, _, iters, ok := got.minCogSearch(net, s, d, nil)
-	refTheta, _, _, refIters, refOK := refMinCogSearch(NewRouter(opts), net, s, d)
+	theta, iters, ok := bottleneckSearch(got, net, s, d, maxIter)
+	refTheta, _, _, refIters, refOK := refMinCogSearch(NewRouter(nil), net, s, d, maxIter)
 	if theta != refTheta || iters != refIters || ok != refOK {
-		t.Fatalf("%s %d→%d (opts %+v): bottleneck search (ϑ %v, %d rounds, ok %v), round by round (ϑ %v, %d rounds, ok %v)",
-			where, s, d, opts, theta, iters, ok, refTheta, refIters, refOK)
+		t.Fatalf("%s %d→%d (cap %d): bottleneck search (ϑ %v, %d rounds, ok %v), round by round (ϑ %v, %d rounds, ok %v)",
+			where, s, d, maxIter, theta, iters, ok, refTheta, refIters, refOK)
 	}
 	st.searches++
 	switch {
 	case !ok:
 		st.blocked++
-	case iters > opts.maxIter():
+	case iters > maxIter:
 		st.capped++
 	case iters > 1:
 		st.multi++
@@ -325,14 +341,14 @@ func TestMinCogScheduleMatchesRounds(t *testing.T) {
 	}
 	sort.Strings(names)
 	var st scheduleStats
-	for _, opts := range []*Options{nil, {MaxIterations: 1}, {MaxIterations: 2}} {
-		got := NewRouter(opts)
+	for _, maxIter := range []int{minCogMaxIter, 1, 2} {
+		got := NewRouter(nil)
 		for _, name := range names {
 			net := nets[name]
 			for s := 0; s < net.Nodes(); s++ {
 				for d := 0; d < net.Nodes(); d++ {
 					if s != d {
-						compareSchedule(t, &st, opts, got, net, s, d, name)
+						compareSchedule(t, &st, maxIter, got, net, s, d, name)
 					}
 				}
 			}
@@ -348,7 +364,8 @@ func TestMinCogScheduleMatchesRounds(t *testing.T) {
 // instances: each instance's request stream is replayed with MinLoadCost
 // (establishing what it admits, tearing down as the stream says), and
 // before every request the bottleneck search must match the round-by-round
-// search, under an iteration cap the fuzzer picks (0 is the default).
+// search, under an iteration cap the fuzzer picks (0 is the production
+// cap).
 func FuzzMinCogSchedule(f *testing.F) {
 	f.Add(int64(1), uint8(6), uint8(0))
 	f.Add(int64(42), uint8(4), uint8(1))
@@ -359,9 +376,12 @@ func FuzzMinCogSchedule(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		opts := &Options{MaxIterations: int(maxIter % 4)}
+		limit := int(maxIter % 4)
+		if limit == 0 {
+			limit = minCogMaxIter
+		}
 		tab := conns.New[struct{}](net)
-		got, route := NewRouter(opts), NewRouter(opts)
+		got, route := NewRouter(nil), NewRouter(nil)
 		var st scheduleStats
 		for i, op := range in.Ops {
 			if op.Teardown >= 0 {
@@ -371,7 +391,7 @@ func FuzzMinCogSchedule(f *testing.F) {
 				}
 				continue
 			}
-			compareSchedule(t, &st, opts, got, net, op.Src, op.Dst, "op")
+			compareSchedule(t, &st, limit, got, net, op.Src, op.Dst, "op")
 			if res, ok := route.MinLoadCost(net, op.Src, op.Dst); ok {
 				if _, err := tab.Admit(int64(i), op.Src, op.Dst, res.Pair()); err != nil {
 					t.Fatal(err)

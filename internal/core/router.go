@@ -4,6 +4,7 @@ import (
 	"math"
 
 	"repro/internal/auxgraph"
+	"repro/internal/check"
 	"repro/internal/disjoint"
 	"repro/internal/lightpath"
 	"repro/internal/obs"
@@ -111,7 +112,7 @@ func NewRouter(opts *Options) *Router {
 func (r *Router) SetTracer(tr *obs.Tracer) { r.tracer = tr }
 
 // LastTraceID returns the request ID the most recent routing call traced, or
-// -1 if it was untraced (no tracer, or tracer disabled). Callers correlating
+// -1 if it was untraced (no tracer attached). Callers correlating
 // external records with flight-recorder dumps (e.g. the simulator's event
 // stream) read this right after the routing call.
 func (r *Router) LastTraceID() int64 { return r.lastReq }
@@ -239,7 +240,7 @@ func (r *Router) ApproxMinCostNodeDisjoint(net *wdm.Network, s, t int) (*Result,
 	}
 	// Defensive: the hub gadget guarantees this, so a violation would be a
 	// construction bug.
-	if !nodesDisjoint(net, res.Primary, res.Backup, s, t) {
+	if check.NodeDisjoint(net, res.Primary, res.Backup, s, t) != nil {
 		r.ws.Trace = nil
 		tc.Finish(obs.StatusError)
 		return nil, false
@@ -351,7 +352,7 @@ func (r *Router) minCogSearch(net *wdm.Network, s, t int, tc *obs.Trace) (theta 
 		tc.SpanFloat(bp, "bottleneck", lstar)
 		tc.SpanInt(bp, "augmentations", int64(augs))
 		tc.EndSpan(bp)
-		theta, iters, ok = mincogSchedule(lo, hi, lstar, r.opts.maxIter())
+		theta, iters, ok = mincogSchedule(lo, hi, lstar, minCogMaxIter)
 	}
 	tc.SpanInt(sp, "iters", int64(iters))
 	tc.SpanFloat(sp, "theta", theta)
@@ -359,6 +360,9 @@ func (r *Router) minCogSearch(net *wdm.Network, s, t int, tc *obs.Trace) (theta 
 	tc.EndSpan(sp)
 	return theta, sk, iters, ok
 }
+
+// minCogMaxIter caps the doubling rounds of the MinCog threshold search.
+const minCogMaxIter = 64
 
 // mincogSchedule replays the Find_Two_Paths_MinCog round schedule over
 // ϑ ∈ [lo, hi] (linkKeys) with at most maxIter doubling rounds, deciding

@@ -7,30 +7,32 @@ import (
 	"repro/internal/graph"
 )
 
+// TestFeasibleTrapAndChain checks the feasibility test MinCog runs each
+// round: StartFlow reaching 2 with every edge admitted at once.
 func TestFeasibleTrapAndChain(t *testing.T) {
 	ws := new(Workspace)
 	// The trap's fewest-hop path 0-1-4-5 blocks every second path, so only
 	// the residual reversal of edge 1→4 finds the pair.
-	if !ws.Feasible(trap(), 0, 5) {
-		t.Fatal("Feasible misses the trap's disjoint pair")
+	if ws.StartFlow(trap(), 0, 5) != 2 {
+		t.Fatal("StartFlow misses the trap's disjoint pair")
 	}
 	chain := graph.New(3)
 	chain.AddEdge(0, 1, 1)
 	chain.AddEdge(1, 2, 1)
 	for _, c := range [][2]int{{0, 2}, {0, 0}, {2, 0}} {
-		if ws.Feasible(chain, c[0], c[1]) {
-			t.Errorf("Feasible(%d, %d) on a chain, want false", c[0], c[1])
+		if ws.StartFlow(chain, c[0], c[1]) == 2 {
+			t.Errorf("StartFlow(%d, %d) on a chain reached 2", c[0], c[1])
 		}
 	}
 	g := graph.New(2)
 	e0 := g.AddEdge(0, 1, 1)
 	g.AddEdge(0, 1, 1)
-	if !ws.Feasible(g, 0, 1) {
+	if ws.StartFlow(g, 0, 1) != 2 {
 		t.Fatal("two parallel edges are two disjoint paths")
 	}
 	g.Disable(e0)
-	if ws.Feasible(g, 0, 1) {
-		t.Fatal("Feasible used a disabled edge")
+	if ws.StartFlow(g, 0, 1) == 2 {
+		t.Fatal("StartFlow used a disabled edge")
 	}
 }
 
@@ -53,8 +55,9 @@ func sparseGraph(rng *rand.Rand) *graph.Graph {
 }
 
 // TestFeasibleMatchesSuurballeAndConnectivity is the exactness property the
-// MinCog search relies on: on graphs with positive weights, Feasible,
-// Suurballe's success and Menger's max-flow count agree on every pair. One
+// MinCog search relies on: on graphs with positive weights, StartFlow
+// reaching 2, Suurballe's success and Menger's max-flow count agree on every
+// pair. One
 // workspace serves every case, so stale stamps from earlier graphs (larger
 // or smaller) must never leak into a later answer.
 func TestFeasibleMatchesSuurballeAndConnectivity(t *testing.T) {
@@ -64,11 +67,11 @@ func TestFeasibleMatchesSuurballeAndConnectivity(t *testing.T) {
 	for i := 0; i < 4000; i++ {
 		g := sparseGraph(rng)
 		s, d := rng.Intn(g.N()), rng.Intn(g.N())
-		feasible := ws.Feasible(g, s, d)
+		feasible := ws.StartFlow(g, s, d) == 2
 		_, suurballe := sw.Suurballe(g, s, d)
 		menger := g.EdgeConnectivity(s, d) >= 2
 		if feasible != suurballe || feasible != menger {
-			t.Fatalf("case %d (%d→%d, n=%d, m=%d): Feasible %v, Suurballe %v, EdgeConnectivity≥2 %v",
+			t.Fatalf("case %d (%d→%d, n=%d, m=%d): StartFlow=2 %v, Suurballe %v, EdgeConnectivity≥2 %v",
 				i, s, d, g.N(), g.M(), feasible, suurballe, menger)
 		}
 		if feasible {

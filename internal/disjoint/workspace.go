@@ -54,9 +54,6 @@ type Workspace struct {
 	Trace *obs.Trace
 }
 
-// NewWorkspace returns an empty workspace. Equivalent to &Workspace{}.
-func NewWorkspace() *Workspace { return &Workspace{} }
-
 // Suurballe returns a minimum-total-weight pair of edge-disjoint paths from
 // s to t over the enabled edges of g, or ok=false if no such pair exists.
 // All enabled edge weights must be non-negative. It reuses ws for every
@@ -114,15 +111,6 @@ func (ws *Workspace) Suurballe(g *graph.Graph, s, t int) (*Pair, bool) {
 	return pair, ok
 }
 
-// Feasible reports whether two edge-disjoint s→t paths exist over the
-// enabled edges of g, that is, whether the unit-capacity s→t max flow is at
-// least 2: the StartFlow search with every edge admitted at once. With
-// finite, non-negative weights and no zero-weight cycle, Suurballe succeeds
-// on g exactly when Feasible does.
-func (ws *Workspace) Feasible(g *graph.Graph, s, t int) bool {
-	return ws.StartFlow(g, s, t) == 2
-}
-
 // StartFlow begins an incremental search for two edge-disjoint s→t paths
 // over the enabled edges of g — a unit-capacity s→t max flow, capped at 2 —
 // and returns the flow it reaches over the edges enabled now: 0, 1 or 2.
@@ -130,7 +118,9 @@ func (ws *Workspace) Feasible(g *graph.Graph, s, t int) bool {
 // only grows its reached set (enabling an edge adds a residual arc and
 // removes none), and only an augmentation restarts it, at most twice, so a
 // caller that enables a graph's edges in any number of batches pays
-// O(n + m) for all of them together. Warm calls do not allocate.
+// O(n + m) for all of them together. Warm calls do not allocate. With
+// finite, non-negative weights and no zero-weight cycle, Suurballe succeeds
+// on g exactly when StartFlow returns 2.
 //
 // Phase 0 is a depth-first search over the enabled edges; reaching t pushes
 // one unit along its tree path P. Phase 1 searches the residual graph,

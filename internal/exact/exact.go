@@ -404,10 +404,3 @@ func (b *builder) extractPath(x []float64, vars [][]int) (*wdm.Semilightpath, bo
 	// are zero a dangling cycle does not change the objective. Accept.
 	return &wdm.Semilightpath{Hops: hops}, true
 }
-
-// BuildILPForDebug exposes the Eq. 3–21 program builder for diagnostic
-// tooling and tests.
-func BuildILPForDebug(net *wdm.Network, s, t int) (*lp.Problem, []int) {
-	b := newBuilder(net, s, t)
-	return b.build()
-}

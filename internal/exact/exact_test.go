@@ -271,7 +271,7 @@ func TestILPRejectsCycleThroughSourceAndSink(t *testing.T) {
 // per consecutive link pair.
 func TestILPBuilderDimensions(t *testing.T) {
 	g := diamondNet(2)
-	prob, bins := BuildILPForDebug(g, 0, 3)
+	prob, bins := newBuilder(g, 0, 3).build()
 	availPairs := 0
 	for id := 0; id < g.Links(); id++ {
 		availPairs += g.Link(id).Avail().Count()

@@ -22,7 +22,7 @@ func TestDijkstraIntoZeroAllocs(t *testing.T) {
 	for i := 0; i < 600; i++ {
 		g.AddEdge(rng.Intn(200), rng.Intn(200), 1+rng.Float64()*4)
 	}
-	ws := NewWorkspace()
+	ws := &Workspace{}
 	g.DijkstraInto(ws, 0) // warm up
 	allocs := testing.AllocsPerRun(100, func() {
 		g.DijkstraInto(ws, 3)
@@ -39,7 +39,7 @@ func TestAppendPathToZeroAllocs(t *testing.T) {
 	for v := 0; v < 49; v++ {
 		g.AddEdge(v, v+1, 1)
 	}
-	ws := NewWorkspace()
+	ws := &Workspace{}
 	g.DijkstraInto(ws, 0)
 	buf, ok := ws.AppendPathTo(nil, 49, g)
 	if !ok || len(buf) != 49 {

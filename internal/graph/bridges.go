@@ -96,46 +96,3 @@ func (g *Graph) Bridges() []int {
 	}
 	return bridges
 }
-
-// TwoEdgeConnected reports whether the underlying undirected graph (over
-// enabled edges) is connected and has no bridge spans — the survivability
-// property robust routing needs between every node pair at conduit
-// granularity.
-func (g *Graph) TwoEdgeConnected() bool {
-	if g.n == 0 {
-		return true
-	}
-	// Connectivity (undirected).
-	seen := make([]bool, g.n)
-	stack := []int{0}
-	seen[0] = true
-	visited := 1
-	for len(stack) > 0 {
-		v := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, id := range g.out[v] {
-			if g.disabled[id] {
-				continue
-			}
-			if u := g.edges[id].To; !seen[u] {
-				seen[u] = true
-				visited++
-				stack = append(stack, u)
-			}
-		}
-		for _, id := range g.in[v] {
-			if g.disabled[id] {
-				continue
-			}
-			if u := g.edges[id].From; !seen[u] {
-				seen[u] = true
-				visited++
-				stack = append(stack, u)
-			}
-		}
-	}
-	if visited != g.n {
-		return false
-	}
-	return len(g.Bridges()) == 0
-}

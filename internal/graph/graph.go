@@ -104,18 +104,6 @@ func (g *Graph) InDegree(v int) int {
 	return d
 }
 
-// MaxDegree returns the maximum over vertices of out-degree + in-degree,
-// the d in the paper's complexity bounds.
-func (g *Graph) MaxDegree() int {
-	d := 0
-	for v := 0; v < g.n; v++ {
-		if t := g.OutDegree(v) + g.InDegree(v); t > d {
-			d = t
-		}
-	}
-	return d
-}
-
 // Disable hides edge id from traversals until Enable is called.
 func (g *Graph) Disable(id int) { g.disabled[id] = true }
 
@@ -135,13 +123,6 @@ func (g *Graph) DisableAll() {
 	d[0] = true
 	for i := 1; i < len(d); i *= 2 {
 		copy(d[i:], d[:i])
-	}
-}
-
-// EnableAll re-activates every edge.
-func (g *Graph) EnableAll() {
-	for i := range g.disabled {
-		g.disabled[i] = false
 	}
 }
 

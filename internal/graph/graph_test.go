@@ -35,11 +35,6 @@ func TestAddEdgeAndAccessors(t *testing.T) {
 	if g.OutDegree(0) != 2 || g.InDegree(2) != 2 {
 		t.Fatal("degrees wrong")
 	}
-	// vertex 0: out 2 + in 0 = 2; vertex 1: out 2 + in 1 = 3;
-	// vertex 2: out 1 + in 2 = 3; vertex 3: out 0 + in 2 = 2.
-	if g.MaxDegree() != 3 {
-		t.Fatalf("MaxDegree = %d, want 3", g.MaxDegree())
-	}
 }
 
 func TestAddEdgeOutOfRangePanics(t *testing.T) {
@@ -120,11 +115,6 @@ func TestDijkstraRespectsDisabled(t *testing.T) {
 	if g.DijkstraInto(&ws, 0); ws.Dist(3) != 4 {
 		t.Fatal("Enable did not restore edge")
 	}
-	g.Disable(0)
-	g.EnableAll()
-	if g.Disabled(0) {
-		t.Fatal("EnableAll failed")
-	}
 }
 
 // TestDisableAll covers the doubling fill at edge counts around powers of
@@ -141,7 +131,9 @@ func TestDisableAll(t *testing.T) {
 				t.Fatalf("m=%d: edge %d still enabled after DisableAll", m, id)
 			}
 		}
-		g.EnableAll()
+		for id := 0; id < m; id++ {
+			g.Enable(id)
+		}
 		g.DisableAll()
 		if m > 0 && !g.Disabled(m-1) {
 			t.Fatalf("m=%d: last edge enabled after a second DisableAll", m)

@@ -38,10 +38,6 @@ type Workspace struct {
 	heapOps     int64
 }
 
-// NewWorkspace returns an empty workspace. Equivalent to &Workspace{}; it
-// exists for symmetry with the other constructors.
-func NewWorkspace() *Workspace { return &Workspace{} }
-
 // begin prepares the workspace for a search over n vertices: grows the
 // arrays, empties the heap, and advances the generation so every previous
 // entry reads as unvisited.

@@ -327,90 +327,3 @@ func BenchmarkOptimal(b *testing.B) {
 		Optimal(g, i%100, (i+50)%100, nil)
 	}
 }
-
-func TestOptimalBoundedTradeoff(t *testing.T) {
-	// Direct link costs 10; the 3-hop detour costs 3.
-	g := wdm.NewNetwork(4, 2)
-	g.AddUniformLink(0, 3, 10)
-	g.AddUniformLink(0, 1, 1)
-	g.AddUniformLink(1, 2, 1)
-	g.AddUniformLink(2, 3, 1)
-	g.SetAllConverters(wdm.NewFullConverter(2, 0))
-	// Unbounded (large maxHops): take the cheap detour.
-	p, c, ok := OptimalBounded(g, 0, 3, 10, nil)
-	if !ok || c != 3 || p.Len() != 3 {
-		t.Fatalf("unbounded: cost=%g len=%d ok=%v", c, p.Len(), ok)
-	}
-	// Hop bound 1: forced onto the expensive direct link.
-	p, c, ok = OptimalBounded(g, 0, 3, 1, nil)
-	if !ok || c != 10 || p.Len() != 1 {
-		t.Fatalf("bounded: cost=%g len=%d ok=%v", c, p.Len(), ok)
-	}
-	// Hop bound 2: still only the direct link fits.
-	_, c, ok = OptimalBounded(g, 0, 3, 2, nil)
-	if !ok || c != 10 {
-		t.Fatalf("bound 2: cost=%g ok=%v", c, ok)
-	}
-	if err := p.ValidateAvailable(g, 0, 3); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestOptimalBoundedInfeasible(t *testing.T) {
-	g := wdm.NewNetwork(4, 1)
-	g.AddUniformLink(0, 1, 1)
-	g.AddUniformLink(1, 2, 1)
-	g.AddUniformLink(2, 3, 1)
-	if _, _, ok := OptimalBounded(g, 0, 3, 2, nil); ok {
-		t.Fatal("2 hops cannot reach node 3")
-	}
-	if _, _, ok := OptimalBounded(g, 0, 3, 0, nil); ok {
-		t.Fatal("maxHops = 0 accepted")
-	}
-	if _, _, ok := OptimalBounded(g, 0, 0, 3, nil); ok {
-		t.Fatal("s == t accepted")
-	}
-}
-
-// Property: with a generous bound, OptimalBounded matches Optimal exactly;
-// tightening the bound never lowers the cost.
-func TestQuickOptimalBoundedConsistent(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 4 + rng.Intn(4)
-		w := 1 + rng.Intn(3)
-		g := randomNet(rng, n, w)
-		s, d := 0, n-1
-		pu, cu, oku := Optimal(g, s, d, nil)
-		pb, cb, okb := OptimalBounded(g, s, d, 2*n, nil)
-		if oku != okb {
-			return false
-		}
-		if !oku {
-			return true
-		}
-		if math.Abs(cu-cb) > 1e-9 {
-			return false
-		}
-		if err := pb.ValidateAvailable(g, s, d); err != nil {
-			return false
-		}
-		_ = pu
-		// Monotonicity: tightening the bound never lowers the cost.
-		prev := math.Inf(1) // cost at the tightest feasible bound so far
-		for h := 1; h <= 2*n; h++ {
-			_, c, ok := OptimalBounded(g, s, d, h, nil)
-			if !ok {
-				continue
-			}
-			if c > prev+1e-9 {
-				return false // looser bound produced a worse optimum
-			}
-			prev = c
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
-		t.Fatal(err)
-	}
-}

@@ -41,17 +41,6 @@ func (c *Counter) Inc() {
 	}
 }
 
-// Add adds n (n < 0 panics: counters only go up).
-func (c *Counter) Add(n int64) {
-	if c == nil {
-		return
-	}
-	if n < 0 {
-		panic("metrics: counter decrement")
-	}
-	c.v.Add(n)
-}
-
 // Value returns the current count.
 func (c *Counter) Value() int64 {
 	if c == nil {
@@ -69,13 +58,6 @@ type Gauge struct {
 func (g *Gauge) Set(v float64) {
 	if g != nil {
 		g.bits.Store(math.Float64bits(v))
-	}
-}
-
-// Add adjusts the value by d (atomically, via CAS).
-func (g *Gauge) Add(d float64) {
-	if g != nil {
-		addFloat(&g.bits, d)
 	}
 }
 
@@ -392,9 +374,9 @@ type metric struct {
 	h    *Histogram
 }
 
-// Registry names and collects instruments. A nil *Registry hands out nil
-// instruments, so a single conditional at setup time turns the whole layer
-// on or off.
+// Registry names and collects instruments. Each owner builds its own
+// instruments and publishes them; a nil *Registry ignores every Publish, so
+// a single conditional at setup time turns exposition on or off.
 type Registry struct {
 	mu     sync.Mutex
 	byName map[string]*metric
@@ -419,70 +401,6 @@ func validName(name string) bool {
 		}
 	}
 	return true
-}
-
-// lookup registers a new metric under name (constructing its instrument
-// under the registry lock) or returns the existing one, panicking on a kind
-// clash (a programming error, like Prometheus client libraries treat it).
-func (r *Registry) lookup(name, help, kind string, bounds []float64) *metric {
-	if !validName(name) {
-		panic("metrics: invalid metric name " + strconv.Quote(name))
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if m, ok := r.byName[name]; ok {
-		if m.kind != kind {
-			panic(fmt.Sprintf("metrics: %s re-registered as %s (was %s)", name, kind, m.kind))
-		}
-		return m
-	}
-	m := &metric{name: name, help: help, kind: kind}
-	switch kind {
-	case kindCounter:
-		m.c = &Counter{}
-	case kindGauge:
-		m.g = &Gauge{}
-	case kindHistogram:
-		m.h = NewHistogram(bounds)
-	}
-	r.byName[name] = m
-	r.order = append(r.order, m)
-	return m
-}
-
-// Counter returns the counter registered under name, creating it on first
-// use. Nil receiver → nil counter.
-func (r *Registry) Counter(name, help string) *Counter {
-	if r == nil {
-		return nil
-	}
-	return r.lookup(name, help, kindCounter, nil).c
-}
-
-// Gauge returns the gauge registered under name, creating it on first use.
-func (r *Registry) Gauge(name, help string) *Gauge {
-	if r == nil {
-		return nil
-	}
-	return r.lookup(name, help, kindGauge, nil).g
-}
-
-// Histogram returns the histogram registered under name, creating it with
-// the given bounds on first use (nil bounds → TimeBuckets).
-func (r *Registry) Histogram(name, help string, bounds []float64) *Histogram {
-	if r == nil {
-		return nil
-	}
-	return r.lookup(name, help, kindHistogram, bounds).h
-}
-
-// Timer returns a phase timer whose histogram (of seconds) is registered
-// under name with the default time buckets.
-func (r *Registry) Timer(name, help string) *Timer {
-	if r == nil {
-		return nil
-	}
-	return &Timer{h: r.Histogram(name, help, TimeBuckets())}
 }
 
 // Publish exposes an instrument the caller built — a *Counter, *Gauge,

@@ -13,43 +13,30 @@ import (
 )
 
 func TestCounterGaugeBasics(t *testing.T) {
-	r := NewRegistry()
-	c := r.Counter("requests_total", "requests")
-	c.Inc()
-	c.Add(4)
+	var c Counter
+	for i := 0; i < 5; i++ {
+		c.Inc()
+	}
 	if c.Value() != 5 {
 		t.Fatalf("counter = %d", c.Value())
 	}
-	g := r.Gauge("load", "current load")
+	var g Gauge
 	g.Set(2.5)
-	g.Add(-1)
+	g.Set(1.5)
 	if g.Value() != 1.5 {
 		t.Fatalf("gauge = %g", g.Value())
 	}
-	// Same name returns the same instrument.
-	if r.Counter("requests_total", "").Value() != 5 {
-		t.Fatal("re-registration lost state")
-	}
-}
-
-func TestCounterNegativeAddPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic on negative add")
-		}
-	}()
-	NewRegistry().Counter("c", "").Add(-1)
 }
 
 func TestKindClashPanics(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("x", "")
+	r.Publish("x", "", &Counter{})
 	defer func() {
 		if recover() == nil {
 			t.Fatal("no panic on kind clash")
 		}
 	}()
-	r.Gauge("x", "")
+	r.Publish("x", "", &Gauge{})
 }
 
 func TestInvalidNamePanics(t *testing.T) {
@@ -58,7 +45,7 @@ func TestInvalidNamePanics(t *testing.T) {
 			t.Fatal("no panic on invalid name")
 		}
 	}()
-	NewRegistry().Counter("9bad name", "")
+	NewRegistry().Publish("9bad name", "", &Counter{})
 }
 
 func TestHistogramObserveAndBuckets(t *testing.T) {
@@ -111,8 +98,7 @@ func TestLogBuckets(t *testing.T) {
 }
 
 func TestTimer(t *testing.T) {
-	r := NewRegistry()
-	tm := r.Timer("phase_seconds", "phase time")
+	tm := NewTimer()
 	start := tm.Start()
 	time.Sleep(time.Millisecond)
 	tm.Stop(start)
@@ -126,18 +112,16 @@ func TestTimer(t *testing.T) {
 
 func TestNilSafety(t *testing.T) {
 	var r *Registry
-	c := r.Counter("a", "")
-	g := r.Gauge("b", "")
-	h := r.Histogram("c", "", nil)
-	tm := r.Timer("d", "")
-	if c != nil || g != nil || h != nil || tm != nil {
-		t.Fatal("nil registry handed out live instruments")
-	}
+	var (
+		c  *Counter
+		g  *Gauge
+		h  *Histogram
+		tm *Timer
+	)
 	// All no-ops, no panics.
+	r.Publish("a", "", &Counter{})
 	c.Inc()
-	c.Add(3)
 	g.Set(1)
-	g.Add(1)
 	h.Observe(1)
 	tm.Stop(tm.Start())
 	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 || h.Sum() != 0 {
@@ -160,40 +144,50 @@ func TestNilSafety(t *testing.T) {
 
 func TestConcurrentUpdates(t *testing.T) {
 	r := NewRegistry()
+	c, h := &Counter{}, NewHistogram(LogBuckets(1, 1e6, 3))
+	r.Publish("ops_total", "", c)
+	r.Publish("size", "", h)
 	const workers, per = 8, 1000
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			// Concurrent registration of the same names plus updates.
-			c := r.Counter("ops_total", "")
-			g := r.Gauge("level", "")
-			h := r.Histogram("size", "", LogBuckets(1, 1e6, 3))
+			// Concurrent publication of the same name plus updates and
+			// snapshots.
+			g := &Gauge{}
+			r.Publish("level", "", g)
 			for i := 0; i < per; i++ {
 				c.Inc()
-				g.Add(1)
+				g.Set(float64(i))
 				h.Observe(float64(i % 7))
 			}
+			r.Snapshot()
 		}()
 	}
 	wg.Wait()
-	if n := r.Counter("ops_total", "").Value(); n != workers*per {
+	if n := c.Value(); n != workers*per {
 		t.Fatalf("counter = %d, want %d", n, workers*per)
 	}
-	if v := r.Gauge("level", "").Value(); v != workers*per {
-		t.Fatalf("gauge = %g", v)
-	}
-	if n := r.Histogram("size", "", nil).Count(); n != workers*per {
+	if n := h.Count(); n != workers*per {
 		t.Fatalf("histogram count = %d", n)
+	}
+	snap := r.Snapshot()
+	if len(snap) != 3 || snap[2].Name != "level" || *snap[2].Value != per-1 {
+		t.Fatalf("snapshot = %+v", snap)
 	}
 }
 
 func TestWritePrometheusFormat(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("reqs_total", "total requests").Add(3)
-	r.Gauge("rho", "network load").Set(0.25)
-	h := r.Histogram("lat_seconds", "latency", []float64{0.1, 1})
+	c, g, h := &Counter{}, &Gauge{}, NewHistogram([]float64{0.1, 1})
+	r.Publish("reqs_total", "total requests", c)
+	r.Publish("rho", "network load", g)
+	r.Publish("lat_seconds", "latency", h)
+	c.Inc()
+	c.Inc()
+	c.Inc()
+	g.Set(0.25)
 	h.Observe(0.05)
 	h.Observe(2)
 	var buf bytes.Buffer
@@ -231,8 +225,10 @@ func TestWritePrometheusFormat(t *testing.T) {
 
 func TestSnapshotJSONRoundTrip(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("a_total", "").Inc()
-	h := r.Histogram("b_seconds", "", []float64{1})
+	c, h := &Counter{}, NewHistogram([]float64{1})
+	r.Publish("a_total", "", c)
+	r.Publish("b_seconds", "", h)
+	c.Inc()
 	h.Observe(0.5)
 	h.Observe(math.Inf(1)) // non-finite sum must not break encoding
 	var buf bytes.Buffer
@@ -259,7 +255,9 @@ func TestSnapshotJSONRoundTrip(t *testing.T) {
 
 func TestWriteFileBySuffix(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("x_total", "").Inc()
+	c := &Counter{}
+	r.Publish("x_total", "", c)
+	c.Inc()
 	dir := t.TempDir()
 
 	prom := filepath.Join(dir, "m.prom")
@@ -309,10 +307,11 @@ func TestHistogramWindow(t *testing.T) {
 
 func TestPublishReplacesInPlace(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("first_total", "")
+	r.Publish("first_total", "", &Counter{})
 	a := &Counter{}
 	r.Publish("x_total", "x", a)
-	a.Add(2)
+	a.Inc()
+	a.Inc()
 	b := &Counter{}
 	r.Publish("x_total", "x", b)
 	b.Inc()
@@ -324,8 +323,8 @@ func TestPublishReplacesInPlace(t *testing.T) {
 	if len(snap) != 3 || snap[1].Name != "x_total" || *snap[1].Value != 1 {
 		t.Fatalf("republished counter: %+v", snap)
 	}
-	if r.Counter("x_total", "") != b || r.Histogram("t_seconds", "", nil).Count() != 1 {
-		t.Fatal("registry does not hand out the published instruments")
+	if snap[2].Name != "t_seconds" || *snap[2].Count != 1 {
+		t.Fatalf("published timer: %+v", snap[2])
 	}
 	var nilReg *Registry
 	nilReg.Publish("x_total", "", a)

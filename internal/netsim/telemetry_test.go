@@ -22,7 +22,7 @@ func TestSimTelemetryCurve(t *testing.T) {
 	m := sim.Run(reqs)
 
 	col := sim.Collector()
-	if col.Len() == 0 {
+	if len(col.Snapshots(0)) == 0 {
 		t.Fatal("no telemetry windows sealed")
 	}
 	snaps := col.Snapshots(0)
@@ -57,10 +57,10 @@ func TestSimTelemetryCurve(t *testing.T) {
 	}
 	// One accumulator per signal: the windows and /metrics read the same
 	// instruments, so their totals agree exactly.
-	if got := reg.Counter("netsim_established_total", "").Value(); got != accepted {
+	if got := int64(*instrument(t, reg, "netsim_established_total").Value); got != accepted {
 		t.Fatalf("netsim_established_total %d != windowed accepted %d", got, accepted)
 	}
-	if got := reg.Histogram("netsim_route_seconds", "", nil).Count(); got != latCount {
+	if got := *instrument(t, reg, "netsim_route_seconds").Count; got != latCount {
 		t.Fatalf("netsim_route_seconds count %d != windowed latency samples %d", got, latCount)
 	}
 
@@ -112,10 +112,10 @@ func TestSimTelemetryReconfigSeries(t *testing.T) {
 	if reroutes != int64(m.ReroutedConns) {
 		t.Fatalf("windowed reroutes %d != rerouted conns %d", reroutes, m.ReroutedConns)
 	}
-	if got := reg.Counter("netsim_reconfigs_total", "").Value(); got != reconfigs {
+	if got := int64(*instrument(t, reg, "netsim_reconfigs_total").Value); got != reconfigs {
 		t.Fatalf("netsim_reconfigs_total %d != windowed reconfigs %d", got, reconfigs)
 	}
-	if got := reg.Counter("netsim_reroutes_total", "").Value(); got != reroutes {
+	if got := int64(*instrument(t, reg, "netsim_reroutes_total").Value); got != reroutes {
 		t.Fatalf("netsim_reroutes_total %d != windowed reroutes %d", got, reroutes)
 	}
 	if m.Reconfigs == 0 {
@@ -144,12 +144,11 @@ func TestNilTelemetryIsNoOp(t *testing.T) {
 func TestLiveGaugesUpdateMidRun(t *testing.T) {
 	reg := withRegistry(t)
 	sim := New(nsf(4), Config{Algorithm: MinCost, Restoration: Active})
-	offered := reg.Gauge("netsim_offered", "")
-	blocking := reg.Gauge("netsim_blocking_probability", "")
+	scrape := func(name string) float64 { return *instrument(t, reg, name).Value }
 	var seen []float64
 	sim.afterEvent = func() {
-		seen = append(seen, offered.Value())
-		if v := blocking.Value(); v < 0 || v > 1 {
+		seen = append(seen, scrape("netsim_offered"))
+		if v := scrape("netsim_blocking_probability"); v < 0 || v > 1 {
 			t.Fatalf("blocking gauge %g outside [0,1]", v)
 		}
 	}
@@ -169,10 +168,10 @@ func TestLiveGaugesUpdateMidRun(t *testing.T) {
 			t.Fatal("offered gauge went backwards")
 		}
 	}
-	if got := offered.Value(); got != float64(m.Offered) {
+	if got := scrape("netsim_offered"); got != float64(m.Offered) {
 		t.Fatalf("final offered gauge %g != %d", got, m.Offered)
 	}
-	if got := blocking.Value(); got != m.BlockingProbability() {
+	if got := scrape("netsim_blocking_probability"); got != m.BlockingProbability() {
 		t.Fatalf("final blocking gauge %g != %g", got, m.BlockingProbability())
 	}
 }

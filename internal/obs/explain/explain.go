@@ -25,7 +25,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
 
 	"repro/internal/obs"
 	"repro/internal/wdm"
@@ -256,14 +255,6 @@ func (c *capture) render() *Report {
 	return r
 }
 
-// Build assembles the report for one routed request with no phase table:
-// the capture a traced request takes at finish, rendered at once.
-func Build(net *wdm.Network, in Input) *Report {
-	var c capture
-	c.fill(net, in)
-	return c.render()
-}
-
 // Capture records in as tc's payload, refilling the capture tc's recycled
 // buffer carried (if any) in place, so a warm traced request allocates
 // nothing here. The report is rendered later, by Of. No-op on a nil trace.
@@ -423,12 +414,4 @@ func (r *Report) WriteText(w io.Writer) error {
 		}
 	}
 	return nil
-}
-
-// SortPhasesBySeconds orders the phase table by descending time — handy
-// when rendering many-round MinCog traces where reweight dominates.
-func (r *Report) SortPhasesBySeconds() {
-	sort.SliceStable(r.Phases, func(i, j int) bool {
-		return r.Phases[i].Seconds > r.Phases[j].Seconds
-	})
 }

@@ -36,6 +36,23 @@ func input(algo string, s, t int, res *core.Result) explain.Input {
 	}
 }
 
+// build renders in as a report the way a traced request's is rendered: the
+// capture lands in a trace with no spans, and Of renders the flight
+// recorder's copy, so the report has no phase table.
+func build(t *testing.T, net *wdm.Network, in explain.Input) *explain.Report {
+	t.Helper()
+	tr := obs.New(obs.Config{Capacity: 1})
+	tc := tr.Start(in.Algorithm, in.S, in.T)
+	req := tc.ReqID()
+	explain.Capture(tc, net, in)
+	tc.Finish(obs.StatusOK)
+	rep := explain.Of(tr.Flight().Find(req))
+	if rep == nil {
+		t.Fatal("captured request rendered no report")
+	}
+	return rep
+}
+
 // TestBitExactVsCheckOracle is the acceptance gate: on randomly generated
 // instances — including restricted and disallowed conversion — the report's
 // per-path cost must equal check.PathCost bit for bit, not just within a
@@ -69,7 +86,7 @@ func TestBitExactVsCheckOracle(t *testing.T) {
 					continue
 				}
 				routed++
-				rep := explain.Build(net, input(algo, s, d, res))
+				rep := build(t, net, input(algo, s, d, res))
 				for name, got := range map[string]struct {
 					path *wdm.Semilightpath
 					cost float64
@@ -113,7 +130,7 @@ func TestHopAndConversionBreakdown(t *testing.T) {
 	if !ok {
 		t.Fatal("ApproxMinCost failed on NSFNET")
 	}
-	rep := explain.Build(net, input("min-cost", 0, 9, res))
+	rep := build(t, net, input("min-cost", 0, 9, res))
 	if len(rep.Primary.Hops) != res.Primary.Len() {
 		t.Fatalf("primary hop count %d != %d", len(rep.Primary.Hops), res.Primary.Len())
 	}
@@ -161,7 +178,7 @@ func TestTwoStepHasNoBound(t *testing.T) {
 	if !ok {
 		t.Fatal("TwoStepMinCost failed")
 	}
-	rep := explain.Build(net, input("two-step", 0, 9, res))
+	rep := build(t, net, input("two-step", 0, 9, res))
 	if rep.Bound.Checked {
 		t.Fatalf("two-step has no aux pair, bound should be unchecked: %+v", rep.Bound)
 	}
@@ -222,7 +239,7 @@ func TestRenderTextAndJSON(t *testing.T) {
 	if !ok {
 		t.Fatal("MinLoadCost failed")
 	}
-	rep := explain.Build(net, input("min-load-cost", 0, 9, res))
+	rep := build(t, net, input("min-load-cost", 0, 9, res))
 
 	var txt bytes.Buffer
 	if err := rep.WriteText(&txt); err != nil {

@@ -28,7 +28,7 @@ func render(t *testing.T, r *explain.Report) (string, string) {
 	return js.String(), txt.String()
 }
 
-// eagerRef is an eager explain.Build taken right after a request routed,
+// eagerRef is a report built right after a request routed,
 // on the network state it routed on, rendered both ways.
 type eagerRef struct {
 	rep     *explain.Report
@@ -39,7 +39,7 @@ func eager(t *testing.T, net *wdm.Network, req int64, algo string, s, d int, res
 	t.Helper()
 	in := input(algo, s, d, res)
 	in.Req = req
-	rep := explain.Build(net, in)
+	rep := build(t, net, in)
 	js, txt := render(t, rep)
 	return &eagerRef{rep: rep, js: js, txt: txt}
 }

@@ -14,9 +14,9 @@
 // two properties that make metrics safe in hot paths hold here:
 //
 //   - Nil safety: every method on a nil *Tracer and a nil *Trace is a no-op,
-//     so instrumented code calls unconditionally. A disabled tracer hands
-//     out nil traces, which means tracing off costs exactly one atomic load
-//     per request and zero allocations (asserted by the regression test in
+//     so instrumented code calls unconditionally. A nil tracer hands out
+//     nil traces, which means tracing off costs exactly one nil check per
+//     request and zero allocations (asserted by the regression test in
 //     internal/core).
 //   - Concurrency: the flight recorder is safe for concurrent Finish/Dump/Find
 //     (a debug HTTP handler dumps while the simulator records). A *Trace
@@ -62,44 +62,23 @@ type Config struct {
 	OnFailure func(*FlightRecorder, *Trace)
 }
 
-// Tracer hands out request traces. A nil *Tracer is permanently off; a
-// non-nil one can be toggled at runtime (Enable/Disable) and starts enabled.
+// Tracer hands out request traces. Tracing is on exactly when a tracer is
+// attached: a nil *Tracer is off, a non-nil one always records.
 type Tracer struct {
-	enabled atomic.Bool
-	reqID   atomic.Int64
-	fr      *FlightRecorder
+	reqID atomic.Int64
+	fr    *FlightRecorder
 
 	failed    atomic.Bool // OnFailure has fired
 	onFailure func(*FlightRecorder, *Trace)
 }
 
-// New returns an enabled Tracer with a flight recorder of cfg.Capacity.
+// New returns a Tracer with a flight recorder of cfg.Capacity.
 func New(cfg Config) *Tracer {
-	t := &Tracer{
+	return &Tracer{
 		fr:        NewFlightRecorder(cfg.Capacity),
 		onFailure: cfg.OnFailure,
 	}
-	t.enabled.Store(true)
-	return t
 }
-
-// Enable turns the tracer on. No-op on nil.
-func (t *Tracer) Enable() {
-	if t != nil {
-		t.enabled.Store(true)
-	}
-}
-
-// Disable turns the tracer off: Start returns nil until Enable. Traces
-// already started continue to record and land in the flight recorder.
-func (t *Tracer) Disable() {
-	if t != nil {
-		t.enabled.Store(false)
-	}
-}
-
-// Enabled reports whether Start currently hands out traces.
-func (t *Tracer) Enabled() bool { return t != nil && t.enabled.Load() }
 
 // Flight returns the tracer's flight recorder (nil for a nil tracer).
 func (t *Tracer) Flight() *FlightRecorder {
@@ -112,14 +91,14 @@ func (t *Tracer) Flight() *FlightRecorder {
 // Start opens a trace for one routing request with a fresh monotonic ID
 // (IDs start at 1; 0 is never issued, so a zero Req field in correlated
 // logs is distinguishable from the first request). Returns nil — and
-// performs no allocation — when the tracer is nil or disabled. The trace is
+// performs no allocation — when the tracer is nil. The trace is
 // the buffer the flight recorder last evicted, or a new one while the ring
 // has not wrapped. The caller must Finish the trace to land it in the
 // flight recorder.
 //
 //wdm:coldpath nil-safe tracing no-op unless a diagnostic tracer is enabled
 func (t *Tracer) Start(kind string, s, d int) *Trace {
-	if t == nil || !t.enabled.Load() {
+	if t == nil {
 		return nil
 	}
 	tc := t.fr.take()
@@ -134,14 +113,6 @@ func (t *Tracer) Start(kind string, s, d int) *Trace {
 	tc.Start = time.Now()
 	tc.tr = t
 	return tc
-}
-
-// LastID returns the most recently issued request ID (0 before the first).
-func (t *Tracer) LastID() int64 {
-	if t == nil {
-		return 0
-	}
-	return t.reqID.Load()
 }
 
 // AttrKind tags which field of an Attr carries the value.

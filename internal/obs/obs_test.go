@@ -15,16 +15,8 @@ import (
 // sequence of no-ops, never a panic.
 func TestNilSafety(t *testing.T) {
 	var tr *Tracer
-	tr.Enable()
-	tr.Disable()
-	if tr.Enabled() {
-		t.Error("nil tracer reports enabled")
-	}
 	if tr.Flight() != nil {
 		t.Error("nil tracer has a flight recorder")
-	}
-	if tr.LastID() != 0 {
-		t.Error("nil tracer has a last ID")
 	}
 	tc := tr.Start("min-cost", 0, 1)
 	if tc != nil {
@@ -54,18 +46,15 @@ func TestNilSafety(t *testing.T) {
 	}
 }
 
+// TestDisabledTracerHandsOutNil pins the one off switch: tracing is on
+// exactly when a tracer is attached.
 func TestDisabledTracerHandsOutNil(t *testing.T) {
-	tr := New(Config{})
-	if !tr.Enabled() {
-		t.Fatal("fresh tracer is disabled")
+	var off *Tracer
+	if tc := off.Start("min-cost", 0, 1); tc != nil {
+		t.Fatal("nil tracer handed out a trace")
 	}
-	tr.Disable()
-	if tc := tr.Start("min-cost", 0, 1); tc != nil {
-		t.Fatal("disabled tracer handed out a trace")
-	}
-	tr.Enable()
-	if tc := tr.Start("min-cost", 0, 1); tc == nil {
-		t.Fatal("re-enabled tracer handed out nil")
+	if tc := New(Config{}).Start("min-cost", 0, 1); tc == nil || tc.Req != 1 {
+		t.Fatalf("fresh tracer handed out %+v, want request 1", tc)
 	}
 }
 
@@ -75,9 +64,6 @@ func TestMonotonicIDsAndSpans(t *testing.T) {
 	b := tr.Start("min-load", 2, 3)
 	if a.Req != 1 || b.Req != 2 {
 		t.Fatalf("request IDs = %d, %d; want 1, 2", a.Req, b.Req)
-	}
-	if tr.LastID() != 2 {
-		t.Errorf("LastID = %d, want 2", tr.LastID())
 	}
 
 	sp := a.Begin("suurballe")

@@ -217,7 +217,7 @@ func TestFlightConcurrentRecycleConsistency(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
 				copies := tr.Flight().Snapshot()
-				if tc := tr.Flight().Find(tr.LastID()); tc != nil {
+				if tc := tr.Flight().Find(tr.reqID.Load()); tc != nil {
 					copies = append(copies, tc)
 				}
 				for _, tc := range copies {

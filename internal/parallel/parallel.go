@@ -66,24 +66,3 @@ func MapWithState[S, T any](n, workers int, mk func() S, fn func(state S, i int)
 	wg.Wait()
 	return out
 }
-
-// ForEach is Map without results.
-func ForEach(n, workers int, fn func(i int)) {
-	Map(n, workers, func(i int) struct{} {
-		fn(i)
-		return struct{}{}
-	})
-}
-
-// Reduce runs fn over [0, n) in parallel and folds the results with combine
-// in index order (combine must be associative for the fold order to be
-// irrelevant; it is applied sequentially left-to-right over the ordered
-// results, so any binary op works deterministically).
-func Reduce[T, A any](n, workers int, zero A, fn func(i int) T, combine func(A, T) A) A {
-	results := Map(n, workers, fn)
-	acc := zero
-	for _, r := range results {
-		acc = combine(acc, r)
-	}
-	return acc
-}

@@ -1,7 +1,6 @@
 package parallel
 
 import (
-	"math/rand"
 	"sync/atomic"
 	"testing"
 )
@@ -65,40 +64,6 @@ func TestMapNegativePanics(t *testing.T) {
 		}
 	}()
 	Map(-1, 2, func(i int) int { return i })
-}
-
-func TestForEach(t *testing.T) {
-	var sum int64
-	ForEach(100, 4, func(i int) { atomic.AddInt64(&sum, int64(i)) })
-	if sum != 4950 {
-		t.Fatalf("sum = %d", sum)
-	}
-}
-
-func TestReduceDeterministic(t *testing.T) {
-	// Non-commutative combine (string append) must still be deterministic
-	// because folding happens in index order.
-	got := Reduce(5, 4, "", func(i int) string {
-		return string(rune('a' + i))
-	}, func(acc, s string) string { return acc + s })
-	if got != "abcde" {
-		t.Fatalf("Reduce = %q", got)
-	}
-}
-
-func TestReduceSum(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	xs := make([]float64, 500)
-	want := 0.0
-	for i := range xs {
-		xs[i] = rng.Float64()
-		want += xs[i]
-	}
-	got := Reduce(len(xs), 8, 0.0, func(i int) float64 { return xs[i] },
-		func(a, x float64) float64 { return a + x })
-	if diff := got - want; diff > 1e-9 || diff < -1e-9 {
-		t.Fatalf("sum = %g, want %g", got, want)
-	}
 }
 
 func TestParallelMatchesSerial(t *testing.T) {

@@ -6,8 +6,8 @@
 package pq
 
 // IndexedHeap is a binary min-heap over items identified by integers in
-// [0, n). Each item has a float64 priority. DecreaseKey, Contains, and
-// Remove are O(log n) / O(1) thanks to the position index.
+// [0, n). Each item has a float64 priority. The position index makes
+// PushOrDecrease O(log n) whether it inserts or lowers a key.
 //
 // Each heap slot carries its item's priority next to its id, so a
 // comparison reads one slot rather than chasing the id into a priority
@@ -17,9 +17,8 @@ package pq
 //
 // The zero value is not usable; call NewIndexedHeap.
 type IndexedHeap struct {
-	heap []slot    // heap[i] = item at heap position i, with its priority
-	pos  []int     // pos[id] = heap position of id, or -1
-	prio []float64 // prio[id] = last priority given to id (read by Priority)
+	heap []slot // heap[i] = item at heap position i, with its priority
+	pos  []int  // pos[id] = heap position of id, or -1
 }
 
 // slot is one heap position: an item and its current priority.
@@ -33,7 +32,6 @@ func NewIndexedHeap(n int) *IndexedHeap {
 	h := &IndexedHeap{
 		heap: make([]slot, 0, n),
 		pos:  make([]int, n),
-		prio: make([]float64, n),
 	}
 	for i := range h.pos {
 		h.pos[i] = -1
@@ -41,18 +39,8 @@ func NewIndexedHeap(n int) *IndexedHeap {
 	return h
 }
 
-// Len returns the number of items currently in the heap.
-func (h *IndexedHeap) Len() int { return len(h.heap) }
-
 // Empty reports whether the heap has no items.
 func (h *IndexedHeap) Empty() bool { return len(h.heap) == 0 }
-
-// Contains reports whether id is currently in the heap.
-func (h *IndexedHeap) Contains(id int) bool { return h.pos[id] >= 0 }
-
-// Priority returns the current priority of id. The result is meaningful only
-// if Contains(id) or if id was previously popped.
-func (h *IndexedHeap) Priority(id int) float64 { return h.prio[id] }
 
 // Push inserts id with the given priority. It panics if id is already
 // present.
@@ -60,7 +48,6 @@ func (h *IndexedHeap) Push(id int, priority float64) {
 	if h.pos[id] >= 0 {
 		panic("pq: Push of item already in heap")
 	}
-	h.prio[id] = priority
 	i := len(h.heap)
 	//wdmlint:ignore hotalloc heap growth to peak size; amortizes to zero once warm
 	h.heap = append(h.heap, slot{})
@@ -84,28 +71,6 @@ func (h *IndexedHeap) Pop() (id int, priority float64) {
 	return top.id, top.key
 }
 
-// Peek returns the minimum item without removing it.
-func (h *IndexedHeap) Peek() (id int, priority float64) {
-	if len(h.heap) == 0 {
-		panic("pq: Peek on empty heap")
-	}
-	return h.heap[0].id, h.heap[0].key
-}
-
-// DecreaseKey lowers the priority of id to priority. It panics if id is not
-// in the heap or the new priority is greater than the current one.
-func (h *IndexedHeap) DecreaseKey(id int, priority float64) {
-	p := h.pos[id]
-	if p < 0 {
-		panic("pq: DecreaseKey of item not in heap")
-	}
-	if priority > h.heap[p].key {
-		panic("pq: DecreaseKey with larger priority")
-	}
-	h.prio[id] = priority
-	h.up(p, slot{priority, id})
-}
-
 // PushOrDecrease inserts id if absent, or lowers its key if the new priority
 // is smaller. It returns true if the heap changed. This is the common
 // Dijkstra relaxation helper.
@@ -116,32 +81,11 @@ func (h *IndexedHeap) PushOrDecrease(id int, priority float64) bool {
 		return true
 	}
 	if priority < h.heap[p].key {
-		h.prio[id] = priority
 		h.up(p, slot{priority, id})
 		return true
 	}
 	return false
 }
-
-// Remove deletes id from the heap. It panics if absent.
-func (h *IndexedHeap) Remove(id int) {
-	p := h.pos[id]
-	if p < 0 {
-		panic("pq: Remove of item not in heap")
-	}
-	last := len(h.heap) - 1
-	x := h.heap[last]
-	h.heap = h.heap[:last]
-	h.pos[id] = -1
-	if p < last {
-		// The last item fills the hole at p and rises or sinks from there.
-		h.up(p, x)
-		h.down(p, h.heap[p])
-	}
-}
-
-// Cap returns the size of the id space [0, n) the heap accepts.
-func (h *IndexedHeap) Cap() int { return len(h.pos) }
 
 // Grow extends the id space to [0, n), keeping current contents. It is a
 // no-op when the heap already accepts n ids. Together with Reset this lets a
@@ -150,12 +94,10 @@ func (h *IndexedHeap) Cap() int { return len(h.pos) }
 func (h *IndexedHeap) Grow(n int) {
 	for len(h.pos) < n {
 		h.pos = append(h.pos, -1)
-		h.prio = append(h.prio, 0)
 	}
 }
 
-// Reset empties the heap, keeping capacity. Priorities of previously popped
-// items are no longer meaningful after Reset.
+// Reset empties the heap, keeping capacity.
 func (h *IndexedHeap) Reset() {
 	for _, s := range h.heap {
 		h.pos[s.id] = -1

@@ -10,47 +10,37 @@ import (
 
 func TestIndexedHeapBasic(t *testing.T) {
 	h := NewIndexedHeap(10)
-	if !h.Empty() || h.Len() != 0 {
+	if !h.Empty() {
 		t.Fatal("new heap not empty")
 	}
 	h.Push(3, 5.0)
 	h.Push(1, 2.0)
 	h.Push(7, 9.0)
-	if h.Len() != 3 {
-		t.Fatalf("Len = %d", h.Len())
-	}
-	if id, p := h.Peek(); id != 1 || p != 2.0 {
-		t.Fatalf("Peek = (%d, %g)", id, p)
-	}
 	id, p := h.Pop()
 	if id != 1 || p != 2.0 {
 		t.Fatalf("Pop = (%d, %g)", id, p)
 	}
-	if h.Contains(1) {
-		t.Fatal("popped item still contained")
-	}
-	if id, _ := h.Pop(); id != 3 {
-		t.Fatalf("second Pop = %d", id)
-	}
-	if id, _ := h.Pop(); id != 7 {
-		t.Fatalf("third Pop = %d", id)
+	h.Push(1, 4.0) // a popped id may be pushed again
+	for _, want := range []int{1, 3, 7} {
+		if id, _ := h.Pop(); id != want {
+			t.Fatalf("Pop = %d, want %d", id, want)
+		}
 	}
 	if !h.Empty() {
 		t.Fatal("heap should be empty")
 	}
 }
 
+// TestIndexedHeapDecreaseKey lowers a queued key through PushOrDecrease, the
+// relaxation Dijkstra performs, and checks the item moves to the front.
 func TestIndexedHeapDecreaseKey(t *testing.T) {
 	h := NewIndexedHeap(5)
 	h.Push(0, 10)
 	h.Push(1, 20)
 	h.Push(2, 30)
-	h.DecreaseKey(2, 5)
+	h.PushOrDecrease(2, 5)
 	if id, p := h.Pop(); id != 2 || p != 5 {
-		t.Fatalf("Pop after DecreaseKey = (%d, %g)", id, p)
-	}
-	if h.Priority(2) != 5 {
-		t.Fatalf("Priority(2) = %g", h.Priority(2))
+		t.Fatalf("Pop after decrease = (%d, %g)", id, p)
 	}
 }
 
@@ -70,35 +60,16 @@ func TestIndexedHeapPushOrDecrease(t *testing.T) {
 	}
 }
 
-func TestIndexedHeapRemove(t *testing.T) {
-	h := NewIndexedHeap(5)
-	for i := 0; i < 5; i++ {
-		h.Push(i, float64(5-i))
-	}
-	h.Remove(4) // priority 1, the minimum
-	if id, _ := h.Pop(); id != 3 {
-		t.Fatalf("Pop after Remove = %d, want 3", id)
-	}
-	h.Remove(0)
-	var got []int
-	for !h.Empty() {
-		id, _ := h.Pop()
-		got = append(got, id)
-	}
-	if len(got) != 2 || got[0] != 2 || got[1] != 1 {
-		t.Fatalf("remaining order = %v", got)
-	}
-}
-
 func TestIndexedHeapReset(t *testing.T) {
 	h := NewIndexedHeap(4)
 	h.Push(0, 1)
 	h.Push(1, 2)
 	h.Reset()
-	if !h.Empty() || h.Contains(0) || h.Contains(1) {
+	if !h.Empty() {
 		t.Fatal("Reset did not clear")
 	}
-	h.Push(0, 9) // must not panic
+	h.Push(1, 9) // must not panic: Reset forgot both ids
+	h.Push(0, 8)
 	if id, _ := h.Pop(); id != 0 {
 		t.Fatal("heap unusable after Reset")
 	}
@@ -106,12 +77,8 @@ func TestIndexedHeapReset(t *testing.T) {
 
 func TestIndexedHeapPanics(t *testing.T) {
 	cases := map[string]func(){
-		"PopEmpty":         func() { NewIndexedHeap(1).Pop() },
-		"PeekEmpty":        func() { NewIndexedHeap(1).Peek() },
-		"DoublePush":       func() { h := NewIndexedHeap(2); h.Push(0, 1); h.Push(0, 2) },
-		"DecreaseAbsent":   func() { NewIndexedHeap(2).DecreaseKey(0, 1) },
-		"DecreaseIncrease": func() { h := NewIndexedHeap(2); h.Push(0, 1); h.DecreaseKey(0, 5) },
-		"RemoveAbsent":     func() { NewIndexedHeap(2).Remove(0) },
+		"PopEmpty":   func() { NewIndexedHeap(1).Pop() },
+		"DoublePush": func() { h := NewIndexedHeap(2); h.Push(0, 1); h.Push(0, 2) },
 	}
 	for name, fn := range cases {
 		func() {
@@ -174,7 +141,7 @@ func TestHeapsAgainstReference(t *testing.T) {
 			i := rng.Intn(n)
 			np := prios[i] * rng.Float64()
 			prios[i] = np
-			ih.DecreaseKey(i, np)
+			ih.PushOrDecrease(i, np)
 		}
 		sorted := append([]float64(nil), prios...)
 		sort.Float64s(sorted)

@@ -28,11 +28,11 @@ func (r refHeap) pop() (int, float64) {
 }
 
 // TestHeapsAgreeOnRandomStreams drives the indexed binary heap and a
-// map-plus-min-scan reference with the same random push/decrease-key/pop
-// stream and demands identical (value, priority) pop sequences. Priorities
-// are drawn unique so ties cannot make the minimum ambiguous; decrease-keys
-// always go strictly below the current key and are skipped on a collision,
-// staying unique.
+// map-plus-min-scan reference with the same random push/decrease/pop stream
+// and demands identical (value, priority) pop sequences. Priorities are
+// drawn unique so ties cannot make the minimum ambiguous; decreases always go
+// strictly below the current key and are skipped on a collision, staying
+// unique.
 func TestHeapsAgreeOnRandomStreams(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -54,7 +54,7 @@ func TestHeapsAgreeOnRandomStreams(t *testing.T) {
 			switch r := rng.Intn(10); {
 			case r < 4: // push a value not currently queued
 				id := rng.Intn(n)
-				if ih.Contains(id) {
+				if _, ok := ref[id]; ok {
 					continue
 				}
 				p := draw()
@@ -66,30 +66,26 @@ func TestHeapsAgreeOnRandomStreams(t *testing.T) {
 					continue
 				}
 				id := inHeap[rng.Intn(len(inHeap))]
-				cur := ih.Priority(id)
-				p := cur * rng.Float64()
+				p := ref[id] * rng.Float64()
 				if used[p] {
 					continue
 				}
 				used[p] = true
-				ih.DecreaseKey(id, p)
+				if !ih.PushOrDecrease(id, p) {
+					t.Logf("decrease of %d to %g left the heap unchanged", id, p)
+					return false
+				}
 				ref[id] = p
 			default: // pop
-				if ih.Len() != len(ref) {
-					t.Logf("Len diverged: indexed %d, reference %d", ih.Len(), len(ref))
+				if ih.Empty() != (len(ref) == 0) {
+					t.Logf("Empty diverged: indexed %v, reference holds %d", ih.Empty(), len(ref))
 					return false
 				}
 				if ih.Empty() {
 					continue
 				}
-				iv, ip := ih.Peek()
-				pv, pp := ref.peek()
-				if iv != pv || ip != pp {
-					t.Logf("Peek diverged: indexed (%d,%g), reference (%d,%g)", iv, ip, pv, pp)
-					return false
-				}
-				iv, ip = ih.Pop()
-				pv, pp = ref.pop()
+				iv, ip := ih.Pop()
+				pv, pp := ref.pop()
 				if iv != pv || ip != pp {
 					t.Logf("Pop diverged: indexed (%d,%g), reference (%d,%g)", iv, ip, pv, pp)
 					return false

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/obs"
+	"repro/internal/topo"
 )
 
 // newTestServer serves a started engine's full HTTP surface.
@@ -166,11 +167,11 @@ func TestHTTPFlightAfterBlockedMinLoadCost(t *testing.T) {
 // test server — the same path the CI smoke uses via wdmd -drive.
 func TestDrive(t *testing.T) {
 	e, srv := newTestServer(t)
-	rep, err := Drive(srv.URL, DriveConfig{
+	rep, err := Drive(srv.URL, LoadConfig{
 		Requests: 500,
 		Clients:  8,
 		Seed:     2,
-		Nodes:    e.Nodes(),
+		Drain:    true,
 	})
 	if err != nil {
 		t.Fatalf("drive: %v\n%s", err, rep)
@@ -185,6 +186,31 @@ func TestDrive(t *testing.T) {
 	}
 	if err := e.Audit(); err != nil {
 		t.Fatalf("audit after drive: %v", err)
+	}
+}
+
+// TestDriveDrawsDaemonNodes drives a 6-node daemon with the default load
+// settings: Drive must draw endpoints from the node count the daemon
+// reports, so every provision it counts is one the engine counted too. A
+// driver drawing from a larger node range would count the engine's
+// bad-request rejections as blocked provisions the engine never saw.
+func TestDriveDrawsDaemonNodes(t *testing.T) {
+	e := startEngine(t, topo.Ring(6, topo.Config{W: 4}), Config{})
+	srv := httptest.NewServer(e.Handler(nil))
+	t.Cleanup(srv.Close)
+	rep, err := Drive(srv.URL, LoadConfig{Requests: 2000, Clients: 4, Seed: 5, Drain: true})
+	if err != nil {
+		t.Fatalf("drive: %v\n%s", err, rep)
+	}
+	st := e.Status()
+	if rep.Provisions == 0 || rep.Provisions != st.Provisions {
+		t.Fatalf("drive counted %d provisions, the engine %d", rep.Provisions, st.Provisions)
+	}
+	if rep.Blocked != st.Blocked || rep.Epochs != st.Epoch {
+		t.Fatalf("drive report %s disagrees with the engine's status %+v", rep, st)
+	}
+	if n := e.LiveConnections(); n != 0 {
+		t.Fatalf("%d connections survive the drained drive", n)
 	}
 }
 

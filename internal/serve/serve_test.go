@@ -66,7 +66,7 @@ func TestConcurrentSmoke(t *testing.T) {
 	net := nsf(8)
 	want := net.TotalAvailable()
 	e := startEngine(t, net, Config{JournalCap: 200000})
-	rep, err := RunSoak(e, SoakConfig{
+	rep, err := RunSoak(e, LoadConfig{
 		Requests:     10000,
 		Clients:      16,
 		Seed:         1,
@@ -299,7 +299,7 @@ func TestOneRouterUnderManyCallers(t *testing.T) {
 func TestJournalReplayMatchesEngine(t *testing.T) {
 	initial := nsf(8)
 	e := startEngine(t, initial, Config{JournalCap: 100000})
-	if _, err := RunSoak(e, SoakConfig{
+	if _, err := RunSoak(e, LoadConfig{
 		Requests:     4000,
 		Clients:      12,
 		Seed:         3,

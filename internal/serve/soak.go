@@ -10,12 +10,14 @@ import (
 	"repro/internal/metrics"
 )
 
-// SoakConfig parameterises RunSoak, the in-process load harness behind
-// `wdmd -soak` and the CI soak gate.
-type SoakConfig struct {
+// LoadConfig parameterises the two closed-loop load generators behind
+// `wdmd -soak` and `wdmd -drive`: RunSoak calls a started engine in-process,
+// Drive calls a live daemon over HTTP. Both run the same seeded client
+// workload (clientLoop).
+type LoadConfig struct {
 	// Requests is the total operation count across all clients.
 	Requests int
-	// Clients is the number of concurrent client goroutines (16 if 0).
+	// Clients is the number of concurrent clients (16 if 0).
 	Clients int
 	// Seed makes the workload deterministic: client i draws from
 	// rand.New(rand.NewSource(Seed + i)).
@@ -26,42 +28,35 @@ type SoakConfig struct {
 	// RerouteEvery issues a reroute of a random live connection every n-th
 	// operation per client (0 disables reroutes).
 	RerouteEvery int
-	// TeardownFrac is the probability a client with live connections issues
-	// a teardown instead of a provision (0.45 if 0; negative disables
-	// probabilistic teardowns). Without churn the network saturates and the
-	// tail of the soak measures only blocking.
-	TeardownFrac float64
-	// Drain tears down every remaining connection after the load phase and
-	// runs the engine's audit.
+	// Drain tears down every connection still live after the load phase.
+	// RunSoak tears down the engine's live set and then audits the engine;
+	// Drive has each client tear down what it still holds.
 	Drain bool
 }
 
-func (c *SoakConfig) teardownFrac() float64 {
-	switch {
-	case c.TeardownFrac > 0:
-		return c.TeardownFrac
-	case c.TeardownFrac < 0:
-		return 0
-	}
-	return 0.45
-}
-
-func (c *SoakConfig) clients() int {
+func (c *LoadConfig) clients() int {
 	if c.Clients > 0 {
 		return c.Clients
 	}
 	return 16
 }
 
-func (c *SoakConfig) maxLive() int {
+func (c *LoadConfig) maxLive() int {
 	if c.MaxLive > 0 {
 		return c.MaxLive
 	}
 	return 32
 }
 
-// SoakReport aggregates one soak run.
-type SoakReport struct {
+// teardownFrac is the probability a client with live connections tears its
+// oldest down instead of provisioning. Without churn the network saturates
+// and the tail of a run measures only blocking.
+const teardownFrac = 0.45
+
+// LoadReport aggregates one RunSoak or Drive run. Epochs, Conflicts and
+// Retries are the engine's totals read at the end of the load phase.
+type LoadReport struct {
+	Mode       string  `json:"mode"` // "soak" or "drive"
 	Requests   int     `json:"requests"`
 	Clients    int     `json:"clients"`
 	Seed       int64   `json:"seed"`
@@ -70,6 +65,7 @@ type SoakReport struct {
 	Blocked    int64   `json:"blocked"`
 	Teardowns  int64   `json:"teardowns"`
 	Reroutes   int64   `json:"reroutes"`
+	Errors     int64   `json:"errors"`
 	Blocking   float64 `json:"blocking_probability"`
 	P50Micros  float64 `json:"p50_us"`
 	P99Micros  float64 `json:"p99_us"`
@@ -81,33 +77,21 @@ type SoakReport struct {
 	Drained    bool    `json:"drained"`
 }
 
-func (r SoakReport) String() string {
+func (r LoadReport) String() string {
 	return fmt.Sprintf(
-		"soak: %d requests, %d clients, seed %d: %d provisions (%d accepted, %d blocked, blocking %.4f), "+
-			"%d teardowns, %d reroutes, p50 %.1fµs p99 %.1fµs, %.0f req/s over %.2fs, "+
+		"%s: %d requests, %d clients, seed %d: %d provisions (%d accepted, %d blocked, blocking %.4f), "+
+			"%d teardowns, %d reroutes, %d transport errors, p50 %.1fµs p99 %.1fµs, %.0f req/s over %.2fs, "+
 			"%d epochs, %d conflicts, %d retries",
-		r.Requests, r.Clients, r.Seed, r.Provisions, r.Accepted, r.Blocked, r.Blocking,
-		r.Teardowns, r.Reroutes, r.P50Micros, r.P99Micros, r.Throughput, r.Elapsed,
+		r.Mode, r.Requests, r.Clients, r.Seed, r.Provisions, r.Accepted, r.Blocked, r.Blocking,
+		r.Teardowns, r.Reroutes, r.Errors, r.P50Micros, r.P99Micros, r.Throughput, r.Elapsed,
 		r.Epochs, r.Conflicts, r.Retries)
 }
 
-// RunSoak hammers a started engine with cfg.Requests seeded mixed
-// operations from cfg.Clients goroutines (see clientLoop), then
-// (optionally) drains every live connection and audits.
-func RunSoak(e *Engine, cfg SoakConfig) (SoakReport, error) {
-	start := time.Now()
-	t := clientLoop{
-		requests:     cfg.Requests,
-		clients:      cfg.clients(),
-		seed:         cfg.Seed,
-		nodes:        e.Nodes(),
-		maxLive:      cfg.maxLive(),
-		rerouteEvery: cfg.RerouteEvery,
-		teardownFrac: cfg.teardownFrac(),
-	}.run(func() caller { return e.call })
-	elapsed := time.Since(start)
-
-	rep := SoakReport{
+// report assembles the LoadReport of a finished load phase: the client
+// tally t, the wall time since start, and the engine's status st.
+func (cfg *LoadConfig) report(mode string, t *loopTally, start time.Time, st Stats) LoadReport {
+	rep := LoadReport{
+		Mode:       mode,
 		Requests:   cfg.Requests,
 		Clients:    cfg.clients(),
 		Seed:       cfg.Seed,
@@ -116,16 +100,28 @@ func RunSoak(e *Engine, cfg SoakConfig) (SoakReport, error) {
 		Blocked:    t.blocked.Load(),
 		Teardowns:  t.tears.Load(),
 		Reroutes:   t.routes.Load(),
+		Errors:     t.errs.Load(),
 		Blocking:   t.blocking(),
 		P50Micros:  t.lat.Quantile(0.50) * 1e6,
 		P99Micros:  t.lat.Quantile(0.99) * 1e6,
-		Elapsed:    elapsed.Seconds(),
+		Elapsed:    time.Since(start).Seconds(),
+		Epochs:     st.Epoch,
+		Conflicts:  st.Conflicts,
+		Retries:    st.Retries,
 	}
 	if rep.Elapsed > 0 {
 		rep.Throughput = float64(cfg.Requests) / rep.Elapsed
 	}
-	st := e.Status()
-	rep.Epochs, rep.Conflicts, rep.Retries = st.Epoch, st.Conflicts, st.Retries
+	return rep
+}
+
+// RunSoak hammers a started engine with cfg.Requests seeded mixed
+// operations from cfg.Clients goroutines (see clientLoop), then
+// (optionally) drains every live connection and audits.
+func RunSoak(e *Engine, cfg LoadConfig) (LoadReport, error) {
+	start := time.Now()
+	t := clientLoop{cfg: cfg, nodes: e.Nodes()}.run(func() caller { return e.call })
+	rep := cfg.report("soak", t, start, e.Status())
 
 	if cfg.Drain {
 		for _, id := range e.LiveIDs() {
@@ -161,14 +157,10 @@ type caller func(op string, req Request) (Response, error)
 // so the interleaving is racy on purpose while each client's random choices
 // stay deterministic: client i draws from rand.New(rand.NewSource(seed+i)).
 // Connection IDs are client<<32|k, unique across clients by construction.
+// Endpoints are drawn from the served network's nodes.
 type clientLoop struct {
-	requests, clients, nodes, maxLive int
-	seed                              int64
-	// rerouteEvery issues a reroute of a random live connection on every
-	// n-th claimed op (0: never); teardownFrac is the probability a client
-	// with live connections tears its oldest down instead of provisioning.
-	rerouteEvery int
-	teardownFrac float64
+	cfg   LoadConfig
+	nodes int
 	// releaseTail tears down what each client still holds once the load
 	// phase ends (counted as teardowns, not timed).
 	releaseTail bool
@@ -188,14 +180,14 @@ func (t *loopTally) blocking() float64 {
 	return 0
 }
 
-// run drives l.clients goroutines, each over its own caller from newCaller,
-// until l.requests ops have been claimed. A client stops at its first
-// transport error.
+// run drives l.cfg.Clients goroutines, each over its own caller from
+// newCaller, until l.cfg.Requests ops have been claimed. A client stops at
+// its first transport error.
 func (l clientLoop) run(newCaller func() caller) *loopTally {
 	t := &loopTally{lat: metrics.NewHistogram(nil)}
 	var next atomic.Int64
 	var wg sync.WaitGroup
-	for c := 0; c < l.clients; c++ {
+	for c := 0; c < l.cfg.clients(); c++ {
 		wg.Add(1)
 		go func(client int) {
 			defer wg.Done()
@@ -210,22 +202,22 @@ func (l clientLoop) run(newCaller func() caller) *loopTally {
 }
 
 func (l clientLoop) client(client int, call caller, next *atomic.Int64, t *loopTally) error {
-	rng := rand.New(rand.NewSource(l.seed + int64(client)))
+	rng := rand.New(rand.NewSource(l.cfg.Seed + int64(client)))
 	var live []int64
 	var k int64
 	for {
 		n := next.Add(1)
-		if n > int64(l.requests) {
+		if n > int64(l.cfg.Requests) {
 			break
 		}
 		t0 := time.Now()
 		switch {
-		case l.rerouteEvery > 0 && n%int64(l.rerouteEvery) == 0 && len(live) > 0:
+		case l.cfg.RerouteEvery > 0 && n%int64(l.cfg.RerouteEvery) == 0 && len(live) > 0:
 			if _, err := call("reroute", Request{ID: live[rng.Intn(len(live))]}); err != nil {
 				return err
 			}
 			t.routes.Add(1)
-		case len(live) >= l.maxLive || (len(live) > 0 && rng.Float64() < l.teardownFrac):
+		case len(live) >= l.cfg.maxLive() || (len(live) > 0 && rng.Float64() < teardownFrac):
 			id := live[0]
 			live = live[1:]
 			if _, err := call("teardown", Request{ID: id}); err != nil {

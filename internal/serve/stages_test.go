@@ -78,7 +78,7 @@ func TestStageSumMatchesRequestTime(t *testing.T) {
 	if testing.Short() {
 		n = 10000
 	}
-	rep, err := RunSoak(e, SoakConfig{
+	rep, err := RunSoak(e, LoadConfig{
 		Requests:     n,
 		Clients:      8,
 		Seed:         3,

@@ -213,9 +213,9 @@ func (w *Watchdog) OnBreach(fn func(Breach)) {
 	w.mu.Unlock()
 }
 
-// EnableMetrics registers per-objective state and burn gauges on reg:
-// slo_<name>_state (0 healthy / 1 warning / 2 burning) and slo_<name>_burn
-// (the short-window burn mean).
+// EnableMetrics builds per-objective state and burn gauges and publishes
+// them on reg: slo_<name>_state (0 healthy / 1 warning / 2 burning) and
+// slo_<name>_burn (the short-window burn mean).
 func (w *Watchdog) EnableMetrics(reg *metrics.Registry) {
 	if w == nil || reg == nil {
 		return
@@ -224,8 +224,9 @@ func (w *Watchdog) EnableMetrics(reg *metrics.Registry) {
 	defer w.mu.Unlock()
 	for _, os := range w.objs {
 		base := "slo_" + sanitizeMetric(os.obj.Name)
-		os.stateGauge = reg.Gauge(base+"_state", "SLO state of "+os.obj.Name+" (0 healthy, 1 warning, 2 burning)")
-		os.burnGauge = reg.Gauge(base+"_burn", "short-window burn-rate mean of "+os.obj.Name)
+		os.stateGauge, os.burnGauge = &metrics.Gauge{}, &metrics.Gauge{}
+		reg.Publish(base+"_state", "SLO state of "+os.obj.Name+" (0 healthy, 1 warning, 2 burning)", os.stateGauge)
+		reg.Publish(base+"_burn", "short-window burn-rate mean of "+os.obj.Name, os.burnGauge)
 	}
 }
 

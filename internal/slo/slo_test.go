@@ -238,10 +238,15 @@ func TestEnableMetricsGauges(t *testing.T) {
 	})
 	h.wd.EnableMetrics(reg)
 	h.window(5, 1.0) // burn 10 → burning
-	g := reg.Gauge("slo_req_p99__state", "")
-	if got := g.Value(); got != float64(Burning) {
-		t.Fatalf("state gauge = %g, want %g", got, float64(Burning))
+	for _, m := range reg.Snapshot() {
+		if m.Name == "slo_req_p99__state" {
+			if got := *m.Value; got != float64(Burning) {
+				t.Fatalf("state gauge = %g, want %g", got, float64(Burning))
+			}
+			return
+		}
 	}
+	t.Fatal("state gauge not published")
 }
 
 func TestNilWatchdogSafe(t *testing.T) {

@@ -1,6 +1,6 @@
 // Package stats provides the small statistical toolkit the benchmark harness
-// reports with: streaming moments (Welford), confidence intervals, quantiles
-// and ratios.
+// reports with: streaming moments (Welford), confidence intervals and
+// quantiles.
 package stats
 
 import (
@@ -74,28 +74,6 @@ func (s *Stream) String() string {
 	return fmt.Sprintf("%.4g ± %.2g (n=%d)", s.Mean(), s.CI95(), s.n)
 }
 
-// Merge folds another stream into s (parallel reduction).
-func (s *Stream) Merge(o *Stream) {
-	if o.n == 0 {
-		return
-	}
-	if s.n == 0 {
-		*s = *o
-		return
-	}
-	n := s.n + o.n
-	d := o.mean - s.mean
-	mean := s.mean + d*float64(o.n)/float64(n)
-	m2 := s.m2 + o.m2 + d*d*float64(s.n)*float64(o.n)/float64(n)
-	if o.min < s.min {
-		s.min = o.min
-	}
-	if o.max > s.max {
-		s.max = o.max
-	}
-	s.n, s.mean, s.m2 = n, mean, m2
-}
-
 // Quantile returns the q-quantile (0 ≤ q ≤ 1) of the samples, using linear
 // interpolation. It sorts a copy of the input.
 func Quantile(xs []float64, q float64) float64 {
@@ -115,12 +93,4 @@ func Quantile(xs []float64, q float64) float64 {
 	}
 	frac := pos - float64(lo)
 	return s[lo]*(1-frac) + s[hi]*frac
-}
-
-// Ratio is a convenience for reporting a/b with a zero-denominator guard.
-func Ratio(a, b float64) float64 {
-	if b == 0 {
-		return math.NaN()
-	}
-	return a / b
 }

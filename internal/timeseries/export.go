@@ -81,21 +81,6 @@ func (j *JSONL) Close() error {
 	return err
 }
 
-// ReadJSONL parses a JSONL stream back into snapshots.
-func ReadJSONL(r io.Reader) ([]Snapshot, error) {
-	dec := json.NewDecoder(r)
-	var out []Snapshot
-	for {
-		var s Snapshot
-		if err := dec.Decode(&s); err == io.EOF {
-			return out, nil
-		} else if err != nil {
-			return out, fmt.Errorf("timeseries: %w", err)
-		}
-		out = append(out, s)
-	}
-}
-
 // CSV streams sealed windows as comma-separated rows. The header is derived
 // from the first window's series (sorted by name, one column group per
 // series) and written lazily before the first row; later windows must carry

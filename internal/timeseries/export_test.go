@@ -2,8 +2,10 @@ package timeseries
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"flag"
+	"io"
 	"math"
 	"math/rand"
 	"os"
@@ -75,7 +77,7 @@ func TestGoldenJSONL(t *testing.T) {
 	checkGolden(t, buf.Bytes(), "soak.jsonl")
 
 	// The stream parses back into exactly the snapshots the ring retained.
-	parsed, err := ReadJSONL(bytes.NewReader(buf.Bytes()))
+	parsed, err := readJSONL(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,5 +166,20 @@ func TestJSONLFlushErrorLatches(t *testing.T) {
 	}
 	if err := j.Close(); err == nil {
 		t.Fatal("close lost the latched error")
+	}
+}
+
+// readJSONL parses a JSONL stream back into snapshots.
+func readJSONL(r io.Reader) ([]Snapshot, error) {
+	dec := json.NewDecoder(r)
+	var out []Snapshot
+	for {
+		var s Snapshot
+		if err := dec.Decode(&s); err == io.EOF {
+			return out, nil
+		} else if err != nil {
+			return out, err
+		}
+		out = append(out, s)
 	}
 }

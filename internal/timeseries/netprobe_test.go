@@ -9,25 +9,34 @@ import (
 	"repro/internal/topo"
 )
 
+// bits returns a wavelength set of capacity n holding exactly idx.
+func bits(n int, idx ...int) *bitset.Set {
+	s := bitset.New(n)
+	for _, i := range idx {
+		s.Add(i)
+	}
+	return s
+}
+
 func TestFragmentation(t *testing.T) {
 	almost := func(a, b float64) bool { return math.Abs(a-b) < 1e-12 }
 
 	if Fragmentation(bitset.New(8)) != 0 {
 		t.Fatal("empty set must report 0, not NaN")
 	}
-	if Fragmentation(bitset.NewFull(8)) != 0 {
+	if Fragmentation(bits(8, 0, 1, 2, 3, 4, 5, 6, 7)) != 0 {
 		t.Fatal("contiguous full set must report 0")
 	}
 	// One contiguous block, offset from zero: still unfragmented.
-	if got := Fragmentation(bitset.FromSlice(16, []int{5, 6, 7, 8})); got != 0 {
+	if got := Fragmentation(bits(16, 5, 6, 7, 8)); got != 0 {
 		t.Fatalf("contiguous block frag = %g", got)
 	}
 	// Alternating bits: 4 free, longest run 1 → 1 − 1/4.
-	if got := Fragmentation(bitset.FromSlice(8, []int{0, 2, 4, 6})); !almost(got, 0.75) {
+	if got := Fragmentation(bits(8, 0, 2, 4, 6)); !almost(got, 0.75) {
 		t.Fatalf("alternating frag = %g, want 0.75", got)
 	}
 	// Two islands of 2 in 6 free → 1 − 2/4.
-	if got := Fragmentation(bitset.FromSlice(8, []int{0, 1, 4, 5})); !almost(got, 0.5) {
+	if got := Fragmentation(bits(8, 0, 1, 4, 5)); !almost(got, 0.5) {
 		t.Fatalf("two-island frag = %g, want 0.5", got)
 	}
 }
@@ -126,7 +135,7 @@ func TestSampleNetworkGauges(t *testing.T) {
 		if p.Latest() != sampled || sampled.Time != float64(w) {
 			t.Fatalf("window %d: Latest = %p, sampled %p at t=%g", w, p.Latest(), sampled, sampled.Time)
 		}
-		s := c.Latest()
+		s := latest(c)
 		for name, want := range map[string]float64{
 			SeriesActiveConns:  float64(sampled.ActiveConns),
 			SeriesLinkLoadMean: sampled.MeanLoad,

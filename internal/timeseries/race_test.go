@@ -43,8 +43,7 @@ func TestConcurrentScrape(t *testing.T) {
 						return
 					}
 				}
-				c.Latest()
-				c.Len()
+				c.Snapshots(1)
 				c.TotalSealed()
 				c.SinkErr()
 			}
@@ -129,7 +128,7 @@ func TestMultiWriterWindowsConserve(t *testing.T) {
 		t.Fatalf("a sealed window did not encode: %v", err)
 	}
 
-	snaps, err := ReadJSONL(&buf)
+	snaps, err := readJSONL(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}

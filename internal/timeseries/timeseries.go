@@ -255,25 +255,12 @@ func (c *Collector) Advance(t float64) {
 	target := c.windowIndex(t)
 	for {
 		c.mu.Lock()
-		if target <= c.curIdx {
-			c.mu.Unlock()
+		open := c.curIdx
+		c.mu.Unlock()
+		if target <= open {
 			return
 		}
-		sealEnd := float64(c.curIdx+1) * c.window
-		probes := c.onSeal
-		c.mu.Unlock()
-		// Probes run unlocked so they can use the public instrument API;
-		// the single-owner contract keeps this safe.
-		for _, fn := range probes {
-			fn(sealEnd)
-		}
-		c.mu.Lock()
-		snap := c.sealLocked()
-		observers := c.onSealed
-		c.mu.Unlock()
-		for _, fn := range observers {
-			fn(snap)
-		}
+		c.sealNext()
 	}
 }
 
@@ -284,6 +271,13 @@ func (c *Collector) Seal() {
 	if c == nil {
 		return
 	}
+	c.sealNext()
+}
+
+// sealNext seals the open window: the OnSeal probes, then sealLocked, then
+// the OnSealed observers. Probes and observers run unlocked so they can use
+// the public instrument API; the single-owner contract keeps this safe.
+func (c *Collector) sealNext() {
 	c.mu.Lock()
 	sealEnd := float64(c.curIdx+1) * c.window
 	probes := c.onSeal
@@ -345,16 +339,6 @@ func (c *Collector) sealLocked() *Snapshot {
 	return &snap
 }
 
-// Len returns the number of sealed windows currently retained.
-func (c *Collector) Len() int {
-	if c == nil {
-		return 0
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.ringLen
-}
-
 // TotalSealed returns how many windows have been sealed over the
 // collector's lifetime (including ones since evicted from the ring).
 func (c *Collector) TotalSealed() uint64 {
@@ -398,13 +382,4 @@ func (c *Collector) Snapshots(last int) []Snapshot {
 		out[i] = c.ring[(start+i)%len(c.ring)]
 	}
 	return out
-}
-
-// Latest returns the newest sealed window, or nil when none sealed yet.
-func (c *Collector) Latest() *Snapshot {
-	s := c.Snapshots(1)
-	if len(s) == 0 {
-		return nil
-	}
-	return &s[0]
 }

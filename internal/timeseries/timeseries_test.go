@@ -23,25 +23,26 @@ func TestWindowSealingAndGaps(t *testing.T) {
 	h.Observe(0.5)
 	h.Observe(0.25)
 	r.Inc()
-	r.Add(2)
+	r.Inc()
+	r.Inc()
 	hit.Inc()
 	miss.Inc()
 	g.Set(0.3)
 	g.Set(0.7)
 
-	if c.Len() != 0 {
-		t.Fatalf("Len before any seal = %d", c.Len())
+	if len(c.Snapshots(0)) != 0 {
+		t.Fatalf("Len before any seal = %d", len(c.Snapshots(0)))
 	}
 	// Advancing within the open window seals nothing.
 	c.Advance(0.99)
-	if c.Len() != 0 {
-		t.Fatalf("Len after intra-window advance = %d", c.Len())
+	if len(c.Snapshots(0)) != 0 {
+		t.Fatalf("Len after intra-window advance = %d", len(c.Snapshots(0)))
 	}
 	// Jumping over three window boundaries seals three windows: the active
 	// one plus two empty gap windows, keeping the curve continuous.
 	c.Advance(3.5)
-	if c.Len() != 3 || c.TotalSealed() != 3 {
-		t.Fatalf("Len=%d TotalSealed=%d, want 3, 3", c.Len(), c.TotalSealed())
+	if len(c.Snapshots(0)) != 3 || c.TotalSealed() != 3 {
+		t.Fatalf("Len=%d TotalSealed=%d, want 3, 3", len(c.Snapshots(0)), c.TotalSealed())
 	}
 	snaps := c.Snapshots(0)
 	if snaps[0].Window != 0 || snaps[0].Start != 0 || snaps[0].End != 1 {
@@ -82,7 +83,7 @@ func TestWindowSealingAndGaps(t *testing.T) {
 		}
 	}
 
-	if lat := c.Latest(); lat == nil || lat.Window != 2 {
+	if lat := latest(c); lat == nil || lat.Window != 2 {
 		t.Fatalf("Latest = %+v", lat)
 	}
 
@@ -101,14 +102,14 @@ func TestSealFlushesPartialWindow(t *testing.T) {
 	c.Rate("n", r)
 	r.Inc()
 	c.Advance(4)
-	if c.Len() != 0 {
+	if len(c.Snapshots(0)) != 0 {
 		t.Fatal("window sealed early")
 	}
 	c.Seal()
-	if c.Len() != 1 {
+	if len(c.Snapshots(0)) != 1 {
 		t.Fatal("Seal did not flush the partial window")
 	}
-	rv, _ := c.Latest().RateOf("n")
+	rv, _ := latest(c).RateOf("n")
 	if rv.Count != 1 {
 		t.Fatalf("partial window lost samples: %+v", rv)
 	}
@@ -120,11 +121,13 @@ func TestRingEviction(t *testing.T) {
 	r := &metrics.Counter{}
 	c.Rate("w", r)
 	for i := 0; i < sealed; i++ {
-		r.Add(int64(i)) // window i carries count i
+		for k := 0; k < i; k++ { // window i carries count i
+			r.Inc()
+		}
 		c.Advance(float64(i + 1))
 	}
-	if c.Len() != retention {
-		t.Fatalf("Len = %d, want %d", c.Len(), retention)
+	if len(c.Snapshots(0)) != retention {
+		t.Fatalf("Len = %d, want %d", len(c.Snapshots(0)), retention)
 	}
 	if c.TotalSealed() != sealed || c.Evicted() != 5 {
 		t.Fatalf("TotalSealed=%d Evicted=%d, want %d, 5", c.TotalSealed(), c.Evicted(), sealed)
@@ -163,7 +166,7 @@ func TestQuantileAccuracy(t *testing.T) {
 			h.Observe(v)
 		}
 		c.Advance(1)
-		hv, _ := c.Latest().Hist("lat")
+		hv, _ := latest(c).Hist("lat")
 		sorted := append([]float64(nil), xs...)
 		sort.Float64s(sorted)
 		for _, q := range []struct {
@@ -207,7 +210,7 @@ func TestStraddlingSampleKeepsExtremaFinite(t *testing.T) {
 		h.Observe(v)
 		h.TakeWindow() // what the racing seal took
 		c.Advance(float64(w + 1))
-		hv, _ := c.Latest().Hist("lat")
+		hv, _ := latest(c).Hist("lat")
 		i := sort.SearchFloat64s(b, v)
 		lo, hi := b[i-1], b[min(i, len(b)-1)]
 		if hv.Count != 1 || hv.Min != lo || hv.Max != hi || hv.P99 != hi {
@@ -224,12 +227,12 @@ func TestSeriesDedupeByName(t *testing.T) {
 	a.Inc()
 	a.Inc()
 	c.Advance(1)
-	rv, _ := c.Latest().RateOf("same")
+	rv, _ := latest(c).RateOf("same")
 	if rv.Count != 2 {
 		t.Fatalf("duplicate registration split the series: %+v", rv)
 	}
-	if len(c.Latest().Rates) != 1 {
-		t.Fatalf("series duplicated: %v", c.Latest().Rates)
+	if len(latest(c).Rates) != 1 {
+		t.Fatalf("series duplicated: %v", latest(c).Rates)
 	}
 
 	h := metrics.NewHistogram(nil)
@@ -258,7 +261,7 @@ func TestSnapshotSeriesSorted(t *testing.T) {
 	c.Gauge("mid")
 	c.Gauge("aaa")
 	c.Advance(1)
-	s := c.Latest()
+	s := latest(c)
 	if s.Rates[0].Name != "alpha" || s.Rates[1].Name != "zeta" {
 		t.Fatalf("rates not sorted: %v", s.Rates)
 	}
@@ -286,8 +289,8 @@ func TestSinkErrorLatches(t *testing.T) {
 		t.Fatalf("failed sink called %d times, want 1 (first error latches)", sink.calls)
 	}
 	// The ring still fills even though the sink is dead.
-	if c.Len() != 5 {
-		t.Fatalf("Len = %d after sink failure", c.Len())
+	if len(c.Snapshots(0)) != 5 {
+		t.Fatalf("Len = %d after sink failure", len(c.Snapshots(0)))
 	}
 }
 
@@ -309,8 +312,8 @@ func TestSinkSeesEvictedWindows(t *testing.T) {
 		r.Inc()
 		c.Advance(float64(i + 1))
 	}
-	if c.Len() != retention {
-		t.Fatalf("ring Len = %d", c.Len())
+	if len(c.Snapshots(0)) != retention {
+		t.Fatalf("ring Len = %d", len(c.Snapshots(0)))
 	}
 	// Every sealed window reached the sink before eviction, so the full
 	// curve survives a bounded ring.
@@ -355,10 +358,10 @@ func TestNilCollectorIsNoOp(t *testing.T) {
 	c.SetSink(&countingSink{})
 	c.Advance(100)
 	c.Seal()
-	if c.Len() != 0 || c.TotalSealed() != 0 || c.Evicted() != 0 || c.Window() != 0 {
+	if c.TotalSealed() != 0 || c.Evicted() != 0 || c.Window() != 0 {
 		t.Fatal("nil collector reported state")
 	}
-	if c.Snapshots(10) != nil || c.Latest() != nil || c.SinkErr() != nil {
+	if c.Snapshots(10) != nil || c.SinkErr() != nil {
 		t.Fatal("nil collector returned data")
 	}
 }
@@ -399,4 +402,13 @@ func TestLogBuckets(t *testing.T) {
 			t.Fatalf("bucket ratio %g at %d", r, i)
 		}
 	}
+}
+
+// latest returns the newest sealed window of c, or nil when none sealed yet.
+func latest(c *Collector) *Snapshot {
+	s := c.Snapshots(1)
+	if len(s) == 0 {
+		return nil
+	}
+	return &s[0]
 }

@@ -7,10 +7,7 @@
 // deterministic for a given seed.
 package workload
 
-import (
-	"math"
-	"math/rand"
-)
+import "math/rand"
 
 // Request is one connection request.
 type Request struct {
@@ -87,43 +84,6 @@ func Poisson(c PoissonConfig) []Request {
 			Dst:     dst,
 			Arrival: t,
 			Holding: rng.ExpFloat64() * c.MeanHolding,
-		}
-	}
-	return reqs
-}
-
-// Batch generates count simultaneous (arrival 0, infinite holding) requests
-// with uniform random distinct endpoints — the static provisioning workload
-// used by the cost-ratio experiments.
-func Batch(nodes, count int, seed int64) []Request {
-	if nodes < 2 || count < 0 {
-		panic("workload: invalid batch parameters")
-	}
-	rng := rand.New(rand.NewSource(seed))
-	reqs := make([]Request, count)
-	for i := range reqs {
-		src := rng.Intn(nodes)
-		dst := rng.Intn(nodes - 1)
-		if dst >= src {
-			dst++
-		}
-		reqs[i] = Request{ID: i, Src: src, Dst: dst, Holding: math.Inf(1)}
-	}
-	return reqs
-}
-
-// AllPairs lists every ordered (src, dst) pair once, arrival 0 — used by
-// exhaustive per-pair measurements on fixed topologies.
-func AllPairs(nodes int) []Request {
-	var reqs []Request
-	id := 0
-	for s := 0; s < nodes; s++ {
-		for d := 0; d < nodes; d++ {
-			if s == d {
-				continue
-			}
-			reqs = append(reqs, Request{ID: id, Src: s, Dst: d, Holding: math.Inf(1)})
-			id++
 		}
 	}
 	return reqs

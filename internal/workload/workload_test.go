@@ -114,39 +114,6 @@ func TestPoissonValidation(t *testing.T) {
 	}
 }
 
-func TestBatch(t *testing.T) {
-	reqs := Batch(6, 100, 1)
-	if len(reqs) != 100 {
-		t.Fatalf("len = %d", len(reqs))
-	}
-	for _, r := range reqs {
-		if r.Src == r.Dst || r.Arrival != 0 || !math.IsInf(r.Holding, 1) {
-			t.Fatalf("bad batch request %+v", r)
-		}
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Batch(1, 1, 0) should panic")
-		}
-	}()
-	Batch(1, 1, 0)
-}
-
-func TestAllPairs(t *testing.T) {
-	reqs := AllPairs(5)
-	if len(reqs) != 20 {
-		t.Fatalf("len = %d, want 20", len(reqs))
-	}
-	seen := map[[2]int]bool{}
-	for _, r := range reqs {
-		key := [2]int{r.Src, r.Dst}
-		if seen[key] {
-			t.Fatalf("duplicate pair %v", key)
-		}
-		seen[key] = true
-	}
-}
-
 // Property: endpoints always valid and distinct for any seed/size.
 func TestQuickEndpointsValid(t *testing.T) {
 	f := func(seed int64, nRaw uint8) bool {

@@ -141,13 +141,6 @@ func OptimalSemilightpath(net *Network, s, t int) (*Semilightpath, float64, bool
 	return lightpath.Optimal(net, s, t, nil)
 }
 
-// BoundedSemilightpath returns the minimum-cost semilightpath using at most
-// maxHops links — the delay-constrained variant (§2 lists route delay among
-// the network resources).
-func BoundedSemilightpath(net *Network, s, t, maxHops int) (*Semilightpath, float64, bool) {
-	return lightpath.OptimalBounded(net, s, t, maxHops, nil)
-}
-
 // ExactSolution is an exact optimum from the §3.1 solvers.
 type ExactSolution = exact.Solution
 

@@ -195,14 +195,6 @@ func TestFacadeMatrices(t *testing.T) {
 	}
 }
 
-func TestFacadeBounded(t *testing.T) {
-	net := NSFNET(TopoConfig{W: 4})
-	p, c, ok := BoundedSemilightpath(net, 0, 13, 3)
-	if !ok || p.Len() > 3 || c <= 0 {
-		t.Fatalf("bounded: len=%d cost=%g ok=%v", p.Len(), c, ok)
-	}
-}
-
 func TestFacadeReoptimize(t *testing.T) {
 	prov := Provision(NSFNET(TopoConfig{W: 4}), []Demand{{ID: 0, Src: 0, Dst: 13}},
 		ProvisionConfig{Algorithm: AlgoMinCost})
