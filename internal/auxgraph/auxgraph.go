@@ -777,9 +777,6 @@ func meanConvCost(net *wdm.Network, conv wdm.Converter, ein, eout int) (bool, fl
 	return true, sum / float64(k)
 }
 
-// Net returns the physical network the aux graph was built from.
-func (a *Aux) Net() *wdm.Network { return a.net }
-
 // OutNode returns the aux vertex of u_out^e for link e, or −1 if the link is
 // filtered out under the current weights.
 func (a *Aux) OutNode(link int) int {

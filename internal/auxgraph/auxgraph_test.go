@@ -387,11 +387,13 @@ func BenchmarkBuildCost(b *testing.B) {
 	}
 }
 
+// TestNetAccessor: an aux graph records the network it was built from — the
+// net field every weight and route lookup reads through.
 func TestNetAccessor(t *testing.T) {
 	net := fig1Net()
 	a := build(net, 0, 2, Params{Kind: Cost})
-	if a.Net() != net {
-		t.Fatal("Net accessor wrong")
+	if a.net != net {
+		t.Fatal("aux graph does not record the network it was built from")
 	}
 }
 

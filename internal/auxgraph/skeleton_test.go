@@ -341,7 +341,7 @@ func TestFollowRefusesUnsoundMoves(t *testing.T) {
 	if sk.Follow(writer.CloneSince(cur)) {
 		t.Error("Follow accepted a structural change")
 	}
-	if got := sk.ReweightAt(0, 1, Params{Kind: Cost}).Net(); got != cur {
+	if got := sk.ReweightAt(0, 1, Params{Kind: Cost}).net; got != cur {
 		t.Error("a refused Follow moved the skeleton")
 	}
 	if !sk.Follow(cur) {

@@ -25,13 +25,25 @@ import (
 //   - one pair per Yen k-shortest path: the path plus its cheapest
 //     edge-disjoint partner.
 //
-// Admission against the residual network stays exact per candidate: a
-// word-at-a-time bitset availability check rejects dead routes, then the
+// Admission against the residual network stays exact per candidate: the
+// links' occupancy counters (U(e) >= N(e)) reject dead routes, then the
 // fixed-route wavelength-assignment DP (the Lemma 2 oracle) prices the
 // survivors and the cheapest feasible pair wins. Only the route *choice* is
 // restricted to the cached candidates; when none is feasible the router falls
 // back to the exact tier, so the tier can reduce accuracy only by a bounded
 // route detour, never block a servable request.
+//
+// Each candidate route also carries a static lower bound on its DP cost: the
+// sum, in route order, of every link's cheapest installed wavelength cost. A
+// pair whose bound cannot beat the best pair priced so far is skipped before
+// the pre-check and the DP. The bound never exceeds the DP's cost under any
+// residual state — link costs are fixed once a link is added (a new link
+// invalidates the table), the available wavelengths are a subset of the
+// installed ones, every allowed conversion costs at least 0, and rounded
+// float addition is monotone, so a sum taken in the DP's hop order never
+// rises above the DP's (dp+cc)+base. A pair replaces the best only when it
+// is strictly cheaper, so a skipped pair could not have won and the tier's
+// answer is the one the exhaustive loop gives.
 type CandidateTable struct {
 	k      int
 	n      int
@@ -40,7 +52,8 @@ type CandidateTable struct {
 }
 
 type candPair struct {
-	route1, route2 []int // physical link IDs, edge-disjoint by construction
+	route1, route2 []int   // physical link IDs, edge-disjoint by construction
+	lb1, lb2       float64 // lower bounds on the routes' DP costs (routeBound)
 }
 
 // NewCandidateTable builds a table with up to k candidate pairs for every
@@ -58,23 +71,54 @@ func NewCandidateTable(net *wdm.Network, k int) *CandidateTable {
 		pairs:  make([][]candPair, n*n),
 	}
 	g := graph.New(n)
+	cheapest := make([]float64, net.Links())
 	for id := 0; id < net.Links(); id++ {
 		l := net.Link(id)
 		if l.N() == 0 {
 			continue // carries nothing; never a candidate hop
 		}
 		g.AddEdgeAux(l.From, l.To, staticMeanCost(l), id)
+		cheapest[id] = cheapestInstalledCost(l)
 	}
 	var ws disjoint.Workspace
 	var sp graph.Workspace
 	for s := 0; s < n; s++ {
 		for d := 0; d < n; d++ {
-			if s != d {
-				t.pairs[s*n+d] = generate(g, &ws, &sp, s, d, k)
+			if s == d {
+				continue
 			}
+			ps := generate(g, &ws, &sp, s, d, k)
+			for i := range ps {
+				ps[i].lb1 = routeBound(cheapest, ps[i].route1)
+				ps[i].lb2 = routeBound(cheapest, ps[i].route2)
+			}
+			t.pairs[s*n+d] = ps
 		}
 	}
 	return t
+}
+
+// cheapestInstalledCost is min_{λ∈Λ(e)} w(e,λ): no assignment on the link,
+// whatever its residual state, pays less.
+func cheapestInstalledCost(l *wdm.Link) float64 {
+	m := math.Inf(1)
+	l.Lambda().ForEach(func(lam int) bool {
+		m = min(m, l.Cost(lam))
+		return true
+	})
+	return m
+}
+
+// routeBound is the static lower bound on a route's assignment cost: the
+// links' cheapest installed costs summed in route order, starting from the
+// first link's as the DP starts from its first hop's, so each partial sum
+// rounds no higher than the DP's partial cost at that hop.
+func routeBound(cheapest []float64, route []int) float64 {
+	sum := cheapest[route[0]]
+	for _, id := range route[1:] {
+		sum += cheapest[id]
+	}
+	return sum
 }
 
 // staticMeanCost is the candidate-generation link weight: the mean cost over
@@ -208,12 +252,18 @@ func (r *Router) candidateRoute(net *wdm.Network, s, t int, tab *CandidateTable)
 	bestCost := math.Inf(1)
 	for ci := range cands {
 		cp := &cands[ci]
+		// A pair wins only when strictly cheaper than the best so far, and
+		// its bounds never exceed its DP costs: skip any pair (or its second
+		// route) whose bound already reaches the best.
+		if cp.lb1+cp.lb2 >= bestCost {
+			continue
+		}
 		if !routeAvailable(net, cp.route1) || !routeAvailable(net, cp.route2) {
 			continue
 		}
 		h1, c1, ok := lightpath.AssignInto(&cs.aw, net, cp.route1, cs.cur[0])
 		cs.cur[0] = h1
-		if !ok {
+		if !ok || c1+cp.lb2 >= bestCost {
 			continue
 		}
 		h2, c2, ok := lightpath.AssignInto(&cs.aw, net, cp.route2, cs.cur[1])

@@ -41,8 +41,9 @@ type Options struct {
 	Base float64
 	// CandidateTable enables the precomputed candidate-path fast tier: the
 	// table's edge-disjoint route pairs (NewCandidateTable) are tried with
-	// bitset feasibility checks and per-route optimal wavelength assignment
-	// before ApproxMinCost falls back to the exact auxiliary-graph pipeline.
+	// occupancy-counter feasibility checks and per-route optimal wavelength
+	// assignment, skipping pairs whose static cost bound cannot win, before
+	// ApproxMinCost falls back to the exact auxiliary-graph pipeline.
 	// A table never changes once built, so concurrent routers may share one.
 	// It must have been built from the same network the routing calls use,
 	// or from a Clone ancestor with identical structure; otherwise the tier

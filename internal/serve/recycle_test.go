@@ -128,6 +128,11 @@ func TestRecyclePoolBounded(t *testing.T) {
 // publishes often overtake it there. A reader that reads a snapshot being
 // recycled — a pin that skips its re-load check, or a publish that reuses a
 // pinned snapshot — sees a mismatch, and the race detector a race.
+//
+// The readers are all in their loops before the first commit, and each
+// committer yields after each publish, so the reads overlap the churn even
+// on one P: left to the scheduler, the committers can finish every epoch
+// before any reader has run.
 func TestRecyclePinnedChecksumsUnderChurn(t *testing.T) {
 	const committers, perCommitter, readers = 2, 5000, 4
 	pinLoaded = runtime.Gosched
@@ -136,31 +141,15 @@ func TestRecyclePinnedChecksumsUnderChurn(t *testing.T) {
 	sums := make([]uint64, committers*perCommitter+1) // sums[epoch], written before the epoch is published
 	sum := availSum(st.cur)
 	sums[0] = sum
-	var commitMu sync.Mutex
 	var done atomic.Bool
-	var wg sync.WaitGroup
-	for c := 0; c < committers; c++ {
-		wg.Add(1)
-		go func(seed int64) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(seed))
-			for i := 0; i < perCommitter; i++ {
-				commitMu.Lock()
-				for k := 0; k < 1+rng.Intn(3); k++ {
-					sum ^= flip(t, st.cur, rng.Intn(st.cur.Links()), rng.Intn(st.cur.W()))
-				}
-				sums[st.epoch()+1] = sum
-				st.publish()
-				commitMu.Unlock()
-			}
-		}(int64(c + 1))
-	}
 	var reads atomic.Int64
-	var rwg sync.WaitGroup
+	var rwg, ready sync.WaitGroup
+	ready.Add(readers)
 	for r := 0; r < readers; r++ {
 		rwg.Add(1)
 		go func() {
 			defer rwg.Done()
+			ready.Done()
 			for !done.Load() {
 				s := st.pin()
 				want := sums[s.epoch]
@@ -176,6 +165,26 @@ func TestRecyclePinnedChecksumsUnderChurn(t *testing.T) {
 				reads.Add(1)
 			}
 		}()
+	}
+	ready.Wait()
+	var commitMu sync.Mutex
+	var wg sync.WaitGroup
+	for c := 0; c < committers; c++ {
+		wg.Add(1)
+		go func(seed int64) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(seed))
+			for i := 0; i < perCommitter; i++ {
+				commitMu.Lock()
+				for k := 0; k < 1+rng.Intn(3); k++ {
+					sum ^= flip(t, st.cur, rng.Intn(st.cur.Links()), rng.Intn(st.cur.W()))
+				}
+				sums[st.epoch()+1] = sum
+				st.publish()
+				commitMu.Unlock()
+				runtime.Gosched()
+			}
+		}(int64(c + 1))
 	}
 	wg.Wait()
 	done.Store(true)

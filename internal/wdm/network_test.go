@@ -250,16 +250,12 @@ func TestSemilightpathValidate(t *testing.T) {
 func TestSemilightpathAccessors(t *testing.T) {
 	g := lineNet(2, 1, 1)
 	p := &Semilightpath{Hops: []Hop{{0, 0}, {1, 1}}}
-	if p.Len() != 2 || p.Source(g) != 0 || p.Dest(g) != 2 {
+	if p.Len() != 2 || p.Source(g) != 0 {
 		t.Fatal("accessors wrong")
 	}
 	nodes := p.Nodes(g)
 	if len(nodes) != 3 || nodes[0] != 0 || nodes[1] != 1 || nodes[2] != 2 {
 		t.Fatalf("Nodes = %v", nodes)
-	}
-	ids := p.LinkIDs()
-	if len(ids) != 2 || ids[0] != 0 || ids[1] != 1 {
-		t.Fatalf("LinkIDs = %v", ids)
 	}
 	if (&Semilightpath{}).Nodes(g) != nil {
 		t.Fatal("empty path Nodes should be nil")

@@ -25,18 +25,6 @@ func (p *Semilightpath) Len() int { return len(p.Hops) }
 // Source returns the first node of the path (panics on an empty path).
 func (p *Semilightpath) Source(g *Network) int { return g.Link(p.Hops[0].Link).From }
 
-// Dest returns the last node of the path (panics on an empty path).
-func (p *Semilightpath) Dest(g *Network) int { return g.Link(p.Hops[len(p.Hops)-1].Link).To }
-
-// LinkIDs returns the link IDs along the path in order.
-func (p *Semilightpath) LinkIDs() []int {
-	ids := make([]int, len(p.Hops))
-	for i, h := range p.Hops {
-		ids[i] = h.Link
-	}
-	return ids
-}
-
 // Nodes returns the node sequence visited by the path (length Len()+1).
 func (p *Semilightpath) Nodes(g *Network) []int {
 	if len(p.Hops) == 0 {

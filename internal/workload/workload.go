@@ -44,9 +44,6 @@ type PoissonConfig struct {
 // Pair is an endpoint pair.
 type Pair struct{ Src, Dst int }
 
-// OfferedLoad returns the offered traffic in Erlang, λ/μ.
-func (c PoissonConfig) OfferedLoad() float64 { return c.ArrivalRate * c.MeanHolding }
-
 // Poisson generates a request stream per the config. It panics on invalid
 // parameters.
 func Poisson(c PoissonConfig) []Request {

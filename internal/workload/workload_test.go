@@ -8,9 +8,6 @@ import (
 
 func TestPoissonBasics(t *testing.T) {
 	c := PoissonConfig{Nodes: 10, ArrivalRate: 2, MeanHolding: 5, Count: 1000, Seed: 1}
-	if c.OfferedLoad() != 10 {
-		t.Fatalf("OfferedLoad = %g", c.OfferedLoad())
-	}
 	reqs := Poisson(c)
 	if len(reqs) != 1000 {
 		t.Fatalf("len = %d", len(reqs))
