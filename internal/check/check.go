@@ -188,8 +188,10 @@ func PairLoad(net *wdm.Network, paths ...*wdm.Semilightpath) float64 {
 
 // LoadAccounting audits the residual-state bookkeeping of the whole network:
 // on every link Λ_avail(e) ⊆ Λ(e), the derived U(e) and ρ(e) agree with the
-// set cardinalities, per-link loads lie in [0, 1], and NetworkLoad equals
-// the recomputed maximum (Eq. 2).
+// set cardinalities, per-link loads lie in [0, 1], and NetworkLoad — the ρ
+// wdm.Network keeps up to date on every Use and Release — equals the
+// recomputed maximum (Eq. 2) exactly: both are the maximum of the same
+// float values.
 func LoadAccounting(net *wdm.Network) error {
 	maxLoad := 0.0
 	for id := 0; id < net.Links(); id++ {
@@ -228,7 +230,7 @@ func LoadAccounting(net *wdm.Network) error {
 			maxLoad = load
 		}
 	}
-	if got := net.NetworkLoad(); math.Abs(got-maxLoad) > 1e-12 {
+	if got := net.NetworkLoad(); got != maxLoad {
 		return fmt.Errorf("check: NetworkLoad() = %g, recomputed max ρ = %g", got, maxLoad)
 	}
 	return nil

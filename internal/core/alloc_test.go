@@ -60,6 +60,31 @@ func TestWarmRouterAllocBudget(t *testing.T) {
 	}
 }
 
+// TestBlockedFallbackAllocatesNothing: a request the candidate tier
+// declines and the feasibility test blocks costs a warm router no
+// allocation, with or without Options.ReuseResult (a block copies nothing
+// out).
+func TestBlockedFallbackAllocatesNothing(t *testing.T) {
+	net := topo.NSFNET(topo.Config{W: 8})
+	for _, id := range net.Out(2)[1:] { // node 2 keeps one usable out-link
+		for lam := 0; lam < net.W(); lam++ {
+			if err := net.Use(id, lam); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	tab := NewCandidateTable(net, 4)
+	for _, reuse := range []bool{false, true} {
+		r := NewRouter(&Options{CandidateTable: tab, ReuseResult: reuse})
+		if _, ok := r.ApproxMinCost(net, 2, 11); ok || r.LastTier() != TierFallback {
+			t.Fatalf("reuse %v: ok %v, tier %v; want a blocked fallback", reuse, ok, r.LastTier())
+		}
+		if allocs := testing.AllocsPerRun(100, func() { r.ApproxMinCost(net, 2, 11) }); allocs != 0 {
+			t.Errorf("reuse %v: blocked fallback = %.0f allocs/op, want 0", reuse, allocs)
+		}
+	}
+}
+
 // TestTracerDisabledAddsNoAllocs pins the observability contract of the
 // zero-allocation work: a Router whose tracer was detached must allocate
 // exactly as much per request as a Router that never had one — the off

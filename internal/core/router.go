@@ -42,6 +42,7 @@ type Router struct {
 	arena resultArena
 	order []int     // bottleneck pass: link IDs in key order, kept between passes
 	key   []float64 // bottleneck pass: per-link key
+	free  []int     // feasibility test: the links with an available wavelength
 
 	tracer   *obs.Tracer
 	lastReq  int64 // request ID of the most recent traced call (-1 when untraced)
@@ -191,10 +192,12 @@ func (r *Router) skeleton(net *wdm.Network, nodeDisjoint bool, tc *obs.Trace) *a
 // restricted conversion). When the candidate-path fast tier is enabled
 // (Options.CandidateTable) it is tried first; the
 // exact auxiliary-graph pipeline runs only when no cached candidate pair is
-// currently feasible.
+// currently feasible, and only after a max-flow test (feasible) finds that
+// some pair is: a request the tier declines is often one nothing can serve.
 func (r *Router) ApproxMinCost(net *wdm.Network, s, t int) (*Result, bool) {
 	tc := r.begin("min-cost", s, t)
-	if tab := r.candidateTable(net); tab != nil {
+	tab := r.candidateTable(net)
+	if tab != nil {
 		if res, ok := r.candidateRoute(net, s, t, tab); ok {
 			r.lastTier = TierCandidate
 			tc.Str("tier", "candidate")
@@ -204,7 +207,12 @@ func (r *Router) ApproxMinCost(net *wdm.Network, s, t int) (*Result, bool) {
 		r.lastTier = TierFallback
 		tc.Str("tier", "exact-fallback")
 	}
-	a := r.skeleton(net, false, tc).ReweightAt(s, t, auxgraph.Params{Kind: auxgraph.Cost, Trace: tc})
+	sk := r.skeleton(net, false, tc)
+	if tab != nil && !r.feasible(net, sk, s, t, tc) {
+		r.finish(tc, net, nil, false, false)
+		return nil, false
+	}
+	a := sk.ReweightAt(s, t, auxgraph.Params{Kind: auxgraph.Cost, Trace: tc})
 	pair, ok := r.ws.Suurballe(a.G, a.S, a.T)
 	if !ok {
 		r.finish(tc, net, nil, false, false)
@@ -312,8 +320,7 @@ func (r *Router) bottleneck(sk *auxgraph.Skeleton, s, t int) (lstar float64, aug
 		}
 		order[j] = id
 	}
-	g, src, dst := sk.BeginAdmit(s, t)
-	augs = r.ws.StartFlow(g, src, dst)
+	augs = r.startFlow(sk, s, t)
 	for lo := 0; lo < len(order); {
 		low := key[order[lo]]
 		if math.IsInf(low, 1) {
@@ -329,6 +336,44 @@ func (r *Router) bottleneck(sk *auxgraph.Skeleton, s, t int) (lstar float64, aug
 		lo = hi
 	}
 	return math.Inf(1), augs
+}
+
+// startFlow starts an admission pass of sk for (s, t)
+// (auxgraph.Skeleton.BeginAdmit) and the incremental two-path flow search
+// over its graph, with no link admitted yet, and returns the flow so far.
+func (r *Router) startFlow(sk *auxgraph.Skeleton, s, t int) int {
+	g, src, dst := sk.BeginAdmit(s, t)
+	return r.ws.StartFlow(g, src, dst)
+}
+
+// feasible reports whether G′ for (s, t) carries two edge-disjoint s′→t″
+// paths — whether Suurballe can succeed on it — by one admission pass that
+// admits every link with an available wavelength in one group: by
+// BeginAdmit's contract the pass graph then has exactly the edges
+// ReweightAt(Cost) enables, or the physical graph with the same two-path
+// flow. A flow below 2 means no edge-disjoint pair exists, whatever the
+// weights, so the exact pipeline would block too. On a fully converting
+// network this is an O(n + m) search on the physical graph. The next
+// ReweightAt rewrites every bit the pass touched, so a pipeline that
+// continues after it answers as on a fresh skeleton.
+func (r *Router) feasible(net *wdm.Network, sk *auxgraph.Skeleton, s, t int, tc *obs.Trace) bool {
+	sp := tc.Begin("feasibility")
+	r.startFlow(sk, s, t) // no link admitted yet: flow 0
+	m := net.Links()
+	if len(r.free) < m {
+		r.free = make([]int, m)
+	}
+	n := 0
+	for id := 0; id < m; id++ {
+		if l := net.Link(id); l.U() < l.N() {
+			r.free[n] = id
+			n++
+		}
+	}
+	augs := r.ws.ExtendFlow(sk.Admit(r.free[:n]))
+	tc.SpanInt(sp, "augmentations", int64(augs))
+	tc.EndSpan(sp)
+	return augs == 2
 }
 
 // minCogSearch is the Find_Two_Paths_MinCog doubling threshold search (see

@@ -151,6 +151,38 @@ func TestRouterTracesBlockedRequest(t *testing.T) {
 	if tc.Status != obs.StatusBlocked || tc.Payload != nil || explain.Of(tc) != nil {
 		t.Fatalf("status=%q payload=%v; want blocked, no report", tc.Status, tc.Payload)
 	}
+
+	// Behind the candidate tier, the declined request is decided by the
+	// feasibility test alone: its span records the one augmentation the
+	// chain carries, and the exact pipeline never runs.
+	r = NewRouter(&Options{CandidateTable: NewCandidateTable(net, 4)})
+	r.SetTracer(tr)
+	if _, ok := r.ApproxMinCost(net, 0, 2); ok || r.LastTier() != TierFallback {
+		t.Fatalf("candidate-tier router: ok %v, tier %v; want a blocked fallback", ok, r.LastTier())
+	}
+	tc = tr.Flight().Find(r.LastTraceID())
+	if tc == nil || tc.Status != obs.StatusBlocked {
+		t.Fatalf("blocked fallback trace = %+v", tc)
+	}
+	feasible, augs := false, any(nil)
+	for _, sp := range tc.Spans {
+		switch sp.Name {
+		case "feasibility":
+			feasible = true
+			for _, a := range sp.Attrs {
+				if a.Key == "augmentations" {
+					augs = a.Value()
+				}
+			}
+		case "reweight", "suurballe":
+			if feasible {
+				t.Errorf("span %q follows the feasibility test of a blocked request", sp.Name)
+			}
+		}
+	}
+	if !feasible || augs != int64(1) {
+		t.Fatalf("blocked fallback: feasibility span %v with augmentations %v, want one with 1 (spans %v)", feasible, augs, spanNames(tc))
+	}
 }
 
 func TestRouterTracerDisabled(t *testing.T) {

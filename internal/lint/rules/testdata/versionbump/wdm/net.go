@@ -30,13 +30,6 @@ func (g *Network) touchLink(i int) {
 	g.stamp[i] = g.stateVersion
 }
 
-func (g *Network) touchAll() {
-	g.bumpState()
-	for i := range g.stamp {
-		g.stamp[i] = g.stateVersion
-	}
-}
-
 // Links is a getter: no mutation, no bump required.
 func (g *Network) Links() int { return len(g.links) }
 
@@ -84,12 +77,6 @@ func (g *Network) Reserve(i int) {
 func (g *Network) UseStamped(i int) {
 	g.avail.Add(i)
 	g.touchLink(i)
-}
-
-// ResetAll mutates availability and stamps every row: clean.
-func (g *Network) ResetAll() {
-	g.avail.Add(0)
-	g.touchAll()
 }
 
 // AvailBumpOnly mutates availability but only bumps the aggregate counter,

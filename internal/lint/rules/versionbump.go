@@ -15,7 +15,7 @@ import (
 //
 // It also guards the per-link change journal that the incremental reweight
 // path reads: a method that mutates wavelength availability must stamp the
-// journal (touchLink/touchAll) rather than only bumping the aggregate
+// journal (touchLink) rather than only bumping the aggregate
 // counter, otherwise cached link weights are refreshed for the wrong links —
 // the shape of the bug this rule first caught (a risk-group setter that
 // bumped no counter; the method was since removed), one invalidation layer
@@ -33,14 +33,14 @@ const (
 
 var (
 	// vbBumps are the methods (and raw counter fields) that count as
-	// advancing a version. touchLink/touchAll bump transitively: they call
-	// bumpState before stamping the journal.
-	vbBumps  = map[string]bool{"bumpState": true, "bumpTopo": true, "touchLink": true, "touchAll": true}
+	// advancing a version. touchLink bumps transitively: it calls bumpState
+	// before stamping the journal.
+	vbBumps  = map[string]bool{"bumpState": true, "bumpTopo": true, "touchLink": true}
 	vbFields = map[string]bool{"stateVersion": true, "topoVersion": true}
 	// vbStamps are the calls that record an availability change in the
 	// per-link journal. bumpTopo counts: a structural change invalidates
 	// cached weights wholesale, so no per-link stamp is needed.
-	vbStamps = map[string]bool{"touchLink": true, "touchAll": true, "bumpTopo": true}
+	vbStamps = map[string]bool{"touchLink": true, "bumpTopo": true}
 	// vbStampFields are the raw fields whose write equals a journal stamp.
 	vbStampFields = map[string]bool{"stamp": true, "topoVersion": true}
 	// vbMutators are method names that mutate a container reached from the
@@ -79,7 +79,7 @@ func runVersionBump(p *lint.Pass) {
 			}
 			if res.availWrites && res.bumps && !res.stamps {
 				p.Reportf(fd.Name.Pos(),
-					"%s.%s mutates wavelength availability without stamping the link journal; use touchLink/touchAll so incremental reweight sees the change",
+					"%s.%s mutates wavelength availability without stamping the link journal; use touchLink so incremental reweight sees the change",
 					vbType, fd.Name.Name)
 			}
 		}

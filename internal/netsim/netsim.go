@@ -301,12 +301,6 @@ type Sim struct {
 	q   eventQueue
 	seq uint64 // next event sequence number
 
-	// rho caches the network load ρ at StateVersion rhoVersion (see load).
-	// The zero values are right for a network at version 0, which has no
-	// links and load 0.
-	rho        float64
-	rhoVersion uint64
-
 	lastReconfig float64
 	arrivals     int  // total arrivals processed (warm-up accounting)
 	failIdx      int  // round-robin cursor into cfg.FailureLinks
@@ -500,7 +494,7 @@ func (s *Sim) advanceClock(t float64) {
 	// Seal windows that ended strictly before t, so the probe samples the
 	// network as of the last event inside each window.
 	s.col.Advance(t)
-	rho := s.load()
+	rho := s.tab.Network().NetworkLoad()
 	if rho > s.m.MaxNetworkLoad {
 		s.m.MaxNetworkLoad = rho
 	}
@@ -510,16 +504,6 @@ func (s *Sim) advanceClock(t float64) {
 	}
 	s.instr.networkLoad.Set(rho)
 	s.instr.liveConns.Set(float64(s.tab.Len()))
-}
-
-// load returns the network load ρ, recomputing it only when the residual
-// state has changed since the last call: advanceClock reuses the value that
-// maybeReconfigure computed after the previous event.
-func (s *Sim) load() float64 {
-	if v := s.tab.Network().StateVersion(); v != s.rhoVersion {
-		s.rho, s.rhoVersion = s.tab.Network().NetworkLoad(), v
-	}
-	return s.rho
 }
 
 // syncArrivalGauges publishes the running offered count and blocking
@@ -760,7 +744,7 @@ func (s *Sim) maybeReconfigure(t float64) {
 		return
 	}
 	net := s.tab.Network()
-	rho := s.load()
+	rho := net.NetworkLoad()
 	if rho < th {
 		s.overTh = false
 		return

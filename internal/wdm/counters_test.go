@@ -6,6 +6,22 @@ import (
 	"testing"
 )
 
+// releaseAll tears down every connection of g: it releases every held
+// wavelength, link by link, through Release.
+func releaseAll(t *testing.T, g *Network) {
+	t.Helper()
+	for id := 0; id < g.Links(); id++ {
+		l := g.Link(id)
+		for lam := 0; lam < g.W(); lam++ {
+			if l.Lambda().Contains(lam) && !l.HasAvail(lam) {
+				if err := g.Release(id, lam); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+}
+
 // checkCounters asserts that every link's N() and U() equal the
 // cardinalities they stand for, |Λ(e)| and |Λ(e)| − |Λ_avail(e)|, and that
 // Load and NetworkLoad follow from them by Eq. 2.
@@ -33,7 +49,7 @@ func checkCounters(t *testing.T, what string, g *Network) {
 }
 
 // TestOccupancyCountersFollowSets applies random sequences of Use, Release,
-// ResetAvailability, Clone, CloneSince and SyncInto to networks whose links
+// release-everything, Clone, CloneSince and SyncInto to networks whose links
 // carry random wavelength subsets (W up to 70, so sets span several words).
 // After every step the counters of every writer and every snapshot must
 // match their sets: a writer's mutation must neither skip its own counters
@@ -84,7 +100,7 @@ func TestOccupancyCountersFollowSets(t *testing.T) {
 					}
 				}
 			case op < 16:
-				wr.ResetAvailability()
+				releaseAll(t, wr)
 			case op < 17:
 				writers = append(writers, wr.Clone())
 			case op < 19: // publish a snapshot, sharing the previous one's structure
@@ -105,6 +121,97 @@ func TestOccupancyCountersFollowSets(t *testing.T) {
 			}
 			for i, s := range snaps {
 				checkCounters(t, fmt.Sprintf("seed %d step %d snapshot %d", seed, step, i), s)
+			}
+		}
+	}
+}
+
+// scanLoad is Eq. 2 by a full scan: ρ = max ρ(e) over the links with
+// N(e) > 0, and how many of those links sit at it.
+func scanLoad(g *Network) (rho float64, at int) {
+	for id := 0; id < g.Links(); id++ {
+		l := g.Link(id)
+		if l.N() == 0 {
+			continue
+		}
+		switch r := float64(l.U()) / float64(l.N()); {
+		case r > rho:
+			rho, at = r, 1
+		case r == rho:
+			at++
+		}
+	}
+	return rho, at
+}
+
+// TestNetworkLoadFollowsRescan applies random AddLink, Use, Release, Clone,
+// CloneSince and SyncInto steps to writers whose links carry 0, 1, 2 or 4
+// wavelengths, so loads tie at the maximum across links of different N
+// (1/2 = 2/4) and a link with N = 0 never counts. After every step the
+// maintained ρ of every writer and snapshot — NetworkLoad and the count of
+// links at it — must equal a full rescan.
+func TestNetworkLoadFollowsRescan(t *testing.T) {
+	for seed := int64(1); seed <= 60; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		nodes := 2 + rng.Intn(4)
+		g := NewNetwork(nodes, 4)
+		addLink := func(g *Network) {
+			n := []int{0, 1, 2, 4}[rng.Intn(4)]
+			lams, costs := make([]Wavelength, n), make([]float64, n)
+			for i := range lams {
+				lams[i], costs[i] = i, 1
+			}
+			a := rng.Intn(nodes)
+			g.AddLink(a, (a+1+rng.Intn(nodes-1))%nodes, lams, costs)
+		}
+		writers := []*Network{g}
+		var snaps []*Network
+		last := map[*Network]*Network{}
+		check := func(what string, x *Network) {
+			t.Helper()
+			if rho, at := scanLoad(x); x.NetworkLoad() != rho || x.rhoN != at {
+				t.Fatalf("seed %d %s: NetworkLoad()=%v over %d links, rescan %v over %d", seed, what, x.NetworkLoad(), x.rhoN, rho, at)
+			}
+		}
+		check("empty", g)
+		for step := 0; step < 400; step++ {
+			wr := writers[rng.Intn(len(writers))]
+			switch op := rng.Intn(20); {
+			case op < 2 || wr.Links() == 0:
+				addLink(wr)
+			case op < 10:
+				l := wr.Link(rng.Intn(wr.Links()))
+				if free := l.Avail().Slice(); len(free) > 0 {
+					if err := wr.Use(l.ID, free[rng.Intn(len(free))]); err != nil {
+						t.Fatal(err)
+					}
+				}
+			case op < 16:
+				l := wr.Link(rng.Intn(wr.Links()))
+				for lam := 0; lam < wr.W(); lam++ {
+					if l.Lambda().Contains(lam) && !l.HasAvail(lam) {
+						if err := wr.Release(l.ID, lam); err != nil {
+							t.Fatal(err)
+						}
+						break
+					}
+				}
+			case op < 17:
+				writers = append(writers, wr.Clone())
+			case op < 19:
+				s := wr.CloneSince(last[wr])
+				last[wr] = s
+				snaps = append(snaps, s)
+			default:
+				if len(snaps) > 0 {
+					wr.SyncInto(snaps[rng.Intn(len(snaps))])
+				}
+			}
+			for i, x := range writers {
+				check(fmt.Sprintf("step %d writer %d", step, i), x)
+			}
+			for i, s := range snaps {
+				check(fmt.Sprintf("step %d snapshot %d", step, i), s)
 			}
 		}
 	}

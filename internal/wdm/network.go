@@ -29,8 +29,8 @@ type Link struct {
 	cost   []float64   // cost[λ] = w(e, λ); +Inf for λ ∉ Λ(e)
 
 	// n = |Λ(e)| and u = |Λ(e)| − |Λ_avail(e)|, kept in step with the two
-	// sets by AddLink, Use, Release and ResetAvailability so the occupancy
-	// reads (N, U, Load, NetworkLoad) cost no popcount.
+	// sets by AddLink, Use and Release so the occupancy reads (N, U, Load)
+	// cost no popcount.
 	n, u int
 }
 
@@ -124,6 +124,14 @@ type Network struct {
 	// lineage identifies the writer whose history this network records (see
 	// SameLineage).
 	lineage uint64
+
+	// rho is ρ = max_e ρ(e) over the links with N(e) > 0 (Eq. 2) and rhoN
+	// the number of those links whose load equals it. Use and Release keep
+	// both up to date, so NetworkLoad is a field read; only a Release that
+	// takes the last link off the maximum, and AddLink, rescan the links
+	// (rescanLoad).
+	rho  float64
+	rhoN int
 }
 
 // lineages hands out lineage identities; 0 is never issued.
@@ -232,20 +240,12 @@ func (g *Network) bumpState() {
 
 // touchLink records an availability change on one link: it advances
 // StateVersion and stamps the link's journal entry with the new version.
-// Every mutation of a link's avail set must go through touchLink or touchAll
-// — the wdmlint versionbump rule enforces it — or incremental consumers of
-// the journal (auxgraph's dirty-link reweight) serve stale weights.
+// Every mutation of a link's avail set must go through touchLink — the
+// wdmlint versionbump rule enforces it — or incremental consumers of the
+// journal (auxgraph's dirty-link reweight) serve stale weights.
 func (g *Network) touchLink(id int) {
 	g.bumpState()
 	g.stamp[id] = g.stateVersion
-}
-
-// touchAll records an availability change on every link at once.
-func (g *Network) touchAll() {
-	g.bumpState()
-	for i := range g.stamp {
-		g.stamp[i] = g.stateVersion
-	}
 }
 
 // LinkStamp returns the StateVersion at which link id's availability set last
@@ -294,6 +294,7 @@ func (g *Network) AddLink(from, to int, wavelengths []Wavelength, costs []float6
 	g.in[to] = append(g.in[to], l.ID)
 	g.bumpTopo()
 	g.stamp = append(g.stamp, g.stateVersion)
+	g.rescanLoad()
 	return l.ID
 }
 
@@ -345,6 +346,11 @@ func (g *Network) Use(id int, lambda Wavelength) error {
 	}
 	l.avail.Remove(lambda)
 	l.u++
+	if r := l.Load(); r > g.rho {
+		g.rho, g.rhoN = r, 1
+	} else if r == g.rho {
+		g.rhoN++
+	}
 	g.touchLink(id)
 	return nil
 }
@@ -365,25 +371,39 @@ func (g *Network) Release(id int, lambda Wavelength) error {
 		//wdmlint:ignore hotalloc error return path; never taken on the admit path
 		return fmt.Errorf("wdm: λ%d not in use on link %d", lambda, id)
 	}
+	atRho := l.Load() == g.rho
 	l.avail.Add(lambda)
 	l.u--
+	if atRho {
+		if g.rhoN--; g.rhoN == 0 {
+			g.rescanLoad()
+		}
+	}
 	g.touchLink(id)
 	return nil
 }
 
 // NetworkLoad returns ρ = max_e ρ(e) over links that carry wavelengths
-// (Eq. 2). An empty network has load 0.
-func (g *Network) NetworkLoad() float64 {
-	rho := 0.0
+// (Eq. 2). An empty network has load 0. It reads the value Use and Release
+// keep up to date and writes nothing, so it is safe on a shared snapshot.
+func (g *Network) NetworkLoad() float64 { return g.rho }
+
+// rescanLoad recomputes rho and rhoN from every link's load: the maximum
+// over the same float values Use and Release compare, so the maintained
+// value equals a fresh scan bit for bit.
+func (g *Network) rescanLoad() {
+	g.rho, g.rhoN = 0, 0
 	for _, l := range g.links {
 		if l.n == 0 {
 			continue
 		}
-		if r := l.Load(); r > rho {
-			rho = r
+		switch r := l.Load(); {
+		case r > g.rho:
+			g.rho, g.rhoN = r, 1
+		case r == g.rho:
+			g.rhoN++
 		}
 	}
-	return rho
 }
 
 // MaxDegree returns max_v (|E_in(v)| + |E_out(v)|), the d of the paper's
@@ -412,6 +432,8 @@ func (g *Network) Clone() *Network {
 		topoVersion:  g.topoVersion,
 		stamp:        append([]uint64(nil), g.stamp...),
 		lineage:      lineages.Add(1),
+		rho:          g.rho,
+		rhoN:         g.rhoN,
 	}
 	for v := 0; v < g.n; v++ {
 		c.out[v] = append([]int(nil), g.out[v]...)
@@ -431,16 +453,6 @@ func (g *Network) Clone() *Network {
 		}
 	}
 	return c
-}
-
-// ResetAvailability restores Λ_avail(e) = Λ(e) on every link, i.e. tears
-// down every connection.
-func (g *Network) ResetAvailability() {
-	for _, l := range g.links {
-		l.avail.CopyFrom(l.lambda)
-		l.u = 0
-	}
-	g.touchAll()
 }
 
 // TotalAvailable returns the total count of available (link, wavelength)

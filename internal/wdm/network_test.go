@@ -322,9 +322,9 @@ func TestCloneAndReset(t *testing.T) {
 	if g.Link(0).U() != 1 {
 		t.Fatal("clone not independent")
 	}
-	g.ResetAvailability()
-	if g.Link(0).U() != 0 {
-		t.Fatal("ResetAvailability failed")
+	releaseAll(t, g)
+	if g.Link(0).U() != 0 || g.NetworkLoad() != 0 {
+		t.Fatal("releasing every wavelength left load behind")
 	}
 	if g.TotalAvailable() != 6 {
 		t.Fatalf("TotalAvailable = %d, want 6", g.TotalAvailable())

@@ -30,6 +30,8 @@ func (g *Network) CloneSince(prev *Network) *Network {
 		stamp:        append([]uint64(nil), g.stamp...),
 		lineage:      g.lineage,
 		links:        make([]*Link, len(g.links)),
+		rho:          g.rho,
+		rhoN:         g.rhoN,
 	}
 	for i, l := range g.links {
 		c.links[i] = &Link{
@@ -49,10 +51,10 @@ func (g *Network) CloneSince(prev *Network) *Network {
 // SyncInto brings dst — a CloneSince copy of g's lineage taken at an earlier
 // state — up to g's current state in place, and reports whether it did. Only
 // the links stamped after dst.StateVersion() are copied (their availability
-// words and U), then the stamp journal and the version, so a sync costs one
-// pass over the stamps plus the links that changed in between, and
-// allocates nothing. Afterwards dst holds g's availability sets, counters,
-// stamps and StateVersion: within the lineage it is the same state, which
+// words and U), then the stamp journal, the version and the network load,
+// so a sync costs one pass over the stamps plus the links that changed in
+// between, and allocates nothing. Afterwards dst holds g's availability
+// sets, counters, ρ, stamps and StateVersion: within the lineage it is the same state, which
 // is what lets a cache derived from dst's older state follow it forward.
 //
 // It refuses, leaving dst unchanged, when dst is of another lineage, was
@@ -74,5 +76,6 @@ func (g *Network) SyncInto(dst *Network) bool {
 	}
 	copy(dst.stamp, g.stamp)
 	dst.stateVersion = g.stateVersion
+	dst.rho, dst.rhoN = g.rho, g.rhoN
 	return true
 }

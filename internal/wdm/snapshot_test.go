@@ -220,7 +220,7 @@ func (s netState) equal(o netState) bool {
 }
 
 // TestSyncIntoMatchesWriter applies random Use, Release and
-// ResetAvailability sequences to a writer (W up to 70, so sets span several
+// release-everything sequences to a writer (W up to 70, so sets span several
 // words), taking frozen copies along the way. Every so often a random stale
 // copy is synced: afterwards it must equal the writer in availability, U,
 // stamps, versions and lineage, and every copy not synced must still show
@@ -263,7 +263,7 @@ func TestSyncIntoMatchesWriter(t *testing.T) {
 					}
 				}
 			case op < 16:
-				g.ResetAvailability()
+				releaseAll(t, g)
 			case op < 18:
 				var prev *Network
 				if len(copies) > 0 {
