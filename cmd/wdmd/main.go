@@ -46,7 +46,7 @@ func main() {
 	seed := flag.Int64("seed", 1, "topology seed (parametric topologies) and -soak / -drive workload seed")
 	algo := flag.String("algo", "min-load-cost", "default routing: min-cost, min-load, min-load-cost, two-step")
 	retries := flag.Int("retries", 0, "conflict retry budget per request (0 = 4, -1 = none)")
-	candidates := flag.Int("candidates", 0, "candidate fast tier: k precomputed route pairs per node pair (0 = off)")
+	candidates := flag.Int("candidates", 0, "candidate fast tier for min-cost and min-load-cost: k route pairs per node pair, each generated on first use (0 = 4, -1 = off)")
 	journalCap := flag.Int("journal", 0, "retain up to this many commit-ordered journal entries (0 = off)")
 	window := flag.Float64("window", 5, "telemetry window width in wall-clock seconds (0 = telemetry off)")
 	timeseriesOut := flag.String("timeseries-out", "", "stream sealed telemetry windows to this file (.csv → CSV, else JSONL)")

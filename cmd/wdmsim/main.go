@@ -46,7 +46,7 @@ func main() {
 	flightCap := flag.Int("flight", obs.DefaultCapacity, "flight-recorder capacity (last N request and event traces)")
 	flightOut := flag.String("flight-out", "", "dump the flight recorder (routing traces and sim.* events) as JSONL to this file at end of run")
 	linger := flag.Float64("linger", 0, "keep the -serve endpoints up this many seconds after the run (for probes)")
-	candidates := flag.Int("candidates", 0, "candidate fast tier: precompute k route pairs per node pair and try them before exact routing (0 = off)")
+	candidates := flag.Int("candidates", 0, "candidate fast tier for min-cost and min-load-cost: k route pairs per node pair, each generated on first use and tried before exact routing (0 = off)")
 	soak := flag.Bool("soak", false, "soak mode: collect windowed telemetry and print the latency/blocking curve")
 	sloP99 := flag.Float64("slo-p99", 0, "SLO: p99 routing latency ceiling in seconds, evaluated per telemetry window (0 = off)")
 	sloBlocking := flag.Float64("slo-blocking", 0, "SLO: blocking-probability ceiling per telemetry window (0 = off)")
@@ -122,8 +122,8 @@ func main() {
 		Window:            telWindow,
 	}
 	if *candidates > 0 {
-		// Build the table up front from the pristine topology — it is
-		// state-independent, so this is a one-time setup cost.
+		// The table depends on the topology only, never on the residual
+		// state; each pair's entry is generated on its first arrival.
 		simCfg.Opts = &core.Options{CandidateTable: core.NewCandidateTable(net, *candidates)}
 	}
 	sim := netsim.New(net, simCfg)

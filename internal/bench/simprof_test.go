@@ -10,9 +10,9 @@ import (
 )
 
 // BenchmarkSimNSFNETDynamic is the headline dynamic-simulation benchmark in
-// its production configuration: candidate fast tier on, with the table
-// precomputed once (it is state-independent, so building it is a deploy-time
-// cost, not a per-run one).
+// its production configuration: candidate fast tier on, with one table
+// shared by every iteration (it is state-independent, so each pair's entry
+// is generated once, in the first iteration that routes the pair).
 func BenchmarkSimNSFNETDynamic(b *testing.B) {
 	reqs := workload.Poisson(workload.PoissonConfig{
 		Nodes: 14, ArrivalRate: 10, MeanHolding: 2, Count: 200, Seed: 7,

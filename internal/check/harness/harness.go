@@ -45,15 +45,17 @@ type Config struct {
 
 	// Candidates, when positive, adds a third routing arm: a stream-long
 	// router with the candidate-path fast tier enabled, on a table of
-	// k = Candidates pairs built once per instance. The
+	// k = Candidates pairs per instance. The
 	// arm routes every request on the fresh arm's residual network without
 	// establishing — same state, so its outcome is directly comparable: it
 	// must agree on feasibility (the tier falls back to exact routing rather
 	// than block), satisfy every legality/disjointness invariant, and stay
-	// within CandidateGate of the exact-tier cost on min-cost requests.
+	// within CandidateGate of the exact-tier cost on min-cost and
+	// min-load-cost requests; on min-load-cost it must also keep the exact
+	// arm's ϑ and round count and route every hop below ϑ.
 	Candidates int
 	// CandidateGate caps candidate-tier cost / exact-tier cost per min-cost
-	// request (default 2, mirroring the Theorem 2 factor).
+	// or min-load-cost request (default 2, mirroring the Theorem 2 factor).
 	CandidateGate float64
 
 	// Mutate, when set, corrupts every successful routing result before the
@@ -112,12 +114,15 @@ type Report struct {
 	// MaxRatio is the worst observed approx/exact cost ratio (Theorem 2
 	// bounds it by 2 on eligible instances).
 	MaxRatio float64
-	// CandidateCompared counts candidate-arm comparisons on min-cost
-	// requests; MaxCandidateRatio is the worst candidate/exact cost ratio
+	// CandidateCompared counts candidate-arm comparisons on min-cost and
+	// min-load-cost requests; MaxCandidateRatio is the worst candidate/exact cost ratio
 	// seen (gated by Config.CandidateGate).
 	CandidateCompared int
 	MaxCandidateRatio float64
-	Failures          []check.Artifact
+	// CandidateHits counts, per algorithm, the candidate-arm requests the
+	// tier answered without the exact fallback.
+	CandidateHits map[check.Algo]int
+	Failures      []check.Artifact
 }
 
 // OK reports whether the run saw no violation.
@@ -270,10 +275,13 @@ func checkResult(net *wdm.Network, op check.Op, res *core.Result) error {
 // residual network the exact arm just saw (route-only, nothing is
 // established) and asserts the tier's accuracy gate: identical feasibility
 // (the tier falls back to exact routing rather than block a servable
-// request), the full per-result invariant set, and — on min-cost requests,
-// where the tier is active — a bounded cost ratio versus the exact-tier
-// pair. On every other algorithm the tier is inert, so the result must match
-// the exact arm field for field.
+// request), the full per-result invariant set, and — on min-cost and
+// min-load-cost requests, where the tier is active — a bounded cost ratio
+// versus the exact-tier pair. On min-load-cost the tier runs after the
+// MinCog search, so ϑ and the round count must equal the exact arm's, and
+// every hop of the tier's pair must pass G_rc's filter, a load below ϑ. On
+// every other algorithm the tier is inert, so the result must match the
+// exact arm field for field.
 func checkCandidate(candR *core.Router, net *wdm.Network, op check.Op, rF *core.Result, okF bool, cfg Config, rep *Report) error {
 	rC, okC := routeWarm(candR, net, op)
 	if okC != okF {
@@ -282,7 +290,13 @@ func checkCandidate(candR *core.Router, net *wdm.Network, op check.Op, rF *core.
 	if !okF {
 		return nil
 	}
-	if op.Algo != check.AlgoMinCost {
+	switch op.Algo {
+	case check.AlgoMinCost:
+	case check.AlgoMinLoadCost:
+		if err := underBound(net, rF, rC); err != nil {
+			return fmt.Errorf("candidate arm: %w", err)
+		}
+	default:
 		if err := diffResults(rF, rC); err != nil {
 			return fmt.Errorf("candidate arm (tier inert for %s): %w", op.Algo, err)
 		}
@@ -293,6 +307,12 @@ func checkCandidate(candR *core.Router, net *wdm.Network, op check.Op, rF *core.
 	}
 	if rep != nil {
 		rep.CandidateCompared++
+		if candR.LastTier() == core.TierCandidate {
+			if rep.CandidateHits == nil {
+				rep.CandidateHits = map[check.Algo]int{}
+			}
+			rep.CandidateHits[op.Algo]++
+		}
 	}
 	if rF.Cost > 1e-9 {
 		ratio := rC.Cost / rF.Cost
@@ -302,6 +322,24 @@ func checkCandidate(candR *core.Router, net *wdm.Network, op check.Op, rF *core.
 		if gate := cfg.candidateGate(); ratio > gate+1e-9 {
 			return fmt.Errorf("candidate accuracy gate: candidate cost %g / exact cost %g = %.4f > %g",
 				rC.Cost, rF.Cost, ratio, gate)
+		}
+	}
+	return nil
+}
+
+// underBound checks a candidate-tier MinLoadCost result c against the exact
+// arm's result e on the state both routed on: the same ϑ and MinCog round
+// count, and every hop of c's pair on a link whose load is below ϑ.
+func underBound(net *wdm.Network, e, c *core.Result) error {
+	if c.Threshold != e.Threshold || c.Iterations != e.Iterations {
+		return fmt.Errorf("threshold %g after %d rounds, exact arm %g after %d",
+			c.Threshold, c.Iterations, e.Threshold, e.Iterations)
+	}
+	for _, p := range [2]*wdm.Semilightpath{c.Primary, c.Backup} {
+		for _, h := range p.Hops {
+			if load := net.Link(h.Link).Load(); !(load < c.Threshold) {
+				return fmt.Errorf("hop on link %d has load %g, not below ϑ = %g", h.Link, load, c.Threshold)
+			}
 		}
 	}
 	return nil

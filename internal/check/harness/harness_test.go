@@ -37,7 +37,9 @@ func TestSoakClean(t *testing.T) {
 // TestCandidateArmSoak turns on the candidate fast-tier arm: every request
 // re-routed through a candidate-mode router on the same residual state, with
 // feasibility equality, the full invariant set, and the accuracy gate
-// asserted per min-cost request.
+// asserted per min-cost and min-load-cost request — on min-load-cost also
+// the exact arm's ϑ and round count, and every hop below ϑ. The tier must
+// answer some requests of both algorithms, or the comparison shows nothing.
 func TestCandidateArmSoak(t *testing.T) {
 	n := 60
 	if testing.Short() {
@@ -52,6 +54,12 @@ func TestCandidateArmSoak(t *testing.T) {
 	if rep.CandidateCompared == 0 {
 		t.Fatal("candidate arm never compared a min-cost request; wiring is broken")
 	}
+	for _, algo := range []check.Algo{check.AlgoMinCost, check.AlgoMinLoadCost} {
+		if rep.CandidateHits[algo] == 0 {
+			t.Fatalf("the tier answered no %s request (hits %v)", algo, rep.CandidateHits)
+		}
+	}
+	t.Logf("%s; tier hits %v", rep.Summary(), rep.CandidateHits)
 	if rep.MaxCandidateRatio > 2+1e-9 {
 		t.Fatalf("candidate/exact cost ratio %.4f exceeds the accuracy gate", rep.MaxCandidateRatio)
 	}

@@ -14,7 +14,8 @@ import (
 
 // Allocation budgets for a warm Router on NSFNET (W=8). The graph search,
 // the refinement and the candidate tier build their result in router-owned
-// buffers and allocate nothing; a router without Options.ReuseResult then
+// buffers and allocate nothing once the candidate table has generated the
+// pair's entry (the first call fills it); a router without Options.ReuseResult then
 // copies the result out, which costs 5 allocs/op (the Result, two
 // semilightpath headers, two hop slices) on every tier and objective. A
 // ReuseResult router allocates nothing. The budget leaves one alloc of
@@ -39,10 +40,12 @@ func TestWarmRouterAllocBudget(t *testing.T) {
 		{"MinLoad", Options{}, 1, TierExact, minLoadAllocBudget},
 		{"MinLoadCost", Options{}, 2, TierExact, minLoadCostAllocBudget},
 		{"ApproxMinCost/candidate", Options{CandidateTable: tab}, 0, TierCandidate, approxMinCostAllocBudget},
+		{"MinLoadCost/candidate", Options{CandidateTable: tab}, 2, TierCandidate, minLoadCostAllocBudget},
 		{"ApproxMinCost/reuse", Options{ReuseResult: true}, 0, TierExact, 0},
 		{"MinLoad/reuse", Options{ReuseResult: true}, 1, TierExact, 0},
 		{"MinLoadCost/reuse", Options{ReuseResult: true}, 2, TierExact, 0},
 		{"ApproxMinCost/candidate/reuse", Options{CandidateTable: tab, ReuseResult: true}, 0, TierCandidate, 0},
+		{"MinLoadCost/candidate/reuse", Options{CandidateTable: tab, ReuseResult: true}, 2, TierCandidate, 0},
 	} {
 		r := NewRouter(&tc.opts)
 		if _, ok := routeAlg(r, tc.alg, net, 2, 11); !ok {

@@ -2,14 +2,17 @@ package core
 
 import (
 	"math"
+	"sync"
+	"sync/atomic"
 
 	"repro/internal/disjoint"
 	"repro/internal/graph"
 	"repro/internal/lightpath"
+	"repro/internal/obs"
 	"repro/internal/wdm"
 )
 
-// CandidateTable holds precomputed edge-disjoint route pairs per (s, t) — the
+// CandidateTable holds edge-disjoint route pairs per (s, t) — the
 // candidate-path fast tier the router tries before the exact auxiliary-graph
 // pipeline. Candidates are generated on a static physical graph whose link
 // weights are the installed-wavelength mean costs Σ_{λ∈Λ(e)} w(e,λ)/N(e):
@@ -25,13 +28,20 @@ import (
 //   - one pair per Yen k-shortest path: the path plus its cheapest
 //     edge-disjoint partner.
 //
+// A pair's entry is generated on its first lookup, once, and published to
+// every router sharing the table; the constructor builds only the static
+// graph and the per-link bounds, in O(m). Generation is a pure function of
+// the static graph, so an entry is the same whichever router fills it and
+// whenever.
+//
 // Admission against the residual network stays exact per candidate: the
-// links' occupancy counters (U(e) >= N(e)) reject dead routes, then the
-// fixed-route wavelength-assignment DP (the Lemma 2 oracle) prices the
-// survivors and the cheapest feasible pair wins. Only the route *choice* is
-// restricted to the cached candidates; when none is feasible the router falls
-// back to the exact tier, so the tier can reduce accuracy only by a bounded
-// route detour, never block a servable request.
+// links' occupancy counters (U(e) >= N(e)) reject dead routes — under a load
+// bound ϑ, so do links with load ≥ ϑ — then the fixed-route
+// wavelength-assignment DP (the Lemma 2 oracle) prices the survivors and the
+// cheapest feasible pair wins. Only the route *choice* is restricted to the
+// cached candidates; when none is feasible the router falls back to the
+// exact tier, so the tier can only return a costlier route, never block a
+// servable request.
 //
 // Each candidate route also carries a static lower bound on its DP cost: the
 // sum, in route order, of every link's cheapest installed wavelength cost. A
@@ -45,10 +55,16 @@ import (
 // is strictly cheaper, so a skipped pair could not have won and the tier's
 // answer is the one the exhaustive loop gives.
 type CandidateTable struct {
-	k      int
-	n      int
-	topoAt uint64
-	pairs  [][]candPair // indexed s*n + t
+	k        int
+	n        int
+	topoAt   uint64
+	cheapest []float64                    // per link: min_{λ∈Λ(e)} w(e,λ) (routeBound)
+	pairs    []atomic.Pointer[[]candPair] // indexed s*n + t; nil until the first lookup
+
+	mu sync.Mutex // serialises generation, which runs on g, ws and sp
+	g  *graph.Graph
+	ws disjoint.Workspace
+	sp graph.Workspace
 }
 
 type candPair struct {
@@ -56,44 +72,29 @@ type candPair struct {
 	lb1, lb2       float64 // lower bounds on the routes' DP costs (routeBound)
 }
 
-// NewCandidateTable builds a table with up to k candidate pairs for every
-// (s, t) of the network. The table never changes once built, so any number
-// of concurrent routers may share it via Options.CandidateTable.
+// NewCandidateTable returns a table of up to k candidate pairs for every
+// (s, t) of the network, each generated on its first lookup. Any number of
+// concurrent routers may share it via Options.CandidateTable.
 func NewCandidateTable(net *wdm.Network, k int) *CandidateTable {
 	if k <= 0 {
 		panic("core: candidate count must be positive")
 	}
 	n := net.Nodes()
 	t := &CandidateTable{
-		k:      k,
-		n:      n,
-		topoAt: net.TopoVersion(),
-		pairs:  make([][]candPair, n*n),
+		k:        k,
+		n:        n,
+		topoAt:   net.TopoVersion(),
+		cheapest: make([]float64, net.Links()),
+		pairs:    make([]atomic.Pointer[[]candPair], n*n),
+		g:        graph.New(n),
 	}
-	g := graph.New(n)
-	cheapest := make([]float64, net.Links())
 	for id := 0; id < net.Links(); id++ {
 		l := net.Link(id)
 		if l.N() == 0 {
 			continue // carries nothing; never a candidate hop
 		}
-		g.AddEdgeAux(l.From, l.To, staticMeanCost(l), id)
-		cheapest[id] = cheapestInstalledCost(l)
-	}
-	var ws disjoint.Workspace
-	var sp graph.Workspace
-	for s := 0; s < n; s++ {
-		for d := 0; d < n; d++ {
-			if s == d {
-				continue
-			}
-			ps := generate(g, &ws, &sp, s, d, k)
-			for i := range ps {
-				ps[i].lb1 = routeBound(cheapest, ps[i].route1)
-				ps[i].lb2 = routeBound(cheapest, ps[i].route2)
-			}
-			t.pairs[s*n+d] = ps
-		}
+		t.g.AddEdgeAux(l.From, l.To, staticMeanCost(l), id)
+		t.cheapest[id] = cheapestInstalledCost(l)
 	}
 	return t
 }
@@ -140,16 +141,40 @@ func (t *CandidateTable) valid(net *wdm.Network) bool {
 	return net.TopoVersion() == t.topoAt && net.Nodes() == t.n
 }
 
-// lookup returns the candidate pairs for (s, t).
+// lookup returns the candidate pairs for (s, t), generating them on the
+// pair's first lookup.
 func (t *CandidateTable) lookup(s, d int) []candPair {
 	if s == d || s < 0 || d < 0 || s >= t.n || d >= t.n {
 		return nil
 	}
-	return t.pairs[s*t.n+d]
+	if p := t.pairs[s*t.n+d].Load(); p != nil {
+		return *p
+	}
+	return t.fill(s, d)
+}
+
+// fill generates and publishes the entry of (s, d) unless another router
+// published it first.
+//
+//wdm:coldpath each pair's candidates are generated once, on its first lookup; every later lookup is one atomic load
+func (t *CandidateTable) fill(s, d int) []candPair {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	e := &t.pairs[s*t.n+d]
+	if p := e.Load(); p != nil {
+		return *p
+	}
+	ps := generate(t.g, &t.ws, &t.sp, s, d, t.k)
+	for i := range ps {
+		ps[i].lb1 = routeBound(t.cheapest, ps[i].route1)
+		ps[i].lb2 = routeBound(t.cheapest, ps[i].route2)
+	}
+	e.Store(&ps)
+	return ps
 }
 
 // generate derives up to k edge-disjoint route pairs for (s, d) on the
-// static graph g, searching with the build's workspaces ws and sp.
+// static graph g, searching with the table's workspaces ws and sp.
 func generate(g *graph.Graph, ws *disjoint.Workspace, sp *graph.Workspace, s, d, k int) []candPair {
 	var out []candPair
 	add := func(e1, e2 []int) {
@@ -226,30 +251,34 @@ func (r *Router) candidateTable(net *wdm.Network) *CandidateTable {
 }
 
 // routeAvailable is the admission pre-check: every link of the route must
-// still have an available wavelength, read from the link's counters. The
-// assignment DP then settles exact conversion feasibility and cost for
-// survivors.
-func routeAvailable(net *wdm.Network, route []int) bool {
+// still have an available wavelength, read from the link's counters, and
+// under a finite load bound theta a load below it — G_rc's filter, with the
+// same float expression as auxgraph.Skeleton.ReweightAt. At theta = +Inf
+// (the only value above MaxFloat64) the load is never read. The assignment
+// DP then settles exact conversion feasibility and cost for survivors.
+func routeAvailable(net *wdm.Network, route []int, theta float64) bool {
 	for _, id := range route {
-		if l := net.Link(id); l.U() >= l.N() {
+		if l := net.Link(id); l.U() >= l.N() || theta <= math.MaxFloat64 && l.Load() >= theta {
 			return false
 		}
 	}
 	return true
 }
 
-// candidateRoute runs the fast tier for (s, t). ok=false means the tier
-// declines — no candidates cached for the pair, or none feasible on the
-// current residual state — and the caller falls back to the exact pipeline.
-// The result lives in the router's arena.
-func (r *Router) candidateRoute(net *wdm.Network, s, t int, tab *CandidateTable) (*Result, bool) {
+// candidateRoute runs the fast tier for (s, t) on the links that pass the
+// load bound theta (+Inf: every link with a free channel). ok=false means
+// the tier declines — no candidates cached for the pair, or none feasible on
+// the current residual state — and the caller falls back to the exact
+// pipeline. One "candidate" span records the pairs tried (not skipped by the
+// cost bound) and priced (given a DP). The result lives in the router's
+// arena.
+func (r *Router) candidateRoute(net *wdm.Network, s, t int, tab *CandidateTable, theta float64, tc *obs.Trace) (*Result, bool) {
+	sp := tc.Begin("candidate")
 	cands := tab.lookup(s, t)
-	if len(cands) == 0 {
-		return nil, false
-	}
 	cs := &r.cand
 	found := false
 	bestCost := math.Inf(1)
+	tried, priced := 0, 0
 	for ci := range cands {
 		cp := &cands[ci]
 		// A pair wins only when strictly cheaper than the best so far, and
@@ -258,9 +287,11 @@ func (r *Router) candidateRoute(net *wdm.Network, s, t int, tab *CandidateTable)
 		if cp.lb1+cp.lb2 >= bestCost {
 			continue
 		}
-		if !routeAvailable(net, cp.route1) || !routeAvailable(net, cp.route2) {
+		tried++
+		if !routeAvailable(net, cp.route1, theta) || !routeAvailable(net, cp.route2, theta) {
 			continue
 		}
+		priced++
 		h1, c1, ok := lightpath.AssignInto(&cs.aw, net, cp.route1, cs.cur[0])
 		cs.cur[0] = h1
 		if !ok || c1+cp.lb2 >= bestCost {
@@ -277,6 +308,12 @@ func (r *Router) candidateRoute(net *wdm.Network, s, t int, tab *CandidateTable)
 			cs.cur, cs.best = cs.best, cs.cur // winner's hops now live in best
 			cs.bestC = [2]float64{c1, c2}
 		}
+	}
+	if tc != nil {
+		tc.SpanInt(sp, "tried", int64(tried))
+		tc.SpanInt(sp, "priced", int64(priced))
+		tc.SpanBool(sp, "found", found)
+		tc.EndSpan(sp)
 	}
 	if !found {
 		return nil, false

@@ -5,8 +5,11 @@ import (
 	"hash/fnv"
 	"math"
 	"math/rand"
+	"reflect"
+	"sync"
 	"testing"
 
+	"repro/internal/check"
 	"repro/internal/conns"
 	"repro/internal/lightpath"
 	"repro/internal/topo"
@@ -36,6 +39,45 @@ func TestCandidateTablePinned(t *testing.T) {
 	}
 	if pairs != wantPairs || h.Sum64() != wantHash {
 		t.Fatalf("candidate table: %d pairs, fingerprint %#x; pinned %d pairs, %#x", pairs, h.Sum64(), wantPairs, wantHash)
+	}
+}
+
+// TestCandidateTableConcurrentFill has several goroutines look up every
+// pair of one fresh NSFNET W=8, k=4 table at once, each in its own order, so
+// first lookups of one pair race. Every goroutine must see the entry the
+// table published, and the entries must equal those of a table filled by
+// one goroutine in table order — the table TestCandidateTablePinned pins.
+func TestCandidateTableConcurrentFill(t *testing.T) {
+	net := topo.NSFNET(topo.Config{W: 8})
+	ref := NewCandidateTable(net, 4)
+	tab := NewCandidateTable(net, 4)
+	n := tab.n
+	const workers = 4
+	seen := make([][][]candPair, workers)
+	var wg sync.WaitGroup
+	for w := range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got := make([][]candPair, n*n)
+			for _, i := range rand.New(rand.NewSource(int64(w))).Perm(n * n) {
+				got[i] = tab.lookup(i/n, i%n)
+			}
+			seen[w] = got
+		}()
+	}
+	wg.Wait()
+	for i := 0; i < n*n; i++ {
+		s, d := i/n, i%n
+		want := ref.lookup(s, d)
+		if !reflect.DeepEqual(tab.lookup(s, d), want) {
+			t.Fatalf("%d>%d: concurrently filled entry differs from the serial fill", s, d)
+		}
+		for w, got := range seen {
+			if len(got[i]) != len(want) || len(want) > 0 && &got[i][0] != &tab.lookup(s, d)[0] {
+				t.Fatalf("%d>%d: worker %d saw an entry other than the published one", s, d, w)
+			}
+		}
 	}
 }
 
@@ -130,7 +172,7 @@ func refCandidateRoute(net *wdm.Network, cands []candPair) (hops [2][]wdm.Hop, c
 		if ok && cp.lb1+cp.lb2 >= best {
 			prunable++
 		}
-		if !routeAvailable(net, cp.route1) || !routeAvailable(net, cp.route2) {
+		if !routeAvailable(net, cp.route1, math.Inf(1)) || !routeAvailable(net, cp.route2, math.Inf(1)) {
 			continue
 		}
 		h1, c1, ok1 := lightpath.AssignInto(&aw, net, cp.route1, nil)
@@ -164,7 +206,7 @@ func checkCandidateBound(t testing.TB, net *wdm.Network, k int, where string) in
 			cands := tab.lookup(s, d)
 			hops, costs, want, n := refCandidateRoute(net, cands)
 			pruned += n
-			res, got := r.candidateRoute(net, s, d, tab)
+			res, got := r.candidateRoute(net, s, d, tab, math.Inf(1), nil)
 			if got != want {
 				t.Fatalf("%s %d->%d: bounded tier ok=%v, exhaustive ok=%v", where, s, d, got, want)
 			}
@@ -223,6 +265,128 @@ func FuzzCandidateBound(f *testing.F) {
 		net := boundNet(rand.New(rand.NewSource(seed)))
 		checkCandidateBound(t, net, 1+int(k%4), fmt.Sprintf("seed %d", seed))
 	})
+}
+
+// checkMinLoadCostTier routes every (s, t) of net by MinLoadCost twice, on a
+// router without a table and on one with a fresh k-pair table, and checks
+// the tier's rules: the same feasibility, ϑ and round count; every hop of
+// the tier's pair on a link with load below ϑ; and the per-result
+// invariants (available, edge-disjoint hops; Eq. 1 and path-load
+// accounting; the cheaper path first). Feasibility may differ one way
+// only: under restricted conversion the exact phase 2 can map its
+// auxiliary pair to routes with no feasible wavelength assignment and
+// block after phase 1 found ϑ, and the tier may still serve the request
+// under that ϑ. It returns the number of requests
+// the tier answered and the worst tier/exact cost ratio among them. The
+// ratio is not gated: with per-wavelength costs that differ from their
+// link's mean, as here, the k static pairs can cost several times the
+// pair the exact phase 2 finds on the residual state, for ApproxMinCost's
+// tier as for this one. The differential harness gates it on its own
+// generator's instances.
+func checkMinLoadCostTier(t testing.TB, net *wdm.Network, k int, where string) (hits int, worst float64) {
+	t.Helper()
+	exact := NewRouter(nil)
+	tier := NewRouter(&Options{CandidateTable: NewCandidateTable(net, k)})
+	for s := 0; s < net.Nodes(); s++ {
+		for d := 0; d < net.Nodes(); d++ {
+			if s == d {
+				continue
+			}
+			e, okE := exact.MinLoadCost(net, s, d)
+			c, okC := tier.MinLoadCost(net, s, d)
+			if okE != okC {
+				theta, _, iters, found := NewRouter(nil).minCogSearch(net, s, d, nil)
+				if okE || !found {
+					t.Fatalf("%s %d->%d: tier ok=%v, exact ok=%v, phase 1 ok=%v", where, s, d, okC, okE, found)
+				}
+				e = &Result{Threshold: theta, Iterations: iters}
+			}
+			if !okC {
+				continue
+			}
+			if c.Threshold != e.Threshold || c.Iterations != e.Iterations {
+				t.Fatalf("%s %d->%d: ϑ %v after %d rounds, exact %v after %d", where, s, d, c.Threshold, c.Iterations, e.Threshold, e.Iterations)
+			}
+			if tier.LastTier() == TierCandidate {
+				hits++
+				if okE && e.Cost > 1e-9 {
+					worst = max(worst, c.Cost/e.Cost)
+				}
+			}
+			for _, p := range [2]*wdm.Semilightpath{c.Primary, c.Backup} {
+				if err := check.PathAvailable(net, p, s, d); err != nil {
+					t.Fatalf("%s %d->%d: %v", where, s, d, err)
+				}
+				for _, h := range p.Hops {
+					if load := net.Link(h.Link).Load(); !(load < c.Threshold) {
+						t.Fatalf("%s %d->%d: hop on link %d has load %v, not below ϑ = %v", where, s, d, h.Link, load, c.Threshold)
+					}
+				}
+			}
+			if err := check.EdgeDisjoint(c.Primary, c.Backup); err != nil {
+				t.Fatalf("%s %d->%d: %v", where, s, d, err)
+			}
+			cp, cb := check.PathCost(net, c.Primary), check.PathCost(net, c.Backup)
+			if !check.ApproxEq(cp+cb, c.Cost) || cp > cb+1e-9 {
+				t.Fatalf("%s %d->%d: cost %v, recomputed %v + %v", where, s, d, c.Cost, cp, cb)
+			}
+			if got := check.PairLoad(net, c.Primary, c.Backup); math.Abs(got-c.PathLoad) > 1e-12 {
+				t.Fatalf("%s %d->%d: path load %v, recomputed %v", where, s, d, c.PathLoad, got)
+			}
+		}
+	}
+	return hits, worst
+}
+
+// quarantineRandomly fails each link of net through a connection table with
+// probability p: conns.Table.Fail marks a down link's free channels used.
+func quarantineRandomly(rng *rand.Rand, net *wdm.Network, p float64) {
+	live := conns.New[struct{}](net)
+	for id := 0; id < net.Links(); id++ {
+		if rng.Float64() < p {
+			live.Fail(id)
+		}
+	}
+}
+
+// FuzzMinLoadCostTier runs checkMinLoadCostTier on one random network per
+// input: boundNet's non-uniform costs, partial installed sets, every
+// converter kind and random occupancy, plus a random share of failed links.
+func FuzzMinLoadCostTier(f *testing.F) {
+	f.Add(int64(1), uint8(4))
+	f.Add(int64(7), uint8(2))
+	f.Add(int64(-3), uint8(1))
+	f.Fuzz(func(t *testing.T, seed int64, k uint8) {
+		rng := rand.New(rand.NewSource(seed))
+		net := boundNet(rng)
+		quarantineRandomly(rng, net, 0.2*rng.Float64())
+		checkMinLoadCostTier(t, net, 1+int(k%4), fmt.Sprintf("seed %d", seed))
+	})
+}
+
+// TestMinLoadCostTierRules runs the checks of FuzzMinLoadCostTier over a
+// fixed set of random networks and NSFNET W=8 across loads, and requires
+// the tier to answer some requests.
+func TestMinLoadCostTierRules(t *testing.T) {
+	hits, worst := 0, 0.0
+	add := func(h int, w float64) { hits, worst = hits+h, max(worst, w) }
+	for seed := int64(0); seed < 200; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		net := boundNet(rng)
+		quarantineRandomly(rng, net, 0.2*rng.Float64())
+		add(checkMinLoadCostTier(t, net, 1+rng.Intn(4), fmt.Sprintf("seed %d", seed)))
+	}
+	base := topo.NSFNET(topo.Config{W: 8})
+	rng := rand.New(rand.NewSource(1))
+	for _, p := range []float64{0, 0.3, 0.6, 0.9} {
+		net := base.Clone()
+		useRandomly(rng, net, p)
+		add(checkMinLoadCostTier(t, net, 4, fmt.Sprintf("NSFNET load %.1f", p)))
+	}
+	if hits == 0 {
+		t.Fatal("the tier answered no MinLoadCost request")
+	}
+	t.Logf("%d requests answered by the tier; worst tier/exact cost ratio %.3f", hits, worst)
 }
 
 // BenchmarkCandidateRouteNSFNET times the candidate tier warm: one

@@ -39,12 +39,15 @@ type Options struct {
 	// Base is the exponent base a > 1 for the G_c congestion weights
 	// (auxgraph.DefaultBase if 0).
 	Base float64
-	// CandidateTable enables the precomputed candidate-path fast tier: the
-	// table's edge-disjoint route pairs (NewCandidateTable) are tried with
+	// CandidateTable enables the candidate-path fast tier: the table's
+	// edge-disjoint route pairs (NewCandidateTable) are tried with
 	// occupancy-counter feasibility checks and per-route optimal wavelength
-	// assignment, skipping pairs whose static cost bound cannot win, before
-	// ApproxMinCost falls back to the exact auxiliary-graph pipeline.
-	// A table never changes once built, so concurrent routers may share one.
+	// assignment, skipping pairs whose static cost bound cannot win.
+	// ApproxMinCost tries them before the exact auxiliary-graph pipeline;
+	// MinLoadCost tries them after the MinCog search has fixed ϑ, admitting
+	// only links with load below ϑ, before the exact phase 2. A pair's
+	// entry is generated on its first lookup and never changes afterwards,
+	// so concurrent routers may share one table.
 	// It must have been built from the same network the routing calls use,
 	// or from a Clone ancestor with identical structure; otherwise the tier
 	// stays off. nil disables the tier.

@@ -57,8 +57,9 @@ const (
 	// TierExact: the exact auxiliary-graph pipeline routed the request
 	// (no candidate table configured, or the algorithm has no fast tier).
 	TierExact Tier = iota
-	// TierCandidate: a precomputed candidate pair was feasible — the fast
-	// tier answered without touching the auxiliary graph.
+	// TierCandidate: a cached candidate pair was feasible — the fast tier
+	// answered without a reweight or a Suurballe search (MinLoadCost's
+	// MinCog search still runs first and fixes the load bound).
 	TierCandidate
 	// TierFallback: the candidate tier was consulted but no cached pair was
 	// feasible; the exact pipeline answered.
@@ -104,12 +105,13 @@ func NewRouter(opts *Options) *Router {
 }
 
 // SetTracer attaches a request tracer: every subsequent routing call opens a
-// trace, records its phases (skeleton build, reweight, Suurballe, Lemma 2
-// refinement, MinCog search and its bottleneck pass) as spans, captures its
-// explain report on success, and lands in the tracer's flight recorder. A
-// nil tracer — or a disabled one — restores the zero-overhead path: every
-// obs call below is nil-safe, so tracing off costs one atomic load per
-// request and zero allocations (asserted by TestTracerDisabledAddsNoAllocs).
+// trace, records its phases (candidate tier, skeleton build, reweight,
+// Suurballe, Lemma 2 refinement, MinCog search and its bottleneck pass) as
+// spans, captures its explain report on success, and lands in the tracer's
+// flight recorder. A nil tracer restores the untraced path: Tracer.Start on
+// a nil tracer returns a nil trace and every obs call below is nil-safe, so
+// tracing off costs a nil check per call and zero allocations (asserted by
+// TestTracerDisabledAddsNoAllocs).
 func (r *Router) SetTracer(tr *obs.Tracer) { r.tracer = tr }
 
 // LastTraceID returns the request ID the most recent routing call traced, or
@@ -198,7 +200,7 @@ func (r *Router) ApproxMinCost(net *wdm.Network, s, t int) (*Result, bool) {
 	tc := r.begin("min-cost", s, t)
 	tab := r.candidateTable(net)
 	if tab != nil {
-		if res, ok := r.candidateRoute(net, s, t, tab); ok {
+		if res, ok := r.candidateRoute(net, s, t, tab, math.Inf(1), tc); ok {
 			r.lastTier = TierCandidate
 			tc.Str("tier", "candidate")
 			r.finish(tc, net, res, true, false)
@@ -482,13 +484,30 @@ func (r *Router) MinLoad(net *wdm.Network, s, t int) (*Result, bool) {
 // MinLoadCost routes (s, t) per §4.2: phase 1 fixes the feasible load bound
 // ϑ with the MinCog search; phase 2 reweights the auxiliary graph as G_rc
 // (same filter, average-cost weights) and routes minimum-cost within the
-// bound.
+// bound. When the candidate-path fast tier is enabled
+// (Options.CandidateTable), phase 2 first prices the cached pairs whose
+// links all pass G_rc's filter, and the auxiliary graph runs only when none
+// is feasible. Phase 1 is the same either way, so ϑ, Iterations and every
+// block decision are too, and a tier pair's path load stays below ϑ as the
+// exact pair's does (Theorem 3); only the pair's cost can differ.
 func (r *Router) MinLoadCost(net *wdm.Network, s, t int) (*Result, bool) {
 	tc := r.begin("min-load-cost", s, t)
 	theta, sk, iters, ok := r.minCogSearch(net, s, t, tc)
 	if !ok {
 		r.finish(tc, net, nil, false, false)
 		return nil, false
+	}
+	if tab := r.candidateTable(net); tab != nil {
+		if res, ok := r.candidateRoute(net, s, t, tab, theta, tc); ok {
+			r.lastTier = TierCandidate
+			tc.Str("tier", "candidate")
+			res.Threshold = theta
+			res.Iterations = iters
+			r.finish(tc, net, res, true, false)
+			return r.output(res), true
+		}
+		r.lastTier = TierFallback
+		tc.Str("tier", "exact-fallback")
 	}
 	a := sk.ReweightAt(s, t, auxgraph.Params{Kind: auxgraph.LoadCost, Threshold: theta, Base: r.opts.base(), Trace: tc})
 	pair, ok := r.ws.Suurballe(a.G, a.S, a.T)

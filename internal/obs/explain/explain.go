@@ -296,6 +296,7 @@ var phaseTerm = map[string]string{
 	"bottleneck":     "MinCog bottleneck pass: links admitted in load order under one incremental two-path flow search (O(n + m))",
 	"refine":         "Lemma 2 refinement (Theorem 1 O(n·W·log(nW)) term)",
 	"mincog":         "MinCog threshold search (§4.1 doubling rounds, replayed on the bottleneck)",
+	"candidate":      "candidate tier: cached route pairs admitted on the residual state and priced by the Lemma 2 assignment",
 }
 
 // addPhases aggregates the trace's spans by name into the report's phase

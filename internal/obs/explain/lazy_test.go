@@ -33,28 +33,35 @@ func render(t *testing.T, r *explain.Report) (string, string) {
 type eagerRef struct {
 	rep     *explain.Report
 	js, txt string
+	tier    core.Tier // the tier that answered the request
 }
 
-func eager(t *testing.T, net *wdm.Network, req int64, algo string, s, d int, res *core.Result) *eagerRef {
+func eager(t *testing.T, net *wdm.Network, req int64, algo string, s, d int, res *core.Result, tier core.Tier) *eagerRef {
 	t.Helper()
 	in := input(algo, s, d, res)
 	in.Req = req
 	rep := build(t, net, in)
 	js, txt := render(t, rep)
-	return &eagerRef{rep: rep, js: js, txt: txt}
+	return &eagerRef{rep: rep, js: js, txt: txt, tier: tier}
 }
 
 // sameAsEager checks that the report rendered on read from the flight
 // recorder equals the eager build bit for bit: identical JSON and text once
-// the phase table (which only the trace carries) is set aside.
+// the phase table (which only the trace carries) is set aside. A request
+// the candidate tier answered must carry one "candidate" phase, whose span
+// records the pairs tried and priced.
 func sameAsEager(t *testing.T, fr *obs.FlightRecorder, req int64, ref *eagerRef) {
 	t.Helper()
-	lazy := explain.Of(fr.Find(req))
+	tc := fr.Find(req)
+	lazy := explain.Of(tc)
 	if lazy == nil {
 		t.Fatalf("req %d: no report on read", req)
 	}
 	if len(lazy.Phases) == 0 {
 		t.Fatalf("req %d: report rendered on read has no phases", req)
+	}
+	if ref.tier == core.TierCandidate {
+		checkCandidatePhase(t, req, tc, lazy)
 	}
 	lazy.Phases = nil
 	for name, pair := range map[string][2]float64{
@@ -72,6 +79,33 @@ func sameAsEager(t *testing.T, fr *obs.FlightRecorder, req int64, ref *eagerRef)
 	}
 	if txt != ref.txt {
 		t.Fatalf("req %d: text on read differs from eager build:\n got %s\nwant %s", req, txt, ref.txt)
+	}
+}
+
+// checkCandidatePhase requires a tier-answered request's report to have one
+// "candidate" phase and its span to carry the tried and priced counts.
+func checkCandidatePhase(t *testing.T, req int64, tc *obs.Trace, rep *explain.Report) {
+	t.Helper()
+	count := 0
+	for _, ph := range rep.Phases {
+		if ph.Name == "candidate" {
+			count = ph.Count
+		}
+	}
+	if count != 1 {
+		t.Fatalf("req %d: tier-answered report has %d candidate phases, want 1 (phases %+v)", req, count, rep.Phases)
+	}
+	for _, sp := range tc.Spans {
+		if sp.Name != "candidate" {
+			continue
+		}
+		keys := map[string]bool{}
+		for _, a := range sp.Attrs {
+			keys[a.Key] = true
+		}
+		if !keys["tried"] || !keys["priced"] {
+			t.Fatalf("req %d: candidate span attributes %v lack tried/priced", req, sp.Attrs)
+		}
 	}
 }
 
@@ -127,7 +161,7 @@ func TestExplainOfMatchesBuildInNetsimRun(t *testing.T) {
 			route := func(net *wdm.Network, s, d int) (*core.Result, bool) {
 				res, ok := r.Route(algo, net, s, d)
 				if ok {
-					check.add(t, r.LastTraceID(), eager(t, net, r.LastTraceID(), algo.String(), s, d, res))
+					check.add(t, r.LastTraceID(), eager(t, net, r.LastTraceID(), algo.String(), s, d, res, r.LastTier()))
 				}
 				return res, ok
 			}
@@ -150,7 +184,10 @@ func TestExplainOfMatchesBuildInNetsimRun(t *testing.T) {
 // small flight recorder: before each provision a reference router routes
 // the same request on the snapshot the engine will route on, the eager
 // build is taken there, and the report the engine's trace renders on read
-// — after later commits and recycling — must be bit-identical.
+// — after later commits and recycling — must be bit-identical. The engine
+// runs at its default tier setting (a k = 4 candidate table), so the
+// reference router gets a k = 4 table of its own; on min-cost and
+// min-load-cost the tier must answer some requests.
 func TestExplainOfMatchesBuildInServeRun(t *testing.T) {
 	for _, algo := range lazyAlgos {
 		t.Run(algo.String(), func(t *testing.T) {
@@ -165,7 +202,8 @@ func TestExplainOfMatchesBuildInServeRun(t *testing.T) {
 					t.Error(err)
 				}
 			}()
-			ref := core.NewRouter(nil)
+			ref := core.NewRouter(&core.Options{CandidateTable: core.NewCandidateTable(topo.NSFNET(topo.Config{W: 4}), 4)})
+			hits := 0
 			check := &lazyCheck{fr: tr.Flight(), capacity: capacity, refs: map[int64]*eagerRef{}}
 			reqs := workload.Poisson(workload.PoissonConfig{Nodes: 14, ArrivalRate: 1, MeanHolding: 1, Count: 120, Seed: 9})
 			var live []int64
@@ -191,10 +229,16 @@ func TestExplainOfMatchesBuildInServeRun(t *testing.T) {
 					t.Fatalf("provision %d: %+v does not match the reference route", i+1, resp)
 				}
 				live = append(live, int64(i+1))
-				check.add(t, resp.Req, eager(t, snap, resp.Req, algo.String(), q.Src, q.Dst, res))
+				if ref.LastTier() == core.TierCandidate {
+					hits++
+				}
+				check.add(t, resp.Req, eager(t, snap, resp.Req, algo.String(), q.Src, q.Dst, res, ref.LastTier()))
 			}
 			if n := check.finish(t); n < 4*capacity {
 				t.Fatalf("%d routed (%d blocked): want the ring to wrap", n, blocked)
+			}
+			if tiered := algo != core.MinLoad; (hits > 0) != tiered {
+				t.Fatalf("%s: the tier answered %d requests", algo, hits)
 			}
 		})
 	}

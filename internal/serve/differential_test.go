@@ -43,8 +43,33 @@ type decision struct {
 // and through the daemon engine (requests serialized), must
 // produce identical accept/block decisions and bit-exact route costs —
 // provision/teardown over epoch snapshots is semantically the plain batch
-// loop when concurrency is taken away.
+// loop when concurrency is taken away. It runs at both tier settings: the
+// engine's default (Candidates 0, a k = 4 table) against a sim router with
+// its own k = 4 table, filled per pair on first use as the engine's is, and
+// Candidates -1 against a table-less sim router, so the exact-only path
+// stays covered.
 func TestServeMatchesBatch(t *testing.T) {
+	for _, tc := range []struct {
+		name       string
+		candidates int  // Config.Candidates
+		simTable   bool // the sim router gets a k = 4 table
+	}{
+		{"default-tier", 0, true},
+		{"no-tier", -1, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			opts := &core.Options{ReuseResult: true}
+			if tc.simTable {
+				opts.CandidateTable = core.NewCandidateTable(nsf(8), 4)
+			}
+			serveMatchesBatch(t, Config{Algorithm: AlgoMinLoadCost, Candidates: tc.candidates}, opts)
+		})
+	}
+}
+
+// serveMatchesBatch runs the differential comparison of TestServeMatchesBatch
+// with the engine configured by cfg and the sim arm's router by simOpts.
+func serveMatchesBatch(t *testing.T, cfg Config, simOpts *core.Options) {
 	reqs := workload.Poisson(workload.PoissonConfig{
 		Nodes:       14,
 		ArrivalRate: 5,
@@ -56,14 +81,18 @@ func TestServeMatchesBatch(t *testing.T) {
 	// Sim arm: capture every routing decision in arrival-processing order
 	// through RouteFunc, using a router configured exactly like the engine's
 	// pooled routers.
-	simRouter := core.NewRouter(&core.Options{ReuseResult: true})
+	simRouter := core.NewRouter(simOpts)
 	var simDecisions []decision
+	hits := 0
 	sim := netsim.New(nsf(8), netsim.Config{
 		RouteFunc: func(net *wdm.Network, s, d int) (*core.Result, bool) {
 			res, ok := simRouter.MinLoadCost(net, s, d)
 			dec := decision{ok: ok}
 			if ok {
 				dec.cost = res.Cost
+			}
+			if simRouter.LastTier() == core.TierCandidate {
+				hits++
 			}
 			simDecisions = append(simDecisions, dec)
 			return res, ok
@@ -73,11 +102,14 @@ func TestServeMatchesBatch(t *testing.T) {
 	if len(simDecisions) != len(reqs) {
 		t.Fatalf("sim routed %d of %d arrivals", len(simDecisions), len(reqs))
 	}
+	if (hits > 0) != (simOpts.CandidateTable != nil) {
+		t.Fatalf("the tier answered %d sim arrivals, with table %v", hits, simOpts.CandidateTable != nil)
+	}
 
-	// Serve arm: default min-load-cost, driven serially in the
+	// Serve arm: min-load-cost, driven serially in the
 	// exact (time, seq) event order netsim uses — arrivals pre-pushed with
 	// seq 0..n-1, departures pushed at accept time with subsequent seqs.
-	e := startEngine(t, nsf(8), Config{Algorithm: AlgoMinLoadCost})
+	e := startEngine(t, nsf(8), cfg)
 	q := make(simQueue, 0, len(reqs))
 	var seq uint64
 	for _, r := range reqs {

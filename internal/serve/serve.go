@@ -20,9 +20,9 @@
 //     runs to completion on its caller's goroutine: a provision or reroute
 //     takes any free router, routes against the latest snapshot, commits,
 //     and returns the router; a teardown takes no router and goes straight
-//     to the commit step. Each router keeps its own skeleton caches, and an
-//     optional read-only CandidateTable is shared by all of them; the engine
-//     starts no goroutine per router.
+//     to the commit step. Each router keeps its own skeleton caches, and a
+//     CandidateTable (on unless Config.Candidates is -1) is shared by all of
+//     them; the engine starts no goroutine per router.
 //   - The commit step runs under one commit mutex, the single writer of
 //     the connection table (package conns) that owns the authoritative
 //     *wdm.Network: nothing mutates it without the mutex. The table
@@ -83,9 +83,11 @@ type Config struct {
 	// Algorithm is the default routing discipline (AlgoMinCost if unset);
 	// provision requests may override it per call.
 	Algorithm core.Algorithm
-	// Candidates, when positive, prebuilds a shared read-only candidate
-	// table with k route pairs per (s, t) that every router tries before the
-	// exact pipeline.
+	// Candidates is k, the route pairs per (s, t) of the candidate table
+	// every router shares (4 if 0; -1 disables the tier). MinCost requests
+	// try the table's pairs before the exact pipeline, and MinLoadCost
+	// requests try those under the MinCog load bound before the exact phase
+	// 2. Each pair's entry is generated on its first request.
 	Candidates int
 	// JournalCap retains up to this many commit-ordered journal entries for
 	// deterministic replay (0 disables the journal).
@@ -103,6 +105,16 @@ func (c *Config) maxRetries() int {
 	case c.MaxRetries > 0:
 		return c.MaxRetries
 	case c.MaxRetries < 0:
+		return 0
+	}
+	return 4
+}
+
+func (c *Config) candidates() int {
+	switch {
+	case c.Candidates > 0:
+		return c.Candidates
+	case c.Candidates < 0:
 		return 0
 	}
 	return 4
@@ -221,11 +233,12 @@ func New(net *wdm.Network, cfg Config) *Engine {
 	e.contention = make([]atomic.Int64, st.cur.Links())
 	e.instr.initTimers()
 	// Router options: ReuseResult is safe (route copies paths out
-	// immediately) and the options and candidate table — built once from
-	// the authoritative clone — are read-only, so every router shares them.
+	// immediately), the options are read-only, and the candidate table —
+	// built from the authoritative clone, filled per pair on first use — is
+	// safe to share, so every router shares them.
 	opts := &core.Options{ReuseResult: true}
-	if cfg.Candidates > 0 {
-		opts.CandidateTable = core.NewCandidateTable(st.cur, cfg.Candidates)
+	if k := cfg.candidates(); k > 0 {
+		opts.CandidateTable = core.NewCandidateTable(st.cur, k)
 	}
 	e.routers = make(chan *core.Router, runtime.GOMAXPROCS(0))
 	for range cap(e.routers) {
